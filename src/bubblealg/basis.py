@@ -16,7 +16,7 @@ quadrant.  The full diagram basis has size walk_count(2n, 0, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .diagram import (
@@ -24,7 +24,9 @@ from .diagram import (
     COLOUR_CHARS,
     RED,
     Diagram,
+    Endpoints,
     circular_positions,
+    endpoint_arrays,
     make_diagram,
     propagating_index,
 )
@@ -226,6 +228,10 @@ class HalfDiagram:
     Points 1..n sit on the frame.  Arcs of the same colour never
     interleave, and a cut of some colour never sits strictly inside an
     arc of that colour; cuts of the other colour may.
+
+    For gluing it is read as a diagram from the frame to i + j points:
+    red cut k runs to point k and blue cut k to point i + k, which is
+    canonical as colours may cross and same-colour cuts keep their order.
     """
 
     n: int
@@ -280,6 +286,27 @@ class HalfDiagram:
     @property
     def propagating(self) -> tuple[int, int]:
         return (len(self.red_cuts), len(self.blue_cuts))
+
+    def _endpoints(self, frame: int, cut: int) -> Endpoints:
+        # frame point p becomes endpoint frame + p, cut slot k endpoint cut + k
+        i = len(self.red_cuts)
+        pairs = [(frame + p, frame + q, c) for p, q, c in self.arcs]
+        pairs += [(frame + t, cut + k, RED) for k, t in enumerate(self.red_cuts, 1)]
+        pairs += [(frame + t, cut + i + k, BLUE) for k, t in enumerate(self.blue_cuts, 1)]
+        return endpoint_arrays(self.n + i + len(self.blue_cuts), pairs)
+
+    @cached_property
+    def endpoints(self) -> Endpoints:
+        """Endpoint arrays with the frame north: n over i + j points.
+
+        Cached and shared by every caller, so they are read, never changed.
+        """
+        return self._endpoints(0, self.n)
+
+    @cached_property
+    def flipped_endpoints(self) -> Endpoints:
+        """Endpoint arrays mirrored top to bottom: i + j over n points."""
+        return self._endpoints(len(self.red_cuts) + len(self.blue_cuts), 0)
 
     def cuts(self, c: int) -> tuple[int, ...]:
         return self.red_cuts if c == RED else self.blue_cuts

@@ -17,7 +17,7 @@ import json
 import os
 from pathlib import Path
 
-from .basis import DEFAULT_MAX_N, enumerate_basis
+from .basis import DEFAULT_MAX_N, _guard, enumerate_basis
 from .diagram import Diagram
 
 CACHE_VERSION = 1
@@ -59,8 +59,8 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
             fh.write(enc + "\n")
 
 
-def load_basis(path: str | Path) -> list[Diagram]:
-    """Read a basis list back, verifying header, hash, and sizes."""
+def load_basis(path: str | Path, n: int) -> list[Diagram]:
+    """Read a basis list back, verifying header, hash, sizes and the requested n."""
     path = Path(path)
     try:
         with gzip.open(path, "rt", encoding="ascii") as fh:
@@ -78,9 +78,10 @@ def load_basis(path: str | Path) -> list[Diagram]:
         raise CacheError(
             f"cache {path} holds {len(lines)} entries, header says {header.get('count')}"
         )
+    if header.get("n") != n:
+        raise CacheError(f"cache {path} holds the size-{header.get('n')} basis, not size {n}")
     if header.get("hash") != basis_digest(lines):
         raise CacheError(f"cache {path} fails its content digest")
-    n = header.get("n")
     out = []
     for enc in lines:
         try:
@@ -104,9 +105,10 @@ def cached_basis(
         cache_dir = default_cache_dir()
     if cache_dir is None:
         return enumerate_basis(n, max_n=max_n)
+    _guard(2 * n, max_n)
     path = cache_path(cache_dir, n)
     if path.exists():
-        return load_basis(path)
+        return load_basis(path, n)
     diagrams = enumerate_basis(n, max_n=max_n)
     save_basis(path, n, diagrams)
     return diagrams

@@ -140,7 +140,7 @@ def _check_root_scan(size: int) -> CheckResult:
     if size >= 4:
         jobs.append((4, 0, 0, RED))
     for n, i, j, var in jobs:
-        scan = scan_gram_roots(n, i, j, var=var)
+        scan = scan_gram_roots(gram_det_report(n, i, j, cross_check=False), var=var)
         if not scan.all_matched:
             return CheckResult(
                 "gram_root_scan",

@@ -114,12 +114,16 @@ def cmd_gram(args: argparse.Namespace) -> int:
         "entries": [[str(matrix[r, c]) for c in range(matrix.cols)] for r in range(matrix.rows)],
     }
     status = EXIT_OK
+    report = None
+    if args.det or args.roots is not None:
+        # one report serves --det, --blocks and --roots; only --det cross-checks
+        cross_check = None if args.det else False
+        report = gram_det_report(n, i, j, cross_check=cross_check, max_n=args.max_n)
     if args.det:
-        report = gram_det_report(n, i, j, max_n=args.max_n)
         payload["det"] = str(report.det)
         payload["det_cross_checked"] = report.cross_checked
     if args.blocks:
-        _, blocks = gram_blocks(n, i, j, max_n=args.max_n)
+        blocks = report.blocks if report else gram_blocks(n, i, j, max_n=args.max_n)[1]
         payload["blocks"] = [
             {
                 "word": blk.word,
@@ -131,7 +135,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         ]
     if args.roots is not None:
         var = RED if args.roots == "r" else BLUE
-        scan = scan_gram_roots(n, i, j, var=var, max_n=args.max_n)
+        scan = scan_gram_roots(report, var=var)
         payload["roots"] = {
             "var": args.roots,
             "det_is_zero": scan.det_is_zero,

@@ -15,6 +15,9 @@ southern edge of the upper diagram to the northern edge of the lower.
 The product is zero unless strand colours agree at every glued point;
 closed loops created by the gluing are removed and counted per colour,
 each contributing one loop-parameter factor at the algebra level.
+``glue`` is the one routine that follows strands across a glued edge,
+working on endpoint arrays; the product, the action on standard modules
+and their bilinear form (see ``stdmod``) are thin adapters over it.
 
 The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
@@ -152,16 +155,72 @@ def straight_diagram(word: Iterable[int]) -> Diagram:
     return Diagram(n, n, tuple((k + 1, n + k + 1, w[k]) for k in range(n)))
 
 
-def _endpoint_arrays(d: Diagram) -> tuple[list[int], list[int]]:
-    total = d.n_north + d.n_south
+Endpoints = tuple[list[int], list[int]]
+
+
+def endpoint_arrays(total: int, pairs: Iterable[tuple[int, int, int]]) -> Endpoints:
+    """Partner and colour of each endpoint 1..total (index 0 unused)."""
     partner = [0] * (total + 1)
     colour = [0] * (total + 1)
-    for p, q, c in d.pairs:
+    for p, q, c in pairs:
         partner[p] = q
         partner[q] = p
         colour[p] = c
         colour[q] = c
     return partner, colour
+
+
+def glue(
+    top: Endpoints, bottom: Endpoints, n_north: int, n_glued: int, n_south: int
+) -> tuple[int, int, list[tuple[int, int, int]]] | None:
+    """Stack ``top`` on ``bottom`` and follow every strand across the seam.
+
+    ``top`` and ``bottom`` are the (partner, colour) endpoint arrays of a
+    factor with ``n_north`` over ``n_glued`` points and of one with
+    ``n_glued`` over ``n_south`` points.  Returns None when the colours
+    clash at a glued point, else (loops_r, loops_b, pairs): the closed
+    loops per colour and the result's canonical pairs, numbered north
+    then south with the smaller endpoint first and sorted by it.
+    """
+    pa, ca = top
+    pb, cb = bottom
+    if ca[n_north + 1 :] != cb[1 : n_glued + 1]:
+        return None
+    # one index space: the lower factor's point y becomes off + y; a strand
+    # reaching a glued point carries on from its twin, a free end has twin 0
+    off = n_north + n_glued
+    last = off + n_glued
+    partner = pa + [off + q for q in pb[1:]]
+    colour = ca + cb[1:]
+    twin = [0] * (n_north + 1) + [*range(off + 1, last + 1), *range(n_north + 1, off + 1)]
+    twin += [0] * n_south
+    seen = [True] + [False] * (last + n_south)
+    pairs: list[tuple[int, int, int]] = []
+    shift = last - n_north
+    for start in (*range(1, n_north + 1), *range(last + 1, last + n_south + 1)):
+        if seen[start]:
+            continue
+        cur = start
+        while not seen[cur]:
+            q = partner[cur]
+            seen[cur] = seen[q] = True
+            cur = twin[q]
+        p = start if start <= n_north else start - shift
+        pairs.append((p, q if q <= n_north else q - shift, colour[start]))
+    # anything left closes up into loops alternating between the factors
+    loops = [0, 0]
+    for start in range(n_north + 1, off + 1):
+        if seen[start]:
+            continue
+        if colour[start] > 1:
+            raise ValueError("loop colour outside the two-parameter ring")
+        loops[colour[start]] += 1
+        cur = start
+        while not seen[cur]:
+            q = partner[cur]
+            seen[cur] = seen[q] = True
+            cur = twin[q]
+    return loops[0], loops[1], pairs
 
 
 def compose(a: Diagram, b: Diagram) -> tuple[int, int, Diagram] | None:
@@ -175,73 +234,12 @@ def compose(a: Diagram, b: Diagram) -> tuple[int, int, Diagram] | None:
         raise SizeMismatchError(
             f"cannot glue {a.n_south} southern points to {b.n_north} northern points"
         )
-    m = a.n_south
-    pa, ca = _endpoint_arrays(a)
-    pb, cb = _endpoint_arrays(b)
-    na = a.n_north
-    for k in range(1, m + 1):
-        if ca[na + k] != cb[k]:
-            return None
-    seen_a = [False] * (na + m + 1)
-    seen_b = [False] * (m + b.n_south + 1)
-    new_pairs: list[tuple[int, int, int]] = []
-    loops = [0, 0]
-
-    def trace(side: str, start: int) -> tuple[str, int, int]:
-        # follow the strand chain from a free end to the opposite free end
-        s, p = side, start
-        col = -1
-        while True:
-            if s == "a":
-                q = pa[p]
-                col = ca[p]
-                seen_a[p] = seen_a[q] = True
-                if q <= na:
-                    return ("a", q, col)
-                s, p = "b", q - na
-            else:
-                q = pb[p]
-                col = cb[p]
-                seen_b[p] = seen_b[q] = True
-                if q > m:
-                    return ("b", q, col)
-                s, p = "a", na + q
-
-    def result_id(side: str, point: int) -> int:
-        return point if side == "a" else na + (point - m)
-
-    for p in range(1, na + 1):
-        if seen_a[p]:
-            continue
-        seen_a[p] = True
-        side, end, col = trace("a", p)
-        new_pairs.append((p, result_id(side, end), col))
-    for p in range(m + 1, m + b.n_south + 1):
-        if seen_b[p]:
-            continue
-        seen_b[p] = True
-        side, end, col = trace("b", p)
-        new_pairs.append((result_id("b", p), result_id(side, end), col))
-    # anything left closes up into loops alternating between the factors
-    for k in range(1, m + 1):
-        if seen_a[na + k]:
-            continue
-        col = ca[na + k]
-        cur = k
-        while True:
-            up = na + cur
-            q = pa[up]
-            seen_a[up] = seen_a[q] = True
-            k2 = q - na
-            q2 = pb[k2]
-            seen_b[k2] = seen_b[q2] = True
-            cur = q2
-            if cur == k:
-                break
-        if col > 1:
-            raise ValueError("loop colour outside the two-parameter ring")
-        loops[col] += 1
-    return loops[0], loops[1], make_diagram(na, b.n_south, new_pairs)
+    top = endpoint_arrays(a.n_north + a.n_south, a.pairs)
+    bottom = endpoint_arrays(b.n_north + b.n_south, b.pairs)
+    r = glue(top, bottom, a.n_north, a.n_south, b.n_south)
+    if r is None:
+        return None
+    return r[0], r[1], Diagram(a.n_north, b.n_south, tuple(r[2]))
 
 
 def propagating_index(d: Diagram, n_colours: int = 2) -> tuple[int, ...]:
@@ -391,11 +389,6 @@ class Element:
             f"({c})*{d.encode()}" for d, c in sorted(self._terms.items(), key=lambda t: t[0].encode())
         )
         return f"Element[{self.n_north},{self.n_south}]({body})"
-
-
-def element_compose(x: Element, y: Element) -> Element:
-    """Algebra product of two elements; alias for ``x * y``."""
-    return x * y
 
 
 def identity_element(n: int, n_colours: int = 2) -> Element:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 
 from .diagram import BLUE, RED, Diagram, Element
 from .exactpoly import LaurentPoly
@@ -203,27 +202,6 @@ def b2_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
     else:
         m = np.outer(arc_ket(c1, params), arc_bra(c2, params))
     return m
-
-
-# ---------------------------------------------------------------------------
-# embedding into a longer chain
-
-
-def embed(m: np.ndarray, k: int, n: int):
-    """Place a two-site operator on sites k, k+1 of an n-site chain.
-
-    Dense for two sites, compressed sparse rows from three sites up.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"position {k} out of range for {n} sites")
-    if n == 2:
-        return np.asarray(m)
-    out = sparse.csr_matrix(m)
-    if k > 1:
-        out = sparse.kron(sparse.identity(4 ** (k - 1), format="csr"), out, format="csr")
-    if k < n - 1:
-        out = sparse.kron(out, sparse.identity(4 ** (n - k - 1), format="csr"), format="csr")
-    return out
 
 
 # ---------------------------------------------------------------------------

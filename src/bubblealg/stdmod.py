@@ -2,14 +2,18 @@
 Gram determinants, restriction, and root location.
 
 The module labelled (i, j) has the half diagrams with that propagating
-count as basis.  A diagram acts by gluing its southern edge onto the
-frame; chains that would bend a propagating line back are set to zero,
+count as basis.  A half diagram is read as a diagram from its n frame
+points to i + j cut points (see ``HalfDiagram``), so the action and the
+form are both calls of the gluing kernel ``diagram.glue``.  A diagram
+acts by gluing its southern edge onto the frame; a chain joining two cut
+points would bend a propagating line back and makes the image zero,
 which realises the quotient by lower layers of the filtration.
 
-The bilinear form glues two half diagrams frame to frame.  It is block
-diagonal over the boundary colour word, and each block factorises as a
-tensor product of two one-colour forms, which is what the determinant
-and root machinery exploit.
+The bilinear form glues one half diagram, flipped top to bottom, onto
+the other; it is nonzero only when every chain runs from a cut of one
+to a cut of the other.  It is block diagonal over the boundary colour
+word, and each block factorises as a tensor product of two one-colour
+forms, which is what the determinant and root machinery exploit.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .diagram import (
     Diagram,
     Element,
     SizeMismatchError,
-    _endpoint_arrays,
+    endpoint_arrays,
+    glue,
     white_generator,
 )
 from .exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
@@ -46,21 +51,6 @@ from .oracles import tl_gram_exponents
 
 # ---------------------------------------------------------------------------
 # action of diagrams on half diagrams
-
-
-def _frame_tables(bra: HalfDiagram):
-    colour_at: dict[int, int] = {}
-    arc_partner: dict[int, int] = {}
-    slot_colour: dict[int, int] = {}
-    for p, q, c in bra.arcs:
-        colour_at[p] = colour_at[q] = c
-        arc_partner[p] = q
-        arc_partner[q] = p
-    for c in (RED, BLUE):
-        for t in bra.cuts(c):
-            colour_at[t] = c
-            slot_colour[t] = c
-    return colour_at, arc_partner, slot_colour
 
 
 def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | None:
@@ -74,72 +64,16 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
         raise SizeMismatchError(
             f"diagram with {d.n_south} southern points cannot act on a frame of {bra.n}"
         )
-    nn, ns = d.n_north, d.n_south
-    pd, cd = _endpoint_arrays(d)
-    colour_at, arc_partner, slot_colour = _frame_tables(bra)
-    for k in range(1, ns + 1):
-        if cd[nn + k] != colour_at[k]:
-            return None
-    visited_d = [False] * (nn + ns + 1)
-    visited_f = [False] * (ns + 1)
-    new_arcs: list[tuple[int, int, int]] = []
-    reached: dict[int, list[tuple[int, int]]] = {RED: [], BLUE: []}
-    loops = [0, 0]
-    for p in range(1, nn + 1):
-        if visited_d[p]:
-            continue
-        visited_d[p] = True
-        q = pd[p]
-        col = cd[p]
-        visited_d[q] = True
-        if q <= nn:
-            new_arcs.append((p, q, col))
-            continue
-        k = q - nn
-        while True:
-            visited_f[k] = True
-            if k in slot_colour:
-                reached[slot_colour[k]].append((p, k))
-                break
-            k2 = arc_partner[k]
-            visited_f[k2] = True
-            dpt = nn + k2
-            visited_d[dpt] = True
-            q2 = pd[dpt]
-            visited_d[q2] = True
-            if q2 <= nn:
-                new_arcs.append((p, q2, col))
-                break
-            k = q2 - nn
-    for c in (RED, BLUE):
-        for t in bra.cuts(c):
-            if not visited_f[t]:
-                # the slot chains to another slot: the image leaves the layer
-                return None
-    new_cuts: dict[int, tuple[int, ...]] = {}
-    for c in (RED, BLUE):
-        entries = sorted(reached[c])
-        # planarity forces slot attachment to preserve left-to-right order
-        assert [s for _, s in entries] == list(bra.cuts(c))
-        new_cuts[c] = tuple(p for p, _ in entries)
-    for k in range(1, ns + 1):
-        if visited_f[k]:
-            continue
-        col = colour_at[k]
-        cur = k
-        while not visited_f[cur]:
-            visited_f[cur] = True
-            k2 = arc_partner[cur]
-            visited_f[k2] = True
-            dpt = nn + k2
-            visited_d[dpt] = True
-            q2 = pd[dpt]
-            assert q2 > nn
-            visited_d[q2] = True
-            cur = q2 - nn
-        loops[col] += 1
-    half = make_half(nn, new_arcs, new_cuts[RED], new_cuts[BLUE])
-    return loops[0], loops[1], half
+    nn = d.n_north
+    top = endpoint_arrays(nn + d.n_south, d.pairs)
+    r = glue(top, bra.endpoints, nn, bra.n, sum(bra.propagating))
+    # a pair with both ends among the slots is a chain that leaves the layer
+    if r is None or any(p > nn for p, _, _ in r[2]):
+        return None
+    lr, lb, pairs = r
+    arcs = tuple(pair for pair in pairs if pair[1] <= nn)
+    red, blue = (tuple(p for p, q, c in pairs if q > nn and c == col) for col in (RED, BLUE))
+    return lr, lb, HalfDiagram(nn, arcs, red, blue)
 
 
 ModuleVector = dict[HalfDiagram, LaurentPoly]
@@ -194,64 +128,24 @@ def rep_matrix(
 
 def rb_word(bra: HalfDiagram) -> str:
     """Boundary colour word: the colour letter at each frame point."""
-    colour_at, _, _ = _frame_tables(bra)
-    return "".join(COLOUR_CHARS[colour_at[k]] for k in range(1, bra.n + 1))
+    colour = bra.endpoints[1]
+    return "".join(COLOUR_CHARS[colour[k]] for k in range(1, bra.n + 1))
 
 
 def bra_inner(x: HalfDiagram, y: HalfDiagram) -> LaurentPoly:
     """Glue two half diagrams frame to frame; a monomial in the loop ring.
 
-    Zero unless the colour words agree and every chain joins a
-    propagating slot of one half to one of the other.
+    This is the gluing of x flipped top to bottom onto y.  It is zero
+    unless the colour words agree and every chain joins a propagating
+    slot of one half to one of the other.
     """
     if x.n != y.n:
         raise SizeMismatchError("frames have different sizes")
-    n = x.n
-    cx, ax, sx = _frame_tables(x)
-    cy, ay, sy = _frame_tables(y)
-    if any(cx[k] != cy[k] for k in range(1, n + 1)):
+    k = sum(x.propagating)
+    r = glue(x.flipped_endpoints, y.endpoints, k, x.n, sum(y.propagating))
+    if r is None or any(not p <= k < q for p, q, _ in r[2]):
         return ZERO
-    vis_x = [False] * (n + 1)
-    vis_y = [False] * (n + 1)
-    for c in (RED, BLUE):
-        for t0 in x.cuts(c):
-            vis_x[t0] = True
-            side, pt = "y", t0
-            while True:
-                if side == "y":
-                    vis_y[pt] = True
-                    if pt in sy:
-                        break
-                    p2 = ay[pt]
-                    vis_y[p2] = True
-                    side, pt = "x", p2
-                else:
-                    vis_x[pt] = True
-                    if pt in sx:
-                        return ZERO
-                    p2 = ax[pt]
-                    vis_x[p2] = True
-                    side, pt = "y", p2
-    for t in sy:
-        if not vis_y[t]:
-            return ZERO
-    loops = [0, 0]
-    for k in range(1, n + 1):
-        if vis_x[k]:
-            continue
-        col = cx[k]
-        cur = k
-        while not vis_x[cur]:
-            vis_x[cur] = True
-            p2 = ax[cur]
-            vis_x[p2] = True
-            vis_y[p2] = True
-            p3 = ay[p2]
-            vis_y[p3] = True
-            cur = p3
-        loops[col] += 1
-    assert all(vis_y[1:])
-    return LaurentPoly.monomial(loops[0], loops[1])
+    return LaurentPoly.monomial(r[0], r[1])
 
 
 def gram_matrix(
@@ -276,10 +170,10 @@ def split_by_colour(bra: HalfDiagram) -> tuple[
     order; each half is (arcs, defect positions), matching the shape the
     one-colour reference code uses.
     """
-    colour_at, _, _ = _frame_tables(bra)
+    colour = bra.endpoints[1]
     out = []
     for c in (RED, BLUE):
-        points = [k for k in range(1, bra.n + 1) if colour_at[k] == c]
+        points = [k for k in range(1, bra.n + 1) if colour[k] == c]
         rank = {p: r + 1 for r, p in enumerate(points)}
         arcs = tuple(sorted((rank[p], rank[q]) for p, q, cc in bra.arcs if cc == c))
         defects = tuple(rank[t] for t in bra.cuts(c))
@@ -591,27 +485,24 @@ class GramRootScan:
 
 
 def scan_gram_roots(
-    n: int,
-    i: int,
-    j: int,
+    report: GramDetReport,
     var: int = RED,
     other_values: tuple[Fraction, ...] = (Fraction(7, 3), Fraction(5, 2)),
     tol: float = 1e-8,
     max_k: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> GramRootScan:
-    """Locate the roots of a Gram determinant in one loop parameter.
+    """Locate the roots of a reported Gram determinant in one loop parameter.
 
     The other parameter is pinned to exact rationals, repeated factors
     are removed by exact polynomial arithmetic, and only then does the
     numeric root finder run.  Every root must then lie within tolerance
     of twice a cosine of a rational angle with denominator at most 2n.
     """
+    n, det = report.n, report.det
     if max_k is None:
         max_k = 2 * n
-    det = gram_det_report(n, i, j, cross_check=False, max_n=max_n).det
     if det.is_zero:
-        return GramRootScan(n, (i, j), var, True, ())
+        return GramRootScan(n, report.label, var, True, ())
     samples = []
     for other in other_values:
         lo, coeffs = _univariate(det, var, other)
@@ -628,4 +519,4 @@ def scan_gram_roots(
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, tol)))
         samples.append(SampleScan(other, False, zero_mult, tuple(records)))
-    return GramRootScan(n, (i, j), var, False, tuple(samples))
+    return GramRootScan(n, report.label, var, False, tuple(samples))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from bubblealg.diagram import Diagram, make_diagram
 from bubblealg.exactpoly import LaurentPoly, PolyMatrix
 
 
@@ -59,3 +60,13 @@ def brute_walk_count(n: int, i: int, j: int) -> int:
             if x2 >= 0 and y2 >= 0:
                 stack.append((step + 1, x2, y2))
     return count
+
+
+def mirror(d: Diagram) -> Diagram:
+    """Top-bottom mirror d*: northern point p becomes southern point p."""
+    nn, ns = d.n_north, d.n_south
+
+    def image(p: int) -> int:
+        return ns + p if p <= nn else p - nn
+
+    return make_diagram(ns, nn, [(image(p), image(q), c) for p, q, c in d.pairs])

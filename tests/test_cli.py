@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 
 import pytest
 
-from bubblealg.basis import enumerate_basis
+from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.cache import (
     CacheError,
     ENV_CACHE_DIR,
@@ -26,7 +27,7 @@ class TestCache:
         fresh = enumerate_basis(3)
         path = cache_path(tmp_path, 3)
         save_basis(path, 3, fresh)
-        assert load_basis(path) == fresh
+        assert load_basis(path, 3) == fresh
 
     def test_cached_basis_writes_then_reads(self, tmp_path):
         first = cached_basis(3, cache_dir=tmp_path)
@@ -48,14 +49,14 @@ class TestCache:
         with gzip.open(path, "wt", encoding="ascii") as fh:
             fh.write("not json\n")
         with pytest.raises(CacheError):
-            load_basis(path)
+            load_basis(path, 2)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = cache_path(tmp_path, 2)
         with gzip.open(path, "wt", encoding="ascii") as fh:
             fh.write(json.dumps({"count": 0, "hash": "", "n": 2, "version": 99}) + "\n")
         with pytest.raises(CacheError):
-            load_basis(path)
+            load_basis(path, 2)
 
     def test_edited_content_fails_digest(self, tmp_path):
         path = cache_path(tmp_path, 2)
@@ -66,13 +67,24 @@ class TestCache:
         with gzip.open(path, "wt", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(CacheError):
-            load_basis(path)
+            load_basis(path, 2)
 
     def test_not_gzip_rejected(self, tmp_path):
         path = cache_path(tmp_path, 2)
         path.write_text("plain text")
         with pytest.raises(CacheError):
-            load_basis(path)
+            load_basis(path, 2)
+
+    def test_header_size_must_match_request(self, tmp_path):
+        # a consistent n=2 file under the n=3 name must not be served as B_3
+        save_basis(cache_path(tmp_path, 3), 2, enumerate_basis(2))
+        with pytest.raises(CacheError):
+            cached_basis(3, cache_dir=tmp_path)
+
+    def test_guard_applies_before_a_hit(self, tmp_path):
+        save_basis(cache_path(tmp_path, 3), 3, enumerate_basis(3))
+        with pytest.raises(ResourceLimitError):
+            cached_basis(3, cache_dir=tmp_path, max_n=1)
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +132,16 @@ class TestBasisCommand:
             fh.write("garbage\n")
         code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
         assert code == 2
+
+    def test_wrong_size_cache_is_a_usage_error(self, capsys, tmp_path):
+        save_basis(cache_path(tmp_path, 3), 2, enumerate_basis(2))
+        code, _ = run_cli(capsys, "basis", "--n", "3", "--cache-dir", str(tmp_path))
+        assert code == 2
+
+    def test_cache_hit_still_hits_the_resource_bound(self, capsys, tmp_path):
+        save_basis(cache_path(tmp_path, 3), 3, enumerate_basis(3))
+        code, _ = run_cli(capsys, "basis", "--n", "3", "--max-n", "1", "--cache-dir", str(tmp_path))
+        assert code == 3
 
 
 class TestDimsCommand:
@@ -172,6 +194,27 @@ class TestGramCommand:
     def test_empty_label_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "gram", "--n", "3", "--i", "0", "--j", "0")
         assert code == 2
+
+    # sha256 of stdout recorded before the strand tracers were merged into
+    # one kernel; they pin every byte, root floats included
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "gram --n 5 --i 1 --j 0 --det --blocks --roots r",
+                "e8a42142c310c449433143d181c27455c6fcee5fa4bb1039c8f2a9be4f13b1b2",
+            ),
+            (
+                "gram --n 6 --i 1 --j 1 --det --blocks --roots b",
+                "994cfa46cb7690378ecc531f029bef5c8f0b1c1565f10c5d6f758e9e89a40a53",
+            ),
+        ],
+        ids=["n5_i1_j0", "n6_i1_j1"],
+    )
+    def test_golden_stdout(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestRepCommand:

@@ -27,7 +27,6 @@ from bubblealg.spinchain import (
     colour_block_indices,
     diagram_matrix,
     element_matrix,
-    embed,
     homomorphism_report,
     site_basis_order,
     state_index,
@@ -174,27 +173,6 @@ class TestGenericMatrices:
         lhs = element_matrix(sq, GENERIC)
         rhs = GENERIC.delta_r * diagram_matrix(cupcap(RED, RED), GENERIC)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestEmbed:
-    def test_two_sites_passthrough(self):
-        m = b2_matrix(cupcap(RED, RED), GENERIC)
-        assert np.array_equal(embed(m, 1, 2), m)
-
-    def test_three_site_placement(self):
-        m = b2_matrix(crossing(RED, BLUE), GENERIC)
-        left = embed(m, 1, 3)
-        right = embed(m, 2, 3)
-        assert left.format == right.format == "csr"
-        assert np.array_equal(left.toarray(), np.kron(m, np.eye(4)))
-        assert np.array_equal(right.toarray(), np.kron(np.eye(4), m))
-
-    def test_position_bounds(self):
-        m = np.eye(16)
-        with pytest.raises(ValueError):
-            embed(m, 3, 3)
-        with pytest.raises(ValueError):
-            embed(m, 0, 2)
 
 
 class TestHomomorphism:

@@ -7,12 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import mirror
 
 from bubblealg.basis import enumerate_basis, enumerate_bras, make_half, standard_labels, walk_count
 from bubblealg.diagram import (
     BLUE,
     RED,
     Element,
+    compose,
     identity_element,
     make_diagram,
     white_generator,
@@ -229,14 +231,14 @@ class TestRootScan:
         assert tl_gram_poly(2, 0, BLUE) == PolyMatrix([[DB]])
 
     def test_scan_locates_cosine_roots(self):
-        scan = scan_gram_roots(3, 1, 0, var=RED)
+        scan = scan_gram_roots(gram_det_report(3, 1, 0, cross_check=False), var=RED)
         assert isinstance(scan, GramRootScan)
         assert scan.all_matched
         values = sorted(r.value.real for r in scan.samples[0].roots)
         assert values == pytest.approx([-1.0, 1.0])
 
     def test_scan_records_zero_roots(self):
-        scan = scan_gram_roots(3, 1, 0, var=BLUE)
+        scan = scan_gram_roots(gram_det_report(3, 1, 0, cross_check=False), var=BLUE)
         assert scan.all_matched
         assert scan.samples[0].zero_root_multiplicity == 3
 
@@ -244,10 +246,10 @@ class TestRootScan:
         # the (0, 0) form at four points has repeated factors; exact
         # square-free reduction keeps the numeric roots clean
         for var in (RED, BLUE):
-            assert scan_gram_roots(4, 0, 0, var=var).all_matched
+            assert scan_gram_roots(gram_det_report(4, 0, 0, cross_check=False), var=var).all_matched
 
     def test_scan_finds_sqrt_two(self):
-        scan = scan_gram_roots(4, 2, 0, var=RED)
+        scan = scan_gram_roots(gram_det_report(4, 2, 0, cross_check=False), var=RED)
         assert scan.all_matched
         for sample in scan.samples:
             reals = sorted(r.value.real for r in sample.roots)
@@ -261,3 +263,43 @@ class TestSplitByColour:
         r_half, b_half = split_by_colour(bra)
         assert r_half == ((), (1,))
         assert b_half == (((1, 2),), ())
+
+
+class TestContravariance:
+    """The form is contravariant for the top-bottom mirror d -> d*."""
+
+    def test_mirror_reverses_products(self):
+        basis = enumerate_basis(3)
+        for a in basis:
+            for b in basis:
+                ab = compose(a, b)
+                ba = compose(mirror(b), mirror(a))
+                if ab is None:
+                    assert ba is None
+                else:
+                    assert ba == (ab[0], ab[1], mirror(ab[2]))
+
+    @staticmethod
+    def _form(r, other, on_left: bool) -> LaurentPoly:
+        # coefficient of <d.x, y> (on_left) or <x, d*.y> from an action result
+        if r is None:
+            return LaurentPoly.zero()
+        lr, lb, half = r
+        inner = bra_inner(half, other) if on_left else bra_inner(other, half)
+        return LaurentPoly.monomial(lr, lb) * inner
+
+    def test_action_is_adjoint_to_mirror(self):
+        basis = enumerate_basis(3)
+        nonzero = 0
+        for i, j in standard_labels(3):
+            bras = enumerate_bras(3, i, j)
+            for d in basis:
+                d_star = mirror(d)
+                for x in bras:
+                    dx = act_diagram(d, x)
+                    for y in bras:
+                        lhs = self._form(dx, y, True)
+                        rhs = self._form(act_diagram(d_star, y), x, False)
+                        assert lhs == rhs, (d.encode(), x.encode(), y.encode())
+                        nonzero += not lhs.is_zero
+        assert nonzero
