@@ -11,6 +11,13 @@ diagrams on n points with (i, j) propagating lines of the two colours
 equals the number of n-step walks from the origin to (i, j) using unit
 steps in the four axis directions while staying in the closed positive
 quadrant.  The full diagram basis has size walk_count(2n, 0, 0).
+
+``enumerate_basis`` builds valid diagrams and skips the validity rule
+``diagram.check_matching`` (``Diagram._raw``).  A ``HalfDiagram`` applies
+the rule to its view, n frame points over i + j with red cut k joined to
+point n + k and blue cut k to point n + i + k: a cut inside an arc of its
+colour, same-colour cuts out of order and an unused frame point all fail
+it as an interleave or a count mismatch.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ from .diagram import (
     RED,
     Diagram,
     Endpoints,
+    check_matching,
     circular_positions,
     endpoint_arrays,
     make_diagram,
     propagating_index,
+    straight_diagram,
 )
 
 DEFAULT_MAX_N = 8
@@ -61,11 +70,9 @@ def walk_count(n: int, i: int, j: int) -> int:
     )
 
 
-def standard_labels(n: int, n_colours: int = 2) -> list[tuple[int, ...]]:
+def standard_labels(n: int) -> list[tuple[int, int]]:
     """Propagating-count labels with non-zero dimension, top of the
     filtration first."""
-    if n_colours == 1:
-        return [(k,) for k in range(n, -1, -1) if (n - k) % 2 == 0]
     out = []
     for total in range(n, -1, -1):
         if (n - total) % 2:
@@ -82,7 +89,6 @@ def standard_labels(n: int, n_colours: int = 2) -> list[tuple[int, ...]]:
 def enumerate_basis(
     n_north: int,
     n_south: int | None = None,
-    n_colours: int = 2,
     max_n: int = DEFAULT_MAX_N,
 ) -> list[Diagram]:
     """All diagrams on the given rectangle, sorted by their encoding."""
@@ -92,17 +98,19 @@ def enumerate_basis(
     circ = circular_positions(n_north, n_south)
     total = len(circ)
     results: list[Diagram] = []
-    stacks: list[list[int]] = [[] for _ in range(n_colours)]
+    stacks: tuple[list[int], list[int]] = ([], [])
     pairs: list[tuple[int, int, int]] = []
 
     def rec(idx: int) -> None:
         if idx == total:
-            results.append(make_diagram(n_north, n_south, list(pairs)))
+            # a southern pair opens at its larger endpoint; normalise, sort
+            norm = sorted((min(p, q), max(p, q), c) for p, q, c in pairs)
+            results.append(Diagram._raw(n_north, n_south, tuple(norm)))
             return
         pid = circ[idx]
         rem = total - idx - 1
-        n_open = sum(len(s) for s in stacks)
-        for c in range(n_colours):
+        n_open = len(stacks[RED]) + len(stacks[BLUE])
+        for c in (RED, BLUE):
             if stacks[c]:
                 # closing keeps rem - (n_open - 1) parity automatically
                 top = stacks[c].pop()
@@ -123,7 +131,6 @@ def enumerate_basis(
 def enumerate_via_seeds(
     n_north: int,
     n_south: int | None = None,
-    n_colours: int = 2,
     max_n: int = DEFAULT_MAX_N,
 ) -> list[Diagram]:
     """Second enumeration route: colour every uncoloured pair matching.
@@ -179,7 +186,7 @@ def enumerate_via_seeds(
                 )
                 return
             banned = {colours[j] for j in earlier_crossings[i]}
-            for c in range(n_colours):
+            for c in (RED, BLUE):
                 if c in banned:
                     continue
                 colours[i] = c
@@ -189,11 +196,11 @@ def enumerate_via_seeds(
     return sorted(results, key=Diagram.encode)
 
 
-def stratify(diagrams: list[Diagram], n_colours: int = 2) -> dict[tuple[int, ...], list[Diagram]]:
+def stratify(diagrams: list[Diagram]) -> dict[tuple[int, int], list[Diagram]]:
     """Group diagrams by their per-colour propagating counts."""
-    out: dict[tuple[int, ...], list[Diagram]] = {}
+    out: dict[tuple[int, int], list[Diagram]] = {}
     for d in diagrams:
-        out.setdefault(propagating_index(d, n_colours), []).append(d)
+        out.setdefault(propagating_index(d), []).append(d)
     return out
 
 
@@ -229,9 +236,10 @@ class HalfDiagram:
     interleave, and a cut of some colour never sits strictly inside an
     arc of that colour; cuts of the other colour may.
 
-    For gluing it is read as a diagram from the frame to i + j points:
-    red cut k runs to point k and blue cut k to point i + k, which is
-    canonical as colours may cross and same-colour cuts keep their order.
+    It is read, for validation and for gluing, as a diagram from the
+    frame to i + j points: red cut k runs to point k and blue cut k to
+    point i + k, which is canonical as colours may cross and same-colour
+    cuts keep their order.
     """
 
     n: int
@@ -240,60 +248,24 @@ class HalfDiagram:
     blue_cuts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        used = [False] * (self.n + 1)
         prev = 0
-        for p, q, c in self.arcs:
-            if not (1 <= p < q <= self.n) or c not in (RED, BLUE):
-                raise ValueError(f"bad arc ({p},{q},{c})")
-            if p <= prev:
-                raise ValueError("arcs not sorted by smaller endpoint")
-            if used[p] or used[q]:
-                raise ValueError("frame point used twice")
-            used[p] = used[q] = True
+        for p, q, _ in self.arcs:
+            if not prev < p < q <= self.n:
+                raise ValueError(f"arc ({p},{q}) out of range, unordered or not sorted")
             prev = p
-        for cuts in (self.red_cuts, self.blue_cuts):
-            for k, t in enumerate(cuts):
-                if not 1 <= t <= self.n:
-                    raise ValueError(f"cut position {t} out of range")
-                if k and cuts[k - 1] >= t:
-                    raise ValueError("cut positions not increasing")
-                if used[t]:
-                    raise ValueError("frame point used twice")
-                used[t] = True
-        if not all(used[1:]):
-            raise ValueError("frame point left unmatched")
-        for c, cuts in ((RED, self.red_cuts), (BLUE, self.blue_cuts)):
-            stack: list[int] = []
-            cutset = set(cuts)
-            events: dict[int, tuple[str, int]] = {}
-            for p, q, _ in (a for a in self.arcs if a[2] == c):
-                events[p] = ("open", q)
-                events[q] = ("close", p)
-            for t in range(1, self.n + 1):
-                if t in events:
-                    kind, other = events[t]
-                    if kind == "open":
-                        stack.append(t)
-                    else:
-                        if not stack or stack[-1] != other:
-                            raise ValueError("same-colour arcs interleave")
-                        stack.pop()
-                elif t in cutset and stack:
-                    raise ValueError(
-                        f"colour-{COLOUR_CHARS[c]} cut at {t} sits inside an arc of its colour"
-                    )
+        check_matching(self.n, sum(self.propagating), self._view(0, self.n))
 
     @property
     def propagating(self) -> tuple[int, int]:
         return (len(self.red_cuts), len(self.blue_cuts))
 
-    def _endpoints(self, frame: int, cut: int) -> Endpoints:
+    def _view(self, frame: int, cut: int) -> list[tuple[int, int, int]]:
         # frame point p becomes endpoint frame + p, cut slot k endpoint cut + k
         i = len(self.red_cuts)
         pairs = [(frame + p, frame + q, c) for p, q, c in self.arcs]
         pairs += [(frame + t, cut + k, RED) for k, t in enumerate(self.red_cuts, 1)]
         pairs += [(frame + t, cut + i + k, BLUE) for k, t in enumerate(self.blue_cuts, 1)]
-        return endpoint_arrays(self.n + i + len(self.blue_cuts), pairs)
+        return pairs
 
     @cached_property
     def endpoints(self) -> Endpoints:
@@ -301,12 +273,13 @@ class HalfDiagram:
 
         Cached and shared by every caller, so they are read, never changed.
         """
-        return self._endpoints(0, self.n)
+        return endpoint_arrays(self.n + sum(self.propagating), self._view(0, self.n))
 
     @cached_property
     def flipped_endpoints(self) -> Endpoints:
         """Endpoint arrays mirrored top to bottom: i + j over n points."""
-        return self._endpoints(len(self.red_cuts) + len(self.blue_cuts), 0)
+        cuts = sum(self.propagating)
+        return endpoint_arrays(self.n + cuts, self._view(cuts, 0))
 
     def cuts(self, c: int) -> tuple[int, ...]:
         return self.red_cuts if c == RED else self.blue_cuts
@@ -328,7 +301,7 @@ def make_half(n: int, arcs, red_cuts=(), blue_cuts=()) -> HalfDiagram:
 
 def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
     """All half diagrams on n points with (i, j) propagating cuts, sorted."""
-    _guard(n, max_n)
+    _guard(2 * n, max_n)
     results: list[HalfDiagram] = []
     if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
         return results
@@ -466,9 +439,7 @@ def restrict_bra(bra: HalfDiagram) -> tuple[tuple[int, int], HalfDiagram]:
     return label, HalfDiagram(n - 1, arcs, red, blue)
 
 
-def monochrome_straight_diagrams(n: int, n_colours: int = 2) -> list[Diagram]:
+def monochrome_straight_diagrams(n: int) -> list[Diagram]:
     """The all-propagating single-colour-per-strand diagrams, sorted."""
-    out = []
-    for word in product(range(n_colours), repeat=n):
-        out.append(make_diagram(n, n, [(k + 1, n + k + 1, word[k]) for k in range(n)]))
+    out = [straight_diagram(word) for word in product((RED, BLUE), repeat=n)]
     return sorted(out, key=Diagram.encode)

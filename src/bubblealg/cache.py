@@ -43,7 +43,10 @@ def basis_digest(encodings: list[str]) -> str:
 
 
 def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
-    """Write a basis list; the parent directory is created if needed."""
+    """Write a basis list; the parent directory is created if needed.
+
+    The data goes to a temporary file beside ``path`` that is then renamed
+    over it, so an interrupted write leaves no partial file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     encodings = [d.encode() for d in diagrams]
@@ -53,10 +56,16 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
         "n": n,
         "version": CACHE_VERSION,
     }
-    with gzip.open(path, "wt", encoding="ascii") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for enc in encodings:
-            fh.write(enc + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with gzip.open(tmp, "wt", encoding="ascii") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for enc in encodings:
+                fh.write(enc + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_basis(path: str | Path, n: int) -> list[Diagram]:

@@ -23,6 +23,12 @@ The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
 smaller endpoint and ``c`` one of ``r``/``b``.  Canonical enumeration
 order everywhere in the package is lexicographic on this encoding.
+
+Validity is one rule, ``check_matching``, run where data enters:
+``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
+its canonical form and then the rule, and ``basis.HalfDiagram`` applies
+it to its diagram view.  ``compose`` and ``basis.enumerate_basis`` build
+valid diagrams by construction and skip it through ``Diagram._raw``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactpoly import ZERO, LaurentPoly
 
@@ -38,7 +44,7 @@ RED = 0
 BLUE = 1
 COLOUR_CHARS = "rb"
 
-_PAIR_RE = re.compile(r"^\((\d+),(\d+),([a-z])\)$")
+_PAIR_RE = re.compile(r"^\((\d+),(\d+),([rb])\)$")
 _HEAD_RE = re.compile(r"^D\[(\d+),(\d+)\]\{(.*)\}$")
 
 
@@ -46,15 +52,38 @@ class SizeMismatchError(ValueError):
     """Composition of diagrams whose glued edges have different sizes."""
 
 
-def _colour_char(c: int) -> str:
-    if 0 <= c < len(COLOUR_CHARS):
-        return COLOUR_CHARS[c]
-    raise ValueError(f"no display character for colour index {c}")
-
-
 def circular_positions(n_north: int, n_south: int) -> list[int]:
     """Endpoint ids in clockwise boundary order from the top left corner."""
     return list(range(1, n_north + 1)) + [n_north + k for k in range(n_south, 0, -1)]
+
+
+def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, int]]) -> None:
+    """Raise ValueError unless every endpoint is matched exactly once, every
+    colour is RED or BLUE, and, walking the circular order with one stack
+    per colour, each pair closes on top of its own colour's stack."""
+    total = n_north + n_south
+    if 2 * len(pairs) != total:
+        raise ValueError("pair count does not match boundary size")
+    partner = [0] * (total + 1)
+    colour = [0] * (total + 1)
+    for p, q, c in pairs:
+        if c != RED and c != BLUE:
+            raise ValueError(f"colour index {c} is neither red nor blue")
+        if not (0 < p <= total and 0 < q <= total) or p == q or partner[p] or partner[q]:
+            raise ValueError(f"endpoint pair ({p},{q}) out of range or matched twice")
+        partner[p] = q
+        partner[q] = p
+        colour[p] = colour[q] = c
+    # an endpoint that cannot close is pushed, so an interleave stays stacked
+    stacks: tuple[list[int], list[int]] = ([], [])
+    for pid in circular_positions(n_north, n_south):
+        st = stacks[colour[pid]]
+        if st and st[-1] == partner[pid]:
+            st.pop()
+        else:
+            st.append(pid)
+    if stacks[RED] or stacks[BLUE]:
+        raise ValueError(f"same-colour pairs interleave in {n_north},{n_south} matching")
 
 
 @dataclass(frozen=True)
@@ -69,25 +98,25 @@ class Diagram:
         total = self.n_north + self.n_south
         if self.n_north < 0 or self.n_south < 0 or total % 2:
             raise ValueError("boundary size must be even and non-negative")
-        if len(self.pairs) * 2 != total:
-            raise ValueError("pair count does not match boundary size")
-        seen = [False] * (total + 1)
         prev_p = 0
-        for p, q, c in self.pairs:
-            if not (1 <= p < q <= total):
-                raise ValueError(f"endpoint pair ({p},{q}) out of range or unordered")
-            if c < 0:
-                raise ValueError("negative colour index")
-            if p <= prev_p:
-                raise ValueError("pairs not sorted by smaller endpoint")
-            if seen[p] or seen[q]:
-                raise ValueError("endpoint matched twice")
-            seen[p] = seen[q] = True
+        for p, q, _ in self.pairs:
+            if not prev_p < p < q:
+                raise ValueError(f"pair ({p},{q}) out of range, unordered or not sorted")
             prev_p = p
-        _check_planarity(self)
+        check_matching(self.n_north, self.n_south, self.pairs)
+
+    @classmethod
+    def _raw(cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]) -> "Diagram":
+        # internal fast path; caller guarantees a valid canonical diagram
+        # object.__setattr__, not __dict__, keeps the compact instance layout
+        d = object.__new__(cls)
+        object.__setattr__(d, "n_north", n_north)
+        object.__setattr__(d, "n_south", n_south)
+        object.__setattr__(d, "pairs", pairs)
+        return d
 
     def encode(self) -> str:
-        body = ";".join(f"({p},{q},{_colour_char(c)})" for p, q, c in self.pairs)
+        body = ";".join(f"({p},{q},{COLOUR_CHARS[c]})" for p, q, c in self.pairs)
         return f"D[{self.n_north},{self.n_south}]{{{body}}}"
 
     @classmethod
@@ -102,9 +131,7 @@ class Diagram:
                 pm = _PAIR_RE.match(part)
                 if pm is None:
                     raise ValueError(f"malformed pair: {part!r}")
-                colour = COLOUR_CHARS.find(pm.group(3))
-                if colour < 0:
-                    raise ValueError(f"unknown colour letter {pm.group(3)!r}")
+                colour = COLOUR_CHARS.index(pm.group(3))
                 pairs.append((int(pm.group(1)), int(pm.group(2)), colour))
         return make_diagram(nn, ns, pairs)
 
@@ -112,39 +139,9 @@ class Diagram:
         return self.encode()
 
 
-def _check_planarity(d: Diagram) -> None:
-    # same-colour pairs must close in bracket discipline along the circular
-    # order; pairs of different colours are free to interleave
-    pair_of: dict[int, tuple[int, int]] = {}
-    for idx, (p, q, c) in enumerate(d.pairs):
-        pair_of[p] = (idx, c)
-        pair_of[q] = (idx, c)
-    stacks: dict[int, list[int]] = {}
-    opened: set[int] = set()
-    for pid in circular_positions(d.n_north, d.n_south):
-        idx, c = pair_of[pid]
-        st = stacks.setdefault(c, [])
-        if idx in opened:
-            if not st or st[-1] != idx:
-                raise ValueError(
-                    f"same-colour pairs interleave at endpoint {pid} in {d.n_north},{d.n_south} diagram"
-                )
-            st.pop()
-        else:
-            opened.add(idx)
-            st.append(idx)
-
-
-PairInput = Union[Mapping[tuple[int, int], int], Iterable[tuple[int, int, int]]]
-
-
-def make_diagram(n_north: int, n_south: int, pairs: PairInput) -> Diagram:
+def make_diagram(n_north: int, n_south: int, pairs: Iterable[tuple[int, int, int]]) -> Diagram:
     """Validating constructor; normalises endpoint order and pair order."""
-    if hasattr(pairs, "items"):
-        it: Iterable[tuple[int, int, int]] = ((p, q, c) for (p, q), c in pairs.items())
-    else:
-        it = pairs
-    norm = sorted((min(p, q), max(p, q), c) for p, q, c in it)
+    norm = sorted((min(p, q), max(p, q), c) for p, q, c in pairs)
     return Diagram(n_north, n_south, tuple(norm))
 
 
@@ -212,8 +209,6 @@ def glue(
     for start in range(n_north + 1, off + 1):
         if seen[start]:
             continue
-        if colour[start] > 1:
-            raise ValueError("loop colour outside the two-parameter ring")
         loops[colour[start]] += 1
         cur = start
         while not seen[cur]:
@@ -239,12 +234,12 @@ def compose(a: Diagram, b: Diagram) -> tuple[int, int, Diagram] | None:
     r = glue(top, bottom, a.n_north, a.n_south, b.n_south)
     if r is None:
         return None
-    return r[0], r[1], Diagram(a.n_north, b.n_south, tuple(r[2]))
+    return r[0], r[1], Diagram._raw(a.n_north, b.n_south, tuple(r[2]))
 
 
-def propagating_index(d: Diagram, n_colours: int = 2) -> tuple[int, ...]:
-    """Per-colour counts of propagating strands, as a tuple of length n_colours."""
-    counts = [0] * n_colours
+def propagating_index(d: Diagram) -> tuple[int, int]:
+    """Counts of propagating strands per colour, red first."""
+    counts = [0, 0]
     for p, q, c in d.pairs:
         if p <= d.n_north < q:
             counts[c] += 1
@@ -391,10 +386,10 @@ class Element:
         return f"Element[{self.n_north},{self.n_south}]({body})"
 
 
-def identity_element(n: int, n_colours: int = 2) -> Element:
+def identity_element(n: int) -> Element:
     """Sum of all monochrome-strand straight diagrams; the unit of the algebra."""
     terms = []
-    for word in product(range(n_colours), repeat=n):
+    for word in product((RED, BLUE), repeat=n):
         terms.append((straight_diagram(word), LaurentPoly.one()))
     return Element(n, n, terms)
 
@@ -417,31 +412,31 @@ def tensor_diagram(a: Diagram, b: Diagram) -> Diagram:
     return make_diagram(nn, a.n_south + b.n_south, pairs)
 
 
-def pad_with_identity(x: Element, left: int, right: int, n_colours: int = 2) -> Element:
+def pad_with_identity(x: Element, left: int, right: int) -> Element:
     """Tensor ``x`` with identity strands: ``left`` on the left, ``right`` on the right."""
     out_terms: list[tuple[Diagram, LaurentPoly]] = []
     for d, c in x.items():
-        for lw in product(range(n_colours), repeat=left):
+        for lw in product((RED, BLUE), repeat=left):
             left_d = straight_diagram(lw)
             mid = tensor_diagram(left_d, d) if left else d
-            for rw in product(range(n_colours), repeat=right):
+            for rw in product((RED, BLUE), repeat=right):
                 full = tensor_diagram(mid, straight_diagram(rw)) if right else mid
                 out_terms.append((full, c))
     return Element(x.n_north + left + right, x.n_south + left + right, out_terms)
 
 
-def natural_inclusion(x: Element, n_colours: int = 2) -> Element:
+def natural_inclusion(x: Element) -> Element:
     """Unital embedding that appends one identity strand on the right."""
-    return pad_with_identity(x, 0, 1, n_colours)
+    return pad_with_identity(x, 0, 1)
 
 
-def white_generator(n: int, i: int, n_colours: int = 2) -> Element:
+def white_generator(n: int, i: int) -> Element:
     """Cup-cap at position i with every line summed over all colours."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator position {i} out of range for n={n}")
     free = [k for k in range(1, n + 1) if k not in (i, i + 1)]
     terms = []
-    for colours in product(range(n_colours), repeat=n):
+    for colours in product((RED, BLUE), repeat=n):
         cup, cap, rest = colours[0], colours[1], colours[2:]
         pairs = [(i, i + 1, cup), (n + i, n + i + 1, cap)]
         pairs.extend((k, n + k, c) for k, c in zip(free, rest))
@@ -449,7 +444,7 @@ def white_generator(n: int, i: int, n_colours: int = 2) -> Element:
     return Element(n, n, terms)
 
 
-def white_cupcap_chain(n: int, m: int, n_colours: int = 2) -> Element:
+def white_cupcap_chain(n: int, m: int) -> Element:
     """Chain of m adjacent cup-caps at the left, every line summed over colours.
 
     Equals the product of the cup-cap generators at positions 1, 3, ..., 2m-1.
@@ -458,7 +453,7 @@ def white_cupcap_chain(n: int, m: int, n_colours: int = 2) -> Element:
         raise ValueError(f"cannot fit {m} cup-caps into {n} strands")
     free = list(range(2 * m + 1, n + 1))
     terms = []
-    for colours in product(range(n_colours), repeat=n):
+    for colours in product((RED, BLUE), repeat=n):
         cups = colours[:m]
         caps = colours[m : 2 * m]
         rest = colours[2 * m :]

@@ -21,6 +21,7 @@ import math
 import random
 import string
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -220,10 +221,8 @@ def ybe_residual_matrices(
 
 def ybe_residual(lam: float, u: float, v: float, kind: str = "bubble") -> float:
     """Yang-Baxter defect of the standard R-matrices at (lam, u, v)."""
-    build = rmatrix_tl if kind == "tl" else rmatrix_bubble
-    _require_kind(kind)
     return ybe_residual_matrices(
-        build(lam, u), build(lam, u + v), build(lam, v)
+        rmatrix(kind, lam, u), rmatrix(kind, lam, u + v), rmatrix(kind, lam, v)
     )
 
 
@@ -242,22 +241,15 @@ def perturbed_ybe_residual(
     """
     _require_kind(kind)
     if kind == "tl":
-        coeffs = tl_coefficients(lam, u)
-        if group not in coeffs:
-            raise ValueError(f"unknown coefficient group {group!r}")
-        coeffs[group] += eps
-        r_u = rmatrix_tl(lam, u, coefficients=coeffs)
-        return ybe_residual_matrices(
-            r_u, rmatrix_tl(lam, u + v), rmatrix_tl(lam, v)
-        )
-    coeffs = bubble_coefficients(lam, u)
+        coefficients, build = tl_coefficients, rmatrix_tl
+    else:
+        coefficients, build = bubble_coefficients, rmatrix_bubble
+    coeffs = coefficients(lam, u)
     if group not in coeffs:
         raise ValueError(f"unknown coefficient group {group!r}")
     coeffs[group] += eps
-    r_u = rmatrix_bubble(lam, u, coefficients=coeffs)
-    return ybe_residual_matrices(
-        r_u, rmatrix_bubble(lam, u + v), rmatrix_bubble(lam, v)
-    )
+    r_u = build(lam, u, coefficients=coeffs)
+    return ybe_residual_matrices(r_u, build(lam, u + v), build(lam, v))
 
 
 def unitarity_residual(lam: float, u: float, kind: str = "bubble") -> float:
@@ -352,38 +344,16 @@ def sample_lambda(rng: random.Random, kind: str = "bubble") -> float:
             return lam
 
 
-def ybe_sweep(
-    kind: str = "bubble", count: int = 20, seed: int = 20260822, lam: float | None = None
+def _sweep(
+    kind: str, count: int, seed: int, lam: float | None, quantity: str,
+    residual: Callable[[SpectralPoint], float], draw_v: bool = True,
 ) -> SweepReport:
-    """Yang-Baxter residual maximised over seeded random spectral points.
+    """Maximise ``residual(point)`` over ``count`` seeded spectral points.
 
-    A fixed ``lam`` pins the spectral parameter for every point (it must
-    clear the singularity exclusion); otherwise lambda is sampled too.
+    Each point draws lambda (unless a fixed ``lam`` pins it), then u, then
+    v, or sets v = -u when not ``draw_v``.  The residuals below name their
+    function at call time, so a replaced module attribute is the one used.
     """
-    rng = random.Random(seed)
-    if lam is not None:
-        validate_lambda(lam, kind)
-    worst = SpectralPoint(math.nan, math.nan, math.nan)
-    worst_res = -1.0
-    points = []
-    for _ in range(count):
-        point = SpectralPoint(
-            sample_lambda(rng, kind) if lam is None else lam,
-            rng.uniform(-1.5, 1.5),
-            rng.uniform(-1.5, 1.5),
-        )
-        res = ybe_residual(point.lam, point.u, point.v, kind)
-        points.append((point, res))
-        if res > worst_res:
-            worst_res = res
-            worst = point
-    return SweepReport(kind, "ybe", count, worst_res, worst, tuple(points))
-
-
-def unitarity_sweep(
-    kind: str = "bubble", count: int = 20, seed: int = 20260822, lam: float | None = None
-) -> SweepReport:
-    """Unitarity residual maximised over seeded random spectral points."""
     rng = random.Random(seed)
     if lam is not None:
         validate_lambda(lam, kind)
@@ -393,33 +363,37 @@ def unitarity_sweep(
     for _ in range(count):
         cur = sample_lambda(rng, kind) if lam is None else lam
         u = rng.uniform(-1.5, 1.5)
-        res = unitarity_residual(cur, u, kind)
-        points.append((SpectralPoint(cur, u, -u), res))
+        point = SpectralPoint(cur, u, rng.uniform(-1.5, 1.5) if draw_v else -u)
+        res = residual(point)
+        points.append((point, res))
         if res > worst_res:
             worst_res = res
-            worst = SpectralPoint(cur, u, -u)
-    return SweepReport(kind, "unitarity", count, worst_res, worst, tuple(points))
+            worst = point
+    return SweepReport(kind, quantity, count, worst_res, worst, tuple(points))
+
+
+def ybe_sweep(
+    kind: str = "bubble", count: int = 20, seed: int = 20260822, lam: float | None = None
+) -> SweepReport:
+    """Yang-Baxter residual maximised over seeded random spectral points."""
+    return _sweep(kind, count, seed, lam, "ybe", lambda p: ybe_residual(p.lam, p.u, p.v, kind))
+
+
+def unitarity_sweep(
+    kind: str = "bubble", count: int = 20, seed: int = 20260822, lam: float | None = None
+) -> SweepReport:
+    """Unitarity residual at (lambda, u, -u) maximised over seeded random points."""
+    return _sweep(
+        kind, count, seed, lam, "unitarity",
+        lambda p: unitarity_residual(p.lam, p.u, kind), draw_v=False,
+    )
 
 
 def transfer_sweep(
     n: int, kind: str = "bubble", count: int = 10, seed: int = 20260822, lam: float | None = None
 ) -> SweepReport:
     """Transfer-matrix commutator maximised over seeded random points."""
-    rng = random.Random(seed)
-    if lam is not None:
-        validate_lambda(lam, kind)
-    worst = SpectralPoint(math.nan, math.nan, math.nan)
-    worst_res = -1.0
-    points = []
-    for _ in range(count):
-        point = SpectralPoint(
-            sample_lambda(rng, kind) if lam is None else lam,
-            rng.uniform(-1.5, 1.5),
-            rng.uniform(-1.5, 1.5),
-        )
-        res = transfer_commutator(point.lam, point.u, point.v, n, kind)
-        points.append((point, res))
-        if res > worst_res:
-            worst_res = res
-            worst = point
-    return SweepReport(kind, f"transfer_commutator_n{n}", count, worst_res, worst, tuple(points))
+    return _sweep(
+        kind, count, seed, lam, f"transfer_commutator_n{n}",
+        lambda p: transfer_commutator(p.lam, p.u, p.v, n, kind),
+    )

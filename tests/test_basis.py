@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bubblealg.basis import (
@@ -33,6 +35,24 @@ from bubblealg.oracles import (
     tl_diagrams,
 )
 from helpers import brute_walk_count
+
+
+def half_from_view(encoding: str, n: int, i: int) -> str | None:
+    """The half-diagram encoding a diagram view stands for, None when the
+    view has a southern arc or a cut of the wrong colour."""
+    pairs = [(int(p), int(q), c) for p, q, c in re.findall(r"\((\d+),(\d+),([rb])\)", encoding)]
+    arcs = [f"({p},{q},{c})" for p, q, c in pairs if q <= n]
+    cuts = sorted((q - n, p, c) for p, q, c in pairs if q > n)
+    if any(p > n or c != ("r" if k <= i else "b") for k, p, c in cuts):
+        return None
+    reds = ",".join(str(p) for k, p, c in cuts if c == "r")
+    blues = ",".join(str(p) for k, p, c in cuts if c == "b")
+    return f"H[{n}]{{{';'.join(arcs)}}}{{r:{reds}}}{{b:{blues}}}"
+
+
+def all_red(diagrams: list[Diagram]) -> list[Diagram]:
+    """The one-colour basis: the all-red diagrams, in the given order."""
+    return [d for d in diagrams if all(c == RED for _, _, c in d.pairs)]
 
 
 class TestEnumeration:
@@ -67,11 +87,11 @@ class TestEnumeration:
 
     def test_one_colour_restriction_counts(self):
         for n in range(1, 5):
-            assert len(enumerate_basis(n, n_colours=1)) == catalan(n)
+            assert len(all_red(enumerate_basis(n))) == catalan(n)
 
     def test_one_colour_composition_matches_union_find(self):
         n = 3
-        basis = enumerate_basis(n, n_colours=1)
+        basis = all_red(enumerate_basis(n))
         as_tuples = {d: tuple(sorted((p, q) for p, q, _ in d.pairs)) for d in basis}
         assert sorted(as_tuples.values()) == list(tl_diagrams(n))
         for a in basis:
@@ -98,6 +118,20 @@ class TestEnumeration:
             enumerate_bras(2 * DEFAULT_MAX_N + 1, 1, 0)
         # an explicit override lifts the guard
         assert len(enumerate_basis(2, 0, max_n=1)) == 2
+
+    def test_trusted_results_pass_full_validation(self):
+        # enumeration and composition skip the validity rule; rebuilding
+        # through the checking constructor must reproduce every result
+        for n in range(0, 6):
+            for d in enumerate_basis(n):
+                assert Diagram(d.n_north, d.n_south, d.pairs) == d
+        basis = enumerate_basis(3)
+        for a in basis:
+            for b in basis:
+                r = compose(a, b)
+                if r is not None:
+                    d = r[2]
+                    assert Diagram(d.n_north, d.n_south, d.pairs) == d
 
 
 class TestDimensions:
@@ -158,6 +192,22 @@ class TestHalfDiagrams:
         for n in range(0, 7):
             for i, j in standard_labels(n):
                 assert len(enumerate_bras(n, i, j)) == walk_count(n, i, j)
+
+    def test_bra_guard_counts_both_halves(self):
+        # a bra on n points pairs with a ket into a 2n-point diagram
+        with pytest.raises(ResourceLimitError):
+            enumerate_bras(DEFAULT_MAX_N + 1, 1, 0)
+
+    def test_bras_match_brute_force_through_the_view(self):
+        # a bra read as a diagram from its n frame points to its i + j cuts:
+        # every southern point propagates, red cut k ends on point n + k and
+        # blue cut k on point n + i + k
+        for n in range(0, 6):
+            for total in range(n % 2, n + 1, 2):
+                brute = brute_force_bubble_encodings(n, total)
+                for i in range(total + 1):
+                    views = sorted(filter(None, (half_from_view(e, n, i) for e in brute)))
+                    assert [b.encode() for b in enumerate_bras(n, i, total - i)] == views
 
     def test_frozen_bras_3_1_0(self):
         got = {b.encode() for b in enumerate_bras(3, 1, 0)}

@@ -21,6 +21,20 @@ from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import main
 from bubblealg.exactpoly import DB, DR
 
+# same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
+INTERLEAVED = "D[2,2]{(1,4,r);(2,3,r)}"
+
+
+def write_consistent_cache(cache_dir, n, encodings):
+    """A cache file whose header count, size and sha256 all match its lines."""
+    path = cache_path(cache_dir, n)
+    digest = hashlib.sha256("".join(encodings).encode("ascii")).hexdigest()
+    header = {"count": len(encodings), "hash": digest, "n": n, "version": 1}
+    with gzip.open(path, "wt", encoding="ascii") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.writelines(enc + "\n" for enc in encodings)
+    return path
+
 
 class TestCache:
     def test_round_trip_matches_fresh_enumeration(self, tmp_path):
@@ -86,6 +100,41 @@ class TestCache:
         with pytest.raises(ResourceLimitError):
             cached_basis(3, cache_dir=tmp_path, max_n=1)
 
+    def test_invalid_diagram_behind_a_good_digest_rejected(self, tmp_path):
+        # the content digest holds, so only the diagram's own check can refuse it
+        path = write_consistent_cache(tmp_path, 2, [INTERLEAVED])
+        with pytest.raises(CacheError):
+            load_basis(path, 2)
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_open = gzip.open
+
+        class FailingFile:
+            # passes the header through, then fails like a full disk
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(gzip, "open", FailingFile)
+        path = cache_path(tmp_path, 2)
+        with pytest.raises(OSError):
+            save_basis(path, 2, enumerate_basis(2))
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert cached_basis(2, cache_dir=tmp_path) == enumerate_basis(2)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,6 +192,11 @@ class TestBasisCommand:
         code, _ = run_cli(capsys, "basis", "--n", "3", "--max-n", "1", "--cache-dir", str(tmp_path))
         assert code == 3
 
+    def test_invalid_cached_diagram_is_a_usage_error(self, capsys, tmp_path):
+        write_consistent_cache(tmp_path, 2, [INTERLEAVED])
+        code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
+        assert code == 2
+
 
 class TestDimsCommand:
     def test_json_reports_rank_identity(self, capsys):
@@ -194,6 +248,11 @@ class TestGramCommand:
     def test_empty_label_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "gram", "--n", "3", "--i", "0", "--j", "0")
         assert code == 2
+
+    def test_bra_size_counts_both_halves(self, capsys):
+        # a one-bra module, but n=9 means 18 boundary points against max_n=8
+        code, _ = run_cli(capsys, "gram", "--n", "9", "--i", "9", "--j", "0")
+        assert code == 3
 
     # sha256 of stdout recorded before the strand tracers were merged into
     # one kernel; they pin every byte, root floats included
