@@ -27,7 +27,7 @@ from .cache import CacheError, cached_basis, default_cache_dir
 from .checks import all_passed, run_checks
 from .diagram import BLUE, RED
 from .spinchain import NumericParams, diagram_matrix, homomorphism_report
-from .stdmod import gram_blocks, gram_det_report, gram_matrix, scan_gram_roots
+from .stdmod import gram_blocks, gram_det_report, scan_gram_roots
 from .yangbaxter import SweepReport, transfer_sweep, ybe_sweep
 
 EXIT_OK = 0
@@ -104,26 +104,31 @@ def cmd_gram(args: argparse.Namespace) -> int:
     bras = enumerate_bras(n, i, j, max_n=args.max_n)
     if not bras:
         raise ValueError(f"label ({i},{j}) carries no module at n={n}")
-    matrix = gram_matrix(n, i, j, bras=bras, max_n=args.max_n)
+    report = None
+    if args.det or args.roots is not None:
+        # one report serves --det, --blocks and --roots; only --det cross-checks
+        cross_check = None if args.det else False
+        report = gram_det_report(n, i, j, cross_check=cross_check, bras=bras)
+    blocks = report.blocks if report else gram_blocks(n, i, j, bras=bras)[1]
+    # the form vanishes between different colour words
+    entries = [["0"] * len(bras) for _ in bras]
+    for blk in blocks:
+        for r, row in zip(blk.indices, blk.matrix.entries):
+            for c, e in zip(blk.indices, row):
+                entries[r][c] = str(e)
     payload: dict = {
         "n": n,
         "i": i,
         "j": j,
         "size": len(bras),
         "basis": [b.encode() for b in bras],
-        "entries": [[str(matrix[r, c]) for c in range(matrix.cols)] for r in range(matrix.rows)],
+        "entries": entries,
     }
     status = EXIT_OK
-    report = None
-    if args.det or args.roots is not None:
-        # one report serves --det, --blocks and --roots; only --det cross-checks
-        cross_check = None if args.det else False
-        report = gram_det_report(n, i, j, cross_check=cross_check, max_n=args.max_n)
     if args.det:
         payload["det"] = str(report.det)
         payload["det_cross_checked"] = report.cross_checked
     if args.blocks:
-        blocks = report.blocks if report else gram_blocks(n, i, j, max_n=args.max_n)[1]
         payload["blocks"] = [
             {
                 "word": blk.word,

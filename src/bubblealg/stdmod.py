@@ -12,8 +12,14 @@ which realises the quotient by lower layers of the filtration.
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
 to a cut of the other.  It is block diagonal over the boundary colour
-word, and each block factorises as a tensor product of two one-colour
-forms, which is what the determinant and root machinery exploit.
+word, and each block is a tensor product of two one-colour forms: with
+k_r red and k_b blue frame points, its determinant is
+D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r, where D_c(k, d) and rows_c are
+the determinant and size of the one-colour form on k points with d
+cuts.  So the Gram determinant is a red part times a blue part, each a
+product of a few one-colour determinants.  ``gram_det_report`` keeps it
+in that factored form and checks every block against it, and
+``scan_gram_roots`` expands only the part in the scanned colour.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -46,7 +53,7 @@ from .diagram import (
     glue,
     white_generator,
 )
-from .exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
+from .exactpoly import ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
 from .oracles import tl_gram_exponents
 
 # ---------------------------------------------------------------------------
@@ -199,14 +206,15 @@ class GramBlock:
 
 
 def gram_blocks(
-    n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N
+    n: int, i: int, j: int, bras: list[HalfDiagram] | None = None, max_n: int = DEFAULT_MAX_N
 ) -> tuple[list[HalfDiagram], list[GramBlock]]:
     """Split the form by colour word; returns (basis, blocks).
 
     Off-block entries vanish because the form is zero across different
     colour words, so the blocks carry the whole matrix.
     """
-    bras = enumerate_bras(n, i, j, max_n=max_n)
+    if bras is None:
+        bras = enumerate_bras(n, i, j, max_n=max_n)
     groups: dict[str, list[int]] = {}
     for k, b in enumerate(bras):
         groups.setdefault(rb_word(b), []).append(k)
@@ -220,39 +228,106 @@ def gram_blocks(
     return bras, blocks
 
 
+@cache
+def one_colour_det(colour: int, points: int, defects: int) -> tuple[LaurentPoly, int]:
+    """Determinant and size of the one-colour form on `points` points.
+
+    This is the all-`colour` word block of the module with `defects`
+    cuts of that colour, computed with ``bra_inner`` and ``poly_det``
+    like any other block.  Blocks never have more points than the
+    module they come from, which has passed the size guard already.
+    """
+    label = (defects, 0) if colour == RED else (0, defects)
+    word = COLOUR_CHARS[colour] * points
+    bras = [b for b in enumerate_bras(points, *label, max_n=points) if rb_word(b) == word]
+    return poly_det(gram_matrix(points, *label, bras=bras)), len(bras)
+
+
+Factors = tuple[tuple[LaurentPoly, int], ...]
+
+
 @dataclass(frozen=True)
 class GramDetReport:
+    """Gram determinant kept factored by colour.
+
+    ``factors[c]`` lists the distinct one-colour determinants of colour
+    c with their multiplicities; ``det`` is their product, expanded on
+    first use as (red part) * (blue part).
+    """
+
     n: int
     label: tuple[int, int]
     size: int
-    det: LaurentPoly
+    factors: tuple[Factors, Factors]
     blocks: tuple[GramBlock, ...]
     cross_checked: bool
 
+    @cached_property
+    def parts(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """The red and the blue part, each in its own loop weight only."""
+        out = []
+        for factors in self.factors:
+            acc = ONE
+            for f, m in factors:
+                acc = acc * f**m
+            out.append(acc)
+        return out[0], out[1]
+
+    @cached_property
+    def det(self) -> LaurentPoly:
+        red, blue = self.parts
+        return red * blue
+
+    @property
+    def det_is_zero(self) -> bool:
+        return any(f.is_zero for factors in self.factors for f, _ in factors)
+
 
 def gram_det_report(
-    n: int, i: int, j: int, cross_check: bool | None = None, max_n: int = DEFAULT_MAX_N
+    n: int,
+    i: int,
+    j: int,
+    cross_check: bool | None = None,
+    bras: list[HalfDiagram] | None = None,
+    max_n: int = DEFAULT_MAX_N,
 ) -> GramDetReport:
-    """Gram determinant as the product of word-block determinants.
+    """Gram determinant from the word blocks, factored by colour.
 
-    When cross_check is on (default for sizes up to 36) the unfactored
-    matrix goes through fraction-free elimination as well and the two
-    values must agree exactly.
+    Every block determinant comes from elimination on the block itself
+    and must equal D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r built from
+    the one-colour determinants; a mismatch raises ArithmeticError.
+    When cross_check is on (default for sizes up to 36) the unblocked
+    matrix goes through fraction-free elimination as well and must give
+    the product of the factors exactly.
     """
-    bras, blocks = gram_blocks(n, i, j, max_n=max_n)
-    det = LaurentPoly.one()
+    bras, blocks = gram_blocks(n, i, j, bras=bras, max_n=max_n)
+    mult: tuple[dict[LaurentPoly, int], dict[LaurentPoly, int]] = ({}, {})
+    tensor: dict[tuple[int, int], LaurentPoly] = {}
     for blk in blocks:
-        det = det * blk.det
+        k_r = blk.word.count("r")
+        k_b = len(blk.word) - k_r
+        det_r, rows_r = one_colour_det(RED, k_r, i)
+        det_b, rows_b = one_colour_det(BLUE, k_b, j)
+        if (k_r, k_b) not in tensor:
+            tensor[k_r, k_b] = det_r**rows_b * det_b**rows_r
+        if blk.det != tensor[k_r, k_b]:
+            raise ArithmeticError(
+                f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
+            )
+        mult[RED][det_r] = mult[RED].get(det_r, 0) + rows_b
+        mult[BLUE][det_b] = mult[BLUE].get(det_b, 0) + rows_r
+    factors = (tuple(mult[RED].items()), tuple(mult[BLUE].items()))
     size = len(bras)
     if cross_check is None:
         cross_check = size <= 36
+    report = GramDetReport(n, (i, j), size, factors, tuple(blocks), cross_check)
     if cross_check:
         full = poly_det(gram_matrix(n, i, j, bras=bras))
-        if full != det:
+        if full != report.det:
             raise ArithmeticError(
                 f"block determinant product disagrees with direct elimination at n={n}, label=({i},{j})"
             )
-    return GramDetReport(n, (i, j), size, det, tuple(blocks), cross_check)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +450,17 @@ def localisation_report(n: int, seed: int = 20260822, max_n: int = DEFAULT_MAX_N
 # root location for Gram determinants
 
 
-def _univariate(poly: LaurentPoly, var: int, other: Fraction) -> tuple[int, list[Fraction]]:
-    """Specialise the other variable to an exact rational.
+def _coefficients(poly: LaurentPoly, var: int) -> tuple[int, list[Fraction]]:
+    """A nonzero polynomial in colour var's loop weight as (lowest
+    exponent, coefficient list from that exponent up)."""
+    terms = {exp[var]: Fraction(c) for exp, c in poly.terms.items()}
+    lo, hi = min(terms), max(terms)
+    return lo, [terms.get(e, Fraction(0)) for e in range(lo, hi + 1)]
 
-    Returns (lowest exponent, coefficient list from that exponent up).
-    """
-    acc: dict[int, Fraction] = {}
-    for (a, b), coeff in poly.terms.items():
-        e, oe = (a, b) if var == RED else (b, a)
-        acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff) * other**oe
-    acc = {e: v for e, v in acc.items() if v}
-    if not acc:
-        return 0, []
-    lo, hi = min(acc), max(acc)
-    return lo, [acc.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+
+def _value(poly: LaurentPoly, colour: int, x: Fraction) -> Fraction:
+    """Exact value at x of a polynomial in one colour's loop weight."""
+    return sum((Fraction(c) * x ** exp[colour] for exp, c in poly.terms.items()), Fraction(0))
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -493,29 +565,42 @@ def scan_gram_roots(
 ) -> GramRootScan:
     """Locate the roots of a reported Gram determinant in one loop parameter.
 
-    The other parameter is pinned to exact rationals, repeated factors
-    are removed by exact polynomial arithmetic, and only then does the
-    numeric root finder run.  Every root must then lie within tolerance
-    of twice a cosine of a rational angle with denominator at most 2n.
+    The other parameter is pinned to exact rationals, which turns the
+    part of the determinant in the other colour into one exact number
+    that scales the coefficients of the part in ``var``.  Repeated
+    factors are removed by exact polynomial arithmetic, and only then
+    does the numeric root finder run.  Every root must then lie within
+    tolerance of twice a cosine of a rational angle with denominator at
+    most 2n.
     """
-    n, det = report.n, report.det
+    n = report.n
     if max_k is None:
         max_k = 2 * n
-    if det.is_zero:
+    if report.det_is_zero:
         return GramRootScan(n, report.label, var, True, ())
+    lo, part = _coefficients(report.parts[var], var)
+    rest = 1 - var
     samples = []
     for other in other_values:
-        lo, coeffs = _univariate(det, var, other)
-        if not coeffs:
+        scale = math.prod(
+            (_value(f, rest, other) ** m for f, m in report.factors[rest]), start=Fraction(1)
+        )
+        if not scale:
             samples.append(SampleScan(other, True, 0, ()))
             continue
+        coeffs = [c * scale for c in part]
         zero_mult = max(lo, 0)
         records = []
         if zero_mult:
             records.append(RootRecord(0.0, match_special_value(0.0, max_k, tol)))
         sq = _square_free(coeffs)
         if len(sq) > 1:
-            roots = np.roots([float(c) for c in reversed(sq)])
+            # scaling by the power of two that brings the leading coefficient
+            # near 1 keeps huge coefficients in float range, and changes no
+            # bit of the companion matrix, which np.roots divides by it
+            lead = abs(sq[-1])
+            shift = Fraction(2) ** (lead.denominator.bit_length() - lead.numerator.bit_length())
+            roots = np.roots([float(c * shift) for c in reversed(sq)])
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, tol)))
         samples.append(SampleScan(other, False, zero_mult, tuple(records)))

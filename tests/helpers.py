@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from bubblealg.diagram import Diagram, make_diagram
-from bubblealg.exactpoly import LaurentPoly, PolyMatrix
+from bubblealg.exactpoly import LaurentPoly, PolyMatrix, poly_det
 
 
 def cofactor_det(m: PolyMatrix) -> LaurentPoly:
@@ -28,6 +29,27 @@ def cofactor_det(m: PolyMatrix) -> LaurentPoly:
         term = entry * cofactor_det(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def blockwise_det(blocks) -> LaurentPoly:
+    """Product of the block determinants, eliminated and multiplied one at a time."""
+    acc = LaurentPoly.one()
+    for blk in blocks:
+        acc = acc * poly_det(blk.matrix)
+    return acc
+
+
+def univariate(poly: LaurentPoly, var: int, other: Fraction) -> list[Fraction]:
+    """Coefficients in colour var's loop weight, lowest first, of poly with
+    the other loop weight set to the rational other."""
+    acc: dict[int, Fraction] = {}
+    for exp, coeff in poly.terms.items():
+        e, oe = exp[var], exp[1 - var]
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(coeff) * other**oe
+    acc = {e: v for e, v in acc.items() if v}
+    if not acc:
+        return []
+    return [acc.get(e, Fraction(0)) for e in range(min(acc), max(acc) + 1)]
 
 
 def random_poly(rng: random.Random, max_terms: int = 4, span: int = 3) -> LaurentPoly:

@@ -267,8 +267,17 @@ class TestGramCommand:
                 "gram --n 6 --i 1 --j 1 --det --blocks --roots b",
                 "994cfa46cb7690378ecc531f029bef5c8f0b1c1565f10c5d6f758e9e89a40a53",
             ),
+            # recorded before the determinant was kept factored by colour
+            (
+                "gram --n 7 --i 1 --j 0 --det --blocks --roots r",
+                "66c5c82d01e8eb9a289b0f3d707422311f9cb592fb15ac71d2c8f1e6033d5c22",
+            ),
+            (
+                "gram --n 7 --i 0 --j 1 --det --roots b",
+                "dbe75d7989773667bcd2c7bcdcda24d3142c201edfa82d30941b39b082adf102",
+            ),
         ],
-        ids=["n5_i1_j0", "n6_i1_j1"],
+        ids=["n5_i1_j0", "n6_i1_j1", "n7_i1_j0", "n7_i0_j1"],
     )
     def test_golden_stdout(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv.split())

@@ -7,8 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import mirror
+from helpers import blockwise_det, mirror, univariate
 
+from bubblealg import stdmod
 from bubblealg.basis import enumerate_basis, enumerate_bras, make_half, standard_labels, walk_count
 from bubblealg.diagram import (
     BLUE,
@@ -19,9 +20,10 @@ from bubblealg.diagram import (
     make_diagram,
     white_generator,
 )
-from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix, poly_det
+from bubblealg.exactpoly import DB, DR, ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.oracles import tl_bras, tl_halfdiagram_count
 from bubblealg.stdmod import (
+    GramDetReport,
     GramRootScan,
     _square_free,
     act,
@@ -33,6 +35,7 @@ from bubblealg.stdmod import (
     gram_matrix,
     localisation_report,
     match_special_value,
+    one_colour_det,
     rb_word,
     rep_matrix,
     restriction_report,
@@ -195,6 +198,70 @@ class TestBlocksAndDeterminants:
                 else:
                     assert n_b == j + 2
                     assert len(blk.indices) == tl_halfdiagram_count(j + 2, j)
+
+
+class TestFactoredDeterminant:
+    def test_det_matches_blockwise_product(self):
+        for n in range(1, 7):
+            for i, j in standard_labels(n):
+                report = gram_det_report(n, i, j, cross_check=False)
+                assert report.det == blockwise_det(report.blocks), (n, i, j)
+
+    def test_one_colour_dets_match_the_oracle(self):
+        for points in range(7):
+            for defects in range(points % 2, points + 1, 2):
+                for colour in (RED, BLUE):
+                    oracle = tl_gram_poly(points, defects, colour)
+                    det, rows = one_colour_det(colour, points, defects)
+                    assert (det, rows) == (poly_det(oracle), oracle.rows)
+
+    def test_factors_are_one_colour(self):
+        report = gram_det_report(6, 1, 1, cross_check=False)
+        for colour, factors in enumerate(report.factors):
+            for f, m in factors:
+                assert m > 0
+                assert all(exp[1 - colour] == 0 for exp in f.terms)
+
+    def test_block_that_is_not_a_tensor_product_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(stdmod, "one_colour_det", lambda colour, points, defects: (DR + 1, 1))
+        with pytest.raises(ArithmeticError):
+            gram_det_report(3, 1, 0, cross_check=False)
+
+    def test_scan_feeds_the_expanded_coefficients(self, monkeypatch):
+        seen = []
+
+        def record(p):
+            seen.append(list(p))
+            return _square_free(p)
+
+        monkeypatch.setattr(stdmod, "_square_free", record)
+        values = (Fraction(7, 3), Fraction(5, 2))
+        for n, i, j in [(4, 0, 0), (5, 1, 0), (5, 0, 1), (5, 2, 1), (6, 1, 1), (6, 0, 2)]:
+            report = gram_det_report(n, i, j, cross_check=False)
+            for var in (RED, BLUE):
+                seen.clear()
+                scan_gram_roots(report, var=var, other_values=values)
+                assert seen == [univariate(report.det, var, v) for v in values], (n, i, j, var)
+
+    def test_zero_factor_means_zero_det(self):
+        report = GramDetReport(2, (0, 0), 2, (((ZERO, 1),), ((DB, 1),)), (), False)
+        assert report.det.is_zero
+        scan = scan_gram_roots(report, var=BLUE)
+        assert scan.det_is_zero
+        assert not scan.all_matched
+
+    def test_blue_factor_vanishing_at_the_sample_is_degenerate(self):
+        report = GramDetReport(2, (0, 0), 2, (((DR * DR - 1, 1),), ((3 * DB - 7, 1),)), (), False)
+        scan = scan_gram_roots(report, var=RED)
+        assert [s.degenerate for s in scan.samples] == [True, False]
+        assert not scan.all_matched
+
+    def test_huge_coefficients_do_not_overflow_the_root_finder(self):
+        # (dr^2 - 1) * db^1000 at db = 7/3 has coefficients near 1e368
+        report = GramDetReport(2, (0, 0), 2, (((DR * DR - 1, 1),), ((DB, 1000),)), (), False)
+        scan = scan_gram_roots(report, var=RED, other_values=(Fraction(7, 3),))
+        assert scan.all_matched
+        assert sorted(r.value.real for r in scan.samples[0].roots) == pytest.approx([-1.0, 1.0])
 
 
 class TestRestrictionAndSpans:
