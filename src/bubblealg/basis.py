@@ -13,7 +13,9 @@ steps in the four axis directions while staying in the closed positive
 quadrant.  The full diagram basis has size walk_count(2n, 0, 0).
 
 ``enumerate_basis`` builds valid diagrams and skips the validity rule
-``diagram.check_matching`` (``Diagram._raw``).  A ``HalfDiagram`` applies
+``diagram.check_matching`` (``Diagram._raw``); ``enumerate_bras`` and
+``stdmod.act_diagram`` do the same for half diagrams
+(``HalfDiagram._raw``).  A checked ``HalfDiagram`` applies
 the rule to its view, n frame points over i + j with red cut k joined to
 point n + k and blue cut k to point n + i + k: a cut inside an arc of its
 colour, same-colour cuts out of order and an unused frame point all fail
@@ -255,6 +257,22 @@ class HalfDiagram:
             prev = p
         check_matching(self.n, sum(self.propagating), self._view(0, self.n))
 
+    @classmethod
+    def _raw(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int, int], ...],
+        red_cuts: tuple[int, ...],
+        blue_cuts: tuple[int, ...],
+    ) -> "HalfDiagram":
+        # internal fast path; caller guarantees a valid canonical half diagram
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "arcs", arcs)
+        object.__setattr__(h, "red_cuts", red_cuts)
+        object.__setattr__(h, "blue_cuts", blue_cuts)
+        return h
+
     @property
     def propagating(self) -> tuple[int, int]:
         return (len(self.red_cuts), len(self.blue_cuts))
@@ -312,9 +330,8 @@ def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[H
 
     def rec(pos: int) -> None:
         if pos > n:
-            results.append(
-                make_half(n, list(arcs), tuple(cuts[RED]), tuple(cuts[BLUE]))
-            )
+            # arcs open at their smaller end and cuts come in order
+            results.append(HalfDiagram._raw(n, tuple(sorted(arcs)), tuple(cuts[RED]), tuple(cuts[BLUE])))
             return
         rem = n - pos
         n_open = len(stacks[RED]) + len(stacks[BLUE])

@@ -1,12 +1,19 @@
 """Gzip-backed on-disk cache for enumerated diagram bases.
 
-File layout: a gzip text stream whose first line is a JSON header
-``{"count", "hash", "n", "version"}`` followed by one canonical diagram
-encoding per line.  The hash is the sha256 digest of the concatenated
-encodings, so a load always detects truncation or edits.  Loads are
-strict: a file that fails any header or content check raises CacheError
-rather than silently re-enumerating, since a corrupt cache usually
-means something else went wrong.
+File layout: a gzip text stream (written at compression level 6) whose
+first line is a JSON header ``{"count", "hash", "n", "version"}``
+followed by one canonical diagram encoding per line.  The hash is the
+sha256 digest of the concatenated encodings, so a load always detects
+truncation or edits.
+
+A file must hold exactly B_n in its canonical order: the header names
+the requested n, there are |B_n| = walk_count(2n, 0, 0) lines, the lines
+increase strictly, and each decodes (``Diagram.decode`` accepts only
+canonical text and runs the validity rule) to an n-by-n diagram.  Those
+lines are then |B_n| distinct diagrams of B_n, so the whole basis.
+Loads are strict: a file that fails any check raises CacheError rather
+than silently re-enumerating, since a corrupt cache usually means
+something else went wrong.
 """
 
 from __future__ import annotations
@@ -15,12 +22,15 @@ import gzip
 import hashlib
 import json
 import os
+from itertools import pairwise
 from pathlib import Path
 
-from .basis import DEFAULT_MAX_N, _guard, enumerate_basis
+from .basis import DEFAULT_MAX_N, _guard, enumerate_basis, walk_count
 from .diagram import Diagram
 
 CACHE_VERSION = 1
+# level 9 spends most of a write in deflate for a file about 12% smaller
+COMPRESS_LEVEL = 6
 ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
 
 
@@ -58,7 +68,7 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with gzip.open(tmp, "wt", encoding="ascii") as fh:
+        with gzip.open(tmp, "wt", encoding="ascii", compresslevel=COMPRESS_LEVEL) as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for enc in encodings:
                 fh.write(enc + "\n")
@@ -69,7 +79,7 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
 
 
 def load_basis(path: str | Path, n: int) -> list[Diagram]:
-    """Read a basis list back, verifying header, hash, sizes and the requested n."""
+    """Read B_n back, verifying header, count, digest, order and every line."""
     path = Path(path)
     try:
         with gzip.open(path, "rt", encoding="ascii") as fh:
@@ -89,8 +99,12 @@ def load_basis(path: str | Path, n: int) -> list[Diagram]:
         )
     if header.get("n") != n:
         raise CacheError(f"cache {path} holds the size-{header.get('n')} basis, not size {n}")
+    if len(lines) != walk_count(2 * n, 0, 0):
+        raise CacheError(f"cache {path} holds {len(lines)} diagrams, B_{n} has {walk_count(2 * n, 0, 0)}")
     if header.get("hash") != basis_digest(lines):
         raise CacheError(f"cache {path} fails its content digest")
+    if any(a >= b for a, b in pairwise(lines)):
+        raise CacheError(f"cache {path} is not in strictly increasing canonical order")
     out = []
     for enc in lines:
         try:

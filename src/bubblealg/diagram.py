@@ -21,8 +21,13 @@ and their bilinear form (see ``stdmod``) are thin adapters over it.
 
 The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
-smaller endpoint and ``c`` one of ``r``/``b``.  Canonical enumeration
-order everywhere in the package is lexicographic on this encoding.
+smaller endpoint, numbers in decimal without leading zeros and ``c`` one
+of ``r``/``b``.  Canonical enumeration order everywhere in the package is
+lexicographic on this encoding.  ``Diagram.decode`` is strict: it accepts
+exactly the text ``encode`` writes, so ``decode(t).encode() == t`` for
+every ``t`` it accepts; whitespace, leading zeros, ``p > q`` and unsorted
+pairs are rejected.  Pair texts map to shared ``(p, q, c)`` tuples
+through a bounded memo.
 
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
@@ -33,8 +38,8 @@ valid diagrams by construction and skip it through ``Diagram._raw``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,17 +49,19 @@ RED = 0
 BLUE = 1
 COLOUR_CHARS = "rb"
 
-_PAIR_RE = re.compile(r"^\((\d+),(\d+),([rb])\)$")
-_HEAD_RE = re.compile(r"^D\[(\d+),(\d+)\]\{(.*)\}$")
-
 
 class SizeMismatchError(ValueError):
     """Composition of diagrams whose glued edges have different sizes."""
 
 
+@lru_cache(maxsize=64)
+def _circular_order(n_north: int, n_south: int) -> tuple[int, ...]:
+    return (*range(1, n_north + 1), *range(n_north + n_south, n_north, -1))
+
+
 def circular_positions(n_north: int, n_south: int) -> list[int]:
     """Endpoint ids in clockwise boundary order from the top left corner."""
-    return list(range(1, n_north + 1)) + [n_north + k for k in range(n_south, 0, -1)]
+    return list(_circular_order(n_north, n_south))
 
 
 def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, int]]) -> None:
@@ -76,7 +83,7 @@ def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, i
         colour[p] = colour[q] = c
     # an endpoint that cannot close is pushed, so an interleave stays stacked
     stacks: tuple[list[int], list[int]] = ([], [])
-    for pid in circular_positions(n_north, n_south):
+    for pid in _circular_order(n_north, n_south):
         st = stacks[colour[pid]]
         if st and st[-1] == partner[pid]:
             st.pop()
@@ -121,22 +128,42 @@ class Diagram:
 
     @classmethod
     def decode(cls, text: str) -> "Diagram":
-        m = _HEAD_RE.match(text.strip())
-        if m is None:
+        """Parse canonical text, exactly what ``encode`` writes."""
+        head, brace, body = text.partition("]{")
+        if not brace or body[-1:] != "}":
             raise ValueError(f"malformed diagram encoding: {text!r}")
-        nn, ns, body = int(m.group(1)), int(m.group(2)), m.group(3)
-        pairs = []
-        if body:
-            for part in body.split(";"):
-                pm = _PAIR_RE.match(part)
-                if pm is None:
-                    raise ValueError(f"malformed pair: {part!r}")
-                colour = COLOUR_CHARS.index(pm.group(3))
-                pairs.append((int(pm.group(1)), int(pm.group(2)), colour))
-        return make_diagram(nn, ns, pairs)
+        pieces = body[:-1].split(";") if len(body) > 1 else ()
+        return cls(*_parse_head(head), tuple(map(_parse_pair, pieces)))
 
     def __str__(self) -> str:
         return self.encode()
+
+
+def _parse_natural(text: str) -> int:
+    """A decimal in canonical form: ASCII digits, no leading zero."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"malformed number: {text!r}")
+    return int(text)
+
+
+@lru_cache(maxsize=64)
+def _parse_head(text: str) -> tuple[int, int]:
+    """(n_north, n_south) from a ``D[n_north,n_south`` head."""
+    sizes = text[2:].split(",")
+    if text[:2] != "D[" or len(sizes) != 2:
+        raise ValueError(f"malformed diagram head: {text!r}")
+    return _parse_natural(sizes[0]), _parse_natural(sizes[1])
+
+
+# memoised on the canonical text, so a basis shares one tuple per distinct
+# pair; bounded, so it never grows with the numbers in the input
+@lru_cache(maxsize=4096)
+def _parse_pair(text: str) -> tuple[int, int, int]:
+    """The ``(p, q, colour)`` tuple of one canonical ``(p,q,c)`` piece."""
+    fields = text[1:-1].split(",")
+    if text[:1] != "(" or text[-1:] != ")" or len(fields) != 3 or fields[2] not in ("r", "b"):
+        raise ValueError(f"malformed pair: {text!r}")
+    return _parse_natural(fields[0]), _parse_natural(fields[1]), COLOUR_CHARS.index(fields[2])
 
 
 def make_diagram(n_north: int, n_south: int, pairs: Iterable[tuple[int, int, int]]) -> Diagram:

@@ -80,7 +80,7 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
     lr, lb, pairs = r
     arcs = tuple(pair for pair in pairs if pair[1] <= nn)
     red, blue = (tuple(p for p, q, c in pairs if q > nn and c == col) for col in (RED, BLUE))
-    return lr, lb, HalfDiagram(nn, arcs, red, blue)
+    return lr, lb, HalfDiagram._raw(nn, arcs, red, blue)
 
 
 ModuleVector = dict[HalfDiagram, LaurentPoly]

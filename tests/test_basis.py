@@ -34,6 +34,7 @@ from bubblealg.oracles import (
     tl_compose,
     tl_diagrams,
 )
+from bubblealg.stdmod import act_diagram
 from helpers import brute_walk_count
 
 
@@ -197,6 +198,24 @@ class TestHalfDiagrams:
         # a bra on n points pairs with a ket into a 2n-point diagram
         with pytest.raises(ResourceLimitError):
             enumerate_bras(DEFAULT_MAX_N + 1, 1, 0)
+
+    def test_trusted_bras_pass_full_validation(self):
+        # enumeration and the action build bras unchecked; rebuilding
+        # through the checking constructors must reproduce every one
+        for n in range(0, 7):
+            for i, j in standard_labels(n):
+                for b in enumerate_bras(n, i, j):
+                    assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
+                    assert make_half(n, b.arcs, b.red_cuts, b.blue_cuts) == b
+        for n in range(0, 4):
+            basis = enumerate_basis(n)
+            for i, j in standard_labels(n):
+                for bra in enumerate_bras(n, i, j):
+                    for d in basis:
+                        r = act_diagram(d, bra)
+                        if r is not None:
+                            b = r[2]
+                            assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
 
     def test_bras_match_brute_force_through_the_view(self):
         # a bra read as a diagram from its n frame points to its i + j cuts:

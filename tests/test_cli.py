@@ -24,6 +24,19 @@ from bubblealg.exactpoly import DB, DR
 # same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
 INTERLEAVED = "D[2,2]{(1,4,r);(2,3,r)}"
 
+# Files whose header, size and digest all hold but whose lines are not
+# B_2 in canonical order; each breaks exactly one of the load's checks.
+B2 = [d.encode() for d in enumerate_basis(2)]
+NOT_THE_BASIS = {
+    "subset": B2[1:],
+    "duplicate": B2[:5] + B2[4:5] + B2[6:],
+    "out_of_order": [B2[1], B2[0]] + B2[2:],
+    # the last diagram with its pairs listed in reverse still sorts last
+    "non_canonical": B2[:9] + ["D[2,2]{(2,3,b);(1,4,r)}"],
+    # as many diagrams with one point moved from the south to the north
+    "wrong_shape": [d.encode() for d in enumerate_basis(1, 3)],
+}
+
 
 def write_consistent_cache(cache_dir, n, encodings):
     """A cache file whose header count, size and sha256 all match its lines."""
@@ -103,6 +116,12 @@ class TestCache:
     def test_invalid_diagram_behind_a_good_digest_rejected(self, tmp_path):
         # the content digest holds, so only the diagram's own check can refuse it
         path = write_consistent_cache(tmp_path, 2, [INTERLEAVED])
+        with pytest.raises(CacheError):
+            load_basis(path, 2)
+
+    @pytest.mark.parametrize("case", sorted(NOT_THE_BASIS))
+    def test_file_that_is_not_the_sorted_basis_rejected(self, tmp_path, case):
+        path = write_consistent_cache(tmp_path, 2, NOT_THE_BASIS[case])
         with pytest.raises(CacheError):
             load_basis(path, 2)
 
@@ -196,6 +215,29 @@ class TestBasisCommand:
         write_consistent_cache(tmp_path, 2, [INTERLEAVED])
         code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("case", sorted(NOT_THE_BASIS))
+    def test_cache_that_is_not_the_sorted_basis_is_a_usage_error(self, capsys, tmp_path, case):
+        write_consistent_cache(tmp_path, 2, NOT_THE_BASIS[case])
+        code, out = run_cli(capsys, "basis", "--n", "2", "--diagrams", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+
+    def test_golden_stdout_with_and_without_cache(self, capsys, tmp_path):
+        # sha256 of stdout recorded before decode and load were made strict
+        listing = "351766bad8d39f6ace606fe61a41c191a7106109bc1ce60944cafd980d247916"
+        counts = "f8063588fe52184756f2a7eae3d2884f5af324ed1edf6eea1ce0654c3dacbf27"
+        cached = ("--cache-dir", str(tmp_path))
+        for argv, digest in [
+            (("basis", "--n", "5", "--diagrams"), listing),
+            (("basis", "--n", "5", "--diagrams", *cached), listing),  # miss
+            (("basis", "--n", "5", "--diagrams", *cached), listing),  # hit
+            (("basis", "--n", "5", *cached), counts),  # hit
+        ]:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+        assert list(tmp_path.iterdir()) == [cache_path(tmp_path, 5)]
 
 
 class TestDimsCommand:

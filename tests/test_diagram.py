@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from bubblealg.basis import enumerate_basis
 from bubblealg.diagram import (
     BLUE,
     RED,
@@ -84,13 +85,27 @@ class TestConstruction:
         ]
         for d in samples:
             assert Diagram.decode(d.encode()) == d
+        for n in range(0, 5):
+            for d in enumerate_basis(n):
+                assert Diagram.decode(d.encode()) == d
 
     def test_encoding_text(self):
         assert cupcap(RED, RED).encode() == "D[2,2]{(1,2,r);(3,4,r)}"
         assert straight_diagram([BLUE]).encode() == "D[1,1]{(1,2,b)}"
 
     def test_decode_rejects_malformed(self):
-        for bad in ["", "D[2,2]{(1,2,x)}", "D[2,2]{(1,2,r)}", "D[2,2]{(1,2,r);(3,4,r)"]:
+        for bad in [
+            "",
+            "D[2,2]{(1,2,x)}",
+            "D[2,2]{(1,2,r)}",
+            "D[2,2]{(1,2,r);(3,4,r)",
+            # decode accepts canonical text only
+            "D[2,2]{(2,1,r);(3,4,r)}",
+            "D[2,2]{(3,4,r);(1,2,r)}",
+            "D[2,2]{(01,2,r);(3,4,r)}",
+            "D[2,2]{(1,2,r);(3,4,r)} ",
+            "D[99999,99999]{}",
+        ]:
             with pytest.raises(ValueError):
                 Diagram.decode(bad)
 
