@@ -28,15 +28,13 @@ from .checks import all_passed, run_checks
 from .diagram import BLUE, RED
 from .spinchain import NumericParams, diagram_matrix, homomorphism_report
 from .stdmod import gram_blocks, gram_det_report, scan_gram_roots
-from .yangbaxter import SweepReport, transfer_sweep, ybe_sweep
+from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, SweepReport, transfer_sweep, ybe_sweep
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-YBE_TOLERANCE = {"tl": 1e-12, "bubble": 1e-10}
-TRANSFER_TOLERANCE = 1e-9
 DEFAULT_SEED = 20260822
 
 

@@ -7,7 +7,7 @@ Two families are covered:
   4x4 nearest-neighbour cup-cap matrix at q = exp(i*lam);
 * the two-colour solution on four-state sites, a ten-term combination of
   the n=2 diagram matrices with both colour parameters tied to
-  q = -exp(i*lam).
+  q = -exp(2i*lam), loop weight -2*cos(2*lam).
 
 All spectral parameters are real.  The coefficient functions have poles
 where sin(lam) (one colour) or sin(lam)*sin(3*lam) (two colours)
@@ -29,7 +29,9 @@ from .diagram import BLUE, RED, Diagram, make_diagram
 from .spinchain import NumericParams, b2_matrix
 
 LAMBDA_EXCLUSION = 1e-6
-PARAM_MATCH_TOL = 1e-12
+# absolute gates on the largest residual entry; unitarity shares the YBE gate
+YBE_TOLERANCE = {"tl": 1e-12, "bubble": 1e-10}
+TRANSFER_TOLERANCE = 1e-9
 
 TL_GROUPS = ("straight", "cupcap")
 BUBBLE_GROUPS = (
@@ -159,33 +161,18 @@ def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
 
 
 def rmatrix_bubble(
-    lam: float,
-    u: float,
-    coefficients: dict[str, float] | None = None,
-    params: NumericParams | None = None,
+    lam: float, u: float, coefficients: dict[str, float] | None = None
 ) -> np.ndarray:
     """Two-colour 16x16 R(u).
 
     The construction only closes with both colour parameters equal to
-    -exp(i*lam), so a caller-supplied ``params`` must match that value.
+    -exp(2i*lam), so the diagram matrices are always taken there.
     """
-    standard = bubble_params(lam)
-    if params is None:
-        params = standard
-    else:
-        if (
-            abs(params.q_r - standard.q_r) > PARAM_MATCH_TOL
-            or abs(params.q_b - standard.q_b) > PARAM_MATCH_TOL
-        ):
-            raise ValueError(
-                "two-colour R-matrix needs q_r = q_b = -exp(i*lambda); "
-                f"got q_r={params.q_r}, q_b={params.q_b}"
-            )
     if coefficients is None:
         coefficients = bubble_coefficients(lam, u)
     if set(coefficients) != set(BUBBLE_GROUPS):
         raise ValueError(f"coefficient keys must be {BUBBLE_GROUPS}")
-    mats = _bubble_group_matrices(params)
+    mats = _bubble_group_matrices(bubble_params(lam))
     out = np.zeros((16, 16), dtype=complex)
     for name in BUBBLE_GROUPS:
         out += coefficients[name] * mats[name]

@@ -192,5 +192,5 @@ def test_criterion_10_structure_checks():
             ok = ok and restriction_report(n, i, j).holds
     for n in range(1, 5):
         for i, j in standard_labels(n):
-            ok = ok and cyclic_span_report(n, i, j, seed=SEED).holds
+            ok = ok and cyclic_span_report(n, i, j).holds
     assert report(10, "localisation, restriction, and cyclic-generator dimensions", ok)

@@ -417,6 +417,17 @@ class TestCheckCommand:
         results = run_checks(size=3, seed=11, quick=True)
         assert all_passed(results)
 
+    def test_localisation_detail_names_the_size_run(self):
+        results = {r.name: r for r in run_checks(size=2)}
+        assert results["localisation"].detail.endswith("n<=2")
+
+    def test_rank_checks_run_at_the_requested_size(self):
+        results = {r.name: r for r in run_checks(size=4)}
+        assert all_passed(results.values())
+        assert results["localisation"].detail.endswith("n<=4")
+        assert results["cyclic_span"].detail.endswith("n<=4")
+        assert results["identity_decomposition"].detail.startswith("2^4 ")
+
     def test_tiny_size_rejected(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1")
         assert code == 2

@@ -3,7 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from bubblealg.exactpoly import DB, DR, ONE, ZERO, LaurentPoly, PolyMatrix, divexact, poly_det
+from bubblealg.exactpoly import (
+    DB,
+    DR,
+    ONE,
+    PRIME,
+    ZERO,
+    LaurentPoly,
+    PolyMatrix,
+    divexact,
+    eval_mod,
+    poly_det,
+    rank_mod,
+)
 from helpers import cofactor_det, random_monomial, random_poly
 
 
@@ -154,3 +166,60 @@ def test_matmul_identity():
 def test_det_non_square_rejected():
     with pytest.raises(ValueError):
         poly_det(PolyMatrix([[ONE, ZERO]]))
+
+
+def rank_at(rows, dr: int, db: int) -> int:
+    return rank_mod({k: eval_mod(e, dr, db) for k, e in enumerate(row)} for row in rows)
+
+
+def test_eval_mod_inverts_negative_exponents():
+    assert eval_mod(LaurentPoly.monomial(-1, 0), 2, 5) * 2 % PRIME == 1
+    assert eval_mod(LaurentPoly.monomial(2, -3, 7), 2, 5) * 125 % PRIME == 28
+    assert eval_mod(LaurentPoly.const(-1), 2, 5) == PRIME - 1
+    assert eval_mod(ZERO, 2, 5) == 0
+
+
+def test_eval_mod_is_a_ring_map():
+    rng = random.Random(61)
+    for _ in range(60):
+        p, q = random_poly(rng), random_poly(rng)
+        x, y = rng.randrange(1, PRIME), rng.randrange(1, PRIME)
+        px, qx = eval_mod(p, x, y), eval_mod(q, x, y)
+        assert eval_mod(p * q, x, y) == px * qx % PRIME
+        assert eval_mod(p - q, x, y) == (px - qx) % PRIME
+
+
+def test_rank_mod_reduces_entries():
+    assert rank_mod([]) == 0
+    assert rank_mod([{0: PRIME, 3: 2 * PRIME}]) == 0
+    assert rank_mod([{0: 1, 1: 2}, {0: 2, 1: 4 + PRIME}]) == 1
+    assert rank_mod([{5: 1}, {2: 1}, {2: 3, 5: 7}]) == 2
+
+
+def test_rank_mod_known_ranks():
+    point = (123456789, 987654321)
+    assert rank_at([[ZERO, ZERO]], *point) == 0
+    assert rank_at(PolyMatrix.identity(3).entries, *point) == 3
+    row1 = [DR, ONE, DB, ZERO]
+    row2 = [ONE, DB, ZERO, DR * DB]
+    row3 = [a + DR * b for a, b in zip(row1, row2)]
+    assert rank_at([row1, row2, row3], *point) == 2
+    assert rank_at([row3, row2, row1], *point) == 2
+    assert rank_at([row1, row2, row3, [ONE, ZERO, ZERO, ZERO]], *point) == 3
+    # the 2x2 Gram-type matrix [[dr, 1], [1, dr]] drops rank only at dr = +-1
+    gram = [[DR, ONE], [ONE, DR]]
+    assert rank_at(gram, *point) == 2
+    assert rank_at(gram, 1, 3) == rank_at(gram, PRIME - 1, 3) == 1
+
+
+def test_rank_mod_is_full_exactly_when_det_is_nonzero():
+    rng = random.Random(40961)
+    for size in (2, 3, 4):
+        for _ in range(30):
+            rows = [[random_monomial(rng, span=1) for _ in range(size)] for _ in range(size)]
+            if size > 2 and rng.random() < 0.3:
+                # last row = first row - (dr / db) * second row
+                rows[-1] = [a - LaurentPoly.monomial(1, -1) * b for a, b in zip(rows[0], rows[1])]
+            det = poly_det(PolyMatrix(rows))
+            point = (rng.randrange(1, PRIME), rng.randrange(1, PRIME))
+            assert (rank_at(rows, *point) == size) == (not det.is_zero)

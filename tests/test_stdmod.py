@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import blockwise_det, mirror, univariate
+from helpers import blockwise_det, brute_walk_count, mirror, univariate
 
 from bubblealg import stdmod
 from bubblealg.basis import enumerate_basis, enumerate_bras, make_half, standard_labels, walk_count
@@ -271,15 +271,27 @@ class TestRestrictionAndSpans:
                 assert restriction_report(n, i, j).holds
 
     def test_cyclic_span_full_rank(self):
-        for n in range(1, 4):
+        for n in range(1, 6):
             for i, j in standard_labels(n):
-                assert cyclic_span_report(n, i, j).holds
+                rep = cyclic_span_report(n, i, j)
+                assert rep.rank == rep.expected == brute_walk_count(n, i, j)
 
     def test_localisation_small(self):
         assert localisation_report(2).rank == 1
         assert localisation_report(2).holds
         r3 = localisation_report(3)
         assert (r3.rank, r3.expected) == (2, 2)
+
+    def test_localisation_five(self):
+        rep = localisation_report(5)
+        assert (rep.rank, rep.expected) == (70, 70)
+        assert rep.expected == len(enumerate_basis(3))
+
+    def test_localisation_ranks_must_agree(self, monkeypatch):
+        ranks = iter([10, 9])
+        monkeypatch.setattr(stdmod, "rank_mod", lambda rows: next(ranks))
+        with pytest.raises(ArithmeticError):
+            localisation_report(4)
 
 
 class TestRootScan:

@@ -1,12 +1,10 @@
 """Tests for the Baxterised R-matrices and transfer machinery."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from bubblealg.spinchain import NumericParams
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
     TL_GROUPS,
@@ -106,18 +104,6 @@ class TestBubbleRmatrix:
         p = bubble_params(lam)
         assert abs(p.delta_r - (-2 * math.cos(2 * lam))) < 1e-13
         assert abs(p.delta_b - p.delta_r) < 1e-15
-
-    def test_mismatched_params_rejected(self):
-        lam = 0.7
-        other = NumericParams(q_r=-cmath.exp(1j * lam), q_b=-cmath.exp(1j * lam))
-        with pytest.raises(ValueError):
-            rmatrix_bubble(lam, 0.3, params=other)
-
-    def test_matching_params_accepted(self):
-        lam = 0.7
-        r1 = rmatrix_bubble(lam, 0.3)
-        r2 = rmatrix_bubble(lam, 0.3, params=bubble_params(lam))
-        assert np.allclose(r1, r2, atol=0)
 
     def test_coefficient_keys_enforced(self):
         with pytest.raises(ValueError):
