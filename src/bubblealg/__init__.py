@@ -7,6 +7,8 @@ representation, and spectral-parameter (Yang-Baxter, transfer matrix)
 verification.  The `bubble` console script exposes the same reports.
 """
 
+import importlib
+
 from .basis import (
     enumerate_basis,
     enumerate_bras,
@@ -26,23 +28,35 @@ from .diagram import (
     white_generator,
 )
 from .exactpoly import DB, DR, LaurentPoly, PolyMatrix, poly_det
-from .spinchain import NumericParams, diagram_matrix, element_matrix, homomorphism_report
-from .stdmod import (
-    gram_blocks,
-    gram_det_report,
-    gram_matrix,
-    localisation_report,
-    restriction_report,
-    scan_gram_roots,
-)
-from .yangbaxter import (
-    rmatrix,
-    transfer_commutator,
-    transfer_matrix,
-    unitarity_residual,
-    ybe_residual,
-    ybe_sweep,
-)
+
+# the numeric modules load on first use (PEP 562), so importing the
+# package, or a request that computes no float, loads no numpy
+_LAZY = {
+    "NumericParams": "spinchain",
+    "diagram_matrix": "spinchain",
+    "element_matrix": "spinchain",
+    "homomorphism_report": "spinchain",
+    "gram_blocks": "stdmod",
+    "gram_det_report": "stdmod",
+    "gram_matrix": "stdmod",
+    "localisation_report": "stdmod",
+    "restriction_report": "stdmod",
+    "scan_gram_roots": "stdmod",
+    "rmatrix": "yangbaxter",
+    "transfer_commutator": "yangbaxter",
+    "transfer_matrix": "yangbaxter",
+    "unitarity_residual": "yangbaxter",
+    "ybe_residual": "yangbaxter",
+    "ybe_sweep": "yangbaxter",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -36,6 +36,7 @@ from .diagram import (
     Endpoints,
     check_matching,
     circular_positions,
+    encoding_key,
     endpoint_arrays,
     make_diagram,
     propagating_index,
@@ -93,7 +94,15 @@ def enumerate_basis(
     n_south: int | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> list[Diagram]:
-    """All diagrams on the given rectangle, sorted by their encoding."""
+    """All diagrams on the given rectangle, sorted by their encoding.
+
+    The sort writes nothing out.  An encoding is its pair texts
+    ``(p,q,c)`` joined in a fixed frame, and no pair text is a prefix of
+    another, so two encodings of one shape compare as the sequences of
+    their pair texts do, text by text.  Ranking every pair text of the
+    shape once (``diagram.encoding_key``) therefore gives a tuple key in
+    the same order, string order included: ``(10,`` sorts before ``(2,``.
+    """
     if n_south is None:
         n_south = n_north
     _guard(n_north + n_south, max_n)
@@ -105,18 +114,17 @@ def enumerate_basis(
 
     def rec(idx: int) -> None:
         if idx == total:
-            # a southern pair opens at its larger endpoint; normalise, sort
-            norm = sorted((min(p, q), max(p, q), c) for p, q, c in pairs)
-            results.append(Diagram._raw(n_north, n_south, tuple(norm)))
+            results.append(Diagram._raw(n_north, n_south, tuple(sorted(pairs))))
             return
         pid = circ[idx]
         rem = total - idx - 1
         n_open = len(stacks[RED]) + len(stacks[BLUE])
         for c in (RED, BLUE):
             if stacks[c]:
-                # closing keeps rem - (n_open - 1) parity automatically
+                # closing keeps rem - (n_open - 1) parity automatically; a
+                # southern pair opens at its larger endpoint
                 top = stacks[c].pop()
-                pairs.append((top, pid, c))
+                pairs.append((top, pid, c) if top < pid else (pid, top, c))
                 rec(idx + 1)
                 pairs.pop()
                 stacks[c].append(top)
@@ -127,75 +135,8 @@ def enumerate_basis(
 
     if total % 2 == 0:
         rec(0)
-    return sorted(results, key=Diagram.encode)
-
-
-def enumerate_via_seeds(
-    n_north: int,
-    n_south: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[Diagram]:
-    """Second enumeration route: colour every uncoloured pair matching.
-
-    Each matching of the boundary points is a seed.  Its strands are
-    ordered by first clockwise appearance and coloured one at a time;
-    a strand crossed by an already coloured strand must avoid that
-    colour, everything else branches.  A seed whose crossing graph is
-    not properly colourable contributes nothing.
-    """
-    if n_south is None:
-        n_south = n_north
-    _guard(n_north + n_south, max_n)
-    circ = circular_positions(n_north, n_south)
-    order = {pid: k for k, pid in enumerate(circ)}
-    total = len(circ)
-    results: list[Diagram] = []
-    if total % 2:
-        return results
-
-    def matchings(points: tuple[int, ...]):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for k in range(1, len(points)):
-            partner = points[k]
-            rest = points[1:k] + points[k + 1 :]
-            for tail in matchings(rest):
-                yield ((first, partner),) + tail
-
-    def crossing(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        pa, pb = sorted((order[a[0]], order[a[1]]))
-        inside = sum(1 for x in (order[b[0]], order[b[1]]) if pa < x < pb)
-        return inside == 1
-
-    for seed in matchings(tuple(range(1, total + 1))):
-        lines = sorted(seed, key=lambda pr: min(order[pr[0]], order[pr[1]]))
-        m = len(lines)
-        earlier_crossings = [
-            [j for j in range(i) if crossing(lines[i], lines[j])] for i in range(m)
-        ]
-        colours = [0] * m
-
-        def paint(i: int) -> None:
-            if i == m:
-                results.append(
-                    make_diagram(
-                        n_north,
-                        n_south,
-                        [(p, q, colours[k]) for k, (p, q) in enumerate(lines)],
-                    )
-                )
-                return
-            banned = {colours[j] for j in earlier_crossings[i]}
-            for c in (RED, BLUE):
-                if c in banned:
-                    continue
-                colours[i] = c
-                paint(i + 1)
-
-        paint(0)
-    return sorted(results, key=Diagram.encode)
+    results.sort(key=encoding_key(n_north, n_south))
+    return results
 
 
 def stratify(diagrams: list[Diagram]) -> dict[tuple[int, int], list[Diagram]]:

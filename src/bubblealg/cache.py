@@ -52,8 +52,9 @@ def basis_digest(encodings: list[str]) -> str:
     return hashlib.sha256("".join(encodings).encode("ascii")).hexdigest()
 
 
-def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
-    """Write a basis list; the parent directory is created if needed.
+def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> list[str]:
+    """Write a basis list and return the lines written, the diagrams'
+    encodings; the parent directory is created if needed.
 
     The data goes to a temporary file beside ``path`` that is then renamed
     over it, so an interrupted write leaves no partial file behind."""
@@ -76,10 +77,14 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return encodings
 
 
-def load_basis(path: str | Path, n: int) -> list[Diagram]:
-    """Read B_n back, verifying header, count, digest, order and every line."""
+def load_basis(path: str | Path, n: int) -> tuple[list[Diagram], list[str]]:
+    """Read B_n back, verifying header, count, digest, order and every line.
+
+    Returns the diagrams and the lines they were decoded from, which are
+    their encodings since ``Diagram.decode`` accepts canonical text only."""
     path = Path(path)
     try:
         with gzip.open(path, "rt", encoding="ascii") as fh:
@@ -114,24 +119,25 @@ def load_basis(path: str | Path, n: int) -> list[Diagram]:
         if d.n_north != n or d.n_south != n:
             raise CacheError(f"cache {path} entry {enc!r} is not a size-{n} diagram")
         out.append(d)
-    return out
+    return out, lines
 
 
 def cached_basis(
     n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N
-) -> list[Diagram]:
+) -> tuple[list[Diagram], list[str] | None]:
     """Load the basis of the size-n algebra from cache, enumerating on a miss.
 
-    With no directory (argument or environment), enumerate directly.
+    Returns the diagrams and the encodings the cache read or wrote.  With
+    no directory (argument or environment), enumerate directly; nothing is
+    written out then, and the encodings are None.
     """
     if cache_dir is None:
         cache_dir = default_cache_dir()
     if cache_dir is None:
-        return enumerate_basis(n, max_n=max_n)
+        return enumerate_basis(n, max_n=max_n), None
     _guard(2 * n, max_n)
     path = cache_path(cache_dir, n)
     if path.exists():
         return load_basis(path, n)
     diagrams = enumerate_basis(n, max_n=max_n)
-    save_basis(path, n, diagrams)
-    return diagrams
+    return diagrams, save_basis(path, n, diagrams)

@@ -133,7 +133,9 @@ def _check_gram_det_dual_route(size: int) -> CheckResult:
     for n, i, j in labels:
         gram_det_report(n, i, j, cross_check=True)
     return CheckResult(
-        "gram_det_dual_route", True, f"{len(labels)} determinants agree both routes"
+        "gram_det_dual_route",
+        True,
+        f"{len(labels)} determinants agree both routes, n<={max(n for n, _, _ in labels)}",
     )
 
 
@@ -150,7 +152,9 @@ def _check_root_scan(size: int) -> CheckResult:
                 f"unmatched root in det G_{n}({i},{j}) scanning colour {var}",
             )
     return CheckResult(
-        "gram_root_scan", True, f"{len(jobs)} scans hit only 2cos(pi m/k) points"
+        "gram_root_scan",
+        True,
+        f"{len(jobs)} scans hit only 2cos(pi m/k) points, n<={max(n for n, _, _, _ in jobs)}",
     )
 
 
@@ -296,8 +300,9 @@ def _check_restriction(size: int) -> CheckResult:
 
 def _check_cyclic_span(size: int) -> CheckResult:
     for n in range(1, size + 1):
+        basis = enumerate_basis(n)
         for i, j in standard_labels(n):
-            rep = cyclic_span_report(n, i, j)
+            rep = cyclic_span_report(n, i, j, basis=basis)
             if not rep.holds:
                 return CheckResult(
                     "cyclic_span",

@@ -13,6 +13,7 @@ import io
 import json
 import statistics
 import sys
+from typing import TYPE_CHECKING
 
 from .basis import (
     DEFAULT_MAX_N,
@@ -24,11 +25,14 @@ from .basis import (
     walk_count,
 )
 from .cache import CacheError, cached_basis, default_cache_dir
-from .checks import all_passed, run_checks
 from .diagram import BLUE, RED
-from .spinchain import NumericParams, diagram_matrix, homomorphism_report
-from .stdmod import gram_blocks, gram_det_report, scan_gram_roots
-from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, SweepReport, transfer_sweep, ybe_sweep
+
+if TYPE_CHECKING:
+    from .yangbaxter import SweepReport
+
+# checks, spinchain, stdmod and yangbaxter are imported by the subcommands
+# that use them, so a request loads only its own modules: numpy comes in
+# only where a float is computed, never for basis or dims
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -60,14 +64,15 @@ def _complex_pair(z: complex) -> list[float]:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    diagrams = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
+    diagrams, lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
     strata = []
     for i, j in standard_labels(args.n):
         dim = walk_count(args.n, i, j)
         strata.append({"i": i, "j": j, "dim": dim, "count": dim * dim})
     payload = {"n": args.n, "total": len(diagrams), "strata": strata}
     if args.diagrams:
-        payload["diagrams"] = [d.encode() for d in diagrams]
+        # a cache hit or miss has the encodings at hand already
+        payload["diagrams"] = lines if lines is not None else [d.encode() for d in diagrams]
     _emit_json(payload)
     return EXIT_OK
 
@@ -98,6 +103,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
+    from .stdmod import gram_blocks, gram_det_report, scan_gram_roots
+
     n, i, j = args.n, args.i, args.j
     bras = enumerate_bras(n, i, j, max_n=args.max_n)
     if not bras:
@@ -170,6 +177,8 @@ def _format_complex_matrix(mat) -> str:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
+    from .spinchain import NumericParams, diagram_matrix, homomorphism_report
+
     try:
         q_r, q_b = complex(args.qr), complex(args.qb)
     except ValueError as exc:
@@ -223,6 +232,8 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
 
 
 def cmd_ybe(args: argparse.Namespace) -> int:
+    from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, transfer_sweep, ybe_sweep
+
     if args.sweep < 1:
         raise ValueError("--sweep must be a positive count")
     ybe = ybe_sweep(args.family, count=args.sweep, seed=args.seed, lam=args.lam)
@@ -255,6 +266,8 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import all_passed, run_checks
+
     results = run_checks(size=args.n, seed=args.seed, quick=args.quick)
     payload = {
         "size": args.n,

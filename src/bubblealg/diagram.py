@@ -23,11 +23,12 @@ The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
 smaller endpoint, numbers in decimal without leading zeros and ``c`` one
 of ``r``/``b``.  Canonical enumeration order everywhere in the package is
-lexicographic on this encoding.  ``Diagram.decode`` is strict: it accepts
-exactly the text ``encode`` writes, so ``decode(t).encode() == t`` for
-every ``t`` it accepts; whitespace, leading zeros, ``p > q`` and unsorted
-pairs are rejected.  Pair texts map to shared ``(p, q, c)`` tuples
-through a bounded memo.
+lexicographic on this encoding; ``encoding_key`` sorts diagrams of one
+shape in that order without writing them out.  ``Diagram.decode`` is
+strict: it accepts exactly the text ``encode`` writes, so
+``decode(t).encode() == t`` for every ``t`` it accepts; whitespace,
+leading zeros, ``p > q`` and unsorted pairs are rejected.  Pair texts
+map to shared ``(p, q, c)`` tuples through a bounded memo.
 
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactpoly import ZERO, LaurentPoly
 
@@ -93,7 +94,7 @@ def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, i
         raise ValueError(f"same-colour pairs interleave in {n_north},{n_south} matching")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """Canonical coloured pair matching of a rectangle's boundary."""
 
@@ -115,7 +116,6 @@ class Diagram:
     @classmethod
     def _raw(cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]) -> "Diagram":
         # internal fast path; caller guarantees a valid canonical diagram
-        # object.__setattr__, not __dict__, keeps the compact instance layout
         d = object.__new__(cls)
         object.__setattr__(d, "n_north", n_north)
         object.__setattr__(d, "n_south", n_south)
@@ -137,6 +137,21 @@ class Diagram:
 
     def __str__(self) -> str:
         return self.encode()
+
+
+@lru_cache(maxsize=64)
+def _pair_ranks(total: int) -> dict[tuple[int, int, int], int]:
+    """Position of each pair text ``(p,q,c)``, p < q <= total, in string order."""
+    pairs = [(p, q, c) for p in range(1, total + 1) for q in range(p + 1, total + 1) for c in (RED, BLUE)]
+    pairs.sort(key=lambda pair: f"({pair[0]},{pair[1]},{COLOUR_CHARS[pair[2]]})")
+    return {pair: k for k, pair in enumerate(pairs)}
+
+
+def encoding_key(n_north: int, n_south: int) -> Callable[[Diagram], tuple[int, ...]]:
+    """Sort key that orders diagrams of one shape as their encodings, without
+    writing them out: the string-order rank of each pair text, pair by pair."""
+    rank = _pair_ranks(n_north + n_south).__getitem__
+    return lambda d: tuple(map(rank, d.pairs))
 
 
 def _parse_natural(text: str) -> int:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-import numpy as np
-
 from .basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
@@ -389,15 +387,20 @@ class SpanReport:
         return self.rank == self.expected
 
 
-def cyclic_span_report(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> SpanReport:
+def cyclic_span_report(
+    n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N, basis: list[Diagram] | None = None
+) -> SpanReport:
     """Dimension of the orbit of the standard generator under all diagrams.
 
     Each diagram sends the generator to zero or to a monomial times one
     half diagram, and monomials are units of the loop ring, so the orbit
-    spans exactly the half diagrams it reaches.
+    spans exactly the half diagrams it reaches.  ``basis`` is B_n when the
+    caller has it already.
     """
+    if basis is None:
+        basis = enumerate_basis(n, max_n=max_n)
     gen = cyclic_generator_bra(n, i, j)
-    reached = {r[2] for d in enumerate_basis(n, max_n=max_n) if (r := act_diagram(d, gen))}
+    reached = {r[2] for d in basis if (r := act_diagram(d, gen))}
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
 
 
@@ -581,6 +584,8 @@ def scan_gram_roots(
             # bit of the companion matrix, which np.roots divides by it
             lead = abs(sq[-1])
             shift = Fraction(2) ** (lead.denominator.bit_length() - lead.numerator.bit_length())
+            import numpy as np  # the one float step; other requests skip the import
+
             roots = np.roots([float(c * shift) for c in reversed(sq)])
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, tol)))

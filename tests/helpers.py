@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from bubblealg.diagram import Diagram, make_diagram
+from bubblealg.diagram import BLUE, RED, Diagram, make_diagram
 from bubblealg.exactpoly import LaurentPoly, PolyMatrix, poly_det
 
 
@@ -92,3 +92,68 @@ def mirror(d: Diagram) -> Diagram:
         return ns + p if p <= nn else p - nn
 
     return make_diagram(ns, nn, [(image(p), image(q), c) for p, q, c in d.pairs])
+
+
+def enumerate_via_seeds(n_north: int, n_south: int | None = None) -> list[Diagram]:
+    """Second enumeration route: colour every uncoloured pair matching.
+
+    Each matching of the boundary points is a seed.  Its strands are
+    ordered by first clockwise appearance and coloured one at a time;
+    a strand crossed by an already coloured strand must avoid that
+    colour, everything else branches.  A seed whose crossing graph is
+    not properly colourable contributes nothing.  The result is sorted
+    by ``Diagram.encode``, the canonical order itself.
+    """
+    if n_south is None:
+        n_south = n_north
+    # clockwise from the top left corner: north left to right, south right to left
+    circ = [*range(1, n_north + 1), *range(n_north + n_south, n_north, -1)]
+    order = {pid: k for k, pid in enumerate(circ)}
+    total = len(circ)
+    results: list[Diagram] = []
+    if total % 2:
+        return results
+
+    def matchings(points: tuple[int, ...]):
+        if not points:
+            yield ()
+            return
+        first = points[0]
+        for k in range(1, len(points)):
+            partner = points[k]
+            rest = points[1:k] + points[k + 1 :]
+            for tail in matchings(rest):
+                yield ((first, partner),) + tail
+
+    def crossing(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        pa, pb = sorted((order[a[0]], order[a[1]]))
+        inside = sum(1 for x in (order[b[0]], order[b[1]]) if pa < x < pb)
+        return inside == 1
+
+    for seed in matchings(tuple(range(1, total + 1))):
+        lines = sorted(seed, key=lambda pr: min(order[pr[0]], order[pr[1]]))
+        m = len(lines)
+        earlier_crossings = [
+            [j for j in range(i) if crossing(lines[i], lines[j])] for i in range(m)
+        ]
+        colours = [0] * m
+
+        def paint(i: int) -> None:
+            if i == m:
+                results.append(
+                    make_diagram(
+                        n_north,
+                        n_south,
+                        [(p, q, colours[k]) for k, (p, q) in enumerate(lines)],
+                    )
+                )
+                return
+            banned = {colours[j] for j in earlier_crossings[i]}
+            for c in (RED, BLUE):
+                if c in banned:
+                    continue
+                colours[i] = c
+                paint(i + 1)
+
+        paint(0)
+    return sorted(results, key=Diagram.encode)

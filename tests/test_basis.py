@@ -15,7 +15,6 @@ from bubblealg.basis import (
     cut_diagram,
     enumerate_basis,
     enumerate_bras,
-    enumerate_via_seeds,
     join_halves,
     make_half,
     monochrome_straight_diagrams,
@@ -35,7 +34,7 @@ from bubblealg.oracles import (
     tl_diagrams,
 )
 from bubblealg.stdmod import act_diagram
-from helpers import brute_walk_count
+from helpers import brute_walk_count, enumerate_via_seeds
 
 
 def half_from_view(encoding: str, n: int, i: int) -> str | None:
@@ -67,7 +66,7 @@ class TestEnumeration:
             assert engine == brute_force_bubble_encodings(n)
 
     def test_seed_route_agrees(self):
-        for n in range(0, 5):
+        for n in range(0, 6):
             assert enumerate_via_seeds(n) == enumerate_basis(n)
 
     def test_rectangles(self):
@@ -85,6 +84,13 @@ class TestEnumeration:
         encs = [d.encode() for d in basis]
         assert encs == sorted(encs)
         assert len(set(encs)) == len(encs)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (5, 3), (3, 5), (6, 4)])
+    def test_encoding_order_at_two_digit_endpoints(self, shape):
+        # from 10 points on, string order puts the pair text (10, before (2,
+        encs = [d.encode() for d in enumerate_basis(*shape)]
+        assert all(a < b for a, b in zip(encs, encs[1:]))
+        assert len(encs) == walk_count(sum(shape), 0, 0)
 
     def test_one_colour_restriction_counts(self):
         for n in range(1, 5):
@@ -113,8 +119,6 @@ class TestEnumeration:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_basis(DEFAULT_MAX_N + 1)
-        with pytest.raises(ResourceLimitError):
-            enumerate_via_seeds(DEFAULT_MAX_N + 1)
         with pytest.raises(ResourceLimitError):
             enumerate_bras(2 * DEFAULT_MAX_N + 1, 1, 0)
         # an explicit override lifts the guard

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bubblealg
+from bubblealg import checks, stdmod
 from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.cache import (
     CacheError,
@@ -19,6 +26,7 @@ from bubblealg.cache import (
 )
 from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import main
+from bubblealg.diagram import Diagram
 from bubblealg.exactpoly import DB, DR
 
 # same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
@@ -53,17 +61,19 @@ class TestCache:
     def test_round_trip_matches_fresh_enumeration(self, tmp_path):
         fresh = enumerate_basis(3)
         path = cache_path(tmp_path, 3)
-        save_basis(path, 3, fresh)
-        assert load_basis(path, 3) == fresh
+        lines = save_basis(path, 3, fresh)
+        assert lines == [d.encode() for d in fresh]
+        assert load_basis(path, 3) == (fresh, lines)
 
     def test_cached_basis_writes_then_reads(self, tmp_path):
         first = cached_basis(3, cache_dir=tmp_path)
         assert cache_path(tmp_path, 3).exists()
-        assert cached_basis(3, cache_dir=tmp_path) == first == enumerate_basis(3)
+        fresh = enumerate_basis(3)
+        assert cached_basis(3, cache_dir=tmp_path) == first == (fresh, [d.encode() for d in fresh])
 
     def test_no_directory_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        assert cached_basis(2) == enumerate_basis(2)
+        assert cached_basis(2) == (enumerate_basis(2), None)
         assert list(tmp_path.iterdir()) == []
 
     def test_env_var_selects_directory(self, tmp_path, monkeypatch):
@@ -152,7 +162,7 @@ class TestCache:
             save_basis(path, 2, enumerate_basis(2))
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
-        assert cached_basis(2, cache_dir=tmp_path) == enumerate_basis(2)
+        assert cached_basis(2, cache_dir=tmp_path)[0] == enumerate_basis(2)
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +248,23 @@ class TestBasisCommand:
             assert code == 0
             assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
         assert list(tmp_path.iterdir()) == [cache_path(tmp_path, 5)]
+
+    def test_each_diagram_encoded_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real_encode = Diagram.encode
+
+        def counting(d):
+            calls.append(d)
+            return real_encode(d)
+
+        monkeypatch.setattr(Diagram, "encode", counting)
+        cached = ("--cache-dir", str(tmp_path))
+        # no cache, a miss, then a hit that prints the lines the load checked
+        for extra, encoded in [((), 70), (cached, 70), (cached, 0)]:
+            calls.clear()
+            code, _ = run_cli(capsys, "basis", "--n", "3", "--diagrams", *extra)
+            assert code == 0
+            assert len(calls) == encoded
 
 
 class TestDimsCommand:
@@ -420,6 +447,9 @@ class TestCheckCommand:
     def test_localisation_detail_names_the_size_run(self):
         results = {r.name: r for r in run_checks(size=2)}
         assert results["localisation"].detail.endswith("n<=2")
+        # the fixed-label checks start at n=3, above the requested size
+        assert results["gram_det_dual_route"].detail.endswith("n<=3")
+        assert results["gram_root_scan"].detail.endswith("n<=3")
 
     def test_rank_checks_run_at_the_requested_size(self):
         results = {r.name: r for r in run_checks(size=4)}
@@ -427,6 +457,20 @@ class TestCheckCommand:
         assert results["localisation"].detail.endswith("n<=4")
         assert results["cyclic_span"].detail.endswith("n<=4")
         assert results["identity_decomposition"].detail.startswith("2^4 ")
+        assert results["gram_det_dual_route"].detail.endswith("n<=4")
+        assert results["gram_root_scan"].detail.endswith("n<=4")
+
+    def test_cyclic_span_enumerates_each_basis_once(self, monkeypatch):
+        sizes = []
+
+        def counting(n, *args, **kwargs):
+            sizes.append(n)
+            return enumerate_basis(n, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "enumerate_basis", counting)
+        monkeypatch.setattr(stdmod, "enumerate_basis", counting)
+        assert checks._check_cyclic_span(4).passed
+        assert sizes == [1, 2, 3, 4]
 
     def test_tiny_size_rejected(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1")
@@ -447,3 +491,50 @@ class TestUsage:
         assert code == 0
         assert "--transfer" in out
         assert "20260822" in out
+
+
+# Runs requests in order in one fresh interpreter and prints, per request,
+# its exit code and whether numpy had been imported by then.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from bubblealg.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestLeanPath:
+    def test_numpy_loads_only_for_float_work(self):
+        requests = [
+            "basis --n 3",
+            "dims --n 3",
+            "gram --n 4 --i 0 --j 0 --det",
+            "gram --n 4 --i 0 --j 0 --roots r",
+            "rep --n 2 --qr 2 --qb 3 --check",
+            "ybe --family tl --sweep 2",
+        ]
+        src = str(Path(bubblealg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("BUBBLE_CACHE_DIR", None)
+        argvs = json.dumps([line.split() for line in requests])
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, argvs],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        # the first three never compute a float; once loaded, numpy stays
+        assert json.loads(out) == [[0, False]] * 3 + [[0, True]] * 3
+
+    def test_every_export_resolves(self):
+        star: dict = {}
+        exec("from bubblealg import *", star)
+        assert set(bubblealg.__all__) <= set(star)
+        # a lazy export is the numeric module's own object
+        for name in ("NumericParams", "gram_det_report", "ybe_sweep"):
+            value = getattr(bubblealg, name)
+            assert getattr(importlib.import_module(value.__module__), name) is value
+        with pytest.raises(AttributeError):
+            bubblealg.no_such_name
