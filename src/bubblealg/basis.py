@@ -38,8 +38,6 @@ from .diagram import (
     circular_positions,
     encoding_key,
     endpoint_arrays,
-    make_diagram,
-    propagating_index,
     straight_diagram,
 )
 
@@ -105,6 +103,8 @@ def enumerate_basis(
     """
     if n_south is None:
         n_south = n_north
+    if n_north < 0 or n_south < 0:
+        raise ValueError(f"negative side in a {n_north} by {n_south} rectangle")
     _guard(n_north + n_south, max_n)
     circ = circular_positions(n_north, n_south)
     total = len(circ)
@@ -137,14 +137,6 @@ def enumerate_basis(
         rec(0)
     results.sort(key=encoding_key(n_north, n_south))
     return results
-
-
-def stratify(diagrams: list[Diagram]) -> dict[tuple[int, int], list[Diagram]]:
-    """Group diagrams by their per-colour propagating counts."""
-    out: dict[tuple[int, int], list[Diagram]] = {}
-    for d in diagrams:
-        out.setdefault(propagating_index(d), []).append(d)
-    return out
 
 
 @dataclass(frozen=True)
@@ -298,67 +290,7 @@ def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[H
 
 
 # ---------------------------------------------------------------------------
-# cutting a diagram into halves and joining them back
-
-
-def cut_diagram(d: Diagram) -> tuple[HalfDiagram, HalfDiagram]:
-    """Split a diagram along its waist into a northern and a southern half.
-
-    Propagating lines of one colour keep their left-to-right order, so
-    the pairing of cuts is implicit and the split loses nothing.
-    """
-    nn = d.n_north
-    north_arcs, south_arcs = [], []
-    north_cuts: dict[int, list[int]] = {RED: [], BLUE: []}
-    south_cuts: dict[int, list[int]] = {RED: [], BLUE: []}
-    for p, q, c in d.pairs:
-        if q <= nn:
-            north_arcs.append((p, q, c))
-        elif p > nn:
-            south_arcs.append((p - nn, q - nn, c))
-        else:
-            north_cuts[c].append(p)
-            south_cuts[c].append(q - nn)
-    bra = make_half(nn, north_arcs, north_cuts[RED], north_cuts[BLUE])
-    ket = make_half(d.n_south, south_arcs, south_cuts[RED], south_cuts[BLUE])
-    return bra, ket
-
-
-def join_halves(bra: HalfDiagram, ket: HalfDiagram) -> Diagram:
-    """Rebuild the diagram whose northern half is ``bra`` and southern ``ket``."""
-    if bra.propagating != ket.propagating:
-        raise ValueError("halves have different propagating counts")
-    nn = bra.n
-    pairs = list(bra.arcs)
-    pairs += [(p + nn, q + nn, c) for p, q, c in ket.arcs]
-    for c in (RED, BLUE):
-        pairs += [
-            (p, q + nn, c) for p, q in zip(bra.cuts(c), ket.cuts(c))
-        ]
-    return make_diagram(nn, ket.n, pairs)
-
-
-# ---------------------------------------------------------------------------
-# one-point moves on half diagrams
-
-
-def add_line(bra: HalfDiagram, c: int) -> HalfDiagram:
-    """Append a frame point carrying a new cut of colour c."""
-    red = bra.red_cuts + ((bra.n + 1,) if c == RED else ())
-    blue = bra.blue_cuts + ((bra.n + 1,) if c == BLUE else ())
-    return HalfDiagram(bra.n + 1, bra.arcs, red, blue)
-
-
-def turn_back(bra: HalfDiagram, c: int) -> HalfDiagram:
-    """Append a frame point and bend the last cut of colour c onto it."""
-    cuts = bra.cuts(c)
-    if not cuts:
-        raise ValueError("no cut of that colour to turn back")
-    t = cuts[-1]
-    red = bra.red_cuts[:-1] if c == RED else bra.red_cuts
-    blue = bra.blue_cuts[:-1] if c == BLUE else bra.blue_cuts
-    arcs = tuple(sorted(bra.arcs + ((t, bra.n + 1, c),)))
-    return HalfDiagram(bra.n + 1, arcs, red, blue)
+# restriction to one frame point fewer
 
 
 def classify_rightmost(bra: HalfDiagram) -> tuple[int, str]:
@@ -377,9 +309,12 @@ def classify_rightmost(bra: HalfDiagram) -> tuple[int, str]:
 def restrict_bra(bra: HalfDiagram) -> tuple[tuple[int, int], HalfDiagram]:
     """Remove the last frame point; returns the neighbour label it lands in.
 
-    Undoes add_line when the point carries a cut and turn_back when it
-    closes an arc, so restriction is a bijection onto the union of the
-    at most four neighbouring half-diagram sets one level down.
+    A point carrying a cut is dropped with its cut; a point closing an arc
+    is dropped and the arc's other end becomes a cut of its colour.  Both
+    moves are invertible (append a point with a new cut, or bend the last
+    cut of that colour onto a new point), so restriction is a bijection
+    onto the union of the at most four neighbouring half-diagram sets one
+    level down.
     """
     i, j = bra.propagating
     c, kind = classify_rightmost(bra)

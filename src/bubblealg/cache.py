@@ -1,6 +1,7 @@
 """Gzip-backed on-disk cache for enumerated diagram bases.
 
-File layout: a gzip text stream (written at compression level 6) whose
+File layout: a gzip text stream (written at compression level 6, with
+no file name and time 0 in its header) whose
 first line is a JSON header ``{"count", "hash", "n", "version"}``
 followed by one canonical diagram encoding per line.  The hash is the
 sha256 digest of the concatenated encodings, so a load always detects
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import json
 import os
 from itertools import pairwise
@@ -57,7 +59,9 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> list[str]:
     encodings; the parent directory is created if needed.
 
     The data goes to a temporary file beside ``path`` that is then renamed
-    over it, so an interrupted write leaves no partial file behind."""
+    over it, so an interrupted write leaves no partial file behind.  The
+    gzip header holds no file name and time 0, so one basis always gives
+    the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     encodings = [d.encode() for d in diagrams]
@@ -69,10 +73,12 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> list[str]:
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with gzip.open(tmp, "wt", encoding="ascii", compresslevel=COMPRESS_LEVEL) as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for enc in encodings:
-                fh.write(enc + "\n")
+        with open(tmp, "wb") as raw:
+            gz = gzip.GzipFile(filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0)
+            with io.TextIOWrapper(gz, encoding="ascii") as fh:
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                for enc in encodings:
+                    fh.write(enc + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .basis import enumerate_basis, monochrome_straight_diagrams, rank_identity, standard_labels
 from .diagram import (
     BLUE,
@@ -41,6 +43,7 @@ from .yangbaxter import (
     unitarity_sweep,
     ybe_sweep,
 )
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -224,7 +227,7 @@ def _check_homomorphism(seed: int) -> CheckResult:
         q_b=complex(rng.uniform(1.5, 3.5), rng.uniform(-1.5, -0.5)),
     )
     rep = homomorphism_report(2, params)
-    if rep.max_residual >= 1e-12:
+    if not rep.max_residual < 1e-12:
         return CheckResult(
             "spin_homomorphism", False, f"residual {rep.max_residual:.3e} at generic point"
         )
@@ -238,7 +241,7 @@ def _check_homomorphism(seed: int) -> CheckResult:
 def _check_ybe(seed: int, count: int) -> CheckResult:
     tl = ybe_sweep("tl", count=count, seed=seed)
     bubble = ybe_sweep("bubble", count=count, seed=seed)
-    if any(r.max_residual >= YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
+    if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
         return CheckResult(
             "yang_baxter",
             False,
@@ -254,7 +257,7 @@ def _check_ybe(seed: int, count: int) -> CheckResult:
 def _check_unitarity(seed: int, count: int) -> CheckResult:
     tl = unitarity_sweep("tl", count=count, seed=seed)
     bubble = unitarity_sweep("bubble", count=count, seed=seed)
-    if any(r.max_residual >= YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
+    if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
         return CheckResult(
             "unitarity",
             False,
@@ -265,12 +268,14 @@ def _check_unitarity(seed: int, count: int) -> CheckResult:
 
 def _check_transfer(seed: int) -> CheckResult:
     rng = random.Random(seed)
-    worst = 0.0
+    residuals = []
     for kind, n in (("tl", 2), ("tl", 3), ("bubble", 2)):
         lam = rng.uniform(0.4, 0.9)
         u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        worst = max(worst, transfer_commutator(lam, u, v, n, kind))
-    if worst >= TRANSFER_TOLERANCE:
+        residuals.append(transfer_commutator(lam, u, v, n, kind))
+    # NaN propagates, and then fails the gate
+    worst = float(np.max(residuals))
+    if not worst < TRANSFER_TOLERANCE:
         return CheckResult("transfer_commute", False, f"commutator {worst:.3e}")
     return CheckResult("transfer_commute", True, f"worst commutator {worst:.1e}")
 

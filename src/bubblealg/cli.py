@@ -41,6 +41,11 @@ EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 20260822
 
+# Bytes of dense complex matrices one request may hold at once.  It admits
+# rep --n 3 (4.6 MB), ybe --transfer 5 for bubble (67 MB) and 11 for tl
+# (268 MB), and refuses rep --n 4 (617 MB) and bubble --transfer 6 (1.1 GB).
+DENSE_BUDGET = 512 * 2**20
+
 
 def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -56,6 +61,14 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _check_dense(need: float, what: str) -> None:
+    """Refuse, before anything is built, a request over the dense budget."""
+    if need > DENSE_BUDGET:
+        raise ResourceLimitError(
+            f"{what} would hold {need:.3g} bytes of dense matrices, over the budget of {DENSE_BUDGET}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +197,9 @@ def cmd_rep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"could not parse a colour parameter: {exc}") from exc
     params = NumericParams(q_r=q_r, q_b=q_b)
+    if args.check or args.matrices:
+        # one 4^n x 4^n complex matrix per basis diagram
+        _check_dense(walk_count(2 * args.n, 0, 0) * 16**args.n * 16, f"rep --n {args.n}")
     basis = enumerate_basis(args.n, max_n=args.max_n)
     payload: dict = {
         "n": args.n,
@@ -232,10 +248,18 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
 
 
 def cmd_ybe(args: argparse.Namespace) -> int:
-    from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, transfer_sweep, ybe_sweep
+    from .yangbaxter import (
+        TRANSFER_TOLERANCE,
+        YBE_TOLERANCE,
+        transfer_bytes,
+        transfer_sweep,
+        ybe_sweep,
+    )
 
     if args.sweep < 1:
         raise ValueError("--sweep must be a positive count")
+    if args.transfer is not None:
+        _check_dense(transfer_bytes(args.transfer, args.family), f"ybe --transfer {args.transfer}")
     ybe = ybe_sweep(args.family, count=args.sweep, seed=args.seed, lam=args.lam)
     sections = {"ybe": _sweep_payload(ybe, YBE_TOLERANCE[args.family])}
     if args.transfer is not None:

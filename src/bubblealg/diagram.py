@@ -436,42 +436,6 @@ def identity_element(n: int) -> Element:
     return Element(n, n, terms)
 
 
-def tensor_diagram(a: Diagram, b: Diagram) -> Diagram:
-    """Place ``b`` to the right of ``a`` on a shared rectangle."""
-    nn = a.n_north + b.n_north
-    pairs = []
-
-    def remap_a(p: int) -> int:
-        return p if p <= a.n_north else nn + (p - a.n_north)
-
-    def remap_b(p: int) -> int:
-        return a.n_north + p if p <= b.n_north else nn + a.n_south + (p - b.n_north)
-
-    for p, q, c in a.pairs:
-        pairs.append((remap_a(p), remap_a(q), c))
-    for p, q, c in b.pairs:
-        pairs.append((remap_b(p), remap_b(q), c))
-    return make_diagram(nn, a.n_south + b.n_south, pairs)
-
-
-def pad_with_identity(x: Element, left: int, right: int) -> Element:
-    """Tensor ``x`` with identity strands: ``left`` on the left, ``right`` on the right."""
-    out_terms: list[tuple[Diagram, LaurentPoly]] = []
-    for d, c in x.items():
-        for lw in product((RED, BLUE), repeat=left):
-            left_d = straight_diagram(lw)
-            mid = tensor_diagram(left_d, d) if left else d
-            for rw in product((RED, BLUE), repeat=right):
-                full = tensor_diagram(mid, straight_diagram(rw)) if right else mid
-                out_terms.append((full, c))
-    return Element(x.n_north + left + right, x.n_south + left + right, out_terms)
-
-
-def natural_inclusion(x: Element) -> Element:
-    """Unital embedding that appends one identity strand on the right."""
-    return pad_with_identity(x, 0, 1)
-
-
 def white_generator(n: int, i: int) -> Element:
     """Cup-cap at position i with every line summed over all colours."""
     if not 1 <= i <= n - 1:
@@ -485,49 +449,3 @@ def white_generator(n: int, i: int) -> Element:
         terms.append((make_diagram(n, n, pairs), LaurentPoly.one()))
     return Element(n, n, terms)
 
-
-def white_cupcap_chain(n: int, m: int) -> Element:
-    """Chain of m adjacent cup-caps at the left, every line summed over colours.
-
-    Equals the product of the cup-cap generators at positions 1, 3, ..., 2m-1.
-    """
-    if not 0 <= 2 * m <= n:
-        raise ValueError(f"cannot fit {m} cup-caps into {n} strands")
-    free = list(range(2 * m + 1, n + 1))
-    terms = []
-    for colours in product((RED, BLUE), repeat=n):
-        cups = colours[:m]
-        caps = colours[m : 2 * m]
-        rest = colours[2 * m :]
-        pairs = [(2 * t + 1, 2 * t + 2, cups[t]) for t in range(m)]
-        pairs += [(n + 2 * t + 1, n + 2 * t + 2, caps[t]) for t in range(m)]
-        pairs += [(k, n + k, c) for k, c in zip(free, rest)]
-        terms.append((make_diagram(n, n, pairs), LaurentPoly.one()))
-    return Element(n, n, terms)
-
-
-def module_generator(n: int, word: Iterable[int], cup_colour: int = RED) -> Diagram:
-    """Single diagram with monochrome cup-caps at the left and strands coloured by ``word``.
-
-    The word length fixes the number of propagating strands; n - len(word)
-    must be even.
-    """
-    w = list(word)
-    if (n - len(w)) % 2 or len(w) > n:
-        raise ValueError(f"word of length {len(w)} has wrong parity for n={n}")
-    m = (n - len(w)) // 2
-    pairs = [(2 * t + 1, 2 * t + 2, cup_colour) for t in range(m)]
-    pairs += [(n + 2 * t + 1, n + 2 * t + 2, cup_colour) for t in range(m)]
-    pairs += [(2 * m + s + 1, n + 2 * m + s + 1, c) for s, c in enumerate(w)]
-    return make_diagram(n, n, pairs)
-
-
-def word_from_chars(chars: str) -> tuple[int, ...]:
-    """Translate a colour word like ``'rrb'`` into colour indices."""
-    out = []
-    for ch in chars:
-        idx = COLOUR_CHARS.find(ch)
-        if idx < 0:
-            raise ValueError(f"unknown colour letter {ch!r}")
-        out.append(idx)
-    return tuple(out)

@@ -12,9 +12,9 @@ graded lexicographic on the exponent pair, largest first.  The textual
 form is a ``' + '``-joined list of ``c*dr^a*db^b`` terms, for example
 ``1*dr^1*db^1``; the zero polynomial prints as ``0``.
 
-:class:`PolyMatrix` supplies the exact linear algebra needed by the
-Gram-matrix layer: matrix product and a fraction-free determinant
-(Bareiss elimination; every intermediate division is exact in the ring).
+:class:`PolyMatrix` holds the Gram matrices, and ``poly_det`` takes
+their determinants by fraction-free (Bareiss) elimination, where every
+intermediate division is exact in the ring.
 ``eval_mod`` and ``rank_mod`` evaluate polynomials and take ranks over
 GF(PRIME) at a point: a rank there never exceeds the generic rank, and at
 a random point it falls below with probability at most degree / PRIME.
@@ -22,12 +22,9 @@ a random point it falls below with probability at most degree / PRIME.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping, Union
 
 Exponent = tuple[int, int]
-
-_TERM_RE = re.compile(r"^(-?\d+)\*dr\^(-?\d+)\*db\^(-?\d+)$")
 
 
 def _grlex_key(exp: Exponent) -> tuple[int, int, int]:
@@ -202,26 +199,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Inverse of ``str``; accepts the canonical textual form."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        data: dict[Exponent, int] = {}
-        for part in text.split("+"):
-            m = _TERM_RE.match(part.strip())
-            if m is None:
-                raise ValueError(f"malformed polynomial term: {part.strip()!r}")
-            c, a, b = (int(g) for g in m.groups())
-            key = (a, b)
-            acc = data.get(key, 0) + c
-            if acc:
-                data[key] = acc
-            elif key in data:
-                del data[key]
-        return cls._raw(data)
-
 
 def _horner(pairs: list[tuple[int, complex]], x: complex):
     # pairs: (exponent, value) sorted by exponent descending; gaps are bridged
@@ -320,40 +297,6 @@ class PolyMatrix:
 
     def __hash__(self):
         return hash(self.entries)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    e = self.entries[i][k]
-                    f = other.entries[k][j]
-                    if not (e.is_zero or f.is_zero):
-                        acc = acc + e * f
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def evaluate(self, dr: complex, db: complex) -> list[list[complex]]:
-        return [[e.evaluate(dr, db) for e in row] for row in self.entries]
-
-    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Kronecker product; the left factor indexes the coarse blocks."""
-        out = []
-        for i in range(self.rows):
-            for r in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for s in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[r][s])
-                out.append(row)
-        return PolyMatrix(out)
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)

@@ -12,8 +12,9 @@ inputs becomes a 4^n_north by 4^n_south matrix:
 
 Closed loops removed during composition contribute delta_c = q_c + 1/q_c
 with q_c = t_c^2, which is exactly how the matrices turn composition
-into matrix product.  The sign of the square root chosen for t never
-affects that, since arcs always pair t against 1/t.
+into matrix product.  Parameters are given as q_c, and t_c is its
+principal square root: the sign of the root never affects the
+representation, since arcs always pair t against 1/t.
 """
 
 from __future__ import annotations
@@ -24,25 +25,18 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import BLUE, RED, Diagram, Element
+from .diagram import RED, Diagram, Element
 from .exactpoly import LaurentPoly
 
 SITE_STATES = ("r+", "r-", "b+", "b-")
 
-_CONSISTENCY_TOL = 1e-12
 
-
-def _resolve(q: complex | None, t: complex | None, name: str) -> tuple[complex, complex]:
-    if t is None:
-        if q is None:
-            raise ValueError(f"give q_{name} or t_{name}")
-        t = cmath.sqrt(q)
-    elif q is not None:
-        scale = max(1.0, abs(q))
-        if abs(t * t - q) > _CONSISTENCY_TOL * scale:
-            raise ValueError(f"t_{name}^2 and q_{name} disagree beyond tolerance")
+def _resolve(q: complex, name: str) -> tuple[complex, complex]:
+    if not cmath.isfinite(q):
+        raise ValueError(f"q_{name} must be finite, got {q}")
+    t = cmath.sqrt(q)
     if t == 0:
-        raise ValueError(f"t_{name} must be invertible")
+        raise ValueError(f"q_{name} must be invertible")
     # store the square of t so t*t == q holds exactly from here on
     return t * t, t
 
@@ -52,15 +46,9 @@ class NumericParams:
 
     __slots__ = ("q_r", "q_b", "t_r", "t_b")
 
-    def __init__(
-        self,
-        q_r: complex | None = None,
-        q_b: complex | None = None,
-        t_r: complex | None = None,
-        t_b: complex | None = None,
-    ) -> None:
-        self.q_r, self.t_r = _resolve(q_r, t_r, "r")
-        self.q_b, self.t_b = _resolve(q_b, t_b, "b")
+    def __init__(self, q_r: complex, q_b: complex) -> None:
+        self.q_r, self.t_r = _resolve(q_r, "r")
+        self.q_b, self.t_b = _resolve(q_b, "b")
 
     @property
     def delta_r(self) -> complex:
@@ -78,11 +66,6 @@ class NumericParams:
 
     def __repr__(self) -> str:
         return f"NumericParams(q_r={self.q_r!r}, q_b={self.q_b!r})"
-
-
-def site_basis_order(n: int) -> list[tuple[str, ...]]:
-    """State labels in index order; the first site is most significant."""
-    return [tuple(s) for s in product(SITE_STATES, repeat=n)]
 
 
 def state_index(states: tuple[int, ...]) -> int:
@@ -216,27 +199,22 @@ class HomomorphismReport:
 
 
 def homomorphism_report(
-    n: int,
-    params: NumericParams,
-    basis: list[Diagram] | None = None,
-    pairs: list[tuple[Diagram, Diagram]] | None = None,
+    n: int, params: NumericParams, basis: list[Diagram] | None = None
 ) -> HomomorphismReport:
     """Compare the matrix of every composed pair with the matrix product.
 
-    With no explicit pair list every ordered pair of basis diagrams is
-    tested; the report carries the worst absolute entry difference.
+    Every ordered pair of basis diagrams is tested; the report carries
+    the worst absolute entry difference, NaN if any difference is NaN.
     """
     if basis is None:
         from .basis import enumerate_basis
 
         basis = enumerate_basis(n)
     mats = {d: diagram_matrix(d, params) for d in basis}
-    if pairs is None:
-        pairs = [(a, b) for a in basis for b in basis]
-    worst = 0.0
-    for a, b in pairs:
-        prod = Element.from_diagram(a) * Element.from_diagram(b)
-        lhs = element_matrix(prod, params)
-        rhs = mats[a] @ mats[b]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return HomomorphismReport(n, len(pairs), worst)
+    residuals = []
+    for a in basis:
+        for b in basis:
+            prod = Element.from_diagram(a) * Element.from_diagram(b)
+            lhs = element_matrix(prod, params)
+            residuals.append(np.abs(lhs - mats[a] @ mats[b]).max())
+    return HomomorphismReport(n, len(residuals), float(np.max(residuals, initial=0.0)))

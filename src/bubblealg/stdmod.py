@@ -31,13 +31,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .basis import (
-    DEFAULT_MAX_N,
     HalfDiagram,
     enumerate_basis,
     enumerate_bras,
     make_half,
     restrict_bra,
-    standard_labels,
     walk_count,
 )
 from .diagram import (
@@ -81,52 +79,6 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
     return lr, lb, HalfDiagram._raw(nn, arcs, red, blue)
 
 
-ModuleVector = dict[HalfDiagram, LaurentPoly]
-
-
-def act(x: Element | Diagram, bra: HalfDiagram) -> ModuleVector:
-    """Linear extension of the diagram action; returns a sparse vector."""
-    if isinstance(x, Diagram):
-        x = Element.from_diagram(x)
-    out: ModuleVector = {}
-    for d, coeff in x.items():
-        r = act_diagram(d, bra)
-        if r is None:
-            continue
-        lr, lb, half = r
-        c = coeff * LaurentPoly.monomial(lr, lb)
-        acc = out.get(half, ZERO) + c
-        if acc.is_zero:
-            out.pop(half, None)
-        else:
-            out[half] = acc
-    return out
-
-
-def rep_matrix(
-    x: Element | Diagram,
-    n: int,
-    i: int,
-    j: int,
-    bras: list[HalfDiagram] | None = None,
-    max_n: int = DEFAULT_MAX_N,
-) -> PolyMatrix:
-    """Matrix of the action on the (i, j) module; column k is the image
-    of the k-th basis half diagram."""
-    if bras is None:
-        bras = enumerate_bras(n, i, j, max_n=max_n)
-    index = {b: r for r, b in enumerate(bras)}
-    dim = len(bras)
-    cols = []
-    for b in bras:
-        v = act(x, b)
-        col = [ZERO] * dim
-        for half, coeff in v.items():
-            col[index[half]] = coeff
-        cols.append(col)
-    return PolyMatrix([[cols[k][r] for k in range(dim)] for r in range(dim)])
-
-
 # ---------------------------------------------------------------------------
 # bilinear form
 
@@ -153,37 +105,14 @@ def bra_inner(x: HalfDiagram, y: HalfDiagram) -> LaurentPoly:
     return LaurentPoly.monomial(r[0], r[1])
 
 
-def gram_matrix(
-    n: int, i: int, j: int, bras: list[HalfDiagram] | None = None, max_n: int = DEFAULT_MAX_N
-) -> PolyMatrix:
+def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -> PolyMatrix:
     if bras is None:
-        bras = enumerate_bras(n, i, j, max_n=max_n)
+        bras = enumerate_bras(n, i, j)
     return PolyMatrix([[bra_inner(x, y) for y in bras] for x in bras])
 
 
 # ---------------------------------------------------------------------------
 # block structure over colour words
-
-
-def split_by_colour(bra: HalfDiagram) -> tuple[
-    tuple[tuple[tuple[int, int], ...], tuple[int, ...]],
-    tuple[tuple[tuple[int, int], ...], tuple[int, ...]],
-]:
-    """One-colour halves of a bra in relabelled coordinates.
-
-    The frame points of each colour are renumbered 1..n_c preserving
-    order; each half is (arcs, defect positions), matching the shape the
-    one-colour reference code uses.
-    """
-    colour = bra.endpoints[1]
-    out = []
-    for c in (RED, BLUE):
-        points = [k for k in range(1, bra.n + 1) if colour[k] == c]
-        rank = {p: r + 1 for r, p in enumerate(points)}
-        arcs = tuple(sorted((rank[p], rank[q]) for p, q, cc in bra.arcs if cc == c))
-        defects = tuple(rank[t] for t in bra.cuts(c))
-        out.append((arcs, defects))
-    return out[0], out[1]
 
 
 def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
@@ -204,7 +133,7 @@ class GramBlock:
 
 
 def gram_blocks(
-    n: int, i: int, j: int, bras: list[HalfDiagram] | None = None, max_n: int = DEFAULT_MAX_N
+    n: int, i: int, j: int, bras: list[HalfDiagram] | None = None
 ) -> tuple[list[HalfDiagram], list[GramBlock]]:
     """Split the form by colour word; returns (basis, blocks).
 
@@ -212,7 +141,7 @@ def gram_blocks(
     colour words, so the blocks carry the whole matrix.
     """
     if bras is None:
-        bras = enumerate_bras(n, i, j, max_n=max_n)
+        bras = enumerate_bras(n, i, j)
     groups: dict[str, list[int]] = {}
     for k, b in enumerate(bras):
         groups.setdefault(rb_word(b), []).append(k)
@@ -287,7 +216,6 @@ def gram_det_report(
     j: int,
     cross_check: bool | None = None,
     bras: list[HalfDiagram] | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> GramDetReport:
     """Gram determinant from the word blocks, factored by colour.
 
@@ -298,7 +226,7 @@ def gram_det_report(
     matrix goes through fraction-free elimination as well and must give
     the product of the factors exactly.
     """
-    bras, blocks = gram_blocks(n, i, j, bras=bras, max_n=max_n)
+    bras, blocks = gram_blocks(n, i, j, bras=bras)
     mult: tuple[dict[LaurentPoly, int], dict[LaurentPoly, int]] = ({}, {})
     tensor: dict[tuple[int, int], LaurentPoly] = {}
     for blk in blocks:
@@ -345,17 +273,17 @@ class RestrictionReport:
         return self.bijective and total == walk_count(self.n, *self.label)
 
 
-def restriction_report(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> RestrictionReport:
+def restriction_report(n: int, i: int, j: int) -> RestrictionReport:
     """Classify every bra by its last frame point and check the drop maps
     hit each neighbouring basis exactly once."""
     buckets: dict[tuple[int, int], set[HalfDiagram]] = {}
-    for bra in enumerate_bras(n, i, j, max_n=max_n):
+    for bra in enumerate_bras(n, i, j):
         label, smaller = restrict_bra(bra)
         buckets.setdefault(label, set()).add(smaller)
     bijective = True
     sizes = {}
     for label, got in buckets.items():
-        expect = set(enumerate_bras(n - 1, *label, max_n=max_n))
+        expect = set(enumerate_bras(n - 1, *label))
         sizes[label] = len(got)
         if got != expect:
             bijective = False
@@ -387,9 +315,7 @@ class SpanReport:
         return self.rank == self.expected
 
 
-def cyclic_span_report(
-    n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N, basis: list[Diagram] | None = None
-) -> SpanReport:
+def cyclic_span_report(n: int, i: int, j: int, basis: list[Diagram] | None = None) -> SpanReport:
     """Dimension of the orbit of the standard generator under all diagrams.
 
     Each diagram sends the generator to zero or to a monomial times one
@@ -398,7 +324,7 @@ def cyclic_span_report(
     caller has it already.
     """
     if basis is None:
-        basis = enumerate_basis(n, max_n=max_n)
+        basis = enumerate_basis(n)
     gen = cyclic_generator_bra(n, i, j)
     reached = {r[2] for d in basis if (r := act_diagram(d, gen))}
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
@@ -407,7 +333,7 @@ def cyclic_span_report(
 RANK_POINTS = 2
 
 
-def localisation_report(n: int, seed: int = 20260822, max_n: int = DEFAULT_MAX_N) -> SpanReport:
+def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
     """Rank of the corner algebra cut out by one all-colours cup-cap.
 
     Sandwiching the basis between two copies of the leftmost cup-cap
@@ -419,7 +345,7 @@ def localisation_report(n: int, seed: int = 20260822, max_n: int = DEFAULT_MAX_N
     if n < 2:
         raise ValueError("needs at least two strands")
     e = white_generator(n, 1)
-    basis = enumerate_basis(n, max_n=max_n)
+    basis = enumerate_basis(n)
     index = {d: k for k, d in enumerate(basis)}
     rows = [{index[dd]: c for dd, c in (e * Element.from_diagram(d) * e).items()} for d in basis]
     rng = random.Random(seed)
@@ -427,7 +353,7 @@ def localisation_report(n: int, seed: int = 20260822, max_n: int = DEFAULT_MAX_N
     ranks = {rank_mod({k: eval_mod(c, *pt) for k, c in row.items()} for row in rows) for pt in points}
     if len(ranks) != 1:
         raise ArithmeticError(f"generic rank estimates disagree: {sorted(ranks)}")
-    return SpanReport(n, None, ranks.pop(), len(enumerate_basis(n - 2, max_n=max_n)))
+    return SpanReport(n, None, ranks.pop(), len(enumerate_basis(n - 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +379,9 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = list(a)
-    while len(r) >= len(b) and _trim(r):
-        f = r[-1] / b[-1]
-        off = len(r) - len(b)
-        for k in range(len(b)):
-            r[off + k] -= f * b[k]
-        r.pop()
-        _trim(r)
-    return r
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division of trimmed coefficient lists: (quotient, remainder)."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     while _trim(r) and len(r) >= len(b):
         f = r[-1] / b[-1]
@@ -485,8 +390,17 @@ def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for k in range(len(b)):
             r[off + k] -= f * b[k]
         r.pop()
-    assert not _trim(r), "inexact division in square-free reduction"
-    return _trim(q)
+    return _trim(q), r
+
+
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
 
 
 def _square_free(p: list[Fraction]) -> list[Fraction]:
@@ -497,7 +411,9 @@ def _square_free(p: list[Fraction]) -> list[Fraction]:
     g = _poly_gcd(p, deriv)
     if len(g) <= 1:
         return list(p)
-    return _poly_divexact(p, g)
+    q, r = _poly_divmod(p, g)
+    assert not r, "inexact division in square-free reduction"
+    return q
 
 
 def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] | None:
@@ -540,13 +456,13 @@ class GramRootScan:
         return not self.det_is_zero and all(s.all_matched for s in self.samples)
 
 
-def scan_gram_roots(
-    report: GramDetReport,
-    var: int = RED,
-    other_values: tuple[Fraction, ...] = (Fraction(7, 3), Fraction(5, 2)),
-    tol: float = 1e-8,
-    max_k: int | None = None,
-) -> GramRootScan:
+# the other loop weight is pinned to each sample in turn; a root matches
+# 2 cos(pi m / k) within ROOT_TOLERANCE for some k <= 2n
+ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
+ROOT_TOLERANCE = 1e-8
+
+
+def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     """Locate the roots of a reported Gram determinant in one loop parameter.
 
     The other parameter is pinned to exact rationals, which turns the
@@ -558,14 +474,13 @@ def scan_gram_roots(
     most 2n.
     """
     n = report.n
-    if max_k is None:
-        max_k = 2 * n
+    max_k = 2 * n
     if report.det_is_zero:
         return GramRootScan(n, report.label, var, True, ())
     lo, part = _coefficients(report.parts[var], var)
     rest = 1 - var
     samples = []
-    for other in other_values:
+    for other in ROOT_SAMPLES:
         scale = math.prod(
             (_value(f, rest, other) ** m for f, m in report.factors[rest]), start=Fraction(1)
         )
@@ -576,7 +491,7 @@ def scan_gram_roots(
         zero_mult = max(lo, 0)
         records = []
         if zero_mult:
-            records.append(RootRecord(0.0, match_special_value(0.0, max_k, tol)))
+            records.append(RootRecord(0.0, match_special_value(0.0, max_k, ROOT_TOLERANCE)))
         sq = _square_free(coeffs)
         if len(sq) > 1:
             # scaling by the power of two that brings the leading coefficient
@@ -588,6 +503,6 @@ def scan_gram_roots(
 
             roots = np.roots([float(c * shift) for c in reversed(sq)])
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-                records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, tol)))
+                records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, ROOT_TOLERANCE)))
         samples.append(SampleScan(other, False, zero_mult, tuple(records)))
     return GramRootScan(n, report.label, var, False, tuple(samples))

@@ -50,12 +50,6 @@ def _require_kind(kind: str) -> None:
         raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
 
 
-def site_dimension(kind: str) -> int:
-    """Local state count: 2 for the one-colour chain, 4 for two colours."""
-    _require_kind(kind)
-    return _SITE_DIM[kind]
-
-
 def validate_lambda(lam: float, kind: str = "bubble") -> None:
     """Reject lambda too close to a pole of the coefficient functions.
 
@@ -93,14 +87,9 @@ def tl_coefficients(lam: float, u: float) -> dict[str, float]:
     }
 
 
-def rmatrix_tl(
-    lam: float, u: float, coefficients: dict[str, float] | None = None
-) -> np.ndarray:
-    """One-colour 4x4 R(u); custom coefficients override the standard ones."""
-    if coefficients is None:
-        coefficients = tl_coefficients(lam, u)
-    if set(coefficients) != set(TL_GROUPS):
-        raise ValueError(f"coefficient keys must be {TL_GROUPS}")
+def rmatrix_tl(lam: float, u: float) -> np.ndarray:
+    """One-colour 4x4 R(u)."""
+    coefficients = tl_coefficients(lam, u)
     return coefficients["straight"] * np.eye(4, dtype=complex) + coefficients[
         "cupcap"
     ] * tl_e_matrix(lam)
@@ -160,18 +149,13 @@ def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
     }
 
 
-def rmatrix_bubble(
-    lam: float, u: float, coefficients: dict[str, float] | None = None
-) -> np.ndarray:
+def rmatrix_bubble(lam: float, u: float) -> np.ndarray:
     """Two-colour 16x16 R(u).
 
     The construction only closes with both colour parameters equal to
     -exp(2i*lam), so the diagram matrices are always taken there.
     """
-    if coefficients is None:
-        coefficients = bubble_coefficients(lam, u)
-    if set(coefficients) != set(BUBBLE_GROUPS):
-        raise ValueError(f"coefficient keys must be {BUBBLE_GROUPS}")
+    coefficients = bubble_coefficients(lam, u)
     mats = _bubble_group_matrices(bubble_params(lam))
     out = np.zeros((16, 16), dtype=complex)
     for name in BUBBLE_GROUPS:
@@ -211,32 +195,6 @@ def ybe_residual(lam: float, u: float, v: float, kind: str = "bubble") -> float:
     return ybe_residual_matrices(
         rmatrix(kind, lam, u), rmatrix(kind, lam, u + v), rmatrix(kind, lam, v)
     )
-
-
-def perturbed_ybe_residual(
-    lam: float,
-    u: float,
-    v: float,
-    group: str,
-    eps: float = 1e-3,
-    kind: str = "bubble",
-) -> float:
-    """Yang-Baxter defect after shifting one coefficient of R(u) by eps.
-
-    Used as a sensitivity probe: the identity should fail once any single
-    group coefficient is moved off its exact value.
-    """
-    _require_kind(kind)
-    if kind == "tl":
-        coefficients, build = tl_coefficients, rmatrix_tl
-    else:
-        coefficients, build = bubble_coefficients, rmatrix_bubble
-    coeffs = coefficients(lam, u)
-    if group not in coeffs:
-        raise ValueError(f"unknown coefficient group {group!r}")
-    coeffs[group] += eps
-    r_u = build(lam, u, coefficients=coeffs)
-    return ybe_residual_matrices(r_u, build(lam, u + v), build(lam, v))
 
 
 def unitarity_residual(lam: float, u: float, kind: str = "bubble") -> float:
@@ -282,6 +240,16 @@ def transfer_matrix(lam: float, u: float, n: int, kind: str = "bubble") -> np.nd
     subscripts = ",".join(terms) + "->" + outs[::-1] + ins[::-1]
     t = np.einsum(subscripts, *([r4] * n), optimize=True)
     return t.reshape(m**n, m**n)
+
+
+# transfer_commutator holds T(u), T(v) and their two products at once
+TRANSFER_MATRICES_HELD = 4
+
+
+def transfer_bytes(n: int, kind: str = "bubble") -> int:
+    """Bytes of the dense matrices ``transfer_commutator`` holds at once on n sites."""
+    _require_kind(kind)
+    return TRANSFER_MATRICES_HELD * 16 * _SITE_DIM[kind] ** (2 * n)
 
 
 def transfer_commutator(
@@ -341,21 +309,19 @@ def _sweep(
     v, or sets v = -u when not ``draw_v``.  The residuals below name their
     function at call time, so a replaced module attribute is the one used.
     """
+    if count < 1:
+        raise ValueError(f"a sweep needs at least one point, not {count}")
     rng = random.Random(seed)
     if lam is not None:
         validate_lambda(lam, kind)
-    worst = SpectralPoint(math.nan, math.nan, math.nan)
-    worst_res = -1.0
     points = []
     for _ in range(count):
         cur = sample_lambda(rng, kind) if lam is None else lam
         u = rng.uniform(-1.5, 1.5)
         point = SpectralPoint(cur, u, rng.uniform(-1.5, 1.5) if draw_v else -u)
-        res = residual(point)
-        points.append((point, res))
-        if res > worst_res:
-            worst_res = res
-            worst = point
+        points.append((point, residual(point)))
+    # the first largest residual, or the first NaN, which no gate passes
+    worst, worst_res = points[int(np.argmax([res for _, res in points]))]
     return SweepReport(kind, quantity, count, worst_res, worst, tuple(points))
 
 

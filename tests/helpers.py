@@ -1,12 +1,38 @@
-"""Shared test oracles, coded independently of the paths they check."""
+"""Shared test oracles, coded independently of the paths they check, and
+the tools that only the tests use: diagram builders, cutting and joining
+halves, module matrices, matrix products over the loop ring and the
+perturbed Yang-Baxter probe."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from typing import Iterable
 
-from bubblealg.diagram import BLUE, RED, Diagram, make_diagram
-from bubblealg.exactpoly import LaurentPoly, PolyMatrix, poly_det
+import numpy as np
+
+from bubblealg.basis import HalfDiagram, enumerate_bras, make_half
+from bubblealg.diagram import (
+    BLUE,
+    COLOUR_CHARS,
+    RED,
+    Diagram,
+    Element,
+    make_diagram,
+    propagating_index,
+    straight_diagram,
+)
+from bubblealg.exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
+from bubblealg.spinchain import SITE_STATES
+from bubblealg.stdmod import act_diagram
+from bubblealg.yangbaxter import (
+    _bubble_group_matrices,
+    bubble_params,
+    rmatrix,
+    tl_e_matrix,
+    ybe_residual_matrices,
+)
 
 
 def cofactor_det(m: PolyMatrix) -> LaurentPoly:
@@ -157,3 +183,267 @@ def enumerate_via_seeds(n_north: int, n_south: int | None = None) -> list[Diagra
 
         paint(0)
     return sorted(results, key=Diagram.encode)
+
+
+# ---------------------------------------------------------------------------
+# diagram builders
+
+
+def tensor_diagram(a: Diagram, b: Diagram) -> Diagram:
+    """Place ``b`` to the right of ``a`` on a shared rectangle."""
+    nn = a.n_north + b.n_north
+
+    def remap_a(p: int) -> int:
+        return p if p <= a.n_north else nn + (p - a.n_north)
+
+    def remap_b(p: int) -> int:
+        return a.n_north + p if p <= b.n_north else nn + a.n_south + (p - b.n_north)
+
+    pairs = [(remap_a(p), remap_a(q), c) for p, q, c in a.pairs]
+    pairs += [(remap_b(p), remap_b(q), c) for p, q, c in b.pairs]
+    return make_diagram(nn, a.n_south + b.n_south, pairs)
+
+
+def pad_with_identity(x: Element, left: int, right: int) -> Element:
+    """Tensor ``x`` with identity strands: ``left`` on the left, ``right`` on the right."""
+    out_terms: list[tuple[Diagram, LaurentPoly]] = []
+    for d, c in x.items():
+        for lw in product((RED, BLUE), repeat=left):
+            mid = tensor_diagram(straight_diagram(lw), d) if left else d
+            for rw in product((RED, BLUE), repeat=right):
+                full = tensor_diagram(mid, straight_diagram(rw)) if right else mid
+                out_terms.append((full, c))
+    return Element(x.n_north + left + right, x.n_south + left + right, out_terms)
+
+
+def natural_inclusion(x: Element) -> Element:
+    """Unital embedding that appends one identity strand on the right."""
+    return pad_with_identity(x, 0, 1)
+
+
+def white_cupcap_chain(n: int, m: int) -> Element:
+    """Chain of m adjacent cup-caps at the left, every line summed over colours.
+
+    Equals the product of the cup-cap generators at positions 1, 3, ..., 2m-1.
+    """
+    if not 0 <= 2 * m <= n:
+        raise ValueError(f"cannot fit {m} cup-caps into {n} strands")
+    free = list(range(2 * m + 1, n + 1))
+    terms = []
+    for colours in product((RED, BLUE), repeat=n):
+        cups = colours[:m]
+        caps = colours[m : 2 * m]
+        rest = colours[2 * m :]
+        pairs = [(2 * t + 1, 2 * t + 2, cups[t]) for t in range(m)]
+        pairs += [(n + 2 * t + 1, n + 2 * t + 2, caps[t]) for t in range(m)]
+        pairs += [(k, n + k, c) for k, c in zip(free, rest)]
+        terms.append((make_diagram(n, n, pairs), LaurentPoly.one()))
+    return Element(n, n, terms)
+
+
+def module_generator(n: int, word: Iterable[int], cup_colour: int = RED) -> Diagram:
+    """Single diagram with monochrome cup-caps at the left and strands coloured by ``word``.
+
+    The word length fixes the number of propagating strands; n - len(word)
+    must be even.
+    """
+    w = list(word)
+    if (n - len(w)) % 2 or len(w) > n:
+        raise ValueError(f"word of length {len(w)} has wrong parity for n={n}")
+    m = (n - len(w)) // 2
+    pairs = [(2 * t + 1, 2 * t + 2, cup_colour) for t in range(m)]
+    pairs += [(n + 2 * t + 1, n + 2 * t + 2, cup_colour) for t in range(m)]
+    pairs += [(2 * m + s + 1, n + 2 * m + s + 1, c) for s, c in enumerate(w)]
+    return make_diagram(n, n, pairs)
+
+
+def word_from_chars(chars: str) -> tuple[int, ...]:
+    """Translate a colour word like ``'rrb'`` into colour indices."""
+    out = []
+    for ch in chars:
+        idx = COLOUR_CHARS.find(ch)
+        if idx < 0:
+            raise ValueError(f"unknown colour letter {ch!r}")
+        out.append(idx)
+    return tuple(out)
+
+
+def stratify(diagrams: list[Diagram]) -> dict[tuple[int, int], list[Diagram]]:
+    """Group diagrams by their per-colour propagating counts."""
+    out: dict[tuple[int, int], list[Diagram]] = {}
+    for d in diagrams:
+        out.setdefault(propagating_index(d), []).append(d)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cutting a diagram into halves, joining them back, one-point moves
+
+
+def cut_diagram(d: Diagram) -> tuple[HalfDiagram, HalfDiagram]:
+    """Split a diagram along its waist into a northern and a southern half.
+
+    Propagating lines of one colour keep their left-to-right order, so
+    the pairing of cuts is implicit and the split loses nothing.
+    """
+    nn = d.n_north
+    north_arcs, south_arcs = [], []
+    north_cuts: dict[int, list[int]] = {RED: [], BLUE: []}
+    south_cuts: dict[int, list[int]] = {RED: [], BLUE: []}
+    for p, q, c in d.pairs:
+        if q <= nn:
+            north_arcs.append((p, q, c))
+        elif p > nn:
+            south_arcs.append((p - nn, q - nn, c))
+        else:
+            north_cuts[c].append(p)
+            south_cuts[c].append(q - nn)
+    bra = make_half(nn, north_arcs, north_cuts[RED], north_cuts[BLUE])
+    ket = make_half(d.n_south, south_arcs, south_cuts[RED], south_cuts[BLUE])
+    return bra, ket
+
+
+def join_halves(bra: HalfDiagram, ket: HalfDiagram) -> Diagram:
+    """Rebuild the diagram whose northern half is ``bra`` and southern ``ket``."""
+    if bra.propagating != ket.propagating:
+        raise ValueError("halves have different propagating counts")
+    nn = bra.n
+    pairs = list(bra.arcs)
+    pairs += [(p + nn, q + nn, c) for p, q, c in ket.arcs]
+    for c in (RED, BLUE):
+        pairs += [(p, q + nn, c) for p, q in zip(bra.cuts(c), ket.cuts(c))]
+    return make_diagram(nn, ket.n, pairs)
+
+
+def add_line(bra: HalfDiagram, c: int) -> HalfDiagram:
+    """Append a frame point carrying a new cut of colour c."""
+    red = bra.red_cuts + ((bra.n + 1,) if c == RED else ())
+    blue = bra.blue_cuts + ((bra.n + 1,) if c == BLUE else ())
+    return HalfDiagram(bra.n + 1, bra.arcs, red, blue)
+
+
+def turn_back(bra: HalfDiagram, c: int) -> HalfDiagram:
+    """Append a frame point and bend the last cut of colour c onto it."""
+    cuts = bra.cuts(c)
+    if not cuts:
+        raise ValueError("no cut of that colour to turn back")
+    t = cuts[-1]
+    red = bra.red_cuts[:-1] if c == RED else bra.red_cuts
+    blue = bra.blue_cuts[:-1] if c == BLUE else bra.blue_cuts
+    arcs = tuple(sorted(bra.arcs + ((t, bra.n + 1, c),)))
+    return HalfDiagram(bra.n + 1, arcs, red, blue)
+
+
+# ---------------------------------------------------------------------------
+# standard modules
+
+
+def act(x: Element | Diagram, bra: HalfDiagram) -> dict[HalfDiagram, LaurentPoly]:
+    """Linear extension of the diagram action; returns a sparse vector."""
+    if isinstance(x, Diagram):
+        x = Element.from_diagram(x)
+    out: dict[HalfDiagram, LaurentPoly] = {}
+    for d, coeff in x.items():
+        r = act_diagram(d, bra)
+        if r is None:
+            continue
+        lr, lb, half = r
+        acc = out.get(half, ZERO) + coeff * LaurentPoly.monomial(lr, lb)
+        if acc.is_zero:
+            out.pop(half, None)
+        else:
+            out[half] = acc
+    return out
+
+
+def rep_matrix(
+    x: Element | Diagram, n: int, i: int, j: int, bras: list[HalfDiagram] | None = None
+) -> PolyMatrix:
+    """Matrix of the action on the (i, j) module; column k is the image
+    of the k-th basis half diagram."""
+    if bras is None:
+        bras = enumerate_bras(n, i, j)
+    index = {b: r for r, b in enumerate(bras)}
+    cols = []
+    for b in bras:
+        col = [ZERO] * len(bras)
+        for half, coeff in act(x, b).items():
+            col[index[half]] = coeff
+        cols.append(col)
+    return PolyMatrix([list(row) for row in zip(*cols)])
+
+
+def split_by_colour(bra: HalfDiagram) -> tuple[
+    tuple[tuple[tuple[int, int], ...], tuple[int, ...]],
+    tuple[tuple[tuple[int, int], ...], tuple[int, ...]],
+]:
+    """One-colour halves of a bra in relabelled coordinates.
+
+    The frame points of each colour are renumbered 1..n_c preserving
+    order; each half is (arcs, defect positions), matching the shape the
+    one-colour reference code uses.
+    """
+    colour = bra.endpoints[1]
+    out = []
+    for c in (RED, BLUE):
+        points = [k for k in range(1, bra.n + 1) if colour[k] == c]
+        rank = {p: r + 1 for r, p in enumerate(points)}
+        arcs = tuple(sorted((rank[p], rank[q]) for p, q, cc in bra.arcs if cc == c))
+        defects = tuple(rank[t] for t in bra.cuts(c))
+        out.append((arcs, defects))
+    return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# matrices over the loop ring
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Matrix product over the loop ring."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions differ")
+    return PolyMatrix(
+        [
+            [sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Kronecker product; the left factor indexes the coarse blocks."""
+    return PolyMatrix(
+        [
+            [a[i, j] * b[r, s] for j in range(a.cols) for s in range(b.cols)]
+            for i in range(a.rows)
+            for r in range(b.rows)
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# spin chain and spectral parameters
+
+
+def site_basis_order(n: int) -> list[tuple[str, ...]]:
+    """State labels in index order; the first site is most significant."""
+    return [tuple(s) for s in product(SITE_STATES, repeat=n)]
+
+
+def perturbed_ybe_residual(
+    lam: float, u: float, v: float, group: str, eps: float = 1e-3, kind: str = "bubble"
+) -> float:
+    """Yang-Baxter defect after shifting one coefficient of R(u) by eps.
+
+    R is linear in its coefficients, so the shift adds eps times the
+    group's matrix to the library's own R(u).  The identity should fail
+    once any single group coefficient moves off its exact value.
+    """
+    if kind == "tl":
+        mats = {"straight": np.eye(4, dtype=complex), "cupcap": tl_e_matrix(lam)}
+    else:
+        mats = _bubble_group_matrices(bubble_params(lam))
+    if group not in mats:
+        raise ValueError(f"unknown coefficient group {group!r}")
+    r_u = rmatrix(kind, lam, u) + eps * mats[group]
+    return ybe_residual_matrices(r_u, rmatrix(kind, lam, u + v), rmatrix(kind, lam, v))

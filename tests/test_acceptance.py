@@ -34,16 +34,15 @@ from bubblealg.stdmod import (
     localisation_report,
     restriction_report,
     scan_gram_roots,
-    split_by_colour,
     tl_gram_poly,
 )
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
     TL_GROUPS,
-    perturbed_ybe_residual,
     transfer_sweep,
     ybe_sweep,
 )
+from helpers import kron, perturbed_ybe_residual, split_by_colour
 
 SEED = 20260822
 
@@ -100,7 +99,7 @@ def test_criterion_04_blocks_match_one_colour_oracle():
                     r_half, b_half = split_by_colour(bras[k])
                     pos[(reds.index(r_half), blues.index(b_half))] = local
                 perm = [pos[(a, b)] for a in range(len(reds)) for b in range(len(blues))]
-                expect = tl_gram_poly(n_r, i, RED).kron(tl_gram_poly(n_b, j, BLUE))
+                expect = kron(tl_gram_poly(n_r, i, RED), tl_gram_poly(n_b, j, BLUE))
                 for a in range(len(perm)):
                     for b in range(len(perm)):
                         ok = ok and blk.matrix[perm[a], perm[b]] == expect[a, b]

@@ -10,19 +10,14 @@ from bubblealg.basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
     ResourceLimitError,
-    add_line,
     classify_rightmost,
-    cut_diagram,
     enumerate_basis,
     enumerate_bras,
-    join_halves,
     make_half,
     monochrome_straight_diagrams,
     rank_identity,
     restrict_bra,
     standard_labels,
-    stratify,
-    turn_back,
     walk_count,
 )
 from bubblealg.diagram import BLUE, RED, Diagram, compose, propagating_index
@@ -34,7 +29,15 @@ from bubblealg.oracles import (
     tl_diagrams,
 )
 from bubblealg.stdmod import act_diagram
-from helpers import brute_walk_count, enumerate_via_seeds
+from helpers import (
+    add_line,
+    brute_walk_count,
+    cut_diagram,
+    enumerate_via_seeds,
+    join_halves,
+    stratify,
+    turn_back,
+)
 
 
 def half_from_view(encoding: str, n: int, i: int) -> str | None:

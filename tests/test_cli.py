@@ -6,9 +6,11 @@ import gzip
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,10 @@ import bubblealg
 from bubblealg import checks, stdmod
 from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.cache import (
+    COMPRESS_LEVEL,
     CacheError,
     ENV_CACHE_DIR,
+    basis_digest,
     cache_path,
     cached_basis,
     load_basis,
@@ -136,33 +140,48 @@ class TestCache:
             load_basis(path, 2)
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real_open = gzip.open
+        class FailingFile(gzip.GzipFile):
+            # the gzip header reaches the file, then the data fails like a full disk
+            def write(self, data):
+                raise OSError("no space left on device")
 
-        class FailingFile:
-            # passes the header through, then fails like a full disk
-            def __init__(self, *args, **kwargs):
-                self.fh = real_open(*args, **kwargs)
-                self.writes = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError("no space left on device")
-                return self.fh.write(text)
-
-        monkeypatch.setattr(gzip, "open", FailingFile)
+        monkeypatch.setattr(gzip, "GzipFile", FailingFile)
         path = cache_path(tmp_path, 2)
         with pytest.raises(OSError):
             save_basis(path, 2, enumerate_basis(2))
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
         assert cached_basis(2, cache_dir=tmp_path)[0] == enumerate_basis(2)
+
+
+    def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        # neither the write time nor the temporary file's name enters the file
+        basis = enumerate_basis(3)
+        first, second = cache_path(tmp_path / "a", 3), cache_path(tmp_path / "b", 3)
+        save_basis(first, 3, basis)
+        monkeypatch.setattr(time, "time", lambda: 1.6e9)
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        save_basis(second, 3, basis)
+        data = first.read_bytes()
+        assert data == second.read_bytes()
+        assert data[3:8] == bytes(5)  # no optional fields, mtime 0
+
+    def test_file_written_by_gzip_open_still_loads(self, tmp_path):
+        # written as before the header was fixed: file name and time included
+        basis = enumerate_basis(3)
+        lines = [d.encode() for d in basis]
+        header = {"count": len(lines), "hash": basis_digest(lines), "n": 3, "version": 1}
+        path = cache_path(tmp_path, 3)
+        with gzip.open(path, "wt", encoding="ascii", compresslevel=COMPRESS_LEVEL) as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+        assert load_basis(path, 3) == (basis, lines)
+        # the same deflate stream follows the shorter header
+        old = path.read_bytes()
+        save_basis(path, 3, basis)
+        new = path.read_bytes()
+        assert old[old.index(b"\0", 10) + 1 :] == new[10:]
 
 
 def run_cli(capsys, *argv):
@@ -430,6 +449,115 @@ class TestYbeCommand:
     def test_zero_sweep_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "0")
         assert code == 2
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "basis --n -1 --diagrams",
+            "dims --n -2",
+            "rep --n -1 --qr 2 --qb 3",
+            "rep --n -1 --qr 2 --qb 3 --check",
+        ],
+    )
+    def test_negative_size_is_usage_error(self, capsys, tmp_path, argv):
+        code, out = run_cli(capsys, *argv.split(), *(["--cache-dir", str(tmp_path)] if argv.startswith("basis") else []))
+        assert (code, out) == (2, "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_side_rejected_and_zero_is_valid(self):
+        for sides in [(-1,), (2, -2), (-1, 1)]:
+            with pytest.raises(ValueError):
+                enumerate_basis(*sides)
+        assert enumerate_basis(0) == [Diagram(0, 0, ())]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
+    def test_non_finite_parameter_is_usage_error(self, capsys, bad):
+        for flags in (["--qr", bad, "--qb", "3"], ["--qr", "2", "--qb", bad]):
+            code, out = run_cli(capsys, "rep", "--n", "2", *flags, "--check")
+            assert (code, out) == (2, "")
+
+    @pytest.fixture
+    def nothing_dense(self, monkeypatch):
+        """Make building any dense matrix raise at once, so a request the
+        budget lets through raises ``Built`` instead of allocating."""
+        from bubblealg import spinchain, yangbaxter
+
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(spinchain, "diagram_matrix", refuse)
+        monkeypatch.setattr(yangbaxter, "transfer_matrix", refuse)
+        return Built
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "rep --n 4 --qr 2 --qb 3 --check",
+            "rep --n 4 --qr 2 --qb 3 --matrices",
+            "rep --n 5 --qr 2 --qb 3 --matrices",
+            "ybe --family bubble --sweep 1 --transfer 6",
+            "ybe --family bubble --sweep 1 --transfer 8",
+            "ybe --family tl --sweep 1 --transfer 12",
+        ],
+    )
+    def test_dense_budget_refuses_before_building(self, capsys, nothing_dense, argv):
+        assert run_cli(capsys, *argv.split()) == (3, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --check",
+            "rep --n 3 --qr 2 --qb 3 --matrices",
+            "ybe --family bubble --sweep 1 --transfer 5",
+            "ybe --family tl --sweep 1 --transfer 8",
+            "ybe --family tl --sweep 1 --transfer 11",
+        ],
+    )
+    def test_dense_budget_admits_the_benchmark_sizes(self, capsys, nothing_dense, argv):
+        with pytest.raises(nothing_dense):
+            main(argv.split())
+
+    def test_rep_without_matrices_has_no_dense_bound(self, capsys, nothing_dense):
+        code, out = run_cli(capsys, "rep", "--n", "4", "--qr", "2", "--qb", "3")
+        assert code == 0
+        assert json.loads(out)["basis_size"] == 588
+
+
+class TestNanNeverPasses:
+    def test_nan_ybe_residual_fails_the_sweep_gate(self, capsys, monkeypatch):
+        from bubblealg import yangbaxter
+
+        real = yangbaxter.ybe_residual
+        calls = []
+
+        def poisoned(lam, u, v, kind="bubble"):
+            calls.append(lam)
+            return float("nan") if len(calls) == 2 else real(lam, u, v, kind)
+
+        monkeypatch.setattr(yangbaxter, "ybe_residual", poisoned)
+        report = yangbaxter.ybe_sweep("tl", count=4, seed=5)
+        assert math.isnan(report.max_residual)
+        assert report.worst == report.points[1][0]
+        calls.clear()
+        code, out = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "4", "--seed", "5")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        calls.clear()
+        assert not checks._check_ybe(5, 4).passed
+
+    def test_nan_residuals_fail_the_check_gates(self, monkeypatch):
+        from bubblealg.spinchain import HomomorphismReport
+
+        nan = float("nan")
+        monkeypatch.setattr(checks, "homomorphism_report", lambda n, p: HomomorphismReport(n, 100, nan))
+        monkeypatch.setattr(checks, "transfer_commutator", lambda *args: nan)
+        assert not checks._check_homomorphism(1).passed
+        assert not checks._check_transfer(1).passed
 
 
 class TestCheckCommand:

@@ -15,17 +15,19 @@ from bubblealg.diagram import (
     compose,
     identity_element,
     make_diagram,
+    propagating_index,
+    straight_diagram,
+    white_generator,
+)
+from bubblealg.exactpoly import DB, DR, LaurentPoly
+from helpers import (
     module_generator,
     natural_inclusion,
     pad_with_identity,
-    propagating_index,
-    straight_diagram,
     tensor_diagram,
     white_cupcap_chain,
-    white_generator,
     word_from_chars,
 )
-from bubblealg.exactpoly import DB, DR, LaurentPoly
 
 
 def cupcap(c_top: int, c_bot: int) -> Diagram:

@@ -1,0 +1,65 @@
+"""The package keeps only what it uses.
+
+Every module-level function and class in ``src/bubblealg`` is either
+exported in ``bubblealg.__all__`` or referenced by name somewhere in the
+package outside its own definition; module dunders, which Python calls
+itself, count as used.  Code that only the tests call lives
+in ``tests/helpers.py``.  ``oracles.py`` is exempt: its independent
+routes stay in the package beside the code they check.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import bubblealg
+
+PACKAGE = Path(bubblealg.__file__).resolve().parent
+EXEMPT = {"oracles.py"}
+
+
+def unused_definitions(package: Path) -> list[str]:
+    """``module.name`` of each module-level def or class that nothing in
+    the package exports or refers to."""
+    trees = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(package.glob("*.py"))}
+    exported = set(bubblealg.__all__)
+    # every name read in the package, counted per defining node it sits in
+    uses: dict[str, list[ast.AST | None]] = {}
+    for tree in trees.values():
+        for top in tree.body:
+            owner = top if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, []).append(owner)
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, []).append(owner)
+    unused = []
+    for module, tree in trees.items():
+        if module in EXEMPT:
+            continue
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a dunder such as the package's PEP 562 __getattr__ is called by Python
+            if top.name in exported or top.name.startswith("__"):
+                continue
+            if not any(owner is not top for owner in uses.get(top.name, ())):
+                unused.append(f"{module[:-3]}.{top.name}")
+    return unused
+
+
+def test_every_definition_is_exported_or_used():
+    assert unused_definitions(PACKAGE) == []
+
+
+def test_a_test_only_helper_would_be_flagged(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    diagram = tmp_path / "diagram.py"
+    diagram.write_text(
+        diagram.read_text()
+        + '\n\ndef word_from_chars(chars: str) -> tuple[int, ...]:\n'
+        + '    return tuple(COLOUR_CHARS.index(ch) for ch in chars)\n'
+    )
+    assert unused_definitions(tmp_path) == ["diagram.word_from_chars"]

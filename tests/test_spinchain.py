@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from bubblealg import spinchain
 from bubblealg.basis import enumerate_basis
 from bubblealg.diagram import (
     BLUE,
@@ -28,11 +29,11 @@ from bubblealg.spinchain import (
     diagram_matrix,
     element_matrix,
     homomorphism_report,
-    site_basis_order,
     state_index,
 )
+from helpers import site_basis_order
 
-GENERIC = NumericParams(t_r=1.3 + 0.4j, t_b=0.8 - 0.9j)
+GENERIC = NumericParams(q_r=(1.3 + 0.4j) ** 2, q_b=(0.8 - 0.9j) ** 2)
 
 
 def cupcap(c_top: int, c_bot: int):
@@ -49,22 +50,24 @@ class TestParams:
         assert p.t_r * p.t_r == p.q_r
         assert p.t_b * p.t_b == p.q_b
 
-    def test_explicit_t_wins(self):
-        p = NumericParams(t_r=2.0, t_b=3.0)
-        assert (p.q_r, p.q_b) == (4.0, 9.0)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            NumericParams(q_r=4.0, t_r=2.1, q_b=1.0)
-        # a consistent pair passes
-        NumericParams(q_r=4.0, t_r=2.0, q_b=1.0)
+    def test_t_is_the_principal_root(self):
+        p = NumericParams(q_r=4.0, q_b=-9.0)
+        assert (p.t_r, p.t_b) == (2.0, 3.0j)
+        assert (p.q_r, p.q_b) == (4.0, -9.0)
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NumericParams(q_r=1.0)
 
+    def test_non_finite_or_zero_parameter_rejected(self):
+        for bad in (float("nan"), float("inf"), complex(1.0, float("nan")), 0.0):
+            with pytest.raises(ValueError):
+                NumericParams(q_r=bad, q_b=1.0)
+            with pytest.raises(ValueError):
+                NumericParams(q_r=1.0, q_b=bad)
+
     def test_delta_values(self):
-        p = NumericParams(q_r=4.0, t_b=1.0)
+        p = NumericParams(q_r=4.0, q_b=1.0)
         assert p.delta_r == pytest.approx(4.25)
         assert p.delta_b == pytest.approx(2.0)
 
@@ -134,7 +137,7 @@ class TestTwoSiteMatrices:
         assert np.array_equal(a @ b, b2_matrix(straight_diagram([RED, BLUE]), GENERIC))
 
     def test_one_colour_sub_block(self):
-        p = NumericParams(t_r=2.0, t_b=1.0)
+        p = NumericParams(q_r=4.0, q_b=1.0)
         m = diagram_matrix(cupcap(RED, RED), p)
         sub = m[np.ix_([1, 4], [1, 4])]
         assert np.allclose(sub, [[4.0, 1.0], [1.0, 0.25]])
@@ -185,15 +188,32 @@ class TestHomomorphism:
         rng = random.Random(90210)
         for _ in range(3):
             params = NumericParams(
-                t_r=cmath.exp(1j * rng.uniform(0.2, 3.0)),
-                t_b=cmath.exp(1j * rng.uniform(0.2, 3.0)),
+                q_r=cmath.exp(2j * rng.uniform(0.2, 3.0)),
+                q_b=cmath.exp(2j * rng.uniform(0.2, 3.0)),
             )
             assert homomorphism_report(2, params).max_residual < 1e-12
 
     def test_three_strands_sampled(self):
         rng = random.Random(5150)
         basis = enumerate_basis(3)
-        pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(60)]
-        report = homomorphism_report(3, GENERIC, basis=basis, pairs=pairs)
-        assert report.pairs_checked == 60
-        assert report.max_residual < 1e-10
+        for _ in range(60):
+            a, b = rng.choice(basis), rng.choice(basis)
+            prod = Element.from_diagram(a) * Element.from_diagram(b)
+            lhs = element_matrix(prod, GENERIC)
+            rhs = diagram_matrix(a, GENERIC) @ diagram_matrix(b, GENERIC)
+            assert np.abs(lhs - rhs).max() < 1e-10
+
+    def test_nan_residual_is_reported(self, monkeypatch):
+        # max() keeps its first argument against a NaN, so a NaN residual
+        # must be carried through explicitly or the report reads as a pass
+        calls = []
+
+        def poisoned(x, params):
+            calls.append(x)
+            m = element_matrix(x, params)
+            return m * np.nan if len(calls) == 2 else m
+
+        monkeypatch.setattr(spinchain, "element_matrix", poisoned)
+        report = homomorphism_report(2, GENERIC)
+        assert report.pairs_checked == 100
+        assert np.isnan(report.max_residual)

@@ -7,7 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import blockwise_det, brute_walk_count, mirror, univariate
+from helpers import (
+    act,
+    blockwise_det,
+    brute_walk_count,
+    kron,
+    matmul,
+    mirror,
+    rep_matrix,
+    split_by_colour,
+    univariate,
+)
 
 from bubblealg import stdmod
 from bubblealg.basis import enumerate_basis, enumerate_bras, make_half, standard_labels, walk_count
@@ -26,7 +36,6 @@ from bubblealg.stdmod import (
     GramDetReport,
     GramRootScan,
     _square_free,
-    act,
     act_diagram,
     bra_inner,
     cyclic_span_report,
@@ -37,10 +46,8 @@ from bubblealg.stdmod import (
     match_special_value,
     one_colour_det,
     rb_word,
-    rep_matrix,
     restriction_report,
     scan_gram_roots,
-    split_by_colour,
     tl_gram_poly,
 )
 
@@ -95,7 +102,7 @@ class TestAction:
             for a in basis:
                 for b in basis:
                     prod = Element.from_diagram(a) * Element.from_diagram(b)
-                    assert rep_matrix(prod, 2, i, j, bras=bras) == reps[a] @ reps[b]
+                    assert rep_matrix(prod, 2, i, j, bras=bras) == matmul(reps[a], reps[b])
 
     def test_rep_is_multiplicative_n3_sampled(self):
         rng = random.Random(414243)
@@ -105,7 +112,7 @@ class TestAction:
             a, b = rng.choice(basis), rng.choice(basis)
             prod = Element.from_diagram(a) * Element.from_diagram(b)
             lhs = rep_matrix(prod, 3, 1, 0, bras=bras)
-            rhs = rep_matrix(a, 3, 1, 0, bras=bras) @ rep_matrix(b, 3, 1, 0, bras=bras)
+            rhs = matmul(rep_matrix(a, 3, 1, 0, bras=bras), rep_matrix(b, 3, 1, 0, bras=bras))
             assert lhs == rhs
 
 
@@ -172,7 +179,7 @@ class TestBlocksAndDeterminants:
                     r_half, b_half = split_by_colour(bras[k])
                     pos[(reds.index(r_half), blues.index(b_half))] = local
                 perm = [pos[(a, b)] for a in range(len(reds)) for b in range(len(blues))]
-                expect = tl_gram_poly(n_r, i, RED).kron(tl_gram_poly(n_b, j, BLUE))
+                expect = kron(tl_gram_poly(n_r, i, RED), tl_gram_poly(n_b, j, BLUE))
                 for a in range(len(perm)):
                     for b in range(len(perm)):
                         assert blk.matrix[perm[a], perm[b]] == expect[a, b]
@@ -235,12 +242,12 @@ class TestFactoredDeterminant:
             return _square_free(p)
 
         monkeypatch.setattr(stdmod, "_square_free", record)
-        values = (Fraction(7, 3), Fraction(5, 2))
+        values = stdmod.ROOT_SAMPLES
         for n, i, j in [(4, 0, 0), (5, 1, 0), (5, 0, 1), (5, 2, 1), (6, 1, 1), (6, 0, 2)]:
             report = gram_det_report(n, i, j, cross_check=False)
             for var in (RED, BLUE):
                 seen.clear()
-                scan_gram_roots(report, var=var, other_values=values)
+                scan_gram_roots(report, var=var)
                 assert seen == [univariate(report.det, var, v) for v in values], (n, i, j, var)
 
     def test_zero_factor_means_zero_det(self):
@@ -259,7 +266,8 @@ class TestFactoredDeterminant:
     def test_huge_coefficients_do_not_overflow_the_root_finder(self):
         # (dr^2 - 1) * db^1000 at db = 7/3 has coefficients near 1e368
         report = GramDetReport(2, (0, 0), 2, (((DR * DR - 1, 1),), ((DB, 1000),)), (), False)
-        scan = scan_gram_roots(report, var=RED, other_values=(Fraction(7, 3),))
+        scan = scan_gram_roots(report, var=RED)
+        assert scan.samples[0].other_value == Fraction(7, 3)
         assert scan.all_matched
         assert sorted(r.value.real for r in scan.samples[0].roots) == pytest.approx([-1.0, 1.0])
 

@@ -10,13 +10,10 @@ from bubblealg.yangbaxter import (
     TL_GROUPS,
     bubble_coefficients,
     bubble_params,
-    perturbed_ybe_residual,
     rmatrix,
     rmatrix_bubble,
     rmatrix_tl,
     sample_lambda,
-    site_dimension,
-    tl_coefficients,
     tl_e_matrix,
     transfer_commutator,
     transfer_matrix,
@@ -28,6 +25,7 @@ from bubblealg.yangbaxter import (
     ybe_residual_matrices,
     ybe_sweep,
 )
+from helpers import perturbed_ybe_residual
 
 
 class TestLambdaValidation:
@@ -53,11 +51,12 @@ class TestLambdaValidation:
         with pytest.raises(ValueError):
             validate_lambda(0.5, "brauer")
         with pytest.raises(ValueError):
-            site_dimension("brauer")
+            rmatrix("brauer", 0.5, 0.1)
 
     def test_site_dimensions(self):
-        assert site_dimension("tl") == 2
-        assert site_dimension("bubble") == 4
+        # one site of the transfer matrix: two states for tl, four for bubble
+        assert transfer_matrix(0.7, 0.3, 1, "tl").shape == (2, 2)
+        assert transfer_matrix(0.7, 0.3, 1, "bubble").shape == (4, 4)
 
 
 class TestTlRmatrix:
@@ -72,10 +71,6 @@ class TestTlRmatrix:
         lam = 0.8
         e = tl_e_matrix(lam)
         assert np.allclose(e @ e, 2 * math.cos(lam) * e, atol=1e-14)
-
-    def test_coefficient_keys_enforced(self):
-        with pytest.raises(ValueError):
-            rmatrix_tl(0.7, 0.3, coefficients={"straight": 1.0})
 
     def test_pinned_point_residual(self):
         lam = math.pi / 5
@@ -104,10 +99,6 @@ class TestBubbleRmatrix:
         p = bubble_params(lam)
         assert abs(p.delta_r - (-2 * math.cos(2 * lam))) < 1e-13
         assert abs(p.delta_b - p.delta_r) < 1e-15
-
-    def test_coefficient_keys_enforced(self):
-        with pytest.raises(ValueError):
-            rmatrix_bubble(0.7, 0.3, coefficients={"crossing": 1.0})
 
     def test_one_colour_block_in_tl_span(self):
         # restricted to two red sites the matrix is a TL Baxterisation:
@@ -144,6 +135,10 @@ class TestYangBaxter:
     def test_sweep_bubble(self):
         report = ybe_sweep("bubble", count=20, seed=11)
         assert report.max_residual < 1e-10
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError):
+            ybe_sweep("tl", count=0)
 
     def test_sweep_deterministic(self):
         assert ybe_sweep("bubble", count=5, seed=3) == ybe_sweep(
