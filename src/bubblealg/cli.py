@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import statistics
 import sys
 from typing import TYPE_CHECKING
@@ -41,10 +42,17 @@ EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 20260822
 
-# Bytes of dense complex matrices one request may hold at once.  It admits
-# rep --n 3 (4.6 MB), ybe --transfer 5 for bubble (67 MB) and 11 for tl
-# (268 MB), and refuses rep --n 4 (617 MB) and bubble --transfer 6 (1.1 GB).
+# Bytes of dense complex arrays, and the text made from them, that one
+# request may hold at once.  It admits rep --n 3 (62 MB with --matrices),
+# ybe --transfer 9 for bubble (155 MB) and 21 for tl (436 MB), and refuses
+# rep --n 4 (617 MB of matrices alone), bubble --transfer 10 (621 MB) and
+# tl --transfer 22 (872 MB).
 DENSE_BUDGET = 512 * 2**20
+
+# rep --matrices writes each entry as "re,im;", two float reprs of at most
+# 24 characters, and holds that text up to four times: the strings, the
+# JSON document, the line and its encoding
+MATRIX_TEXT_BYTES = 4 * 50
 
 
 def _emit_json(payload: dict) -> None:
@@ -63,11 +71,16 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _json_float(x: float | None) -> float | None:
+    """``x``, or None (JSON null) where it is NaN or infinite, which JSON cannot hold."""
+    return x if x is None or math.isfinite(x) else None
+
+
 def _check_dense(need: float, what: str) -> None:
     """Refuse, before anything is built, a request over the dense budget."""
     if need > DENSE_BUDGET:
         raise ResourceLimitError(
-            f"{what} would hold {need:.3g} bytes of dense matrices, over the budget of {DENSE_BUDGET}"
+            f"{what} would hold {need:.3g} bytes of dense arrays, over the budget of {DENSE_BUDGET}"
         )
 
 
@@ -198,8 +211,10 @@ def cmd_rep(args: argparse.Namespace) -> int:
         raise ValueError(f"could not parse a colour parameter: {exc}") from exc
     params = NumericParams(q_r=q_r, q_b=q_b)
     if args.check or args.matrices:
-        # one 4^n x 4^n complex matrix per basis diagram
-        _check_dense(walk_count(2 * args.n, 0, 0) * 16**args.n * 16, f"rep --n {args.n}")
+        # one 4^n x 4^n complex matrix per basis diagram, and its text
+        entries = walk_count(2 * args.n, 0, 0) * 16**args.n
+        per_entry = 16 + (MATRIX_TEXT_BYTES if args.matrices else 0)
+        _check_dense(entries * per_entry, f"rep --n {args.n}")
     basis = enumerate_basis(args.n, max_n=args.max_n)
     payload: dict = {
         "n": args.n,
@@ -217,7 +232,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         passed = report.max_residual < args.tol
         payload["check"] = {
             "pairs_checked": report.pairs_checked,
-            "max_residual": report.max_residual,
+            "max_residual": _json_float(report.max_residual),
             "tolerance": args.tol,
             "passed": passed,
         }
@@ -236,12 +251,12 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
     return {
         "quantity": report.quantity,
         "count": report.count,
-        "max_residual": report.max_residual,
-        "median_residual": statistics.median(residuals) if residuals else None,
+        "max_residual": _json_float(report.max_residual),
+        "median_residual": _json_float(statistics.median(residuals) if residuals else None),
         "tolerance": tolerance,
         "passed": report.max_residual < tolerance,
         "points": [
-            {"lambda": p.lam, "u": p.u, "v": p.v, "residual": res}
+            {"lambda": p.lam, "u": p.u, "v": p.v, "residual": _json_float(res)}
             for p, res in report.points
         ],
     }

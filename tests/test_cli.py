@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -446,6 +447,25 @@ class TestYbeCommand:
         _, second = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "3", "--seed", "7")
         assert first == second
 
+    def test_transfer_output_depends_only_on_the_command_line(self, capsys):
+        argv = "ybe --family bubble --sweep 3 --transfer 3 --seed 7".split()
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second
+        other = run_cli(capsys, *argv[:-1], "8")
+        assert json.loads(other[1])["transfer"] != json.loads(first[1])["transfer"]
+
+    @pytest.mark.parametrize(
+        "family, size",
+        # both failed the absolute gate on the largest entry of T_u T_v - T_v T_u
+        [("bubble", "4"), ("tl", "6")],
+    )
+    def test_transfer_gate_is_relative(self, capsys, family, size):
+        code, out = run_cli(capsys, "ybe", "--family", family, "--sweep", "20", "--transfer", size)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["transfer"]["passed"] is True
+        assert payload["transfer"]["max_residual"] < 1e-12
+
     def test_zero_sweep_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "0")
         assert code == 2
@@ -491,7 +511,7 @@ class TestRequestLimits:
             raise Built
 
         monkeypatch.setattr(spinchain, "diagram_matrix", refuse)
-        monkeypatch.setattr(yangbaxter, "transfer_matrix", refuse)
+        monkeypatch.setattr(yangbaxter, "_apply_transfer", refuse)
         return Built
 
     @pytest.mark.parametrize(
@@ -500,9 +520,9 @@ class TestRequestLimits:
             "rep --n 4 --qr 2 --qb 3 --check",
             "rep --n 4 --qr 2 --qb 3 --matrices",
             "rep --n 5 --qr 2 --qb 3 --matrices",
-            "ybe --family bubble --sweep 1 --transfer 6",
-            "ybe --family bubble --sweep 1 --transfer 8",
-            "ybe --family tl --sweep 1 --transfer 12",
+            "ybe --family bubble --sweep 1 --transfer 10",
+            "ybe --family bubble --sweep 1 --transfer 12",
+            "ybe --family tl --sweep 1 --transfer 22",
         ],
     )
     def test_dense_budget_refuses_before_building(self, capsys, nothing_dense, argv):
@@ -514,18 +534,41 @@ class TestRequestLimits:
             "rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --check",
             "rep --n 3 --qr 2 --qb 3 --matrices",
             "ybe --family bubble --sweep 1 --transfer 5",
+            "ybe --family bubble --sweep 1 --transfer 9",
             "ybe --family tl --sweep 1 --transfer 8",
-            "ybe --family tl --sweep 1 --transfer 11",
+            "ybe --family tl --sweep 1 --transfer 21",
         ],
     )
     def test_dense_budget_admits_the_benchmark_sizes(self, capsys, nothing_dense, argv):
         with pytest.raises(nothing_dense):
             main(argv.split())
 
+    def test_rep_matrices_budget_counts_the_text(self, capsys, monkeypatch):
+        from bubblealg import cli
+
+        needs = []
+        real = cli._check_dense
+        monkeypatch.setattr(cli, "_check_dense", lambda need, what: needs.append(need) or real(need, what))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, *"rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --matrices".split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the text outweighs the 70 matrices of 64 x 64 complex entries it prints
+        assert len(out) > 70 * 64 * 64 * 16
+        assert peak <= needs[0] <= cli.DENSE_BUDGET
+
     def test_rep_without_matrices_has_no_dense_bound(self, capsys, nothing_dense):
         code, out = run_cli(capsys, "rep", "--n", "4", "--qr", "2", "--qb", "3")
         assert code == 0
         assert json.loads(out)["basis_size"] == 588
+
+
+def reject_constant(token):
+    """``json.loads`` hook for NaN and Infinity, which strict JSON has no token for."""
+    raise ValueError(f"bare {token} in the JSON output")
 
 
 class TestNanNeverPasses:
@@ -557,7 +600,36 @@ class TestNanNeverPasses:
         monkeypatch.setattr(checks, "homomorphism_report", lambda n, p: HomomorphismReport(n, 100, nan))
         monkeypatch.setattr(checks, "transfer_commutator", lambda *args: nan)
         assert not checks._check_homomorphism(1).passed
-        assert not checks._check_transfer(1).passed
+        assert not checks._check_transfer(2, 1).passed
+
+    def test_nan_residual_is_printed_as_null(self, capsys, monkeypatch):
+        from bubblealg import yangbaxter
+
+        real = yangbaxter.transfer_commutator
+        calls = []
+
+        def poisoned(*args):
+            calls.append(args)
+            return float("nan") if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(yangbaxter, "transfer_commutator", poisoned)
+        code, out = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "3", "--transfer", "3")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert payload["transfer"]["passed"] is False
+        assert payload["transfer"]["max_residual"] is None
+        assert [p["residual"] is None for p in payload["transfer"]["points"]] == [False, True, False]
+        assert payload["ybe"]["passed"] is True
+
+    def test_nan_rep_residual_is_printed_as_null(self, capsys, monkeypatch):
+        from bubblealg import spinchain
+        from bubblealg.spinchain import HomomorphismReport
+
+        monkeypatch.setattr(spinchain, "homomorphism_report", lambda n, p, basis: HomomorphismReport(n, 100, float("nan")))
+        code, out = run_cli(capsys, "rep", "--n", "1", "--qr", "2", "--qb", "3", "--check")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert payload["check"]["max_residual"] is None
 
 
 class TestCheckCommand:
@@ -575,6 +647,7 @@ class TestCheckCommand:
     def test_localisation_detail_names_the_size_run(self):
         results = {r.name: r for r in run_checks(size=2)}
         assert results["localisation"].detail.endswith("n<=2")
+        assert results["transfer_commute"].detail.endswith("n<=2")
         # the fixed-label checks start at n=3, above the requested size
         assert results["gram_det_dual_route"].detail.endswith("n<=3")
         assert results["gram_root_scan"].detail.endswith("n<=3")
@@ -584,6 +657,7 @@ class TestCheckCommand:
         assert all_passed(results.values())
         assert results["localisation"].detail.endswith("n<=4")
         assert results["cyclic_span"].detail.endswith("n<=4")
+        assert results["transfer_commute"].detail.endswith("n<=4")
         assert results["identity_decomposition"].detail.startswith("2^4 ")
         assert results["gram_det_dual_route"].detail.endswith("n<=4")
         assert results["gram_root_scan"].detail.endswith("n<=4")
@@ -599,6 +673,22 @@ class TestCheckCommand:
         monkeypatch.setattr(stdmod, "enumerate_basis", counting)
         assert checks._check_cyclic_span(4).passed
         assert sizes == [1, 2, 3, 4]
+
+    def test_transfer_check_runs_both_families_up_to_the_size(self, monkeypatch):
+        sizes = []
+
+        def recording(lam, u, v, n, kind, rng):
+            sizes.append((kind, n))
+            return 0.0
+
+        monkeypatch.setattr(checks, "transfer_commutator", recording)
+        assert checks._check_transfer(4, 1).passed
+        assert sizes == [("tl", 2), ("tl", 3), ("tl", 4), ("bubble", 2), ("bubble", 3), ("bubble", 4)]
+        sizes.clear()
+        # a bubble chain past the basis bound would need gigabytes of state
+        result = checks._check_transfer(12, 1)
+        assert result.detail.endswith("n<=8")
+        assert max(n for _, n in sizes) == 8
 
     def test_tiny_size_rejected(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1")

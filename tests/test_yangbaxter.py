@@ -1,6 +1,7 @@
 """Tests for the Baxterised R-matrices and transfer machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
     TL_GROUPS,
+    TRANSFER_TOLERANCE,
+    _apply_transfer,
+    _bubble_group_matrices,
+    _transfer_defect,
     bubble_coefficients,
     bubble_params,
     rmatrix,
@@ -15,6 +20,7 @@ from bubblealg.yangbaxter import (
     rmatrix_tl,
     sample_lambda,
     tl_e_matrix,
+    transfer_bytes,
     transfer_commutator,
     transfer_matrix,
     transfer_sweep,
@@ -184,26 +190,133 @@ class TestUnitarity:
         assert unitarity_sweep("bubble", count=10, seed=7).max_residual < 1e-10
 
 
+def loop_transfer(r: np.ndarray, n: int) -> np.ndarray:
+    """Dense T = Tr_a(W_{n-1} ... W_0) with W = P R, built entry by entry.
+
+    Each W_j acts on the auxiliary space (most significant) and site j,
+    whose state is digit j of the chain index, as in ``transfer_matrix``.
+    """
+    m = math.isqrt(r.shape[0])
+    w = r.reshape(m, m, m * m).transpose(1, 0, 2).reshape(m * m, m * m)
+    dim = m**n
+    prod = np.eye(m * dim, dtype=complex)
+    for j in range(n):
+        op = np.zeros((m * dim, m * dim), dtype=complex)
+        for a in range(m):
+            for s in range(dim):
+                d = (s // m**j) % m
+                for b in range(m):
+                    for o in range(m):
+                        t = s + (o - d) * m**j
+                        op[b * dim + t, a * dim + s] += w[b * m + o, a * m + d]
+        prod = op @ prod
+    return np.trace(prod.reshape(m, dim, m, dim), axis1=0, axis2=2)
+
+
+def gaussian(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 class TestTransfer:
     def test_shapes(self):
         assert transfer_matrix(0.7, 0.3, 3, "tl").shape == (8, 8)
         assert transfer_matrix(0.7, 0.3, 2, "bubble").shape == (16, 16)
 
     def test_single_site_commutator_vanishes(self):
-        assert transfer_commutator(0.7, 0.3, -0.9, 1, "tl") < 1e-14
-        assert transfer_commutator(0.7, 0.3, -0.9, 1, "bubble") < 1e-14
+        rng = np.random.default_rng(1)
+        assert transfer_commutator(0.7, 0.3, -0.9, 1, "tl", rng) < 1e-14
+        assert transfer_commutator(0.7, 0.3, -0.9, 1, "bubble", rng) < 1e-14
 
     def test_commutators_tl(self):
+        rng = np.random.default_rng(2)
         for n in (2, 3):
-            assert transfer_commutator(0.7, 0.3, -0.4, n, "tl") < 1e-10
+            assert transfer_commutator(0.7, 0.3, -0.4, n, "tl", rng) < 1e-10
 
     def test_commutators_bubble(self):
-        assert transfer_commutator(0.7, 0.3, -0.4, 2, "bubble") < 1e-9
-        assert transfer_commutator(0.55, 1.1, 0.2, 3, "bubble") < 1e-9
+        rng = np.random.default_rng(3)
+        assert transfer_commutator(0.7, 0.3, -0.4, 2, "bubble", rng) < 1e-9
+        assert transfer_commutator(0.55, 1.1, 0.2, 3, "bubble", rng) < 1e-9
 
     def test_transfer_sweeps(self):
         assert transfer_sweep(3, "tl", count=5, seed=2).max_residual < 1e-10
         assert transfer_sweep(2, "bubble", count=5, seed=2).max_residual < 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_five_site_bubble_sweep_passes_the_relative_gate(self, seed):
+        # the absolute gate failed here near the pole at lambda = 0
+        report = transfer_sweep(5, "bubble", 20, seed)
+        assert report.max_residual < TRANSFER_TOLERANCE
+
+    def test_sweep_depends_only_on_its_seed(self):
+        assert transfer_sweep(3, "bubble", 4, 9) == transfer_sweep(3, "bubble", 4, 9)
+        assert transfer_sweep(3, "bubble", 4, 9) != transfer_sweep(3, "bubble", 4, 10)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("tl", n) for n in range(1, 7)] + [("bubble", n) for n in range(1, 5)],
+    )
+    def test_matrix_free_product_equals_the_dense_one(self, kind, n):
+        lam, u = (0.7, 0.3) if kind == "tl" else (0.45, -1.2)
+        x = gaussian((2 if kind == "tl" else 4) ** n, n)
+        want = transfer_matrix(lam, u, n, kind) @ x
+        got = _apply_transfer(rmatrix(kind, lam, u), x, n)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_loop_oracle_agrees_with_transfer_matrix(self):
+        for kind, n in (("tl", 3), ("bubble", 2)):
+            want = transfer_matrix(0.7, 0.3, n, kind)
+            assert np.max(np.abs(loop_transfer(rmatrix(kind, 0.7, 0.3), n) - want)) < 1e-13
+
+    def test_matrix_free_product_of_a_random_r(self):
+        # a random R has no symmetry that could hide a wrong index order
+        rng = np.random.default_rng(4)
+        for m in (2, 3, 4):
+            r = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+            for n in (1, 2, 3):
+                x = gaussian(m**n, n)
+                want = loop_transfer(r, n) @ x
+                got = _apply_transfer(r, x, n)
+                assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("group", BUBBLE_GROUPS)
+    def test_perturbed_bubble_group_trips_the_detector(self, group):
+        lam, u, v = 0.73, 0.41, -0.29
+        shift = 1e-6 * _bubble_group_matrices(bubble_params(lam))[group]
+        r_u, r_v = rmatrix("bubble", lam, u), rmatrix("bubble", lam, v)
+        x = gaussian(4**4, 5)
+        assert _transfer_defect(r_u, r_v, 4, x) < 1e-13
+        assert _transfer_defect(r_u + shift, r_v + shift, 4, x) > 1e-7
+
+    def test_perturbed_tl_r_trips_the_detector(self):
+        lam, u, v = 0.73, 0.41, -0.29
+        r_u, r_v = rmatrix("tl", lam, u), rmatrix("tl", lam, v)
+        x = gaussian(2**6, 6)
+        # eps * E stays in span{I, E}, where every R(u) gives commuting T
+        e = tl_e_matrix(lam)
+        assert _transfer_defect(r_u + 1e-6 * e, r_v + 1e-6 * e, 6, x) < 1e-13
+        # weight only the all-up vertex: outside that span
+        up = np.zeros((4, 4), dtype=complex)
+        up[0, 0] = 1.0
+        assert _transfer_defect(r_u + 1e-6 * up, r_v + 1e-6 * up, 6, x) > 1e-7
+
+    def test_nan_defect_is_not_hidden(self):
+        r = rmatrix("tl", 0.7, 0.3)
+        x = gaussian(8, 1)
+        x[3] = np.nan
+        assert math.isnan(_transfer_defect(r, r, 3, x))
+
+    @pytest.mark.parametrize("kind, n", [("tl", 12), ("tl", 14), ("bubble", 5), ("bubble", 7)])
+    def test_transfer_bytes_is_the_measured_peak(self, kind, n):
+        rng = np.random.default_rng(1)
+        transfer_commutator(0.7, 0.3, -0.4, n, kind, rng)
+        tracemalloc.start()
+        try:
+            transfer_commutator(0.7, 0.3, -0.4, n, kind, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= transfer_bytes(n, kind) < 1.1 * peak
 
     def test_bad_site_count(self):
         with pytest.raises(ValueError):
