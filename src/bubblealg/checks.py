@@ -140,7 +140,7 @@ def _check_gram_det_dual_route(size: int) -> CheckResult:
     if size >= 4:
         labels += [(4, 2, 0), (4, 1, 1), (4, 0, 0)]
     for n, i, j in labels:
-        gram_det_report(n, i, j, cross_check=True)
+        gram_det_report(n, i, j)
     return CheckResult(
         "gram_det_dual_route",
         True,
@@ -153,7 +153,7 @@ def _check_root_scan(size: int) -> CheckResult:
     if size >= 4:
         jobs.append((4, 0, 0, RED))
     for n, i, j, var in jobs:
-        scan = scan_gram_roots(gram_det_report(n, i, j, cross_check=False), var=var)
+        scan = scan_gram_roots(gram_det_report(n, i, j), var=var)
         if not scan.all_matched:
             return CheckResult(
                 "gram_root_scan",

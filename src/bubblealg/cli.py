@@ -137,9 +137,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
         raise ValueError(f"label ({i},{j}) carries no module at n={n}")
     report = None
     if args.det or args.roots is not None:
-        # one report serves --det, --blocks and --roots; only --det cross-checks
-        cross_check = None if args.det else False
-        report = gram_det_report(n, i, j, cross_check=cross_check, bras=bras)
+        # one report serves --det, --blocks and --roots
+        report = gram_det_report(n, i, j, bras=bras)
     blocks = report.blocks if report else gram_blocks(n, i, j, bras=bras)[1]
     # the form vanishes between different colour words
     entries = [["0"] * len(bras) for _ in bras]

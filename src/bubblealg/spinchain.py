@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import RED, Diagram, Element
+from .diagram import RED, Diagram, Element, compose
 from .exactpoly import LaurentPoly
 
 SITE_STATES = ("r+", "r-", "b+", "b-")
@@ -146,10 +146,12 @@ def element_matrix(x: Element | Diagram, params: NumericParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# explicit two-site matrices, kept separate as a cross-check
+# explicit two-site matrices, from which R(u) is built
 
 
-def _two_site_kind(d: Diagram) -> tuple[str, int, int]:
+def two_site_shape(d: Diagram) -> tuple[str, int, int]:
+    """("straight" | "crossing" | "cupcap", c1, c2) of a B_2 diagram; c1 is
+    the colour of the pair at point 1."""
     shape = tuple(sorted((p, q) for p, q, _ in d.pairs))
     colour = {(p, q): c for p, q, c in d.pairs}
     if shape == ((1, 3), (2, 4)):
@@ -171,7 +173,7 @@ def b2_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
     """
     if (d.n_north, d.n_south) != (2, 2):
         raise ValueError("b2_matrix needs a two-strand square diagram")
-    kind, c1, c2 = _two_site_kind(d)
+    kind, c1, c2 = two_site_shape(d)
     m = np.zeros((16, 16), dtype=complex)
     if kind == "straight":
         for k in colour_block_indices((c1, c2)):
@@ -205,6 +207,8 @@ def homomorphism_report(
 
     Every ordered pair of basis diagrams is tested; the report carries
     the worst absolute entry difference, NaN if any difference is NaN.
+    ``basis`` must be all of B_n, since every product lands in it and
+    takes its matrix from there.
     """
     if basis is None:
         from .basis import enumerate_basis
@@ -214,7 +218,10 @@ def homomorphism_report(
     residuals = []
     for a in basis:
         for b in basis:
-            prod = Element.from_diagram(a) * Element.from_diagram(b)
-            lhs = element_matrix(prod, params)
-            residuals.append(np.abs(lhs - mats[a] @ mats[b]).max())
+            diff = mats[a] @ mats[b]
+            # a zero product leaves the whole of the matrix product as defect
+            if (r := compose(a, b)) is not None:
+                lr, lb, d = r
+                diff = params.evaluate(LaurentPoly.monomial(lr, lb)) * mats[d] - diff
+            residuals.append(np.abs(diff).max())
     return HomomorphismReport(n, len(residuals), float(np.max(residuals, initial=0.0)))

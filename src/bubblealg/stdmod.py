@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .basis import (
     HalfDiagram,
@@ -151,8 +151,15 @@ def gram_blocks(
         sub = PolyMatrix(
             [[bra_inner(bras[a], bras[b]) for b in idx] for a in idx]
         )
-        blocks.append(GramBlock(word, tuple(idx), sub, poly_det(sub)))
+        blocks.append(GramBlock(word, tuple(idx), sub, block_det(sub)))
     return bras, blocks
+
+
+@lru_cache(maxsize=256)
+def block_det(m: PolyMatrix) -> LaurentPoly:
+    """``poly_det`` once per distinct block: blocks of one (k_r, k_b) shape
+    repeat, and ``one_colour_det`` eliminates one-colour modules' blocks."""
+    return poly_det(m)
 
 
 @cache
@@ -167,10 +174,12 @@ def one_colour_det(colour: int, points: int, defects: int) -> tuple[LaurentPoly,
     label = (defects, 0) if colour == RED else (0, defects)
     word = COLOUR_CHARS[colour] * points
     bras = [b for b in enumerate_bras(points, *label, max_n=points) if rb_word(b) == word]
-    return poly_det(gram_matrix(points, *label, bras=bras)), len(bras)
+    return block_det(gram_matrix(points, *label, bras=bras)), len(bras)
 
 
 Factors = tuple[tuple[LaurentPoly, int], ...]
+
+CROSS_CHECK_MAX_SIZE = 36
 
 
 @dataclass(frozen=True)
@@ -211,20 +220,16 @@ class GramDetReport:
 
 
 def gram_det_report(
-    n: int,
-    i: int,
-    j: int,
-    cross_check: bool | None = None,
-    bras: list[HalfDiagram] | None = None,
+    n: int, i: int, j: int, bras: list[HalfDiagram] | None = None
 ) -> GramDetReport:
     """Gram determinant from the word blocks, factored by colour.
 
     Every block determinant comes from elimination on the block itself
     and must equal D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r built from
     the one-colour determinants; a mismatch raises ArithmeticError.
-    When cross_check is on (default for sizes up to 36) the unblocked
-    matrix goes through fraction-free elimination as well and must give
-    the product of the factors exactly.
+    Up to CROSS_CHECK_MAX_SIZE basis elements, where it is cheap, the
+    unblocked matrix goes through fraction-free elimination as well and
+    must give the product of the factors exactly.
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
     mult: tuple[dict[LaurentPoly, int], dict[LaurentPoly, int]] = ({}, {})
@@ -244,10 +249,8 @@ def gram_det_report(
         mult[BLUE][det_b] = mult[BLUE].get(det_b, 0) + rows_r
     factors = (tuple(mult[RED].items()), tuple(mult[BLUE].items()))
     size = len(bras)
-    if cross_check is None:
-        cross_check = size <= 36
-    report = GramDetReport(n, (i, j), size, factors, tuple(blocks), cross_check)
-    if cross_check:
+    report = GramDetReport(n, (i, j), size, factors, tuple(blocks), size <= CROSS_CHECK_MAX_SIZE)
+    if report.cross_checked:
         full = poly_det(gram_matrix(n, i, j, bras=bras))
         if full != report.det:
             raise ArithmeticError(

@@ -25,12 +25,15 @@ import math
 import random
 import string
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .diagram import BLUE, RED, Diagram, make_diagram
-from .spinchain import NumericParams, b2_matrix
+from .basis import enumerate_basis
+from .diagram import Diagram
+from .spinchain import NumericParams, b2_matrix, two_site_shape
 
 LAMBDA_EXCLUSION = 1e-6
 # absolute gates on the largest residual entry; unitarity shares the YBE gate
@@ -48,13 +51,6 @@ BUBBLE_GROUPS = (
     "crossing",
 )
 
-_SITE_DIM = {"tl": 2, "bubble": 4}
-
-
-def _require_kind(kind: str) -> None:
-    if kind not in _SITE_DIM:
-        raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
-
 
 def validate_lambda(lam: float, kind: str = "bubble") -> None:
     """Reject lambda too close to a pole of the coefficient functions.
@@ -62,8 +58,7 @@ def validate_lambda(lam: float, kind: str = "bubble") -> None:
     Poles sit at integer multiples of pi (one colour) or pi/3 (two
     colours); "too close" means within LAMBDA_EXCLUSION.
     """
-    _require_kind(kind)
-    step = math.pi if kind == "tl" else math.pi / 3.0
+    step = _family(kind).pole_step
     nearest = round(lam / step) * step
     if abs(lam - nearest) < LAMBDA_EXCLUSION:
         raise ValueError(
@@ -85,20 +80,11 @@ def tl_e_matrix(lam: float) -> np.ndarray:
 
 def tl_coefficients(lam: float, u: float) -> dict[str, float]:
     """Coefficients of I and E in the one-colour R(u)."""
-    validate_lambda(lam, "tl")
     s = math.sin(lam)
     return {
         "straight": math.sin(lam - u) / s,
         "cupcap": math.sin(u) / s,
     }
-
-
-def rmatrix_tl(lam: float, u: float) -> np.ndarray:
-    """One-colour 4x4 R(u)."""
-    coefficients = tl_coefficients(lam, u)
-    return coefficients["straight"] * np.eye(4, dtype=complex) + coefficients[
-        "cupcap"
-    ] * tl_e_matrix(lam)
 
 
 def bubble_params(lam: float) -> NumericParams:
@@ -115,35 +101,8 @@ def bubble_params(lam: float) -> NumericParams:
     return NumericParams(q_r=q, q_b=q)
 
 
-def _group_of(d: Diagram) -> str:
-    pairs = d.pairs
-    if all(p + 2 == q for p, q, _ in pairs):
-        colours = {c for _, _, c in pairs}
-        return "straight_same" if len(colours) == 1 else "straight_mixed"
-    if any(p == 1 and q == 2 for p, q, _ in pairs):
-        top = next(c for p, q, c in pairs if (p, q) == (1, 2))
-        bot = next(c for p, q, c in pairs if (p, q) == (3, 4))
-        return "cupcap_same" if top == bot else "cupcap_mixed"
-    return "crossing"
-
-
-def _bubble_group_matrices(params: NumericParams) -> dict[str, np.ndarray]:
-    mats = {g: np.zeros((16, 16), dtype=complex) for g in BUBBLE_GROUPS}
-    for a in (RED, BLUE):
-        for b in (RED, BLUE):
-            straight = make_diagram(2, 2, [(1, 3, a), (2, 4, b)])
-            mats[_group_of(straight)] += b2_matrix(straight, params)
-            cupcap = make_diagram(2, 2, [(1, 2, a), (3, 4, b)])
-            mats[_group_of(cupcap)] += b2_matrix(cupcap, params)
-            if a != b:
-                cross = make_diagram(2, 2, [(1, 4, a), (2, 3, b)])
-                mats[_group_of(cross)] += b2_matrix(cross, params)
-    return mats
-
-
 def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
     """Coefficients of the five diagram groups in the two-colour R(u)."""
-    validate_lambda(lam, "bubble")
     s1 = math.sin(lam)
     s3 = math.sin(3.0 * lam)
     return {
@@ -155,26 +114,60 @@ def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
     }
 
 
-def rmatrix_bubble(lam: float, u: float) -> np.ndarray:
-    """Two-colour 16x16 R(u).
+class Family(NamedTuple):
+    """Site states, pole spacing, coefficient groups and coefficients."""
 
-    The construction only closes with both colour parameters equal to
-    -exp(2i*lam), so the diagram matrices are always taken there.
+    site_dim: int
+    pole_step: float
+    groups: tuple[str, ...]
+    coefficients: Callable[[float, float], dict[str, float]]
+
+
+FAMILIES = {
+    "tl": Family(2, math.pi, TL_GROUPS, tl_coefficients),
+    "bubble": Family(4, math.pi / 3.0, BUBBLE_GROUPS, bubble_coefficients),
+}
+
+
+def _family(kind: str) -> Family:
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
+    return FAMILIES[kind]
+
+
+def coefficient_group(d: Diagram) -> str:
+    """Group of a B_2 diagram in R(u): its shape and whether its colours agree."""
+    shape, c1, c2 = two_site_shape(d)
+    # a crossing always joins two colours
+    return shape if shape == "crossing" else f"{shape}_{'same' if c1 == c2 else 'mixed'}"
+
+
+@lru_cache(maxsize=8)
+def group_matrices(kind: str, lam: float) -> Mapping[str, np.ndarray]:
+    """Read-only matrix of each coefficient group of R(u), shared by every u.
+
+    One colour: I and E.  Two colours: the sum of the group's B_2 diagrams.
     """
-    coefficients = bubble_coefficients(lam, u)
-    mats = _bubble_group_matrices(bubble_params(lam))
-    out = np.zeros((16, 16), dtype=complex)
-    for name in BUBBLE_GROUPS:
-        out += coefficients[name] * mats[name]
-    return out
+    _family(kind)
+    if kind == "tl":
+        mats = {"straight": np.eye(4, dtype=complex), "cupcap": tl_e_matrix(lam)}
+    else:
+        params = bubble_params(lam)
+        mats = {g: np.zeros((16, 16), dtype=complex) for g in BUBBLE_GROUPS}
+        for d in enumerate_basis(2):
+            mats[coefficient_group(d)] += b2_matrix(d, params)
+    for m in mats.values():
+        m.flags.writeable = False
+    return MappingProxyType(mats)
 
 
 def rmatrix(kind: str, lam: float, u: float) -> np.ndarray:
-    """Dispatch to the one- or two-colour builder."""
-    _require_kind(kind)
-    if kind == "tl":
-        return rmatrix_tl(lam, u)
-    return rmatrix_bubble(lam, u)
+    """R(u) of either family: its coefficients times its group matrices."""
+    family = _family(kind)
+    # the group matrices reject a lambda at a pole of the coefficients
+    mats = group_matrices(kind, lam)
+    coefficients = family.coefficients(lam, u)
+    return sum(coefficients[g] * mats[g] for g in family.groups)
 
 
 def ybe_residual_matrices(
@@ -232,10 +225,9 @@ def transfer_matrix(lam: float, u: float, n: int, kind: str = "bubble") -> np.nd
     materialised.  The commutator check never calls this: it applies T
     one site at a time instead.
     """
-    _require_kind(kind)
+    m = _family(kind).site_dim
     if n < 1:
         raise ValueError("need at least one site")
-    m = _SITE_DIM[kind]
     r4 = (_swap_matrix(m) @ rmatrix(kind, lam, u)).reshape(m, m, m, m)
     letters = string.ascii_letters
     if 3 * n > len(letters):
@@ -298,8 +290,7 @@ TRANSFER_FIXED_BYTES = 64 * 2**10
 
 def transfer_bytes(n: int, kind: str = "bubble") -> int:
     """Peak bytes ``transfer_commutator`` allocates on n sites."""
-    _require_kind(kind)
-    m = _SITE_DIM[kind]
+    m = _family(kind).site_dim
     states = TRANSFER_STATES_HELD * m * m + TRANSFER_VECTORS_HELD
     return 16 * m**n * states + TRANSFER_FIXED_BYTES
 
@@ -312,10 +303,10 @@ def transfer_commutator(
     The vector is complex Gaussian, drawn from ``rng``; T is applied one
     site at a time and never formed.
     """
-    _require_kind(kind)
+    m = _family(kind).site_dim
     if n < 1:
         raise ValueError("need at least one site")
-    dim = _SITE_DIM[kind] ** n
+    dim = m**n
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return _transfer_defect(rmatrix(kind, lam, u), rmatrix(kind, lam, v), n, x)
 
@@ -350,8 +341,7 @@ LAMBDA_MARGIN = 0.1
 
 def sample_lambda(rng: random.Random, kind: str = "bubble") -> float:
     """Draw lambda from (0, pi) at least LAMBDA_MARGIN from every pole."""
-    _require_kind(kind)
-    step = math.pi if kind == "tl" else math.pi / 3.0
+    step = _family(kind).pole_step
     while True:
         lam = rng.uniform(LAMBDA_MARGIN, math.pi - LAMBDA_MARGIN)
         if abs(lam - round(lam / step) * step) >= LAMBDA_MARGIN:

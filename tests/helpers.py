@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-import numpy as np
-
 from bubblealg.basis import HalfDiagram, enumerate_bras, make_half
 from bubblealg.diagram import (
     BLUE,
@@ -26,13 +24,7 @@ from bubblealg.diagram import (
 from bubblealg.exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.spinchain import SITE_STATES
 from bubblealg.stdmod import act_diagram
-from bubblealg.yangbaxter import (
-    _bubble_group_matrices,
-    bubble_params,
-    rmatrix,
-    tl_e_matrix,
-    ybe_residual_matrices,
-)
+from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices
 
 
 def cofactor_det(m: PolyMatrix) -> LaurentPoly:
@@ -439,10 +431,7 @@ def perturbed_ybe_residual(
     group's matrix to the library's own R(u).  The identity should fail
     once any single group coefficient moves off its exact value.
     """
-    if kind == "tl":
-        mats = {"straight": np.eye(4, dtype=complex), "cupcap": tl_e_matrix(lam)}
-    else:
-        mats = _bubble_group_matrices(bubble_params(lam))
+    mats = group_matrices(kind, lam)
     if group not in mats:
         raise ValueError(f"unknown coefficient group {group!r}")
     r_u = rmatrix(kind, lam, u) + eps * mats[group]

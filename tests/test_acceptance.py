@@ -112,7 +112,7 @@ def test_criterion_05_root_locations():
     ok = True
     for n in range(1, 6):
         for i, j in standard_labels(n):
-            det_report = gram_det_report(n, i, j, cross_check=False)
+            det_report = gram_det_report(n, i, j)
             for var in (RED, BLUE):
                 ok = ok and scan_gram_roots(det_report, var=var).all_matched
     assert report(5, "every determinant root matches 2cos(pi m/k), k<=2n, n<=5", ok)

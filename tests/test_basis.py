@@ -119,6 +119,12 @@ class TestEnumeration:
         assert all(d in basis for d in straights)
         assert all(sum(propagating_index(d)) == 2 for d in straights)
 
+    def test_straight_diagrams_come_in_encoding_order(self):
+        for n in range(11):
+            straights = monochrome_straight_diagrams(n)
+            assert len(straights) == 2**n
+            assert straights == sorted(straights, key=Diagram.encode)
+
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_basis(DEFAULT_MAX_N + 1)

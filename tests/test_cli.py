@@ -471,6 +471,46 @@ class TestYbeCommand:
         assert code == 2
 
 
+class TestSpectralGoldens:
+    # sha256 of stdout recorded before the two R-matrix builders were merged
+    # into one and the homomorphism check stopped building Elements; they
+    # pin every residual float
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "ybe --family tl --sweep 20 --transfer 4 --seed 7",
+                "c9817ccd14d2156f1328ba08bbffeb469a6981ba0ade365f521eb50498fb9c71",
+            ),
+            (
+                "ybe --family bubble --sweep 20 --transfer 4 --seed 7",
+                "4a1815d008d551c13fd00b06d9c9918564c9ac60cccdb2ba6c5fb5717d24fb7f",
+            ),
+            (
+                "ybe --family bubble --sweep 20 --transfer 4 --seed 7 --format csv",
+                "60b83e105c8beb3cd19898f5d722944425329aae726fe023769010e2eed154b7",
+            ),
+            (
+                "ybe --family bubble --lambda 0.7 --sweep 5",
+                "c84b6a437800c3093057557f5574149a4e53a549298ac0ca742901f4f812d054",
+            ),
+            (
+                "rep --n 2 --qr 2+0.5j --qb 1.5-0.25j --check",
+                "b9ccdc5cfea86e88229682b4b14c362f2c0621abd40234747ca901ecd689a60c",
+            ),
+            (
+                "rep --n 1 --qr 2 --qb 3 --matrices",
+                "12a508b02c9159901e2181c87f139c8848e0c00f49a2e4083b91a0c4a99fe451",
+            ),
+        ],
+        ids=["ybe_tl", "ybe_bubble", "ybe_bubble_csv", "ybe_fixed_lambda", "rep_check", "rep_matrices"],
+    )
+    def test_golden_stdout(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 class TestRequestLimits:
     @pytest.mark.parametrize(
         "argv",

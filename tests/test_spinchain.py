@@ -208,12 +208,12 @@ class TestHomomorphism:
         # must be carried through explicitly or the report reads as a pass
         calls = []
 
-        def poisoned(x, params):
-            calls.append(x)
-            m = element_matrix(x, params)
+        def poisoned(d, params):
+            calls.append(d)
+            m = diagram_matrix(d, params)
             return m * np.nan if len(calls) == 2 else m
 
-        monkeypatch.setattr(spinchain, "element_matrix", poisoned)
+        monkeypatch.setattr(spinchain, "diagram_matrix", poisoned)
         report = homomorphism_report(2, GENERIC)
         assert report.pairs_checked == 100
         assert np.isnan(report.max_residual)

@@ -155,7 +155,7 @@ class TestBlocksAndDeterminants:
 
     def test_block_det_product_matches_direct_elimination(self):
         for n, i, j in [(2, 0, 0), (3, 1, 0), (4, 2, 0), (4, 0, 0), (4, 1, 1)]:
-            gram_det_report(n, i, j, cross_check=True)
+            gram_det_report(n, i, j)
 
     def test_frozen_determinants(self):
         assert gram_det_report(2, 0, 0).det == DR * DB
@@ -211,7 +211,7 @@ class TestFactoredDeterminant:
     def test_det_matches_blockwise_product(self):
         for n in range(1, 7):
             for i, j in standard_labels(n):
-                report = gram_det_report(n, i, j, cross_check=False)
+                report = gram_det_report(n, i, j)
                 assert report.det == blockwise_det(report.blocks), (n, i, j)
 
     def test_one_colour_dets_match_the_oracle(self):
@@ -223,16 +223,32 @@ class TestFactoredDeterminant:
                     assert (det, rows) == (poly_det(oracle), oracle.rows)
 
     def test_factors_are_one_colour(self):
-        report = gram_det_report(6, 1, 1, cross_check=False)
+        report = gram_det_report(6, 1, 1)
         for colour, factors in enumerate(report.factors):
             for f, m in factors:
                 assert m > 0
                 assert all(exp[1 - colour] == 0 for exp in f.terms)
 
+    @pytest.mark.parametrize("label", [(7, 1, 0), (7, 2, 1), (6, 0, 2)])
+    def test_each_distinct_matrix_is_eliminated_once(self, monkeypatch, label):
+        # equal blocks and the one-colour forms share their elimination
+        seen = []
+
+        def record(m):
+            seen.append(m)
+            return poly_det(m)
+
+        monkeypatch.setattr(stdmod, "poly_det", record)
+        stdmod.block_det.cache_clear()
+        stdmod.one_colour_det.cache_clear()
+        report = gram_det_report(*label)
+        assert len(seen) == len(set(seen))
+        assert len(seen) < len(report.blocks)
+
     def test_block_that_is_not_a_tensor_product_is_rejected(self, monkeypatch):
         monkeypatch.setattr(stdmod, "one_colour_det", lambda colour, points, defects: (DR + 1, 1))
         with pytest.raises(ArithmeticError):
-            gram_det_report(3, 1, 0, cross_check=False)
+            gram_det_report(3, 1, 0)
 
     def test_scan_feeds_the_expanded_coefficients(self, monkeypatch):
         seen = []
@@ -244,7 +260,7 @@ class TestFactoredDeterminant:
         monkeypatch.setattr(stdmod, "_square_free", record)
         values = stdmod.ROOT_SAMPLES
         for n, i, j in [(4, 0, 0), (5, 1, 0), (5, 0, 1), (5, 2, 1), (6, 1, 1), (6, 0, 2)]:
-            report = gram_det_report(n, i, j, cross_check=False)
+            report = gram_det_report(n, i, j)
             for var in (RED, BLUE):
                 seen.clear()
                 scan_gram_roots(report, var=var)
@@ -318,14 +334,14 @@ class TestRootScan:
         assert tl_gram_poly(2, 0, BLUE) == PolyMatrix([[DB]])
 
     def test_scan_locates_cosine_roots(self):
-        scan = scan_gram_roots(gram_det_report(3, 1, 0, cross_check=False), var=RED)
+        scan = scan_gram_roots(gram_det_report(3, 1, 0), var=RED)
         assert isinstance(scan, GramRootScan)
         assert scan.all_matched
         values = sorted(r.value.real for r in scan.samples[0].roots)
         assert values == pytest.approx([-1.0, 1.0])
 
     def test_scan_records_zero_roots(self):
-        scan = scan_gram_roots(gram_det_report(3, 1, 0, cross_check=False), var=BLUE)
+        scan = scan_gram_roots(gram_det_report(3, 1, 0), var=BLUE)
         assert scan.all_matched
         assert scan.samples[0].zero_root_multiplicity == 3
 
@@ -333,10 +349,10 @@ class TestRootScan:
         # the (0, 0) form at four points has repeated factors; exact
         # square-free reduction keeps the numeric roots clean
         for var in (RED, BLUE):
-            assert scan_gram_roots(gram_det_report(4, 0, 0, cross_check=False), var=var).all_matched
+            assert scan_gram_roots(gram_det_report(4, 0, 0), var=var).all_matched
 
     def test_scan_finds_sqrt_two(self):
-        scan = scan_gram_roots(gram_det_report(4, 2, 0, cross_check=False), var=RED)
+        scan = scan_gram_roots(gram_det_report(4, 2, 0), var=RED)
         assert scan.all_matched
         for sample in scan.samples:
             reals = sorted(r.value.real for r in sample.roots)

@@ -2,22 +2,25 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from bubblealg.basis import enumerate_basis
+from bubblealg.diagram import BLUE, RED, make_diagram
+from bubblealg.spinchain import b2_matrix
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
     TL_GROUPS,
     TRANSFER_TOLERANCE,
     _apply_transfer,
-    _bubble_group_matrices,
     _transfer_defect,
     bubble_coefficients,
     bubble_params,
+    coefficient_group,
+    group_matrices,
     rmatrix,
-    rmatrix_bubble,
-    rmatrix_tl,
     sample_lambda,
     tl_e_matrix,
     transfer_bytes,
@@ -67,11 +70,11 @@ class TestLambdaValidation:
 
 class TestTlRmatrix:
     def test_u_zero_is_identity(self):
-        assert np.allclose(rmatrix_tl(0.7, 0.0), np.eye(4), atol=1e-15)
+        assert np.allclose(rmatrix("tl", 0.7, 0.0), np.eye(4), atol=1e-15)
 
     def test_u_lam_is_cupcap(self):
         lam = 0.9
-        assert np.allclose(rmatrix_tl(lam, lam), tl_e_matrix(lam), atol=1e-15)
+        assert np.allclose(rmatrix("tl", lam, lam), tl_e_matrix(lam), atol=1e-15)
 
     def test_e_squared(self):
         lam = 0.8
@@ -84,7 +87,7 @@ class TestTlRmatrix:
 
     def test_unitarity_scalar(self):
         lam, u = 0.8, 0.37
-        prod = rmatrix_tl(lam, u) @ rmatrix_tl(lam, -u)
+        prod = rmatrix("tl", lam, u) @ rmatrix("tl", lam, -u)
         c = np.trace(prod) / 4
         expect = math.sin(lam - u) * math.sin(lam + u) / math.sin(lam) ** 2
         assert abs(c - expect) < 1e-13
@@ -93,7 +96,7 @@ class TestTlRmatrix:
 
 class TestBubbleRmatrix:
     def test_u_zero_is_identity(self):
-        assert np.allclose(rmatrix_bubble(0.7, 0.0), np.eye(16), atol=1e-14)
+        assert np.allclose(rmatrix("bubble", 0.7, 0.0), np.eye(16), atol=1e-14)
 
     def test_same_straight_coefficient_vanishes_at_lam(self):
         lam = 0.6
@@ -110,7 +113,7 @@ class TestBubbleRmatrix:
         # restricted to two red sites the matrix is a TL Baxterisation:
         # straight_same times I plus cupcap_same times the red cup-cap
         lam, u = 0.8, 0.45
-        r = rmatrix_bubble(lam, u)
+        r = rmatrix("bubble", lam, u)
         rr = r[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])]
         q = bubble_params(lam).q_r
         e = np.zeros((4, 4), dtype=complex)
@@ -118,6 +121,31 @@ class TestBubbleRmatrix:
         c = bubble_coefficients(lam, u)
         model = c["straight_same"] * np.eye(4) + c["cupcap_same"] * e
         assert np.max(np.abs(rr - model)) < 1e-14
+
+    def test_b2_falls_two_per_group(self):
+        counts = Counter(coefficient_group(d) for d in enumerate_basis(2))
+        assert counts == {group: 2 for group in BUBBLE_GROUPS}
+
+    def test_group_matrices_sum_the_listed_diagrams(self):
+        lam = 0.7
+        listed = {
+            "straight_same": [[(1, 3, RED), (2, 4, RED)], [(1, 3, BLUE), (2, 4, BLUE)]],
+            "straight_mixed": [[(1, 3, RED), (2, 4, BLUE)], [(1, 3, BLUE), (2, 4, RED)]],
+            "cupcap_same": [[(1, 2, RED), (3, 4, RED)], [(1, 2, BLUE), (3, 4, BLUE)]],
+            "cupcap_mixed": [[(1, 2, RED), (3, 4, BLUE)], [(1, 2, BLUE), (3, 4, RED)]],
+            "crossing": [[(1, 4, RED), (2, 3, BLUE)], [(1, 4, BLUE), (2, 3, RED)]],
+        }
+        mats = group_matrices("bubble", lam)
+        assert set(mats) == set(listed)
+        for group, diagrams in listed.items():
+            want = sum(b2_matrix(make_diagram(2, 2, pairs), bubble_params(lam)) for pairs in diagrams)
+            assert np.array_equal(mats[group], want), group
+
+    def test_group_matrices_are_shared_and_read_only(self):
+        mats = group_matrices("bubble", 0.7)
+        assert group_matrices("bubble", 0.7) is mats
+        with pytest.raises(ValueError):
+            mats["crossing"][0, 0] = 1.0
 
     def test_kind_dispatch_shapes(self):
         assert rmatrix("tl", 0.7, 0.2).shape == (4, 4)
@@ -282,7 +310,7 @@ class TestTransfer:
     @pytest.mark.parametrize("group", BUBBLE_GROUPS)
     def test_perturbed_bubble_group_trips_the_detector(self, group):
         lam, u, v = 0.73, 0.41, -0.29
-        shift = 1e-6 * _bubble_group_matrices(bubble_params(lam))[group]
+        shift = 1e-6 * group_matrices("bubble", lam)[group]
         r_u, r_v = rmatrix("bubble", lam, u), rmatrix("bubble", lam, v)
         x = gaussian(4**4, 5)
         assert _transfer_defect(r_u, r_v, 4, x) < 1e-13
