@@ -34,7 +34,6 @@ from .exactpoly import DB, DR, LaurentPoly, PolyMatrix, poly_det
 _LAZY = {
     "NumericParams": "spinchain",
     "diagram_matrix": "spinchain",
-    "element_matrix": "spinchain",
     "homomorphism_report": "spinchain",
     "gram_blocks": "stdmod",
     "gram_det_report": "stdmod",
@@ -73,7 +72,6 @@ __all__ = [
     "SizeMismatchError",
     "compose",
     "diagram_matrix",
-    "element_matrix",
     "enumerate_basis",
     "enumerate_bras",
     "gram_blocks",

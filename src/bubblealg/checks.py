@@ -24,8 +24,8 @@ from .diagram import (
     BLUE,
     RED,
     Element,
-    compose,
     identity_element,
+    products,
     propagating_index,
     white_generator,
 )
@@ -203,24 +203,19 @@ def _check_identity_decomposition(n: int) -> CheckResult:
 
 
 def _check_filtration(size: int) -> CheckResult:
-    n = min(size, 3)
+    n = min(size, 4)
     basis = enumerate_basis(n)
+    index = {d: propagating_index(d) for d in basis}
     pairs = 0
-    for a in basis:
-        pa = propagating_index(a)
-        for b in basis:
-            pb = propagating_index(b)
-            res = compose(a, b)
-            if res is None:
-                continue
-            pc = propagating_index(res[2])
-            if pc[0] > min(pa[0], pb[0]) or pc[1] > min(pa[1], pb[1]):
-                return CheckResult(
-                    "filtration",
-                    False,
-                    f"{a.encode()} o {b.encode()} raises a propagating count",
-                )
-            pairs += 1
+    for a, b, _, _, d in products(basis, basis):
+        pa, pb, pc = index[a], index[b], index[d]
+        if pc[0] > min(pa[0], pb[0]) or pc[1] > min(pa[1], pb[1]):
+            return CheckResult(
+                "filtration",
+                False,
+                f"{a.encode()} o {b.encode()} raises a propagating count",
+            )
+        pairs += 1
     return CheckResult(
         "filtration", True, f"propagating counts never grow over {pairs} products (n={n})"
     )

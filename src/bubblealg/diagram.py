@@ -16,7 +16,7 @@ The product is zero unless strand colours agree at every glued point;
 closed loops created by the gluing are removed and counted per colour,
 each contributing one loop-parameter factor at the algebra level.
 ``glue`` is the one routine that follows strands across a glued edge,
-working on endpoint arrays; the product, the action on standard modules
+working on endpoint arrays; ``products``, the action on standard modules
 and their bilinear form (see ``stdmod``) are thin adapters over it.
 
 The textual encoding of a diagram is
@@ -33,7 +33,7 @@ map to shared ``(p, q, c)`` tuples through a bounded memo.
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
 its canonical form and then the rule, and ``basis.HalfDiagram`` applies
-it to its diagram view.  ``compose`` and ``basis.enumerate_basis`` build
+it to its diagram view.  ``products`` and ``basis.enumerate_basis`` build
 valid diagrams by construction and skip it through ``Diagram._raw``.
 """
 
@@ -260,6 +260,26 @@ def glue(
     return loops[0], loops[1], pairs
 
 
+def products(
+    left: Iterable[Diagram], right: Iterable[Diagram]
+) -> Iterator[tuple[Diagram, Diagram, int, int, Diagram]]:
+    """(a, b, loops_r, loops_b, a·b) for every non-zero a·b, a in ``left``
+    and b in ``right``, in their order.  The straight diagrams are
+    orthogonal idempotents, one per colour word, so a·b is zero unless a's
+    southern word is b's northern one: ``right`` is bucketed by northern
+    word, so mismatched pairs are never glued."""
+    buckets: dict[tuple[int, ...], list[tuple[Diagram, Endpoints]]] = {}
+    for b in right:
+        bottom = endpoint_arrays(b.n_north + b.n_south, b.pairs)
+        buckets.setdefault(tuple(bottom[1][1 : b.n_north + 1]), []).append((b, bottom))
+    for a in left:
+        top = endpoint_arrays(a.n_north + a.n_south, a.pairs)
+        for b, bottom in buckets.get(tuple(top[1][a.n_north + 1 :]), ()):
+            # equal words never clash, so glue does not return None
+            lr, lb, pairs = glue(top, bottom, a.n_north, a.n_south, b.n_south)
+            yield a, b, lr, lb, Diagram._raw(a.n_north, b.n_south, tuple(pairs))
+
+
 def compose(a: Diagram, b: Diagram) -> tuple[int, int, Diagram] | None:
     """Stack ``a`` on top of ``b``; returns (loops_r, loops_b, result).
 
@@ -271,12 +291,9 @@ def compose(a: Diagram, b: Diagram) -> tuple[int, int, Diagram] | None:
         raise SizeMismatchError(
             f"cannot glue {a.n_south} southern points to {b.n_north} northern points"
         )
-    top = endpoint_arrays(a.n_north + a.n_south, a.pairs)
-    bottom = endpoint_arrays(b.n_north + b.n_south, b.pairs)
-    r = glue(top, bottom, a.n_north, a.n_south, b.n_south)
-    if r is None:
-        return None
-    return r[0], r[1], Diagram._raw(a.n_north, b.n_south, tuple(r[2]))
+    for _, _, lr, lb, d in products((a,), (b,)):
+        return lr, lb, d
+    return None
 
 
 def propagating_index(d: Diagram) -> tuple[int, int]:
@@ -360,16 +377,6 @@ class Element:
         out._terms = data
         return out
 
-    def __neg__(self) -> "Element":
-        out = Element(self.n_north, self.n_south)
-        out._terms = {d: -c for d, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, coeff: LaurentPoly | int) -> "Element":
         c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
         out = Element(self.n_north, self.n_south)
@@ -380,25 +387,18 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
             return self.scale(other)
-        if isinstance(other, Diagram):
-            other = Element.from_diagram(other)
         if not isinstance(other, Element):
             return NotImplemented
         if self.n_south != other.n_north:
             raise SizeMismatchError("element shapes cannot be composed")
         data: dict[Diagram, LaurentPoly] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                r = compose(d1, d2)
-                if r is None:
-                    continue
-                lr, lb, d = r
-                coeff = c1 * c2 * LaurentPoly.monomial(lr, lb)
-                acc = data.get(d, ZERO) + coeff
-                if acc.is_zero:
-                    data.pop(d, None)
-                else:
-                    data[d] = acc
+        for a, b, lr, lb, d in products(self._terms, other._terms):
+            coeff = self._terms[a] * other._terms[b] * LaurentPoly.monomial(lr, lb)
+            acc = data.get(d, ZERO) + coeff
+            if acc.is_zero:
+                data.pop(d, None)
+            else:
+                data[d] = acc
         out = Element(self.n_north, other.n_south)
         out._terms = data
         return out
@@ -406,8 +406,6 @@ class Element:
     def __rmul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
             return self.scale(other)
-        if isinstance(other, Diagram):
-            return Element.from_diagram(other) * self
         return NotImplemented
 
     def __eq__(self, other) -> bool:

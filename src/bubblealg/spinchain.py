@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import RED, Diagram, Element, compose
+from .diagram import RED, Diagram, endpoint_arrays, products
 from .exactpoly import LaurentPoly
 
 SITE_STATES = ("r+", "r-", "b+", "b-")
@@ -134,17 +134,6 @@ def diagram_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
     return m
 
 
-def element_matrix(x: Element | Diagram, params: NumericParams) -> np.ndarray:
-    """Matrix of a linear combination; loop coefficients evaluate through
-    delta_c = q_c + 1/q_c."""
-    if isinstance(x, Diagram):
-        x = Element.from_diagram(x)
-    m = np.zeros((4**x.n_north, 4**x.n_south), dtype=complex)
-    for d, coeff in x.items():
-        m += params.evaluate(coeff) * diagram_matrix(d, params)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # explicit two-site matrices, from which R(u) is built
 
@@ -207,6 +196,10 @@ def homomorphism_report(
 
     Every ordered pair of basis diagrams is tested; the report carries
     the worst absolute entry difference, NaN if any difference is NaN.
+    The non-zero ``products`` are compared entry by entry.  The product
+    of two matrices is exactly zero when the colour words mismatch, once
+    each vanishes outside its (north word x south word) block; so each
+    matrix's largest entry outside its block covers the zero pairs.
     ``basis`` must be all of B_n, since every product lands in it and
     takes its matrix from there.
     """
@@ -216,12 +209,14 @@ def homomorphism_report(
         basis = enumerate_basis(n)
     mats = {d: diagram_matrix(d, params) for d in basis}
     residuals = []
-    for a in basis:
-        for b in basis:
-            diff = mats[a] @ mats[b]
-            # a zero product leaves the whole of the matrix product as defect
-            if (r := compose(a, b)) is not None:
-                lr, lb, d = r
-                diff = params.evaluate(LaurentPoly.monomial(lr, lb)) * mats[d] - diff
-            residuals.append(np.abs(diff).max())
-    return HomomorphismReport(n, len(residuals), float(np.max(residuals, initial=0.0)))
+    for d, m in mats.items():
+        colour = endpoint_arrays(d.n_north + d.n_south, d.pairs)[1]
+        rows = colour_block_indices(tuple(colour[1 : d.n_north + 1]))
+        cols = colour_block_indices(tuple(colour[d.n_north + 1 :]))
+        outside = m.copy()
+        outside[np.ix_(rows, cols)] = 0
+        residuals.append(np.abs(outside).max())
+    for a, b, lr, lb, d in products(basis, basis):
+        diff = params.evaluate(LaurentPoly.monomial(lr, lb)) * mats[d] - mats[a] @ mats[b]
+        residuals.append(np.abs(diff).max())
+    return HomomorphismReport(n, len(basis) ** 2, float(np.max(residuals, initial=0.0)))

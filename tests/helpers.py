@@ -1,7 +1,7 @@
 """Shared test oracles, coded independently of the paths they check, and
 the tools that only the tests use: diagram builders, cutting and joining
-halves, module matrices, matrix products over the loop ring and the
-perturbed Yang-Baxter probe."""
+halves, module matrices, matrix products over the loop ring, element
+matrices in the spin chain and the perturbed Yang-Baxter probe."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from itertools import product
 from typing import Iterable
+
+import numpy as np
 
 from bubblealg.basis import HalfDiagram, enumerate_bras, make_half
 from bubblealg.diagram import (
@@ -22,7 +24,7 @@ from bubblealg.diagram import (
     straight_diagram,
 )
 from bubblealg.exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
-from bubblealg.spinchain import SITE_STATES
+from bubblealg.spinchain import SITE_STATES, NumericParams, diagram_matrix
 from bubblealg.stdmod import act_diagram
 from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices
 
@@ -415,6 +417,15 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 # ---------------------------------------------------------------------------
 # spin chain and spectral parameters
+
+
+def element_matrix(x: Element, params: NumericParams) -> np.ndarray:
+    """Matrix of a linear combination; loop coefficients evaluate through
+    delta_c = q_c + 1/q_c."""
+    m = np.zeros((4**x.n_north, 4**x.n_south), dtype=complex)
+    for d, coeff in x.items():
+        m += params.evaluate(coeff) * diagram_matrix(d, params)
+    return m
 
 
 def site_basis_order(n: int) -> list[tuple[str, ...]]:

@@ -407,6 +407,24 @@ class TestRepCommand:
         assert code == 1
         assert payload["check"]["passed"] is False
 
+    def test_entry_outside_a_colour_block_fails_rep_check(self, capsys, monkeypatch):
+        from bubblealg import spinchain
+        from bubblealg.diagram import RED, straight_diagram
+
+        planted, matrix = straight_diagram([RED, RED]), spinchain.diagram_matrix
+
+        def planting(d, params):
+            m = matrix(d, params)
+            if d == planted:
+                # outside the red-red block: only zero products see it
+                m[15, 15] = 0.5
+            return m
+
+        monkeypatch.setattr(spinchain, "diagram_matrix", planting)
+        code, out = run_cli(capsys, "rep", "--n", "2", "--qr", "2+0.5j", "--qb", "1.5-0.25j", "--check")
+        assert code == 1
+        assert json.loads(out)["check"]["max_residual"] >= 0.5
+
 
 class TestYbeCommand:
     def test_tl_sweep_passes(self, capsys):
@@ -502,8 +520,26 @@ class TestSpectralGoldens:
                 "rep --n 1 --qr 2 --qb 3 --matrices",
                 "12a508b02c9159901e2181c87f139c8848e0c00f49a2e4083b91a0c4a99fe451",
             ),
+            # recorded before the homomorphism check skipped word-mismatched pairs
+            (
+                "rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --check",
+                "e3f925fb06e09535de53c89c4e4c4167f0cac3d6597683a164fef9000f8cf615",
+            ),
+            (
+                "check --n 3",
+                "2c0273d8a75457dff8b1b8e2e0d741a4222cc5842fe5e3c960e23134fdb1c6d5",
+            ),
         ],
-        ids=["ybe_tl", "ybe_bubble", "ybe_bubble_csv", "ybe_fixed_lambda", "rep_check", "rep_matrices"],
+        ids=[
+            "ybe_tl",
+            "ybe_bubble",
+            "ybe_bubble_csv",
+            "ybe_fixed_lambda",
+            "rep_check",
+            "rep_matrices",
+            "rep_check_n3",
+            "check_n3",
+        ],
     )
     def test_golden_stdout(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv.split())
@@ -679,6 +715,15 @@ class TestCheckCommand:
         assert code == 0
         assert payload["all_passed"] is True
         assert len(payload["results"]) == 17
+        filtration = next(r for r in payload["results"] if r["name"] == "filtration")
+        assert filtration["detail"].endswith("(n=3)")
+
+    def test_default_suite_runs_filtration_over_b4(self, capsys):
+        code, out = run_cli(capsys, "check")
+        payload = json.loads(out)
+        filtration = next(r for r in payload["results"] if r["name"] == "filtration")
+        assert code == 0
+        assert filtration["detail"] == "propagating counts never grow over 21912 products (n=4)"
 
     def test_run_checks_accepts_seeds(self):
         results = run_checks(size=3, seed=11, quick=True)

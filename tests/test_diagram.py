@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from bubblealg import diagram
 from bubblealg.basis import enumerate_basis
 from bubblealg.diagram import (
     BLUE,
@@ -13,8 +14,11 @@ from bubblealg.diagram import (
     SizeMismatchError,
     circular_positions,
     compose,
+    endpoint_arrays,
+    glue,
     identity_element,
     make_diagram,
+    products,
     propagating_index,
     straight_diagram,
     white_generator,
@@ -170,6 +174,49 @@ class TestCompose:
         assert propagating_index(module_generator(4, word_from_chars("rb"))) == (1, 1)
 
 
+class TestProducts:
+    @staticmethod
+    def glued_pairs(left, right):
+        """Every pair glued, without buckets; the colour clashes drop out."""
+        out = []
+        for a in left:
+            for b in right:
+                top = endpoint_arrays(a.n_north + a.n_south, a.pairs)
+                bottom = endpoint_arrays(b.n_north + b.n_south, b.pairs)
+                if (r := glue(top, bottom, a.n_north, a.n_south, b.n_south)) is not None:
+                    out.append((a, b, r[0], r[1], make_diagram(a.n_north, b.n_south, r[2])))
+        return out
+
+    def assert_products_agree(self, left, right):
+        want = self.glued_pairs(left, right)
+        assert want and list(products(left, right)) == want
+        nonzero = {(a, b): (lr, lb, d) for a, b, lr, lb, d in want}
+        for a in left:
+            for b in right:
+                assert compose(a, b) == nonzero.get((a, b))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_yields_exactly_the_nonzero_compositions(self, n):
+        basis = enumerate_basis(n)
+        self.assert_products_agree(basis, basis)
+
+    @pytest.mark.parametrize("top, bottom", [((1, 3), (3, 1)), ((3, 1), (1, 3)), ((2, 4), (4, 0))])
+    def test_rectangular_shapes_agree_with_compose(self, top, bottom):
+        self.assert_products_agree(enumerate_basis(*top), enumerate_basis(*bottom))
+
+    def test_glues_only_word_matched_pairs(self, monkeypatch):
+        glue, calls = diagram.glue, []
+
+        def counting(*args):
+            calls.append(args)
+            return glue(*args)
+
+        monkeypatch.setattr(diagram, "glue", counting)
+        basis = enumerate_basis(3)
+        assert sum(1 for _ in products(basis, basis)) == 626
+        assert len(calls) == 626
+
+
 class TestElement:
     def test_zero_coefficients_pruned(self):
         e = Element(2, 2, [(cupcap(RED, RED), LaurentPoly.zero())])
@@ -177,7 +224,8 @@ class TestElement:
 
     def test_add_cancels(self):
         d = cupcap(RED, RED)
-        e = Element.from_diagram(d) - Element.from_diagram(d)
+        x = Element.from_diagram(d)
+        e = x + x.scale(-1)
         assert e.is_zero
 
     def test_shape_mismatch_raises(self):

@@ -27,11 +27,10 @@ from bubblealg.spinchain import (
     b2_matrix,
     colour_block_indices,
     diagram_matrix,
-    element_matrix,
     homomorphism_report,
     state_index,
 )
-from helpers import site_basis_order
+from helpers import element_matrix, site_basis_order
 
 GENERIC = NumericParams(q_r=(1.3 + 0.4j) ** 2, q_b=(0.8 - 0.9j) ** 2)
 
@@ -217,3 +216,19 @@ class TestHomomorphism:
         report = homomorphism_report(2, GENERIC)
         assert report.pairs_checked == 100
         assert np.isnan(report.max_residual)
+
+    def test_entry_outside_a_colour_block_is_reported(self, monkeypatch):
+        # row and column (b-, b-) lie outside the red-red block, so only
+        # pairs that compose to zero see the planted entry
+        planted = straight_diagram([RED, RED])
+
+        def planting(d, params):
+            m = diagram_matrix(d, params)
+            if d == planted:
+                m[15, 15] = 0.5
+            return m
+
+        monkeypatch.setattr(spinchain, "diagram_matrix", planting)
+        report = homomorphism_report(2, GENERIC)
+        assert report.pairs_checked == 100
+        assert report.max_residual >= 0.5
