@@ -10,6 +10,8 @@ verification.  The `bubble` console script exposes the same reports.
 import importlib
 
 from .basis import (
+    basis_encodings,
+    count_basis,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -70,7 +72,9 @@ __all__ = [
     "PolyMatrix",
     "RED",
     "SizeMismatchError",
+    "basis_encodings",
     "compose",
+    "count_basis",
     "diagram_matrix",
     "enumerate_basis",
     "enumerate_bras",

@@ -6,6 +6,16 @@ the innermost open strand of its colour, or (for half diagrams) leaves
 the frame as a propagating line.  A feasibility bound on the remaining
 positions makes the recursion free of dead ends.
 
+For full diagrams that recursion is one walker, ``_walk_matchings``,
+which hands each matching to a leaf callback already in canonical pair
+order.  Three front ends share it: ``enumerate_basis`` builds and sorts
+the diagrams, ``count_basis`` only counts the leaves, and
+``basis_encodings`` writes each leaf's canonical text straight from the
+pair-text memo in ``diagram`` and sorts the strings, since canonical
+order is string order of the encoding.  ``rank_identity`` counts, and
+the ``basis`` command and the cache write text, so neither builds a
+diagram it would only count or encode.
+
 Dimensions follow a two-dimensional lattice walk: the number of half
 diagrams on n points with (i, j) propagating lines of the two colours
 equals the number of n-step walks from the origin to (i, j) using unit
@@ -26,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import count, product
+from typing import Callable
 
 from .diagram import (
     BLUE,
@@ -36,8 +47,9 @@ from .diagram import (
     Endpoints,
     check_matching,
     circular_positions,
-    encoding_key,
+    encode_pairs,
     endpoint_arrays,
+    pairs_text,
     straight_diagram,
 )
 
@@ -87,34 +99,29 @@ def standard_labels(n: int) -> list[tuple[int, int]]:
 # full diagram enumeration
 
 
-def enumerate_basis(
-    n_north: int,
-    n_south: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[Diagram]:
-    """All diagrams on the given rectangle, sorted by their encoding.
+def _walk_matchings(
+    n_north: int, n_south: int, max_n: int, leaf: Callable[[list], object]
+) -> None:
+    """Call ``leaf(slots)`` once for every diagram on the rectangle.
 
-    The sort writes nothing out.  An encoding is its pair texts
-    ``(p,q,c)`` joined in a fixed frame, and no pair text is a prefix of
-    another, so two encodings of one shape compare as the sequences of
-    their pair texts do, text by text.  Ranking every pair text of the
-    shape once (``diagram.encoding_key``) therefore gives a tuple key in
-    the same order, string order included: ``(10,`` sorts before ``(2,``.
+    ``slots[p]`` is the pair ``(p, q, c)`` whose smaller endpoint is p and
+    None at every other index, so the pairs in index order are the
+    diagram's pairs in canonical order.  ``slots`` is reused between
+    calls; a leaf copies what it keeps.
     """
-    if n_south is None:
-        n_south = n_north
     if n_north < 0 or n_south < 0:
         raise ValueError(f"negative side in a {n_north} by {n_south} rectangle")
     _guard(n_north + n_south, max_n)
     circ = circular_positions(n_north, n_south)
     total = len(circ)
-    results: list[Diagram] = []
+    if total % 2:
+        return
+    slots: list[tuple[int, int, int] | None] = [None] * (total + 1)
     stacks: tuple[list[int], list[int]] = ([], [])
-    pairs: list[tuple[int, int, int]] = []
 
     def rec(idx: int) -> None:
         if idx == total:
-            results.append(Diagram._raw(n_north, n_south, tuple(sorted(pairs))))
+            leaf(slots)
             return
         pid = circ[idx]
         rem = total - idx - 1
@@ -124,18 +131,66 @@ def enumerate_basis(
                 # closing keeps rem - (n_open - 1) parity automatically; a
                 # southern pair opens at its larger endpoint
                 top = stacks[c].pop()
-                pairs.append((top, pid, c) if top < pid else (pid, top, c))
+                p, q = (top, pid) if top < pid else (pid, top)
+                slots[p] = (p, q, c)
                 rec(idx + 1)
-                pairs.pop()
+                slots[p] = None
                 stacks[c].append(top)
             if rem >= n_open + 1:
                 stacks[c].append(pid)
                 rec(idx + 1)
                 stacks[c].pop()
 
-    if total % 2 == 0:
-        rec(0)
-    results.sort(key=encoding_key(n_north, n_south))
+    rec(0)
+
+
+def enumerate_basis(
+    n_north: int,
+    n_south: int | None = None,
+    max_n: int = DEFAULT_MAX_N,
+) -> list[Diagram]:
+    """All diagrams on the given rectangle, sorted by their encoding, which
+    within one shape is the order of ``diagram.pairs_text``."""
+    if n_south is None:
+        n_south = n_north
+    results: list[Diagram] = []
+    _walk_matchings(
+        n_north,
+        n_south,
+        max_n,
+        lambda slots: results.append(Diagram._raw(n_north, n_south, tuple(filter(None, slots)))),
+    )
+    results.sort(key=lambda d: pairs_text(d.pairs))
+    return results
+
+
+def count_basis(n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N) -> int:
+    """Number of diagrams on the given rectangle, counted leaf by leaf on
+    the enumeration's own walk: no diagram is built and nothing is
+    memoised, so the count is independent of ``walk_count``."""
+    if n_south is None:
+        n_south = n_north
+    # each leaf takes the next number, so the number after the last is the count
+    leaves = count()
+    _walk_matchings(n_north, n_south, max_n, lambda slots: next(leaves))
+    return next(leaves)
+
+
+def basis_encodings(
+    n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N
+) -> list[str]:
+    """Canonical encodings of every diagram on the given rectangle, sorted:
+    ``[d.encode() for d in enumerate_basis(...)]`` without the diagrams."""
+    if n_south is None:
+        n_south = n_north
+    results: list[str] = []
+    _walk_matchings(
+        n_north,
+        n_south,
+        max_n,
+        lambda slots: results.append(encode_pairs(n_north, n_south, filter(None, slots))),
+    )
+    results.sort()
     return results
 
 
@@ -154,7 +209,7 @@ class RankIdentity:
 
 
 def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
-    basis_size = len(enumerate_basis(n, n, max_n=max_n))
+    basis_size = count_basis(n, n, max_n=max_n)
     squares = sum(walk_count(n, i, j) ** 2 for i, j in standard_labels(n))
     return RankIdentity(n, basis_size, squares, walk_count(2 * n, 0, 0))
 

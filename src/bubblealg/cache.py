@@ -26,8 +26,9 @@ import json
 import os
 from itertools import pairwise
 from pathlib import Path
+from typing import Iterable
 
-from .basis import DEFAULT_MAX_N, _guard, enumerate_basis, walk_count
+from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
 from .diagram import Diagram
 
 CACHE_VERSION = 1
@@ -54,9 +55,9 @@ def basis_digest(encodings: list[str]) -> str:
     return hashlib.sha256("".join(encodings).encode("ascii")).hexdigest()
 
 
-def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> list[str]:
-    """Write a basis list and return the lines written, the diagrams'
-    encodings; the parent directory is created if needed.
+def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list[str]:
+    """Write a basis, given as diagrams or as their encodings, and return
+    the lines written; the parent directory is created if needed.
 
     The data goes to a temporary file beside ``path`` that is then renamed
     over it, so an interrupted write leaves no partial file behind.  The
@@ -64,7 +65,8 @@ def save_basis(path: str | Path, n: int, diagrams: list[Diagram]) -> list[str]:
     the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    encodings = [d.encode() for d in diagrams]
+    # a diagram's str is its encoding
+    encodings = [str(d) for d in basis]
     header = {
         "count": len(encodings),
         "hash": basis_digest(encodings),
@@ -128,22 +130,20 @@ def load_basis(path: str | Path, n: int) -> tuple[list[Diagram], list[str]]:
     return out, lines
 
 
-def cached_basis(
-    n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N
-) -> tuple[list[Diagram], list[str] | None]:
-    """Load the basis of the size-n algebra from cache, enumerating on a miss.
+def cached_basis(n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N) -> list[str]:
+    """The canonical encodings of B_n, read from the cache or written to it.
 
-    Returns the diagrams and the encodings the cache read or wrote.  With
-    no directory (argument or environment), enumerate directly; nothing is
-    written out then, and the encodings are None.
+    A hit is loaded and checked line by line as ``load_basis`` does; a
+    miss writes ``basis_encodings(n)``, so it builds no diagram.  With no
+    directory (argument or environment) the encodings are enumerated and
+    nothing is written.
     """
     if cache_dir is None:
         cache_dir = default_cache_dir()
     if cache_dir is None:
-        return enumerate_basis(n, max_n=max_n), None
+        return basis_encodings(n, max_n=max_n)
     _guard(2 * n, max_n)
     path = cache_path(cache_dir, n)
     if path.exists():
-        return load_basis(path, n)
-    diagrams = enumerate_basis(n, max_n=max_n)
-    return diagrams, save_basis(path, n, diagrams)
+        return load_basis(path, n)[1]
+    return save_basis(path, n, basis_encodings(n, max_n=max_n))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import (
     DEFAULT_MAX_N,
+    count_basis,
     enumerate_basis,
     monochrome_straight_diagrams,
     rank_identity,
@@ -64,7 +65,7 @@ def all_passed(results: list[CheckResult]) -> bool:
 
 def _check_basis_counts(size: int) -> CheckResult:
     for n in range(1, size + 1):
-        got = len(enumerate_basis(n))
+        got = count_basis(n)
         want = bubble_basis_count(n)
         if got != want:
             return CheckResult(

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .basis import (
     DEFAULT_MAX_N,
     ResourceLimitError,
+    count_basis,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -90,15 +91,19 @@ def _check_dense(need: float, what: str) -> None:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    diagrams, lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
+    # with no cache and no listing only the count is needed
+    if cache_dir is None and not args.diagrams:
+        lines, total = None, count_basis(args.n, max_n=args.max_n)
+    else:
+        lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
+        total = len(lines)
     strata = []
     for i, j in standard_labels(args.n):
         dim = walk_count(args.n, i, j)
         strata.append({"i": i, "j": j, "dim": dim, "count": dim * dim})
-    payload = {"n": args.n, "total": len(diagrams), "strata": strata}
+    payload = {"n": args.n, "total": total, "strata": strata}
     if args.diagrams:
-        # a cache hit or miss has the encodings at hand already
-        payload["diagrams"] = lines if lines is not None else [d.encode() for d in diagrams]
+        payload["diagrams"] = lines
     _emit_json(payload)
     return EXIT_OK
 

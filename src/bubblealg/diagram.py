@@ -23,8 +23,9 @@ The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
 smaller endpoint, numbers in decimal without leading zeros and ``c`` one
 of ``r``/``b``.  Canonical enumeration order everywhere in the package is
-lexicographic on this encoding; ``encoding_key`` sorts diagrams of one
-shape in that order without writing them out.  ``Diagram.decode`` is
+lexicographic on this encoding.  ``encode_pairs`` is the one writer of
+it: each pair's text comes from one memo, which ``Diagram.encode`` and
+``basis.basis_encodings`` both read.  ``Diagram.decode`` is
 strict: it accepts exactly the text ``encode`` writes, so
 ``decode(t).encode() == t`` for every ``t`` it accepts; whitespace,
 leading zeros, ``p > q`` and unsorted pairs are rejected.  Pair texts
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactpoly import ZERO, LaurentPoly
 
@@ -123,8 +124,7 @@ class Diagram:
         return d
 
     def encode(self) -> str:
-        body = ";".join(f"({p},{q},{COLOUR_CHARS[c]})" for p, q, c in self.pairs)
-        return f"D[{self.n_north},{self.n_south}]{{{body}}}"
+        return encode_pairs(self.n_north, self.n_south, self.pairs)
 
     @classmethod
     def decode(cls, text: str) -> "Diagram":
@@ -139,19 +139,31 @@ class Diagram:
         return self.encode()
 
 
-@lru_cache(maxsize=64)
-def _pair_ranks(total: int) -> dict[tuple[int, int, int], int]:
-    """Position of each pair text ``(p,q,c)``, p < q <= total, in string order."""
-    pairs = [(p, q, c) for p in range(1, total + 1) for q in range(p + 1, total + 1) for c in (RED, BLUE)]
-    pairs.sort(key=lambda pair: f"({pair[0]},{pair[1]},{COLOUR_CHARS[pair[2]]})")
-    return {pair: k for k, pair in enumerate(pairs)}
+class _PairTexts(dict):
+    """Canonical text ``(p,q,c)`` of each pair tuple, written on first use."""
+
+    def __missing__(self, pair: tuple[int, int, int]) -> str:
+        p, q, c = pair
+        text = self[pair] = f"({p},{q},{COLOUR_CHARS[c]})"
+        return text
 
 
-def encoding_key(n_north: int, n_south: int) -> Callable[[Diagram], tuple[int, ...]]:
-    """Sort key that orders diagrams of one shape as their encodings, without
-    writing them out: the string-order rank of each pair text, pair by pair."""
-    rank = _pair_ranks(n_north + n_south).__getitem__
-    return lambda d: tuple(map(rank, d.pairs))
+# one entry per distinct pair ever encoded, so it grows with the sizes
+# encoded, never with the number of diagrams
+_PAIR_TEXT = _PairTexts()
+
+
+def pairs_text(pairs: Iterable[tuple[int, int, int]]) -> str:
+    """The body of an encoding: each pair's text, joined by ``;``.
+
+    No pair text is a prefix of another, so diagrams of one shape sort by
+    this text exactly as by their encodings."""
+    return ";".join(map(_PAIR_TEXT.__getitem__, pairs))
+
+
+def encode_pairs(n_north: int, n_south: int, pairs: Iterable[tuple[int, int, int]]) -> str:
+    """The canonical encoding of canonical ``pairs`` on the rectangle."""
+    return f"D[{n_north},{n_south}]{{{pairs_text(pairs)}}}"
 
 
 def _parse_natural(text: str) -> int:

@@ -10,7 +10,9 @@ from bubblealg.basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
     ResourceLimitError,
+    basis_encodings,
     classify_rightmost,
+    count_basis,
     enumerate_basis,
     enumerate_bras,
     make_half,
@@ -124,6 +126,29 @@ class TestEnumeration:
             straights = monochrome_straight_diagrams(n)
             assert len(straights) == 2**n
             assert straights == sorted(straights, key=Diagram.encode)
+
+    def test_front_ends_agree_on_every_small_shape(self):
+        # rectangles, odd totals and the empty rectangle, up to 10 points
+        for nn in range(11):
+            for ns in range(11 - nn):
+                basis = enumerate_basis(nn, ns)
+                assert basis_encodings(nn, ns) == [d.encode() for d in basis]
+                assert count_basis(nn, ns) == len(basis)
+        assert basis_encodings(3) == [d.encode() for d in enumerate_basis(3)]
+        assert count_basis(3) == 70
+
+    @pytest.mark.parametrize(
+        "front_end, size", [(enumerate_basis, len), (count_basis, int), (basis_encodings, len)]
+    )
+    def test_front_ends_share_the_guards(self, front_end, size):
+        with pytest.raises(ResourceLimitError):
+            front_end(DEFAULT_MAX_N + 1)
+        # an odd total is guarded before it is found empty
+        with pytest.raises(ResourceLimitError):
+            front_end(3, 2, max_n=2)
+        with pytest.raises(ValueError):
+            front_end(-1, 3)
+        assert size(front_end(2, 0, max_n=1)) == 2
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import bubblealg
-from bubblealg import checks, stdmod
+from bubblealg import basis, checks, cli, stdmod
 from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.cache import (
     COMPRESS_LEVEL,
@@ -73,12 +73,11 @@ class TestCache:
     def test_cached_basis_writes_then_reads(self, tmp_path):
         first = cached_basis(3, cache_dir=tmp_path)
         assert cache_path(tmp_path, 3).exists()
-        fresh = enumerate_basis(3)
-        assert cached_basis(3, cache_dir=tmp_path) == first == (fresh, [d.encode() for d in fresh])
+        assert cached_basis(3, cache_dir=tmp_path) == first == [d.encode() for d in enumerate_basis(3)]
 
     def test_no_directory_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        assert cached_basis(2) == (enumerate_basis(2), None)
+        assert cached_basis(2) == [d.encode() for d in enumerate_basis(2)]
         assert list(tmp_path.iterdir()) == []
 
     def test_env_var_selects_directory(self, tmp_path, monkeypatch):
@@ -152,7 +151,7 @@ class TestCache:
             save_basis(path, 2, enumerate_basis(2))
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
-        assert cached_basis(2, cache_dir=tmp_path)[0] == enumerate_basis(2)
+        assert cached_basis(2, cache_dir=tmp_path) == [d.encode() for d in enumerate_basis(2)]
 
 
     def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
@@ -279,12 +278,91 @@ class TestBasisCommand:
 
         monkeypatch.setattr(Diagram, "encode", counting)
         cached = ("--cache-dir", str(tmp_path))
-        # no cache, a miss, then a hit that prints the lines the load checked
-        for extra, encoded in [((), 70), (cached, 70), (cached, 0)]:
+        # no cache and a miss write the text on the walk, and a hit prints
+        # the lines the load checked: no diagram is ever encoded
+        for extra, encoded in [((), 0), (cached, 0), (cached, 0)]:
             calls.clear()
             code, _ = run_cli(capsys, "basis", "--n", "3", "--diagrams", *extra)
             assert code == 0
             assert len(calls) == encoded
+
+
+def forbid_diagrams(monkeypatch):
+    """Make building a diagram, or enumerating them, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was built")
+
+    monkeypatch.setattr(Diagram, "_raw", refuse)
+    monkeypatch.setattr(Diagram, "__post_init__", refuse)
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    monkeypatch.setattr(cli, "enumerate_basis", refuse)
+
+
+class TestNoDiagramsBuilt:
+    def test_dims_counts_without_diagrams(self, capsys, monkeypatch):
+        forbid_diagrams(monkeypatch)
+        code, out = run_cli(capsys, "dims", "--n", "6")
+        assert code == 0
+        assert json.loads(out)["basis_size"] == 56628
+
+    def test_basis_8_counts_without_diagrams(self, capsys, monkeypatch):
+        # B_8 as diagrams would need gigabytes; its count holds none of them
+        forbid_diagrams(monkeypatch)
+        code, out = run_cli(capsys, "basis", "--n", "8")
+        assert code == 0
+        assert json.loads(out)["total"] == 6952660
+
+    def test_cache_miss_writes_the_same_file_without_diagrams(self, tmp_path, monkeypatch):
+        basis_4 = enumerate_basis(4)
+        want = save_basis(cache_path(tmp_path / "from_diagrams", 4), 4, basis_4)
+        forbid_diagrams(monkeypatch)
+        assert cached_basis(4, cache_dir=tmp_path / "miss") == want
+        got = cache_path(tmp_path / "miss", 4).read_bytes()
+        assert got == cache_path(tmp_path / "from_diagrams", 4).read_bytes()
+        monkeypatch.undo()
+        # the file the miss wrote loads as the basis
+        assert load_basis(cache_path(tmp_path / "miss", 4), 4) == (basis_4, want)
+
+
+class TestEnumerationGoldens:
+    # sha256 of stdout recorded before dims, basis and the cache stopped
+    # building diagrams; "basis --n 5 --diagrams" is pinned above in
+    # test_golden_stdout_with_and_without_cache
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("dims --n 6", "429bf5b618e7bb3ba42d208bcfdb653ad3ec520155bf70cfebbcd1c2bf410560"),
+            (
+                "dims --n 4 --format csv",
+                "5d99be1f68cd2034c8aadfebbeaf49c235e2c5727d1c10e7a2eb38104e51f84d",
+            ),
+            (
+                "basis --n 6 --diagrams",
+                "223ddcec59649530d44dbe337a89e4a9311cb3843bf87afc38e359bbb63c9464",
+            ),
+            ("basis --n 6", "f64f834010fc9ac2311ccb1ff3d4ec33abd2ca3e2e6e2f9427cc9d4ce8f885b4"),
+            ("basis --n 0", "069c0c278bd1cbbd75997d8b45205fd0c4002ae76516601fe4e92fc339cc4a43"),
+            (
+                "basis --n 1 --diagrams",
+                "f5757d079ae9af507bac9c9fe193650fc481c10ea84dc45231ff722a9b7b1a2d",
+            ),
+        ],
+        ids=["dims_6", "dims_4_csv", "basis_6_diagrams", "basis_6", "basis_0", "basis_1_diagrams"],
+    )
+    def test_golden_stdout(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_golden_cache_miss_and_hit(self, capsys, tmp_path):
+        listing = "223ddcec59649530d44dbe337a89e4a9311cb3843bf87afc38e359bbb63c9464"
+        for _ in ("miss", "hit"):
+            code, out = run_cli(capsys, "basis", "--n", "6", "--diagrams", "--cache-dir", str(tmp_path))
+            assert code == 0
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == listing
+        written = hashlib.sha256(cache_path(tmp_path, 6).read_bytes()).hexdigest()
+        assert written == "d3b5872a12e3da06eae8a7e4d8e5f4dd3a71cda5499121aef295df66086de621"
 
 
 class TestDimsCommand:
