@@ -4,17 +4,18 @@ File layout: a gzip text stream (written at compression level 6, with
 no file name and time 0 in its header) whose
 first line is a JSON header ``{"count", "hash", "n", "version"}``
 followed by one canonical diagram encoding per line.  The hash is the
-sha256 digest of the concatenated encodings, so a load always detects
-truncation or edits.
+sha256 digest of the concatenated encodings.
 
-A file must hold exactly B_n in its canonical order: the header names
-the requested n, there are |B_n| = walk_count(2n, 0, 0) lines, the lines
-increase strictly, and each decodes (``Diagram.decode`` accepts only
-canonical text and runs the validity rule) to an n-by-n diagram.  Those
-lines are then |B_n| distinct diagrams of B_n, so the whole basis.
-Loads are strict: a file that fails any check raises CacheError rather
-than silently re-enumerating, since a corrupt cache usually means
-something else went wrong.
+A file must hold exactly B_n in its canonical order.  The header must
+name this version, the requested n and |B_n| = walk_count(2n, 0, 0)
+lines; that is checked before the walk runs.  The body is then compared
+line by line with ``basis_encodings(n)``, the text the walk writes, and
+the header hash with the digest of that text.  A file that passes is
+byte for byte what a miss writes, so a hit returns the walk's own list
+and never decodes a line.  Loads are strict: a file that fails any
+check, or whose gzip stream is damaged, raises CacheError rather than
+silently re-enumerating, since a corrupt cache usually means something
+else went wrong.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import hashlib
 import io
 import json
 import os
-from itertools import pairwise
+import zlib
 from pathlib import Path
 from typing import Iterable
 
@@ -88,62 +89,53 @@ def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list
     return encodings
 
 
-def load_basis(path: str | Path, n: int) -> tuple[list[Diagram], list[str]]:
-    """Read B_n back, verifying header, count, digest, order and every line.
+def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
+    """Read B_n back and return ``basis_encodings(n)`` once the file is
+    shown to hold exactly that text.
 
-    Returns the diagrams and the lines they were decoded from, which are
-    their encodings since ``Diagram.decode`` accepts canonical text only."""
+    The header's version, n and count are checked before the walk runs;
+    then each line is compared with the walk's, and the header hash with
+    the digest of the walk's text.  A damaged gzip stream is a CacheError
+    like any other bad file."""
+    _guard(2 * n, max_n)
     path = Path(path)
     try:
-        with gzip.open(path, "rt", encoding="ascii") as fh:
-            header_line = fh.readline()
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        with gzip.open(path, "rt", encoding="ascii", newline="\n") as fh:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
+                raise CacheError(f"unsupported cache version in {path}")
+            if header.get("n") != n:
+                raise CacheError(f"cache {path} holds the size-{header.get('n')} basis, not size {n}")
+            if header.get("count") != walk_count(2 * n, 0, 0):
+                raise CacheError(f"cache {path} counts {header.get('count')} diagrams, not |B_{n}|")
+            encodings = basis_encodings(n, max_n=max_n)
+            digest = hashlib.sha256()
+            for enc in encodings:
+                if fh.readline() != enc + "\n":
+                    raise CacheError(f"cache {path} is not B_{n} in canonical order")
+                digest.update(enc.encode("ascii"))
+            if fh.readline():
+                raise CacheError(f"cache {path} holds lines after B_{n}")
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad cache header in {path}") from exc
-    if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
-        raise CacheError(f"unsupported cache version in {path}")
-    if header.get("count") != len(lines):
-        raise CacheError(
-            f"cache {path} holds {len(lines)} entries, header says {header.get('count')}"
-        )
-    if header.get("n") != n:
-        raise CacheError(f"cache {path} holds the size-{header.get('n')} basis, not size {n}")
-    if len(lines) != walk_count(2 * n, 0, 0):
-        raise CacheError(f"cache {path} holds {len(lines)} diagrams, B_{n} has {walk_count(2 * n, 0, 0)}")
-    if header.get("hash") != basis_digest(lines):
+    if header.get("hash") != digest.hexdigest():
         raise CacheError(f"cache {path} fails its content digest")
-    if any(a >= b for a, b in pairwise(lines)):
-        raise CacheError(f"cache {path} is not in strictly increasing canonical order")
-    out = []
-    for enc in lines:
-        try:
-            d = Diagram.decode(enc)
-        except ValueError as exc:
-            raise CacheError(f"cache {path} holds invalid encoding {enc!r}") from exc
-        if d.n_north != n or d.n_south != n:
-            raise CacheError(f"cache {path} entry {enc!r} is not a size-{n} diagram")
-        out.append(d)
-    return out, lines
+    return encodings
 
 
 def cached_basis(n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N) -> list[str]:
     """The canonical encodings of B_n, read from the cache or written to it.
 
-    A hit is loaded and checked line by line as ``load_basis`` does; a
-    miss writes ``basis_encodings(n)``, so it builds no diagram.  With no
+    A hit returns the list ``load_basis`` compared the file with; a miss
+    writes ``basis_encodings(n)``.  Neither builds a diagram.  With no
     directory (argument or environment) the encodings are enumerated and
-    nothing is written.
+    nothing is written.  The size guard applies before any file is read.
     """
     if cache_dir is None:
         cache_dir = default_cache_dir()
     if cache_dir is None:
         return basis_encodings(n, max_n=max_n)
-    _guard(2 * n, max_n)
     path = cache_path(cache_dir, n)
     if path.exists():
-        return load_basis(path, n)[1]
+        return load_basis(path, n, max_n)
     return save_basis(path, n, basis_encodings(n, max_n=max_n))

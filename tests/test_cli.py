@@ -51,11 +51,23 @@ NOT_THE_BASIS = {
 }
 
 
-def write_consistent_cache(cache_dir, n, encodings):
-    """A cache file whose header count, size and sha256 all match its lines."""
+def damage(path, how):
+    """Truncate a gzip file to half its bytes, or flip bits inside its deflate data."""
+    data = bytearray(path.read_bytes())
+    if how == "truncated":
+        del data[len(data) // 2 :]
+    else:
+        for k in range(200, 260):
+            data[k] ^= 0x55
+    path.write_bytes(bytes(data))
+
+
+def write_consistent_cache(cache_dir, n, encodings, override=None):
+    """A cache file whose header count, size and sha256 all match its lines,
+    unless ``override`` replaces header fields."""
     path = cache_path(cache_dir, n)
     digest = hashlib.sha256("".join(encodings).encode("ascii")).hexdigest()
-    header = {"count": len(encodings), "hash": digest, "n": n, "version": 1}
+    header = {"count": len(encodings), "hash": digest, "n": n, "version": 1, **(override or {})}
     with gzip.open(path, "wt", encoding="ascii") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.writelines(enc + "\n" for enc in encodings)
@@ -68,7 +80,7 @@ class TestCache:
         path = cache_path(tmp_path, 3)
         lines = save_basis(path, 3, fresh)
         assert lines == [d.encode() for d in fresh]
-        assert load_basis(path, 3) == (fresh, lines)
+        assert load_basis(path, 3) == lines
 
     def test_cached_basis_writes_then_reads(self, tmp_path):
         first = cached_basis(3, cache_dir=tmp_path)
@@ -139,6 +151,41 @@ class TestCache:
         with pytest.raises(CacheError):
             load_basis(path, 2)
 
+    @pytest.mark.parametrize("how", ["truncated", "flipped"])
+    def test_damaged_gzip_rejected(self, tmp_path, how):
+        # a short stream raises EOFError and bad deflate data zlib.error
+        path = cache_path(tmp_path, 4)
+        save_basis(path, 4, basis.basis_encodings(4))
+        damage(path, how)
+        with pytest.raises(CacheError):
+            load_basis(path, 4)
+
+    @pytest.mark.parametrize(
+        "field, value", [("version", 2), ("n", 3), ("count", 9)], ids=["version", "n", "count"]
+    )
+    def test_bad_header_refused_before_the_walk(self, tmp_path, monkeypatch, field, value):
+        path = write_consistent_cache(tmp_path, 2, B2, {field: value})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr("bubblealg.cache.basis_encodings", refuse)
+        with pytest.raises(CacheError):
+            load_basis(path, 2)
+
+    def test_exact_lines_behind_a_wrong_hash_rejected(self, tmp_path):
+        path = write_consistent_cache(tmp_path, 2, B2, {"hash": basis_digest(B2[::-1])})
+        with pytest.raises(CacheError):
+            load_basis(path, 2)
+
+    def test_extra_line_after_the_basis_rejected(self, tmp_path):
+        path = cache_path(tmp_path, 2)
+        save_basis(path, 2, B2)
+        with gzip.open(path, "at", encoding="ascii") as fh:
+            fh.write(B2[-1] + "\n")
+        with pytest.raises(CacheError):
+            load_basis(path, 2)
+
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
         class FailingFile(gzip.GzipFile):
             # the gzip header reaches the file, then the data fails like a full disk
@@ -176,7 +223,7 @@ class TestCache:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for line in lines:
                 fh.write(line + "\n")
-        assert load_basis(path, 3) == (basis, lines)
+        assert load_basis(path, 3) == lines
         # the same deflate stream follows the shorter header
         old = path.read_bytes()
         save_basis(path, 3, basis)
@@ -244,6 +291,15 @@ class TestBasisCommand:
         write_consistent_cache(tmp_path, 2, [INTERLEAVED])
         code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("how", ["truncated", "flipped"])
+    def test_damaged_gzip_is_a_usage_error(self, capsys, tmp_path, how):
+        code, _ = run_cli(capsys, "basis", "--n", "4", "--cache-dir", str(tmp_path))
+        assert code == 0
+        damage(cache_path(tmp_path, 4), how)
+        code, out = run_cli(capsys, "basis", "--n", "4", "--diagrams", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("case", sorted(NOT_THE_BASIS))
     def test_cache_that_is_not_the_sorted_basis_is_a_usage_error(self, capsys, tmp_path, case):
@@ -320,9 +376,17 @@ class TestNoDiagramsBuilt:
         assert cached_basis(4, cache_dir=tmp_path / "miss") == want
         got = cache_path(tmp_path / "miss", 4).read_bytes()
         assert got == cache_path(tmp_path / "from_diagrams", 4).read_bytes()
-        monkeypatch.undo()
         # the file the miss wrote loads as the basis
-        assert load_basis(cache_path(tmp_path / "miss", 4), 4) == (basis_4, want)
+        assert load_basis(cache_path(tmp_path / "miss", 4), 4) == want
+
+    def test_cache_hit_builds_no_diagram(self, capsys, tmp_path, monkeypatch):
+        forbid_diagrams(monkeypatch)
+        cached = ("--cache-dir", str(tmp_path))
+        _, miss = run_cli(capsys, "basis", "--n", "4", "--diagrams", *cached)
+        code, hit = run_cli(capsys, "basis", "--n", "4", "--diagrams", *cached)
+        assert code == 0
+        assert hit == miss
+        assert len(json.loads(hit)["diagrams"]) == 588
 
 
 class TestEnumerationGoldens:

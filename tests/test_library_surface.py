@@ -6,6 +6,10 @@ package outside its own definition; module dunders, which Python calls
 itself, count as used.  Code that only the tests call lives
 in ``tests/helpers.py``.  ``oracles.py`` is exempt: its independent
 routes stay in the package beside the code they check.
+
+Every module-level import is read in its own module or exported, so an
+import left behind when its last use goes is caught; this holds for
+``oracles.py`` too.
 """
 
 from __future__ import annotations
@@ -63,3 +67,40 @@ def test_a_test_only_helper_would_be_flagged(tmp_path):
         + '    return tuple(COLOUR_CHARS.index(ch) for ch in chars)\n'
     )
     assert unused_definitions(tmp_path) == ["diagram.word_from_chars"]
+
+
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` of each name a module-level import binds that its
+    module never reads and does not export."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(bubblealg.__all__) if path.name == "__init__.py" else set()
+        # module level includes the bodies of top-level "if" and "try"
+        imports = [
+            node
+            for top in tree.body
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        ]
+        for node in imports:
+            for alias in node.names:
+                # "import a.b" binds "a"
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_import_is_read_or_exported():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_a_leftover_import_would_be_flagged(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    cache = tmp_path / "cache.py"
+    cache.write_text(cache.read_text() + "\nfrom itertools import pairwise\n")
+    assert unused_imports(tmp_path) == ["cache.pairwise"]
