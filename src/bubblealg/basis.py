@@ -305,8 +305,14 @@ def make_half(n: int, arcs, red_cuts=(), blue_cuts=()) -> HalfDiagram:
     return HalfDiagram(n, norm, tuple(sorted(red_cuts)), tuple(sorted(blue_cuts)))
 
 
-def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
-    """All half diagrams on n points with (i, j) propagating cuts, sorted."""
+def enumerate_bras(
+    n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N, colours: tuple[int, ...] = (RED, BLUE)
+) -> list[HalfDiagram]:
+    """All half diagrams on n points with (i, j) propagating cuts, sorted.
+
+    Only arcs and cuts of the given colours are drawn, so
+    ``colours=(RED,)`` walks just the all-red half diagrams.
+    """
     _guard(2 * n, max_n)
     results: list[HalfDiagram] = []
     if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
@@ -324,7 +330,7 @@ def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[H
         rem = n - pos
         n_open = len(stacks[RED]) + len(stacks[BLUE])
         cuts_left = (quota[RED] - len(cuts[RED])) + (quota[BLUE] - len(cuts[BLUE]))
-        for c in (RED, BLUE):
+        for c in colours:
             if stacks[c] and rem >= n_open - 1 + cuts_left:
                 top = stacks[c].pop()
                 arcs.append((top, pos, c))

@@ -14,7 +14,9 @@ import json
 import math
 import statistics
 import sys
-from typing import TYPE_CHECKING
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Iterator
 
 from .basis import (
     DEFAULT_MAX_N,
@@ -56,8 +58,74 @@ DENSE_BUDGET = 512 * 2**20
 MATRIX_TEXT_BYTES = 4 * 50
 
 
+# The JSON writer hands stdout text about this many characters at a time
+WRITE_SIZE = 2**20
+
+# strings of an all-string list are escaped and joined this many at a time
+STRING_RUN = 4096
+
+
+def _json_chunks(value, pad: str) -> Iterator[str]:
+    """Text of ``json.dumps(value, sort_keys=True, indent=2)`` in pieces;
+    ``pad`` is the indentation of the line ``value`` starts on.  Object
+    keys must be strings."""
+    if isinstance(value, str):
+        if len(value) <= WRITE_SIZE:
+            yield encode_basestring_ascii(value)
+            return
+        # escaping is per code point, so a long string goes out in slices
+        yield '"'
+        for start in range(0, len(value), WRITE_SIZE):
+            yield encode_basestring_ascii(value[start : start + WRITE_SIZE])[1:-1]
+        yield '"'
+    elif value is None or isinstance(value, (bool, int, float)):
+        yield json.dumps(value)
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        yield "[\n" + inner
+        if all(map(isinstance, value, repeat(str))):
+            for start in range(0, len(value), STRING_RUN):
+                run = value[start : start + STRING_RUN]
+                yield (sep if start else "") + sep.join(map(encode_basestring_ascii, run))
+        else:
+            for k, x in enumerate(value):
+                if k:
+                    yield sep
+                yield from _json_chunks(x, inner)
+        yield "\n" + pad + "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+    byte for byte, without ever holding the whole text."""
+    buf: list[str] = []
+    held = 0
+    for chunk in _json_chunks(payload, ""):
+        buf.append(chunk)
+        held += len(chunk)
+        if held >= WRITE_SIZE:
+            sys.stdout.write("".join(buf))
+            buf.clear()
+            held = 0
+    buf.append("\n")
+    sys.stdout.write("".join(buf))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:

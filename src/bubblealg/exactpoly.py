@@ -336,6 +336,12 @@ def poly_det(m: PolyMatrix) -> LaurentPoly:
         for i in range(k + 1, n):
             row_i = work[i]
             head = row_i[k]
+            if head.is_zero:
+                # the update is pivot * x / prev, and it keeps zeros zero
+                for j in range(k + 1, n):
+                    if not row_i[j].is_zero:
+                        row_i[j] = divexact(pivot * row_i[j], prev)
+                continue
             for j in range(k + 1, n):
                 num = pivot * row_i[j] - head * work[k][j]
                 row_i[j] = divexact(num, prev)

@@ -19,7 +19,8 @@ the determinant and size of the one-colour form on k points with d
 cuts.  So the Gram determinant is a red part times a blue part, each a
 product of a few one-colour determinants.  ``gram_det_report`` keeps it
 in that factored form and checks every block against it, and
-``scan_gram_roots`` expands only the part in the scanned colour.
+``scan_gram_roots`` works on the distinct factors of the scanned colour
+without expanding either part.
 """
 
 from __future__ import annotations
@@ -169,12 +170,12 @@ def one_colour_det(colour: int, points: int, defects: int) -> tuple[LaurentPoly,
 
     This is the all-`colour` word block of the module with `defects`
     cuts of that colour, computed with ``bra_inner`` and ``poly_det``
-    like any other block.  Blocks never have more points than the
-    module they come from, which has passed the size guard already.
+    like any other block from a walk over that colour's half diagrams
+    only.  Blocks never have more points than the module they come
+    from, which has passed the size guard already.
     """
     label = (defects, 0) if colour == RED else (0, defects)
-    word = COLOUR_CHARS[colour] * points
-    bras = [b for b in enumerate_bras(points, *label, max_n=points) if rb_word(b) == word]
+    bras = enumerate_bras(points, *label, max_n=points, colours=(colour,))
     return block_det(gram_matrix(points, *label, bras=bras)), len(bras)
 
 
@@ -377,6 +378,14 @@ def _value(poly: LaurentPoly, colour: int, x: Fraction) -> Fraction:
     return sum((Fraction(c) * x ** exp[colour] for exp, c in poly.terms.items()), Fraction(0))
 
 
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            out[s + t] += x * y
+    return out
+
+
 def _trim(p: list[Fraction]) -> list[Fraction]:
     while p and not p[-1]:
         p.pop()
@@ -469,19 +478,31 @@ ROOT_TOLERANCE = 1e-8
 def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     """Locate the roots of a reported Gram determinant in one loop parameter.
 
-    The other parameter is pinned to exact rationals, which turns the
-    part of the determinant in the other colour into one exact number
-    that scales the coefficients of the part in ``var``.  Repeated
-    factors are removed by exact polynomial arithmetic, and only then
-    does the numeric root finder run.  Every root must then lie within
-    tolerance of twice a cosine of a rational angle with denominator at
-    most 2n.
+    The part in ``var`` is a product of powers f^m of a few one-colour
+    determinants, so it is never expanded: its roots are those of the
+    product of the distinct f, whose repeated factors are removed by
+    exact polynomial arithmetic.  Its lowest exponent, the multiplicity
+    of the root 0, is the sum of m * lo(f), and its leading coefficient
+    the product of lead(f)^m.  The other parameter is pinned to exact
+    rationals, which turns the part in the other colour into one exact
+    number; the monic square-free product, scaled by the leading
+    coefficient and that number, is what the numeric root finder sees.
+    Every root must then lie within tolerance of twice a cosine of a
+    rational angle with denominator at most 2n.
     """
     n = report.n
     max_k = 2 * n
     if report.det_is_zero:
         return GramRootScan(n, report.label, var, True, ())
-    lo, part = _coefficients(report.parts[var], var)
+    zero_mult, lead, product = 0, Fraction(1), [Fraction(1)]
+    for f, m in report.factors[var]:
+        lo, coeffs = _coefficients(f, var)
+        zero_mult += m * lo
+        lead *= coeffs[-1] ** m
+        product = _poly_mul(product, coeffs)
+    sq = _square_free(product)
+    monic = [c / sq[-1] for c in sq]
+    zero_mult = max(zero_mult, 0)
     rest = 1 - var
     samples = []
     for other in ROOT_SAMPLES:
@@ -491,22 +512,27 @@ def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
         if not scale:
             samples.append(SampleScan(other, True, 0, ()))
             continue
-        coeffs = [c * scale for c in part]
-        zero_mult = max(lo, 0)
         records = []
         if zero_mult:
             records.append(RootRecord(0.0, match_special_value(0.0, max_k, ROOT_TOLERANCE)))
-        sq = _square_free(coeffs)
-        if len(sq) > 1:
-            # scaling by the power of two that brings the leading coefficient
-            # near 1 keeps huge coefficients in float range, and changes no
-            # bit of the companion matrix, which np.roots divides by it
-            lead = abs(sq[-1])
-            shift = Fraction(2) ** (lead.denominator.bit_length() - lead.numerator.bit_length())
-            import numpy as np  # the one float step; other requests skip the import
-
-            roots = np.roots([float(c * shift) for c in reversed(sq)])
+        if len(monic) > 1:
+            factor = lead * scale
+            roots = _float_roots([c * factor for c in monic])
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, ROOT_TOLERANCE)))
         samples.append(SampleScan(other, False, zero_mult, tuple(records)))
     return GramRootScan(n, report.label, var, False, tuple(samples))
+
+
+def _float_roots(coeffs: list[Fraction]):
+    """``np.roots`` of exact coefficients, lowest first: the one float step.
+
+    Scaling by the power of two that brings the leading coefficient near
+    1 keeps huge coefficients in float range, and changes no bit of the
+    companion matrix, which ``np.roots`` divides by it.
+    """
+    lead = abs(coeffs[-1])
+    shift = Fraction(2) ** (lead.denominator.bit_length() - lead.numerator.bit_length())
+    import numpy as np  # other requests skip the import
+
+    return np.roots([float(c * shift) for c in reversed(coeffs)])

@@ -72,6 +72,45 @@ def univariate(poly: LaurentPoly, var: int, other: Fraction) -> list[Fraction]:
     return [acc.get(e, Fraction(0)) for e in range(min(acc), max(acc) + 1)]
 
 
+def _fraction_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division of coefficient lists, lowest first, b's leading
+    coefficient nonzero: (quotient, remainder), both without trailing zeros."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while r and len(r) >= len(b):
+        if r[-1]:
+            f = r[-1] / b[-1]
+            off = len(r) - len(b)
+            q[off] = f
+            for k in range(len(b)):
+                r[off + k] -= f * b[k]
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, r
+
+
+def expanded_root_input(det: LaurentPoly, var: int, other: Fraction) -> list[Fraction]:
+    """What a root scan of ``det`` in colour var's loop weight hands the float
+    root finder, by expanding: ``det`` with the other loop weight set to
+    other, less its factor of the root 0, divided by its monic gcd with its
+    derivative.  Lowest coefficient first; [] where it vanishes."""
+    p = univariate(det, var, other)
+    if len(p) <= 2:
+        return p
+    a, b = p, [c * k for k, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    gcd = [c / a[-1] for c in a]
+    if len(gcd) == 1:
+        return p
+    q, r = _fraction_divmod(p, gcd)
+    assert not r, "inexact division in square-free reduction"
+    return q
+
+
 def random_poly(rng: random.Random, max_terms: int = 4, span: int = 3) -> LaurentPoly:
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):

@@ -266,6 +266,17 @@ class TestHalfDiagrams:
                     views = sorted(filter(None, (half_from_view(e, n, i) for e in brute)))
                     assert [b.encode() for b in enumerate_bras(n, i, total - i)] == views
 
+    def test_one_colour_walk_is_the_filtered_module(self):
+        # walking one colour gives the module's all-one-colour bras, in order
+        for colour in (RED, BLUE):
+            for points in range(0, 9):
+                for defects in range(points + 1):
+                    label = (defects, 0) if colour == RED else (0, defects)
+                    kept = [
+                        b for b in enumerate_bras(points, *label) if all(c == colour for _, _, c in b.arcs)
+                    ]
+                    assert enumerate_bras(points, *label, colours=(colour,)) == kept
+
     def test_frozen_bras_3_1_0(self):
         got = {b.encode() for b in enumerate_bras(3, 1, 0)}
         expect = {

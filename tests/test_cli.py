@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -507,8 +508,37 @@ class TestGramCommand:
                 "gram --n 7 --i 0 --j 1 --det --roots b",
                 "dbe75d7989773667bcd2c7bcdcda24d3142c201edfa82d30941b39b082adf102",
             ),
+            # recorded before the root scan stopped expanding the
+            # determinant, before the zero-skipping elimination and before
+            # the streaming JSON writer; the shapes of the benchmark's gram
+            # requests that the goldens above do not cover
+            (
+                "gram --n 7 --i 2 --j 1 --det --blocks",
+                "04de627b311ec6596597268c0dfdb4efe843e73cc856e5359f36d4d73e7e1eaa",
+            ),
+            (
+                "gram --n 8 --i 4 --j 0 --det --roots r",
+                "c8118f36cd3ee258aa412f648fa1d37bb0929e57672ca369d93ead6a05d00da3",
+            ),
+            (
+                "gram --n 8 --i 0 --j 6 --det",
+                "7675ce4f372113af6116dbf2c2c765b51bb970e0b56681f79c4c07ebd09e81da",
+            ),
+            (
+                "gram --n 7 --i 4 --j 3 --det --roots r",
+                "de78643d80ae9d1151d1865a57a184714e47dfaff2939722440d02c99019decf",
+            ),
         ],
-        ids=["n5_i1_j0", "n6_i1_j1", "n7_i1_j0", "n7_i0_j1"],
+        ids=[
+            "n5_i1_j0",
+            "n6_i1_j1",
+            "n7_i1_j0",
+            "n7_i0_j1",
+            "n7_i2_j1",
+            "n8_i4_j0",
+            "n8_i0_j6",
+            "n7_i4_j3",
+        ],
     )
     def test_golden_stdout(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv.split())
@@ -983,3 +1013,77 @@ class TestLeanPath:
             assert getattr(importlib.import_module(value.__module__), name) is value
         with pytest.raises(AttributeError):
             bubblealg.no_such_name
+
+
+WRITER_STRINGS = [
+    "",
+    "plain",
+    'quote " and backslash \\',
+    "tab\tnewline\nreturn\r",
+    "control \x00\x1f\x7f",
+    "non-ASCII é ü ß",
+    "astral \U0001f600 and  ",
+    "1*dr^2*db^0 + -1*dr^0*db^0",
+]
+
+
+def writer_payload(rng: random.Random, depth: int = 0):
+    """A random JSON value: nested, empty and tuple containers, escaped
+    and non-ASCII strings, ints, bools, None and (non-)finite floats."""
+    kind = rng.randrange(11 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice(WRITER_STRINGS) + "".join(rng.choice("ab\"\\\n\xe9\U0001f600") for _ in range(rng.randrange(30)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**70, -(2**64)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([0.0, -0.0, 1.5, 1e-300, -2.5e300, 0.1 + 0.2, float("nan"), float("inf"), float("-inf")])
+    if kind == 5:
+        return rng.choice([[], (), {}])
+    if kind == 6:
+        return [rng.choice(WRITER_STRINGS) for _ in range(rng.randrange(1, 12))]
+    if kind == 7:
+        return tuple(writer_payload(rng, depth + 1) for _ in range(rng.randrange(1, 5)))
+    if kind == 8:
+        return [writer_payload(rng, depth + 1) for _ in range(rng.randrange(1, 5))]
+    return {rng.choice(WRITER_STRINGS) + str(k): writer_payload(rng, depth + 1) for k in range(rng.randrange(1, 5))}
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("write_size, string_run", [(cli.WRITE_SIZE, cli.STRING_RUN), (5, 2)])
+    def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, write_size, string_run):
+        monkeypatch.setattr(cli, "WRITE_SIZE", write_size)
+        monkeypatch.setattr(cli, "STRING_RUN", string_run)
+        rng = random.Random(2718)
+        for _ in range(300):
+            payload = {"top": writer_payload(rng), "rest": writer_payload(rng)}
+            cli._emit_json(payload)
+            assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_unserialisable_values_are_refused(self):
+        with pytest.raises(TypeError):
+            list(cli._json_chunks({"x": {1, 2}}, ""))
+        with pytest.raises(TypeError):
+            list(cli._json_chunks({1: "x"}, ""))
+
+    def test_output_arrives_in_batched_writes(self, monkeypatch):
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(cli, "WRITE_SIZE", 4096)
+        monkeypatch.setattr(cli, "STRING_RUN", 64)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["basis", "--n", "5", "--diagrams"]) == 0
+        out = "".join(writes)
+        # the basis --n 5 --diagrams golden of TestBasisCommand
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "351766bad8d39f6ace606fe61a41c191a7106109bc1ce60944cafd980d247916"
+        )
+        assert len(writes) >= 10
+        assert all(len(w) >= 4096 for w in writes[:-1])

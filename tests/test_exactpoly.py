@@ -222,3 +222,81 @@ def test_rank_mod_is_full_exactly_when_det_is_nonzero():
             det = poly_det(PolyMatrix(rows))
             point = (rng.randrange(1, PRIME), rng.randrange(1, PRIME))
             assert (rank_at(rows, *point) == size) == (not det.is_zero)
+
+
+def _sparse_entry(rng: random.Random) -> LaurentPoly:
+    return ZERO if rng.random() < 0.4 else random_poly(rng, max_terms=2, span=1)
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, length = perm[k], length + 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _permuted_block_diagonal(blocks, rows: list[int], cols: list[int]) -> PolyMatrix:
+    size = sum(b.rows for b in blocks)
+    dense = [[ZERO] * size for _ in range(size)]
+    off = 0
+    for b in blocks:
+        for r, row in enumerate(b.entries):
+            dense[off + r][off : off + b.rows] = row
+        off += b.rows
+    return PolyMatrix([[dense[r][c] for c in cols] for r in rows])
+
+
+def test_det_of_permuted_block_diagonal_is_the_product_of_block_dets():
+    rng = random.Random(5150)
+    for trial in range(30):
+        blocks, size = [], 0
+        while size < rng.randrange(1, 21):
+            k = min(rng.randrange(1, 6), 20 - size)
+            blocks.append(PolyMatrix([[_sparse_entry(rng) for _ in range(k)] for _ in range(k)]))
+            size += k
+        rows, cols = list(range(size)), list(range(size))
+        rng.shuffle(rows)
+        if trial % 2:
+            cols = list(rows)  # a similarity: the sign cancels
+        else:
+            rng.shuffle(cols)
+        expect = ONE
+        for b in blocks:
+            expect = expect * cofactor_det(b)
+        sign = _permutation_sign(rows) * _permutation_sign(cols)
+        assert poly_det(_permuted_block_diagonal(blocks, rows, cols)) == sign * expect
+
+
+def test_det_of_block_diagonal_with_a_zero_first_pivot():
+    # the first pivot is zero, so elimination must swap rows before it starts
+    first = PolyMatrix([[ZERO, DR + 1], [DB - 2, DR * DB]])
+    rng = random.Random(90210)
+    rest = []
+    for k in (4, 5, 4, 5):
+        block = PolyMatrix([])
+        while cofactor_det(block) in (ZERO, ONE):
+            block = PolyMatrix([[_sparse_entry(rng) for _ in range(k)] for _ in range(k)])
+        rest.append(block)
+    size = 20
+    tail = list(range(2, size))
+    rng.shuffle(tail)
+    order = [0, 1] + tail
+    m = _permuted_block_diagonal([first, *rest], order, order)
+    assert m[0, 0].is_zero
+    expect = cofactor_det(first)
+    for b in rest:
+        expect = expect * cofactor_det(b)
+    assert poly_det(m) == expect
+
+
+def test_det_of_sparse_matrices_matches_cofactor_expansion():
+    rng = random.Random(6061)
+    for size in range(7):
+        for _ in range(12):
+            m = PolyMatrix([[_sparse_entry(rng) for _ in range(size)] for _ in range(size)])
+            assert poly_det(m) == cofactor_det(m)

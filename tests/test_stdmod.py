@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from helpers import (
     act,
@@ -15,8 +16,8 @@ from helpers import (
     matmul,
     mirror,
     rep_matrix,
+    expanded_root_input,
     split_by_colour,
-    univariate,
 )
 
 from bubblealg import stdmod
@@ -250,21 +251,40 @@ class TestFactoredDeterminant:
         with pytest.raises(ArithmeticError):
             gram_det_report(3, 1, 0)
 
-    def test_scan_feeds_the_expanded_coefficients(self, monkeypatch):
-        seen = []
+    def test_root_finder_sees_what_the_expanded_route_gives(self, monkeypatch):
+        # the scan never expands the determinant; the exact coefficients it
+        # hands np.roots must still be those of the expanded route, as the
+        # same Fractions, so the printed roots cannot move
+        seen, calls = [], []
+        float_roots, roots = stdmod._float_roots, np.roots
 
-        def record(p):
-            seen.append(list(p))
-            return _square_free(p)
+        def record(coeffs):
+            seen.append(list(coeffs))
+            return float_roots(coeffs)
 
-        monkeypatch.setattr(stdmod, "_square_free", record)
-        values = stdmod.ROOT_SAMPLES
-        for n, i, j in [(4, 0, 0), (5, 1, 0), (5, 0, 1), (5, 2, 1), (6, 1, 1), (6, 0, 2)]:
-            report = gram_det_report(n, i, j)
+        def count(coeffs):
+            calls.append(len(coeffs))
+            return roots(coeffs)
+
+        monkeypatch.setattr(stdmod, "_float_roots", record)
+        monkeypatch.setattr(np, "roots", count)
+        labels = [(n, i, j) for n in range(1, 7) for i, j in standard_labels(n)]
+        labels += [(7, 1, 0), (7, 2, 1), (8, 4, 0), (6, 1, 1), (8, 6, 0), (7, 4, 3)]
+        reports = [gram_det_report(n, i, j) for n, i, j in labels]
+        # the Gram factors are monic; these are not, and share a root
+        red = ((3 * DR * DR - 1, 2), (2 * DR * (DR - 1), 3), (-DR * DR + 1, 1))
+        blue = ((2 * DB + 5, 3), (DB * DB, 2))
+        reports.append(GramDetReport(2, (0, 0), 2, (red, blue), (), False))
+        for report in reports:
+            n, (i, j) = report.n, report.label
             for var in (RED, BLUE):
                 seen.clear()
+                calls.clear()
                 scan_gram_roots(report, var=var)
-                assert seen == [univariate(report.det, var, v) for v in values], (n, i, j, var)
+                expect = [expanded_root_input(report.det, var, v) for v in stdmod.ROOT_SAMPLES]
+                expect = [p for p in expect if len(p) > 1]
+                assert seen == expect, (n, i, j, var)
+                assert calls == [len(p) for p in expect]
 
     def test_zero_factor_means_zero_det(self):
         report = GramDetReport(2, (0, 0), 2, (((ZERO, 1),), ((DB, 1),)), (), False)
