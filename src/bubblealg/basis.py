@@ -6,15 +6,25 @@ the innermost open strand of its colour, or (for half diagrams) leaves
 the frame as a propagating line.  A feasibility bound on the remaining
 positions makes the recursion free of dead ends.
 
-For full diagrams that recursion is one walker, ``_walk_matchings``,
-which hands each matching to a leaf callback already in canonical pair
-order.  Three front ends share it: ``enumerate_basis`` builds and sorts
-the diagrams, ``count_basis`` only counts the leaves, and
-``basis_encodings`` writes each leaf's canonical text straight from the
-pair-text memo in ``diagram`` and sorts the strings, since canonical
-order is string order of the encoding.  ``rank_identity`` counts, and
-the ``basis`` command and the cache write text, so neither builds a
-diagram it would only count or encode.
+For full diagrams that recursion is one walker, ``_walk_matchings``: it
+walks a run of boundary points from given open strands and hands each
+way to match them to a leaf callback, already in canonical pair order.
+``enumerate_basis`` and ``count_basis`` walk the whole boundary from no
+open strand: the first builds and sorts the diagrams and is the tests'
+independent reference for the text, and the second only counts leaves,
+so ``rank_identity``'s basis size is a count of diagrams, not the sum
+of squared dimensions it is compared with.  ``basis_encodings``, which
+the ``basis`` command and the cache use, splits the same walk at the
+corners: a diagram is a north half and a south half joined through
+their through lines, and the halves only meet in how many through lines
+of each colour are open.  So the north edge is walked once, each of its
+matchings becoming a ``diagram.north_template`` with a hole for each
+through line; the south edge is walked once for each (red, blue) count
+of open lines, each completion giving every line's south end and a
+``diagram.south_tail``; and each template is filled with each
+completion of its count.  The strings are sorted, since canonical order
+is string order of the encoding.  No front end builds a diagram it
+would only count or encode.
 
 Dimensions follow a two-dimensional lattice walk: the number of half
 diagrams on n points with (i, j) propagating lines of the two colours
@@ -37,19 +47,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, product
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .diagram import (
     BLUE,
-    COLOUR_CHARS,
     RED,
     Diagram,
     Endpoints,
     check_matching,
     circular_positions,
-    encode_pairs,
     endpoint_arrays,
+    north_template,
+    pair_text,
     pairs_text,
+    south_tail,
     straight_diagram,
 )
 
@@ -100,31 +112,34 @@ def standard_labels(n: int) -> list[tuple[int, int]]:
 
 
 def _walk_matchings(
-    n_north: int, n_south: int, max_n: int, leaf: Callable[[list], object]
+    run: Sequence[int],
+    stacks: tuple[list[int], list[int]],
+    after: int,
+    leaf: Callable[[list], object],
 ) -> None:
-    """Call ``leaf(slots)`` once for every diagram on the rectangle.
+    """Walk the boundary points ``run`` in circular order, from the open
+    strands in ``stacks``, and call ``leaf(slots)`` at the end of every way
+    to match them.
 
-    ``slots[p]`` is the pair ``(p, q, c)`` whose smaller endpoint is p and
-    None at every other index, so the pairs in index order are the
-    diagram's pairs in canonical order.  ``slots`` is reused between
-    calls; a leaf copies what it keeps.
+    ``stacks[c]`` holds the open points of colour c, innermost last; at
+    a leaf it holds what the run leaves open, and the walk restores it
+    before it returns.  ``after`` more points follow the run and must
+    close what it leaves open, so no point opens a strand that could not
+    close: with ``run`` the whole boundary, empty stacks and ``after`` 0,
+    the leaves are the diagrams.  ``slots[p]`` is the pair ``(p, q, c)`` closed in
+    the run whose smaller endpoint is p and None at every other index,
+    so the pairs in index order are in canonical order.  ``slots`` is
+    reused between calls; a leaf copies what it keeps.
     """
-    if n_north < 0 or n_south < 0:
-        raise ValueError(f"negative side in a {n_north} by {n_south} rectangle")
-    _guard(n_north + n_south, max_n)
-    circ = circular_positions(n_north, n_south)
-    total = len(circ)
-    if total % 2:
-        return
-    slots: list[tuple[int, int, int] | None] = [None] * (total + 1)
-    stacks: tuple[list[int], list[int]] = ([], [])
+    end = len(run)
+    slots: list[tuple[int, int, int] | None] = [None] * (max(run, default=0) + 1)
 
     def rec(idx: int) -> None:
-        if idx == total:
+        if idx == end:
             leaf(slots)
             return
-        pid = circ[idx]
-        rem = total - idx - 1
+        pid = run[idx]
+        rem = end - idx - 1 + after
         n_open = len(stacks[RED]) + len(stacks[BLUE])
         for c in (RED, BLUE):
             if stacks[c]:
@@ -144,6 +159,21 @@ def _walk_matchings(
     rec(0)
 
 
+def _has_matchings(n_north: int, n_south: int, max_n: int) -> bool:
+    """Check the rectangle's sides and size; False when its boundary is odd."""
+    if n_north < 0 or n_south < 0:
+        raise ValueError(f"negative side in a {n_north} by {n_south} rectangle")
+    _guard(n_north + n_south, max_n)
+    return (n_north + n_south) % 2 == 0
+
+
+def _walk_boundary(n_north: int, n_south: int, max_n: int, leaf: Callable[[list], object]) -> None:
+    """Call ``leaf(slots)`` once for every diagram on the rectangle, walking
+    its whole boundary."""
+    if _has_matchings(n_north, n_south, max_n):
+        _walk_matchings(circular_positions(n_north, n_south), ([], []), 0, leaf)
+
+
 def enumerate_basis(
     n_north: int,
     n_south: int | None = None,
@@ -154,7 +184,7 @@ def enumerate_basis(
     if n_south is None:
         n_south = n_north
     results: list[Diagram] = []
-    _walk_matchings(
+    _walk_boundary(
         n_north,
         n_south,
         max_n,
@@ -172,24 +202,82 @@ def count_basis(n_north: int, n_south: int | None = None, max_n: int = DEFAULT_M
         n_south = n_north
     # each leaf takes the next number, so the number after the last is the count
     leaves = count()
-    _walk_matchings(n_north, n_south, max_n, lambda slots: next(leaves))
+    _walk_boundary(n_north, n_south, max_n, lambda slots: next(leaves))
     return next(leaves)
+
+
+def _north_templates(n_north: int, n_south: int) -> dict[tuple[int, int], list[tuple[str, tuple]]]:
+    """Every way to match the north edge, as ``diagram.north_template``
+    patterns with their holes, keyed by the (red, blue) numbers of open
+    through lines.
+
+    A hole is ``(p, s, c)``: the through line of colour c from north
+    point p, which is open strand s of ``_south_completions``' numbering
+    (red strands 1..r, then blue strands r + 1..r + b, each colour from
+    the left)."""
+    stacks: tuple[list[int], list[int]] = ([], [])
+    groups: dict[tuple[int, int], list[tuple[str, tuple]]] = {}
+
+    def leaf(slots: list) -> None:
+        reds, blues = stacks
+        strand = {p: (s, RED) for s, p in enumerate(reds, 1)}
+        strand.update((p, (s, BLUE)) for s, p in enumerate(blues, len(reds) + 1))
+        pieces, holes = [], []
+        for p in range(1, n_north + 1):
+            if slots[p] is not None:
+                pieces.append(slots[p])
+            elif p in strand:
+                pieces.append(None)
+                holes.append((p, *strand[p]))
+        pattern = north_template(n_north, n_south, pieces)
+        groups.setdefault((len(reds), len(blues)), []).append((pattern, tuple(holes)))
+
+    _walk_matchings(range(1, n_north + 1), stacks, n_south, leaf)
+    return groups
+
+
+def _south_completions(n_north: int, n_south: int, r: int, b: int) -> list[tuple[list[int], str]]:
+    """Every way to match the south edge to r red and b blue open strands,
+    as the south partner of each strand (red 1..r, then blue r + 1..r + b,
+    each colour from the left) with the ``diagram.south_tail`` of the
+    south-south pairs."""
+    stacks = (list(range(1, r + 1)), list(range(r + 1, r + b + 1)))
+    completions: list[tuple[list[int], str]] = []
+
+    def leaf(slots: list) -> None:
+        partners = [slots[s][1] for s in range(1, r + b + 1)]
+        south = filter(None, slots[n_north + 1 :])
+        completions.append((partners, south_tail(n_north, south)))
+
+    _walk_matchings(circular_positions(n_north, n_south)[n_north:], stacks, 0, leaf)
+    return completions
 
 
 def basis_encodings(
     n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N
 ) -> list[str]:
     """Canonical encodings of every diagram on the given rectangle, sorted:
-    ``[d.encode() for d in enumerate_basis(...)]`` without the diagrams."""
+    ``[d.encode() for d in enumerate_basis(...)]`` without the diagrams.
+
+    Each edge is walked once per colour count of the through lines: every
+    north template is filled with every south completion of its group."""
     if n_south is None:
         n_south = n_north
     results: list[str] = []
-    _walk_matchings(
-        n_north,
-        n_south,
-        max_n,
-        lambda slots: results.append(encode_pairs(n_north, n_south, filter(None, slots))),
-    )
+    if not _has_matchings(n_north, n_south, max_n):
+        return results
+    for (r, b), templates in _north_templates(n_north, n_south).items():
+        # the texts of one completion: each distinct hole's, then the tail
+        holes = sorted({hole for _, template_holes in templates for hole in template_holes})
+        index = {hole: k for k, hole in enumerate(holes)}
+        fills = [
+            [pair_text((p, partners[s - 1], c)) for p, s, c in holes] + [tail]
+            for partners, tail in _south_completions(n_north, n_south, r, b)
+        ]
+        for pattern, template_holes in templates:
+            # with no hole it takes the tail alone, a string, which % accepts
+            take = itemgetter(*[index[hole] for hole in template_holes], len(holes))
+            results += [pattern % take(texts) for texts in fills]
     results.sort()
     return results
 
@@ -291,7 +379,7 @@ class HalfDiagram:
         return self.red_cuts if c == RED else self.blue_cuts
 
     def encode(self) -> str:
-        body = ";".join(f"({p},{q},{COLOUR_CHARS[c]})" for p, q, c in self.arcs)
+        body = ";".join(map(pair_text, self.arcs))
         reds = ",".join(map(str, self.red_cuts))
         blues = ",".join(map(str, self.blue_cuts))
         return f"H[{self.n}]{{{body}}}{{r:{reds}}}{{b:{blues}}}"

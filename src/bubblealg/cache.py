@@ -4,13 +4,17 @@ File layout: a gzip text stream (written at compression level 6, with
 no file name and time 0 in its header) whose
 first line is a JSON header ``{"count", "hash", "n", "version"}``
 followed by one canonical diagram encoding per line.  The hash is the
-sha256 digest of the concatenated encodings.
+sha256 digest of the concatenated encodings.  A save hashes and then
+writes the lines ``RUN`` at a time, so it never holds a second copy of
+the text; the header with the hash comes first, so the lines are gone
+over twice.
 
 A file must hold exactly B_n in its canonical order.  The header must
 name this version, the requested n and |B_n| = walk_count(2n, 0, 0)
 lines; that is checked before the walk runs.  The body is then compared
-line by line with ``basis_encodings(n)``, the text the walk writes, and
-the header hash with the digest of that text.  A file that passes is
+line by line with ``basis_encodings(n)``, the text the walk writes by
+joining the matchings of the north and south edges, and the header hash
+with the digest of that text.  A file that passes is
 byte for byte what a miss writes, so a hit returns the walk's own list
 and never decodes a line.  Loads are strict: a file that fails any
 check, or whose gzip stream is damaged, raises CacheError rather than
@@ -36,6 +40,8 @@ CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
 COMPRESS_LEVEL = 6
 ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
+# lines hashed or written at a time, so no copy of the whole text is made
+RUN = 1024
 
 
 class CacheError(RuntimeError):
@@ -53,7 +59,11 @@ def cache_path(cache_dir: str | Path, n: int) -> Path:
 
 
 def basis_digest(encodings: list[str]) -> str:
-    return hashlib.sha256("".join(encodings).encode("ascii")).hexdigest()
+    """sha256 of the concatenated encodings, hashed ``RUN`` lines at a time."""
+    digest = hashlib.sha256()
+    for start in range(0, len(encodings), RUN):
+        digest.update("".join(encodings[start : start + RUN]).encode("ascii"))
+    return digest.hexdigest()
 
 
 def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list[str]:
@@ -80,8 +90,8 @@ def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list
             gz = gzip.GzipFile(filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0)
             with io.TextIOWrapper(gz, encoding="ascii") as fh:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for enc in encodings:
-                    fh.write(enc + "\n")
+                for start in range(0, len(encodings), RUN):
+                    fh.write("\n".join(encodings[start : start + RUN]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -23,9 +23,14 @@ The textual encoding of a diagram is
 ``D[n_north,n_south]{(p,q,c);...}`` with ``p < q``, pairs sorted by
 smaller endpoint, numbers in decimal without leading zeros and ``c`` one
 of ``r``/``b``.  Canonical enumeration order everywhere in the package is
-lexicographic on this encoding.  ``encode_pairs`` is the one writer of
-it: each pair's text comes from one memo, which ``Diagram.encode`` and
-``basis.basis_encodings`` both read.  ``Diagram.decode`` is
+lexicographic on this encoding.  Each pair's text is written in one
+place, the memo behind ``pair_text``, and every encoding is built from
+it here: ``encode_pairs`` writes one diagram's text, for
+``Diagram.encode``; ``north_template`` and ``south_tail`` write the same
+text in two parts, the pairs starting on the north edge with a hole for
+each through line and the pairs on the south edge, which
+``basis.basis_encodings`` joins, filling each hole with a ``pair_text``
+once the line's south end is known.  ``Diagram.decode`` is
 strict: it accepts exactly the text ``encode`` writes, so
 ``decode(t).encode() == t`` for every ``t`` it accepts; whitespace,
 leading zeros, ``p > q`` and unsorted pairs are rejected.  Pair texts
@@ -153,17 +158,44 @@ class _PairTexts(dict):
 _PAIR_TEXT = _PairTexts()
 
 
+# the text of one pair, from the memo
+pair_text = _PAIR_TEXT.__getitem__
+
+
 def pairs_text(pairs: Iterable[tuple[int, int, int]]) -> str:
     """The body of an encoding: each pair's text, joined by ``;``.
 
     No pair text is a prefix of another, so diagrams of one shape sort by
     this text exactly as by their encodings."""
-    return ";".join(map(_PAIR_TEXT.__getitem__, pairs))
+    return ";".join(map(pair_text, pairs))
 
 
 def encode_pairs(n_north: int, n_south: int, pairs: Iterable[tuple[int, int, int]]) -> str:
     """The canonical encoding of canonical ``pairs`` on the rectangle."""
     return f"D[{n_north},{n_south}]{{{pairs_text(pairs)}}}"
+
+
+def north_template(
+    n_north: int, n_south: int, north: Iterable[tuple[int, int, int] | None]
+) -> str:
+    """The encodings that begin with the north pieces ``north``, as a
+    ``%``-pattern.
+
+    ``north`` lists in canonical order the pairs whose smaller endpoint
+    is on the north edge, with None for a through line whose southern
+    end is not yet known.  Each None becomes a ``%s`` hole for that
+    line's ``pair_text``, and one last hole takes ``south_tail``; no
+    other ``%`` occurs, since pair texts hold none.
+    """
+    pieces = ";".join("%s" if pair is None else pair_text(pair) for pair in north)
+    return f"D[{n_north},{n_south}]{{{pieces}%s"
+
+
+def south_tail(n_north: int, south: Iterable[tuple[int, int, int]]) -> str:
+    """The rest of an encoding after its north pieces: the texts of the
+    pairs ``south`` with both ends on the south edge, then the close."""
+    body = pairs_text(south)
+    return f";{body}}}" if n_north and body else f"{body}}}"
 
 
 def _parse_natural(text: str) -> int:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
 
+from bubblealg import basis
 from bubblealg.basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
@@ -136,6 +138,40 @@ class TestEnumeration:
                 assert count_basis(nn, ns) == len(basis)
         assert basis_encodings(3) == [d.encode() for d in enumerate_basis(3)]
         assert count_basis(3) == 70
+
+    def test_encodings_golden_at_seven(self):
+        # sha256 of the n = 7 text recorded on the whole-boundary walk; it
+        # is also the hash in the n = 7 cache header
+        lines = basis_encodings(7)
+        assert len(lines) == 613470
+        assert hashlib.sha256("".join(lines).encode("ascii")).hexdigest() == (
+            "2ef341b310ed5cb597881a028ad9032e46e84eb9b96bfb6dc5179ad9b9f62877"
+        )
+
+    def test_edge_walks_give_the_half_diagram_counts(self):
+        # each edge's matchings with (r, b) open through lines are the half
+        # diagrams of that label, and every pair of them is one diagram
+        for nn, ns in [(0, 4), (3, 5), (5, 3), (6, 6), (4, 0)]:
+            groups = basis._north_templates(nn, ns)
+            assert {label: len(group) for label, group in groups.items()} == {
+                (r, b): walk_count(nn, r, b)
+                for r in range(min(nn, ns) + 1)
+                for b in range(min(nn, ns) + 1 - r)
+                if walk_count(nn, r, b) and walk_count(ns, r, b)
+            }
+            for r, b in groups:
+                assert len(basis._south_completions(nn, ns, r, b)) == walk_count(ns, r, b)
+
+    def test_leaf_count_never_goes_through_the_edge_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the south edge was walked")
+
+        monkeypatch.setattr(basis, "_south_completions", refuse)
+        with pytest.raises(AssertionError):
+            basis_encodings(2)
+        report = rank_identity(6)
+        assert report.holds and report.basis_size == 56628
+        assert count_basis(5, 3) == len(enumerate_basis(5, 3))
 
     @pytest.mark.parametrize(
         "front_end, size", [(enumerate_basis, len), (count_basis, int), (basis_encodings, len)]

@@ -202,6 +202,28 @@ class TestCache:
         assert cached_basis(2, cache_dir=tmp_path) == [d.encode() for d in enumerate_basis(2)]
 
 
+    def test_save_holds_no_copy_of_the_text(self, tmp_path):
+        # hashing and writing go a bounded run of lines at a time, so the
+        # peak a save adds stays well under the body it writes
+        lines = basis.basis_encodings(6)
+        body = sum(len(line) + 1 for line in lines)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_basis(cache_path(tmp_path, 6), 6, lines)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * body
+        assert load_basis(cache_path(tmp_path, 6), 6) == lines
+
+    def test_digest_is_of_the_whole_text(self):
+        lines = basis.basis_encodings(5)
+        whole = hashlib.sha256("".join(lines).encode("ascii")).hexdigest()
+        assert basis_digest(lines) == whole
+        assert basis_digest([]) == hashlib.sha256(b"").hexdigest()
+
     def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
         # neither the write time nor the temporary file's name enters the file
         basis = enumerate_basis(3)
@@ -357,6 +379,17 @@ def forbid_diagrams(monkeypatch):
 
 
 class TestNoDiagramsBuilt:
+    def test_dims_counts_without_the_edge_product(self, capsys, monkeypatch):
+        # basis_encodings joins north and south edges; the count must not
+        def refuse(*args, **kwargs):
+            raise AssertionError("the south edge was walked")
+
+        monkeypatch.setattr(basis, "_south_completions", refuse)
+        code, out = run_cli(capsys, "dims", "--n", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["basis_size"] == 56628 and payload["rank_identity"] is True
+
     def test_dims_counts_without_diagrams(self, capsys, monkeypatch):
         forbid_diagrams(monkeypatch)
         code, out = run_cli(capsys, "dims", "--n", "6")
