@@ -1,20 +1,20 @@
 """Basis enumeration, dimension counts, and half-diagram combinatorics.
 
 Diagram bases are produced by an event recursion over the circular
-boundary order: at each boundary point a strand either opens, closes
-the innermost open strand of its colour, or (for half diagrams) leaves
-the frame as a propagating line.  A feasibility bound on the remaining
-positions makes the recursion free of dead ends.
+boundary order: at each boundary point a strand either opens or closes
+the innermost open strand of its colour.  A feasibility bound on the
+remaining positions makes the recursion free of dead ends.
 
-For full diagrams that recursion is one walker, ``_walk_matchings``: it
-walks a run of boundary points from given open strands and hands each
-way to match them to a leaf callback, already in canonical pair order.
+That recursion is one walker, ``_walk_matchings``, for full diagrams,
+their text, their count and half diagrams alike: it walks a run of
+boundary points from given open strands and hands each way to match
+them to a leaf callback, already in canonical pair order.
 ``enumerate_basis`` and ``count_basis`` walk the whole boundary from no
 open strand: the first builds and sorts the diagrams and is the tests'
 independent reference for the text, and the second only counts leaves,
 so ``rank_identity``'s basis size is a count of diagrams, not the sum
 of squared dimensions it is compared with.  ``basis_encodings``, which
-the ``basis`` command and the cache use, splits the same walk at the
+``basis --diagrams`` and the cache use, splits the same walk at the
 corners: a diagram is a north half and a south half joined through
 their through lines, and the halves only meet in how many through lines
 of each colour are open.  So the north edge is walked once, each of its
@@ -24,7 +24,9 @@ of open lines, each completion giving every line's south end and a
 ``diagram.south_tail``; and each template is filled with each
 completion of its count.  The strings are sorted, since canonical order
 is string order of the encoding.  No front end builds a diagram it
-would only count or encode.
+would only count or encode.  ``enumerate_bras`` walks the n frame
+points of a half diagram with its i + j cuts after them: the strands a
+leaf leaves open are the cuts.
 
 Dimensions follow a two-dimensional lattice walk: the number of half
 diagrams on n points with (i, j) propagating lines of the two colours
@@ -116,6 +118,7 @@ def _walk_matchings(
     stacks: tuple[list[int], list[int]],
     after: int,
     leaf: Callable[[list], object],
+    colours: tuple[int, ...] = (RED, BLUE),
 ) -> None:
     """Walk the boundary points ``run`` in circular order, from the open
     strands in ``stacks``, and call ``leaf(slots)`` at the end of every way
@@ -129,7 +132,8 @@ def _walk_matchings(
     the leaves are the diagrams.  ``slots[p]`` is the pair ``(p, q, c)`` closed in
     the run whose smaller endpoint is p and None at every other index,
     so the pairs in index order are in canonical order.  ``slots`` is
-    reused between calls; a leaf copies what it keeps.
+    reused between calls; a leaf copies what it keeps.  Only strands of
+    the ``colours`` are opened or closed.
     """
     end = len(run)
     slots: list[tuple[int, int, int] | None] = [None] * (max(run, default=0) + 1)
@@ -141,7 +145,7 @@ def _walk_matchings(
         pid = run[idx]
         rem = end - idx - 1 + after
         n_open = len(stacks[RED]) + len(stacks[BLUE])
-        for c in (RED, BLUE):
+        for c in colours:
             if stacks[c]:
                 # closing keeps rem - (n_open - 1) parity automatically; a
                 # southern pair opens at its larger endpoint
@@ -398,43 +402,26 @@ def enumerate_bras(
 ) -> list[HalfDiagram]:
     """All half diagrams on n points with (i, j) propagating cuts, sorted.
 
-    Only arcs and cuts of the given colours are drawn, so
+    They are the leaves of ``_walk_matchings`` over the frame points with
+    i + j points after them that leave exactly i red and j blue strands
+    open: the closed pairs are the arcs and the open strands the cuts.
+    Closing pops the innermost open strand of its colour, so no cut sits
+    inside an arc of its own colour, and every such half diagram is one
+    leaf.  Only arcs and cuts of the given colours are drawn, so
     ``colours=(RED,)`` walks just the all-red half diagrams.
     """
     _guard(2 * n, max_n)
     results: list[HalfDiagram] = []
     if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
         return results
-    stacks: dict[int, list[int]] = {RED: [], BLUE: []}
-    arcs: list[tuple[int, int, int]] = []
-    cuts: dict[int, list[int]] = {RED: [], BLUE: []}
-    quota = {RED: i, BLUE: j}
+    stacks: tuple[list[int], list[int]] = ([], [])
 
-    def rec(pos: int) -> None:
-        if pos > n:
-            # arcs open at their smaller end and cuts come in order
-            results.append(HalfDiagram._raw(n, tuple(sorted(arcs)), tuple(cuts[RED]), tuple(cuts[BLUE])))
-            return
-        rem = n - pos
-        n_open = len(stacks[RED]) + len(stacks[BLUE])
-        cuts_left = (quota[RED] - len(cuts[RED])) + (quota[BLUE] - len(cuts[BLUE]))
-        for c in colours:
-            if stacks[c] and rem >= n_open - 1 + cuts_left:
-                top = stacks[c].pop()
-                arcs.append((top, pos, c))
-                rec(pos + 1)
-                arcs.pop()
-                stacks[c].append(top)
-            if not stacks[c] and len(cuts[c]) < quota[c] and rem >= n_open + cuts_left - 1:
-                cuts[c].append(pos)
-                rec(pos + 1)
-                cuts[c].pop()
-            if rem >= n_open + 1 + cuts_left:
-                stacks[c].append(pos)
-                rec(pos + 1)
-                stacks[c].pop()
+    def leaf(slots: list) -> None:
+        reds, blues = stacks
+        if len(reds) == i and len(blues) == j:
+            results.append(HalfDiagram._raw(n, tuple(filter(None, slots)), tuple(reds), tuple(blues)))
 
-    rec(1)
+    _walk_matchings(range(1, n + 1), stacks, i + j, leaf, colours)
     return sorted(results, key=HalfDiagram.encode)
 
 

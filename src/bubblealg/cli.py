@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 from .basis import (
     DEFAULT_MAX_N,
     ResourceLimitError,
-    count_basis,
+    _has_matchings,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -157,19 +157,27 @@ def _check_dense(need: float, what: str) -> None:
 # subcommands
 
 
+def _label_rows(n: int) -> list[dict]:
+    """Each standard label's module dimension and its square, the number of
+    basis diagrams through that label."""
+    rows = []
+    for i, j in standard_labels(n):
+        dim = walk_count(n, i, j)
+        rows.append({"i": i, "j": j, "dim": dim, "count": dim * dim})
+    return rows
+
+
 def cmd_basis(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    # with no cache and no listing only the count is needed
+    # with no cache and no listing only the count is needed, in closed form;
+    # the walk's checks still refuse a negative or oversized n
     if cache_dir is None and not args.diagrams:
-        lines, total = None, count_basis(args.n, max_n=args.max_n)
+        _has_matchings(args.n, args.n, args.max_n)
+        lines, total = None, walk_count(2 * args.n, 0, 0)
     else:
         lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
         total = len(lines)
-    strata = []
-    for i, j in standard_labels(args.n):
-        dim = walk_count(args.n, i, j)
-        strata.append({"i": i, "j": j, "dim": dim, "count": dim * dim})
-    payload = {"n": args.n, "total": total, "strata": strata}
+    payload = {"n": args.n, "total": total, "strata": _label_rows(args.n)}
     if args.diagrams:
         payload["diagrams"] = lines
     _emit_json(payload)
@@ -178,10 +186,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_dims(args: argparse.Namespace) -> int:
     report = rank_identity(args.n, max_n=args.max_n)
-    rows = []
-    for i, j in standard_labels(args.n):
-        dim = walk_count(args.n, i, j)
-        rows.append({"i": i, "j": j, "dim": dim, "count": dim * dim})
+    rows = _label_rows(args.n)
     if args.format == "csv":
         _emit_csv(
             ["i", "j", "dim", "count"],

@@ -83,16 +83,12 @@ def _arc_weights(c: int, params: NumericParams) -> list[tuple[int, int, complex]
 
 
 def arc_ket(c: int, params: NumericParams) -> np.ndarray:
-    """Two-site column vector created by a northern arc of colour c."""
+    """Two-site vector of an arc of colour c: the column a northern arc
+    creates, and the row a southern arc closes with."""
     v = np.zeros(16, dtype=complex)
     for s1, s2, w in _arc_weights(c, params):
         v[4 * s1 + s2] = w
     return v
-
-
-def arc_bra(c: int, params: NumericParams) -> np.ndarray:
-    """Two-site row vector a southern arc of colour c closes with."""
-    return arc_ket(c, params)
 
 
 def colour_block_indices(word: tuple[int, ...]) -> list[int]:
@@ -174,7 +170,7 @@ def b2_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
                 col = 4 * (2 * c2 + s_right) + (2 * c1 + s_left)
                 m[row, col] = 1
     else:
-        m = np.outer(arc_ket(c1, params), arc_bra(c2, params))
+        m = np.outer(arc_ket(c1, params), arc_ket(c2, params))
     return m
 
 

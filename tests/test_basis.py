@@ -29,6 +29,7 @@ from bubblealg.oracles import (
     brute_force_bubble_encodings,
     bubble_basis_count,
     catalan,
+    tl_bras,
     tl_compose,
     tl_diagrams,
 )
@@ -312,6 +313,21 @@ class TestHalfDiagrams:
                         b for b in enumerate_bras(points, *label) if all(c == colour for _, _, c in b.arcs)
                     ]
                     assert enumerate_bras(points, *label, colours=(colour,)) == kept
+
+    def test_one_colour_walk_matches_the_oracle(self):
+        # the independent one-colour recursion, coloured and built checked
+        for colour in (RED, BLUE):
+            for points in range(0, 9):
+                for defects in range(points + 1):
+                    label = (defects, 0) if colour == RED else (0, defects)
+                    cuts = {RED: (), BLUE: ()}
+                    expect = []
+                    for arcs, defs in tl_bras(points, defects):
+                        cuts[colour] = defs
+                        half = make_half(points, [(p, q, colour) for p, q in arcs], cuts[RED], cuts[BLUE])
+                        expect.append(half.encode())
+                    walked = enumerate_bras(points, *label, colours=(colour,))
+                    assert sorted(b.encode() for b in walked) == sorted(expect)
 
     def test_frozen_bras_3_1_0(self):
         got = {b.encode() for b in enumerate_bras(3, 1, 0)}

@@ -292,6 +292,8 @@ class TestBasisCommand:
     def test_resource_bound_exit_code(self, capsys):
         code, _ = run_cli(capsys, "basis", "--n", "9")
         assert code == 3
+        code, _ = run_cli(capsys, "basis", "--n", "3", "--max-n", "1")
+        assert code == 3
 
     def test_corrupt_cache_is_a_usage_error(self, capsys, tmp_path):
         path = cache_path(tmp_path, 2)
@@ -757,13 +759,17 @@ class TestRequestLimits:
         "argv",
         [
             "basis --n -1 --diagrams",
+            "basis --n -1",
             "dims --n -2",
             "rep --n -1 --qr 2 --qb 3",
             "rep --n -1 --qr 2 --qb 3 --check",
         ],
     )
-    def test_negative_size_is_usage_error(self, capsys, tmp_path, argv):
-        code, out = run_cli(capsys, *argv.split(), *(["--cache-dir", str(tmp_path)] if argv.startswith("basis") else []))
+    def test_negative_size_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # the listing runs through a cache directory and the bare count
+        # without one, so both of basis's routes are refused
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        code, out = run_cli(capsys, *argv.split(), *(["--cache-dir", str(tmp_path)] if "--diagrams" in argv else []))
         assert (code, out) == (2, "")
         assert list(tmp_path.iterdir()) == []
 

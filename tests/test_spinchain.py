@@ -22,7 +22,6 @@ from bubblealg.diagram import (
 from bubblealg.spinchain import (
     SITE_STATES,
     NumericParams,
-    arc_bra,
     arc_ket,
     b2_matrix,
     colour_block_indices,
@@ -152,7 +151,7 @@ class TestTwoSiteMatrices:
 
     def test_outer_product_shape(self):
         m = b2_matrix(cupcap(RED, BLUE), GENERIC)
-        expect = np.outer(arc_ket(RED, GENERIC), arc_bra(BLUE, GENERIC))
+        expect = np.outer(arc_ket(RED, GENERIC), arc_ket(BLUE, GENERIC))
         assert np.array_equal(m, expect)
 
 
