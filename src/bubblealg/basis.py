@@ -6,27 +6,22 @@ the innermost open strand of its colour.  A feasibility bound on the
 remaining positions makes the recursion free of dead ends.
 
 That recursion is one walker, ``_walk_matchings``, for full diagrams,
-their text, their count and half diagrams alike: it walks a run of
-boundary points from given open strands and hands each way to match
-them to a leaf callback, already in canonical pair order.
-``enumerate_basis`` and ``count_basis`` walk the whole boundary from no
-open strand: the first builds and sorts the diagrams and is the tests'
-independent reference for the text, and the second only counts leaves,
-so ``rank_identity``'s basis size is a count of diagrams, not the sum
-of squared dimensions it is compared with.  ``basis_encodings``, which
-``basis --diagrams`` and the cache use, splits the same walk at the
-corners: a diagram is a north half and a south half joined through
-their through lines, and the halves only meet in how many through lines
-of each colour are open.  So the north edge is walked once, each of its
-matchings becoming a ``diagram.north_template`` with a hole for each
-through line; the south edge is walked once for each (red, blue) count
-of open lines, each completion giving every line's south end and a
-``diagram.south_tail``; and each template is filled with each
-completion of its count.  The strings are sorted, since canonical order
-is string order of the encoding.  No front end builds a diagram it
-would only count or encode.  ``enumerate_bras`` walks the n frame
-points of a half diagram with its i + j cuts after them: the strands a
-leaf leaves open are the cuts.
+their count and half diagrams alike: it walks a run of boundary points
+from given open strands and hands each way to match them to a leaf
+callback, already in canonical pair order.  ``enumerate_basis`` and
+``count_basis`` walk the whole boundary from no open strand: the first
+builds and sorts the diagrams and is the tests' independent reference
+for the text, and the second only counts leaves, so ``rank_identity``'s
+basis size is a count of diagrams, not the sum of squared dimensions it
+is compared with.  ``enumerate_bras`` walks the frame of a half diagram
+starting from its cuts, already open.  ``basis_encodings``, which
+``basis --diagrams`` and the cache use, reads a diagram as a north bra
+and a south bra of one label, joined cut to cut, which is why
+|B_n| = sum dim(n, i, j)^2: each north bra becomes a
+``diagram.north_template`` with a hole per cut, each south bra fills
+the holes and gives a ``diagram.south_tail``, and the strings are
+sorted, since canonical order is string order of the encoding.  No
+front end builds a diagram it would only count or encode.
 
 Dimensions follow a two-dimensional lattice walk: the number of half
 diagrams on n points with (i, j) propagating lines of the two colours
@@ -116,7 +111,6 @@ def standard_labels(n: int) -> list[tuple[int, int]]:
 def _walk_matchings(
     run: Sequence[int],
     stacks: tuple[list[int], list[int]],
-    after: int,
     leaf: Callable[[list], object],
     colours: tuple[int, ...] = (RED, BLUE),
 ) -> None:
@@ -124,16 +118,15 @@ def _walk_matchings(
     strands in ``stacks``, and call ``leaf(slots)`` at the end of every way
     to match them.
 
-    ``stacks[c]`` holds the open points of colour c, innermost last; at
-    a leaf it holds what the run leaves open, and the walk restores it
-    before it returns.  ``after`` more points follow the run and must
-    close what it leaves open, so no point opens a strand that could not
-    close: with ``run`` the whole boundary, empty stacks and ``after`` 0,
-    the leaves are the diagrams.  ``slots[p]`` is the pair ``(p, q, c)`` closed in
-    the run whose smaller endpoint is p and None at every other index,
-    so the pairs in index order are in canonical order.  ``slots`` is
-    reused between calls; a leaf copies what it keeps.  Only strands of
-    the ``colours`` are opened or closed.
+    ``stacks[c]`` holds the open points of colour c, innermost last, and
+    the walk restores it before it returns.  No point opens a strand that
+    the rest of the run could not close, so from no more open strands
+    than ``run`` has points every leaf closes every strand: with ``run``
+    the whole boundary and empty stacks, the leaves are the diagrams.
+    ``slots[p]`` is the pair ``(p, q, c)`` whose smaller endpoint is p
+    and None at every other index, so the pairs in index order are in
+    canonical order.  ``slots`` is reused between calls; a leaf copies
+    what it keeps.  Only strands of the ``colours`` are opened or closed.
     """
     end = len(run)
     slots: list[tuple[int, int, int] | None] = [None] * (max(run, default=0) + 1)
@@ -143,7 +136,7 @@ def _walk_matchings(
             leaf(slots)
             return
         pid = run[idx]
-        rem = end - idx - 1 + after
+        rem = end - idx - 1
         n_open = len(stacks[RED]) + len(stacks[BLUE])
         for c in colours:
             if stacks[c]:
@@ -175,7 +168,7 @@ def _walk_boundary(n_north: int, n_south: int, max_n: int, leaf: Callable[[list]
     """Call ``leaf(slots)`` once for every diagram on the rectangle, walking
     its whole boundary."""
     if _has_matchings(n_north, n_south, max_n):
-        _walk_matchings(circular_positions(n_north, n_south), ([], []), 0, leaf)
+        _walk_matchings(circular_positions(n_north, n_south), ([], []), leaf)
 
 
 def enumerate_basis(
@@ -210,74 +203,43 @@ def count_basis(n_north: int, n_south: int | None = None, max_n: int = DEFAULT_M
     return next(leaves)
 
 
-def _north_templates(n_north: int, n_south: int) -> dict[tuple[int, int], list[tuple[str, tuple]]]:
-    """Every way to match the north edge, as ``diagram.north_template``
-    patterns with their holes, keyed by the (red, blue) numbers of open
-    through lines.
-
-    A hole is ``(p, s, c)``: the through line of colour c from north
-    point p, which is open strand s of ``_south_completions``' numbering
-    (red strands 1..r, then blue strands r + 1..r + b, each colour from
-    the left)."""
-    stacks: tuple[list[int], list[int]] = ([], [])
-    groups: dict[tuple[int, int], list[tuple[str, tuple]]] = {}
-
-    def leaf(slots: list) -> None:
-        reds, blues = stacks
-        strand = {p: (s, RED) for s, p in enumerate(reds, 1)}
-        strand.update((p, (s, BLUE)) for s, p in enumerate(blues, len(reds) + 1))
-        pieces, holes = [], []
-        for p in range(1, n_north + 1):
-            if slots[p] is not None:
-                pieces.append(slots[p])
-            elif p in strand:
-                pieces.append(None)
-                holes.append((p, *strand[p]))
-        pattern = north_template(n_north, n_south, pieces)
-        groups.setdefault((len(reds), len(blues)), []).append((pattern, tuple(holes)))
-
-    _walk_matchings(range(1, n_north + 1), stacks, n_south, leaf)
-    return groups
-
-
-def _south_completions(n_north: int, n_south: int, r: int, b: int) -> list[tuple[list[int], str]]:
-    """Every way to match the south edge to r red and b blue open strands,
-    as the south partner of each strand (red 1..r, then blue r + 1..r + b,
-    each colour from the left) with the ``diagram.south_tail`` of the
-    south-south pairs."""
-    stacks = (list(range(1, r + 1)), list(range(r + 1, r + b + 1)))
-    completions: list[tuple[list[int], str]] = []
-
-    def leaf(slots: list) -> None:
-        partners = [slots[s][1] for s in range(1, r + b + 1)]
-        south = filter(None, slots[n_north + 1 :])
-        completions.append((partners, south_tail(n_north, south)))
-
-    _walk_matchings(circular_positions(n_north, n_south)[n_north:], stacks, 0, leaf)
-    return completions
-
-
 def basis_encodings(
     n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N
 ) -> list[str]:
     """Canonical encodings of every diagram on the given rectangle, sorted:
     ``[d.encode() for d in enumerate_basis(...)]`` without the diagrams.
 
-    Each edge is walked once per colour count of the through lines: every
-    north template is filled with every south completion of its group."""
+    A diagram is a north bra and a south bra of one label (r, b), joined
+    cut to cut: through line s is red cut s, then blue cut s - r, each
+    colour counted from the left.  For each label both edges carry, every
+    north bra becomes a ``diagram.north_template`` with a hole per cut,
+    and every south bra, its frame point p at point n_north + p, fills the
+    holes with its cut points and gives the ``diagram.south_tail`` of its
+    arcs.  On a square the south bras are the north bras."""
     if n_south is None:
         n_south = n_north
     results: list[str] = []
     if not _has_matchings(n_north, n_south, max_n):
         return results
-    for (r, b), templates in _north_templates(n_north, n_south).items():
-        # the texts of one completion: each distinct hole's, then the tail
+    # the edges have sizes of one parity, so these are the labels both carry
+    for r, b in standard_labels(min(n_north, n_south)):
+        norths = enumerate_bras(n_north, r, b, max_n=n_north)
+        souths = norths if n_south == n_north else enumerate_bras(n_south, r, b, max_n=n_south)
+        templates = []
+        for bra in norths:
+            # the view joins through line s to point n_north + s
+            view = sorted(bra._view(0, n_north))
+            pieces = [None if q > n_north else (p, q, c) for p, q, c in view]
+            holes = tuple((p, q - n_north, c) for p, q, c in view if q > n_north)
+            templates.append((north_template(n_north, n_south, pieces), holes))
+        # the texts of one south bra: each distinct hole's, then the tail
         holes = sorted({hole for _, template_holes in templates for hole in template_holes})
         index = {hole: k for k, hole in enumerate(holes)}
-        fills = [
-            [pair_text((p, partners[s - 1], c)) for p, s, c in holes] + [tail]
-            for partners, tail in _south_completions(n_north, n_south, r, b)
-        ]
+        fills = []
+        for bra in souths:
+            ends = [n_north + t for t in bra.red_cuts + bra.blue_cuts]
+            tail = south_tail(n_north, [(n_north + p, n_north + q, c) for p, q, c in bra.arcs])
+            fills.append([pair_text((p, ends[s - 1], c)) for p, s, c in holes] + [tail])
         for pattern, template_holes in templates:
             # with no hole it takes the tail alone, a string, which % accepts
             take = itemgetter(*[index[hole] for hole in template_holes], len(holes))
@@ -402,26 +364,31 @@ def enumerate_bras(
 ) -> list[HalfDiagram]:
     """All half diagrams on n points with (i, j) propagating cuts, sorted.
 
-    They are the leaves of ``_walk_matchings`` over the frame points with
-    i + j points after them that leave exactly i red and j blue strands
-    open: the closed pairs are the arcs and the open strands the cuts.
-    Closing pops the innermost open strand of its colour, so no cut sits
-    inside an arc of its own colour, and every such half diagram is one
-    leaf.  Only arcs and cuts of the given colours are drawn, so
-    ``colours=(RED,)`` walks just the all-red half diagrams.
+    The cuts are open before the walk starts, as the view's strands: red
+    n + 1..n + i, then blue n + i + 1..n + i + j, stacked in the circular
+    order of the view's south edge, so n + 1 and n + i + 1 are innermost.
+    ``_walk_matchings`` then walks the frame points, and each leaf is one
+    half diagram: the pairs with q > n are the cuts, at their frame ends,
+    and the rest are the arcs.  A cut strand starts under every frame
+    strand of its colour, so it closes only where no arc of that colour
+    is open: no cut sits inside an arc of its own colour.  Only arcs and
+    cuts of the given colours are drawn, so ``colours=(RED,)`` walks just
+    the all-red half diagrams.
     """
     _guard(2 * n, max_n)
     results: list[HalfDiagram] = []
     if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
         return results
-    stacks: tuple[list[int], list[int]] = ([], [])
+    stacks = (list(range(n + i, n, -1)), list(range(n + i + j, n + i, -1)))
 
     def leaf(slots: list) -> None:
-        reds, blues = stacks
-        if len(reds) == i and len(blues) == j:
-            results.append(HalfDiagram._raw(n, tuple(filter(None, slots)), tuple(reds), tuple(blues)))
+        pairs = tuple(filter(None, slots))
+        arcs = tuple(pair for pair in pairs if pair[1] <= n)
+        reds = tuple(p for p, q, _ in pairs if n < q <= n + i)
+        blues = tuple(p for p, q, _ in pairs if q > n + i)
+        results.append(HalfDiagram._raw(n, arcs, reds, blues))
 
-    _walk_matchings(range(1, n + 1), stacks, i + j, leaf, colours)
+    _walk_matchings(range(1, n + 1), stacks, leaf, colours)
     return sorted(results, key=HalfDiagram.encode)
 
 

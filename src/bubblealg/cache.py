@@ -13,7 +13,7 @@ A file must hold exactly B_n in its canonical order.  The header must
 name this version, the requested n and |B_n| = walk_count(2n, 0, 0)
 lines; that is checked before the walk runs.  The body is then compared
 line by line with ``basis_encodings(n)``, the text the walk writes by
-joining the matchings of the north and south edges, and the header hash
+joining each north bra to each south bra of its label, and the header hash
 with the digest of that text.  A file that passes is
 byte for byte what a miss writes, so a hit returns the walk's own list
 and never decodes a line.  Loads are strict: a file that fails any
@@ -31,10 +31,8 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterable
 
 from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
-from .diagram import Diagram
 
 CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
@@ -66,9 +64,9 @@ def basis_digest(encodings: list[str]) -> str:
     return digest.hexdigest()
 
 
-def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list[str]:
-    """Write a basis, given as diagrams or as their encodings, and return
-    the lines written; the parent directory is created if needed.
+def save_basis(path: str | Path, n: int, encodings: list[str]) -> list[str]:
+    """Write a basis given as its encodings, one line each, and return the
+    same list; the parent directory is created if needed.
 
     The data goes to a temporary file beside ``path`` that is then renamed
     over it, so an interrupted write leaves no partial file behind.  The
@@ -76,8 +74,6 @@ def save_basis(path: str | Path, n: int, basis: Iterable[Diagram | str]) -> list
     the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # a diagram's str is its encoding
-    encodings = [str(d) for d in basis]
     header = {
         "count": len(encodings),
         "hash": basis_digest(encodings),

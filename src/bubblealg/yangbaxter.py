@@ -291,6 +291,8 @@ TRANSFER_FIXED_BYTES = 64 * 2**10
 def transfer_bytes(n: int, kind: str = "bubble") -> int:
     """Peak bytes ``transfer_commutator`` allocates on n sites."""
     m = _family(kind).site_dim
+    if n < 1:
+        raise ValueError("need at least one site")
     states = TRANSFER_STATES_HELD * m * m + TRANSFER_VECTORS_HELD
     return 16 * m**n * states + TRANSFER_FIXED_BYTES
 

@@ -149,25 +149,11 @@ class TestEnumeration:
             "2ef341b310ed5cb597881a028ad9032e46e84eb9b96bfb6dc5179ad9b9f62877"
         )
 
-    def test_edge_walks_give_the_half_diagram_counts(self):
-        # each edge's matchings with (r, b) open through lines are the half
-        # diagrams of that label, and every pair of them is one diagram
-        for nn, ns in [(0, 4), (3, 5), (5, 3), (6, 6), (4, 0)]:
-            groups = basis._north_templates(nn, ns)
-            assert {label: len(group) for label, group in groups.items()} == {
-                (r, b): walk_count(nn, r, b)
-                for r in range(min(nn, ns) + 1)
-                for b in range(min(nn, ns) + 1 - r)
-                if walk_count(nn, r, b) and walk_count(ns, r, b)
-            }
-            for r, b in groups:
-                assert len(basis._south_completions(nn, ns, r, b)) == walk_count(ns, r, b)
-
     def test_leaf_count_never_goes_through_the_edge_product(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the south edge was walked")
+            raise AssertionError("an edge was walked")
 
-        monkeypatch.setattr(basis, "_south_completions", refuse)
+        monkeypatch.setattr(basis, "enumerate_bras", refuse)
         with pytest.raises(AssertionError):
             basis_encodings(2)
         report = rank_identity(6)
@@ -265,9 +251,38 @@ class TestDimensions:
 
 class TestHalfDiagrams:
     def test_counts_match_walks(self):
-        for n in range(0, 7):
+        # up to n = 8, so every edge of basis_encodings(7) and (8) is counted
+        for n in range(0, 9):
             for i, j in standard_labels(n):
                 assert len(enumerate_bras(n, i, j)) == walk_count(n, i, j)
+
+    def test_every_leaf_is_a_bra(self, monkeypatch):
+        # the walk starts from the cuts, so it reaches no leaf it must drop;
+        # the frame walk with the cuts after it reached 8 564 leaves at
+        # (8, 6, 0) for its 35 bras
+        walk, leaves = basis._walk_matchings, []
+
+        def counting(run, stacks, leaf, *colours):
+            def counted(slots):
+                leaves.append(None)
+                leaf(slots)
+
+            walk(run, stacks, counted, *colours)
+
+        monkeypatch.setattr(basis, "_walk_matchings", counting)
+
+        def reached(*args, **kwargs) -> int:
+            leaves.clear()
+            enumerate_bras(*args, **kwargs)
+            return len(leaves)
+
+        for n in range(0, 9):
+            for i, j in standard_labels(n):
+                assert reached(n, i, j) == walk_count(n, i, j)
+            for defects in range(n % 2, n + 1, 2):
+                expect = len(tl_bras(n, defects))
+                assert reached(n, defects, 0, colours=(RED,)) == expect
+                assert reached(n, 0, defects, colours=(BLUE,)) == expect
 
     def test_bra_guard_counts_both_halves(self):
         # a bra on n points pairs with a ket into a 2n-point diagram

@@ -77,11 +77,10 @@ def write_consistent_cache(cache_dir, n, encodings, override=None):
 
 class TestCache:
     def test_round_trip_matches_fresh_enumeration(self, tmp_path):
-        fresh = enumerate_basis(3)
+        fresh = [d.encode() for d in enumerate_basis(3)]
         path = cache_path(tmp_path, 3)
-        lines = save_basis(path, 3, fresh)
-        assert lines == [d.encode() for d in fresh]
-        assert load_basis(path, 3) == lines
+        assert save_basis(path, 3, fresh) is fresh
+        assert load_basis(path, 3) == fresh
 
     def test_cached_basis_writes_then_reads(self, tmp_path):
         first = cached_basis(3, cache_dir=tmp_path)
@@ -114,7 +113,7 @@ class TestCache:
 
     def test_edited_content_fails_digest(self, tmp_path):
         path = cache_path(tmp_path, 2)
-        save_basis(path, 2, enumerate_basis(2))
+        save_basis(path, 2, B2)
         with gzip.open(path, "rt", encoding="ascii") as fh:
             lines = fh.read().splitlines()
         lines[1], lines[2] = lines[2], lines[1]
@@ -131,12 +130,12 @@ class TestCache:
 
     def test_header_size_must_match_request(self, tmp_path):
         # a consistent n=2 file under the n=3 name must not be served as B_3
-        save_basis(cache_path(tmp_path, 3), 2, enumerate_basis(2))
+        save_basis(cache_path(tmp_path, 3), 2, B2)
         with pytest.raises(CacheError):
             cached_basis(3, cache_dir=tmp_path)
 
     def test_guard_applies_before_a_hit(self, tmp_path):
-        save_basis(cache_path(tmp_path, 3), 3, enumerate_basis(3))
+        save_basis(cache_path(tmp_path, 3), 3, [d.encode() for d in enumerate_basis(3)])
         with pytest.raises(ResourceLimitError):
             cached_basis(3, cache_dir=tmp_path, max_n=1)
 
@@ -196,7 +195,7 @@ class TestCache:
         monkeypatch.setattr(gzip, "GzipFile", FailingFile)
         path = cache_path(tmp_path, 2)
         with pytest.raises(OSError):
-            save_basis(path, 2, enumerate_basis(2))
+            save_basis(path, 2, B2)
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
         assert cached_basis(2, cache_dir=tmp_path) == [d.encode() for d in enumerate_basis(2)]
@@ -215,7 +214,7 @@ class TestCache:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 0.4 * body
+        assert peak < 0.2 * body
         assert load_basis(cache_path(tmp_path, 6), 6) == lines
 
     def test_digest_is_of_the_whole_text(self):
@@ -226,7 +225,7 @@ class TestCache:
 
     def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
         # neither the write time nor the temporary file's name enters the file
-        basis = enumerate_basis(3)
+        basis = [d.encode() for d in enumerate_basis(3)]
         first, second = cache_path(tmp_path / "a", 3), cache_path(tmp_path / "b", 3)
         save_basis(first, 3, basis)
         monkeypatch.setattr(time, "time", lambda: 1.6e9)
@@ -238,8 +237,7 @@ class TestCache:
 
     def test_file_written_by_gzip_open_still_loads(self, tmp_path):
         # written as before the header was fixed: file name and time included
-        basis = enumerate_basis(3)
-        lines = [d.encode() for d in basis]
+        lines = [d.encode() for d in enumerate_basis(3)]
         header = {"count": len(lines), "hash": basis_digest(lines), "n": 3, "version": 1}
         path = cache_path(tmp_path, 3)
         with gzip.open(path, "wt", encoding="ascii", compresslevel=COMPRESS_LEVEL) as fh:
@@ -249,7 +247,7 @@ class TestCache:
         assert load_basis(path, 3) == lines
         # the same deflate stream follows the shorter header
         old = path.read_bytes()
-        save_basis(path, 3, basis)
+        save_basis(path, 3, lines)
         new = path.read_bytes()
         assert old[old.index(b"\0", 10) + 1 :] == new[10:]
 
@@ -303,12 +301,12 @@ class TestBasisCommand:
         assert code == 2
 
     def test_wrong_size_cache_is_a_usage_error(self, capsys, tmp_path):
-        save_basis(cache_path(tmp_path, 3), 2, enumerate_basis(2))
+        save_basis(cache_path(tmp_path, 3), 2, B2)
         code, _ = run_cli(capsys, "basis", "--n", "3", "--cache-dir", str(tmp_path))
         assert code == 2
 
     def test_cache_hit_still_hits_the_resource_bound(self, capsys, tmp_path):
-        save_basis(cache_path(tmp_path, 3), 3, enumerate_basis(3))
+        save_basis(cache_path(tmp_path, 3), 3, [d.encode() for d in enumerate_basis(3)])
         code, _ = run_cli(capsys, "basis", "--n", "3", "--max-n", "1", "--cache-dir", str(tmp_path))
         assert code == 3
 
@@ -384,9 +382,9 @@ class TestNoDiagramsBuilt:
     def test_dims_counts_without_the_edge_product(self, capsys, monkeypatch):
         # basis_encodings joins north and south edges; the count must not
         def refuse(*args, **kwargs):
-            raise AssertionError("the south edge was walked")
+            raise AssertionError("an edge was walked")
 
-        monkeypatch.setattr(basis, "_south_completions", refuse)
+        monkeypatch.setattr(basis, "enumerate_bras", refuse)
         code, out = run_cli(capsys, "dims", "--n", "6")
         assert code == 0
         payload = json.loads(out)
@@ -406,7 +404,7 @@ class TestNoDiagramsBuilt:
         assert json.loads(out)["total"] == 6952660
 
     def test_cache_miss_writes_the_same_file_without_diagrams(self, tmp_path, monkeypatch):
-        basis_4 = enumerate_basis(4)
+        basis_4 = [d.encode() for d in enumerate_basis(4)]
         want = save_basis(cache_path(tmp_path / "from_diagrams", 4), 4, basis_4)
         forbid_diagrams(monkeypatch)
         assert cached_basis(4, cache_dir=tmp_path / "miss") == want
@@ -694,6 +692,17 @@ class TestYbeCommand:
     def test_zero_sweep_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("sites", ["0", "-1"])
+    def test_transfer_without_sites_refused_before_any_sweep(self, capsys, monkeypatch, sites):
+        from bubblealg import yangbaxter
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(yangbaxter, "ybe_sweep", refuse)
+        code, out = run_cli(capsys, "ybe", "--family", "bubble", "--sweep", "200", "--transfer", sites)
+        assert code == 2 and out == ""
 
 
 class TestSpectralGoldens:

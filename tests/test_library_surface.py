@@ -10,17 +10,26 @@ routes stay in the package beside the code they check.
 Every module-level import is read in its own module or exported, so an
 import left behind when its last use goes is caught; this holds for
 ``oracles.py`` too.
+
+Every name the benchmark's tracer (``perfbench/tracer.py``) wraps still
+exists, so a change that renames or removes one is caught here rather
+than when the traced replay fails.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import bubblealg
 
 PACKAGE = Path(bubblealg.__file__).resolve().parent
 EXEMPT = {"oracles.py"}
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+needs_tracer = pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is absent")
 
 
 def unused_definitions(package: Path) -> list[str]:
@@ -104,3 +113,49 @@ def test_a_leftover_import_would_be_flagged(tmp_path):
     cache = tmp_path / "cache.py"
     cache.write_text(cache.read_text() + "\nfrom itertools import pairwise\n")
     assert unused_imports(tmp_path) == ["cache.pairwise"]
+
+
+def wrapped_names(tracer: Path) -> list[tuple[str, str | None, str]]:
+    """(module, class or None, attribute) of each target of the tracer's
+    ``function(name, module, attr)`` and ``method(name, cls, attrs)`` calls."""
+    targets = []
+    for node in ast.walk(ast.parse(tracer.read_text(), tracer.name)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "function":
+            targets.append((node.args[1].id, None, node.args[2].value))
+        elif node.func.id == "method":
+            cls = node.args[1]
+            targets += [(cls.value.id, cls.attr, attr.value) for attr in node.args[2].elts]
+    return targets
+
+
+def missing_wrapped_names(tracer: Path) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each wrapped target that
+    ``bubblealg`` no longer has; a method must be in its class's own dict."""
+    missing = []
+    for module, cls, attr in wrapped_names(tracer):
+        owner = vars(importlib.import_module(f"bubblealg.{module}"))
+        if cls is not None:
+            owner = vars(owner[cls]) if cls in owner else {}
+        if attr not in owner:
+            missing.append(".".join(filter(None, (module, cls, attr))))
+    return missing
+
+
+@needs_tracer
+def test_every_traced_name_exists():
+    assert wrapped_names(TRACER)
+    assert missing_wrapped_names(TRACER) == []
+
+
+@needs_tracer
+def test_a_vanished_traced_name_would_be_flagged(tmp_path):
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text(
+        TRACER.read_text()
+        + '\nfunction("basis.north", basis, "_north_templates")\n'
+        + 'method("diagram.spin", diagram.Diagram, ("encode", "spin"))\n'
+        + 'method("cache.store", cache.Store, ("save",))\n'
+    )
+    assert missing_wrapped_names(tracer) == ["basis._north_templates", "diagram.Diagram.spin", "cache.Store.save"]
