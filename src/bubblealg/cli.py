@@ -282,6 +282,8 @@ def _format_complex_matrix(mat) -> str:
 def cmd_rep(args: argparse.Namespace) -> int:
     from .spinchain import NumericParams, diagram_matrix, homomorphism_report
 
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     try:
         q_r, q_b = complex(args.qr), complex(args.qb)
     except ValueError as exc:

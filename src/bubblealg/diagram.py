@@ -30,11 +30,10 @@ it here: ``encode_pairs`` writes one diagram's text, for
 text in two parts, the pairs starting on the north edge with a hole for
 each through line and the pairs on the south edge, which
 ``basis.basis_encodings`` joins, filling each hole with a ``pair_text``
-once the line's south end is known.  ``Diagram.decode`` is
-strict: it accepts exactly the text ``encode`` writes, so
-``decode(t).encode() == t`` for every ``t`` it accepts; whitespace,
-leading zeros, ``p > q`` and unsorted pairs are rejected.  Pair texts
-map to shared ``(p, q, c)`` tuples through a bounded memo.
+once the line's south end is known.  ``Diagram.decode`` accepts
+exactly the text ``encode`` writes, by round trip: it builds the diagram
+and rejects the text unless ``encode`` gives it back, so whitespace,
+signs, leading zeros, ``p > q`` and unsorted pairs are all rejected.
 
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
@@ -133,12 +132,23 @@ class Diagram:
 
     @classmethod
     def decode(cls, text: str) -> "Diagram":
-        """Parse canonical text, exactly what ``encode`` writes."""
+        """Parse canonical text, exactly what ``encode`` writes.
+
+        The text is split loosely and built through ``Diagram(...)``; it is
+        accepted only if encoding the result gives the same text back."""
         head, brace, body = text.partition("]{")
-        if not brace or body[-1:] != "}":
+        if head[:2] != "D[" or not brace or body[-1:] != "}":
             raise ValueError(f"malformed diagram encoding: {text!r}")
+        n_north, n_south = map(int, head[2:].split(","))
         pieces = body[:-1].split(";") if len(body) > 1 else ()
-        return cls(*_parse_head(head), tuple(map(_parse_pair, pieces)))
+        pairs = []
+        for piece in pieces:
+            p, q, c = piece[1:-1].split(",")
+            pairs.append((int(p), int(q), COLOUR_CHARS.index(c)))
+        d = cls(n_north, n_south, tuple(pairs))
+        if d.encode() != text:
+            raise ValueError(f"not a canonical diagram encoding: {text!r}")
+        return d
 
     def __str__(self) -> str:
         return self.encode()
@@ -196,33 +206,6 @@ def south_tail(n_north: int, south: Iterable[tuple[int, int, int]]) -> str:
     pairs ``south`` with both ends on the south edge, then the close."""
     body = pairs_text(south)
     return f";{body}}}" if n_north and body else f"{body}}}"
-
-
-def _parse_natural(text: str) -> int:
-    """A decimal in canonical form: ASCII digits, no leading zero."""
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
-        raise ValueError(f"malformed number: {text!r}")
-    return int(text)
-
-
-@lru_cache(maxsize=64)
-def _parse_head(text: str) -> tuple[int, int]:
-    """(n_north, n_south) from a ``D[n_north,n_south`` head."""
-    sizes = text[2:].split(",")
-    if text[:2] != "D[" or len(sizes) != 2:
-        raise ValueError(f"malformed diagram head: {text!r}")
-    return _parse_natural(sizes[0]), _parse_natural(sizes[1])
-
-
-# memoised on the canonical text, so a basis shares one tuple per distinct
-# pair; bounded, so it never grows with the numbers in the input
-@lru_cache(maxsize=4096)
-def _parse_pair(text: str) -> tuple[int, int, int]:
-    """The ``(p, q, colour)`` tuple of one canonical ``(p,q,c)`` piece."""
-    fields = text[1:-1].split(",")
-    if text[:1] != "(" or text[-1:] != ")" or len(fields) != 3 or fields[2] not in ("r", "b"):
-        raise ValueError(f"malformed pair: {text!r}")
-    return _parse_natural(fields[0]), _parse_natural(fields[1]), COLOUR_CHARS.index(fields[2])
 
 
 def make_diagram(n_north: int, n_south: int, pairs: Iterable[tuple[int, int, int]]) -> Diagram:

@@ -22,7 +22,7 @@ a random point it falls below with probability at most degree / PRIME.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, int]
 
@@ -37,23 +37,8 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]], None] = None,
-    ) -> None:
-        data: dict[Exponent, int] = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for (a, b), c in items:
-                if not c:
-                    continue
-                key = (int(a), int(b))
-                acc = data.get(key, 0) + int(c)
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
-        self._terms = data
+    def __init__(self, terms: Mapping[Exponent, int] | None = None) -> None:
+        self._terms = {exp: c for exp, c in terms.items() if c} if terms else {}
 
     @classmethod
     def _raw(cls, data: dict[Exponent, int]) -> "LaurentPoly":
@@ -168,27 +153,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # evaluation and text form
-
-    def evaluate(self, dr: complex, db: complex) -> complex:
-        """Substitute numbers for the generators, Horner-style per variable.
-
-        Requires dr != 0 (resp. db != 0) whenever a negative dr (resp. db)
-        exponent occurs, since the generators are invertible in the ring.
-        """
-        if not self._terms:
-            return 0j
-        if dr == 0 and any(a < 0 for a, _ in self._terms):
-            raise ValueError("cannot substitute 0 for dr: negative dr exponents present")
-        if db == 0 and any(b < 0 for _, b in self._terms):
-            raise ValueError("cannot substitute 0 for db: negative db exponents present")
-        by_a: dict[int, dict[int, int]] = {}
-        for (a, b), c in self._terms.items():
-            by_a.setdefault(a, {})[b] = c
-        inner_vals: dict[int, complex] = {
-            a: _horner(sorted(bs.items(), reverse=True), complex(db)) for a, bs in by_a.items()
-        }
-        return _horner(sorted(inner_vals.items(), reverse=True), complex(dr))
+    # text form
 
     def __str__(self) -> str:
         if not self._terms:
@@ -198,21 +163,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
-
-
-def _horner(pairs: list[tuple[int, complex]], x: complex):
-    # pairs: (exponent, value) sorted by exponent descending; gaps are bridged
-    # by powers, and a trailing negative exponent becomes a final division
-    acc = 0j
-    prev: int | None = None
-    for exp, val in pairs:
-        if prev is not None:
-            acc *= x ** (prev - exp)
-        acc += val
-        prev = exp
-    if prev:
-        acc *= x**prev
-    return acc
 
 
 DR = LaurentPoly.monomial(1, 0)

@@ -26,7 +26,6 @@ from itertools import product
 import numpy as np
 
 from .diagram import RED, Diagram, endpoint_arrays, products
-from .exactpoly import LaurentPoly
 
 SITE_STATES = ("r+", "r-", "b+", "b-")
 
@@ -60,9 +59,6 @@ class NumericParams:
 
     def t(self, c: int) -> complex:
         return self.t_r if c == RED else self.t_b
-
-    def evaluate(self, poly: LaurentPoly) -> complex:
-        return poly.evaluate(self.delta_r, self.delta_b)
 
     def __repr__(self) -> str:
         return f"NumericParams(q_r={self.q_r!r}, q_b={self.q_b!r})"
@@ -192,7 +188,8 @@ def homomorphism_report(
 
     Every ordered pair of basis diagrams is tested; the report carries
     the worst absolute entry difference, NaN if any difference is NaN.
-    The non-zero ``products`` are compared entry by entry.  The product
+    The non-zero ``products`` are compared entry by entry, each weighed
+    by ``delta_r**loops_r * delta_b**loops_b``.  The product
     of two matrices is exactly zero when the colour words mismatch, once
     each vanishes outside its (north word x south word) block; so each
     matrix's largest entry outside its block covers the zero pairs.
@@ -212,7 +209,8 @@ def homomorphism_report(
         outside = m.copy()
         outside[np.ix_(rows, cols)] = 0
         residuals.append(np.abs(outside).max())
+    delta_r, delta_b = params.delta_r, params.delta_b
     for a, b, lr, lb, d in products(basis, basis):
-        diff = params.evaluate(LaurentPoly.monomial(lr, lb)) * mats[d] - mats[a] @ mats[b]
+        diff = delta_r**lr * delta_b**lb * mats[d] - mats[a] @ mats[b]
         residuals.append(np.abs(diff).max())
     return HomomorphismReport(n, len(basis) ** 2, float(np.max(residuals, initial=0.0)))

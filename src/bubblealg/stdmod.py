@@ -131,7 +131,11 @@ class GramBlock:
     word: str
     indices: tuple[int, ...]
     matrix: PolyMatrix
-    det: LaurentPoly
+
+    @cached_property
+    def det(self) -> LaurentPoly:
+        """The block's determinant, eliminated on first use only."""
+        return block_det(self.matrix)
 
 
 def gram_blocks(
@@ -153,7 +157,7 @@ def gram_blocks(
         sub = PolyMatrix(
             [[bra_inner(bras[a], bras[b]) for b in idx] for a in idx]
         )
-        blocks.append(GramBlock(word, tuple(idx), sub, block_det(sub)))
+        blocks.append(GramBlock(word, tuple(idx), sub))
     return bras, blocks
 
 

@@ -56,8 +56,11 @@ def validate_lambda(lam: float, kind: str = "bubble") -> None:
     """Reject lambda too close to a pole of the coefficient functions.
 
     Poles sit at integer multiples of pi (one colour) or pi/3 (two
-    colours); "too close" means within LAMBDA_EXCLUSION.
+    colours); "too close" means within LAMBDA_EXCLUSION.  A lambda that
+    is not finite is rejected too.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     step = _family(kind).pole_step
     nearest = round(lam / step) * step
     if abs(lam - nearest) < LAMBDA_EXCLUSION:

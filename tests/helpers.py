@@ -119,6 +119,11 @@ def random_poly(rng: random.Random, max_terms: int = 4, span: int = 3) -> Lauren
     return LaurentPoly(terms)
 
 
+def evaluate(p: LaurentPoly, dr: complex, db: complex) -> complex:
+    """Value of p at numbers (dr, db), term by term."""
+    return sum((c * dr**a * db**b for (a, b), c in p.terms.items()), 0j)
+
+
 def random_monomial(rng: random.Random, span: int = 2) -> LaurentPoly:
     return LaurentPoly.monomial(
         rng.randrange(-span, span + 1),
@@ -463,7 +468,7 @@ def element_matrix(x: Element, params: NumericParams) -> np.ndarray:
     delta_c = q_c + 1/q_c."""
     m = np.zeros((4**x.n_north, 4**x.n_south), dtype=complex)
     for d, coeff in x.items():
-        m += params.evaluate(coeff) * diagram_matrix(d, params)
+        m += evaluate(coeff, params.delta_r, params.delta_b) * diagram_matrix(d, params)
     return m
 
 

@@ -491,6 +491,21 @@ class TestGramCommand:
         assert payload["det_cross_checked"] is True
         assert payload["size"] == 2
 
+    def test_matrix_alone_eliminates_no_block(self, capsys, monkeypatch):
+        # with no --det, --blocks or --roots no determinant is printed, so
+        # none is taken; the digest was recorded while every block was
+        # still eliminated
+        def refuse(m):
+            raise AssertionError("a block was eliminated")
+
+        stdmod.block_det.cache_clear()
+        monkeypatch.setattr(stdmod, "poly_det", refuse)
+        code, out = run_cli(capsys, "gram", "--n", "6", "--i", "1", "--j", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "44f3aac34e179ccd02e27f6db18da59de54a872a1b6d514777ea8e7aa92b077d"
+        )
+
     def test_entries_match_matrix_text(self, capsys):
         code, out = run_cli(capsys, "gram", "--n", "2", "--i", "1", "--j", "1")
         payload = json.loads(out)
@@ -604,6 +619,13 @@ class TestRepCommand:
         code, _ = run_cli(capsys, "rep", "--n", "2", "--qr", "spam", "--qb", "1", "--check")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tolerance_not_finite_and_non_negative_is_usage_error(self, capsys, tol):
+        code = main(["rep", "--n", "2", "--qr", "2", "--qb", "3", "--check", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--tol" in captured.err
+
     def test_impossible_tolerance_is_property_failure(self, capsys):
         code, out = run_cli(
             capsys, "rep", "--n", "2", "--qr", "2", "--qb", "3", "--check", "--tol", "0"
@@ -654,6 +676,14 @@ class TestYbeCommand:
     def test_singular_lambda_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "ybe", "--family", "bubble", "--lambda", "1.0471975511965976")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["tl", "bubble"])
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+    def test_lambda_not_finite_is_usage_error(self, capsys, family, lam):
+        code = main(["ybe", "--family", family, f"--lambda={lam}", "--sweep", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "lambda must be finite" in captured.err
 
     def test_csv_has_one_row_per_point(self, capsys):
         code, out = run_cli(
@@ -745,6 +775,16 @@ class TestSpectralGoldens:
                 "check --n 3",
                 "2c0273d8a75457dff8b1b8e2e0d741a4222cc5842fe5e3c960e23134fdb1c6d5",
             ),
+            # recorded before the loop weights became plain powers of the
+            # deltas; the = form keeps argparse from reading -2+0.1j as a flag
+            (
+                "rep --n 2 --qr=0.3-1.7j --qb=-2+0.1j --check",
+                "0daac08abcc5fcdafff20dac83cddf35164b8f52799b1011d7fd7e6e9a677d4b",
+            ),
+            (
+                "rep --n 3 --qr=0.3-1.7j --qb=-2+0.1j --check",
+                "872f56c9012c5551c2e6bde8e21dfbc2f804383c443f56dbb0350be78668e34a",
+            ),
         ],
         ids=[
             "ybe_tl",
@@ -755,6 +795,8 @@ class TestSpectralGoldens:
             "rep_matrices",
             "rep_check_n3",
             "check_n3",
+            "rep_check_far",
+            "rep_check_far_n3",
         ],
     )
     def test_golden_stdout(self, capsys, argv, digest):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from bubblealg import diagram
@@ -111,9 +113,32 @@ class TestConstruction:
             "D[2,2]{(01,2,r);(3,4,r)}",
             "D[2,2]{(1,2,r);(3,4,r)} ",
             "D[99999,99999]{}",
+            # loose splitting and int() take most of these; the round trip
+            # refuses them all
+            "D[+2,2]{(1,2,r);(3,4,r)}",
+            "D[2,2]{(1, 2,r);(3,4,r)}",
+            "D[2,2]{( 1,2,r);(3,4,r)}",
+            "D[2,2]{(1,2,r);(3,4,r)}".replace("4", "\u0664"),
+            "D[2,2]{(1,2,R);(3,4,r)}",
+            "D[2,2]{(1,2,);(3,4,r)}",
+            "D[2,2]{(1,2,r);(3,4,r)}]{}",
+            "D[2,2]{(1,2,r)]{(3,4,r)}",
+            "D[10,0]{(1,1_0,r);(2,9,r);(3,8,r);(4,7,r);(5,6,r)}",
         ]:
             with pytest.raises(ValueError):
                 Diagram.decode(bad)
+
+    def test_huge_sizes_fail_on_the_pair_count_first(self):
+        # the count is checked before any endpoint array is allocated: two
+        # arrays of 199 999 slots would take over 3 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="pair count"):
+                Diagram.decode("D[99999,99999]{}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestCompose:
