@@ -112,7 +112,6 @@ def _walk_matchings(
     run: Sequence[int],
     stacks: tuple[list[int], list[int]],
     leaf: Callable[[list], object],
-    colours: tuple[int, ...] = (RED, BLUE),
 ) -> None:
     """Walk the boundary points ``run`` in circular order, from the open
     strands in ``stacks``, and call ``leaf(slots)`` at the end of every way
@@ -126,7 +125,7 @@ def _walk_matchings(
     ``slots[p]`` is the pair ``(p, q, c)`` whose smaller endpoint is p
     and None at every other index, so the pairs in index order are in
     canonical order.  ``slots`` is reused between calls; a leaf copies
-    what it keeps.  Only strands of the ``colours`` are opened or closed.
+    what it keeps.
     """
     end = len(run)
     slots: list[tuple[int, int, int] | None] = [None] * (max(run, default=0) + 1)
@@ -138,7 +137,7 @@ def _walk_matchings(
         pid = run[idx]
         rem = end - idx - 1
         n_open = len(stacks[RED]) + len(stacks[BLUE])
-        for c in colours:
+        for c in (RED, BLUE):
             if stacks[c]:
                 # closing keeps rem - (n_open - 1) parity automatically; a
                 # southern pair opens at its larger endpoint
@@ -359,9 +358,7 @@ def make_half(n: int, arcs, red_cuts=(), blue_cuts=()) -> HalfDiagram:
     return HalfDiagram(n, norm, tuple(sorted(red_cuts)), tuple(sorted(blue_cuts)))
 
 
-def enumerate_bras(
-    n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N, colours: tuple[int, ...] = (RED, BLUE)
-) -> list[HalfDiagram]:
+def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
     """All half diagrams on n points with (i, j) propagating cuts, sorted.
 
     The cuts are open before the walk starts, as the view's strands: red
@@ -371,9 +368,7 @@ def enumerate_bras(
     half diagram: the pairs with q > n are the cuts, at their frame ends,
     and the rest are the arcs.  A cut strand starts under every frame
     strand of its colour, so it closes only where no arc of that colour
-    is open: no cut sits inside an arc of its own colour.  Only arcs and
-    cuts of the given colours are drawn, so ``colours=(RED,)`` walks just
-    the all-red half diagrams.
+    is open: no cut sits inside an arc of its own colour.
     """
     _guard(2 * n, max_n)
     results: list[HalfDiagram] = []
@@ -388,7 +383,7 @@ def enumerate_bras(
         blues = tuple(p for p, q, _ in pairs if q > n + i)
         results.append(HalfDiagram._raw(n, arcs, reds, blues))
 
-    _walk_matchings(range(1, n + 1), stacks, leaf, colours)
+    _walk_matchings(range(1, n + 1), stacks, leaf)
     return sorted(results, key=HalfDiagram.encode)
 
 

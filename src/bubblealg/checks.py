@@ -3,7 +3,8 @@
 Each check re-runs one of the package's verified invariants at a
 configurable size and reports pass/fail with a short detail string.  A
 crash inside a check is reported as a failure of that check rather than
-aborting the suite.
+aborting the suite; a size past the basis guard is refused before any
+check runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .basis import (
     DEFAULT_MAX_N,
+    ResourceLimitError,
     count_basis,
     enumerate_basis,
     monochrome_straight_diagrams,
@@ -329,11 +331,17 @@ def _check_cyclic_span(size: int) -> CheckResult:
 
 
 def run_checks(size: int = 4, seed: int = 20260822, quick: bool = False) -> list[CheckResult]:
-    """Run the whole suite; `quick` trims sizes and sweep counts."""
+    """Run the whole suite; `quick` trims sizes and sweep counts.
+
+    A size past DEFAULT_MAX_N raises ResourceLimitError before any check
+    runs, as the basis checks would refuse it only after the rest ran.
+    """
     if size < 2:
         raise ValueError("check size must be at least 2")
     if quick:
         size = min(size, 3)
+    if size > DEFAULT_MAX_N:
+        raise ResourceLimitError(f"check size {size} exceeds the limit of {DEFAULT_MAX_N}")
     sweep_count = 3 if quick else 5
     jobs = [
         ("basis_counts", lambda: _check_basis_counts(size)),

@@ -16,10 +16,13 @@ word, and each block is a tensor product of two one-colour forms: with
 k_r red and k_b blue frame points, its determinant is
 D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r, where D_c(k, d) and rows_c are
 the determinant and size of the one-colour form on k points with d
-cuts.  So the Gram determinant is a red part times a blue part, each a
-product of a few one-colour determinants.  ``gram_det_report`` keeps it
-in that factored form and checks every block against it, and
-``scan_gram_roots`` works on the distinct factors of the scanned colour
+cuts.  Each D_c has a closed form, a product of powers of psi_k, the
+factors of the Chebyshev numbers [k] whose zeros are the loop weights
+2 cos(pi m / k) (Westbury, Math. Z. 219 (1995); Ridout and Saint-Aubin,
+arXiv:1204.4505).  So the Gram determinant is a red part times a blue
+part, each stored as a table of psi_k exponents.  ``gram_det_report``
+eliminates every distinct block and checks it against the tables, and
+``scan_gram_roots`` reads the roots of the scanned colour off its table
 without expanding either part.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -51,8 +55,20 @@ from .diagram import (
     glue,
     white_generator,
 )
-from .exactpoly import ONE, PRIME, ZERO, LaurentPoly, PolyMatrix, eval_mod, poly_det, rank_mod
-from .oracles import tl_gram_exponents
+from .exactpoly import (
+    DB,
+    DR,
+    ONE,
+    PRIME,
+    ZERO,
+    LaurentPoly,
+    PolyMatrix,
+    divexact,
+    eval_mod,
+    poly_det,
+    rank_mod,
+)
+from .oracles import tl_gram_exponents, tl_halfdiagram_count
 
 # ---------------------------------------------------------------------------
 # action of diagrams on half diagrams
@@ -164,26 +180,61 @@ def gram_blocks(
 @lru_cache(maxsize=256)
 def block_det(m: PolyMatrix) -> LaurentPoly:
     """``poly_det`` once per distinct block: blocks of one (k_r, k_b) shape
-    repeat, and ``one_colour_det`` eliminates one-colour modules' blocks."""
+    repeat."""
     return poly_det(m)
 
 
 @cache
-def one_colour_det(colour: int, points: int, defects: int) -> tuple[LaurentPoly, int]:
-    """Determinant and size of the one-colour form on `points` points.
+def quantum_number(k: int, colour: int) -> LaurentPoly:
+    """[k] in colour's loop weight d: [0] = 0, [1] = 1, [k+1] = d[k] - [k-1]."""
+    if k < 2:
+        return LaurentPoly.const(k)
+    d = DR if colour == RED else DB
+    return d * quantum_number(k - 1, colour) - quantum_number(k - 2, colour)
 
-    This is the all-`colour` word block of the module with `defects`
-    cuts of that colour, computed with ``bra_inner`` and ``poly_det``
-    like any other block from a walk over that colour's half diagrams
-    only.  Blocks never have more points than the module they come
-    from, which has passed the size guard already.
+
+@cache
+def psi(k: int, colour: int) -> LaurentPoly:
+    """The factor psi_k of [k] = prod of psi_l over the divisors l > 1 of k.
+
+    Its zeros are the d = 2 cos(pi m / k) with m prime to k, all in
+    (-2, 2); psi_1 = 1 and psi_2 = d.  Each division is exact.
     """
-    label = (defects, 0) if colour == RED else (0, defects)
-    bras = enumerate_bras(points, *label, max_n=points, colours=(colour,))
-    return block_det(gram_matrix(points, *label, bras=bras)), len(bras)
+    out = quantum_number(k, colour)
+    for l in range(2, k):
+        if k % l == 0:
+            out = divexact(out, psi(l, colour))
+    return out
 
 
-Factors = tuple[tuple[LaurentPoly, int], ...]
+Table = dict[int, int]
+
+
+def psi_product(table: Table, colour: int) -> LaurentPoly:
+    """prod psi_k^a_k over the exponent table, in colour's loop weight."""
+    return math.prod((psi(k, colour) ** a for k, a in table.items()), start=ONE)
+
+
+def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
+    """Determinant and size of the one-colour form on `points` points with
+    `defects` cuts, as ({k: a_k}, rows) with determinant prod psi_k^a_k.
+
+    The closed form is det = prod_{j=1}^{m} ([p+j+1] / [j])^dim W(n, p+2j)
+    with n points, p defects and m = (n - p) / 2, so a_k sums
+    dim W(n, p+2j) * (1[k | p+j+1] - 1[k | j]) over j; rows = dim W(n, p).
+    Only the nonzero a_k, for k > 1, are kept.
+    """
+    dims = [
+        (j, tl_halfdiagram_count(points, defects + 2 * j))
+        for j in range(1, (points - defects) // 2 + 1)
+    ]
+    table = {}
+    for k in range(2, points + 2):
+        a = sum(dim * (((defects + j + 1) % k == 0) - (j % k == 0)) for j, dim in dims)
+        if a:
+            table[k] = a
+    return table, tl_halfdiagram_count(points, defects)
+
 
 CROSS_CHECK_MAX_SIZE = 36
 
@@ -192,37 +243,27 @@ CROSS_CHECK_MAX_SIZE = 36
 class GramDetReport:
     """Gram determinant kept factored by colour.
 
-    ``factors[c]`` lists the distinct one-colour determinants of colour
-    c with their multiplicities; ``det`` is their product, expanded on
-    first use as (red part) * (blue part).
+    ``factors[c]`` is colour c's exponent table {k: A_k}: its part of the
+    determinant is prod psi_k^A_k in its own loop weight.  ``det`` is the
+    product of the two parts, expanded on first use.
     """
 
     n: int
     label: tuple[int, int]
     size: int
-    factors: tuple[Factors, Factors]
+    factors: tuple[Table, Table]
     blocks: tuple[GramBlock, ...]
     cross_checked: bool
 
     @cached_property
     def parts(self) -> tuple[LaurentPoly, LaurentPoly]:
         """The red and the blue part, each in its own loop weight only."""
-        out = []
-        for factors in self.factors:
-            acc = ONE
-            for f, m in factors:
-                acc = acc * f**m
-            out.append(acc)
-        return out[0], out[1]
+        return psi_product(self.factors[RED], RED), psi_product(self.factors[BLUE], BLUE)
 
     @cached_property
     def det(self) -> LaurentPoly:
         red, blue = self.parts
         return red * blue
-
-    @property
-    def det_is_zero(self) -> bool:
-        return any(f.is_zero for factors in self.factors for f, _ in factors)
 
 
 def gram_det_report(
@@ -231,29 +272,29 @@ def gram_det_report(
     """Gram determinant from the word blocks, factored by colour.
 
     Every block determinant comes from elimination on the block itself
-    and must equal D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r built from
-    the one-colour determinants; a mismatch raises ArithmeticError.
+    and must equal D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r expanded from
+    the closed-form one-colour tables; a mismatch raises ArithmeticError.
     Up to CROSS_CHECK_MAX_SIZE basis elements, where it is cheap, the
     unblocked matrix goes through fraction-free elimination as well and
     must give the product of the factors exactly.
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
-    mult: tuple[dict[LaurentPoly, int], dict[LaurentPoly, int]] = ({}, {})
+    factors: tuple[Counter, Counter] = (Counter(), Counter())
     tensor: dict[tuple[int, int], LaurentPoly] = {}
     for blk in blocks:
         k_r = blk.word.count("r")
         k_b = len(blk.word) - k_r
-        det_r, rows_r = one_colour_det(RED, k_r, i)
-        det_b, rows_b = one_colour_det(BLUE, k_b, j)
+        table_r, rows_r = one_colour_det(k_r, i)
+        table_b, rows_b = one_colour_det(k_b, j)
         if (k_r, k_b) not in tensor:
+            det_r, det_b = psi_product(table_r, RED), psi_product(table_b, BLUE)
             tensor[k_r, k_b] = det_r**rows_b * det_b**rows_r
         if blk.det != tensor[k_r, k_b]:
             raise ArithmeticError(
                 f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
             )
-        mult[RED][det_r] = mult[RED].get(det_r, 0) + rows_b
-        mult[BLUE][det_b] = mult[BLUE].get(det_b, 0) + rows_r
-    factors = (tuple(mult[RED].items()), tuple(mult[BLUE].items()))
+        factors[RED].update({k: a * rows_b for k, a in table_r.items()})
+        factors[BLUE].update({k: a * rows_r for k, a in table_b.items()})
     size = len(bras)
     report = GramDetReport(n, (i, j), size, factors, tuple(blocks), size <= CROSS_CHECK_MAX_SIZE)
     if report.cross_checked:
@@ -382,57 +423,6 @@ def _value(poly: LaurentPoly, colour: int, x: Fraction) -> Fraction:
     return sum((Fraction(c) * x ** exp[colour] for exp, c in poly.terms.items()), Fraction(0))
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        for t, y in enumerate(b):
-            out[s + t] += x * y
-    return out
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division of trimmed coefficient lists: (quotient, remainder)."""
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while _trim(r) and len(r) >= len(b):
-        f = r[-1] / b[-1]
-        off = len(r) - len(b)
-        q[off] = f
-        for k in range(len(b)):
-            r[off + k] -= f * b[k]
-        r.pop()
-    return _trim(q), r
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _square_free(p: list[Fraction]) -> list[Fraction]:
-    """Strip repeated factors exactly before any floating point touches them."""
-    if len(p) <= 2:
-        return list(p)
-    deriv = [c * k for k, c in enumerate(p)][1:]
-    g = _poly_gcd(p, deriv)
-    if len(g) <= 1:
-        return list(p)
-    q, r = _poly_divmod(p, g)
-    assert not r, "inexact division in square-free reduction"
-    return q
-
-
 def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] | None:
     """Smallest k with |z - 2 cos(pi m / k)| inside tolerance, as (m, k)."""
     for k in range(1, max_k + 1):
@@ -451,13 +441,12 @@ class RootRecord:
 @dataclass(frozen=True)
 class SampleScan:
     other_value: Fraction
-    degenerate: bool
     zero_root_multiplicity: int
     roots: tuple[RootRecord, ...]
 
     @property
     def all_matched(self) -> bool:
-        return not self.degenerate and all(r.matched is not None for r in self.roots)
+        return all(r.matched is not None for r in self.roots)
 
 
 @dataclass(frozen=True)
@@ -465,16 +454,17 @@ class GramRootScan:
     n: int
     label: tuple[int, int]
     var: int
-    det_is_zero: bool
     samples: tuple[SampleScan, ...]
 
     @property
     def all_matched(self) -> bool:
-        return not self.det_is_zero and all(s.all_matched for s in self.samples)
+        return all(s.all_matched for s in self.samples)
 
 
 # the other loop weight is pinned to each sample in turn; a root matches
-# 2 cos(pi m / k) within ROOT_TOLERANCE for some k <= 2n
+# 2 cos(pi m / k) within ROOT_TOLERANCE for some k <= 2n.  The samples must
+# exceed 2: every zero of a psi_k lies in (-2, 2), so the other colour's
+# part never vanishes at a sample
 ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
 ROOT_TOLERANCE = 1e-8
 
@@ -482,50 +472,37 @@ ROOT_TOLERANCE = 1e-8
 def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     """Locate the roots of a reported Gram determinant in one loop parameter.
 
-    The part in ``var`` is a product of powers f^m of a few one-colour
-    determinants, so it is never expanded: its roots are those of the
-    product of the distinct f, whose repeated factors are removed by
-    exact polynomial arithmetic.  Its lowest exponent, the multiplicity
-    of the root 0, is the sum of m * lo(f), and its leading coefficient
-    the product of lead(f)^m.  The other parameter is pinned to exact
-    rationals, which turns the part in the other colour into one exact
-    number; the monic square-free product, scaled by the leading
-    coefficient and that number, is what the numeric root finder sees.
+    The part in ``var`` is prod psi_k^A_k from its exponent table, so it
+    is never expanded: the root 0 has multiplicity A_2, as psi_2 = d, and
+    the other roots are those of the product of the psi_k with k >= 3 and
+    A_k > 0, which is monic and square-free by construction.  The other
+    parameter is pinned to exact rationals, which turns the part in the
+    other colour into one exact number, prod psi_k(other)^A_k; the monic
+    product scaled by that number is what the numeric root finder sees.
     Every root must then lie within tolerance of twice a cosine of a
     rational angle with denominator at most 2n.
     """
     n = report.n
     max_k = 2 * n
-    if report.det_is_zero:
-        return GramRootScan(n, report.label, var, True, ())
-    zero_mult, lead, product = 0, Fraction(1), [Fraction(1)]
-    for f, m in report.factors[var]:
-        lo, coeffs = _coefficients(f, var)
-        zero_mult += m * lo
-        lead *= coeffs[-1] ** m
-        product = _poly_mul(product, coeffs)
-    sq = _square_free(product)
-    monic = [c / sq[-1] for c in sq]
-    zero_mult = max(zero_mult, 0)
+    table = report.factors[var]
+    zero_mult = table.get(2, 0)
+    _, monic = _coefficients(psi_product({k: 1 for k in table if k >= 3}, var), var)
     rest = 1 - var
     samples = []
     for other in ROOT_SAMPLES:
         scale = math.prod(
-            (_value(f, rest, other) ** m for f, m in report.factors[rest]), start=Fraction(1)
+            (_value(psi(k, rest), rest, other) ** a for k, a in report.factors[rest].items()),
+            start=Fraction(1),
         )
-        if not scale:
-            samples.append(SampleScan(other, True, 0, ()))
-            continue
         records = []
         if zero_mult:
             records.append(RootRecord(0.0, match_special_value(0.0, max_k, ROOT_TOLERANCE)))
         if len(monic) > 1:
-            factor = lead * scale
-            roots = _float_roots([c * factor for c in monic])
+            roots = _float_roots([c * scale for c in monic])
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, ROOT_TOLERANCE)))
-        samples.append(SampleScan(other, False, zero_mult, tuple(records)))
-    return GramRootScan(n, report.label, var, False, tuple(samples))
+        samples.append(SampleScan(other, zero_mult, tuple(records)))
+    return GramRootScan(n, report.label, var, tuple(samples))
 
 
 def _float_roots(coeffs: list[Fraction]):

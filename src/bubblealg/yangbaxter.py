@@ -97,7 +97,12 @@ def bubble_params(lam: float) -> NumericParams:
     value for which the ten-term combination below closes under the
     Yang-Baxter identity: the loop-free constraint equations hold for any
     weight, and each loop-bearing one solves to exactly this function of
-    lam (see the decision ledger for the derivation).
+    lam.  The derivation is not kept in the package; what checks the
+    claim today is numerical, in this representation only: the float
+    ``ybe_sweep`` at this weight, and the perturbation detector of
+    acceptance criterion 08, which sees the residual leave zero when any
+    one coefficient group moves.  The identity is not yet checked
+    exactly in the algebra.
     """
     validate_lambda(lam, "bubble")
     q = -cmath.exp(2j * lam)

@@ -29,7 +29,6 @@ from bubblealg.oracles import (
     brute_force_bubble_encodings,
     bubble_basis_count,
     catalan,
-    tl_bras,
     tl_compose,
     tl_diagrams,
 )
@@ -262,27 +261,23 @@ class TestHalfDiagrams:
         # (8, 6, 0) for its 35 bras
         walk, leaves = basis._walk_matchings, []
 
-        def counting(run, stacks, leaf, *colours):
+        def counting(run, stacks, leaf):
             def counted(slots):
                 leaves.append(None)
                 leaf(slots)
 
-            walk(run, stacks, counted, *colours)
+            walk(run, stacks, counted)
 
         monkeypatch.setattr(basis, "_walk_matchings", counting)
 
-        def reached(*args, **kwargs) -> int:
+        def reached(*args) -> int:
             leaves.clear()
-            enumerate_bras(*args, **kwargs)
+            enumerate_bras(*args)
             return len(leaves)
 
         for n in range(0, 9):
             for i, j in standard_labels(n):
                 assert reached(n, i, j) == walk_count(n, i, j)
-            for defects in range(n % 2, n + 1, 2):
-                expect = len(tl_bras(n, defects))
-                assert reached(n, defects, 0, colours=(RED,)) == expect
-                assert reached(n, 0, defects, colours=(BLUE,)) == expect
 
     def test_bra_guard_counts_both_halves(self):
         # a bra on n points pairs with a ket into a 2n-point diagram
@@ -317,32 +312,6 @@ class TestHalfDiagrams:
                 for i in range(total + 1):
                     views = sorted(filter(None, (half_from_view(e, n, i) for e in brute)))
                     assert [b.encode() for b in enumerate_bras(n, i, total - i)] == views
-
-    def test_one_colour_walk_is_the_filtered_module(self):
-        # walking one colour gives the module's all-one-colour bras, in order
-        for colour in (RED, BLUE):
-            for points in range(0, 9):
-                for defects in range(points + 1):
-                    label = (defects, 0) if colour == RED else (0, defects)
-                    kept = [
-                        b for b in enumerate_bras(points, *label) if all(c == colour for _, _, c in b.arcs)
-                    ]
-                    assert enumerate_bras(points, *label, colours=(colour,)) == kept
-
-    def test_one_colour_walk_matches_the_oracle(self):
-        # the independent one-colour recursion, coloured and built checked
-        for colour in (RED, BLUE):
-            for points in range(0, 9):
-                for defects in range(points + 1):
-                    label = (defects, 0) if colour == RED else (0, defects)
-                    cuts = {RED: (), BLUE: ()}
-                    expect = []
-                    for arcs, defs in tl_bras(points, defects):
-                        cuts[colour] = defs
-                        half = make_half(points, [(p, q, colour) for p, q in arcs], cuts[RED], cuts[BLUE])
-                        expect.append(half.encode())
-                    walked = enumerate_bras(points, *label, colours=(colour,))
-                    assert sorted(b.encode() for b in walked) == sorted(expect)
 
     def test_frozen_bras_3_1_0(self):
         got = {b.encode() for b in enumerate_bras(3, 1, 0)}

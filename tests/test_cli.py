@@ -506,6 +506,15 @@ class TestGramCommand:
             "44f3aac34e179ccd02e27f6db18da59de54a872a1b6d514777ea8e7aa92b077d"
         )
 
+    def test_wrong_closed_form_is_property_failure(self, monkeypatch, capsys):
+        # every block is eliminated and must equal the closed-form tables
+        monkeypatch.setattr(stdmod, "one_colour_det", lambda points, defects: ({3: 1}, 1))
+        code = main(["gram", "--n", "4", "--i", "0", "--j", "0", "--det"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "property failure" in captured.err
+
     def test_entries_match_matrix_text(self, capsys):
         code, out = run_cli(capsys, "gram", "--n", "2", "--i", "1", "--j", "1")
         payload = json.loads(out)
@@ -1040,6 +1049,17 @@ class TestCheckCommand:
     def test_tiny_size_rejected(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1")
         assert code == 2
+
+    def test_size_past_the_guard_runs_no_check(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+
+        for name in dir(checks):
+            if name.startswith("_check_"):
+                monkeypatch.setattr(checks, name, refuse)
+        code, out = run_cli(capsys, "check", "--n", "9")
+        assert code == 3
+        assert out == ""
 
 
 class TestUsage:

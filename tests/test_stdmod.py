@@ -21,7 +21,14 @@ from helpers import (
 )
 
 from bubblealg import stdmod
-from bubblealg.basis import enumerate_basis, enumerate_bras, make_half, standard_labels, walk_count
+from bubblealg.basis import (
+    DEFAULT_MAX_N,
+    enumerate_basis,
+    enumerate_bras,
+    make_half,
+    standard_labels,
+    walk_count,
+)
 from bubblealg.diagram import (
     BLUE,
     RED,
@@ -31,12 +38,11 @@ from bubblealg.diagram import (
     make_diagram,
     white_generator,
 )
-from bubblealg.exactpoly import DB, DR, ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
+from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.oracles import tl_bras, tl_halfdiagram_count
 from bubblealg.stdmod import (
     GramDetReport,
     GramRootScan,
-    _square_free,
     act_diagram,
     bra_inner,
     cyclic_span_report,
@@ -46,6 +52,8 @@ from bubblealg.stdmod import (
     localisation_report,
     match_special_value,
     one_colour_det,
+    psi,
+    psi_product,
     rb_word,
     restriction_report,
     scan_gram_roots,
@@ -216,23 +224,34 @@ class TestFactoredDeterminant:
                 assert report.det == blockwise_det(report.blocks), (n, i, j)
 
     def test_one_colour_dets_match_the_oracle(self):
-        for points in range(7):
+        # the closed form against elimination of the oracle's form, at
+        # every size the default guard admits
+        for points in range(DEFAULT_MAX_N + 1):
             for defects in range(points % 2, points + 1, 2):
+                table, rows = one_colour_det(points, defects)
                 for colour in (RED, BLUE):
                     oracle = tl_gram_poly(points, defects, colour)
-                    det, rows = one_colour_det(colour, points, defects)
-                    assert (det, rows) == (poly_det(oracle), oracle.rows)
+                    assert (psi_product(table, colour), rows) == (poly_det(oracle), oracle.rows)
+
+    def test_psi_zeros_are_the_primitive_cosines(self):
+        for k in range(1, 13):
+            terms = psi(k, RED).terms
+            coeffs = [terms.get((e, 0), 0) for e in range(max(a for a, _ in terms) + 1)]
+            assert coeffs[-1] == 1
+            roots = sorted(np.roots([float(c) for c in reversed(coeffs)]).real)
+            expect = sorted(2 * math.cos(math.pi * m / k) for m in range(1, k) if math.gcd(m, k) == 1)
+            assert roots == pytest.approx(expect, abs=1e-9), k
+            assert psi(k, BLUE).terms == {(b, a): c for (a, b), c in psi(k, RED).terms.items()}
 
     def test_factors_are_one_colour(self):
         report = gram_det_report(6, 1, 1)
-        for colour, factors in enumerate(report.factors):
-            for f, m in factors:
-                assert m > 0
-                assert all(exp[1 - colour] == 0 for exp in f.terms)
+        for colour, table in enumerate(report.factors):
+            assert table and all(k > 1 and a > 0 for k, a in table.items())
+            assert all(exp[1 - colour] == 0 for exp in report.parts[colour].terms)
 
     @pytest.mark.parametrize("label", [(7, 1, 0), (7, 2, 1), (6, 0, 2)])
     def test_each_distinct_matrix_is_eliminated_once(self, monkeypatch, label):
-        # equal blocks and the one-colour forms share their elimination
+        # equal blocks share their elimination
         seen = []
 
         def record(m):
@@ -241,13 +260,12 @@ class TestFactoredDeterminant:
 
         monkeypatch.setattr(stdmod, "poly_det", record)
         stdmod.block_det.cache_clear()
-        stdmod.one_colour_det.cache_clear()
         report = gram_det_report(*label)
         assert len(seen) == len(set(seen))
         assert len(seen) < len(report.blocks)
 
     def test_block_that_is_not_a_tensor_product_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(stdmod, "one_colour_det", lambda colour, points, defects: (DR + 1, 1))
+        monkeypatch.setattr(stdmod, "one_colour_det", lambda points, defects: ({3: 1}, 1))
         with pytest.raises(ArithmeticError):
             gram_det_report(3, 1, 0)
 
@@ -270,12 +288,7 @@ class TestFactoredDeterminant:
         monkeypatch.setattr(np, "roots", count)
         labels = [(n, i, j) for n in range(1, 7) for i, j in standard_labels(n)]
         labels += [(7, 1, 0), (7, 2, 1), (8, 4, 0), (6, 1, 1), (8, 6, 0), (7, 4, 3)]
-        reports = [gram_det_report(n, i, j) for n, i, j in labels]
-        # the Gram factors are monic; these are not, and share a root
-        red = ((3 * DR * DR - 1, 2), (2 * DR * (DR - 1), 3), (-DR * DR + 1, 1))
-        blue = ((2 * DB + 5, 3), (DB * DB, 2))
-        reports.append(GramDetReport(2, (0, 0), 2, (red, blue), (), False))
-        for report in reports:
+        for report in (gram_det_report(n, i, j) for n, i, j in labels):
             n, (i, j) = report.n, report.label
             for var in (RED, BLUE):
                 seen.clear()
@@ -286,22 +299,9 @@ class TestFactoredDeterminant:
                 assert seen == expect, (n, i, j, var)
                 assert calls == [len(p) for p in expect]
 
-    def test_zero_factor_means_zero_det(self):
-        report = GramDetReport(2, (0, 0), 2, (((ZERO, 1),), ((DB, 1),)), (), False)
-        assert report.det.is_zero
-        scan = scan_gram_roots(report, var=BLUE)
-        assert scan.det_is_zero
-        assert not scan.all_matched
-
-    def test_blue_factor_vanishing_at_the_sample_is_degenerate(self):
-        report = GramDetReport(2, (0, 0), 2, (((DR * DR - 1, 1),), ((3 * DB - 7, 1),)), (), False)
-        scan = scan_gram_roots(report, var=RED)
-        assert [s.degenerate for s in scan.samples] == [True, False]
-        assert not scan.all_matched
-
     def test_huge_coefficients_do_not_overflow_the_root_finder(self):
         # (dr^2 - 1) * db^1000 at db = 7/3 has coefficients near 1e368
-        report = GramDetReport(2, (0, 0), 2, (((DR * DR - 1, 1),), ((DB, 1000),)), (), False)
+        report = GramDetReport(2, (0, 0), 2, ({3: 1}, {2: 1000}), (), False)
         scan = scan_gram_roots(report, var=RED)
         assert scan.samples[0].other_value == Fraction(7, 3)
         assert scan.all_matched
@@ -339,10 +339,6 @@ class TestRestrictionAndSpans:
 
 
 class TestRootScan:
-    def test_square_free_strips_repeats(self):
-        squared = [Fraction(1), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
-        assert _square_free(squared) == [Fraction(-1), Fraction(0), Fraction(1)]
-
     def test_match_special_value(self):
         assert match_special_value(1.0, 6, 1e-8) == (1, 3)
         assert match_special_value(-2.0, 6, 1e-8) == (1, 1)
