@@ -8,17 +8,17 @@ remaining positions makes the recursion free of dead ends.
 That recursion is one walker, ``_walk_matchings``, for full diagrams,
 their count and half diagrams alike: it walks a run of boundary points
 from given open strands and hands each way to match them to a leaf
-callback, already in canonical pair order.  ``enumerate_basis`` and
-``count_basis`` walk the whole boundary from no open strand: the first
-builds and sorts the diagrams and is the tests' independent reference
-for the text, and the second only counts leaves, so ``rank_identity``'s
-basis size is a count of diagrams, not the sum of squared dimensions it
-is compared with.  ``enumerate_bras`` walks the frame of a half diagram
-starting from its cuts, already open.  ``basis_encodings``, which
-``basis --diagrams`` and the cache use, reads a diagram as a north bra
-and a south bra of one label, joined cut to cut, which is why
-|B_n| = sum dim(n, i, j)^2: each north bra becomes a
-``diagram.north_template`` with a hole per cut, each south bra fills
+callback, already in canonical pair order.  The B_n front ends take one
+size n.  ``enumerate_basis`` and ``count_basis`` walk the whole boundary
+from no open strand: the first builds and sorts the diagrams and is the
+tests' independent reference for the text, and the second only counts
+leaves, so ``rank_identity``'s basis size is a count of diagrams, not the
+sum of squared dimensions it is compared with.  ``_bra_views`` walks the
+frame of a half diagram from its cuts, already open, to its views.
+``basis_encodings``, which ``basis --diagrams`` and the cache use, reads
+a diagram as a north and a south view of one label, joined cut to cut,
+which is why |B_n| = sum dim(n, i, j)^2: each north view becomes a
+``diagram.north_template`` with a hole per cut, each south view fills
 the holes and gives a ``diagram.south_tail``, and the strings are
 sorted, since canonical order is string order of the encoding.  No
 front end builds a diagram it would only count or encode.
@@ -30,9 +30,10 @@ steps in the four axis directions while staying in the closed positive
 quadrant.  The full diagram basis has size walk_count(2n, 0, 0).
 
 ``enumerate_basis`` builds valid diagrams and skips the validity rule
-``diagram.check_matching`` (``Diagram._raw``); ``enumerate_bras`` and
-``stdmod.act_diagram`` do the same for half diagrams
-(``HalfDiagram._raw``).  A checked ``HalfDiagram`` applies
+``diagram.check_matching`` (``Diagram._raw``); ``enumerate_bras``,
+``restrict_bra`` and ``stdmod.act_diagram`` do the same for half
+diagrams, each through ``HalfDiagram._from_view``, the one constructor
+from a view.  A checked ``HalfDiagram`` applies
 the rule to its view, n frame points over i + j with red cut k joined to
 point n + k and blue cut k to point n + i + k: a cut inside an arc of its
 colour, same-colour cuts out of order and an unused frame point all fail
@@ -155,90 +156,66 @@ def _walk_matchings(
     rec(0)
 
 
-def _has_matchings(n_north: int, n_south: int, max_n: int) -> bool:
-    """Check the rectangle's sides and size; False when its boundary is odd."""
-    if n_north < 0 or n_south < 0:
-        raise ValueError(f"negative side in a {n_north} by {n_south} rectangle")
-    _guard(n_north + n_south, max_n)
-    return (n_north + n_south) % 2 == 0
+def _check_size(n: int, max_n: int) -> None:
+    """Refuse a negative n, and a B_n past the size guard."""
+    if n < 0:
+        raise ValueError(f"negative size n={n}")
+    _guard(2 * n, max_n)
 
 
-def _walk_boundary(n_north: int, n_south: int, max_n: int, leaf: Callable[[list], object]) -> None:
-    """Call ``leaf(slots)`` once for every diagram on the rectangle, walking
-    its whole boundary."""
-    if _has_matchings(n_north, n_south, max_n):
-        _walk_matchings(circular_positions(n_north, n_south), ([], []), leaf)
+def _walk_boundary(n: int, max_n: int, leaf: Callable[[list], object]) -> None:
+    """Call ``leaf(slots)`` once for every diagram of B_n."""
+    _check_size(n, max_n)
+    _walk_matchings(circular_positions(n, n), ([], []), leaf)
 
 
-def enumerate_basis(
-    n_north: int,
-    n_south: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[Diagram]:
-    """All diagrams on the given rectangle, sorted by their encoding, which
-    within one shape is the order of ``diagram.pairs_text``."""
-    if n_south is None:
-        n_south = n_north
+def enumerate_basis(n: int, max_n: int = DEFAULT_MAX_N) -> list[Diagram]:
+    """All diagrams of B_n, sorted by their encoding, which within one
+    shape is the order of ``diagram.pairs_text``."""
     results: list[Diagram] = []
-    _walk_boundary(
-        n_north,
-        n_south,
-        max_n,
-        lambda slots: results.append(Diagram._raw(n_north, n_south, tuple(filter(None, slots)))),
-    )
+    _walk_boundary(n, max_n, lambda slots: results.append(Diagram._raw(n, n, tuple(filter(None, slots)))))
     results.sort(key=lambda d: pairs_text(d.pairs))
     return results
 
 
-def count_basis(n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N) -> int:
-    """Number of diagrams on the given rectangle, counted leaf by leaf on
-    the enumeration's own walk: no diagram is built and nothing is
-    memoised, so the count is independent of ``walk_count``."""
-    if n_south is None:
-        n_south = n_north
+def count_basis(n: int, max_n: int = DEFAULT_MAX_N) -> int:
+    """Number of diagrams of B_n, counted leaf by leaf on the enumeration's
+    own walk: no diagram is built and nothing is memoised, so the count is
+    independent of ``walk_count``."""
     # each leaf takes the next number, so the number after the last is the count
     leaves = count()
-    _walk_boundary(n_north, n_south, max_n, lambda slots: next(leaves))
+    _walk_boundary(n, max_n, lambda slots: next(leaves))
     return next(leaves)
 
 
-def basis_encodings(
-    n_north: int, n_south: int | None = None, max_n: int = DEFAULT_MAX_N
-) -> list[str]:
-    """Canonical encodings of every diagram on the given rectangle, sorted:
-    ``[d.encode() for d in enumerate_basis(...)]`` without the diagrams.
+def basis_encodings(n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
+    """Canonical encodings of every diagram of B_n, sorted:
+    ``[d.encode() for d in enumerate_basis(n)]`` without the diagrams.
 
     A diagram is a north bra and a south bra of one label (r, b), joined
     cut to cut: through line s is red cut s, then blue cut s - r, each
-    colour counted from the left.  For each label both edges carry, every
-    north bra becomes a ``diagram.north_template`` with a hole per cut,
-    and every south bra, its frame point p at point n_north + p, fills the
-    holes with its cut points and gives the ``diagram.south_tail`` of its
-    arcs.  On a square the south bras are the north bras."""
-    if n_south is None:
-        n_south = n_north
+    colour counted from the left, and in a bra's view it is the pair
+    (p, n + s, c).  For each label, every view becomes a
+    ``diagram.north_template`` with a hole (p, s, c) per cut, and every
+    view, its frame point p at point n + p, fills the holes with its cut
+    points and gives the ``diagram.south_tail`` of its arcs."""
+    _check_size(n, max_n)
     results: list[str] = []
-    if not _has_matchings(n_north, n_south, max_n):
-        return results
-    # the edges have sizes of one parity, so these are the labels both carry
-    for r, b in standard_labels(min(n_north, n_south)):
-        norths = enumerate_bras(n_north, r, b, max_n=n_north)
-        souths = norths if n_south == n_north else enumerate_bras(n_south, r, b, max_n=n_south)
+    for r, b in standard_labels(n):
+        views = _bra_views(n, r, b)
         templates = []
-        for bra in norths:
-            # the view joins through line s to point n_north + s
-            view = sorted(bra._view(0, n_north))
-            pieces = [None if q > n_north else (p, q, c) for p, q, c in view]
-            holes = tuple((p, q - n_north, c) for p, q, c in view if q > n_north)
-            templates.append((north_template(n_north, n_south, pieces), holes))
-        # the texts of one south bra: each distinct hole's, then the tail
+        for view in views:
+            pieces = [None if q > n else (p, q, c) for p, q, c in view]
+            holes = tuple((p, q - n, c) for p, q, c in view if q > n)
+            templates.append((north_template(n, n, pieces), holes))
+        # the texts of one south view: each distinct hole's, then the tail
         holes = sorted({hole for _, template_holes in templates for hole in template_holes})
         index = {hole: k for k, hole in enumerate(holes)}
         fills = []
-        for bra in souths:
-            ends = [n_north + t for t in bra.red_cuts + bra.blue_cuts]
-            tail = south_tail(n_north, [(n_north + p, n_north + q, c) for p, q, c in bra.arcs])
-            fills.append([pair_text((p, ends[s - 1], c)) for p, s, c in holes] + [tail])
+        for view in views:
+            ends = {q - n: n + p for p, q, _ in view if q > n}
+            tail = south_tail(n, [(n + p, n + q, c) for p, q, c in view if q <= n])
+            fills.append([pair_text((p, ends[s], c)) for p, s, c in holes] + [tail])
         for pattern, template_holes in templates:
             # with no hole it takes the tail alone, a string, which % accepts
             take = itemgetter(*[index[hole] for hole in template_holes], len(holes))
@@ -262,7 +239,7 @@ class RankIdentity:
 
 
 def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
-    basis_size = count_basis(n, n, max_n=max_n)
+    basis_size = count_basis(n, max_n=max_n)
     squares = sum(walk_count(n, i, j) ** 2 for i, j in standard_labels(n))
     return RankIdentity(n, basis_size, squares, walk_count(2 * n, 0, 0))
 
@@ -282,7 +259,9 @@ class HalfDiagram:
     It is read, for validation and for gluing, as a diagram from the
     frame to i + j points: red cut k runs to point k and blue cut k to
     point i + k, which is canonical as colours may cross and same-colour
-    cuts keep their order.
+    cuts keep their order.  ``_view(0, n)`` writes that diagram's pairs,
+    and ``_from_view`` reads its canonical pairs back; the walk, the
+    module action and restriction all build through the latter.
     """
 
     n: int
@@ -313,6 +292,15 @@ class HalfDiagram:
         object.__setattr__(h, "red_cuts", red_cuts)
         object.__setattr__(h, "blue_cuts", blue_cuts)
         return h
+
+    @classmethod
+    def _from_view(cls, n: int, pairs: Sequence[tuple[int, int, int]]) -> "HalfDiagram":
+        """The inverse of ``_view(0, n)``, unchecked like ``_raw``: of the
+        canonical ``pairs``, those with q <= n are the arcs and the frame
+        ends of the others are the cuts of their colour."""
+        arcs = tuple(pair for pair in pairs if pair[1] <= n)
+        red, blue = (tuple(p for p, q, c in pairs if q > n and c == col) for col in (RED, BLUE))
+        return cls._raw(n, arcs, red, blue)
 
     @property
     def propagating(self) -> tuple[int, int]:
@@ -358,76 +346,55 @@ def make_half(n: int, arcs, red_cuts=(), blue_cuts=()) -> HalfDiagram:
     return HalfDiagram(n, norm, tuple(sorted(red_cuts)), tuple(sorted(blue_cuts)))
 
 
-def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
-    """All half diagrams on n points with (i, j) propagating cuts, sorted.
+def _bra_views(n: int, i: int, j: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """The canonical views of the half diagrams on n points with (i, j)
+    propagating cuts, in walk order; the label must carry a module.
 
     The cuts are open before the walk starts, as the view's strands: red
     n + 1..n + i, then blue n + i + 1..n + i + j, stacked in the circular
     order of the view's south edge, so n + 1 and n + i + 1 are innermost.
     ``_walk_matchings`` then walks the frame points, and each leaf is one
-    half diagram: the pairs with q > n are the cuts, at their frame ends,
-    and the rest are the arcs.  A cut strand starts under every frame
-    strand of its colour, so it closes only where no arc of that colour
-    is open: no cut sits inside an arc of its own colour.
+    view.  A cut strand starts under every frame strand of its colour, so
+    it closes only where no arc of that colour is open: no cut sits inside
+    an arc of its own colour.
     """
-    _guard(2 * n, max_n)
-    results: list[HalfDiagram] = []
-    if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
-        return results
     stacks = (list(range(n + i, n, -1)), list(range(n + i + j, n + i, -1)))
+    views: list[tuple[tuple[int, int, int], ...]] = []
+    _walk_matchings(range(1, n + 1), stacks, lambda slots: views.append(tuple(filter(None, slots))))
+    return views
 
-    def leaf(slots: list) -> None:
-        pairs = tuple(filter(None, slots))
-        arcs = tuple(pair for pair in pairs if pair[1] <= n)
-        reds = tuple(p for p, q, _ in pairs if n < q <= n + i)
-        blues = tuple(p for p, q, _ in pairs if q > n + i)
-        results.append(HalfDiagram._raw(n, arcs, reds, blues))
 
-    _walk_matchings(range(1, n + 1), stacks, leaf)
-    return sorted(results, key=HalfDiagram.encode)
+def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
+    """All half diagrams on n points with (i, j) propagating cuts, sorted
+    by their encoding: ``gram`` prints them in this order."""
+    _guard(2 * n, max_n)
+    if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
+        return []
+    bras = [HalfDiagram._from_view(n, view) for view in _bra_views(n, i, j)]
+    return sorted(bras, key=HalfDiagram.encode)
 
 
 # ---------------------------------------------------------------------------
 # restriction to one frame point fewer
 
 
-def classify_rightmost(bra: HalfDiagram) -> tuple[int, str]:
-    """Status of the last frame point: (colour, 'cut' or 'arc')."""
-    n = bra.n
-    if n in bra.red_cuts:
-        return RED, "cut"
-    if n in bra.blue_cuts:
-        return BLUE, "cut"
-    for p, q, c in bra.arcs:
-        if q == n:
-            return c, "arc"
-    raise ValueError("empty half diagram has no rightmost point")
-
-
 def restrict_bra(bra: HalfDiagram) -> tuple[tuple[int, int], HalfDiagram]:
     """Remove the last frame point; returns the neighbour label it lands in.
 
-    A point carrying a cut is dropped with its cut; a point closing an arc
-    is dropped and the arc's other end becomes a cut of its colour.  Both
-    moves are invertible (append a point with a new cut, or bend the last
-    cut of that colour onto a new point), so restriction is a bijection
-    onto the union of the at most four neighbouring half-diagram sets one
-    level down.
+    Read on one frame point fewer, the view keeps every pair but the cut
+    that starts at point n, which leaves with its point; an arc ending at
+    n keeps its other end, which the smaller frame reads as a cut of the
+    arc's colour.  Both moves are invertible (append a point with a new
+    cut, or bend the last cut of that colour onto a new point), so
+    restriction is a bijection onto the union of the at most four
+    neighbouring half-diagram sets one level down.
     """
-    i, j = bra.propagating
-    c, kind = classify_rightmost(bra)
     n = bra.n
-    if kind == "cut":
-        red = tuple(t for t in bra.red_cuts if t != n)
-        blue = tuple(t for t in bra.blue_cuts if t != n)
-        label = (i - 1, j) if c == RED else (i, j - 1)
-        return label, HalfDiagram(n - 1, bra.arcs, red, blue)
-    a = next(p for p, q, cc in bra.arcs if q == n and cc == c)
-    arcs = tuple(x for x in bra.arcs if x[1] != n)
-    red = tuple(sorted(bra.red_cuts + ((a,) if c == RED else ())))
-    blue = tuple(sorted(bra.blue_cuts + ((a,) if c == BLUE else ())))
-    label = (i + 1, j) if c == RED else (i, j + 1)
-    return label, HalfDiagram(n - 1, arcs, red, blue)
+    if n == 0:
+        raise ValueError("empty half diagram has no rightmost point")
+    rest = sorted(pair for pair in bra._view(0, n) if pair[0] != n)
+    smaller = HalfDiagram._from_view(n - 1, rest)
+    return smaller.propagating, smaller
 
 
 def monochrome_straight_diagrams(n: int) -> list[Diagram]:

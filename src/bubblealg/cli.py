@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 from .basis import (
     DEFAULT_MAX_N,
     ResourceLimitError,
-    _has_matchings,
+    _check_size,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -172,7 +172,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     # with no cache and no listing only the count is needed, in closed form;
     # the walk's checks still refuse a negative or oversized n
     if cache_dir is None and not args.diagrams:
-        _has_matchings(args.n, args.n, args.max_n)
+        _check_size(args.n, args.max_n)
         lines, total = None, walk_count(2 * args.n, 0, 0)
     else:
         lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)

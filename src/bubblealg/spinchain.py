@@ -10,6 +10,9 @@ inputs becomes a 4^n_north by 4^n_south matrix:
   weighs t_c on (+,-) read left to right, 1/t_c on (-,+);
 * entries multiply over the pairs of the diagram.
 
+``diagram_matrix`` writes each term's states into one list indexed by
+endpoint, north then south, as the diagram numbers its points.
+
 Closed loops removed during composition contribute delta_c = q_c + 1/q_c
 with q_c = t_c^2, which is exactly how the matrices turn composition
 into matrix product.  Parameters are given as q_c, and t_c is its
@@ -22,6 +25,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +68,7 @@ class NumericParams:
         return f"NumericParams(q_r={self.q_r!r}, q_b={self.q_b!r})"
 
 
-def state_index(states: tuple[int, ...]) -> int:
+def state_index(states: Sequence[int]) -> int:
     idx = 0
     for s in states:
         idx = 4 * idx + s
@@ -94,35 +98,26 @@ def colour_block_indices(word: tuple[int, ...]) -> list[int]:
 
 
 def diagram_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
-    """Dense matrix of a diagram, 4^n_north rows by 4^n_south columns."""
-    nn, ns = d.n_north, d.n_south
+    """Dense matrix of a diagram, 4^n_north rows by 4^n_south columns; each
+    pair offers (p, q, state at p, state at q, weight) per choice."""
+    nn = d.n_north
     pair_opts = []
     for p, q, c in d.pairs:
-        opts = []
-        if q <= nn:
-            for s1, s2, w in _arc_weights(c, params):
-                opts.append(((("out", p, s1), ("out", q, s2)), w))
-        elif p > nn:
-            for s1, s2, w in _arc_weights(c, params):
-                opts.append(((("in", p - nn, s1), ("in", q - nn, s2)), w))
+        if p <= nn < q:
+            opts = [(2 * c + s, 2 * c + s, 1.0 + 0.0j) for s in (0, 1)]
         else:
-            for s in (0, 1):
-                st = 2 * c + s
-                opts.append(((("out", p, st), ("in", q - nn, st)), 1.0 + 0.0j))
-        pair_opts.append(opts)
-    m = np.zeros((4**nn, 4**ns), dtype=complex)
+            opts = _arc_weights(c, params)
+        pair_opts.append([(p, q, s1, s2, w) for s1, s2, w in opts])
+    m = np.zeros((4**nn, 4**d.n_south), dtype=complex)
+    # every combination writes every endpoint, so one list serves them all
+    state = [0] * (nn + d.n_south + 1)
     for combo in product(*pair_opts):
-        out_state = [0] * nn
-        in_state = [0] * ns
         weight = 1.0 + 0.0j
-        for assignments, w in combo:
+        for p, q, s1, s2, w in combo:
             weight *= w
-            for side, pos, st in assignments:
-                if side == "out":
-                    out_state[pos - 1] = st
-                else:
-                    in_state[pos - 1] = st
-        m[state_index(tuple(out_state)), state_index(tuple(in_state))] += weight
+            state[p] = s1
+            state[q] = s2
+        m[state_index(state[1 : nn + 1]), state_index(state[nn + 1 :])] += weight
     return m
 
 

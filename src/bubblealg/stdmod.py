@@ -5,9 +5,11 @@ The module labelled (i, j) has the half diagrams with that propagating
 count as basis.  A half diagram is read as a diagram from its n frame
 points to i + j cut points (see ``HalfDiagram``), so the action and the
 form are both calls of the gluing kernel ``diagram.glue``.  A diagram
-acts by gluing its southern edge onto the frame; a chain joining two cut
-points would bend a propagating line back and makes the image zero,
-which realises the quotient by lower layers of the filtration.
+acts by gluing its southern edge onto the frame, and the glued pairs are
+the image's view, read back by ``HalfDiagram._from_view``; a chain
+joining two cut points would bend a propagating line back and makes the
+image zero, which realises the quotient by lower layers of the
+filtration.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
@@ -23,7 +25,8 @@ arXiv:1204.4505).  So the Gram determinant is a red part times a blue
 part, each stored as a table of psi_k exponents.  ``gram_det_report``
 eliminates every distinct block and checks it against the tables, and
 ``scan_gram_roots`` reads the roots of the scanned colour off its table
-without expanding either part.
+without expanding either part.  Whether every root is a 2 cos(pi m / k)
+with k <= 2n is read off the table exactly; floats only name each root.
 """
 
 from __future__ import annotations
@@ -91,10 +94,7 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
     # a pair with both ends among the slots is a chain that leaves the layer
     if r is None or any(p > nn for p, _, _ in r[2]):
         return None
-    lr, lb, pairs = r
-    arcs = tuple(pair for pair in pairs if pair[1] <= nn)
-    red, blue = (tuple(p for p, q, c in pairs if q > nn and c == col) for col in (RED, BLUE))
-    return lr, lb, HalfDiagram._raw(nn, arcs, red, blue)
+    return r[0], r[1], HalfDiagram._from_view(nn, r[2])
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +410,11 @@ def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
 # root location for Gram determinants
 
 
-def _coefficients(poly: LaurentPoly, var: int) -> tuple[int, list[Fraction]]:
-    """A nonzero polynomial in colour var's loop weight as (lowest
-    exponent, coefficient list from that exponent up)."""
+def _coefficients(poly: LaurentPoly, var: int) -> list[Fraction]:
+    """A nonzero polynomial in colour var's loop weight as its coefficient
+    list from the constant term up."""
     terms = {exp[var]: Fraction(c) for exp, c in poly.terms.items()}
-    lo, hi = min(terms), max(terms)
-    return lo, [terms.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+    return [terms.get(e, Fraction(0)) for e in range(max(terms) + 1)]
 
 
 def _value(poly: LaurentPoly, colour: int, x: Fraction) -> Fraction:
@@ -444,27 +443,24 @@ class SampleScan:
     zero_root_multiplicity: int
     roots: tuple[RootRecord, ...]
 
-    @property
-    def all_matched(self) -> bool:
-        return all(r.matched is not None for r in self.roots)
-
 
 @dataclass(frozen=True)
 class GramRootScan:
+    """Roots of one colour's part at each sample of the other colour;
+    ``all_matched`` is exact: no k with A_k > 0 in the scanned table
+    exceeds 2n.  The float ``matched`` of a root only names its value."""
+
     n: int
     label: tuple[int, int]
     var: int
     samples: tuple[SampleScan, ...]
-
-    @property
-    def all_matched(self) -> bool:
-        return all(s.all_matched for s in self.samples)
+    all_matched: bool
 
 
-# the other loop weight is pinned to each sample in turn; a root matches
-# 2 cos(pi m / k) within ROOT_TOLERANCE for some k <= 2n.  The samples must
-# exceed 2: every zero of a psi_k lies in (-2, 2), so the other colour's
-# part never vanishes at a sample
+# the other loop weight is pinned to each sample in turn; each root is
+# printed with the first 2 cos(pi m / k), k <= 2n, within ROOT_TOLERANCE
+# of it, or with none.  The samples must exceed 2: every zero of a psi_k
+# lies in (-2, 2), so the other colour's part never vanishes at a sample
 ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
 ROOT_TOLERANCE = 1e-8
 
@@ -479,14 +475,16 @@ def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     parameter is pinned to exact rationals, which turns the part in the
     other colour into one exact number, prod psi_k(other)^A_k; the monic
     product scaled by that number is what the numeric root finder sees.
-    Every root must then lie within tolerance of twice a cosine of a
-    rational angle with denominator at most 2n.
+    The roots of psi_k are the 2 cos(pi m / k) with m prime to k, so every
+    root is twice a cosine of a rational angle with denominator at most
+    2n exactly when the table has no k > 2n; each root is also matched in
+    floats to the first such value within tolerance, for the record.
     """
     n = report.n
     max_k = 2 * n
     table = report.factors[var]
     zero_mult = table.get(2, 0)
-    _, monic = _coefficients(psi_product({k: 1 for k in table if k >= 3}, var), var)
+    monic = _coefficients(psi_product({k: 1 for k in table if k >= 3}, var), var)
     rest = 1 - var
     samples = []
     for other in ROOT_SAMPLES:
@@ -502,7 +500,8 @@ def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
             for z in sorted(roots, key=lambda w: (w.real, w.imag)):
                 records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, ROOT_TOLERANCE)))
         samples.append(SampleScan(other, zero_mult, tuple(records)))
-    return GramRootScan(n, report.label, var, tuple(samples))
+    all_matched = all(k <= max_k for k, a in table.items() if a > 0)
+    return GramRootScan(n, report.label, var, tuple(samples), all_matched)
 
 
 def _float_roots(coeffs: list[Fraction]):

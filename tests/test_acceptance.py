@@ -114,7 +114,10 @@ def test_criterion_05_root_locations():
         for i, j in standard_labels(n):
             det_report = gram_det_report(n, i, j)
             for var in (RED, BLUE):
-                ok = ok and scan_gram_roots(det_report, var=var).all_matched
+                scan = scan_gram_roots(det_report, var=var)
+                # the exact verdict, and the float match of every root
+                ok = ok and scan.all_matched
+                ok = ok and all(r.matched is not None for s in scan.samples for r in s.roots)
     assert report(5, "every determinant root matches 2cos(pi m/k), k<=2n, n<=5", ok)
 
 

@@ -13,7 +13,6 @@ from bubblealg.basis import (
     HalfDiagram,
     ResourceLimitError,
     basis_encodings,
-    classify_rightmost,
     count_basis,
     enumerate_basis,
     enumerate_bras,
@@ -76,26 +75,17 @@ class TestEnumeration:
         for n in range(0, 6):
             assert enumerate_via_seeds(n) == enumerate_basis(n)
 
-    def test_rectangles(self):
-        for nn, ns in [(3, 1), (2, 0), (1, 3), (0, 2), (0, 0), (4, 2)]:
-            engine = [d.encode() for d in enumerate_basis(nn, ns)]
-            assert engine == brute_force_bubble_encodings(nn, ns)
-            assert enumerate_via_seeds(nn, ns) == enumerate_basis(nn, ns)
-
-    def test_odd_boundary_empty(self):
-        assert enumerate_basis(1, 0) == []
-        assert enumerate_basis(2, 1) == []
-
     def test_sorted_and_unique(self):
         basis = enumerate_basis(3)
         encs = [d.encode() for d in basis]
         assert encs == sorted(encs)
         assert len(set(encs)) == len(encs)
 
-    @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (5, 3), (3, 5), (6, 4)])
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 6)])
     def test_encoding_order_at_two_digit_endpoints(self, shape):
         # from 10 points on, string order puts the pair text (10, before (2,
-        encs = [d.encode() for d in enumerate_basis(*shape)]
+        n, _ = shape
+        encs = [d.encode() for d in enumerate_basis(n)]
         assert all(a < b for a, b in zip(encs, encs[1:]))
         assert len(encs) == walk_count(sum(shape), 0, 0)
 
@@ -130,13 +120,11 @@ class TestEnumeration:
             assert straights == sorted(straights, key=Diagram.encode)
 
     def test_front_ends_agree_on_every_small_shape(self):
-        # rectangles, odd totals and the empty rectangle, up to 10 points
-        for nn in range(11):
-            for ns in range(11 - nn):
-                basis = enumerate_basis(nn, ns)
-                assert basis_encodings(nn, ns) == [d.encode() for d in basis]
-                assert count_basis(nn, ns) == len(basis)
-        assert basis_encodings(3) == [d.encode() for d in enumerate_basis(3)]
+        # every B_n up to 10 points, the empty one included
+        for n in range(6):
+            basis = enumerate_basis(n)
+            assert basis_encodings(n) == [d.encode() for d in basis]
+            assert count_basis(n) == len(basis)
         assert count_basis(3) == 70
 
     def test_encodings_golden_at_seven(self):
@@ -152,12 +140,23 @@ class TestEnumeration:
         def refuse(*args, **kwargs):
             raise AssertionError("an edge was walked")
 
-        monkeypatch.setattr(basis, "enumerate_bras", refuse)
+        monkeypatch.setattr(basis, "_bra_views", refuse)
         with pytest.raises(AssertionError):
             basis_encodings(2)
         report = rank_identity(6)
         assert report.holds and report.basis_size == 56628
-        assert count_basis(5, 3) == len(enumerate_basis(5, 3))
+        assert count_basis(5) == len(enumerate_basis(5))
+
+    def test_encodings_build_no_half_diagram(self, monkeypatch):
+        # the text reads the walk's views; no bra is built or sorted
+        want = [d.encode() for d in enumerate_basis(5)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a half diagram was built")
+
+        monkeypatch.setattr(basis, "enumerate_bras", refuse)
+        monkeypatch.setattr(HalfDiagram, "_raw", refuse)
+        assert basis_encodings(5) == want
 
     @pytest.mark.parametrize(
         "front_end, size", [(enumerate_basis, len), (count_basis, int), (basis_encodings, len)]
@@ -165,20 +164,22 @@ class TestEnumeration:
     def test_front_ends_share_the_guards(self, front_end, size):
         with pytest.raises(ResourceLimitError):
             front_end(DEFAULT_MAX_N + 1)
-        # an odd total is guarded before it is found empty
         with pytest.raises(ResourceLimitError):
-            front_end(3, 2, max_n=2)
+            front_end(3, max_n=2)
         with pytest.raises(ValueError):
-            front_end(-1, 3)
-        assert size(front_end(2, 0, max_n=1)) == 2
+            front_end(-1)
+        assert size(front_end(1, max_n=1)) == 2
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_basis(DEFAULT_MAX_N + 1)
         with pytest.raises(ResourceLimitError):
             enumerate_bras(2 * DEFAULT_MAX_N + 1, 1, 0)
-        # an explicit override lifts the guard
-        assert len(enumerate_basis(2, 0, max_n=1)) == 2
+        # the guard is max_n, not the default: lowered it refuses, and
+        # raised back it admits
+        with pytest.raises(ResourceLimitError):
+            enumerate_basis(3, max_n=2)
+        assert len(enumerate_basis(3, max_n=3)) == 70
 
     def test_trusted_results_pass_full_validation(self):
         # enumeration and composition skip the validity rule; rebuilding
@@ -284,23 +285,30 @@ class TestHalfDiagrams:
         with pytest.raises(ResourceLimitError):
             enumerate_bras(DEFAULT_MAX_N + 1, 1, 0)
 
+    def test_view_constructor_inverts_the_view(self):
+        for n in range(0, 7):
+            for i, j in standard_labels(n):
+                for bra in enumerate_bras(n, i, j):
+                    assert HalfDiagram._from_view(n, tuple(sorted(bra._view(0, n)))) == bra
+
     def test_trusted_bras_pass_full_validation(self):
-        # enumeration and the action build bras unchecked; rebuilding
-        # through the checking constructors must reproduce every one
+        # enumeration, the action and restriction build bras unchecked
+        # through the view constructor; rebuilding through the checking
+        # constructors must reproduce every one
         for n in range(0, 7):
             for i, j in standard_labels(n):
                 for b in enumerate_bras(n, i, j):
                     assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
                     assert make_half(n, b.arcs, b.red_cuts, b.blue_cuts) == b
-        for n in range(0, 4):
+        for n in range(0, 6):
             basis = enumerate_basis(n)
             for i, j in standard_labels(n):
                 for bra in enumerate_bras(n, i, j):
-                    for d in basis:
-                        r = act_diagram(d, bra)
-                        if r is not None:
-                            b = r[2]
-                            assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
+                    built = [r[2] for d in basis if (r := act_diagram(d, bra))]
+                    if n:
+                        built.append(restrict_bra(bra)[1])
+                    for b in built:
+                        assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
 
     def test_bras_match_brute_force_through_the_view(self):
         # a bra read as a diagram from its n frame points to its i + j cuts:
@@ -372,13 +380,16 @@ class TestHalfDiagrams:
                 for bra in enumerate_bras(n, i, j):
                     label, smaller = restrict_bra(bra)
                     buckets.setdefault(label, set()).add(smaller)
-                    # the two moves undo each other
-                    c, kind = classify_rightmost(bra)
-                    rebuilt = add_line(smaller, c) if kind == "cut" else turn_back(smaller, c)
+                    # the label change names the inverse move: one cut of
+                    # colour c fewer appends it, one more bends it back
+                    c = RED if label[0] != i else BLUE
+                    rebuilt = add_line(smaller, c) if sum(label) < i + j else turn_back(smaller, c)
                     assert rebuilt == bra
                 for label, got in buckets.items():
                     expect = set(enumerate_bras(n - 1, *label))
                     assert got == expect
+        with pytest.raises(ValueError):
+            restrict_bra(make_half(0, []))
 
     def test_restriction_realises_walk_recursion(self):
         for n in range(1, 7):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import pytest
 
 import bubblealg
 from bubblealg import basis, checks, cli, stdmod
-from bubblealg.basis import ResourceLimitError, enumerate_basis
+from bubblealg.basis import ResourceLimitError, basis_encodings, count_basis, enumerate_basis
 from bubblealg.cache import (
     COMPRESS_LEVEL,
     CacheError,
@@ -34,6 +35,7 @@ from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import main
 from bubblealg.diagram import Diagram
 from bubblealg.exactpoly import DB, DR
+from helpers import enumerate_via_seeds
 
 # same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
 INTERLEAVED = "D[2,2]{(1,4,r);(2,3,r)}"
@@ -48,7 +50,7 @@ NOT_THE_BASIS = {
     # the last diagram with its pairs listed in reverse still sorts last
     "non_canonical": B2[:9] + ["D[2,2]{(2,3,b);(1,4,r)}"],
     # as many diagrams with one point moved from the south to the north
-    "wrong_shape": [d.encode() for d in enumerate_basis(1, 3)],
+    "wrong_shape": [d.encode() for d in enumerate_via_seeds(1, 3)],
 }
 
 
@@ -834,9 +836,9 @@ class TestRequestLimits:
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_side_rejected_and_zero_is_valid(self):
-        for sides in [(-1,), (2, -2), (-1, 1)]:
+        for front_end in (enumerate_basis, count_basis, basis_encodings):
             with pytest.raises(ValueError):
-                enumerate_basis(*sides)
+                front_end(-1)
         assert enumerate_basis(0) == [Diagram(0, 0, ())]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
@@ -1197,3 +1199,22 @@ class TestJsonWriter:
         )
         assert len(writes) >= 10
         assert all(len(w) >= 4096 for w in writes[:-1])
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.skipif(not WORKLOADS.exists(), reason="perfbench/workloads.py is absent")
+def test_every_benchmark_request_parses(monkeypatch, tmp_path):
+    # a flag or subcommand the benchmark still sends but the parser no
+    # longer takes would make every timed request exit 2
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    requests = [r for w in workloads.WORKLOADS for plan in [workloads.plan(w, 1)] for r in plan.setup + plan.requests]
+    requests += [*workloads.all_gram_requests(), *workloads.SHORT.values()]
+    assert {r.args[0] for r in requests} == {"basis", "dims", "gram", "rep", "ybe"}
+    parser = cli.build_parser()
+    for request in requests:
+        assert callable(parser.parse_args(request.argv(tmp_path)).func), request.key

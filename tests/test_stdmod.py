@@ -367,6 +367,17 @@ class TestRootScan:
         for var in (RED, BLUE):
             assert scan_gram_roots(gram_det_report(4, 0, 0), var=var).all_matched
 
+    def test_all_matched_is_read_off_the_table(self):
+        # psi_5 at n = 2: its roots are 2 cos(pi m / 5), past k <= 2n = 4
+        report = GramDetReport(2, (0, 0), 1, ({5: 1}, {}), (), False)
+        scan = scan_gram_roots(report, var=RED)
+        assert not scan.all_matched
+        assert [len(sample.roots) for sample in scan.samples] == [4, 4]
+        assert all(r.matched is None for sample in scan.samples for r in sample.roots)
+        # at k = 2n the same table is matched; the blue table is empty
+        assert scan_gram_roots(GramDetReport(3, (0, 0), 1, ({5: 1, 6: 2}, {}), (), False)).all_matched
+        assert scan_gram_roots(report, var=BLUE).all_matched
+
     def test_scan_finds_sqrt_two(self):
         scan = scan_gram_roots(gram_det_report(4, 2, 0), var=RED)
         assert scan.all_matched
