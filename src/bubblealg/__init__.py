@@ -11,7 +11,6 @@ import importlib
 
 from .basis import (
     basis_encodings,
-    count_basis,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -74,7 +73,6 @@ __all__ = [
     "SizeMismatchError",
     "basis_encodings",
     "compose",
-    "count_basis",
     "diagram_matrix",
     "enumerate_basis",
     "enumerate_bras",

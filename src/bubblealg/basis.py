@@ -5,23 +5,24 @@ boundary order: at each boundary point a strand either opens or closes
 the innermost open strand of its colour.  A feasibility bound on the
 remaining positions makes the recursion free of dead ends.
 
-That recursion is one walker, ``_walk_matchings``, for full diagrams,
-their count and half diagrams alike: it walks a run of boundary points
+That recursion is one walker, ``_walk_matchings``, for full diagrams
+and half diagrams alike: it walks a run of boundary points
 from given open strands and hands each way to match them to a leaf
 callback, already in canonical pair order.  The B_n front ends take one
-size n.  ``enumerate_basis`` and ``count_basis`` walk the whole boundary
-from no open strand: the first builds and sorts the diagrams and is the
-tests' independent reference for the text, and the second only counts
-leaves, so ``rank_identity``'s basis size is a count of diagrams, not the
-sum of squared dimensions it is compared with.  ``_bra_views`` walks the
-frame of a half diagram from its cuts, already open, to its views.
+size n.  ``enumerate_basis`` walks the whole boundary from no open
+strand, builds and sorts the diagrams and is the tests' independent
+reference for the text.  Nothing walks B_n only to count it: |B_n| has
+the closed form ``oracles.bubble_basis_count``, which ``rank_identity``
+compares with the sum of squared dimensions and with
+walk_count(2n, 0, 0).  ``_bra_views`` walks the frame of a half diagram
+from its cuts, already open, to its views.
 ``basis_encodings``, which ``basis --diagrams`` and the cache use, reads
 a diagram as a north and a south view of one label, joined cut to cut,
 which is why |B_n| = sum dim(n, i, j)^2: each north view becomes a
 ``diagram.north_template`` with a hole per cut, each south view fills
 the holes and gives a ``diagram.south_tail``, and the strings are
 sorted, since canonical order is string order of the encoding.  No
-front end builds a diagram it would only count or encode.
+front end builds a diagram it would only encode.
 
 Dimensions follow a two-dimensional lattice walk: the number of half
 diagrams on n points with (i, j) propagating lines of the two colours
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, product
+from itertools import product
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -62,6 +63,7 @@ from .diagram import (
     south_tail,
     straight_diagram,
 )
+from .oracles import bubble_basis_count
 
 DEFAULT_MAX_N = 8
 
@@ -163,29 +165,20 @@ def _check_size(n: int, max_n: int) -> None:
     _guard(2 * n, max_n)
 
 
-def _walk_boundary(n: int, max_n: int, leaf: Callable[[list], object]) -> None:
-    """Call ``leaf(slots)`` once for every diagram of B_n."""
-    _check_size(n, max_n)
-    _walk_matchings(circular_positions(n, n), ([], []), leaf)
-
-
 def enumerate_basis(n: int, max_n: int = DEFAULT_MAX_N) -> list[Diagram]:
-    """All diagrams of B_n, sorted by their encoding, which within one
-    shape is the order of ``diagram.pairs_text``."""
+    """All diagrams of B_n, one per leaf of the whole boundary's walk,
+    sorted by their encoding, which within one shape is the order of
+    ``diagram.pairs_text``.  Its length is the enumerated |B_n| that
+    ``check`` and the tests compare with the closed form."""
+    _check_size(n, max_n)
     results: list[Diagram] = []
-    _walk_boundary(n, max_n, lambda slots: results.append(Diagram._raw(n, n, tuple(filter(None, slots)))))
+    _walk_matchings(
+        circular_positions(n, n),
+        ([], []),
+        lambda slots: results.append(Diagram._raw(n, n, tuple(filter(None, slots)))),
+    )
     results.sort(key=lambda d: pairs_text(d.pairs))
     return results
-
-
-def count_basis(n: int, max_n: int = DEFAULT_MAX_N) -> int:
-    """Number of diagrams of B_n, counted leaf by leaf on the enumeration's
-    own walk: no diagram is built and nothing is memoised, so the count is
-    independent of ``walk_count``."""
-    # each leaf takes the next number, so the number after the last is the count
-    leaves = count()
-    _walk_boundary(n, max_n, lambda slots: next(leaves))
-    return next(leaves)
 
 
 def basis_encodings(n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
@@ -226,7 +219,8 @@ def basis_encodings(n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
 
 @dataclass(frozen=True)
 class RankIdentity:
-    """Comparison of the basis size with the sum of squared module dimensions."""
+    """Comparison of the basis size with the sum of squared module
+    dimensions and with the walk total, three independent formulas."""
 
     n: int
     basis_size: int
@@ -239,7 +233,10 @@ class RankIdentity:
 
 
 def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
-    basis_size = count_basis(n, max_n=max_n)
+    """|B_n| = sum dim(n, i, j)^2 = walk_count(2n, 0, 0), with |B_n| from
+    the closed form: no diagram is walked, but B_n's size guard holds."""
+    _check_size(n, max_n)
+    basis_size = bubble_basis_count(n)
     squares = sum(walk_count(n, i, j) ** 2 for i, j in standard_labels(n))
     return RankIdentity(n, basis_size, squares, walk_count(2 * n, 0, 0))
 

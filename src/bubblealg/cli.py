@@ -278,7 +278,9 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def _format_complex_matrix(mat) -> str:
-    return ";".join(f"{z.real!r},{z.imag!r}" for z in mat.reshape(-1))
+    # tolist gives Python complex numbers, whose parts repr as plain floats;
+    # numpy 2 scalars would repr as np.float64(...)
+    return ";".join(f"{z.real!r},{z.imag!r}" for z in mat.reshape(-1).tolist())
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
@@ -296,7 +298,9 @@ def cmd_rep(args: argparse.Namespace) -> int:
         entries = walk_count(2 * args.n, 0, 0) * 16**args.n
         per_entry = 16 + (MATRIX_TEXT_BYTES if args.matrices else 0)
         _check_dense(entries * per_entry, f"rep --n {args.n}")
-    basis = enumerate_basis(args.n, max_n=args.max_n)
+    # the size is in closed form; only the check and the listing need B_n
+    _check_size(args.n, args.max_n)
+    basis = enumerate_basis(args.n, max_n=args.max_n) if args.check or args.matrices else None
     payload: dict = {
         "n": args.n,
         "qr": _complex_pair(q_r),
@@ -305,7 +309,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         "delta_b": _complex_pair(params.delta_b),
         "site_dim": 4,
         "matrix_dim": 4**args.n,
-        "basis_size": len(basis),
+        "basis_size": walk_count(2 * args.n, 0, 0),
     }
     status = EXIT_OK
     if args.check:

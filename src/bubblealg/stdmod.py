@@ -40,7 +40,6 @@ from functools import cache, cached_property, lru_cache
 
 from .basis import (
     HalfDiagram,
-    count_basis,
     enumerate_basis,
     enumerate_bras,
     make_half,
@@ -403,7 +402,7 @@ def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
     ranks = {rank_mod({k: eval_mod(c, *pt) for k, c in row.items()} for row in rows) for pt in points}
     if len(ranks) != 1:
         raise ArithmeticError(f"generic rank estimates disagree: {sorted(ranks)}")
-    return SpanReport(n, None, ranks.pop(), count_basis(n - 2))
+    return SpanReport(n, None, ranks.pop(), walk_count(2 * n - 4, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import pytest
 
 import bubblealg
 from bubblealg import basis, checks, cli, stdmod
-from bubblealg.basis import ResourceLimitError, basis_encodings, count_basis, enumerate_basis
+from bubblealg.basis import ResourceLimitError, basis_encodings, enumerate_basis, rank_identity
 from bubblealg.cache import (
     COMPRESS_LEVEL,
     CacheError,
@@ -398,6 +399,34 @@ class TestNoDiagramsBuilt:
         assert code == 0
         assert json.loads(out)["basis_size"] == 56628
 
+    @pytest.fixture
+    def nothing_walked(self, monkeypatch):
+        # every B_n front end and the bra walk run on this one walker
+        def refuse(*args, **kwargs):
+            raise AssertionError("a boundary was walked")
+
+        monkeypatch.setattr(basis, "_walk_matchings", refuse)
+
+    def test_dims_walks_nothing(self, capsys, nothing_walked):
+        # the sha256 of dims --n 8 recorded when it counted every leaf of B_8
+        code, out = run_cli(capsys, "dims", "--n", "8")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "e10c4befb24de5948603593ec566f9dc31e99babcd85dd75489b1121272cb289"
+        )
+
+    def test_rep_without_check_or_matrices_walks_nothing(self, capsys, nothing_walked):
+        code, out = run_cli(capsys, "rep", "--n", "8", "--qr", "2", "--qb", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["basis_size"], payload["matrix_dim"]) == (6952660, 65536)
+        # recorded when rep --n 7 built all 613 470 diagrams to count them
+        code, out = run_cli(capsys, "rep", "--n", "7", "--qr", "2", "--qb", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "f3069e3e6420374d522d05ec4f8e0123552bb18af202208ca51539257fb569ad"
+        )
+
     def test_basis_8_counts_without_diagrams(self, capsys, monkeypatch):
         # B_8 as diagrams would need gigabytes; its count holds none of them
         forbid_diagrams(monkeypatch)
@@ -773,9 +802,11 @@ class TestSpectralGoldens:
                 "rep --n 2 --qr 2+0.5j --qb 1.5-0.25j --check",
                 "b9ccdc5cfea86e88229682b4b14c362f2c0621abd40234747ca901ecd689a60c",
             ),
+            # recorded when the cells became plain float reprs; under numpy 2
+            # they had read np.float64(...) (12a508b0...)
             (
                 "rep --n 1 --qr 2 --qb 3 --matrices",
-                "12a508b02c9159901e2181c87f139c8848e0c00f49a2e4083b91a0c4a99fe451",
+                "0a2b233425b28be6b83c58e2181891b0a159ace3d7ec638d7d8b72fc4d5927ad",
             ),
             # recorded before the homomorphism check skipped word-mismatched pairs
             (
@@ -836,7 +867,7 @@ class TestRequestLimits:
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_side_rejected_and_zero_is_valid(self):
-        for front_end in (enumerate_basis, count_basis, basis_encodings):
+        for front_end in (enumerate_basis, rank_identity, basis_encodings):
             with pytest.raises(ValueError):
                 front_end(-1)
         assert enumerate_basis(0) == [Diagram(0, 0, ())]
@@ -905,9 +936,22 @@ class TestRequestLimits:
         finally:
             tracemalloc.stop()
         assert code == 0
-        # the text outweighs the 70 matrices of 64 x 64 complex entries it prints
-        assert len(out) > 70 * 64 * 64 * 16
+        # each of the 70 x 64 x 64 entries is at least "0.0,0.0" and one
+        # separator: ";" within a matrix, the closing quote after its last
+        assert len(out) > 70 * 64 * 64 * len("0.0,0.0;")
         assert peak <= needs[0] <= cli.DENSE_BUDGET
+
+    def test_rep_matrices_cells_are_floats(self, capsys):
+        code, out = run_cli(capsys, *"rep --n 2 --qr 2+0.5j --qb 1.5-0.25j --matrices".split())
+        assert code == 0
+        matrices = json.loads(out)["matrices"]
+        assert len(matrices) == 10
+        for text in matrices.values():
+            cells = text.split(";")
+            assert len(cells) == 16 * 16
+            for cell in cells:
+                parts = cell.split(",")
+                assert len(parts) == 2 and all(math.isfinite(float(part)) for part in parts), cell
 
     def test_rep_without_matrices_has_no_dense_bound(self, capsys, nothing_dense):
         code, out = run_cli(capsys, "rep", "--n", "4", "--qr", "2", "--qb", "3")
@@ -1218,3 +1262,19 @@ def test_every_benchmark_request_parses(monkeypatch, tmp_path):
     parser = cli.build_parser()
     for request in requests:
         assert callable(parser.parse_args(request.argv(tmp_path)).func), request.key
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.skipif(not README.exists(), reason="README.md is absent")
+def test_every_readme_example_parses():
+    # the CLI section's code block is what a reader copies first
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("bubble ")]
+    assert len(lines) == 6
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert callable(parser.parse_args(argv).func), line
