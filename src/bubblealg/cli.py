@@ -8,11 +8,10 @@ output is byte identical between runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
-import statistics
+import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -28,15 +27,16 @@ from .basis import (
     standard_labels,
     walk_count,
 )
-from .cache import CacheError, cached_basis, default_cache_dir
 from .diagram import BLUE, RED
 
 if TYPE_CHECKING:
     from .yangbaxter import SweepReport
 
-# checks, spinchain, stdmod and yangbaxter are imported by the subcommands
-# that use them, so a request loads only its own modules: numpy comes in
-# only where a float is computed, never for basis or dims
+# cache, checks, spinchain, stdmod and yangbaxter, and the stdlib's csv and
+# statistics, are imported where they are used, so a request loads only
+# its own modules: numpy comes in only for rep, ybe and check, the commands
+# that compute with float arrays, and cache only for a basis request that
+# names a cache directory or lists the diagrams
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -129,6 +129,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -168,14 +170,22 @@ def _label_rows(n: int) -> list[dict]:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
     # with no cache and no listing only the count is needed, in closed form;
-    # the walk's checks still refuse a negative or oversized n
-    if cache_dir is None and not args.diagrams:
+    # the walk's checks still refuse a negative or oversized n.  The cache
+    # module, which resolves the directory itself, loads only when one is
+    # named, here or in the environment, or the listing is asked for
+    named = args.cache_dir is not None or os.environ.get("BUBBLE_CACHE_DIR")
+    if not named and not args.diagrams:
         _check_size(args.n, args.max_n)
         lines, total = None, walk_count(2 * args.n, 0, 0)
     else:
-        lines = cached_basis(args.n, cache_dir=cache_dir, max_n=args.max_n)
+        from .cache import CacheError, cached_basis
+
+        try:
+            lines = cached_basis(args.n, cache_dir=args.cache_dir, max_n=args.max_n)
+        except CacheError as exc:
+            print(f"cache error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         total = len(lines)
     payload = {"n": args.n, "total": total, "strata": _label_rows(args.n)}
     if args.diagrams:
@@ -332,6 +342,8 @@ def cmd_rep(args: argparse.Namespace) -> int:
 
 
 def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
+    import statistics
+
     residuals = report.residuals
     return {
         "quantity": report.quantity,
@@ -506,9 +518,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

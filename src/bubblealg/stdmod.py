@@ -25,8 +25,10 @@ arXiv:1204.4505).  So the Gram determinant is a red part times a blue
 part, each stored as a table of psi_k exponents.  ``gram_det_report``
 eliminates every distinct block and checks it against the tables, and
 ``scan_gram_roots`` reads the roots of the scanned colour off its table
-without expanding either part.  Whether every root is a 2 cos(pi m / k)
-with k <= 2n is read off the table exactly; floats only name each root.
+without expanding either part: each is a primitive cosine 2 cos(pi m / k)
+of a psi_k in the table, printed as that float, and whether every k is
+at most 2n is decided exactly.  No float root finder runs, so this
+module needs no numpy.
 """
 
 from __future__ import annotations
@@ -409,18 +411,6 @@ def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
 # root location for Gram determinants
 
 
-def _coefficients(poly: LaurentPoly, var: int) -> list[Fraction]:
-    """A nonzero polynomial in colour var's loop weight as its coefficient
-    list from the constant term up."""
-    terms = {exp[var]: Fraction(c) for exp, c in poly.terms.items()}
-    return [terms.get(e, Fraction(0)) for e in range(max(terms) + 1)]
-
-
-def _value(poly: LaurentPoly, colour: int, x: Fraction) -> Fraction:
-    """Exact value at x of a polynomial in one colour's loop weight."""
-    return sum((Fraction(c) * x ** exp[colour] for exp, c in poly.terms.items()), Fraction(0))
-
-
 def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] | None:
     """Smallest k with |z - 2 cos(pi m / k)| inside tolerance, as (m, k)."""
     for k in range(1, max_k + 1):
@@ -432,7 +422,7 @@ def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] |
 
 @dataclass(frozen=True)
 class RootRecord:
-    value: complex
+    value: float
     matched: tuple[int, int] | None
 
 
@@ -460,6 +450,7 @@ class GramRootScan:
 # printed with the first 2 cos(pi m / k), k <= 2n, within ROOT_TOLERANCE
 # of it, or with none.  The samples must exceed 2: every zero of a psi_k
 # lies in (-2, 2), so the other colour's part never vanishes at a sample
+# and moves no root
 ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
 ROOT_TOLERANCE = 1e-8
 
@@ -467,51 +458,30 @@ ROOT_TOLERANCE = 1e-8
 def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     """Locate the roots of a reported Gram determinant in one loop parameter.
 
-    The part in ``var`` is prod psi_k^A_k from its exponent table, so it
-    is never expanded: the root 0 has multiplicity A_2, as psi_2 = d, and
-    the other roots are those of the product of the psi_k with k >= 3 and
-    A_k > 0, which is monic and square-free by construction.  The other
-    parameter is pinned to exact rationals, which turns the part in the
-    other colour into one exact number, prod psi_k(other)^A_k; the monic
-    product scaled by that number is what the numeric root finder sees.
-    The roots of psi_k are the 2 cos(pi m / k) with m prime to k, so every
-    root is twice a cosine of a rational angle with denominator at most
-    2n exactly when the table has no k > 2n; each root is also matched in
-    floats to the first such value within tolerance, for the record.
+    The part in ``var`` is prod psi_k^A_k from its exponent table, so its
+    roots are read off the table without expanding anything: the root 0
+    has multiplicity A_2, as psi_2 = d, and each k >= 3 in the table adds
+    the zeros of psi_k, the 2 cos(pi m / k) with m prime to k, printed
+    once each in ascending order.  The other parameter is pinned to each
+    exact sample in turn, where the other colour's part is a nonzero
+    number, so every sample lists the same roots.  Every root is twice a
+    cosine of a rational angle with denominator at most 2n exactly when
+    the table has no k > 2n; each root is also matched in floats to the
+    first such value within tolerance, for the record.
     """
     n = report.n
     max_k = 2 * n
     table = report.factors[var]
     zero_mult = table.get(2, 0)
-    monic = _coefficients(psi_product({k: 1 for k in table if k >= 3}, var), var)
-    rest = 1 - var
-    samples = []
-    for other in ROOT_SAMPLES:
-        scale = math.prod(
-            (_value(psi(k, rest), rest, other) ** a for k, a in report.factors[rest].items()),
-            start=Fraction(1),
-        )
-        records = []
-        if zero_mult:
-            records.append(RootRecord(0.0, match_special_value(0.0, max_k, ROOT_TOLERANCE)))
-        if len(monic) > 1:
-            roots = _float_roots([c * scale for c in monic])
-            for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-                records.append(RootRecord(complex(z), match_special_value(complex(z), max_k, ROOT_TOLERANCE)))
-        samples.append(SampleScan(other, zero_mult, tuple(records)))
+    roots = [0.0] if zero_mult else []
+    roots += sorted(
+        2 * math.cos(math.pi * m / k)
+        for k in table
+        if k >= 3
+        for m in range(1, k)
+        if math.gcd(m, k) == 1
+    )
+    records = tuple(RootRecord(z, match_special_value(z, max_k, ROOT_TOLERANCE)) for z in roots)
+    samples = tuple(SampleScan(other, zero_mult, records) for other in ROOT_SAMPLES)
     all_matched = all(k <= max_k for k, a in table.items() if a > 0)
-    return GramRootScan(n, report.label, var, tuple(samples), all_matched)
-
-
-def _float_roots(coeffs: list[Fraction]):
-    """``np.roots`` of exact coefficients, lowest first: the one float step.
-
-    Scaling by the power of two that brings the leading coefficient near
-    1 keeps huge coefficients in float range, and changes no bit of the
-    companion matrix, which ``np.roots`` divides by it.
-    """
-    lead = abs(coeffs[-1])
-    shift = Fraction(2) ** (lead.denominator.bit_length() - lead.numerator.bit_length())
-    import numpy as np  # other requests skip the import
-
-    return np.roots([float(c * shift) for c in reversed(coeffs)])
+    return GramRootScan(n, report.label, var, samples, all_matched)

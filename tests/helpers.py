@@ -93,10 +93,11 @@ def _fraction_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fractio
 
 
 def expanded_root_input(det: LaurentPoly, var: int, other: Fraction) -> list[Fraction]:
-    """What a root scan of ``det`` in colour var's loop weight hands the float
-    root finder, by expanding: ``det`` with the other loop weight set to
-    other, less its factor of the root 0, divided by its monic gcd with its
-    derivative.  Lowest coefficient first; [] where it vanishes."""
+    """The nonzero roots of ``det`` in colour var's loop weight, each once, as
+    a polynomial for a float root finder, by expanding: ``det`` with the
+    other loop weight set to other, less its factor of the root 0, divided
+    by its monic gcd with its derivative.  Lowest coefficient first; []
+    where it vanishes."""
     p = univariate(det, var, other)
     if len(p) <= 2:
         return p

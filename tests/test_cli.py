@@ -574,27 +574,34 @@ class TestGramCommand:
         code, _ = run_cli(capsys, "gram", "--n", "9", "--i", "9", "--j", "0")
         assert code == 3
 
-    # sha256 of stdout recorded before the strand tracers were merged into
-    # one kernel; they pin every byte, root floats included
+    # sha256 of stdout, and of the payload with every root "value" removed
+    # (None without --roots).  The stdout digests of n5_i1_j0, n6_i1_j1,
+    # n7_i1_j0, n7_i0_j1 and n8_i4_j0 were re-recorded when the root scan
+    # began printing each root as its cosine from the psi_k table instead
+    # of an np.roots output; their root-free digests were recorded before
+    # that, so the re-record moved nothing but root values
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, digest, rootless",
         [
             (
                 "gram --n 5 --i 1 --j 0 --det --blocks --roots r",
-                "e8a42142c310c449433143d181c27455c6fcee5fa4bb1039c8f2a9be4f13b1b2",
+                "7aca87d6da768fc308fdfb0561d36f82440474fd574c38ce4dd239e95b9e3992",
+                "e943fc63831842d954302fbfedb1c34c73310fec171a0eb6cc7ee904484a17ec",
             ),
             (
                 "gram --n 6 --i 1 --j 1 --det --blocks --roots b",
-                "994cfa46cb7690378ecc531f029bef5c8f0b1c1565f10c5d6f758e9e89a40a53",
+                "626097c3f6e34dc6abf10387f518805404a9fd21016dc1f7d2ba688938e079a7",
+                "1273a23e1761065a1cbba200b969f48aef1fb4ccaf0707a32239e2eefe48b47f",
             ),
-            # recorded before the determinant was kept factored by colour
             (
                 "gram --n 7 --i 1 --j 0 --det --blocks --roots r",
-                "66c5c82d01e8eb9a289b0f3d707422311f9cb592fb15ac71d2c8f1e6033d5c22",
+                "82077b3f148fa1ccf262aeb764adb2cb4a667414452f51b2bfcd2c38d724505e",
+                "af17ccf9bdea3164d3a8ec050d0e1e1a2f2e23772ab9012538dc972f3b91f8df",
             ),
             (
                 "gram --n 7 --i 0 --j 1 --det --roots b",
-                "dbe75d7989773667bcd2c7bcdcda24d3142c201edfa82d30941b39b082adf102",
+                "05c3165617ed1cbe33ab9112c228ca45182859a886a10feee1ee9a9326c0bdfe",
+                "c4fe957579e4f6367ce73a3ccd175fb603909e4383d999c4a2e4c86eb126780d",
             ),
             # recorded before the root scan stopped expanding the
             # determinant, before the zero-skipping elimination and before
@@ -603,17 +610,22 @@ class TestGramCommand:
             (
                 "gram --n 7 --i 2 --j 1 --det --blocks",
                 "04de627b311ec6596597268c0dfdb4efe843e73cc856e5359f36d4d73e7e1eaa",
+                None,
             ),
             (
                 "gram --n 8 --i 4 --j 0 --det --roots r",
-                "c8118f36cd3ee258aa412f648fa1d37bb0929e57672ca369d93ead6a05d00da3",
+                "16cf4f61fbab1409562efca45ac9dbb59b144796bae812797909e3a5bb89c64e",
+                "04df6e5e883af00f5e31a88e9facc3c336967aeabbb9f08ab9e0dcf0939b566b",
             ),
             (
                 "gram --n 8 --i 0 --j 6 --det",
                 "7675ce4f372113af6116dbf2c2c765b51bb970e0b56681f79c4c07ebd09e81da",
+                None,
             ),
             (
+                # a constant determinant: both samples list no root
                 "gram --n 7 --i 4 --j 3 --det --roots r",
+                "de78643d80ae9d1151d1865a57a184714e47dfaff2939722440d02c99019decf",
                 "de78643d80ae9d1151d1865a57a184714e47dfaff2939722440d02c99019decf",
             ),
         ],
@@ -628,10 +640,17 @@ class TestGramCommand:
             "n7_i4_j3",
         ],
     )
-    def test_golden_stdout(self, capsys, argv, digest):
+    def test_golden_stdout(self, capsys, argv, digest, rootless):
         code, out = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+        if rootless is not None:
+            payload = json.loads(out)
+            for sample in payload["roots"]["samples"]:
+                for root in sample["roots"]:
+                    del root["value"]
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == rootless
 
 
 class TestRepCommand:
@@ -1133,7 +1152,7 @@ seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, "numpy" in sys.modules, "bubblealg.cache" in sys.modules])
 print(json.dumps(seen))
 """
 
@@ -1156,8 +1175,10 @@ class TestLeanPath:
             [sys.executable, "-c", IMPORT_PROBE, argvs],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout
-        # the first three never compute a float; once loaded, numpy stays
-        assert json.loads(out) == [[0, False]] * 3 + [[0, True]] * 3
+        # the first four never compute a float: gram reads its roots off the
+        # psi_k table; once loaded, numpy stays.  No request names a cache
+        # directory, so none loads the cache module
+        assert json.loads(out) == [[0, False, False]] * 4 + [[0, True, False]] * 2
 
     def test_every_export_resolves(self):
         star: dict = {}

@@ -269,35 +269,33 @@ class TestFactoredDeterminant:
         with pytest.raises(ArithmeticError):
             gram_det_report(3, 1, 0)
 
-    def test_root_finder_sees_what_the_expanded_route_gives(self, monkeypatch):
-        # the scan never expands the determinant; the exact coefficients it
-        # hands np.roots must still be those of the expanded route, as the
-        # same Fractions, so the printed roots cannot move
-        seen, calls = [], []
-        float_roots, roots = stdmod._float_roots, np.roots
-
-        def record(coeffs):
-            seen.append(list(coeffs))
-            return float_roots(coeffs)
-
-        def count(coeffs):
-            calls.append(len(coeffs))
-            return roots(coeffs)
-
-        monkeypatch.setattr(stdmod, "_float_roots", record)
-        monkeypatch.setattr(np, "roots", count)
+    def test_roots_agree_with_the_expanded_route(self):
+        # the scan reads each root off the psi_k table; the independent route
+        # expands the determinant at each sample, takes its zero order and
+        # hands the rest, square-free, to np.roots
         labels = [(n, i, j) for n in range(1, 7) for i, j in standard_labels(n)]
         labels += [(7, 1, 0), (7, 2, 1), (8, 4, 0), (6, 1, 1), (8, 6, 0), (7, 4, 3)]
         for report in (gram_det_report(n, i, j) for n, i, j in labels):
             n, (i, j) = report.n, report.label
             for var in (RED, BLUE):
-                seen.clear()
-                calls.clear()
-                scan_gram_roots(report, var=var)
-                expect = [expanded_root_input(report.det, var, v) for v in stdmod.ROOT_SAMPLES]
-                expect = [p for p in expect if len(p) > 1]
-                assert seen == expect, (n, i, j, var)
-                assert calls == [len(p) for p in expect]
+                scan = scan_gram_roots(report, var=var)
+                assert [s.other_value for s in scan.samples] == list(stdmod.ROOT_SAMPLES)
+                for sample in scan.samples:
+                    where = (n, i, j, var, sample.other_value)
+                    zero = min(exp[var] for exp in report.det.terms)
+                    assert sample.zero_root_multiplicity == zero, where
+                    coeffs = expanded_root_input(report.det, var, sample.other_value)
+                    expect = [0.0] if zero else []
+                    if len(coeffs) > 1:
+                        roots = np.roots([float(c) for c in reversed(coeffs)])
+                        assert np.abs(roots.imag).max() <= 1e-9, where
+                        expect += sorted(roots.real)
+                    got = [r.value for r in sample.roots]
+                    assert len(got) == len(expect), where
+                    assert got == pytest.approx(expect, abs=1e-9), where
+                    assert [r.matched for r in sample.roots] == [
+                        match_special_value(z, 2 * n, stdmod.ROOT_TOLERANCE) for z in expect
+                    ], where
 
     def test_huge_coefficients_do_not_overflow_the_root_finder(self):
         # (dr^2 - 1) * db^1000 at db = 7/3 has coefficients near 1e368
