@@ -15,7 +15,7 @@ import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .basis import (
     DEFAULT_MAX_N,
@@ -65,18 +65,35 @@ WRITE_SIZE = 2**20
 STRING_RUN = 4096
 
 
+class StringPieces:
+    """One JSON string handed over as an iterable of pieces, so text too
+    long to hold, such as an expanded determinant, is escaped and written
+    a piece at a time."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Iterable[str]) -> None:
+        self.pieces = pieces
+
+
+def _escaped(pieces: Iterable[str]) -> Iterator[str]:
+    # escaping is per code point, so each piece goes out in slices
+    for piece in pieces:
+        for start in range(0, len(piece), WRITE_SIZE):
+            yield encode_basestring_ascii(piece[start : start + WRITE_SIZE])[1:-1]
+
+
 def _json_chunks(value, pad: str) -> Iterator[str]:
     """Text of ``json.dumps(value, sort_keys=True, indent=2)`` in pieces;
     ``pad`` is the indentation of the line ``value`` starts on.  Object
-    keys must be strings."""
+    keys must be strings, and a ``StringPieces`` is written as the string
+    its pieces join to."""
     if isinstance(value, str):
         if len(value) <= WRITE_SIZE:
             yield encode_basestring_ascii(value)
             return
-        # escaping is per code point, so a long string goes out in slices
         yield '"'
-        for start in range(0, len(value), WRITE_SIZE):
-            yield encode_basestring_ascii(value[start : start + WRITE_SIZE])[1:-1]
+        yield from _escaped((value,))
         yield '"'
     elif value is None or isinstance(value, (bool, int, float)):
         yield json.dumps(value)
@@ -108,6 +125,10 @@ def _json_chunks(value, pad: str) -> Iterator[str]:
                     yield sep
                 yield from _json_chunks(x, inner)
         yield "\n" + pad + "]"
+    elif isinstance(value, StringPieces):
+        yield '"'
+        yield from _escaped(value.pieces)
+        yield '"'
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -244,7 +265,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
     }
     status = EXIT_OK
     if args.det:
-        payload["det"] = str(report.det)
+        # written from the two factored parts; the product is never expanded
+        payload["det"] = StringPieces(report.det_text())
         payload["det_cross_checked"] = report.cross_checked
     if args.blocks:
         payload["blocks"] = [

@@ -14,7 +14,11 @@ form is a ``' + '``-joined list of ``c*dr^a*db^b`` terms, for example
 
 :class:`PolyMatrix` holds the Gram matrices, and ``poly_det`` takes
 their determinants by fraction-free (Bareiss) elimination, where every
-intermediate division is exact in the ring.
+intermediate division is exact in the ring.  It eliminates on integers:
+each entry is packed into one Python int by Kronecker substitution, so
+the elimination runs on CPython's big-integer arithmetic and only the
+determinant is unpacked.  ``divexact`` divides polynomials exactly; the
+``psi_k`` factors of the Chebyshev numbers in ``stdmod`` are its caller.
 ``eval_mod`` and ``rank_mod`` evaluate polynomials and take ranks over
 GF(PRIME) at a point: a rank there never exceeds the generic rank, and at
 a random point it falls below with probability at most degree / PRIME.
@@ -176,10 +180,10 @@ def _lead(terms: dict[Exponent, int]) -> Exponent:
 
 
 def divexact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Exact division p / q in the Laurent ring.
+    """Exact division p / q in the Laurent ring, by long division from the
+    leading terms.
 
-    Raises ArithmeticError when q does not divide p; used by the Bareiss
-    determinant, where every division is exact by construction.
+    Raises ArithmeticError when q does not divide p.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -261,44 +265,128 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
-def poly_det(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+def _pack(slots: Mapping[int, int], width: int) -> int:
+    """The integer sum of c * X^k over ``slots`` {k: c}, with X = 256^width
+    and every |c| < X / 2.
 
-    Row swaps handle zero pivots; the determinant of the empty matrix is 1.
-    Raises ValueError on a non-square input.
+    Each slot is written as the bytes of c + X/2 and the bias is taken off
+    once, so the cost is linear in the length of the result.
+    """
+    if not slots:
+        return 0
+    bias = 1 << (8 * width - 1)
+    filler = bias.to_bytes(width, "little")
+    out = [filler] * (max(slots) + 1)
+    for k, c in slots.items():
+        out[k] = (c + bias).to_bytes(width, "little")
+    return int.from_bytes(b"".join(out), "little") - int.from_bytes(filler * len(out), "little")
+
+
+def _unpack(value: int, width: int) -> dict[int, int]:
+    """Inverse of ``_pack``: the nonzero balanced base-X digits of value.
+
+    A top digit c at slot k makes |value| >= X^k / 2, so bit_length // s + 1
+    slots hold every digit (s = 8 * width).  Adding X/2 to each of them
+    leaves plain base-X digits with no borrows, read off the bytes.
+    """
+    bias = 1 << (8 * width - 1)
+    filler = bias.to_bytes(width, "little")
+    top = value.bit_length() // (8 * width) + 1
+    raw = (value + int.from_bytes(filler * top, "little")).to_bytes(width * top, "little")
+    out = {}
+    for k, at in enumerate(range(0, width * top, width)):
+        chunk = raw[at : at + width]
+        if chunk != filler:
+            out[k] = int.from_bytes(chunk, "little") - bias
+    return out
+
+
+def poly_det(m: PolyMatrix) -> LaurentPoly:
+    """Exact determinant by fraction-free (Bareiss) elimination on packed integers.
+
+    Each row is divided by its lowest monomial, so every exponent is at
+    least 0, and each entry is packed into one integer by Kronecker
+    substitution dr = X, db = X^K with X = 2^s.  Every intermediate Bareiss
+    entry is a minor of the matrix (after row swaps), and the packing must
+    be injective on all of them:
+
+    - degree: a minor's dr-degree is at most the sum of its rows'
+      dr-spans, so K = 1 + the sum over all rows keeps each dr^a db^b in
+      its own slot a + K*b;
+    - coefficients: a coefficient of a Laurent polynomial is at most its
+      largest absolute value on the torus |dr| = |db| = 1.  There each
+      entry is at most its coefficient-sum norm, so by Hadamard's
+      inequality a minor is at most the product over its rows of
+      sqrt(sum of the squared norms); that is at most H, the same product
+      over all rows, since every factor of a nonzero row is at least 1.
+      s is a multiple of 8 with 2^(s-1) > H.
+
+    So an entry is zero exactly when its integer is, each division is
+    exact on the integers because it is exact in the ring, and the
+    determinant is read back from its balanced base-X digits.  Packing and
+    unpacking go through bytes in linear time.  The work grows with the
+    packed length, not with the number of terms: it suits dense entries
+    of low degree, such as the Gram matrices.
+
+    Row swaps handle zero pivots.  The empty matrix has determinant 1 and
+    a matrix with a zero row has 0, both found without packing.  Raises
+    ValueError on a non-square input.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    work = [list(row) for row in m.entries]
+    degree = 0
+    # H^2, an integer: 2^(s-1) > H holds once 2s - 2 >= its bit length
+    h_squared = 1
+    lows = []
+    for row in m.entries:
+        exps = [exp for e in row for exp in e._terms]
+        if not exps:
+            return ZERO
+        lo_a = min(a for a, _ in exps)
+        lo_b = min(b for _, b in exps)
+        degree += max(a for a, _ in exps) - lo_a
+        h_squared *= sum(sum(map(abs, e._terms.values())) ** 2 for e in row)
+        lows.append((lo_a, lo_b))
+    k_db = degree + 1
+    width = (h_squared.bit_length() + 17) // 16
+    work = [
+        [
+            _pack({a - lo_a + k_db * (b - lo_b): c for (a, b), c in e._terms.items()}, width)
+            for e in row
+        ]
+        for row, (lo_a, lo_b) in zip(m.entries, lows)
+    ]
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(n - 1):
-        if work[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not work[i][k].is_zero), None)
+        if not work[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if work[i][k]), None)
             if pivot_row is None:
                 return ZERO
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
-        pivot = work[k][k]
+        row_k = work[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = work[i]
             head = row_i[k]
-            if head.is_zero:
+            if head:
+                for j in range(k + 1, n):
+                    row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+            else:
                 # the update is pivot * x / prev, and it keeps zeros zero
                 for j in range(k + 1, n):
-                    if not row_i[j].is_zero:
-                        row_i[j] = divexact(pivot * row_i[j], prev)
-                continue
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - head * work[k][j]
-                row_i[j] = divexact(num, prev)
-            row_i[k] = ZERO
+                    if row_i[j]:
+                        row_i[j] = pivot * row_i[j] // prev
         prev = pivot
-    det = work[n - 1][n - 1]
-    return det if sign > 0 else -det
+    det = _unpack(sign * work[n - 1][n - 1], width)
+    low_a, low_b = map(sum, zip(*lows))
+    return LaurentPoly._raw(
+        {(k % k_db + low_a, k // k_db + low_b): c for k, c in det.items()}
+    )
 
 
 PRIME = 2**61 - 1

@@ -22,8 +22,13 @@ cuts.  Each D_c has a closed form, a product of powers of psi_k, the
 factors of the Chebyshev numbers [k] whose zeros are the loop weights
 2 cos(pi m / k) (Westbury, Math. Z. 219 (1995); Ridout and Saint-Aubin,
 arXiv:1204.4505).  So the Gram determinant is a red part times a blue
-part, each stored as a table of psi_k exponents.  ``gram_det_report``
-eliminates every distinct block and checks it against the tables, and
+part, each stored as a table of psi_k exponents, and the two are
+multiplied out only where a check needs the product.  The factors share
+no variable, so each coefficient of a product of a red and a blue factor
+is one red coefficient times one blue one.  ``gram_det_report``
+eliminates every distinct block and compares it with its two expanded
+one-colour factors that way, and ``GramDetReport.det_text`` writes the
+determinant's text term by term from the two parts.
 ``scan_gram_roots`` reads the roots of the scanned colour off its table
 without expanding either part: each is a primitive cosine 2 cos(pi m / k)
 of a psi_k in the table, printed as that float, and whether every k is
@@ -39,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from typing import Iterator
 
 from .basis import (
     HalfDiagram,
@@ -237,6 +243,12 @@ def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
     return table, tl_halfdiagram_count(points, defects)
 
 
+def _coefficients(p: LaurentPoly, colour: int) -> dict[int, int]:
+    """p's coefficients keyed by the exponent of colour's loop weight; p
+    must be in that weight only."""
+    return {exp[colour]: c for exp, c in p.terms.items()}
+
+
 CROSS_CHECK_MAX_SIZE = 36
 
 
@@ -245,8 +257,9 @@ class GramDetReport:
     """Gram determinant kept factored by colour.
 
     ``factors[c]`` is colour c's exponent table {k: A_k}: its part of the
-    determinant is prod psi_k^A_k in its own loop weight.  ``det`` is the
-    product of the two parts, expanded on first use.
+    determinant is prod psi_k^A_k in its own loop weight.  ``det_text``
+    writes the text of their product from the two parts; ``det`` is the
+    product expanded, built only when something asks for it.
     """
 
     n: int
@@ -266,6 +279,29 @@ class GramDetReport:
         red, blue = self.parts
         return red * blue
 
+    def det_text(self) -> Iterator[str]:
+        """``str(self.det)`` in pieces, one per total degree, without
+        expanding ``det``.
+
+        The parts share no variable, so the term (a, b) of the product is
+        red_a * blue_b and no two terms collide.  The total degree s runs
+        down, and within it the red exponent a runs down over the window
+        where both parts can have a term: graded lex order, largest first.
+        """
+        # each part is a product of psi_k, so neither is zero
+        red, blue = _coefficients(self.parts[RED], RED), _coefficients(self.parts[BLUE], BLUE)
+        a_lo, a_hi, b_lo, b_hi = min(red), max(red), min(blue), max(blue)
+        sep = ""
+        for s in range(a_hi + b_hi, a_lo + b_lo - 1, -1):
+            terms = [
+                f"{red[a] * blue[s - a]}*dr^{a}*db^{s - a}"
+                for a in range(min(a_hi, s - b_lo), max(a_lo, s - b_hi) - 1, -1)
+                if a in red and s - a in blue
+            ]
+            if terms:
+                yield sep + " + ".join(terms)
+                sep = " + "
+
 
 def gram_det_report(
     n: int, i: int, j: int, bras: list[HalfDiagram] | None = None
@@ -273,15 +309,19 @@ def gram_det_report(
     """Gram determinant from the word blocks, factored by colour.
 
     Every block determinant comes from elimination on the block itself
-    and must equal D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r expanded from
-    the closed-form one-colour tables; a mismatch raises ArithmeticError.
-    Up to CROSS_CHECK_MAX_SIZE basis elements, where it is cheap, the
-    unblocked matrix goes through fraction-free elimination as well and
-    must give the product of the factors exactly.
+    and must equal R * B, with R = D_r(k_r, i)^rows_b and
+    B = D_b(k_b, j)^rows_r expanded from the closed-form one-colour
+    tables; a mismatch raises ArithmeticError.  R and B share no
+    variable, so the block determinant equals R * B exactly when it has
+    len(R) * len(B) terms and each coefficient at (a, b) is R_a * B_b:
+    the product is never expanded.  Up to CROSS_CHECK_MAX_SIZE basis
+    elements, where it is cheap, the unblocked matrix goes through
+    fraction-free elimination as well and must give the expanded product
+    of the factors exactly.
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
     factors: tuple[Counter, Counter] = (Counter(), Counter())
-    tensor: dict[tuple[int, int], LaurentPoly] = {}
+    tensor: dict[tuple[int, int], tuple[dict[int, int], dict[int, int]]] = {}
     for blk in blocks:
         k_r = blk.word.count("r")
         k_b = len(blk.word) - k_r
@@ -289,8 +329,12 @@ def gram_det_report(
         table_b, rows_b = one_colour_det(k_b, j)
         if (k_r, k_b) not in tensor:
             det_r, det_b = psi_product(table_r, RED), psi_product(table_b, BLUE)
-            tensor[k_r, k_b] = det_r**rows_b * det_b**rows_r
-        if blk.det != tensor[k_r, k_b]:
+            tensor[k_r, k_b] = _coefficients(det_r**rows_b, RED), _coefficients(det_b**rows_r, BLUE)
+        red, blue = tensor[k_r, k_b]
+        terms = blk.det.terms
+        if len(terms) != len(red) * len(blue) or any(
+            c != red.get(a, 0) * blue.get(b, 0) for (a, b), c in terms.items()
+        ):
             raise ArithmeticError(
                 f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
             )

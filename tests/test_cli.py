@@ -537,6 +537,21 @@ class TestGramCommand:
             "44f3aac34e179ccd02e27f6db18da59de54a872a1b6d514777ea8e7aa92b077d"
         )
 
+    def test_det_text_never_expands_the_product(self, capsys, monkeypatch):
+        # above the cross-check size nothing needs the expanded determinant:
+        # its text is written from the two factored parts.  The digest is
+        # the n7_i1_j0 golden below
+        def refuse(self):
+            raise AssertionError("the expanded determinant was built")
+
+        monkeypatch.setattr(stdmod.GramDetReport, "det", property(refuse))
+        argv = "gram --n 7 --i 1 --j 0 --det --blocks --roots r".split()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "82077b3f148fa1ccf262aeb764adb2cb4a667414452f51b2bfcd2c38d724505e"
+        )
+
     def test_wrong_closed_form_is_property_failure(self, monkeypatch, capsys):
         # every block is eliminated and must equal the closed-form tables
         monkeypatch.setattr(stdmod, "one_colour_det", lambda points, defects: ({3: 1}, 1))
@@ -1239,6 +1254,20 @@ class TestJsonWriter:
             payload = {"top": writer_payload(rng), "rest": writer_payload(rng)}
             cli._emit_json(payload)
             assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("write_size", [cli.WRITE_SIZE, 3])
+    def test_pieced_string_is_written_as_json_dumps_would(self, monkeypatch, write_size):
+        monkeypatch.setattr(cli, "WRITE_SIZE", write_size)
+        pieces = ["", "plain", "", 'quote " and \\ back', "\n\t\x00\x1f\x7f", "\u00e9 \u2603 \U0001d11e", ""]
+        pieces.append("x" * (cli.WRITE_SIZE + 3))
+        value = {
+            "a": cli.StringPieces(iter(pieces)),
+            "b": [cli.StringPieces([]), cli.StringPieces([""]), 1],
+            "c": cli.StringPieces(p for p in pieces[::-1]),
+        }
+        expect = {"a": "".join(pieces), "b": ["", "", 1], "c": "".join(pieces[::-1])}
+        got = "".join(cli._json_chunks(value, ""))
+        assert got == json.dumps(expect, sort_keys=True, indent=2)
 
     def test_unserialisable_values_are_refused(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from bubblealg.exactpoly import (
     ZERO,
     LaurentPoly,
     PolyMatrix,
+    _pack,
+    _unpack,
     divexact,
     eval_mod,
     poly_det,
@@ -283,3 +286,157 @@ def test_det_of_sparse_matrices_matches_cofactor_expansion():
         for _ in range(12):
             m = PolyMatrix([[_sparse_entry(rng) for _ in range(size)] for _ in range(size)])
             assert poly_det(m) == cofactor_det(m)
+
+
+def _wide_entry(rng: random.Random, bits: int) -> LaurentPoly:
+    # up to three terms, exponents of either sign, coefficients of either sign
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        exp = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        terms[exp] = rng.choice((-1, 1)) * (rng.getrandbits(bits) | (1 << bits))
+    return LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("bits, max_size", [(2, 6), (200, 4)])
+def test_packed_det_matches_cofactor_expansion(bits, max_size):
+    # bits = 200 puts every input coefficient above 2^200; each slot is then
+    # over 800 bits wide, and CPython divides such integers in quadratic time
+    rng = random.Random(31337 + bits)
+    for size in range(1, max_size + 1):
+        for trial in range(12):
+            rows = [[_wide_entry(rng, bits) for _ in range(size)] for _ in range(size)]
+            if trial % 4 == 0:
+                rows[rng.randrange(size)] = [ZERO] * size
+            m = PolyMatrix(rows)
+            det = poly_det(m)
+            assert det == cofactor_det(m)
+            if trial % 4 == 0:
+                assert det == ZERO
+
+
+def test_packed_det_edge_shapes():
+    assert poly_det(PolyMatrix([])) == ONE
+    for rows in ([[ONE, ZERO]], [[ONE], [DR]], [[]], [[DR, DB, ONE], [ONE, ONE, ONE]]):
+        with pytest.raises(ValueError):
+            poly_det(PolyMatrix(rows))
+
+
+def test_packing_round_trips_digits_at_the_boundary():
+    # the widest balanced digits, +-(2^(s-1) - 1) with s = 8 * width, next
+    # to each other, to gaps and to small digits
+    rng = random.Random(2024)
+    for width in (1, 2, 5):
+        edge = 2 ** (8 * width - 1) - 1
+        for _ in range(40):
+            slots = {}
+            for k in rng.sample(range(64), rng.randrange(30)):
+                slots[k] = rng.choice((edge, -edge, rng.randrange(-edge, edge + 1)))
+            slots = {k: c for k, c in slots.items() if c}
+            value = _pack(slots, width)
+            assert value == sum(c << (8 * width * k) for k, c in slots.items())
+            assert _unpack(value, width) == slots
+
+
+def test_det_digit_at_the_packing_boundary():
+    # 7 * 31 * 151 = 2^15 - 1 bounds every minor's coefficients, so the
+    # slots are 16 bits wide and the determinant's one coefficient is the
+    # widest digit a slot holds, 2^15 - 1 in either sign
+    diag = [LaurentPoly.monomial(-1, 0, 7), LaurentPoly.monomial(0, 2, -31), LaurentPoly.monomial(1, 1, 151)]
+    for perm in permutations(range(3)):
+        m = PolyMatrix([[diag[r] if c == perm[r] else ZERO for c in range(3)] for r in range(3)])
+        det = poly_det(m)
+        assert det == cofactor_det(m)
+        assert abs(det.terms[(0, 3)]) == 2**15 - 1
+
+
+def test_det_with_huge_coefficients_and_exponents():
+    # coefficients near 2^400 and exponents near +-1000 in both weights: the
+    # packed entries span thousands of slots, each hundreds of bits wide
+    c = 3**250
+    m = PolyMatrix(
+        [
+            [c * DR**2 - c, LaurentPoly.monomial(0, 1000, c), ONE],
+            [LaurentPoly.monomial(-1000, 0, -c), c * DB + 1, LaurentPoly.monomial(999, -999, 5)],
+            [DR - DB, ZERO, LaurentPoly.monomial(-3, 1000, -c * c)],
+        ]
+    )
+    det = poly_det(m)
+    assert det == cofactor_det(m)
+    assert max(abs(x) for x in det.terms.values()) > 2**1000
+
+
+def _wide_entry(rng: random.Random, bits: int) -> LaurentPoly:
+    # up to three terms, exponents of either sign, coefficients of either sign
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        exp = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        terms[exp] = rng.choice((-1, 1)) * (rng.getrandbits(bits) | (1 << bits))
+    return LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("bits, max_size", [(2, 6), (200, 4)])
+def test_packed_det_matches_cofactor_expansion(bits, max_size):
+    # bits = 200 puts every input coefficient above 2^200; each slot is then
+    # over 800 bits wide, and CPython divides such integers in quadratic time
+    rng = random.Random(31337 + bits)
+    for size in range(1, max_size + 1):
+        for trial in range(12):
+            rows = [[_wide_entry(rng, bits) for _ in range(size)] for _ in range(size)]
+            if trial % 4 == 0:
+                rows[rng.randrange(size)] = [ZERO] * size
+            m = PolyMatrix(rows)
+            det = poly_det(m)
+            assert det == cofactor_det(m)
+            if trial % 4 == 0:
+                assert det == ZERO
+
+
+def test_packed_det_edge_shapes():
+    assert poly_det(PolyMatrix([])) == ONE
+    for rows in ([[ONE, ZERO]], [[ONE], [DR]], [[]], [[DR, DB, ONE], [ONE, ONE, ONE]]):
+        with pytest.raises(ValueError):
+            poly_det(PolyMatrix(rows))
+
+
+def test_packing_round_trips_digits_at_the_boundary():
+    # the widest balanced digits, +-(2^(s-1) - 1) with s = 8 * width, next
+    # to each other, to gaps and to small digits
+    rng = random.Random(2024)
+    for width in (1, 2, 5):
+        edge = 2 ** (8 * width - 1) - 1
+        for _ in range(40):
+            slots = {}
+            for k in rng.sample(range(64), rng.randrange(30)):
+                slots[k] = rng.choice((edge, -edge, rng.randrange(-edge, edge + 1)))
+            slots = {k: c for k, c in slots.items() if c}
+            value = _pack(slots, width)
+            assert value == sum(c << (8 * width * k) for k, c in slots.items())
+            assert _unpack(value, width) == slots
+
+
+def test_det_digit_at_the_packing_boundary():
+    # 7 * 31 * 151 = 2^15 - 1 bounds every minor's coefficients, so the
+    # slots are 16 bits wide and the determinant's one coefficient is the
+    # widest digit a slot holds, 2^15 - 1 in either sign
+    diag = [LaurentPoly.monomial(-1, 0, 7), LaurentPoly.monomial(0, 2, -31), LaurentPoly.monomial(1, 1, 151)]
+    for perm in permutations(range(3)):
+        m = PolyMatrix([[diag[r] if c == perm[r] else ZERO for c in range(3)] for r in range(3)])
+        det = poly_det(m)
+        assert det == cofactor_det(m)
+        assert abs(det.terms[(0, 3)]) == 2**15 - 1
+
+
+def test_det_with_huge_coefficients_and_exponents():
+    # coefficients near 2^400 and exponents of either sign up to 40: the
+    # packed entries span hundreds of slots, each hundreds of bits wide
+    c = 3**250
+    m = PolyMatrix(
+        [
+            [c * DR**2 - c, LaurentPoly.monomial(0, 40, c), ONE],
+            [LaurentPoly.monomial(-40, 0, -c), c * DB + 1, LaurentPoly.monomial(39, -39, 5)],
+            [DR - DB, ZERO, LaurentPoly.monomial(-3, 40, -c * c)],
+        ]
+    )
+    det = poly_det(m)
+    assert det == cofactor_det(m)
+    assert max(abs(x) for x in det.terms.values()) > 2**1000

@@ -297,13 +297,41 @@ class TestFactoredDeterminant:
                         match_special_value(z, 2 * n, stdmod.ROOT_TOLERANCE) for z in expect
                     ], where
 
-    def test_huge_coefficients_do_not_overflow_the_root_finder(self):
-        # (dr^2 - 1) * db^1000 at db = 7/3 has coefficients near 1e368
+    def test_scan_reads_a_huge_exponent_off_the_table(self):
+        # (dr^2 - 1) * db^1000: the scan reads the table and never expands
+        # the blue part, whose value at db = 7/3 is near 1e368
         report = GramDetReport(2, (0, 0), 2, ({3: 1}, {2: 1000}), (), False)
         scan = scan_gram_roots(report, var=RED)
         assert scan.samples[0].other_value == Fraction(7, 3)
         assert scan.all_matched
         assert sorted(r.value.real for r in scan.samples[0].roots) == pytest.approx([-1.0, 1.0])
+
+    def test_streamed_det_text_is_the_expanded_text(self):
+        # the text is written from the two parts in graded lex order; the
+        # benchmark's labels have the longest determinants
+        labels = [(n, i, j) for n in range(7) for i, j in standard_labels(n)]
+        labels += [(7, 1, 0), (7, 0, 1), (7, 1, 2), (7, 2, 1), (8, 4, 0), (8, 0, 4)]
+        for n, i, j in labels:
+            report = gram_det_report(n, i, j)
+            assert "".join(report.det_text()) == str(report.det), (n, i, j)
+
+    @pytest.mark.parametrize("change", ["double", "drop"])
+    def test_block_check_compares_every_term(self, monkeypatch, change):
+        # a block determinant with one coefficient off, or one term missing,
+        # is not the tensor product of its one-colour forms
+        real = stdmod.block_det
+
+        def tampered(m):
+            terms = real(m).terms
+            if change == "double":
+                terms[min(terms)] *= 2
+            else:
+                del terms[min(terms)]
+            return LaurentPoly(terms)
+
+        monkeypatch.setattr(stdmod, "block_det", tampered)
+        with pytest.raises(ArithmeticError):
+            gram_det_report(7, 2, 1)
 
 
 class TestRestrictionAndSpans:
