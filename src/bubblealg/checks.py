@@ -31,7 +31,7 @@ from .diagram import (
     propagating_index,
     white_generator,
 )
-from .exactpoly import DB, DR, LaurentPoly, PolyMatrix, poly_det
+from .exactpoly import DB, DR, PolyMatrix, poly_det
 from .oracles import bubble_basis_count
 from .spinchain import NumericParams, homomorphism_report
 from .stdmod import (
@@ -39,6 +39,7 @@ from .stdmod import (
     gram_blocks,
     gram_det_report,
     gram_matrix,
+    is_tensor,
     localisation_report,
     restriction_report,
     scan_gram_roots,
@@ -119,13 +120,11 @@ def _check_gram_tl_blocks(size: int) -> CheckResult:
                 n_b = blk.word.count("b")
                 tl_r = tl_gram_poly(n_r, i, RED)
                 tl_b = tl_gram_poly(n_b, j, BLUE)
-                want = LaurentPoly.one()
-                det_r, det_b = poly_det(tl_r), poly_det(tl_b)
-                for _ in range(tl_b.rows):
-                    want = want * det_r
-                for _ in range(tl_r.rows):
-                    want = want * det_b
-                if blk.det != want:
+                det_r = poly_det(tl_r) ** tl_b.rows
+                det_b = poly_det(tl_b) ** tl_r.rows
+                red = {a: c for (a, _), c in det_r.terms.items()}
+                blue = {b: c for (_, b), c in det_b.terms.items()}
+                if not is_tensor(blk.det, red, blue):
                     return CheckResult(
                         "gram_tl_blocks",
                         False,

@@ -238,7 +238,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
-    from .stdmod import gram_blocks, gram_det_report, scan_gram_roots
+    from .stdmod import ROOT_SAMPLES, gram_blocks, gram_det_report, scan_gram_roots
 
     n, i, j = args.n, args.i, args.j
     bras = enumerate_bras(n, i, j, max_n=args.max_n)
@@ -281,6 +281,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if args.roots is not None:
         var = RED if args.roots == "r" else BLUE
         scan = scan_gram_roots(report, var=var)
+        roots = [
+            {"value": _complex_pair(value), "matched": list(matched) if matched else None}
+            for value, matched in scan.roots
+        ]
         payload["roots"] = {
             "var": args.roots,
             # the determinant is a product of psi_k, never zero, and no psi_k
@@ -289,18 +293,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
             "all_matched": scan.all_matched,
             "samples": [
                 {
-                    "other_value": str(sample.other_value),
+                    "other_value": str(other),
                     "degenerate": False,
-                    "zero_root_multiplicity": sample.zero_root_multiplicity,
-                    "roots": [
-                        {
-                            "value": _complex_pair(record.value),
-                            "matched": list(record.matched) if record.matched else None,
-                        }
-                        for record in sample.roots
-                    ],
+                    "zero_root_multiplicity": scan.zero_root_multiplicity,
+                    "roots": roots,
                 }
-                for sample in scan.samples
+                for other in ROOT_SAMPLES
             ],
         }
         if not scan.all_matched:
@@ -325,13 +323,14 @@ def cmd_rep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"could not parse a colour parameter: {exc}") from exc
     params = NumericParams(q_r=q_r, q_b=q_b)
+    # the size guard first: the budget's count recurses about 2n deep
+    _check_size(args.n, args.max_n)
     if args.check or args.matrices:
         # one 4^n x 4^n complex matrix per basis diagram, and its text
         entries = walk_count(2 * args.n, 0, 0) * 16**args.n
         per_entry = 16 + (MATRIX_TEXT_BYTES if args.matrices else 0)
         _check_dense(entries * per_entry, f"rep --n {args.n}")
     # the size is in closed form; only the check and the listing need B_n
-    _check_size(args.n, args.max_n)
     basis = enumerate_basis(args.n, max_n=args.max_n) if args.check or args.matrices else None
     payload: dict = {
         "n": args.n,

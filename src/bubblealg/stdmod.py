@@ -22,18 +22,18 @@ cuts.  Each D_c has a closed form, a product of powers of psi_k, the
 factors of the Chebyshev numbers [k] whose zeros are the loop weights
 2 cos(pi m / k) (Westbury, Math. Z. 219 (1995); Ridout and Saint-Aubin,
 arXiv:1204.4505).  So the Gram determinant is a red part times a blue
-part, each stored as a table of psi_k exponents, and the two are
-multiplied out only where a check needs the product.  The factors share
-no variable, so each coefficient of a product of a red and a blue factor
-is one red coefficient times one blue one.  ``gram_det_report``
-eliminates every distinct block and compares it with its two expanded
-one-colour factors that way, and ``GramDetReport.det_text`` writes the
-determinant's text term by term from the two parts.
-``scan_gram_roots`` reads the roots of the scanned colour off its table
-without expanding either part: each is a primitive cosine 2 cos(pi m / k)
-of a psi_k in the table, printed as that float, and whether every k is
-at most 2n is decided exactly.  No float root finder runs, so this
-module needs no numpy.
+part, each stored as a table of psi_k exponents and expanded, one colour
+at a time, into the coefficients of a polynomial in that colour's loop
+weight; the two parts are never multiplied out.  They share no variable,
+so each coefficient of their product is one red coefficient times one
+blue one.  ``is_tensor`` checks each eliminated block against its two
+one-colour factors that way, and, up to size 36, the unblocked
+determinant against the two parts; ``GramDetReport.det_text`` writes
+the determinant's text term by term.  ``scan_gram_roots`` reads the
+roots of the scanned colour off its table: each is a primitive cosine
+2 cos(pi m / k) of a psi_k in the table, named exactly by (m, k) when
+k is at most 2n.  No float root finder runs, so this module needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .diagram import (
     white_generator,
 )
 from .exactpoly import (
-    DB,
     DR,
     ONE,
     PRIME,
@@ -192,34 +191,49 @@ def block_det(m: PolyMatrix) -> LaurentPoly:
 
 
 @cache
-def quantum_number(k: int, colour: int) -> LaurentPoly:
-    """[k] in colour's loop weight d: [0] = 0, [1] = 1, [k+1] = d[k] - [k-1]."""
+def quantum_number(k: int) -> LaurentPoly:
+    """[k] in a loop weight d, written as dr: [0] = 0, [1] = 1,
+    [k+1] = d[k] - [k-1]."""
     if k < 2:
         return LaurentPoly.const(k)
-    d = DR if colour == RED else DB
-    return d * quantum_number(k - 1, colour) - quantum_number(k - 2, colour)
+    return DR * quantum_number(k - 1) - quantum_number(k - 2)
 
 
 @cache
-def psi(k: int, colour: int) -> LaurentPoly:
+def psi(k: int) -> LaurentPoly:
     """The factor psi_k of [k] = prod of psi_l over the divisors l > 1 of k.
 
     Its zeros are the d = 2 cos(pi m / k) with m prime to k, all in
     (-2, 2); psi_1 = 1 and psi_2 = d.  Each division is exact.
     """
-    out = quantum_number(k, colour)
+    out = quantum_number(k)
     for l in range(2, k):
         if k % l == 0:
-            out = divexact(out, psi(l, colour))
+            out = divexact(out, psi(l))
     return out
 
 
 Table = dict[int, int]
+Coefficients = dict[int, int]
 
 
-def psi_product(table: Table, colour: int) -> LaurentPoly:
-    """prod psi_k^a_k over the exponent table, in colour's loop weight."""
-    return math.prod((psi(k, colour) ** a for k, a in table.items()), start=ONE)
+def psi_coefficients(table: Table) -> Coefficients:
+    """prod psi_k^a_k over the exponent table, as {exponent of d: coefficient}."""
+    product = math.prod((psi(k) ** a for k, a in table.items()), start=ONE)
+    return {a: c for (a, _), c in product.terms.items()}
+
+
+def is_tensor(det: LaurentPoly, red: Coefficients, blue: Coefficients) -> bool:
+    """Whether det is red in dr times blue in db, without multiplying out.
+
+    The two share no variable, so no two terms of their product collide:
+    it has len(red) * len(blue) terms, and the one at (a, b) is
+    red[a] * blue[b].
+    """
+    terms = det.terms
+    return len(terms) == len(red) * len(blue) and all(
+        c == red.get(a, 0) * blue.get(b, 0) for (a, b), c in terms.items()
+    )
 
 
 def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
@@ -243,12 +257,6 @@ def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
     return table, tl_halfdiagram_count(points, defects)
 
 
-def _coefficients(p: LaurentPoly, colour: int) -> dict[int, int]:
-    """p's coefficients keyed by the exponent of colour's loop weight; p
-    must be in that weight only."""
-    return {exp[colour]: c for exp, c in p.terms.items()}
-
-
 CROSS_CHECK_MAX_SIZE = 36
 
 
@@ -257,9 +265,9 @@ class GramDetReport:
     """Gram determinant kept factored by colour.
 
     ``factors[c]`` is colour c's exponent table {k: A_k}: its part of the
-    determinant is prod psi_k^A_k in its own loop weight.  ``det_text``
-    writes the text of their product from the two parts; ``det`` is the
-    product expanded, built only when something asks for it.
+    determinant is prod psi_k^A_k in its own loop weight.  ``parts`` are
+    the two parts' coefficients and ``det_text`` writes the text of their
+    product from them; the product itself is never expanded.
     """
 
     n: int
@@ -270,26 +278,21 @@ class GramDetReport:
     cross_checked: bool
 
     @cached_property
-    def parts(self) -> tuple[LaurentPoly, LaurentPoly]:
-        """The red and the blue part, each in its own loop weight only."""
-        return psi_product(self.factors[RED], RED), psi_product(self.factors[BLUE], BLUE)
-
-    @cached_property
-    def det(self) -> LaurentPoly:
-        red, blue = self.parts
-        return red * blue
+    def parts(self) -> tuple[Coefficients, Coefficients]:
+        """The red and the blue part, each keyed by its own exponent."""
+        return psi_coefficients(self.factors[RED]), psi_coefficients(self.factors[BLUE])
 
     def det_text(self) -> Iterator[str]:
-        """``str(self.det)`` in pieces, one per total degree, without
-        expanding ``det``.
+        """The determinant's text, as ``str`` of the expanded product would
+        write it, in pieces, one per total degree.
 
         The parts share no variable, so the term (a, b) of the product is
         red_a * blue_b and no two terms collide.  The total degree s runs
         down, and within it the red exponent a runs down over the window
         where both parts can have a term: graded lex order, largest first.
         """
-        # each part is a product of psi_k, so neither is zero
-        red, blue = _coefficients(self.parts[RED], RED), _coefficients(self.parts[BLUE], BLUE)
+        # each part is a product of psi_k, so neither is empty
+        red, blue = self.parts
         a_lo, a_hi, b_lo, b_hi = min(red), max(red), min(blue), max(blue)
         sep = ""
         for s in range(a_hi + b_hi, a_lo + b_lo - 1, -1):
@@ -309,45 +312,38 @@ def gram_det_report(
     """Gram determinant from the word blocks, factored by colour.
 
     Every block determinant comes from elimination on the block itself
-    and must equal R * B, with R = D_r(k_r, i)^rows_b and
-    B = D_b(k_b, j)^rows_r expanded from the closed-form one-colour
-    tables; a mismatch raises ArithmeticError.  R and B share no
-    variable, so the block determinant equals R * B exactly when it has
-    len(R) * len(B) terms and each coefficient at (a, b) is R_a * B_b:
-    the product is never expanded.  Up to CROSS_CHECK_MAX_SIZE basis
-    elements, where it is cheap, the unblocked matrix goes through
-    fraction-free elimination as well and must give the expanded product
-    of the factors exactly.
+    and must be the tensor product (``is_tensor``) of R = D_r(k_r, i)^rows_b
+    and B = D_b(k_b, j)^rows_r, expanded one colour at a time from the
+    closed-form tables; a mismatch raises ArithmeticError.  Up to
+    CROSS_CHECK_MAX_SIZE basis elements, where it is cheap, the unblocked
+    matrix goes through elimination as well and must be the tensor
+    product of the report's two parts.
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
     factors: tuple[Counter, Counter] = (Counter(), Counter())
-    tensor: dict[tuple[int, int], tuple[dict[int, int], dict[int, int]]] = {}
+    tensor: dict[tuple[int, int], tuple[Coefficients, Coefficients]] = {}
     for blk in blocks:
         k_r = blk.word.count("r")
         k_b = len(blk.word) - k_r
         table_r, rows_r = one_colour_det(k_r, i)
         table_b, rows_b = one_colour_det(k_b, j)
+        # the block's two factors, D_r^rows_b and D_b^rows_r, as tables
+        table_r = {k: a * rows_b for k, a in table_r.items()}
+        table_b = {k: a * rows_r for k, a in table_b.items()}
         if (k_r, k_b) not in tensor:
-            det_r, det_b = psi_product(table_r, RED), psi_product(table_b, BLUE)
-            tensor[k_r, k_b] = _coefficients(det_r**rows_b, RED), _coefficients(det_b**rows_r, BLUE)
-        red, blue = tensor[k_r, k_b]
-        terms = blk.det.terms
-        if len(terms) != len(red) * len(blue) or any(
-            c != red.get(a, 0) * blue.get(b, 0) for (a, b), c in terms.items()
-        ):
+            tensor[k_r, k_b] = psi_coefficients(table_r), psi_coefficients(table_b)
+        if not is_tensor(blk.det, *tensor[k_r, k_b]):
             raise ArithmeticError(
                 f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
             )
-        factors[RED].update({k: a * rows_b for k, a in table_r.items()})
-        factors[BLUE].update({k: a * rows_r for k, a in table_b.items()})
+        factors[RED].update(table_r)
+        factors[BLUE].update(table_b)
     size = len(bras)
     report = GramDetReport(n, (i, j), size, factors, tuple(blocks), size <= CROSS_CHECK_MAX_SIZE)
-    if report.cross_checked:
-        full = poly_det(gram_matrix(n, i, j, bras=bras))
-        if full != report.det:
-            raise ArithmeticError(
-                f"block determinant product disagrees with direct elimination at n={n}, label=({i},{j})"
-            )
+    if report.cross_checked and not is_tensor(poly_det(gram_matrix(n, i, j, bras=bras)), *report.parts):
+        raise ArithmeticError(
+            f"block determinant product disagrees with direct elimination at n={n}, label=({i},{j})"
+        )
     return report
 
 
@@ -455,48 +451,29 @@ def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
 # root location for Gram determinants
 
 
-def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] | None:
-    """Smallest k with |z - 2 cos(pi m / k)| inside tolerance, as (m, k)."""
-    for k in range(1, max_k + 1):
-        for m in range(k + 1):
-            if abs(z - 2.0 * math.cos(math.pi * m / k)) <= tol:
-                return (m, k)
-    return None
-
-
-@dataclass(frozen=True)
-class RootRecord:
-    value: float
-    matched: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class SampleScan:
-    other_value: Fraction
-    zero_root_multiplicity: int
-    roots: tuple[RootRecord, ...]
-
-
 @dataclass(frozen=True)
 class GramRootScan:
-    """Roots of one colour's part at each sample of the other colour;
-    ``all_matched`` is exact: no k with A_k > 0 in the scanned table
-    exceeds 2n.  The float ``matched`` of a root only names its value."""
+    """Roots of one colour's part, each as (value, (m, k)) with value
+    2 cos(pi m / k), or (value, None) when k exceeds 2n; the root 0 comes
+    first, when the part has it, with multiplicity
+    ``zero_root_multiplicity``.  The same roots hold at every sample of
+    the other colour."""
 
     n: int
     label: tuple[int, int]
     var: int
-    samples: tuple[SampleScan, ...]
-    all_matched: bool
+    roots: tuple[tuple[float, tuple[int, int] | None], ...]
+    zero_root_multiplicity: int
+
+    @property
+    def all_matched(self) -> bool:
+        return all(matched is not None for _, matched in self.roots)
 
 
-# the other loop weight is pinned to each sample in turn; each root is
-# printed with the first 2 cos(pi m / k), k <= 2n, within ROOT_TOLERANCE
-# of it, or with none.  The samples must exceed 2: every zero of a psi_k
-# lies in (-2, 2), so the other colour's part never vanishes at a sample
-# and moves no root
+# the other loop weight is pinned to each sample in turn.  The samples
+# must exceed 2: every zero of a psi_k lies in (-2, 2), so the other
+# colour's part never vanishes at a sample and moves no root
 ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
-ROOT_TOLERANCE = 1e-8
 
 
 def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
@@ -505,27 +482,21 @@ def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:
     The part in ``var`` is prod psi_k^A_k from its exponent table, so its
     roots are read off the table without expanding anything: the root 0
     has multiplicity A_2, as psi_2 = d, and each k >= 3 in the table adds
-    the zeros of psi_k, the 2 cos(pi m / k) with m prime to k, printed
-    once each in ascending order.  The other parameter is pinned to each
-    exact sample in turn, where the other colour's part is a nonzero
-    number, so every sample lists the same roots.  Every root is twice a
-    cosine of a rational angle with denominator at most 2n exactly when
-    the table has no k > 2n; each root is also matched in floats to the
-    first such value within tolerance, for the record.
+    the zeros of psi_k, the 2 cos(pi m / k) with m prime to k, listed
+    once each in ascending order.  Each root is named by its exact (m, k)
+    when k is at most 2n.
     """
-    n = report.n
-    max_k = 2 * n
+    max_k = 2 * report.n
     table = report.factors[var]
     zero_mult = table.get(2, 0)
-    roots = [0.0] if zero_mult else []
+    # the root 0 is 2 cos(pi / 2), written exactly as 0.0
+    roots = [(0.0, (1, 2))] if zero_mult else []
     roots += sorted(
-        2 * math.cos(math.pi * m / k)
+        (2 * math.cos(math.pi * m / k), (m, k))
         for k in table
         if k >= 3
         for m in range(1, k)
         if math.gcd(m, k) == 1
     )
-    records = tuple(RootRecord(z, match_special_value(z, max_k, ROOT_TOLERANCE)) for z in roots)
-    samples = tuple(SampleScan(other, zero_mult, records) for other in ROOT_SAMPLES)
-    all_matched = all(k <= max_k for k, a in table.items() if a > 0)
-    return GramRootScan(n, report.label, var, samples, all_matched)
+    roots = tuple((z, mk if mk[1] <= max_k else None) for z, mk in roots)
+    return GramRootScan(report.n, report.label, var, roots, zero_mult)

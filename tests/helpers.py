@@ -5,6 +5,7 @@ matrices in the spin chain and the perturbed Yang-Baxter probe."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -57,6 +58,29 @@ def blockwise_det(blocks) -> LaurentPoly:
     for blk in blocks:
         acc = acc * poly_det(blk.matrix)
     return acc
+
+
+def expanded_det(report) -> LaurentPoly:
+    """A ``GramDetReport``'s determinant, its red part times its blue part
+    multiplied out."""
+    red, blue = report.parts
+    return LaurentPoly({(a, 0): c for a, c in red.items()}) * LaurentPoly(
+        {(0, b): c for b, c in blue.items()}
+    )
+
+
+# a float within this of 2 cos(pi m / k) is taken to be that value
+ROOT_TOLERANCE = 1e-8
+
+
+def match_special_value(z: complex, max_k: int, tol: float) -> tuple[int, int] | None:
+    """Smallest k with |z - 2 cos(pi m / k)| inside tolerance, as (m, k):
+    the float reference for the exact names the root scan gives."""
+    for k in range(1, max_k + 1):
+        for m in range(k + 1):
+            if abs(z - 2.0 * math.cos(math.pi * m / k)) <= tol:
+                return (m, k)
+    return None
 
 
 def univariate(poly: LaurentPoly, var: int, other: Fraction) -> list[Fraction]:

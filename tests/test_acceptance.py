@@ -42,7 +42,7 @@ from bubblealg.yangbaxter import (
     transfer_sweep,
     ybe_sweep,
 )
-from helpers import kron, perturbed_ybe_residual, split_by_colour
+from helpers import ROOT_TOLERANCE, kron, match_special_value, perturbed_ybe_residual, split_by_colour
 
 SEED = 20260822
 
@@ -115,9 +115,13 @@ def test_criterion_05_root_locations():
             det_report = gram_det_report(n, i, j)
             for var in (RED, BLUE):
                 scan = scan_gram_roots(det_report, var=var)
-                # the exact verdict, and the float match of every root
+                # the exact verdict, and each root's exact name against the
+                # float reference
                 ok = ok and scan.all_matched
-                ok = ok and all(r.matched is not None for s in scan.samples for r in s.roots)
+                ok = ok and all(
+                    matched is not None and matched == match_special_value(z, 2 * n, ROOT_TOLERANCE)
+                    for z, matched in scan.roots
+                )
     assert report(5, "every determinant root matches 2cos(pi m/k), k<=2n, n<=5", ok)
 
 

@@ -35,7 +35,7 @@ from bubblealg.cache import (
 from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import main
 from bubblealg.diagram import Diagram
-from bubblealg.exactpoly import DB, DR
+from bubblealg.exactpoly import DB, DR, LaurentPoly
 from helpers import enumerate_via_seeds
 
 # same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
@@ -538,13 +538,19 @@ class TestGramCommand:
         )
 
     def test_det_text_never_expands_the_product(self, capsys, monkeypatch):
-        # above the cross-check size nothing needs the expanded determinant:
-        # its text is written from the two factored parts.  The digest is
+        # above the cross-check size nothing multiplies a red factor by a
+        # blue one: the text is written from the two factored parts and each
+        # block is compared with its factors term by term.  The digest is
         # the n7_i1_j0 golden below
-        def refuse(self):
-            raise AssertionError("the expanded determinant was built")
+        real = LaurentPoly.__mul__
 
-        monkeypatch.setattr(stdmod.GramDetReport, "det", property(refuse))
+        def one_weight_only(self, other):
+            out = real(self, other)
+            if isinstance(out, LaurentPoly) and any(a and b for a, b in out.terms):
+                raise AssertionError("a product in both loop weights was built")
+            return out
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", one_weight_only)
         argv = "gram --n 7 --i 1 --j 0 --det --blocks --roots r".split()
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -941,6 +947,14 @@ class TestRequestLimits:
     )
     def test_dense_budget_refuses_before_building(self, capsys, nothing_dense, argv):
         assert run_cli(capsys, *argv.split()) == (3, "")
+
+    def test_size_guard_runs_before_the_dense_count(self, capsys):
+        # the dense budget counts B_n with the recursive walk_count, about
+        # 2n deep, so an n far past the guard must be refused first
+        code = main("rep --n 400 --qr 2 --qb 2 --check".split())
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "resource limit" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,6 +11,10 @@ Every module-level import is read in its own module or exported, so an
 import left behind when its last use goes is caught; this holds for
 ``oracles.py`` too.
 
+No module-level or class-level name in the package or the tests is
+defined twice, since the later definition silently shadows the first:
+a pasted-in second copy of a test makes the first one never run.
+
 Every name the benchmark's tracer (``perfbench/tracer.py``) wraps still
 exists, so a change that renames or removes one is caught here rather
 than when the traced replay fails.
@@ -27,6 +31,7 @@ import pytest
 import bubblealg
 
 PACKAGE = Path(bubblealg.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 EXEMPT = {"oracles.py"}
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 needs_tracer = pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is absent")
@@ -113,6 +118,56 @@ def test_a_leftover_import_would_be_flagged(tmp_path):
     cache = tmp_path / "cache.py"
     cache.write_text(cache.read_text() + "\nfrom itertools import pairwise\n")
     assert unused_imports(tmp_path) == ["cache.pairwise"]
+
+
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def shadowed_definitions(paths: list[Path]) -> list[str]:
+    """``file:name`` or ``file:Class.name`` of each def, class or plain
+    assignment that a later statement of the same module or class body
+    defines again."""
+    shadowed = []
+
+    def scan(body: list[ast.stmt], where: str) -> None:
+        seen = set()
+        for stmt in body:
+            for name in _bound_names(stmt):
+                if name in seen:
+                    shadowed.append(where + name)
+                seen.add(name)
+            if isinstance(stmt, ast.ClassDef):
+                scan(stmt.body, f"{where}{stmt.name}.")
+
+    for path in paths:
+        scan(ast.parse(path.read_text(), path.name).body, f"{path.name}:")
+    return shadowed
+
+
+def test_no_definition_is_shadowed():
+    paths = sorted(TESTS.glob("*.py")) + sorted(PACKAGE.glob("*.py"))
+    assert shadowed_definitions(paths) == []
+
+
+def test_a_shadowed_definition_would_be_flagged(tmp_path):
+    module = tmp_path / "test_pasted.py"
+    module.write_text(
+        "LIMIT = 3\n\n\ndef test_a():\n    pass\n\n\n"
+        "class TestB:\n    def test_c(self):\n        pass\n\n    def test_c(self):\n        pass\n\n\n"
+        "def test_a():\n    pass\n\n\nLIMIT: int = 4\n"
+    )
+    assert shadowed_definitions([module]) == [
+        "test_pasted.py:TestB.test_c",
+        "test_pasted.py:test_a",
+        "test_pasted.py:LIMIT",
+    ]
 
 
 def wrapped_names(tracer: Path) -> list[tuple[str, str | None, str]]:

@@ -9,14 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    ROOT_TOLERANCE,
     act,
     blockwise_det,
     brute_walk_count,
+    expanded_det,
+    expanded_root_input,
     kron,
+    match_special_value,
     matmul,
     mirror,
     rep_matrix,
-    expanded_root_input,
     split_by_colour,
 )
 
@@ -49,11 +52,11 @@ from bubblealg.stdmod import (
     gram_blocks,
     gram_det_report,
     gram_matrix,
+    is_tensor,
     localisation_report,
-    match_special_value,
     one_colour_det,
     psi,
-    psi_product,
+    psi_coefficients,
     rb_word,
     restriction_report,
     scan_gram_roots,
@@ -167,11 +170,11 @@ class TestBlocksAndDeterminants:
             gram_det_report(n, i, j)
 
     def test_frozen_determinants(self):
-        assert gram_det_report(2, 0, 0).det == DR * DB
+        assert expanded_det(gram_det_report(2, 0, 0)) == DR * DB
         expect = (DR * DR - 1) * DB**3
-        assert gram_det_report(3, 1, 0).det == expect
+        assert expanded_det(gram_det_report(3, 1, 0)) == expect
         expect4 = (DR**3 - 2 * DR) * DB**6
-        assert gram_det_report(4, 2, 0).det == expect4
+        assert expanded_det(gram_det_report(4, 2, 0)) == expect4
 
     def test_block_matches_tensor_of_one_colour_grams(self):
         for n, i, j in [(3, 1, 0), (4, 0, 0), (4, 1, 1), (4, 2, 0)]:
@@ -221,7 +224,7 @@ class TestFactoredDeterminant:
         for n in range(1, 7):
             for i, j in standard_labels(n):
                 report = gram_det_report(n, i, j)
-                assert report.det == blockwise_det(report.blocks), (n, i, j)
+                assert expanded_det(report) == blockwise_det(report.blocks), (n, i, j)
 
     def test_one_colour_dets_match_the_oracle(self):
         # the closed form against elimination of the oracle's form, at
@@ -231,23 +234,39 @@ class TestFactoredDeterminant:
                 table, rows = one_colour_det(points, defects)
                 for colour in (RED, BLUE):
                     oracle = tl_gram_poly(points, defects, colour)
-                    assert (psi_product(table, colour), rows) == (poly_det(oracle), oracle.rows)
+                    det = poly_det(oracle).terms
+                    assert all(exp[1 - colour] == 0 for exp in det)
+                    want = {exp[colour]: c for exp, c in det.items()}
+                    assert (psi_coefficients(table), rows) == (want, oracle.rows)
 
     def test_psi_zeros_are_the_primitive_cosines(self):
         for k in range(1, 13):
-            terms = psi(k, RED).terms
+            terms = psi(k).terms
             coeffs = [terms.get((e, 0), 0) for e in range(max(a for a, _ in terms) + 1)]
             assert coeffs[-1] == 1
             roots = sorted(np.roots([float(c) for c in reversed(coeffs)]).real)
             expect = sorted(2 * math.cos(math.pi * m / k) for m in range(1, k) if math.gcd(m, k) == 1)
             assert roots == pytest.approx(expect, abs=1e-9), k
-            assert psi(k, BLUE).terms == {(b, a): c for (a, b), c in psi(k, RED).terms.items()}
 
     def test_factors_are_one_colour(self):
+        # psi_k is monic with one simple zero per m < k prime to k, and for
+        # k >= 3 none of them is 0; so each part is monic, of degree
+        # sum A_k phi(k), and its lowest exponent is A_2, as psi_2 = d
         report = gram_det_report(6, 1, 1)
-        for colour, table in enumerate(report.factors):
+        phi = lambda k: sum(math.gcd(m, k) == 1 for m in range(1, k))
+        for table, part in zip(report.factors, report.parts):
             assert table and all(k > 1 and a > 0 for k, a in table.items())
-            assert all(exp[1 - colour] == 0 for exp in report.parts[colour].terms)
+            degree = sum(a * phi(k) for k, a in table.items())
+            assert (max(part), part[max(part)]) == (degree, 1)
+            assert min(part) == table.get(2, 0)
+
+    def test_is_tensor(self):
+        red, blue = {0: -1, 2: 1}, {1: 3}
+        assert is_tensor((DR**2 - 1) * 3 * DB, red, blue)
+        assert not is_tensor((DR**2 - 1) * 3 * DB + DR * DB, red, blue)
+        assert not is_tensor((DR**2 - 2) * 3 * DB, red, blue)
+        assert not is_tensor(DR**2 * 3 * DB, red, blue)
+        assert is_tensor(LaurentPoly.zero(), {}, blue)
 
     @pytest.mark.parametrize("label", [(7, 1, 0), (7, 2, 1), (6, 0, 2)])
     def test_each_distinct_matrix_is_eliminated_once(self, monkeypatch, label):
@@ -269,6 +288,19 @@ class TestFactoredDeterminant:
         with pytest.raises(ArithmeticError):
             gram_det_report(3, 1, 0)
 
+    def test_cross_check_rejects_a_wrong_unblocked_determinant(self, monkeypatch):
+        # up to CROSS_CHECK_MAX_SIZE the unblocked matrix is eliminated too,
+        # and its determinant must be the product of the two parts
+        real = stdmod.gram_matrix
+
+        def scaled(n, i, j, bras=None):
+            m = real(n, i, j, bras=bras)
+            return PolyMatrix([[2 * e if r == 0 else e for e in row] for r, row in enumerate(m.entries)])
+
+        monkeypatch.setattr(stdmod, "gram_matrix", scaled)
+        with pytest.raises(ArithmeticError, match="direct elimination"):
+            gram_det_report(4, 0, 0)
+
     def test_roots_agree_with_the_expanded_route(self):
         # the scan reads each root off the psi_k table; the independent route
         # expands the determinant at each sample, takes its zero order and
@@ -277,34 +309,49 @@ class TestFactoredDeterminant:
         labels += [(7, 1, 0), (7, 2, 1), (8, 4, 0), (6, 1, 1), (8, 6, 0), (7, 4, 3)]
         for report in (gram_det_report(n, i, j) for n, i, j in labels):
             n, (i, j) = report.n, report.label
+            det = expanded_det(report)
             for var in (RED, BLUE):
                 scan = scan_gram_roots(report, var=var)
-                assert [s.other_value for s in scan.samples] == list(stdmod.ROOT_SAMPLES)
-                for sample in scan.samples:
-                    where = (n, i, j, var, sample.other_value)
-                    zero = min(exp[var] for exp in report.det.terms)
-                    assert sample.zero_root_multiplicity == zero, where
-                    coeffs = expanded_root_input(report.det, var, sample.other_value)
+                for other in stdmod.ROOT_SAMPLES:
+                    where = (n, i, j, var, other)
+                    zero = min(exp[var] for exp in det.terms)
+                    assert scan.zero_root_multiplicity == zero, where
+                    coeffs = expanded_root_input(det, var, other)
                     expect = [0.0] if zero else []
                     if len(coeffs) > 1:
                         roots = np.roots([float(c) for c in reversed(coeffs)])
                         assert np.abs(roots.imag).max() <= 1e-9, where
                         expect += sorted(roots.real)
-                    got = [r.value for r in sample.roots]
+                    got = [value for value, _ in scan.roots]
                     assert len(got) == len(expect), where
                     assert got == pytest.approx(expect, abs=1e-9), where
-                    assert [r.matched for r in sample.roots] == [
-                        match_special_value(z, 2 * n, stdmod.ROOT_TOLERANCE) for z in expect
+                    assert [matched for _, matched in scan.roots] == [
+                        match_special_value(z, 2 * n, ROOT_TOLERANCE) for z in expect
                     ], where
+
+    def test_exact_names_agree_with_the_float_reference(self):
+        # every primitive root 2 cos(pi m / k) with k <= 2n + 2, n <= 12: the
+        # scan names it (m, k) exactly when k <= 2n, as the float matcher
+        # does, and leaves the roots with k = 2n + 1 and 2n + 2 unnamed
+        count = 0
+        for n in range(1, 13):
+            table = {k: 1 for k in range(2, 2 * n + 3)}
+            scan = scan_gram_roots(GramDetReport(n, (0, 0), 1, (table, {}), (), False))
+            for value, matched in scan.roots:
+                assert matched == match_special_value(value, 2 * n, ROOT_TOLERANCE), (n, value)
+            count += len(scan.roots)
+            assert sum(matched is None for _, matched in scan.roots) > 0
+        # 1 010 roots with k >= 3, and the root 0 at each n
+        assert count == 1010 + 12
 
     def test_scan_reads_a_huge_exponent_off_the_table(self):
         # (dr^2 - 1) * db^1000: the scan reads the table and never expands
         # the blue part, whose value at db = 7/3 is near 1e368
         report = GramDetReport(2, (0, 0), 2, ({3: 1}, {2: 1000}), (), False)
         scan = scan_gram_roots(report, var=RED)
-        assert scan.samples[0].other_value == Fraction(7, 3)
         assert scan.all_matched
-        assert sorted(r.value.real for r in scan.samples[0].roots) == pytest.approx([-1.0, 1.0])
+        assert [matched for _, matched in scan.roots] == [(2, 3), (1, 3)]
+        assert [value for value, _ in scan.roots] == pytest.approx([-1.0, 1.0])
 
     def test_streamed_det_text_is_the_expanded_text(self):
         # the text is written from the two parts in graded lex order; the
@@ -313,7 +360,7 @@ class TestFactoredDeterminant:
         labels += [(7, 1, 0), (7, 0, 1), (7, 1, 2), (7, 2, 1), (8, 4, 0), (8, 0, 4)]
         for n, i, j in labels:
             report = gram_det_report(n, i, j)
-            assert "".join(report.det_text()) == str(report.det), (n, i, j)
+            assert "".join(report.det_text()) == str(expanded_det(report)), (n, i, j)
 
     @pytest.mark.parametrize("change", ["double", "drop"])
     def test_block_check_compares_every_term(self, monkeypatch, change):
@@ -379,17 +426,18 @@ class TestRootScan:
         scan = scan_gram_roots(gram_det_report(3, 1, 0), var=RED)
         assert isinstance(scan, GramRootScan)
         assert scan.all_matched
-        values = sorted(r.value.real for r in scan.samples[0].roots)
+        values = sorted(value for value, _ in scan.roots)
         assert values == pytest.approx([-1.0, 1.0])
 
     def test_scan_records_zero_roots(self):
         scan = scan_gram_roots(gram_det_report(3, 1, 0), var=BLUE)
         assert scan.all_matched
-        assert scan.samples[0].zero_root_multiplicity == 3
+        assert scan.zero_root_multiplicity == 3
+        assert scan.roots == ((0.0, (1, 2)),)
 
     def test_scan_with_multiplicities(self):
-        # the (0, 0) form at four points has repeated factors; exact
-        # square-free reduction keeps the numeric roots clean
+        # the (0, 0) form at four points has repeated psi_k factors; each
+        # root is listed once, as the table lists each k once
         for var in (RED, BLUE):
             assert scan_gram_roots(gram_det_report(4, 0, 0), var=var).all_matched
 
@@ -398,8 +446,7 @@ class TestRootScan:
         report = GramDetReport(2, (0, 0), 1, ({5: 1}, {}), (), False)
         scan = scan_gram_roots(report, var=RED)
         assert not scan.all_matched
-        assert [len(sample.roots) for sample in scan.samples] == [4, 4]
-        assert all(r.matched is None for sample in scan.samples for r in sample.roots)
+        assert [matched for _, matched in scan.roots] == [None] * 4
         # at k = 2n the same table is matched; the blue table is empty
         assert scan_gram_roots(GramDetReport(3, (0, 0), 1, ({5: 1, 6: 2}, {}), (), False)).all_matched
         assert scan_gram_roots(report, var=BLUE).all_matched
@@ -407,10 +454,9 @@ class TestRootScan:
     def test_scan_finds_sqrt_two(self):
         scan = scan_gram_roots(gram_det_report(4, 2, 0), var=RED)
         assert scan.all_matched
-        for sample in scan.samples:
-            reals = sorted(r.value.real for r in sample.roots)
-            assert reals == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)])
-            assert sample.zero_root_multiplicity == 1
+        reals = sorted(value for value, _ in scan.roots)
+        assert reals == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)])
+        assert scan.zero_root_multiplicity == 1
 
 
 class TestSplitByColour:
