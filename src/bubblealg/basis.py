@@ -43,11 +43,10 @@ it as an interleave or a count mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .diagram import (
     BLUE,
@@ -80,19 +79,42 @@ def _guard(points: int, max_n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def walk_count(n: int, i: int, j: int) -> int:
     """Quadrant walks of length n from the origin to (i, j), axis steps only."""
     if i < 0 or j < 0 or n < 0 or i + j > n or (n - i - j) % 2:
         return 0
-    if n == 0:
-        return 1
-    return (
-        walk_count(n - 1, i - 1, j)
-        + walk_count(n - 1, i + 1, j)
-        + walk_count(n - 1, i, j - 1)
-        + walk_count(n - 1, i, j + 1)
-    )
+    # B_n's size asks for the corner alone, a module dimension for a layer
+    return _walk_layer(n, 0 if i == j == 0 else n)[i][j]
+
+
+@lru_cache(maxsize=None)
+def _walk_layer(n: int, top: int) -> list[list[int]]:
+    """Counts of the quadrant walks of length n from the origin, as
+    ``rows[i][j]`` for the ends (i, j) with i + j <= top.
+
+    The layers are built a step at a time by the recurrence: a walk ends
+    at (i, j) after one step from one of its four neighbours.  After m
+    steps only the points with i + j <= min(m, top + n - m) are kept, the
+    ones that the remaining n - m steps can still bring to a kept end.
+    No recursion, so any n the size guard admits is counted.
+    """
+    rows = [[1]]
+    for m in range(1, n + 1):
+        hi = min(m, top + n - m)
+        # the last layer with a zero border, every row hi + 3 wide, and
+        # two zero rows below it so that rows i - 1 and i + 1 always exist
+        zero = [0] * (hi + 3)
+        pad = [[0, *row] + [0] * (hi + 2 - len(row)) for row in rows]
+        pad += [zero] * (hi + 2 - len(pad))
+        below = [zero, *pad]
+        rows = [
+            [
+                a + b + c + d
+                for a, b, c, d in zip(below[i][1 : hi - i + 2], pad[i + 1][1:], pad[i], pad[i][2:])
+            ]
+            for i in range(hi + 1)
+        ]
+    return rows
 
 
 def standard_labels(n: int) -> list[tuple[int, int]]:
@@ -217,8 +239,7 @@ def basis_encodings(n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
     return results
 
 
-@dataclass(frozen=True)
-class RankIdentity:
+class RankIdentity(NamedTuple):
     """Comparison of the basis size with the sum of squared module
     dimensions and with the walk total, three independent formulas."""
 
@@ -245,8 +266,14 @@ def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
 # half diagrams
 
 
-@dataclass(frozen=True)
-class HalfDiagram:
+class _HalfDiagramFields(NamedTuple):
+    n: int
+    arcs: tuple[tuple[int, int, int], ...]
+    red_cuts: tuple[int, ...]
+    blue_cuts: tuple[int, ...]
+
+
+class HalfDiagram(_HalfDiagramFields):
     """Coloured half diagram: arcs above a framed edge plus propagating cuts.
 
     Points 1..n sit on the frame.  Arcs of the same colour never
@@ -259,12 +286,26 @@ class HalfDiagram:
     cuts keep their order.  ``_view(0, n)`` writes that diagram's pairs,
     and ``_from_view`` reads its canonical pairs back; the walk, the
     module action and restriction all build through the latter.
+    ``HalfDiagram(...)`` builds the tuple and validates it through
+    ``__post_init__``.  No ``__slots__``: the cached endpoint arrays live
+    in the instance ``__dict__``.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int, int], ...]
-    red_cuts: tuple[int, ...]
-    blue_cuts: tuple[int, ...]
+    def __new__(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int, int], ...],
+        red_cuts: tuple[int, ...],
+        blue_cuts: tuple[int, ...],
+    ) -> "HalfDiagram":
+        self = tuple.__new__(cls, (n, arcs, red_cuts, blue_cuts))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "HalfDiagram":
+        # the named tuple's _make and _replace build through here, checked
+        return cls(*fields)
 
     def __post_init__(self) -> None:
         prev = 0
@@ -283,12 +324,7 @@ class HalfDiagram:
         blue_cuts: tuple[int, ...],
     ) -> "HalfDiagram":
         # internal fast path; caller guarantees a valid canonical half diagram
-        h = object.__new__(cls)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "arcs", arcs)
-        object.__setattr__(h, "red_cuts", red_cuts)
-        object.__setattr__(h, "blue_cuts", blue_cuts)
-        return h
+        return tuple.__new__(cls, (n, arcs, red_cuts, blue_cuts))
 
     @classmethod
     def _from_view(cls, n: int, pairs: Sequence[tuple[int, int, int]]) -> "HalfDiagram":

@@ -36,7 +36,9 @@ if TYPE_CHECKING:
 # statistics, are imported where they are used, so a request loads only
 # its own modules: numpy comes in only for rep, ybe and check, the commands
 # that compute with float arrays, and cache only for a basis request that
-# names a cache directory or lists the diagrams
+# names a cache directory or lists the diagrams.  The package's records are
+# named tuples and its samples text, so no request loads dataclasses (and
+# with it inspect) or fractions; only numpy brings inspect in
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -293,7 +295,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
             "all_matched": scan.all_matched,
             "samples": [
                 {
-                    "other_value": str(other),
+                    "other_value": other,
                     "degenerate": False,
                     "zero_root_multiplicity": scan.zero_root_multiplicity,
                     "roots": roots,

@@ -38,16 +38,19 @@ signs, leading zeros, ``p > q`` and unsorted pairs are all rejected.
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
 its canonical form and then the rule, and ``basis.HalfDiagram`` applies
-it to its diagram view.  ``products`` and ``basis.enumerate_basis`` build
-valid diagrams by construction and skip it through ``Diagram._raw``.
+it to its diagram view.  A diagram is a named tuple
+``(n_north, n_south, pairs)``, so it compares and hashes as that tuple;
+``Diagram(...)`` builds the tuple and then validates it through
+``Diagram.__post_init__``, the one hook every checked construction
+passes.  ``products`` and ``basis.enumerate_basis`` build valid diagrams
+by construction and skip it through ``Diagram._raw``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactpoly import ZERO, LaurentPoly
 
@@ -99,13 +102,28 @@ def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, i
         raise ValueError(f"same-colour pairs interleave in {n_north},{n_south} matching")
 
 
-@dataclass(frozen=True, slots=True)
-class Diagram:
-    """Canonical coloured pair matching of a rectangle's boundary."""
-
+class _DiagramFields(NamedTuple):
     n_north: int
     n_south: int
     pairs: tuple[tuple[int, int, int], ...]
+
+
+class Diagram(_DiagramFields):
+    """Canonical coloured pair matching of a rectangle's boundary."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]
+    ) -> "Diagram":
+        self = tuple.__new__(cls, (n_north, n_south, pairs))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Diagram":
+        # the named tuple's _make and _replace build through here, checked
+        return cls(*fields)
 
     def __post_init__(self) -> None:
         total = self.n_north + self.n_south
@@ -121,11 +139,7 @@ class Diagram:
     @classmethod
     def _raw(cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]) -> "Diagram":
         # internal fast path; caller guarantees a valid canonical diagram
-        d = object.__new__(cls)
-        object.__setattr__(d, "n_north", n_north)
-        object.__setattr__(d, "n_south", n_south)
-        object.__setattr__(d, "pairs", pairs)
-        return d
+        return tuple.__new__(cls, (n_north, n_south, pairs))
 
     def encode(self) -> str:
         return encode_pairs(self.n_north, self.n_south, self.pairs)

@@ -144,8 +144,10 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            # the square after the last bit would go unused
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

@@ -23,9 +23,8 @@ representation, since arcs always pair t against 1/t.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,8 +168,7 @@ def b2_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
 # homomorphism validation
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(NamedTuple):
     n: int
     pairs_checked: int
     max_residual: float

@@ -13,9 +13,13 @@ filtration.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
-to a cut of the other.  It is block diagonal over the boundary colour
-word, and each block is a tensor product of two one-colour forms: with
-k_r red and k_b blue frame points, its determinant is
+to a cut of the other.  It is symmetric, so ``gram_blocks`` glues each
+unordered pair once and mirrors the entry; ``gram_matrix``, the
+unblocked route of the cross-check below, glues every ordered pair and
+so stays independent of that shortcut.  The form is block diagonal over
+the boundary colour word, and each block is a tensor product of two
+one-colour forms: with k_r red and k_b blue frame points, its
+determinant is
 D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r, where D_c(k, d) and rows_c are
 the determinant and size of the one-colour form on k points with d
 cuts.  Each D_c has a closed form, a product of powers of psi_k, the
@@ -24,7 +28,10 @@ factors of the Chebyshev numbers [k] whose zeros are the loop weights
 arXiv:1204.4505).  So the Gram determinant is a red part times a blue
 part, each stored as a table of psi_k exponents and expanded, one colour
 at a time, into the coefficients of a polynomial in that colour's loop
-weight; the two parts are never multiplied out.  They share no variable,
+weight: ``psi_coefficients`` packs each psi_k into one integer by
+Kronecker substitution and takes the powers and the product on
+integers, as ``poly_det`` does, so no ``LaurentPoly`` product is formed.
+The two parts are never multiplied out.  They share no variable,
 so each coefficient of their product is one red coefficient times one
 blue one.  ``is_tensor`` checks each eliminated block against its two
 one-colour factors that way, and, up to size 36, the unblocked
@@ -41,10 +48,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .basis import (
     HalfDiagram,
@@ -67,11 +72,12 @@ from .diagram import (
 )
 from .exactpoly import (
     DR,
-    ONE,
     PRIME,
     ZERO,
     LaurentPoly,
     PolyMatrix,
+    _pack,
+    _unpack,
     divexact,
     eval_mod,
     poly_det,
@@ -148,11 +154,15 @@ def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
     return PolyMatrix([[entry(e) for e in row] for row in expo])
 
 
-@dataclass(frozen=True)
-class GramBlock:
+class _GramBlockFields(NamedTuple):
     word: str
     indices: tuple[int, ...]
     matrix: PolyMatrix
+
+
+class GramBlock(_GramBlockFields):
+    """One colour word's block of the form: the basis indices that carry
+    the word and the form on them."""
 
     @cached_property
     def det(self) -> LaurentPoly:
@@ -166,7 +176,9 @@ def gram_blocks(
     """Split the form by colour word; returns (basis, blocks).
 
     Off-block entries vanish because the form is zero across different
-    colour words, so the blocks carry the whole matrix.
+    colour words, so the blocks carry the whole matrix.  The form is
+    symmetric, so each unordered pair is glued once and mirrored;
+    ``gram_matrix`` glues every ordered pair.
     """
     if bras is None:
         bras = enumerate_bras(n, i, j)
@@ -176,10 +188,11 @@ def gram_blocks(
     blocks = []
     for word in sorted(groups):
         idx = groups[word]
-        sub = PolyMatrix(
-            [[bra_inner(bras[a], bras[b]) for b in idx] for a in idx]
-        )
-        blocks.append(GramBlock(word, tuple(idx), sub))
+        rows: list[list[LaurentPoly]] = []
+        for r, a in enumerate(idx):
+            # left of the diagonal, row r is column r of the rows above
+            rows.append([row[r] for row in rows] + [bra_inner(bras[a], bras[b]) for b in idx[r:]])
+        blocks.append(GramBlock(word, tuple(idx), PolyMatrix(rows)))
     return bras, blocks
 
 
@@ -217,10 +230,26 @@ Table = dict[int, int]
 Coefficients = dict[int, int]
 
 
+def psi_width(table: Table) -> int:
+    """Bytes per slot that pack prod psi_k^a_k over the table: its
+    coefficients are at most the product of the psi_k's coefficient-sum
+    norms to the a_k, and a slot of w bytes holds |c| < 2^(8w - 1)."""
+    bound = math.prod(sum(map(abs, psi(k).terms.values())) ** a for k, a in table.items())
+    return (bound.bit_length() + 8) // 8
+
+
 def psi_coefficients(table: Table) -> Coefficients:
-    """prod psi_k^a_k over the exponent table, as {exponent of d: coefficient}."""
-    product = math.prod((psi(k) ** a for k, a in table.items()), start=ONE)
-    return {a: c for (a, _), c in product.terms.items()}
+    """prod psi_k^a_k over the exponent table, as {exponent of d: coefficient}.
+
+    Each psi_k is packed once into an integer by Kronecker substitution,
+    d = 256^w with w = ``psi_width(table)``, raised to a_k and multiplied
+    on integers, and the product is unpacked once, as in ``poly_det``.
+    """
+    width = psi_width(table)
+    packed = (
+        _pack({a: c for (a, _), c in psi(k).terms.items()}, width) ** a for k, a in table.items()
+    )
+    return _unpack(math.prod(packed), width)
 
 
 def is_tensor(det: LaurentPoly, red: Coefficients, blue: Coefficients) -> bool:
@@ -260,8 +289,16 @@ def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
 CROSS_CHECK_MAX_SIZE = 36
 
 
-@dataclass(frozen=True)
-class GramDetReport:
+class _GramDetReportFields(NamedTuple):
+    n: int
+    label: tuple[int, int]
+    size: int
+    factors: tuple[Table, Table]
+    blocks: tuple[GramBlock, ...]
+    cross_checked: bool
+
+
+class GramDetReport(_GramDetReportFields):
     """Gram determinant kept factored by colour.
 
     ``factors[c]`` is colour c's exponent table {k: A_k}: its part of the
@@ -269,13 +306,6 @@ class GramDetReport:
     the two parts' coefficients and ``det_text`` writes the text of their
     product from them; the product itself is never expanded.
     """
-
-    n: int
-    label: tuple[int, int]
-    size: int
-    factors: tuple[Table, Table]
-    blocks: tuple[GramBlock, ...]
-    cross_checked: bool
 
     @cached_property
     def parts(self) -> tuple[Coefficients, Coefficients]:
@@ -351,8 +381,7 @@ def gram_det_report(
 # restriction to one point fewer
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     n: int
     label: tuple[int, int]
     neighbour_sizes: dict[tuple[int, int], int]
@@ -394,8 +423,7 @@ def cyclic_generator_bra(n: int, i: int, j: int) -> HalfDiagram:
     return make_half(n, arcs, red, blue)
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     n: int
     label: tuple[int, int] | None
     rank: int
@@ -451,8 +479,7 @@ def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
 # root location for Gram determinants
 
 
-@dataclass(frozen=True)
-class GramRootScan:
+class GramRootScan(NamedTuple):
     """Roots of one colour's part, each as (value, (m, k)) with value
     2 cos(pi m / k), or (value, None) when k exceeds 2n; the root 0 comes
     first, when the part has it, with multiplicity
@@ -472,8 +499,9 @@ class GramRootScan:
 
 # the other loop weight is pinned to each sample in turn.  The samples
 # must exceed 2: every zero of a psi_k lies in (-2, 2), so the other
-# colour's part never vanishes at a sample and moves no root
-ROOT_SAMPLES = (Fraction(7, 3), Fraction(5, 2))
+# colour's part never vanishes at a sample and moves no root.  They are
+# only printed, so they are kept as the text of the exact fractions
+ROOT_SAMPLES = ("7/3", "5/2")
 
 
 def scan_gram_roots(report: GramDetReport, var: int = RED) -> GramRootScan:

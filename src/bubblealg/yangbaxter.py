@@ -24,7 +24,6 @@ import cmath
 import math
 import random
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -321,8 +320,7 @@ def transfer_commutator(
     return _transfer_defect(rmatrix(kind, lam, u), rmatrix(kind, lam, v), n, x)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """One sampled (lambda, u, v) triple."""
 
     lam: float
@@ -330,8 +328,7 @@ class SpectralPoint:
     v: float
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Worst residual over a batch of sampled spectral points."""
 
     kind: str

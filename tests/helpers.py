@@ -24,9 +24,9 @@ from bubblealg.diagram import (
     propagating_index,
     straight_diagram,
 )
-from bubblealg.exactpoly import ZERO, LaurentPoly, PolyMatrix, poly_det
+from bubblealg.exactpoly import ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.spinchain import SITE_STATES, NumericParams, diagram_matrix
-from bubblealg.stdmod import act_diagram
+from bubblealg.stdmod import act_diagram, psi
 from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices
 
 
@@ -58,6 +58,14 @@ def blockwise_det(blocks) -> LaurentPoly:
     for blk in blocks:
         acc = acc * poly_det(blk.matrix)
     return acc
+
+
+def psi_product_reference(table: dict[int, int]) -> dict[int, int]:
+    """prod psi_k^a_k over an exponent table in the loop ring, powers and
+    products of ``LaurentPoly``, as {exponent of d: coefficient}: the
+    reference for the packed ``stdmod.psi_coefficients``."""
+    product = math.prod((psi(k) ** a for k, a in table.items()), start=ONE)
+    return {a: c for (a, _), c in product.terms.items()}
 
 
 def expanded_det(report) -> LaurentPoly:

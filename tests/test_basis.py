@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bubblealg
 from bubblealg import basis
 from bubblealg.basis import (
     DEFAULT_MAX_N,
@@ -226,6 +231,25 @@ class TestDimensions:
         for n in range(0, 7):
             assert walk_count(2 * n, 0, 0) == bubble_basis_count(n)
 
+    def test_deep_walks_need_no_recursion(self):
+        # the count goes layer by layer, so far past a lowered recursion
+        # limit it still agrees with the closed form and the squared dims
+        probe = (
+            "import sys\n"
+            "from bubblealg.basis import standard_labels, walk_count\n"
+            "from bubblealg.oracles import bubble_basis_count\n"
+            "sys.setrecursionlimit(100)\n"
+            "total = walk_count(400, 0, 0)\n"
+            "squares = sum(walk_count(200, i, j) ** 2 for i, j in standard_labels(200))\n"
+            "print(total == squares == bubble_basis_count(200))\n"
+        )
+        src = str(Path(bubblealg.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (0, "True\n"), run.stderr[-500:]
+
     def test_strata_sizes_are_squared_dimensions(self):
         for n in range(1, 5):
             strata = stratify(enumerate_basis(n))
@@ -345,6 +369,15 @@ class TestHalfDiagrams:
         with pytest.raises(ValueError):
             make_half(4, [(1, 3, RED), (2, 4, RED)])
         make_half(4, [(1, 3, RED), (2, 4, BLUE)])
+
+    def test_tuple_copies_are_checked_too(self):
+        # a half diagram is a named tuple; its _make and _replace validate
+        h = make_half(3, [(1, 2, RED)], blue_cuts=(3,))
+        assert h._replace(blue_cuts=(), red_cuts=(3,)) == make_half(3, [(1, 2, RED)], (3,))
+        with pytest.raises(ValueError):
+            h._replace(arcs=((1, 3, RED),), red_cuts=(2,), blue_cuts=())
+        with pytest.raises(ValueError):
+            HalfDiagram._make((3, ((1, 2, RED),), (), ()))
 
     def test_cut_join_round_trip(self):
         for n in range(1, 5):

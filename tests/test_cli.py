@@ -1173,15 +1173,20 @@ class TestUsage:
 
 
 # Runs requests in order in one fresh interpreter and prints, per request,
-# its exit code and whether numpy had been imported by then.
+# its exit code, whether numpy and the cache module had been imported by
+# then, and which of the stdlib's dataclasses, inspect and fractions the
+# package had loaded: those not in sys.modules before it was imported, so
+# what the interpreter's site loads does not count.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from bubblealg.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen.append([code, "numpy" in sys.modules, "bubblealg.cache" in sys.modules])
+    stdlib = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules and m not in before]
+    seen.append([code, "numpy" in sys.modules, "bubblealg.cache" in sys.modules, stdlib])
 print(json.dumps(seen))
 """
 
@@ -1204,10 +1209,14 @@ class TestLeanPath:
             [sys.executable, "-c", IMPORT_PROBE, argvs],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout
+        seen = json.loads(out)
         # the first four never compute a float: gram reads its roots off the
-        # psi_k table; once loaded, numpy stays.  No request names a cache
-        # directory, so none loads the cache module
-        assert json.loads(out) == [[0, False, False]] * 4 + [[0, True, False]] * 2
+        # psi_k table, and its records are named tuples and its samples
+        # text, so none of them loads dataclasses, inspect or fractions.
+        # Once loaded, numpy stays; what it loads is its own.  No request
+        # names a cache directory, so none loads the cache module
+        assert seen[:4] == [[0, False, False, []]] * 4
+        assert [row[:3] for row in seen[4:]] == [[0, True, False]] * 2
 
     def test_every_export_resolves(self):
         star: dict = {}

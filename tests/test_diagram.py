@@ -80,6 +80,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Diagram(2, 2, ((1, 2, RED), (2, 4, RED)))
 
+    def test_tuple_copies_are_checked_too(self):
+        # a diagram is a named tuple; its _make and _replace validate
+        d = Diagram(2, 2, ((1, 2, RED), (3, 4, RED)))
+        assert d._replace(pairs=((1, 2, BLUE), (3, 4, BLUE))) == Diagram._make(
+            (2, 2, ((1, 2, BLUE), (3, 4, BLUE)))
+        )
+        with pytest.raises(ValueError):
+            d._replace(pairs=((1, 4, RED), (2, 3, RED)))
+        with pytest.raises(ValueError):
+            Diagram._make((2, 2, ((2, 1, RED), (3, 4, RED))))
+
     def test_odd_boundary_rejected(self):
         with pytest.raises(ValueError):
             Diagram(2, 1, ((1, 2, RED),))

@@ -48,6 +48,25 @@ def test_binomial_square():
     assert (DR + DB) ** 2 == expected
 
 
+def test_power_skips_the_square_after_the_last_bit(monkeypatch):
+    # one product per set bit and one square per bit below the top one
+    calls = []
+    real = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    base = DR - 2 * DB
+    want = ONE
+    for k in range(1, 10):
+        want = real(want, base)
+        calls.clear()
+        assert base**k == want, k
+        assert len(calls) == k.bit_length() + k.bit_count() - 1, k
+
+
 def test_zero_annihilates():
     p = 3 * DR + DB * DB - 7
     assert (p * ZERO).is_zero

@@ -19,6 +19,7 @@ from helpers import (
     match_special_value,
     matmul,
     mirror,
+    psi_product_reference,
     rep_matrix,
     split_by_colour,
 )
@@ -260,6 +261,42 @@ class TestFactoredDeterminant:
             assert (max(part), part[max(part)]) == (degree, 1)
             assert min(part) == table.get(2, 0)
 
+    def test_packed_psi_products_match_the_ring(self, monkeypatch):
+        # every table a report expands, for every label with n <= 8, and
+        # two long ones, against LaurentPoly powers and products
+        tables = [{2: 1000}, {3: 167, 4: 27, 5: 1}]
+        real = stdmod.psi_coefficients
+
+        def record(table):
+            tables.append(dict(table))
+            return real(table)
+
+        monkeypatch.setattr(stdmod, "psi_coefficients", record)
+        for n in range(1, 9):
+            for i, j in standard_labels(n):
+                gram_det_report(n, i, j).parts
+        monkeypatch.undo()
+        for table in {tuple(sorted(table.items())): table for table in tables}.values():
+            assert psi_coefficients(table) == psi_product_reference(table), table
+        # the width is the least that holds the bound: a byte less loses
+        # the top digits of the long product
+        short = {3: 167, 4: 27, 5: 1}
+        width = stdmod.psi_width(short)
+        monkeypatch.setattr(stdmod, "psi_width", lambda table: width - 1)
+        assert psi_coefficients(short) != psi_product_reference(short)
+
+    def test_mirrored_blocks_glue_every_pair(self):
+        # gram_blocks glues each unordered pair once; gluing every ordered
+        # pair must give the same blocks
+        for n in range(1, 7):
+            for i, j in standard_labels(n):
+                bras, blocks = gram_blocks(n, i, j)
+                for blk in blocks:
+                    members = [bras[k] for k in blk.indices]
+                    assert blk.matrix == PolyMatrix(
+                        [[bra_inner(x, y) for y in members] for x in members]
+                    ), (n, i, j, blk.word)
+
     def test_is_tensor(self):
         red, blue = {0: -1, 2: 1}, {1: 3}
         assert is_tensor((DR**2 - 1) * 3 * DB, red, blue)
@@ -312,7 +349,7 @@ class TestFactoredDeterminant:
             det = expanded_det(report)
             for var in (RED, BLUE):
                 scan = scan_gram_roots(report, var=var)
-                for other in stdmod.ROOT_SAMPLES:
+                for other in map(Fraction, stdmod.ROOT_SAMPLES):
                     where = (n, i, j, var, other)
                     zero = min(exp[var] for exp in det.terms)
                     assert scan.zero_root_multiplicity == zero, where
