@@ -33,7 +33,7 @@ from .exactpoly import DB, DR, LaurentPoly, PolyMatrix, poly_det
 # the numeric modules load on first use (PEP 562), so importing the
 # package, or a request that computes no float, loads no numpy
 _LAZY = {
-    "NumericParams": "spinchain",
+    "NumericParams": "numeric",
     "diagram_matrix": "spinchain",
     "homomorphism_report": "spinchain",
     "gram_blocks": "stdmod",

@@ -62,7 +62,6 @@ from .diagram import (
     south_tail,
     straight_diagram,
 )
-from .oracles import bubble_basis_count
 
 DEFAULT_MAX_N = 8
 
@@ -255,7 +254,10 @@ class RankIdentity(NamedTuple):
 
 def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
     """|B_n| = sum dim(n, i, j)^2 = walk_count(2n, 0, 0), with |B_n| from
-    the closed form: no diagram is walked, but B_n's size guard holds."""
+    the closed form: no diagram is walked, but B_n's size guard holds.
+    The oracle module loads here, so basis and gram requests never load it."""
+    from .oracles import bubble_basis_count
+
     _check_size(n, max_n)
     basis_size = bubble_basis_count(n)
     squares = sum(walk_count(n, i, j) ** 2 for i, j in standard_labels(n))

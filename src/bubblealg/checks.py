@@ -31,9 +31,10 @@ from .diagram import (
     propagating_index,
     white_generator,
 )
-from .exactpoly import DB, DR, PolyMatrix, poly_det
-from .oracles import bubble_basis_count
-from .spinchain import NumericParams, homomorphism_report
+from .exactpoly import DB, DR, ZERO, LaurentPoly, PolyMatrix, poly_det
+from .numeric import NumericParams
+from .oracles import bubble_basis_count, tl_gram_exponents
+from .spinchain import homomorphism_report
 from .stdmod import (
     cyclic_span_report,
     gram_blocks,
@@ -43,7 +44,6 @@ from .stdmod import (
     localisation_report,
     restriction_report,
     scan_gram_roots,
-    tl_gram_poly,
 )
 from .yangbaxter import (
     TRANSFER_TOLERANCE,
@@ -106,6 +106,15 @@ def _check_gram_g2_diagonal() -> CheckResult:
     return CheckResult(
         "gram_g2_diagonal", True, "G_2(0,0) = diag(db, dr) in canonical bra order"
     )
+
+
+def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
+    """One-colour Gram matrix as polynomials in that colour's loop parameter."""
+    expo = tl_gram_exponents(n_points, defects)
+    entry = lambda e: ZERO if e is None else (
+        LaurentPoly.monomial(e, 0) if colour == RED else LaurentPoly.monomial(0, e)
+    )
+    return PolyMatrix([[entry(e) for e in row] for row in expo])
 
 
 def _check_gram_tl_blocks(size: int) -> CheckResult:

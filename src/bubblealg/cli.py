@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -21,6 +22,7 @@ from .basis import (
     DEFAULT_MAX_N,
     ResourceLimitError,
     _check_size,
+    basis_encodings,
     enumerate_basis,
     enumerate_bras,
     rank_identity,
@@ -32,13 +34,15 @@ from .diagram import BLUE, RED
 if TYPE_CHECKING:
     from .yangbaxter import SweepReport
 
-# cache, checks, spinchain, stdmod and yangbaxter, and the stdlib's csv and
-# statistics, are imported where they are used, so a request loads only
-# its own modules: numpy comes in only for rep, ybe and check, the commands
-# that compute with float arrays, and cache only for a basis request that
-# names a cache directory or lists the diagrams.  The package's records are
-# named tuples and its samples text, so no request loads dataclasses (and
-# with it inspect) or fractions; only numpy brings inspect in
+# cache, checks, numeric, spinchain, stdmod and yangbaxter, and the
+# stdlib's csv and statistics, are imported where they are used, so a
+# request loads only its own modules: numpy comes in only for rep --check
+# or --matrices, ybe and check, the requests that compute with float
+# arrays, and only once numeric has sized them (see _blas_threads); cache
+# only for a basis request that names a cache directory.  The package's
+# records are named tuples and its samples text, so no request loads
+# dataclasses (and with it inspect) or fractions; only numpy brings
+# inspect in
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -58,6 +62,21 @@ DENSE_BUDGET = 512 * 2**20
 # 24 characters, and holds that text up to four times: the strings, the
 # JSON document, the line and its encoding
 MATRIX_TEXT_BYTES = 4 * 50
+
+
+# OpenBLAS, which numpy loads, starts a pool of one worker thread per core.
+# Products on dense states under this many bytes run about as fast on one
+# thread as on a pool of two, for 35-45% less CPU; from 2.4 MiB (bubble
+# --transfer 6) the pool is as fast or faster, and from 6.6 MiB (tl
+# --transfer 15) faster by 5-15%.
+# Measured on the largest state a request's products work on (see
+# _largest_state): every rep, ybe with no chain or one up to bubble
+# --transfer 5 or tl --transfer 13, and check up to size 5 fall under it.
+# The paired measurements are in CHANGES.md.
+ONE_BLAS_THREAD_BELOW = 2 * 2**20
+
+# a user who sets any of these chooses the BLAS threads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 # The JSON writer hands stdout text about this many characters at a time
@@ -178,6 +197,48 @@ def _check_dense(need: float, what: str) -> None:
         )
 
 
+def _largest_state(args: argparse.Namespace) -> int:
+    """Bytes of the largest dense state one product of a rep, ybe or check
+    request works on; counted before numpy loads."""
+    from .numeric import transfer_bytes
+
+    if args.command == "rep":
+        # one 4^n x 4^n complex matrix
+        return 16 * 16**args.n
+    if args.command == "ybe":
+        # with no chain the largest product is one of three-site matrices
+        return 0 if args.transfer is None else transfer_bytes(args.transfer, args.family)
+    # check runs the transfer chains of both families up to its size, which
+    # --quick trims to 3 and run_checks caps at DEFAULT_MAX_N; bubble's is
+    # the larger
+    top = min(args.n, 3 if args.quick else DEFAULT_MAX_N)
+    return transfer_bytes(top, "bubble") if top >= 1 else 0
+
+
+@contextmanager
+def _blas_threads(largest: int) -> Iterator[None]:
+    """Import numpy in this block with one BLAS thread when ``largest``,
+    the request's largest dense state, is under ONE_BLAS_THREAD_BELOW.
+
+    OpenBLAS reads its thread count once, as numpy loads, so the setting
+    lives only for the import and ``os.environ`` is as before afterwards.
+    Nothing is set once numpy is loaded or when the user set any of
+    BLAS_THREAD_VARS.
+    """
+    if (
+        largest >= ONE_BLAS_THREAD_BELOW
+        or "numpy" in sys.modules
+        or any(var in os.environ for var in BLAS_THREAD_VARS)
+    ):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -196,12 +257,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
     # with no cache and no listing only the count is needed, in closed form;
     # the walk's checks still refuse a negative or oversized n.  The cache
     # module, which resolves the directory itself, loads only when one is
-    # named, here or in the environment, or the listing is asked for
+    # named, here or in the environment
     named = args.cache_dir is not None or os.environ.get("BUBBLE_CACHE_DIR")
-    if not named and not args.diagrams:
-        _check_size(args.n, args.max_n)
-        lines, total = None, walk_count(2 * args.n, 0, 0)
-    else:
+    if named:
         from .cache import CacheError, cached_basis
 
         try:
@@ -209,7 +267,12 @@ def cmd_basis(args: argparse.Namespace) -> int:
         except CacheError as exc:
             print(f"cache error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        total = len(lines)
+    elif args.diagrams:
+        lines = basis_encodings(args.n, max_n=args.max_n)
+    else:
+        _check_size(args.n, args.max_n)
+        lines = None
+    total = walk_count(2 * args.n, 0, 0) if lines is None else len(lines)
     payload = {"n": args.n, "total": total, "strata": _label_rows(args.n)}
     if args.diagrams:
         payload["diagrams"] = lines
@@ -251,12 +314,14 @@ def cmd_gram(args: argparse.Namespace) -> int:
         # one report serves --det, --blocks and --roots
         report = gram_det_report(n, i, j, bras=bras)
     blocks = report.blocks if report else gram_blocks(n, i, j, bras=bras)[1]
-    # the form vanishes between different colour words
+    # the form vanishes between different colour words, and each block is
+    # symmetric, so each unordered pair is written once and mirrored
     entries = [["0"] * len(bras) for _ in bras]
     for blk in blocks:
-        for r, row in zip(blk.indices, blk.matrix.entries):
-            for c, e in zip(blk.indices, row):
-                entries[r][c] = str(e)
+        idx = blk.indices
+        for k, (r, row) in enumerate(zip(idx, blk.matrix.entries)):
+            for c, e in zip(idx[k:], row[k:]):
+                entries[r][c] = entries[c][r] = str(e)
     payload: dict = {
         "n": n,
         "i": i,
@@ -316,7 +381,7 @@ def _format_complex_matrix(mat) -> str:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    from .spinchain import NumericParams, diagram_matrix, homomorphism_report
+    from .numeric import SITE_DIM, NumericParams
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
@@ -327,20 +392,24 @@ def cmd_rep(args: argparse.Namespace) -> int:
     params = NumericParams(q_r=q_r, q_b=q_b)
     # the size guard first: the budget's count recurses about 2n deep
     _check_size(args.n, args.max_n)
-    if args.check or args.matrices:
+    # the size is in closed form; only the check and the listing need B_n,
+    # their matrices and numpy
+    dense = args.check or args.matrices
+    if dense:
         # one 4^n x 4^n complex matrix per basis diagram, and its text
         entries = walk_count(2 * args.n, 0, 0) * 16**args.n
         per_entry = 16 + (MATRIX_TEXT_BYTES if args.matrices else 0)
         _check_dense(entries * per_entry, f"rep --n {args.n}")
-    # the size is in closed form; only the check and the listing need B_n
-    basis = enumerate_basis(args.n, max_n=args.max_n) if args.check or args.matrices else None
+        with _blas_threads(_largest_state(args)):
+            from .spinchain import diagram_matrix, homomorphism_report
+    basis = enumerate_basis(args.n, max_n=args.max_n) if dense else None
     payload: dict = {
         "n": args.n,
         "qr": _complex_pair(q_r),
         "qb": _complex_pair(q_b),
         "delta_r": _complex_pair(params.delta_r),
         "delta_b": _complex_pair(params.delta_b),
-        "site_dim": 4,
+        "site_dim": SITE_DIM["bubble"],
         "matrix_dim": 4**args.n,
         "basis_size": walk_count(2 * args.n, 0, 0),
     }
@@ -383,18 +452,14 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
 
 
 def cmd_ybe(args: argparse.Namespace) -> int:
-    from .yangbaxter import (
-        TRANSFER_TOLERANCE,
-        YBE_TOLERANCE,
-        transfer_bytes,
-        transfer_sweep,
-        ybe_sweep,
-    )
-
     if args.sweep < 1:
         raise ValueError("--sweep must be a positive count")
+    largest = _largest_state(args)
     if args.transfer is not None:
-        _check_dense(transfer_bytes(args.transfer, args.family), f"ybe --transfer {args.transfer}")
+        _check_dense(largest, f"ybe --transfer {args.transfer}")
+    with _blas_threads(largest):
+        from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, transfer_sweep, ybe_sweep
+
     ybe = ybe_sweep(args.family, count=args.sweep, seed=args.seed, lam=args.lam)
     sections = {"ybe": _sweep_payload(ybe, YBE_TOLERANCE[args.family])}
     if args.transfer is not None:
@@ -425,7 +490,8 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .checks import all_passed, run_checks
+    with _blas_threads(_largest_state(args)):
+        from .checks import all_passed, run_checks
 
     results = run_checks(size=args.n, seed=args.seed, quick=args.quick)
     payload = {

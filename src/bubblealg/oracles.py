@@ -2,17 +2,16 @@
 
 Everything here is deliberately written against different algorithms
 than the corresponding engine code: counts come from closed formulas,
-diagram enumeration from a filter over all coloured Brauer matchings
-with a pairwise chord-crossing test, and one-colour composition from
-union-find contraction.  Tests compare engine output against these
-routes; the command line check subcommand reuses them.
+and one-colour half diagrams and their pairing from a plain recursion
+and union-find contraction.  Tests compare engine output against these
+routes; the command line check subcommand reuses them.  The brute-force
+enumeration of coloured diagrams and one-colour composition, which only
+the tests call, live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
-from typing import Iterator
 
 # ---------------------------------------------------------------------------
 # counting formulas
@@ -35,63 +34,6 @@ def tl_halfdiagram_count(n: int, defects: int) -> int:
         return 0
     m = (n - defects) // 2
     return comb(n, m) - (comb(n, m - 1) if m >= 1 else 0)
-
-
-# ---------------------------------------------------------------------------
-# brute-force enumeration of coloured diagrams
-
-
-def _circular(n_north: int, n_south: int) -> list[int]:
-    return list(range(1, n_north + 1)) + [n_north + k for k in range(n_south, 0, -1)]
-
-
-def _all_matchings(points: list[int]) -> Iterator[list[tuple[int, int]]]:
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for k, partner in enumerate(rest):
-        sub = rest[:k] + rest[k + 1 :]
-        for tail in _all_matchings(sub):
-            yield [(first, partner)] + tail
-
-
-def _chords_cross(order: dict[int, int], a: int, b: int, c: int, d: int) -> bool:
-    # cut the circle at a; the chord a-b crosses c-d iff exactly one of
-    # c, d falls strictly between a and b in the cut order
-    pa, pb = order[a], order[b]
-    if pa > pb:
-        pa, pb = pb, pa
-    inside = sum(1 for x in (order[c], order[d]) if pa < x < pb)
-    return inside == 1
-
-
-def brute_force_bubble_encodings(n_north: int, n_south: int | None = None) -> list[str]:
-    """All valid coloured diagrams by exhaustive filter, as sorted encodings."""
-    if n_south is None:
-        n_south = n_north
-    circ = _circular(n_north, n_south)
-    order = {pid: k for k, pid in enumerate(circ)}
-    out = []
-    for matching in _all_matchings(list(range(1, n_north + n_south + 1))):
-        m = len(matching)
-        crossing_pairs = [
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if _chords_cross(order, *matching[i], *matching[j])
-        ]
-        for colours in product("rb", repeat=m):
-            if any(colours[i] == colours[j] for i, j in crossing_pairs):
-                continue
-            body = ";".join(
-                f"({min(p, q)},{max(p, q)},{c})"
-                for (p, q), c in sorted(
-                    zip(matching, colours), key=lambda t: min(t[0])
-                )
-            )
-            out.append(f"D[{n_north},{n_south}]{{{body}}}")
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,67 +132,3 @@ def tl_gram_exponents(n: int, defects: int) -> list[list[int | None]]:
     exponents, None for zero."""
     bras = tl_bras(n, defects)
     return [[tl_inner_exponent(x, y) for y in bras] for x in bras]
-
-
-# ---------------------------------------------------------------------------
-# one-colour full diagrams and union-find composition
-
-TLDiagram = tuple[tuple[int, int], ...]
-
-
-def tl_diagrams(n: int) -> list[TLDiagram]:
-    """All one-colour diagrams on n + n points, sorted."""
-    circ = _circular(n, n)
-    order = {pid: k for k, pid in enumerate(circ)}
-    out = []
-    for matching in _all_matchings(list(range(1, 2 * n + 1))):
-        m = len(matching)
-        if any(
-            _chords_cross(order, *matching[i], *matching[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
-            continue
-        out.append(tuple(sorted((min(p, q), max(p, q)) for p, q in matching)))
-    return sorted(out)
-
-
-def tl_compose(n: int, top: TLDiagram, bottom: TLDiagram) -> tuple[int, TLDiagram]:
-    """Union-find contraction of two stacked one-colour diagrams.
-
-    Returns (loop count, result diagram).  Node layout: the top
-    diagram's points keep their ids, the bottom diagram's are shifted
-    by n so its northern edge lands on the top one's southern edge.
-    """
-    parent = list(range(3 * n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for p, q in top:
-        union(p, q)
-    for p, q in bottom:
-        union(p + n, q + n)
-    boundary: dict[int, list[int]] = {}
-    for p in range(1, n + 1):
-        boundary.setdefault(find(p), []).append(p)
-    for p in range(2 * n + 1, 3 * n + 1):
-        boundary.setdefault(find(p), []).append(p - n)
-    pairs = []
-    for members in boundary.values():
-        assert len(members) == 2
-        pairs.append((min(members), max(members)))
-    middle_only = set()
-    for p in range(n + 1, 2 * n + 1):
-        r = find(p)
-        if r not in boundary:
-            middle_only.add(r)
-    return len(middle_only), tuple(sorted(pairs))

@@ -22,49 +22,15 @@ representation, since arcs always pair t against 1/t.
 
 from __future__ import annotations
 
-import cmath
 from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .diagram import RED, Diagram, endpoint_arrays, products
+from .diagram import Diagram, endpoint_arrays, products
+from .numeric import NumericParams
 
 SITE_STATES = ("r+", "r-", "b+", "b-")
-
-
-def _resolve(q: complex, name: str) -> tuple[complex, complex]:
-    if not cmath.isfinite(q):
-        raise ValueError(f"q_{name} must be finite, got {q}")
-    t = cmath.sqrt(q)
-    if t == 0:
-        raise ValueError(f"q_{name} must be invertible")
-    # store the square of t so t*t == q holds exactly from here on
-    return t * t, t
-
-
-class NumericParams:
-    """Numeric weights per colour; q_c is stored as t_c squared exactly."""
-
-    __slots__ = ("q_r", "q_b", "t_r", "t_b")
-
-    def __init__(self, q_r: complex, q_b: complex) -> None:
-        self.q_r, self.t_r = _resolve(q_r, "r")
-        self.q_b, self.t_b = _resolve(q_b, "b")
-
-    @property
-    def delta_r(self) -> complex:
-        return self.q_r + 1 / self.q_r
-
-    @property
-    def delta_b(self) -> complex:
-        return self.q_b + 1 / self.q_b
-
-    def t(self, c: int) -> complex:
-        return self.t_r if c == RED else self.t_b
-
-    def __repr__(self) -> str:
-        return f"NumericParams(q_r={self.q_r!r}, q_b={self.q_b!r})"
 
 
 def state_index(states: Sequence[int]) -> int:

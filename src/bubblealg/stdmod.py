@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache, cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -83,7 +84,6 @@ from .exactpoly import (
     poly_det,
     rank_mod,
 )
-from .oracles import tl_gram_exponents, tl_halfdiagram_count
 
 # ---------------------------------------------------------------------------
 # action of diagrams on half diagrams
@@ -143,15 +143,6 @@ def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -
 
 # ---------------------------------------------------------------------------
 # block structure over colour words
-
-
-def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
-    """One-colour Gram matrix as polynomials in that colour's loop parameter."""
-    expo = tl_gram_exponents(n_points, defects)
-    entry = lambda e: ZERO if e is None else (
-        LaurentPoly.monomial(e, 0) if colour == RED else LaurentPoly.monomial(0, e)
-    )
-    return PolyMatrix([[entry(e) for e in row] for row in expo])
 
 
 class _GramBlockFields(NamedTuple):
@@ -265,6 +256,14 @@ def is_tensor(det: LaurentPoly, red: Coefficients, blue: Coefficients) -> bool:
     )
 
 
+def ballot(points: int, defects: int) -> int:
+    """Size of the one-colour form on ``points`` points with ``defects``
+    cuts, points - defects even: the ballot number C(n, m) - C(n, m - 1),
+    m = (n - d) / 2."""
+    m = (points - defects) // 2
+    return math.comb(points, m) - (math.comb(points, m - 1) if m else 0)
+
+
 def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
     """Determinant and size of the one-colour form on `points` points with
     `defects` cuts, as ({k: a_k}, rows) with determinant prod psi_k^a_k.
@@ -275,7 +274,7 @@ def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
     Only the nonzero a_k, for k > 1, are kept.
     """
     dims = [
-        (j, tl_halfdiagram_count(points, defects + 2 * j))
+        (j, ballot(points, defects + 2 * j))
         for j in range(1, (points - defects) // 2 + 1)
     ]
     table = {}
@@ -283,7 +282,7 @@ def one_colour_det(points: int, defects: int) -> tuple[Table, int]:
         a = sum(dim * (((defects + j + 1) % k == 0) - (j % k == 0)) for j, dim in dims)
         if a:
             table[k] = a
-    return table, tl_halfdiagram_count(points, defects)
+    return table, ballot(points, defects)
 
 
 CROSS_CHECK_MAX_SIZE = 36
@@ -318,18 +317,25 @@ class GramDetReport(_GramDetReportFields):
 
         The parts share no variable, so the term (a, b) of the product is
         red_a * blue_b and no two terms collide.  The total degree s runs
-        down, and within it the red exponent a runs down over the window
-        where both parts can have a term: graded lex order, largest first.
+        down, and within it the red exponent a runs down over the red
+        exponents present where blue has s - a: graded lex order, largest
+        first.  psi_2 = d and every other psi_k is even in d, so each
+        part's exponents share one parity: s steps over the sums the parts
+        can make, by the gcd of their exponent gaps, and misses none.
         """
         # each part is a product of psi_k, so neither is empty
         red, blue = self.parts
-        a_lo, a_hi, b_lo, b_hi = min(red), max(red), min(blue), max(blue)
+        reds = sorted(red)
+        b_lo, b_hi = min(blue), max(blue)
+        step = math.gcd(*(a - reds[0] for a in reds), *(b - b_lo for b in blue)) or 1
+        texts = {a: f"*dr^{a}*db^" for a in reds}
         sep = ""
-        for s in range(a_hi + b_hi, a_lo + b_lo - 1, -1):
+        for s in range(reds[-1] + b_hi, reds[0] + b_lo - 1, -step):
+            window = reds[bisect_left(reds, s - b_hi) : bisect_right(reds, s - b_lo)]
             terms = [
-                f"{red[a] * blue[s - a]}*dr^{a}*db^{s - a}"
-                for a in range(min(a_hi, s - b_lo), max(a_lo, s - b_hi) - 1, -1)
-                if a in red and s - a in blue
+                f"{red[a] * blue[s - a]}{texts[a]}{s - a}"
+                for a in reversed(window)
+                if s - a in blue
             ]
             if terms:
                 yield sep + " + ".join(terms)

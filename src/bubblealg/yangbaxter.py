@@ -32,7 +32,8 @@ import numpy as np
 
 from .basis import enumerate_basis
 from .diagram import Diagram
-from .spinchain import NumericParams, b2_matrix, two_site_shape
+from .numeric import NumericParams, site_dim
+from .spinchain import b2_matrix, two_site_shape
 
 LAMBDA_EXCLUSION = 1e-6
 # absolute gates on the largest residual entry; unitarity shares the YBE gate
@@ -122,17 +123,17 @@ def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
 
 
 class Family(NamedTuple):
-    """Site states, pole spacing, coefficient groups and coefficients."""
+    """Pole spacing, coefficient groups and coefficients; the site
+    dimension is ``numeric.site_dim``."""
 
-    site_dim: int
     pole_step: float
     groups: tuple[str, ...]
     coefficients: Callable[[float, float], dict[str, float]]
 
 
 FAMILIES = {
-    "tl": Family(2, math.pi, TL_GROUPS, tl_coefficients),
-    "bubble": Family(4, math.pi / 3.0, BUBBLE_GROUPS, bubble_coefficients),
+    "tl": Family(math.pi, TL_GROUPS, tl_coefficients),
+    "bubble": Family(math.pi / 3.0, BUBBLE_GROUPS, bubble_coefficients),
 }
 
 
@@ -232,7 +233,7 @@ def transfer_matrix(lam: float, u: float, n: int, kind: str = "bubble") -> np.nd
     materialised.  The commutator check never calls this: it applies T
     one site at a time instead.
     """
-    m = _family(kind).site_dim
+    m = site_dim(kind)
     if n < 1:
         raise ValueError("need at least one site")
     r4 = (_swap_matrix(m) @ rmatrix(kind, lam, u)).reshape(m, m, m, m)
@@ -286,24 +287,6 @@ def _transfer_defect(r_u: np.ndarray, r_v: np.ndarray, n: int, x: np.ndarray) ->
     return diff / scale if scale else diff
 
 
-# Peak of transfer_commutator as tracemalloc measures it: _apply_transfer
-# holds two states of m^(n+2) complex entries, and the comparison of the
-# two products holds five m^n vectors; building the R-matrices stays
-# under the fixed part
-TRANSFER_STATES_HELD = 2
-TRANSFER_VECTORS_HELD = 5
-TRANSFER_FIXED_BYTES = 64 * 2**10
-
-
-def transfer_bytes(n: int, kind: str = "bubble") -> int:
-    """Peak bytes ``transfer_commutator`` allocates on n sites."""
-    m = _family(kind).site_dim
-    if n < 1:
-        raise ValueError("need at least one site")
-    states = TRANSFER_STATES_HELD * m * m + TRANSFER_VECTORS_HELD
-    return 16 * m**n * states + TRANSFER_FIXED_BYTES
-
-
 def transfer_commutator(
     lam: float, u: float, v: float, n: int, kind: str, rng: np.random.Generator
 ) -> float:
@@ -312,7 +295,7 @@ def transfer_commutator(
     The vector is complex Gaussian, drawn from ``rng``; T is applied one
     site at a time and never formed.
     """
-    m = _family(kind).site_dim
+    m = site_dim(kind)
     if n < 1:
         raise ValueError("need at least one site")
     dim = m**n

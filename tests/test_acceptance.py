@@ -23,9 +23,11 @@ from bubblealg.diagram import (
     white_generator,
 )
 from bubblealg.basis import monochrome_straight_diagrams
+from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import DB, DR, PolyMatrix
 from bubblealg.oracles import bubble_basis_count, tl_bras
-from bubblealg.spinchain import NumericParams, homomorphism_report
+from bubblealg.numeric import NumericParams
+from bubblealg.spinchain import homomorphism_report
 from bubblealg.stdmod import (
     cyclic_span_report,
     gram_blocks,
@@ -34,7 +36,6 @@ from bubblealg.stdmod import (
     localisation_report,
     restriction_report,
     scan_gram_roots,
-    tl_gram_poly,
 )
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,

@@ -28,21 +28,18 @@ from bubblealg.basis import (
     walk_count,
 )
 from bubblealg.diagram import BLUE, RED, Diagram, compose, propagating_index
-from bubblealg.oracles import (
-    brute_force_bubble_encodings,
-    bubble_basis_count,
-    catalan,
-    tl_compose,
-    tl_diagrams,
-)
+from bubblealg.oracles import bubble_basis_count, catalan
 from bubblealg.stdmod import act_diagram
 from helpers import (
     add_line,
+    brute_force_bubble_encodings,
     brute_walk_count,
     cut_diagram,
     enumerate_via_seeds,
     join_halves,
     stratify,
+    tl_compose,
+    tl_diagrams,
     turn_back,
 )
 

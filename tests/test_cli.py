@@ -1173,50 +1173,67 @@ class TestUsage:
 
 
 # Runs requests in order in one fresh interpreter and prints, per request,
-# its exit code, whether numpy and the cache module had been imported by
-# then, and which of the stdlib's dataclasses, inspect and fractions the
-# package had loaded: those not in sys.modules before it was imported, so
-# what the interpreter's site loads does not count.
+# its exit code, whether numpy, the cache module and the oracle module had
+# been imported by then, and which of the stdlib's dataclasses, inspect and
+# fractions the package had loaded: those not in sys.modules before it was
+# imported, so what the interpreter's site loads does not count.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from bubblealg.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     stdlib = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules and m not in before]
-    seen.append([code, "numpy" in sys.modules, "bubblealg.cache" in sys.modules, stdlib])
+    loaded = [m in sys.modules for m in ("numpy", "bubblealg.cache", "bubblealg.oracles")]
+    seen.append([code, *loaded, stdlib])
 print(json.dumps(seen))
 """
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh ``bubble`` process on this checkout,
+    with no cache directory and no BLAS thread setting."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblealg.__file__).resolve().parent.parent)}
+    for var in ("BUBBLE_CACHE_DIR", *cli.BLAS_THREAD_VARS):
+        env.pop(var, None)
+    return env
 
 
 class TestLeanPath:
     def test_numpy_loads_only_for_float_work(self):
         requests = [
             "basis --n 3",
-            "dims --n 3",
+            "basis --n 3 --diagrams",
             "gram --n 4 --i 0 --j 0 --det",
             "gram --n 4 --i 0 --j 0 --roots r",
+            "rep --n 2 --qr 2 --qb 3",
+            "rep --n 4 --qr 2 --qb 3 --check",
+            "ybe --family bubble --transfer 10",
+            "dims --n 3",
             "rep --n 2 --qr 2 --qb 3 --check",
             "ybe --family tl --sweep 2",
         ]
-        src = str(Path(bubblealg.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("BUBBLE_CACHE_DIR", None)
         argvs = json.dumps([line.split() for line in requests])
         out = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, argvs],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
+            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
         ).stdout
         seen = json.loads(out)
-        # the first four never compute a float: gram reads its roots off the
-        # psi_k table, and its records are named tuples and its samples
-        # text, so none of them loads dataclasses, inspect or fractions.
-        # Once loaded, numpy stays; what it loads is its own.  No request
-        # names a cache directory, so none loads the cache module
-        assert seen[:4] == [[0, False, False, []]] * 4
-        assert [row[:3] for row in seen[4:]] == [[0, True, False]] * 2
+        # basis, gram and a bare rep never compute a float: gram reads its
+        # roots off the psi_k table, and its records are named tuples and
+        # its samples text, so none of them loads dataclasses, inspect or
+        # fractions.  No request names a cache directory, so none loads the
+        # cache module, --diagrams included; basis and gram take no count
+        # from the oracle module
+        assert seen[:5] == [[0, False, False, False, []]] * 5
+        # a numeric request over its dense budget is refused before numpy loads
+        assert seen[5:7] == [[3, False, False, False, []]] * 2
+        # dims compares with the oracle's closed form.  Once loaded, numpy
+        # stays; what it loads is its own
+        assert seen[7] == [0, False, False, True, []]
+        assert [row[:4] for row in seen[8:]] == [[0, True, False, True]] * 2
 
     def test_every_export_resolves(self):
         star: dict = {}
@@ -1228,6 +1245,123 @@ class TestLeanPath:
             assert getattr(importlib.import_module(value.__module__), name) is value
         with pytest.raises(AttributeError):
             bubblealg.no_such_name
+
+
+# Prints the thread count of the OpenBLAS that numpy bundles, found as
+# perfbench/probe.py finds it, or null when there is none to ask
+BLAS_THREADS = """
+import ctypes
+from pathlib import Path
+
+def blas_threads():
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+"""
+
+# Runs one request in a fresh interpreter and prints its exit code, whether
+# os.environ came back unchanged, and the BLAS threads it ran with
+THREAD_PROBE = BLAS_THREADS + """
+import contextlib, io, json, os, sys
+from bubblealg.cli import main
+before = dict(os.environ)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, dict(os.environ) == before, blas_threads()]))
+"""
+
+# the benchmark's spectral requests, and the other sizes on each side of the cut-off
+ONE_THREAD = [
+    "rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --check",
+    "ybe --family bubble --sweep 20 --transfer 5 --seed 1",
+    "ybe --family tl --sweep 20 --transfer 8 --seed 1",
+    "rep --n 3 --qr 2 --qb 3 --matrices",
+    "ybe --family bubble",
+    "ybe --family bubble --transfer 5",
+    "ybe --family tl --transfer 13",
+    "check",
+    "check --quick",
+    "check --n 5",
+    "check --n 8 --quick",
+]
+THREAD_POOL = [
+    "ybe --family bubble --transfer 6",
+    "ybe --family bubble --transfer 9",
+    "ybe --family tl --transfer 14",
+    "ybe --family tl --transfer 15",
+    "ybe --family tl --transfer 21",
+    "check --n 6",
+    "check --n 7",
+    "check --n 8",
+]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("line", ONE_THREAD + THREAD_POOL)
+    def test_policy(self, line):
+        args = cli.build_parser().parse_args(line.split())
+        assert (cli._largest_state(args) < cli.ONE_BLAS_THREAD_BELOW) == (line in ONE_THREAD)
+
+    @pytest.fixture
+    def no_numpy_yet(self, monkeypatch):
+        # what a fresh process sees: numpy not loaded and no thread setting
+        monkeypatch.delitem(sys.modules, "numpy")
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    def test_one_thread_for_the_import_only(self, no_numpy_yet):
+        before = dict(os.environ)
+        with cli._blas_threads(0):
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert dict(os.environ) == before
+
+    def test_nothing_set_at_the_cut_off(self, no_numpy_yet):
+        before = dict(os.environ)
+        with cli._blas_threads(cli.ONE_BLAS_THREAD_BELOW):
+            assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
+    def test_a_user_setting_is_left_alone(self, no_numpy_yet, monkeypatch, var):
+        monkeypatch.setenv(var, "2")
+        before = dict(os.environ)
+        with cli._blas_threads(0):
+            assert dict(os.environ) == before
+
+    def test_nothing_set_once_numpy_is_loaded(self, monkeypatch, capsys):
+        import numpy  # noqa: F401
+
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        with cli._blas_threads(0):
+            assert dict(os.environ) == before
+        assert main(["ybe", "--family", "tl", "--sweep", "2"]) == 0
+        assert dict(os.environ) == before
+
+    def test_fresh_process_thread_counts(self):
+        def run(code, *argv):
+            out = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            return json.loads(out)
+
+        pool = run(BLAS_THREADS + "print(blas_threads())")
+        if pool is None:
+            pytest.skip("numpy bundles no OpenBLAS to ask")
+        small = run(THREAD_PROBE, *"rep --n 2 --qr 2 --qb 3 --check".split())
+        assert small == [0, True, 1]
+        # at the cut-off the request runs on the pool numpy starts by itself
+        large = run(THREAD_PROBE, *"ybe --family tl --sweep 1 --transfer 15".split())
+        assert large == [0, True, pool]
 
 
 WRITER_STRINGS = [

@@ -5,16 +5,14 @@ from __future__ import annotations
 from math import comb
 
 from bubblealg.oracles import (
-    brute_force_bubble_encodings,
     bubble_basis_count,
     catalan,
     tl_bras,
-    tl_compose,
-    tl_diagrams,
     tl_gram_exponents,
     tl_halfdiagram_count,
     tl_inner_exponent,
 )
+from helpers import brute_force_bubble_encodings, tl_compose, tl_diagrams
 
 
 def test_catalan_values():

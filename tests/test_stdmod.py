@@ -42,12 +42,14 @@ from bubblealg.diagram import (
     make_diagram,
     white_generator,
 )
+from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.oracles import tl_bras, tl_halfdiagram_count
 from bubblealg.stdmod import (
     GramDetReport,
     GramRootScan,
     act_diagram,
+    ballot,
     bra_inner,
     cyclic_span_report,
     gram_blocks,
@@ -61,7 +63,6 @@ from bubblealg.stdmod import (
     rb_word,
     restriction_report,
     scan_gram_roots,
-    tl_gram_poly,
 )
 
 ARC_B = make_half(2, [(1, 2, BLUE)])
@@ -240,6 +241,11 @@ class TestFactoredDeterminant:
                     want = {exp[colour]: c for exp, c in det.items()}
                     assert (psi_coefficients(table), rows) == (want, oracle.rows)
 
+    def test_ballot_count_is_the_oracle_count(self):
+        for points in range(13):
+            for defects in range(points % 2, points + 1, 2):
+                assert ballot(points, defects) == tl_halfdiagram_count(points, defects), (points, defects)
+
     def test_psi_zeros_are_the_primitive_cosines(self):
         for k in range(1, 13):
             terms = psi(k).terms
@@ -398,6 +404,21 @@ class TestFactoredDeterminant:
         for n, i, j in labels:
             report = gram_det_report(n, i, j)
             assert "".join(report.det_text()) == str(expanded_det(report)), (n, i, j)
+
+    @pytest.mark.parametrize(
+        "red, blue",
+        [
+            ({5: 1}, {0: 2}),
+            ({9: 2, 3: -1}, {4: 1, 1: 3, -2: 5}),
+            ({0: 1, 1: 2, 7: 3}, {2: -4, 6: 1}),
+            ({-3: 2, 3: 1, 5: -1}, {0: 1, 10: 1, 12: 7}),
+        ],
+    )
+    def test_det_text_with_gaps_in_the_parts(self, red, blue):
+        # parts with no common step, or gaps on it, miss no sum and add none
+        report = gram_det_report(2, 0, 0)
+        report.__dict__["parts"] = (red, blue)
+        assert "".join(report.det_text()) == str(expanded_det(report))
 
     @pytest.mark.parametrize("change", ["double", "drop"])
     def test_block_check_compares_every_term(self, monkeypatch, change):

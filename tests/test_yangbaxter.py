@@ -9,6 +9,7 @@ import pytest
 
 from bubblealg.basis import enumerate_basis
 from bubblealg.diagram import BLUE, RED, make_diagram
+from bubblealg.numeric import transfer_bytes
 from bubblealg.spinchain import b2_matrix
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
@@ -23,7 +24,6 @@ from bubblealg.yangbaxter import (
     rmatrix,
     sample_lambda,
     tl_e_matrix,
-    transfer_bytes,
     transfer_commutator,
     transfer_matrix,
     transfer_sweep,
