@@ -9,17 +9,19 @@ writes the lines ``RUN`` at a time, so it never holds a second copy of
 the text; the header with the hash comes first, so the lines are gone
 over twice.
 
-A file must hold exactly B_n in its canonical order.  The header must
+A file must hold exactly B_n in its canonical order.  The header is
+read as one ASCII line of at most ``HEADER_LIMIT`` bytes, so a file
+cannot make a load hold more than that before it is refused.  It must
 name this version, the requested n and |B_n| = walk_count(2n, 0, 0)
 lines; that is checked before the walk runs.  The body is then compared
-line by line with ``basis_encodings(n)``, the text the walk writes by
-joining each north bra to each south bra of its label, and the header hash
-with the digest of that text.  A file that passes is
-byte for byte what a miss writes, so a hit returns the walk's own list
-and never decodes a line.  Loads are strict: a file that fails any
-check, or whose gzip stream is damaged, raises CacheError rather than
-silently re-enumerating, since a corrupt cache usually means something
-else went wrong.
+with ``basis_encodings(n)``, the text the walk writes by joining each
+north bra to each south bra of its label, as bytes ``RUN`` lines at a
+time, and the header hash with the digest of that text, hashed in the
+same runs.  A file that passes is byte for byte what a miss writes, so
+a hit returns the walk's own list and never decodes a line.  Loads are
+strict: a file that fails any check, or whose gzip stream is damaged,
+raises CacheError rather than silently re-enumerating, since a corrupt
+cache usually means something else went wrong.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import io
 import json
 import os
 import zlib
+from collections.abc import Iterator
 from pathlib import Path
 
 from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
@@ -38,8 +41,12 @@ CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
 COMPRESS_LEVEL = 6
 ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
-# lines hashed or written at a time, so no copy of the whole text is made
+# lines hashed, written or compared at a time, so no copy of the whole
+# text is made
 RUN = 1024
+# bytes the header line may take, newline included; a header is about
+# 110 bytes
+HEADER_LIMIT = 4096
 
 
 class CacheError(RuntimeError):
@@ -56,11 +63,20 @@ def cache_path(cache_dir: str | Path, n: int) -> Path:
     return Path(cache_dir) / f"basis_n{n}.txt.gz"
 
 
+def _hashed_runs(encodings: list[str], digest) -> Iterator[list[str]]:
+    """The encodings ``RUN`` at a time, each run's concatenated text fed
+    to ``digest`` before the run is yielded."""
+    for start in range(0, len(encodings), RUN):
+        run = encodings[start : start + RUN]
+        digest.update("".join(run).encode("ascii"))
+        yield run
+
+
 def basis_digest(encodings: list[str]) -> str:
     """sha256 of the concatenated encodings, hashed ``RUN`` lines at a time."""
     digest = hashlib.sha256()
-    for start in range(0, len(encodings), RUN):
-        digest.update("".join(encodings[start : start + RUN]).encode("ascii"))
+    for _ in _hashed_runs(encodings, digest):
+        pass
     return digest.hexdigest()
 
 
@@ -100,14 +116,17 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
     shown to hold exactly that text.
 
     The header's version, n and count are checked before the walk runs;
-    then each line is compared with the walk's, and the header hash with
-    the digest of the walk's text.  A damaged gzip stream is a CacheError
-    like any other bad file."""
+    then the body is compared with the walk's text ``RUN`` lines at a time,
+    as bytes, and the header hash with the digest of the walk's text.  A
+    damaged gzip stream is a CacheError like any other bad file."""
     _guard(2 * n, max_n)
     path = Path(path)
     try:
-        with gzip.open(path, "rt", encoding="ascii", newline="\n") as fh:
-            header = json.loads(fh.readline())
+        with gzip.open(path, "rb") as fh:
+            line = fh.readline(HEADER_LIMIT)
+            if not line.endswith(b"\n"):
+                raise CacheError(f"cannot read cache file {path}: no header line in its first {HEADER_LIMIT} bytes")
+            header = json.loads(line.decode("ascii"))
             if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
                 raise CacheError(f"unsupported cache version in {path}")
             if header.get("n") != n:
@@ -116,11 +135,11 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
                 raise CacheError(f"cache {path} counts {header.get('count')} diagrams, not |B_{n}|")
             encodings = basis_encodings(n, max_n=max_n)
             digest = hashlib.sha256()
-            for enc in encodings:
-                if fh.readline() != enc + "\n":
+            for run in _hashed_runs(encodings, digest):
+                want = ("\n".join(run) + "\n").encode("ascii")
+                if fh.read(len(want)) != want:
                     raise CacheError(f"cache {path} is not B_{n} in canonical order")
-                digest.update(enc.encode("ascii"))
-            if fh.readline():
+            if fh.read(1):
                 raise CacheError(f"cache {path} holds lines after B_{n}")
     except (OSError, EOFError, zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc

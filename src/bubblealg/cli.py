@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .yangbaxter import SweepReport
 
 # cache, checks, numeric, spinchain, stdmod and yangbaxter, and the
-# stdlib's csv and statistics, are imported where they are used, so a
+# stdlib's csv, are imported where they are used, so a
 # request loads only its own modules: numpy comes in only for rep --check
 # or --matrices, ybe and check, the requests that compute with float
 # arrays, and only once numeric has sized them (see _blas_threads); cache
@@ -97,9 +97,17 @@ class StringPieces:
         self.pieces = pieces
 
 
+def _plain(text: str) -> bool:
+    """True if JSON writes ``text`` as it is, between its quotes."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _escaped(pieces: Iterable[str]) -> Iterator[str]:
-    # escaping is per code point, so each piece goes out in slices
+    # escaping is per code point, so a piece that needs it goes out in slices
     for piece in pieces:
+        if _plain(piece):
+            yield piece
+            continue
         for start in range(0, len(piece), WRITE_SIZE):
             yield encode_basestring_ascii(piece[start : start + WRITE_SIZE])[1:-1]
 
@@ -137,9 +145,14 @@ def _json_chunks(value, pad: str) -> Iterator[str]:
         sep = ",\n" + inner
         yield "[\n" + inner
         if all(map(isinstance, value, repeat(str))):
+            quoted_sep = '"' + sep + '"'
             for start in range(0, len(value), STRING_RUN):
                 run = value[start : start + STRING_RUN]
-                yield (sep if start else "") + sep.join(map(encode_basestring_ascii, run))
+                lead = sep if start else ""
+                if _plain("".join(run)):
+                    yield lead + '"' + quoted_sep.join(run) + '"'
+                else:
+                    yield lead + sep.join(map(encode_basestring_ascii, run))
         else:
             for k, x in enumerate(value):
                 if k:
@@ -433,15 +446,23 @@ def cmd_rep(args: argparse.Namespace) -> int:
     return status
 
 
-def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
-    import statistics
+def _median(values) -> float | None:
+    """statistics.median's value, without importing statistics (which
+    loads fractions and decimal)."""
+    s = sorted(values)
+    if not s:
+        return None
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
+
+def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
     residuals = report.residuals
     return {
         "quantity": report.quantity,
         "count": report.count,
         "max_residual": _json_float(report.max_residual),
-        "median_residual": _json_float(statistics.median(residuals) if residuals else None),
+        "median_residual": _json_float(_median(residuals)),
         "tolerance": tolerance,
         "passed": report.max_residual < tolerance,
         "points": [

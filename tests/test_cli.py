@@ -20,12 +20,13 @@ from pathlib import Path
 import pytest
 
 import bubblealg
-from bubblealg import basis, checks, cli, stdmod
+from bubblealg import basis, cache, checks, cli, stdmod
 from bubblealg.basis import ResourceLimitError, basis_encodings, enumerate_basis, rank_identity
 from bubblealg.cache import (
     COMPRESS_LEVEL,
     CacheError,
     ENV_CACHE_DIR,
+    HEADER_LIMIT,
     basis_digest,
     cache_path,
     cached_basis,
@@ -253,6 +254,136 @@ class TestCache:
         save_basis(path, 3, lines)
         new = path.read_bytes()
         assert old[old.index(b"\0", 10) + 1 :] == new[10:]
+
+    def test_long_header_line_refused_in_bounded_memory(self, tmp_path):
+        # a first line of 64 MiB of spaces compresses to about 65 KB; only
+        # HEADER_LIMIT bytes of it may be read before the file is refused
+        path = cache_path(tmp_path, 2)
+        with gzip.GzipFile(path, "wb", compresslevel=9, mtime=0) as fh:
+            spaces = b" " * 2**20
+            for _ in range(64):
+                fh.write(spaces)
+            fh.write(b"\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(CacheError, match="no header line"):
+                load_basis(path, 2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"",
+            b'{"count": 10, "hash": "", "n": 2, "version": 1}',
+            b'{"count": 10, "hash": "\xe9", "n": 2, "version": 1}\n',
+            b" " * HEADER_LIMIT + b"\n",
+        ],
+        ids=["empty", "no_newline", "non_ascii", "over_the_limit"],
+    )
+    def test_header_must_be_one_ascii_line_within_the_limit(self, tmp_path, head):
+        path = cache_path(tmp_path, 2)
+        path.write_bytes(gzip.compress(head))
+        with pytest.raises(CacheError, match="cannot read cache file"):
+            load_basis(path, 2)
+
+    def test_header_just_within_the_limit_loads(self, tmp_path):
+        path = cache_path(tmp_path, 2)
+        header = {"count": len(B2), "hash": basis_digest(B2), "n": 2, "version": 1}
+        line = json.dumps(header, sort_keys=True)
+        line += " " * (HEADER_LIMIT - 1 - len(line)) + "\n"
+        path.write_bytes(gzip.compress(line.encode("ascii") + "".join(enc + "\n" for enc in B2).encode("ascii")))
+        assert load_basis(path, 2) == B2
+
+
+def rewritten_body(path, n, edit):
+    """Rewrite a saved cache file with its header kept and ``edit`` applied
+    to the bytes of its body, so the header still names the walk's hash."""
+    with gzip.open(path, "rb") as fh:
+        header = fh.readline()
+        body = fh.read()
+    path.write_bytes(gzip.compress(header + edit(body)))
+
+
+class TestRunWiseLoad:
+    """The body is compared with the walk's text RUN lines at a time, here
+    seven, so that n = 4 and n = 5 files span many runs."""
+
+    @pytest.fixture(params=[4, 5])
+    def saved(self, request, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "RUN", 7)
+        n = request.param
+        lines = basis_encodings(n)
+        path = cache_path(tmp_path, n)
+        save_basis(path, n, lines)
+        # byte offsets at which the second and the last full run start
+        starts = [sum(len(line) + 1 for line in lines[:k]) for k in (7, 7 * (len(lines) // 7 - 1))]
+        return path, n, lines, starts
+
+    def test_saved_file_loads(self, saved):
+        path, n, lines, _ = saved
+        assert load_basis(path, n) == lines
+
+    @pytest.mark.parametrize("boundary", [0, 1], ids=["second_run", "last_full_run"])
+    @pytest.mark.parametrize("side", [-1, 0], ids=["before", "after"])
+    def test_one_byte_changed_at_a_run_boundary(self, saved, boundary, side):
+        path, n, _, starts = saved
+        at = starts[boundary] + side
+        rewritten_body(path, n, lambda body: body[:at] + bytes([body[at] ^ 0x01]) + body[at + 1 :])
+        with pytest.raises(CacheError, match="canonical order"):
+            load_basis(path, n)
+
+    def test_body_truncated_at_a_run_boundary(self, saved):
+        path, n, _, starts = saved
+        rewritten_body(path, n, lambda body: body[: starts[1]])
+        with pytest.raises(CacheError, match="canonical order"):
+            load_basis(path, n)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body.replace(b"\n", b"\r\n", 1),
+            lambda body: body[:100] + b"\xe9" + body[101:],
+        ],
+        ids=["crlf_line", "non_ascii_byte"],
+    )
+    def test_damaged_line_refused(self, saved, edit):
+        path, n, _, _ = saved
+        rewritten_body(path, n, edit)
+        with pytest.raises(CacheError, match="canonical order"):
+            load_basis(path, n)
+
+    def test_extra_line_refused(self, saved):
+        path, n, lines, _ = saved
+        rewritten_body(path, n, lambda body: body + lines[-1].encode("ascii") + b"\n")
+        with pytest.raises(CacheError, match="lines after"):
+            load_basis(path, n)
+
+    def test_trailing_garbage_after_the_gzip_member_refused(self, saved):
+        path, n, _, _ = saved
+        with open(path, "ab") as fh:
+            fh.write(b"garbage")
+        with pytest.raises(CacheError, match="cannot read cache file"):
+            load_basis(path, n)
+
+    def test_no_read_asks_for_more_than_one_run(self, saved, monkeypatch):
+        path, n, lines, _ = saved
+        sizes = []
+        read = gzip.GzipFile.read
+
+        def recorded(self, size=-1):
+            sizes.append(size)
+            return read(self, size)
+
+        monkeypatch.setattr(gzip.GzipFile, "read", recorded)
+        assert load_basis(path, n) == lines
+        longest = max(sum(len(line) + 1 for line in lines[k : k + 7]) for k in range(0, len(lines), 7))
+        assert len(sizes) == -(-len(lines) // 7) + 1
+        assert all(0 < size <= longest for size in sizes)
 
 
 def run_cli(capsys, *argv):
@@ -1231,9 +1362,11 @@ class TestLeanPath:
         # a numeric request over its dense budget is refused before numpy loads
         assert seen[5:7] == [[3, False, False, False, []]] * 2
         # dims compares with the oracle's closed form.  Once loaded, numpy
-        # stays; what it loads is its own
+        # stays; what it loads is its own, but fractions is not among it,
+        # and ybe takes its median without the statistics module
         assert seen[7] == [0, False, False, True, []]
         assert [row[:4] for row in seen[8:]] == [[0, True, False, True]] * 2
+        assert all("fractions" not in row[4] for row in seen[8:])
 
     def test_every_export_resolves(self):
         star: dict = {}
@@ -1425,6 +1558,20 @@ class TestJsonWriter:
         expect = {"a": "".join(pieces), "b": ["", "", 1], "c": "".join(pieces[::-1])}
         got = "".join(cli._json_chunks(value, ""))
         assert got == json.dumps(expect, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("string_run", [cli.STRING_RUN, 3, 1])
+    def test_string_lists_with_and_without_escapes(self, monkeypatch, string_run):
+        # a run of plain strings is joined as it is, any other run escaped
+        monkeypatch.setattr(cli, "STRING_RUN", string_run)
+        plain = ["", "plain", "1*dr^2*db^0 + -1*dr^0*db^0", " ~ ", "'single' quotes/slash"]
+        awkward = ['a "quote"', "back\\slash", "nul \x00", "tab\t", "line\n", "del \x7f", "caf\u00e9", "\U0001f600"]
+        value = {
+            "plain": plain,
+            "awkward": awkward,
+            "mixed": [plain[: k % 5] + [x] + plain[k % 5 :] for k, x in enumerate(awkward)],
+            "empties": ["", "", ""],
+        }
+        assert "".join(cli._json_chunks(value, "")) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_unserialisable_values_are_refused(self):
         with pytest.raises(TypeError):
