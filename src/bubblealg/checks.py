@@ -297,9 +297,9 @@ def _check_transfer(size: int, seed: int) -> CheckResult:
     )
 
 
-def _check_localisation(size: int, seed: int) -> CheckResult:
+def _check_localisation(size: int) -> CheckResult:
     for n in range(2, size + 1):
-        rep = localisation_report(n, seed=seed)
+        rep = localisation_report(n)
         if not rep.holds:
             return CheckResult(
                 "localisation", False, f"n={n}: rank {rep.rank}, expected {rep.expected}"
@@ -364,7 +364,7 @@ def run_checks(size: int = 4, seed: int = 20260822, quick: bool = False) -> list
         ("yang_baxter", lambda: _check_ybe(seed, sweep_count)),
         ("unitarity", lambda: _check_unitarity(seed, sweep_count)),
         ("transfer_commute", lambda: _check_transfer(size, seed)),
-        ("localisation", lambda: _check_localisation(size, seed)),
+        ("localisation", lambda: _check_localisation(size)),
         ("restriction", lambda: _check_restriction(size)),
         ("cyclic_span", lambda: _check_cyclic_span(size)),
     ]

@@ -19,9 +19,6 @@ each entry is packed into one Python int by Kronecker substitution, so
 the elimination runs on CPython's big-integer arithmetic and only the
 determinant is unpacked.  ``divexact`` divides polynomials exactly; the
 ``psi_k`` factors of the Chebyshev numbers in ``stdmod`` are its caller.
-``eval_mod`` and ``rank_mod`` evaluate polynomials and take ranks over
-GF(PRIME) at a point: a rank there never exceeds the generic rank, and at
-a random point it falls below with probability at most degree / PRIME.
 """
 
 from __future__ import annotations
@@ -389,34 +386,3 @@ def poly_det(m: PolyMatrix) -> LaurentPoly:
     return LaurentPoly._raw(
         {(k % k_db + low_a, k // k_db + low_b): c for k, c in det.items()}
     )
-
-
-PRIME = 2**61 - 1
-
-
-def eval_mod(p: LaurentPoly, dr: int, db: int) -> int:
-    """Value of p at (dr, db) in GF(PRIME); a negative exponent needs a nonzero base."""
-    return sum(c * pow(dr, a, PRIME) * pow(db, b, PRIME) for (a, b), c in p._terms.items()) % PRIME
-
-
-def rank_mod(rows: Iterable[Mapping[int, int]]) -> int:
-    """Rank over GF(PRIME) of sparse rows {column: value}, by row elimination.
-
-    Each stored pivot row is scaled to 1 at its smallest column, so
-    reducing a row by it only adds larger columns and always ends.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        work = {col: v % PRIME for col, v in row.items() if v % PRIME}
-        while work:
-            col = min(work)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(work[col], -1, PRIME)
-                pivots[col] = {c: v * inv % PRIME for c, v in work.items()}
-                break
-            f = work[col]
-            for c, v in pivot.items():
-                work[c] = (work.get(c, 0) - f * v) % PRIME
-            work = {c: v for c, v in work.items() if v}
-    return len(pivots)

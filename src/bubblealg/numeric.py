@@ -44,13 +44,15 @@ def transfer_bytes(n: int, kind: str = "bubble") -> int:
 
 
 def _resolve(q: complex, name: str) -> tuple[complex, complex]:
-    if not cmath.isfinite(q):
-        raise ValueError(f"q_{name} must be finite, got {q}")
     t = cmath.sqrt(q)
-    if t == 0:
+    # store the square of t so t*t == q holds exactly from here on; the
+    # square can overflow although q did not, and 1/q does for a tiny q
+    stored = t * t
+    if stored == 0:
         raise ValueError(f"q_{name} must be invertible")
-    # store the square of t so t*t == q holds exactly from here on
-    return t * t, t
+    if not (cmath.isfinite(stored) and cmath.isfinite(stored + 1 / stored)):
+        raise ValueError(f"q_{name} and its loop weight q + 1/q must be finite, got {q}")
+    return stored, t
 
 
 class NumericParams:

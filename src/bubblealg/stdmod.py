@@ -46,10 +46,10 @@ numpy.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache, cached_property, lru_cache
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .basis import (
@@ -65,24 +65,21 @@ from .diagram import (
     COLOUR_CHARS,
     RED,
     Diagram,
-    Element,
     SizeMismatchError,
     endpoint_arrays,
     glue,
-    white_generator,
+    make_diagram,
+    products,
 )
 from .exactpoly import (
     DR,
-    PRIME,
     ZERO,
     LaurentPoly,
     PolyMatrix,
     _pack,
     _unpack,
     divexact,
-    eval_mod,
     poly_det,
-    rank_mod,
 )
 
 # ---------------------------------------------------------------------------
@@ -455,30 +452,27 @@ def cyclic_span_report(n: int, i: int, j: int, basis: list[Diagram] | None = Non
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
 
 
-RANK_POINTS = 2
-
-
-def localisation_report(n: int, seed: int = 20260822) -> SpanReport:
+def localisation_report(n: int) -> SpanReport:
     """Rank of the corner algebra cut out by one all-colours cup-cap.
 
-    Sandwiching the basis between two copies of the leftmost cup-cap
-    spans a space of dimension equal to the basis two sizes down.  The
-    rank is taken over GF(PRIME) at RANK_POINTS seeded random points, which
-    must agree: such a rank never exceeds the generic one and falls
-    below it with probability at most degree / PRIME.
+    The cup-cap e at points 1, 2 is U·V, with U the cups (n over n - 2)
+    and V the caps (n - 2 over n), each summed over all colourings.  For
+    d in B_n, V·d·U is zero or a monomial times one closure x, d with
+    points 1, 2 capped north and south, and the U·x·V of distinct x share
+    no diagram, so the rank of e·B_n·e is the number of distinct
+    closures.  It should be the size of the basis two sizes down.
     """
     if n < 2:
         raise ValueError("needs at least two strands")
-    e = white_generator(n, 1)
-    basis = enumerate_basis(n)
-    index = {d: k for k, d in enumerate(basis)}
-    rows = [{index[dd]: c for dd, c in (e * Element.from_diagram(d) * e).items()} for d in basis]
-    rng = random.Random(seed)
-    points = [(rng.randrange(1, PRIME), rng.randrange(1, PRIME)) for _ in range(RANK_POINTS)]
-    ranks = {rank_mod({k: eval_mod(c, *pt) for k, c in row.items()} for row in rows) for pt in points}
-    if len(ranks) != 1:
-        raise ArithmeticError(f"generic rank estimates disagree: {sorted(ranks)}")
-    return SpanReport(n, None, ranks.pop(), walk_count(2 * n - 4, 0, 0))
+    caps, cups = [], []
+    for c, *word in product((RED, BLUE), repeat=n - 1):
+        lines = list(enumerate(word, 1))
+        caps.append(make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines]))
+        cups.append(make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines]))
+    # many d share d·U, so each distinct one is capped once
+    cupped = {du for *_, du in products(enumerate_basis(n), cups)}
+    closures = {x for *_, x in products(caps, cupped)}
+    return SpanReport(n, None, len(closures), walk_count(2 * n - 4, 0, 0))
 
 
 # ---------------------------------------------------------------------------

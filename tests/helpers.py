@@ -1,8 +1,9 @@
 """Shared test oracles, coded independently of the paths they check, and
 the tools that only the tests use: the brute-force enumeration of
 coloured diagrams, one-colour diagrams and their union-find composition,
-diagram builders, cutting and joining halves, module matrices, matrix products over the loop ring, element
-matrices in the spin chain and the perturbed Yang-Baxter probe."""
+diagram builders, cutting and joining halves, module matrices, matrix
+products over the loop ring, ranks over GF(2^61 - 1), element matrices
+in the spin chain and the perturbed Yang-Baxter probe."""
 
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from bubblealg.basis import HalfDiagram, enumerate_bras, make_half
+from bubblealg.basis import HalfDiagram, enumerate_basis, enumerate_bras, make_half
 from bubblealg.diagram import (
     BLUE,
     COLOUR_CHARS,
@@ -24,6 +25,7 @@ from bubblealg.diagram import (
     make_diagram,
     propagating_index,
     straight_diagram,
+    white_generator,
 )
 from bubblealg.exactpoly import ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.spinchain import SITE_STATES, NumericParams, diagram_matrix
@@ -612,6 +614,57 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             for r in range(b.rows)
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# ranks over GF(PRIME): a rank there never exceeds the generic rank, and at
+# a random point it falls below with probability at most degree / PRIME
+
+PRIME = 2**61 - 1
+
+
+def eval_mod(p: LaurentPoly, dr: int, db: int) -> int:
+    """Value of p at (dr, db) in GF(PRIME); a negative exponent needs a nonzero base."""
+    return sum(c * pow(dr, a, PRIME) * pow(db, b, PRIME) for (a, b), c in p._terms.items()) % PRIME
+
+
+def rank_mod(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over GF(PRIME) of sparse rows {column: value}, by row elimination.
+
+    Each stored pivot row is scaled to 1 at its smallest column, so
+    reducing a row by it only adds larger columns and always ends.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {col: v % PRIME for col, v in row.items() if v % PRIME}
+        while work:
+            col = min(work)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(work[col], -1, PRIME)
+                pivots[col] = {c: v * inv % PRIME for c, v in work.items()}
+                break
+            f = work[col]
+            for c, v in pivot.items():
+                work[c] = (work.get(c, 0) - f * v) % PRIME
+            work = {c: v for c, v in work.items() if v}
+    return len(pivots)
+
+
+def localisation_rank_reference(n: int, seed: int) -> int:
+    """Rank of e·B_n·e, e the all-colours cup-cap at points 1, 2, with no
+    closure argument: the row of each triple product e·d·e over B_n, as
+    ``Element`` products, ranked over GF(PRIME) at two seeded random
+    points whose ranks must agree."""
+    e = white_generator(n, 1)
+    basis = enumerate_basis(n)
+    index = {d: k for k, d in enumerate(basis)}
+    rows = [{index[x]: c for x, c in (e * Element.from_diagram(d) * e).items()} for d in basis]
+    rng = random.Random(seed)
+    points = [(rng.randrange(1, PRIME), rng.randrange(1, PRIME)) for _ in range(2)]
+    ranks = {rank_mod({k: eval_mod(c, *pt) for k, c in row.items()} for row in rows) for pt in points}
+    assert len(ranks) == 1, f"ranks at two random points disagree: {sorted(ranks)}"
+    return ranks.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_criterion_09_transfer_matrices():
 
 
 def test_criterion_10_structure_checks():
-    ok = all(localisation_report(n, seed=SEED).holds for n in (2, 3, 4))
+    ok = all(localisation_report(n).holds for n in (2, 3, 4))
     for n in range(1, 7):
         for i, j in standard_labels(n):
             ok = ok and restriction_report(n, i, j).holds

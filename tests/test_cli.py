@@ -1043,7 +1043,9 @@ class TestRequestLimits:
                 front_end(-1)
         assert enumerate_basis(0) == [Diagram(0, 0, ())]
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
+    @pytest.mark.parametrize(
+        "bad", ["nan", "inf", "-inf", "nan+1j", "1+infj", "1e-320", "1.7e308+1.7e308j"]
+    )
     def test_non_finite_parameter_is_usage_error(self, capsys, bad):
         for flags in (["--qr", bad, "--qb", "3"], ["--qr", "2", "--qb", bad]):
             code, out = run_cli(capsys, "rep", "--n", "2", *flags, "--check")

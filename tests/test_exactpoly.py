@@ -8,18 +8,24 @@ from bubblealg.exactpoly import (
     DB,
     DR,
     ONE,
-    PRIME,
     ZERO,
     LaurentPoly,
     PolyMatrix,
     _pack,
     _unpack,
     divexact,
-    eval_mod,
     poly_det,
+)
+from helpers import (
+    PRIME,
+    cofactor_det,
+    eval_mod,
+    evaluate,
+    matmul,
+    random_monomial,
+    random_poly,
     rank_mod,
 )
-from helpers import cofactor_det, evaluate, matmul, random_monomial, random_poly
 
 
 def test_additive_identity():

@@ -16,6 +16,7 @@ from helpers import (
     expanded_det,
     expanded_root_input,
     kron,
+    localisation_rank_reference,
     match_special_value,
     matmul,
     mirror,
@@ -461,12 +462,29 @@ class TestRestrictionAndSpans:
         rep = localisation_report(5)
         assert (rep.rank, rep.expected) == (70, 70)
         assert rep.expected == len(enumerate_basis(3))
+        rep = localisation_report(6)
+        assert (rep.rank, rep.expected) == (588, 588)
 
-    def test_localisation_ranks_must_agree(self, monkeypatch):
-        ranks = iter([10, 9])
-        monkeypatch.setattr(stdmod, "rank_mod", lambda rows: next(ranks))
-        with pytest.raises(ArithmeticError):
-            localisation_report(4)
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_localisation_rank_matches_the_gf_reference(self, n):
+        assert localisation_report(n).rank == localisation_rank_reference(n, seed=20260822)
+
+    def test_closures_capped_only_north_miss(self, monkeypatch):
+        # caps of one colour alone would still reach every closure, so
+        # the mutation leaves the south edge open instead: each d of B_n
+        # passes the cups unglued and only its north edge is capped
+        glue_all = stdmod.products
+
+        def north_only(left, right):
+            left = list(left)
+            # B_n, the one square left factor, is the one put on the cups
+            if left[0].n_north == left[0].n_south:
+                return ((d, None, 0, 0, d) for d in left)
+            return glue_all(left, right)
+
+        monkeypatch.setattr(stdmod, "products", north_only)
+        for n in range(3, 6):
+            assert not localisation_report(n).holds
 
 
 class TestRootScan:
