@@ -29,6 +29,9 @@ diagrams on n points with (i, j) propagating lines of the two colours
 equals the number of n-step walks from the origin to (i, j) using unit
 steps in the four axis directions while staying in the closed positive
 quadrant.  The full diagram basis has size walk_count(2n, 0, 0).
+``walk_count`` takes that number from its product formula of factorials,
+so no count here walks a lattice, recurses or keeps a cache, and any n
+the size guard admits costs a few big-integer products.
 
 ``enumerate_basis`` builds valid diagrams and skips the validity rule
 ``diagram.check_matching`` (``Diagram._raw``); ``enumerate_bras``,
@@ -43,8 +46,9 @@ it as an interleave or a count mismatch.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
+from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -79,41 +83,18 @@ def _guard(points: int, max_n: int) -> None:
 
 
 def walk_count(n: int, i: int, j: int) -> int:
-    """Quadrant walks of length n from the origin to (i, j), axis steps only."""
+    """Quadrant walks of length n from the origin to (i, j), axis steps only.
+
+    With a = (n - i - j) / 2 steps that cancel, the count is the product
+    (i + 1)(j + 1) n! (n + 2)! / (a! (a + i + 1)! (a + j + 1)! (a + i + j + 2)!)
+    of Guy, Krattenthaler and Sagan, Ars Combin. 34 (1992).
+    """
     if i < 0 or j < 0 or n < 0 or i + j > n or (n - i - j) % 2:
         return 0
-    # B_n's size asks for the corner alone, a module dimension for a layer
-    return _walk_layer(n, 0 if i == j == 0 else n)[i][j]
-
-
-@lru_cache(maxsize=None)
-def _walk_layer(n: int, top: int) -> list[list[int]]:
-    """Counts of the quadrant walks of length n from the origin, as
-    ``rows[i][j]`` for the ends (i, j) with i + j <= top.
-
-    The layers are built a step at a time by the recurrence: a walk ends
-    at (i, j) after one step from one of its four neighbours.  After m
-    steps only the points with i + j <= min(m, top + n - m) are kept, the
-    ones that the remaining n - m steps can still bring to a kept end.
-    No recursion, so any n the size guard admits is counted.
-    """
-    rows = [[1]]
-    for m in range(1, n + 1):
-        hi = min(m, top + n - m)
-        # the last layer with a zero border, every row hi + 3 wide, and
-        # two zero rows below it so that rows i - 1 and i + 1 always exist
-        zero = [0] * (hi + 3)
-        pad = [[0, *row] + [0] * (hi + 2 - len(row)) for row in rows]
-        pad += [zero] * (hi + 2 - len(pad))
-        below = [zero, *pad]
-        rows = [
-            [
-                a + b + c + d
-                for a, b, c, d in zip(below[i][1 : hi - i + 2], pad[i + 1][1:], pad[i], pad[i][2:])
-            ]
-            for i in range(hi + 1)
-        ]
-    return rows
+    a = (n - i - j) // 2
+    num = (i + 1) * (j + 1) * factorial(n) * factorial(n + 2)
+    den = factorial(a) * factorial(a + i + 1) * factorial(a + j + 1) * factorial(a + i + j + 2)
+    return num // den
 
 
 def standard_labels(n: int) -> list[tuple[int, int]]:
@@ -240,7 +221,7 @@ def basis_encodings(n: int, max_n: int = DEFAULT_MAX_N) -> list[str]:
 
 class RankIdentity(NamedTuple):
     """Comparison of the basis size with the sum of squared module
-    dimensions and with the walk total, three independent formulas."""
+    dimensions and with the walk total, three different formulas."""
 
     n: int
     basis_size: int
@@ -362,9 +343,6 @@ class HalfDiagram(_HalfDiagramFields):
         """Endpoint arrays mirrored top to bottom: i + j over n points."""
         cuts = sum(self.propagating)
         return endpoint_arrays(self.n + cuts, self._view(cuts, 0))
-
-    def cuts(self, c: int) -> tuple[int, ...]:
-        return self.red_cuts if c == RED else self.blue_cuts
 
     def encode(self) -> str:
         body = ";".join(map(pair_text, self.arcs))

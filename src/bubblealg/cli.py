@@ -403,7 +403,8 @@ def cmd_rep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"could not parse a colour parameter: {exc}") from exc
     params = NumericParams(q_r=q_r, q_b=q_b)
-    # the size guard first: the budget's count recurses about 2n deep
+    # the size guard first: the budget's count multiplies factorials of
+    # up to 2n + 2, which grow with n
     _check_size(args.n, args.max_n)
     # the size is in closed form; only the check and the listing need B_n,
     # their matrices and numpy

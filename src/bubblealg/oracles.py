@@ -5,8 +5,9 @@ than the corresponding engine code: counts come from closed formulas,
 and one-colour half diagrams and their pairing from a plain recursion
 and union-find contraction.  Tests compare engine output against these
 routes; the command line check subcommand reuses them.  The brute-force
-enumeration of coloured diagrams and one-colour composition, which only
-the tests call, live in ``tests/helpers.py``.
+enumeration of coloured diagrams, one-colour composition and the ballot
+count of one-colour half diagrams, which only the tests call, live in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ def catalan(n: int) -> int:
 def bubble_basis_count(n: int) -> int:
     """Closed form for the number of two-colour diagrams on n + n points."""
     return sum(comb(2 * n, 2 * k) * catalan(k) * catalan(n - k) for k in range(n + 1))
-
-
-def tl_halfdiagram_count(n: int, defects: int) -> int:
-    """Ballot count of one-colour half diagrams with the given defect number."""
-    if defects < 0 or defects > n or (n - defects) % 2:
-        return 0
-    m = (n - defects) // 2
-    return comb(n, m) - (comb(n, m - 1) if m >= 1 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,9 @@ def homomorphism_report(
     each vanishes outside its (north word x south word) block; so each
     matrix's largest entry outside its block covers the zero pairs.
     ``basis`` must be all of B_n, since every product lands in it and
-    takes its matrix from there.
+    takes its matrix from there.  A loop weight so large or small that a
+    product overflows float64 raises ValueError, as float64 cannot show
+    the homomorphism there.
     """
     if basis is None:
         from .basis import enumerate_basis
@@ -169,7 +171,14 @@ def homomorphism_report(
         outside[np.ix_(rows, cols)] = 0
         residuals.append(np.abs(outside).max())
     delta_r, delta_b = params.delta_r, params.delta_b
-    for a, b, lr, lb, d in products(basis, basis):
-        diff = delta_r**lr * delta_b**lb * mats[d] - mats[a] @ mats[b]
-        residuals.append(np.abs(diff).max())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for a, b, lr, lb, d in products(basis, basis):
+                diff = delta_r**lr * delta_b**lb * mats[d] - mats[a] @ mats[b]
+                residuals.append(np.abs(diff).max())
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"the matrix products at n={n} overflow float64 at these loop weights ({exc}), "
+            "so the check cannot show the homomorphism"
+        ) from exc
     return HomomorphismReport(n, len(basis) ** 2, float(np.max(residuals, initial=0.0)))

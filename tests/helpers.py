@@ -1,9 +1,10 @@
 """Shared test oracles, coded independently of the paths they check, and
 the tools that only the tests use: the brute-force enumeration of
-coloured diagrams, one-colour diagrams and their union-find composition,
-diagram builders, cutting and joining halves, module matrices, matrix
-products over the loop ring, ranks over GF(2^61 - 1), element matrices
-in the spin chain and the perturbed Yang-Baxter probe."""
+coloured diagrams, one-colour diagrams, their ballot count and their
+union-find composition, diagram builders, cutting and joining halves,
+module matrices, matrix products over the loop ring, ranks over
+GF(2^61 - 1), element matrices in the spin chain and the perturbed
+Yang-Baxter probe."""
 
 from __future__ import annotations
 
@@ -182,6 +183,14 @@ def brute_walk_count(n: int, i: int, j: int) -> int:
             if x2 >= 0 and y2 >= 0:
                 stack.append((step + 1, x2, y2))
     return count
+
+
+def tl_halfdiagram_count(n: int, defects: int) -> int:
+    """Ballot count of one-colour half diagrams with the given defect number."""
+    if defects < 0 or defects > n or (n - defects) % 2:
+        return 0
+    m = (n - defects) // 2
+    return math.comb(n, m) - (math.comb(n, m - 1) if m >= 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +507,11 @@ def cut_diagram(d: Diagram) -> tuple[HalfDiagram, HalfDiagram]:
     return bra, ket
 
 
+def cuts_of(bra: HalfDiagram, c: int) -> tuple[int, ...]:
+    """The frame points of the cuts of colour c."""
+    return bra.red_cuts if c == RED else bra.blue_cuts
+
+
 def join_halves(bra: HalfDiagram, ket: HalfDiagram) -> Diagram:
     """Rebuild the diagram whose northern half is ``bra`` and southern ``ket``."""
     if bra.propagating != ket.propagating:
@@ -506,7 +520,7 @@ def join_halves(bra: HalfDiagram, ket: HalfDiagram) -> Diagram:
     pairs = list(bra.arcs)
     pairs += [(p + nn, q + nn, c) for p, q, c in ket.arcs]
     for c in (RED, BLUE):
-        pairs += [(p, q + nn, c) for p, q in zip(bra.cuts(c), ket.cuts(c))]
+        pairs += [(p, q + nn, c) for p, q in zip(cuts_of(bra, c), cuts_of(ket, c))]
     return make_diagram(nn, ket.n, pairs)
 
 
@@ -519,7 +533,7 @@ def add_line(bra: HalfDiagram, c: int) -> HalfDiagram:
 
 def turn_back(bra: HalfDiagram, c: int) -> HalfDiagram:
     """Append a frame point and bend the last cut of colour c onto it."""
-    cuts = bra.cuts(c)
+    cuts = cuts_of(bra, c)
     if not cuts:
         raise ValueError("no cut of that colour to turn back")
     t = cuts[-1]
@@ -584,7 +598,7 @@ def split_by_colour(bra: HalfDiagram) -> tuple[
         points = [k for k in range(1, bra.n + 1) if colour[k] == c]
         rank = {p: r + 1 for r, p in enumerate(points)}
         arcs = tuple(sorted((rank[p], rank[q]) for p, q, cc in bra.arcs if cc == c))
-        defects = tuple(rank[t] for t in bra.cuts(c))
+        defects = tuple(rank[t] for t in cuts_of(bra, c))
         out.append((arcs, defects))
     return out[0], out[1]
 

@@ -225,12 +225,13 @@ class TestDimensions:
                     assert walk_count(n, i, j) == brute_walk_count(n, i, j)
 
     def test_total_is_closed_form(self):
-        for n in range(0, 7):
+        for n in range(0, 61):
             assert walk_count(2 * n, 0, 0) == bubble_basis_count(n)
 
     def test_deep_walks_need_no_recursion(self):
-        # the count goes layer by layer, so far past a lowered recursion
-        # limit it still agrees with the closed form and the squared dims
+        # the count is a product of factorials, not a recursion, so far
+        # past a lowered recursion limit it still agrees with the closed
+        # form and the squared dims
         probe = (
             "import sys\n"
             "from bubblealg.basis import standard_labels, walk_count\n"
@@ -425,7 +426,9 @@ class TestHalfDiagrams:
             restrict_bra(make_half(0, []))
 
     def test_restriction_realises_walk_recursion(self):
-        for n in range(1, 7):
+        # walk_count alone, no bras: each end is reached in one step from
+        # one of its four neighbours
+        for n in range(1, 41):
             for i, j in standard_labels(n):
                 neighbours = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
                 total = sum(walk_count(n - 1, a, b) for a, b in neighbours if a >= 0 and b >= 0)

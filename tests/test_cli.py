@@ -1051,6 +1051,29 @@ class TestRequestLimits:
             code, out = run_cli(capsys, "rep", "--n", "2", *flags, "--check")
             assert (code, out) == (2, "")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "rep --n 2 --qr 1e200 --qb 1 --check",
+            "rep --n 2 --qr 1e-300 --qb 1 --check",
+            "rep --n 3 --qr 1e-200 --qb 1 --check",
+        ],
+    )
+    def test_float_overflow_in_the_check_is_usage_error(self, capsys, argv):
+        # the loop weight is finite, but the matrix products overflow
+        # float64, which then cannot show whether the homomorphism holds
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"n={argv.split()[2]}" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_loop_weight_is_still_checked(self, capsys):
+        code, out = run_cli(capsys, "rep", "--n", "2", "--qr", "1e100", "--qb", "1", "--check")
+        assert code == 0
+        assert json.loads(out)["check"]["passed"] is True
+
     @pytest.fixture
     def nothing_dense(self, monkeypatch):
         """Make building any dense matrix raise at once, so a request the
@@ -1082,8 +1105,8 @@ class TestRequestLimits:
         assert run_cli(capsys, *argv.split()) == (3, "")
 
     def test_size_guard_runs_before_the_dense_count(self, capsys):
-        # the dense budget counts B_n with the recursive walk_count, about
-        # 2n deep, so an n far past the guard must be refused first
+        # the dense budget counts B_n with walk_count, whose factorials
+        # grow with n, so an n far past the guard must be refused first
         code = main("rep --n 400 --qr 2 --qb 2 --check".split())
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")

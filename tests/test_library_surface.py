@@ -4,12 +4,12 @@ Every module-level function and class in ``src/bubblealg`` is either
 exported in ``bubblealg.__all__`` or referenced by name somewhere in the
 package outside its own definition; module dunders, which Python calls
 itself, count as used.  Code that only the tests call lives
-in ``tests/helpers.py``.  ``oracles.py`` is exempt: its independent
-routes stay in the package beside the code they check.
+in ``tests/helpers.py``.  This holds for ``oracles.py`` too: an
+independent route stays in the package only while package code, such as
+``rank_identity`` or the ``check`` suite, calls it.
 
 Every module-level import is read in its own module or exported, so an
-import left behind when its last use goes is caught; this holds for
-``oracles.py`` too.
+import left behind when its last use goes is caught.
 
 No module-level or class-level name in the package or the tests is
 defined twice, since the later definition silently shadows the first:
@@ -32,7 +32,6 @@ import bubblealg
 
 PACKAGE = Path(bubblealg.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-EXEMPT = {"oracles.py"}
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 needs_tracer = pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is absent")
 
@@ -54,8 +53,6 @@ def unused_definitions(package: Path) -> list[str]:
                     uses.setdefault(node.attr, []).append(owner)
     unused = []
     for module, tree in trees.items():
-        if module in EXEMPT:
-            continue
         for top in tree.body:
             if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue

@@ -9,10 +9,9 @@ from bubblealg.oracles import (
     catalan,
     tl_bras,
     tl_gram_exponents,
-    tl_halfdiagram_count,
     tl_inner_exponent,
 )
-from helpers import brute_force_bubble_encodings, tl_compose, tl_diagrams
+from helpers import brute_force_bubble_encodings, tl_compose, tl_diagrams, tl_halfdiagram_count
 
 
 def test_catalan_values():

@@ -23,6 +23,7 @@ from helpers import (
     psi_product_reference,
     rep_matrix,
     split_by_colour,
+    tl_halfdiagram_count,
 )
 
 from bubblealg import stdmod
@@ -45,7 +46,7 @@ from bubblealg.diagram import (
 )
 from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix, poly_det
-from bubblealg.oracles import tl_bras, tl_halfdiagram_count
+from bubblealg.oracles import tl_bras
 from bubblealg.stdmod import (
     GramDetReport,
     GramRootScan,
