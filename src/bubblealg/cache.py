@@ -21,21 +21,24 @@ same runs.  A file that passes is byte for byte what a miss writes, so
 a hit returns the walk's own list and never decodes a line.  Loads are
 strict: a file that fails any check, or whose gzip stream is damaged,
 raises CacheError rather than silently re-enumerating, since a corrupt
-cache usually means something else went wrong.
+cache usually means something else went wrong.  A save that cannot make
+the directory or write the file raises CacheError too.
+
+Only a listing reads a file.  |B_n| is walk_count(2n, 0, 0) in closed
+form, so ``cached_basis`` asked for no listing fills a missing file and
+leaves one that is there unopened.  gzip, hashlib and zlib are imported
+by the functions that read or write, so such a hit loads none of them.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
 import io
 import json
 import os
-import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
-from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
+from .basis import DEFAULT_MAX_N, _check_size, _guard, basis_encodings, walk_count
 
 CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
@@ -74,6 +77,8 @@ def _hashed_runs(encodings: list[str], digest) -> Iterator[list[str]]:
 
 def basis_digest(encodings: list[str]) -> str:
     """sha256 of the concatenated encodings, hashed ``RUN`` lines at a time."""
+    import hashlib
+
     digest = hashlib.sha256()
     for _ in _hashed_runs(encodings, digest):
         pass
@@ -87,9 +92,11 @@ def save_basis(path: str | Path, n: int, encodings: list[str]) -> list[str]:
     The data goes to a temporary file beside ``path`` that is then renamed
     over it, so an interrupted write leaves no partial file behind.  The
     gzip header holds no file name and time 0, so one basis always gives
-    the same bytes."""
+    the same bytes.  A directory that cannot be made, or a file that cannot
+    be written, is a CacheError."""
+    import gzip
+
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "count": len(encodings),
         "hash": basis_digest(encodings),
@@ -98,16 +105,20 @@ def save_basis(path: str | Path, n: int, encodings: list[str]) -> list[str]:
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as raw:
-            gz = gzip.GzipFile(filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0)
-            with io.TextIOWrapper(gz, encoding="ascii") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for start in range(0, len(encodings), RUN):
-                    fh.write("\n".join(encodings[start : start + RUN]) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as raw:
+                gz = gzip.GzipFile(filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0)
+                with io.TextIOWrapper(gz, encoding="ascii") as fh:
+                    fh.write(json.dumps(header, sort_keys=True) + "\n")
+                    for start in range(0, len(encodings), RUN):
+                        fh.write("\n".join(encodings[start : start + RUN]) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise CacheError(f"cannot write cache file {path}: {exc}") from exc
     return encodings
 
 
@@ -119,6 +130,10 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
     then the body is compared with the walk's text ``RUN`` lines at a time,
     as bytes, and the header hash with the digest of the walk's text.  A
     damaged gzip stream is a CacheError like any other bad file."""
+    import gzip
+    import hashlib
+    import zlib
+
     _guard(2 * n, max_n)
     path = Path(path)
     try:
@@ -148,19 +163,26 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
     return encodings
 
 
-def cached_basis(n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N) -> list[str]:
+def cached_basis(
+    n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N, listing: bool = True
+) -> list[str] | None:
     """The canonical encodings of B_n, read from the cache or written to it.
 
     A hit returns the list ``load_basis`` compared the file with; a miss
-    writes ``basis_encodings(n)``.  Neither builds a diagram.  With no
-    directory (argument or environment) the encodings are enumerated and
-    nothing is written.  The size guard applies before any file is read.
+    writes ``basis_encodings(n)``.  Neither builds a diagram.  With
+    ``listing`` false the caller needs only the file to be there, since
+    |B_n| is walk_count(2n, 0, 0) in closed form: a miss still writes it,
+    but a hit does not open it and gives None.  With no directory (an
+    empty or no argument, and nothing in the environment) the encodings
+    are enumerated and nothing is written.  The size guard applies before
+    any file is looked for.
     """
-    if cache_dir is None:
+    _check_size(n, max_n)
+    if not cache_dir:
         cache_dir = default_cache_dir()
     if cache_dir is None:
         return basis_encodings(n, max_n=max_n)
     path = cache_path(cache_dir, n)
     if path.exists():
-        return load_basis(path, n, max_n)
+        return load_basis(path, n, max_n) if listing else None
     return save_basis(path, n, basis_encodings(n, max_n=max_n))

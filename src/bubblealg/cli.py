@@ -39,7 +39,8 @@ if TYPE_CHECKING:
 # request loads only its own modules: numpy comes in only for rep --check
 # or --matrices, ybe and check, the requests that compute with float
 # arrays, and only once numeric has sized them (see _blas_threads); cache
-# only for a basis request that names a cache directory.  The package's
+# only for a basis request that names a cache directory, and gzip and
+# hashlib only once that request reads or writes a file.  The package's
 # records are named tuples and its samples text, so no request loads
 # dataclasses (and with it inspect) or fractions; only numpy brings
 # inspect in
@@ -267,16 +268,18 @@ def _label_rows(n: int) -> list[dict]:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    # with no cache and no listing only the count is needed, in closed form;
-    # the walk's checks still refuse a negative or oversized n.  The cache
+    # the total is walk_count(2n, 0, 0) in closed form, so only a listing
+    # reads B_n from a cache; a count that names one fills a missing file
+    # and leaves one that is there unopened.  The walk's checks, or
+    # cached_basis's, still refuse a negative or oversized n.  The cache
     # module, which resolves the directory itself, loads only when one is
-    # named, here or in the environment
-    named = args.cache_dir is not None or os.environ.get("BUBBLE_CACHE_DIR")
+    # named, here or in the environment; an empty name counts as none
+    named = args.cache_dir or os.environ.get("BUBBLE_CACHE_DIR")
     if named:
         from .cache import CacheError, cached_basis
 
         try:
-            lines = cached_basis(args.n, cache_dir=args.cache_dir, max_n=args.max_n)
+            lines = cached_basis(args.n, cache_dir=args.cache_dir, max_n=args.max_n, listing=args.diagrams)
         except CacheError as exc:
             print(f"cache error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -284,9 +287,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         lines = basis_encodings(args.n, max_n=args.max_n)
     else:
         _check_size(args.n, args.max_n)
-        lines = None
-    total = walk_count(2 * args.n, 0, 0) if lines is None else len(lines)
-    payload = {"n": args.n, "total": total, "strata": _label_rows(args.n)}
+    payload = {"n": args.n, "total": walk_count(2 * args.n, 0, 0), "strata": _label_rows(args.n)}
     if args.diagrams:
         payload["diagrams"] = lines
     _emit_json(payload)
@@ -552,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         default=None,
-        help="basis cache directory (default: $BUBBLE_CACHE_DIR if set, else no cache)",
+        help="basis cache directory, read only for --diagrams; a count fills a"
+        " missing file (default: $BUBBLE_CACHE_DIR if set, else no cache)",
     )
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource bound on n")
     p.set_defaults(func=cmd_basis)

@@ -198,12 +198,11 @@ class TestCache:
 
         monkeypatch.setattr(gzip, "GzipFile", FailingFile)
         path = cache_path(tmp_path, 2)
-        with pytest.raises(OSError):
+        with pytest.raises(CacheError, match="no space left on device"):
             save_basis(path, 2, B2)
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
         assert cached_basis(2, cache_dir=tmp_path) == [d.encode() for d in enumerate_basis(2)]
-
 
     def test_save_holds_no_copy_of_the_text(self, tmp_path):
         # hashing and writing go a bounded run of lines at a time, so the
@@ -431,12 +430,12 @@ class TestBasisCommand:
         path = cache_path(tmp_path, 2)
         with gzip.open(path, "wt", encoding="ascii") as fh:
             fh.write("garbage\n")
-        code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
+        code, _ = run_cli(capsys, "basis", "--n", "2", "--diagrams", "--cache-dir", str(tmp_path))
         assert code == 2
 
     def test_wrong_size_cache_is_a_usage_error(self, capsys, tmp_path):
         save_basis(cache_path(tmp_path, 3), 2, B2)
-        code, _ = run_cli(capsys, "basis", "--n", "3", "--cache-dir", str(tmp_path))
+        code, _ = run_cli(capsys, "basis", "--n", "3", "--diagrams", "--cache-dir", str(tmp_path))
         assert code == 2
 
     def test_cache_hit_still_hits_the_resource_bound(self, capsys, tmp_path):
@@ -446,7 +445,7 @@ class TestBasisCommand:
 
     def test_invalid_cached_diagram_is_a_usage_error(self, capsys, tmp_path):
         write_consistent_cache(tmp_path, 2, [INTERLEAVED])
-        code, _ = run_cli(capsys, "basis", "--n", "2", "--cache-dir", str(tmp_path))
+        code, _ = run_cli(capsys, "basis", "--n", "2", "--diagrams", "--cache-dir", str(tmp_path))
         assert code == 2
 
     @pytest.mark.parametrize("how", ["truncated", "flipped"])
@@ -464,6 +463,56 @@ class TestBasisCommand:
         code, out = run_cli(capsys, "basis", "--n", "2", "--diagrams", "--cache-dir", str(tmp_path))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("kind", ["garbage", "wrong_size", "truncated", "flipped"])
+    def test_count_only_request_leaves_a_cached_file_unread(self, capsys, tmp_path, kind):
+        # the count is walk_count(2n, 0, 0) in closed form, so a request
+        # without --diagrams never opens a file already in the cache; the
+        # listing request is the one that refuses it
+        path = cache_path(tmp_path, 4)
+        if kind == "garbage":
+            path.write_bytes(gzip.compress(b"garbage\n"))
+        elif kind == "wrong_size":
+            save_basis(path, 2, B2)
+        else:
+            save_basis(path, 4, basis_encodings(4))
+            damage(path, kind)
+        planted = path.read_bytes()
+        _, want = run_cli(capsys, "basis", "--n", "4")
+        code, out = run_cli(capsys, "basis", "--n", "4", "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert path.read_bytes() == planted
+        code, out = run_cli(capsys, "basis", "--n", "4", "--diagrams", "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("listing", [False, True], ids=["count", "listing"])
+    def test_cache_dir_that_cannot_be_written_is_a_cache_error(self, capsys, tmp_path, listing):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        flags = ("--diagrams",) * listing
+        code = main(["basis", "--n", "2", *flags, "--cache-dir", str(taken)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("cache error: cannot write cache file")
+        assert list(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("listing", [False, True], ids=["count", "listing"])
+    def test_empty_cache_dir_flag_is_no_cache(self, capsys, tmp_path, monkeypatch, listing):
+        # as an empty BUBBLE_CACHE_DIR already is; Path("") would be the
+        # current directory
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        flags = ("--diagrams",) * listing
+        _, want = run_cli(capsys, "basis", "--n", "2", *flags)
+        code, out = run_cli(capsys, "basis", "--n", "2", *flags, "--cache-dir", "")
+        assert (code, out) == (0, want)
+        assert list(tmp_path.iterdir()) == []
+        # an empty flag is not given, so the environment's directory is used
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "env"))
+        code, out = run_cli(capsys, "basis", "--n", "2", *flags, "--cache-dir", "")
+        assert (code, out) == (0, want)
+        assert list(tmp_path.iterdir()) == [tmp_path / "env"]
+        assert cache_path(tmp_path / "env", 2).exists()
 
     def test_golden_stdout_with_and_without_cache(self, capsys, tmp_path):
         # sha256 of stdout recorded before decode and load were made strict
@@ -584,6 +633,15 @@ class TestNoDiagramsBuilt:
         assert hit == miss
         assert len(json.loads(hit)["diagrams"]) == 588
 
+    def test_count_only_cache_hit_walks_nothing(self, capsys, tmp_path, nothing_walked):
+        # a planted file is not opened, let alone compared with a walk of B_8
+        path = cache_path(tmp_path, 8)
+        path.write_bytes(b"planted")
+        code, out = run_cli(capsys, "basis", "--n", "8", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["total"] == 6952660
+        assert path.read_bytes() == b"planted"
+
 
 class TestEnumerationGoldens:
     # sha256 of stdout recorded before dims, basis and the cache stopped
@@ -621,6 +679,17 @@ class TestEnumerationGoldens:
             code, out = run_cli(capsys, "basis", "--n", "6", "--diagrams", "--cache-dir", str(tmp_path))
             assert code == 0
             assert hashlib.sha256(out.encode("ascii")).hexdigest() == listing
+        written = hashlib.sha256(cache_path(tmp_path, 6).read_bytes()).hexdigest()
+        assert written == "d3b5872a12e3da06eae8a7e4d8e5f4dd3a71cda5499121aef295df66086de621"
+
+    def test_golden_count_only_miss_fills_the_file(self, capsys, tmp_path):
+        # a count-only miss still writes the file a listing miss writes
+        for _ in ("miss", "hit"):
+            code, out = run_cli(capsys, "basis", "--n", "6", "--cache-dir", str(tmp_path))
+            assert code == 0
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+                "f64f834010fc9ac2311ccb1ff3d4ec33abd2ca3e2e6e2f9427cc9d4ce8f885b4"
+            )
         written = hashlib.sha256(cache_path(tmp_path, 6).read_bytes()).hexdigest()
         assert written == "d3b5872a12e3da06eae8a7e4d8e5f4dd3a71cda5499121aef295df66086de621"
 
@@ -1357,6 +1426,21 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
+# Runs basis requests in one fresh interpreter and prints, for each, its
+# exit code and which of the cache's codec modules it brought in
+CODEC_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from bubblealg.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, [m for m in ("gzip", "hashlib", "zlib") if m in sys.modules and m not in before]])
+print(json.dumps(seen))
+"""
+
+
 class TestLeanPath:
     def test_numpy_loads_only_for_float_work(self):
         requests = [
@@ -1381,8 +1465,8 @@ class TestLeanPath:
         # roots off the psi_k table, and its records are named tuples and
         # its samples text, so none of them loads dataclasses, inspect or
         # fractions.  No request names a cache directory, so none loads the
-        # cache module, --diagrams included; basis and gram take no count
-        # from the oracle module
+        # cache module, --diagrams included (one that names a directory is
+        # probed below); basis and gram take no count from the oracle module
         assert seen[:5] == [[0, False, False, False, []]] * 5
         # a numeric request over its dense budget is refused before numpy loads
         assert seen[5:7] == [[3, False, False, False, []]] * 2
@@ -1392,6 +1476,18 @@ class TestLeanPath:
         assert seen[7] == [0, False, False, True, []]
         assert [row[:4] for row in seen[8:]] == [[0, True, False, True]] * 2
         assert all("fractions" not in row[4] for row in seen[8:])
+
+    def test_count_only_cache_hit_loads_no_codec(self, tmp_path):
+        # a count-only hit only looks for the file; a listing hit reads it
+        save_basis(cache_path(tmp_path, 3), 3, basis_encodings(3))
+        count = ["basis", "--n", "3", "--cache-dir", str(tmp_path)]
+        out = subprocess.run(
+            [sys.executable, "-c", CODEC_PROBE, json.dumps([count, [*count, "--diagrams"]])],
+            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        (count_code, count_loaded), (listing_code, listing_loaded) = json.loads(out)
+        assert (count_code, count_loaded) == (0, [])
+        assert listing_code == 0 and {"gzip", "hashlib"} <= set(listing_loaded)
 
     def test_every_export_resolves(self):
         star: dict = {}
