@@ -24,10 +24,10 @@ raises CacheError rather than silently re-enumerating, since a corrupt
 cache usually means something else went wrong.  A save that cannot make
 the directory or write the file raises CacheError too.
 
-Only a listing reads a file.  |B_n| is walk_count(2n, 0, 0) in closed
-form, so ``cached_basis`` asked for no listing fills a missing file and
-leaves one that is there unopened.  gzip, hashlib and zlib are imported
-by the functions that read or write, so such a hit loads none of them.
+This module only reads and writes files; ``cli.cmd_basis`` decides
+when, and only a listing reads one, since |B_n| is walk_count(2n, 0, 0)
+in closed form.  gzip, hashlib and zlib are imported by the functions
+that read or write, so a count that finds its file loads none of them.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ import os
 from collections.abc import Iterator
 from pathlib import Path
 
-from .basis import DEFAULT_MAX_N, _check_size, _guard, basis_encodings, walk_count
+from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
 
 CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
 COMPRESS_LEVEL = 6
-ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
 # lines hashed, written or compared at a time, so no copy of the whole
 # text is made
 RUN = 1024
@@ -54,12 +53,6 @@ HEADER_LIMIT = 4096
 
 class CacheError(RuntimeError):
     """A cache file is unreadable or inconsistent with its header."""
-
-
-def default_cache_dir() -> Path | None:
-    """Directory named by the environment override, if set."""
-    value = os.environ.get(ENV_CACHE_DIR)
-    return Path(value) if value else None
 
 
 def cache_path(cache_dir: str | Path, n: int) -> Path:
@@ -162,27 +155,3 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
         raise CacheError(f"cache {path} fails its content digest")
     return encodings
 
-
-def cached_basis(
-    n: int, cache_dir: str | Path | None = None, max_n: int = DEFAULT_MAX_N, listing: bool = True
-) -> list[str] | None:
-    """The canonical encodings of B_n, read from the cache or written to it.
-
-    A hit returns the list ``load_basis`` compared the file with; a miss
-    writes ``basis_encodings(n)``.  Neither builds a diagram.  With
-    ``listing`` false the caller needs only the file to be there, since
-    |B_n| is walk_count(2n, 0, 0) in closed form: a miss still writes it,
-    but a hit does not open it and gives None.  With no directory (an
-    empty or no argument, and nothing in the environment) the encodings
-    are enumerated and nothing is written.  The size guard applies before
-    any file is looked for.
-    """
-    _check_size(n, max_n)
-    if not cache_dir:
-        cache_dir = default_cache_dir()
-    if cache_dir is None:
-        return basis_encodings(n, max_n=max_n)
-    path = cache_path(cache_dir, n)
-    if path.exists():
-        return load_basis(path, n, max_n) if listing else None
-    return save_basis(path, n, basis_encodings(n, max_n=max_n))

@@ -16,7 +16,6 @@ import numpy as np
 
 from .basis import (
     DEFAULT_MAX_N,
-    ResourceLimitError,
     enumerate_basis,
     monochrome_straight_diagrams,
     rank_identity,
@@ -32,7 +31,7 @@ from .diagram import (
     white_generator,
 )
 from .exactpoly import DB, DR, ZERO, LaurentPoly, PolyMatrix, poly_det
-from .numeric import NumericParams
+from .numeric import NumericParams, check_size
 from .oracles import bubble_basis_count, tl_gram_exponents
 from .spinchain import homomorphism_report
 from .stdmod import (
@@ -339,15 +338,11 @@ def _check_cyclic_span(size: int) -> CheckResult:
 def run_checks(size: int = 4, seed: int = 20260822, quick: bool = False) -> list[CheckResult]:
     """Run the whole suite; `quick` trims sizes and sweep counts.
 
-    A size past DEFAULT_MAX_N raises ResourceLimitError before any check
-    runs, as the basis checks would refuse it only after the rest ran.
+    ``numeric.check_size`` sizes the suite and refuses a size under 2, or
+    past DEFAULT_MAX_N, before any check runs, as the basis checks would
+    refuse the latter only after the rest ran.
     """
-    if size < 2:
-        raise ValueError("check size must be at least 2")
-    if quick:
-        size = min(size, 3)
-    if size > DEFAULT_MAX_N:
-        raise ResourceLimitError(f"check size {size} exceeds the limit of {DEFAULT_MAX_N}")
+    size = check_size(size, quick)
     sweep_count = 3 if quick else 5
     jobs = [
         ("basis_counts", lambda: _check_basis_counts(size)),

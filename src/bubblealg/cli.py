@@ -52,6 +52,9 @@ EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 20260822
 
+# names the basis cache directory when --cache-dir is not given
+ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
+
 # Bytes of dense complex arrays, and the text made from them, that one
 # request may hold at once.  It admits rep --n 3 (62 MB with --matrices),
 # ybe --transfer 9 for bubble (155 MB) and 21 for tl (436 MB), and refuses
@@ -213,8 +216,9 @@ def _check_dense(need: float, what: str) -> None:
 
 def _largest_state(args: argparse.Namespace) -> int:
     """Bytes of the largest dense state one product of a rep, ybe or check
-    request works on; counted before numpy loads."""
-    from .numeric import transfer_bytes
+    request works on; counted before numpy loads, and a check size the
+    suite would refuse is refused here."""
+    from .numeric import check_size, transfer_bytes
 
     if args.command == "rep":
         # one 4^n x 4^n complex matrix
@@ -222,11 +226,9 @@ def _largest_state(args: argparse.Namespace) -> int:
     if args.command == "ybe":
         # with no chain the largest product is one of three-site matrices
         return 0 if args.transfer is None else transfer_bytes(args.transfer, args.family)
-    # check runs the transfer chains of both families up to its size, which
-    # --quick trims to 3 and run_checks caps at DEFAULT_MAX_N; bubble's is
-    # the larger
-    top = min(args.n, 3 if args.quick else DEFAULT_MAX_N)
-    return transfer_bytes(top, "bubble") if top >= 1 else 0
+    # check runs the transfer chains of both families up to its size;
+    # bubble's is the larger
+    return transfer_bytes(check_size(args.n, args.quick), "bubble")
 
 
 @contextmanager
@@ -268,25 +270,28 @@ def _label_rows(n: int) -> list[dict]:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    # the total is walk_count(2n, 0, 0) in closed form, so only a listing
-    # reads B_n from a cache; a count that names one fills a missing file
-    # and leaves one that is there unopened.  The walk's checks, or
-    # cached_basis's, still refuse a negative or oversized n.  The cache
-    # module, which resolves the directory itself, loads only when one is
-    # named, here or in the environment; an empty name counts as none
-    named = args.cache_dir or os.environ.get("BUBBLE_CACHE_DIR")
+    # A negative or oversized n is refused before any file is looked for.
+    # The total is walk_count(2n, 0, 0) in closed form, so only a listing
+    # reads B_n from a cache; a count or a listing that names one fills a
+    # missing file, and a count leaves one that is there unopened.  The
+    # cache module loads only when a directory is named, here or in the
+    # environment; an empty name counts as none
+    _check_size(args.n, args.max_n)
+    named = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     if named:
-        from .cache import CacheError, cached_basis
+        from .cache import CacheError, cache_path, load_basis, save_basis
 
+        path = cache_path(named, args.n)
         try:
-            lines = cached_basis(args.n, cache_dir=args.cache_dir, max_n=args.max_n, listing=args.diagrams)
+            if not path.exists():
+                lines = save_basis(path, args.n, basis_encodings(args.n, max_n=args.max_n))
+            elif args.diagrams:
+                lines = load_basis(path, args.n, args.max_n)
         except CacheError as exc:
             print(f"cache error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     elif args.diagrams:
         lines = basis_encodings(args.n, max_n=args.max_n)
-    else:
-        _check_size(args.n, args.max_n)
     payload = {"n": args.n, "total": walk_count(2 * args.n, 0, 0), "strata": _label_rows(args.n)}
     if args.diagrams:
         payload["diagrams"] = lines

@@ -1,18 +1,19 @@
 """What the numeric commands know before numpy loads: the colour
-parameters, each family's site dimension, and the bytes a transfer
-check holds.
+parameters, each family's site dimension, the bytes a transfer check
+holds, and the size the check suite runs at.
 
 The command line sizes every ``rep``, ``ybe`` and ``check`` request from
-here, refuses one over its dense budget and picks the BLAS threads for
-the rest, all before ``spinchain``, ``yangbaxter`` or ``checks`` import
-numpy; those modules take the same names from here.  Nothing in this
-module needs more than ``cmath``.
+here, refuses one over its dense budget or the check suite's size bound
+and picks the BLAS threads for the rest, all before ``spinchain``,
+``yangbaxter`` or ``checks`` import numpy; those modules take the same
+names from here.  Nothing in this module needs more than ``cmath``.
 """
 
 from __future__ import annotations
 
 import cmath
 
+from .basis import DEFAULT_MAX_N, ResourceLimitError
 from .diagram import RED
 
 # states per chain site: a spin for tl, a colour and a spin for bubble
@@ -41,6 +42,18 @@ def transfer_bytes(n: int, kind: str = "bubble") -> int:
         raise ValueError("need at least one site")
     states = TRANSFER_STATES_HELD * m * m + TRANSFER_VECTORS_HELD
     return 16 * m**n * states + TRANSFER_FIXED_BYTES
+
+
+def check_size(n: int, quick: bool) -> int:
+    """The size the check suite runs at: ``n``, which ``quick`` trims to 3.
+    Under 2 is a ValueError, and past DEFAULT_MAX_N a ResourceLimitError."""
+    if n < 2:
+        raise ValueError("check size must be at least 2")
+    if quick:
+        n = min(n, 3)
+    if n > DEFAULT_MAX_N:
+        raise ResourceLimitError(f"check size {n} exceeds the limit of {DEFAULT_MAX_N}")
+    return n
 
 
 def _resolve(q: complex, name: str) -> tuple[complex, complex]:

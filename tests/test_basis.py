@@ -363,6 +363,15 @@ class TestHalfDiagrams:
         # inside the other colour is allowed
         make_half(3, [(1, 3, BLUE)], red_cuts=(2,))
 
+    @pytest.mark.parametrize(
+        "n, arcs",
+        [(4, ((3, 4, RED), (1, 2, BLUE))), (2, ((1, 3, RED),)), (2, ((2, 1, RED),))],
+        ids=["unsorted", "past_n", "reversed"],
+    )
+    def test_validation_rejects_misplaced_arcs(self, n, arcs):
+        with pytest.raises(ValueError, match="out of range, unordered or not sorted"):
+            HalfDiagram(n, arcs, (), ())
+
     def test_validation_rejects_interleaving(self):
         with pytest.raises(ValueError):
             make_half(4, [(1, 3, RED), (2, 4, RED)])

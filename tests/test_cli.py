@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -21,22 +22,22 @@ import pytest
 
 import bubblealg
 from bubblealg import basis, cache, checks, cli, stdmod
-from bubblealg.basis import ResourceLimitError, basis_encodings, enumerate_basis, rank_identity
+from bubblealg.basis import basis_encodings, enumerate_basis, rank_identity
 from bubblealg.cache import (
     COMPRESS_LEVEL,
     CacheError,
-    ENV_CACHE_DIR,
     HEADER_LIMIT,
     basis_digest,
     cache_path,
-    cached_basis,
     load_basis,
     save_basis,
 )
 from bubblealg.checks import all_passed, run_checks
-from bubblealg.cli import main
-from bubblealg.diagram import Diagram
-from bubblealg.exactpoly import DB, DR, LaurentPoly
+from bubblealg.cli import ENV_CACHE_DIR, main
+from bubblealg.diagram import Diagram, propagating_index
+from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix
+from bubblealg.stdmod import GramBlock, GramRootScan, RestrictionReport, SpanReport
+from bubblealg.yangbaxter import SpectralPoint, SweepReport
 from helpers import enumerate_via_seeds
 
 # same-colour pairs (1,4) and (2,3) interleave in the circular order 1,2,4,3
@@ -86,20 +87,33 @@ class TestCache:
         assert save_basis(path, 3, fresh) is fresh
         assert load_basis(path, 3) == fresh
 
-    def test_cached_basis_writes_then_reads(self, tmp_path):
-        first = cached_basis(3, cache_dir=tmp_path)
-        assert cache_path(tmp_path, 3).exists()
-        assert cached_basis(3, cache_dir=tmp_path) == first == [d.encode() for d in enumerate_basis(3)]
+    def test_cached_basis_writes_then_reads(self, capsys, tmp_path, monkeypatch):
+        loads = []
+        real_load = cache.load_basis
+        monkeypatch.setattr(cache, "load_basis", lambda *args: loads.append(args) or real_load(*args))
+        listing = ("basis", "--n", "3", "--diagrams", "--cache-dir", str(tmp_path))
+        _, miss = run_cli(capsys, *listing)
+        assert cache_path(tmp_path, 3).exists() and loads == []
+        code, hit = run_cli(capsys, *listing)
+        assert code == 0 and len(loads) == 1
+        assert hit == miss
+        assert json.loads(hit)["diagrams"] == [d.encode() for d in enumerate_basis(3)]
 
-    def test_no_directory_means_no_files(self, tmp_path, monkeypatch):
+    def test_no_directory_means_no_files(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        assert cached_basis(2) == [d.encode() for d in enumerate_basis(2)]
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, "basis", "--n", "2", "--diagrams")
+        assert code == 0
+        assert json.loads(out)["diagrams"] == [d.encode() for d in enumerate_basis(2)]
         assert list(tmp_path.iterdir()) == []
 
-    def test_env_var_selects_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-        cached_basis(2)
-        assert cache_path(tmp_path, 2).exists()
+    def test_env_var_selects_directory(self, capsys, tmp_path, monkeypatch):
+        # a count and a listing each fill a missing file
+        for n, flags in [(2, ()), (3, ("--diagrams",))]:
+            monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+            code, _ = run_cli(capsys, "basis", "--n", str(n), *flags)
+            assert code == 0
+            assert cache_path(tmp_path, n).exists()
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = cache_path(tmp_path, 2)
@@ -132,16 +146,31 @@ class TestCache:
         with pytest.raises(CacheError):
             load_basis(path, 2)
 
-    def test_header_size_must_match_request(self, tmp_path):
+    def test_header_size_must_match_request(self, capsys, tmp_path):
         # a consistent n=2 file under the n=3 name must not be served as B_3
         save_basis(cache_path(tmp_path, 3), 2, B2)
         with pytest.raises(CacheError):
-            cached_basis(3, cache_dir=tmp_path)
+            load_basis(cache_path(tmp_path, 3), 3)
+        code, out = run_cli(capsys, "basis", "--n", "3", "--diagrams", "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
 
-    def test_guard_applies_before_a_hit(self, tmp_path):
-        save_basis(cache_path(tmp_path, 3), 3, [d.encode() for d in enumerate_basis(3)])
-        with pytest.raises(ResourceLimitError):
-            cached_basis(3, cache_dir=tmp_path, max_n=1)
+    def test_guard_applies_before_a_hit(self, capsys, tmp_path, monkeypatch):
+        # the size guard refuses a count or a listing, on a hit or a miss,
+        # before any file is looked for, read or written
+        hit, miss = tmp_path / "hit", tmp_path / "miss"
+        save_basis(cache_path(hit, 3), 3, [d.encode() for d in enumerate_basis(3)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache file was touched")
+
+        for name in ("cache_path", "load_basis", "save_basis"):
+            monkeypatch.setattr(cache, name, refuse)
+        for cache_dir in (hit, miss):
+            for flags in ((), ("--diagrams",)):
+                code, out = run_cli(capsys, "basis", "--n", "3", "--max-n", "1", *flags, "--cache-dir", str(cache_dir))
+                assert (code, out) == (3, "")
+        assert list(tmp_path.iterdir()) == [hit]
+        assert list(hit.iterdir()) == [hit / "basis_n3.txt.gz"]
 
     def test_invalid_diagram_behind_a_good_digest_rejected(self, tmp_path):
         # the content digest holds, so only the diagram's own check can refuse it
@@ -202,7 +231,8 @@ class TestCache:
             save_basis(path, 2, B2)
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
-        assert cached_basis(2, cache_dir=tmp_path) == [d.encode() for d in enumerate_basis(2)]
+        save_basis(path, 2, B2)
+        assert load_basis(path, 2) == B2
 
     def test_save_holds_no_copy_of_the_text(self, tmp_path):
         # hashing and writing go a bounded run of lines at a time, so the
@@ -614,11 +644,13 @@ class TestNoDiagramsBuilt:
         assert code == 0
         assert json.loads(out)["total"] == 6952660
 
-    def test_cache_miss_writes_the_same_file_without_diagrams(self, tmp_path, monkeypatch):
+    def test_cache_miss_writes_the_same_file_without_diagrams(self, capsys, tmp_path, monkeypatch):
         basis_4 = [d.encode() for d in enumerate_basis(4)]
         want = save_basis(cache_path(tmp_path / "from_diagrams", 4), 4, basis_4)
         forbid_diagrams(monkeypatch)
-        assert cached_basis(4, cache_dir=tmp_path / "miss") == want
+        code, out = run_cli(capsys, "basis", "--n", "4", "--diagrams", "--cache-dir", str(tmp_path / "miss"))
+        assert code == 0
+        assert json.loads(out)["diagrams"] == want
         got = cache_path(tmp_path / "miss", 4).read_bytes()
         assert got == cache_path(tmp_path / "from_diagrams", 4).read_bytes()
         # the file the miss wrote loads as the basis
@@ -1298,6 +1330,135 @@ class TestNanNeverPasses:
         assert payload["check"]["max_residual"] is None
 
 
+def first_entry_plus_one(m: PolyMatrix) -> PolyMatrix:
+    rows = [list(row) for row in m.entries]
+    rows[0][0] = rows[0][0] + ONE
+    return PolyMatrix(rows)
+
+
+def with_changed_blocks(real):
+    def gram_blocks(n, i, j):
+        bras, blocks = real(n, i, j)
+        return bras, [GramBlock(b.word, b.indices, first_entry_plus_one(b.matrix)) for b in blocks]
+
+    return gram_blocks
+
+
+def raising_product(real):
+    # a product of the diagram with the fewest propagating strands whose
+    # result is the diagram with the most
+    def products(left, right):
+        ordered = sorted(left, key=lambda d: sum(propagating_index(d)))
+        yield ordered[0], ordered[0], 0, 0, ordered[-1]
+
+    return products
+
+
+def raising(real):
+    def check(*args):
+        raise RuntimeError("boom")
+
+    return check
+
+
+# Each case replaces one name a check reads from the checks module so that
+# the property the check tests fails: (the name, a function of the real
+# object giving its replacement, the run, a pattern the detail must match)
+BROKEN_CHECKS = {
+    "basis_counts": (
+        "enumerate_basis",
+        lambda real: lambda n: real(n)[1:],
+        lambda: checks._check_basis_counts(2),
+        r"^n=1: enumerated 1, closed form 2$",
+    ),
+    "rank_identity": (
+        "rank_identity",
+        lambda real: lambda n: real(n)._replace(basis_size=0),
+        lambda: checks._check_rank_identity(2),
+        r"^n=1: basis 0 != square sum 2$",
+    ),
+    "gram_identity_top": (
+        "gram_matrix",
+        lambda real: lambda n, i, j: first_entry_plus_one(real(n, i, j)),
+        lambda: checks._check_gram_identity_top(2),
+        r"^G_1\(0,1\) is not the identity$",
+    ),
+    "gram_g2_diagonal": (
+        "gram_matrix",
+        lambda real: lambda n, i, j: first_entry_plus_one(real(n, i, j)),
+        checks._check_gram_g2_diagonal,
+        r"^G_2\(0,0\) mismatch$",
+    ),
+    "gram_tl_blocks": (
+        "gram_blocks",
+        with_changed_blocks,
+        lambda: checks._check_gram_tl_blocks(2),
+        r"^block \w+ of G_2\(0,0\) has wrong determinant$",
+    ),
+    "gram_root_scan": (
+        "scan_gram_roots",
+        lambda real: lambda report, var: GramRootScan(report.n, report.label, var, ((0.5, None),), 0),
+        lambda: checks._check_root_scan(3),
+        r"^unmatched root in det G_3\(1,0\) scanning colour 0$",
+    ),
+    "white_idempotent": (
+        "white_generator",
+        lambda real: lambda n, pos: real(n, pos).scale(2),
+        lambda: checks._check_white_idempotent(2),
+        r"^U_1 at n=2 fails its square rule$",
+    ),
+    "identity_decomposition_orthogonal": (
+        "monochrome_straight_diagrams",
+        lambda real: enumerate_basis,
+        lambda: checks._check_identity_decomposition(2),
+        r"^straights not orthogonal at n=2$",
+    ),
+    "identity_decomposition_sum": (
+        "monochrome_straight_diagrams",
+        lambda real: lambda n: real(n)[1:],
+        lambda: checks._check_identity_decomposition(2),
+        r"^straights do not sum to 1 at n=2$",
+    ),
+    "filtration": (
+        "products",
+        raising_product,
+        lambda: checks._check_filtration(2),
+        r"^D\[2,2\]\S+ o D\[2,2\]\S+ raises a propagating count$",
+    ),
+    "unitarity": (
+        "unitarity_sweep",
+        lambda real: lambda kind, count, seed: SweepReport(kind, "unitarity", count, 1.0, SpectralPoint(0.5, 0.0, 0.0)),
+        lambda: checks._check_unitarity(1, 3),
+        r"^tl 1\.000e\+00, bubble 1\.000e\+00$",
+    ),
+    "localisation": (
+        "localisation_report",
+        lambda real: lambda n: SpanReport(n, None, 0, 1),
+        lambda: checks._check_localisation(2),
+        r"^n=2: rank 0, expected 1$",
+    ),
+    "restriction": (
+        "restriction_report",
+        lambda real: lambda n, i, j: RestrictionReport(n, (i, j), {}, False),
+        lambda: checks._check_restriction(2),
+        r"^n=2, label \(2,0\) fails the recursion$",
+    ),
+    "cyclic_span": (
+        "cyclic_span_report",
+        lambda real: lambda n, i, j, basis: SpanReport(n, (i, j), 0, 1),
+        lambda: checks._check_cyclic_span(2),
+        r"^n=1, label \(1,0\): rank 0 != 1$",
+    ),
+    # a check that raises fails with the error as its detail
+    "raised": (
+        "_check_filtration",
+        raising,
+        lambda: next(r for r in run_checks(size=2, quick=True) if r.name == "filtration"),
+        r"^error: RuntimeError\('boom'\)$",
+    ),
+}
+
+
 class TestCheckCommand:
     def test_quick_suite_passes(self, capsys):
         code, out = run_cli(capsys, "check", "--quick")
@@ -1379,6 +1540,14 @@ class TestCheckCommand:
         code, out = run_cli(capsys, "check", "--n", "9")
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_CHECKS))
+    def test_check_fails_where_its_property_fails(self, monkeypatch, case):
+        name, replacement, run, detail = BROKEN_CHECKS[case]
+        monkeypatch.setattr(checks, name, replacement(getattr(checks, name)))
+        result = run()
+        assert result.passed is False
+        assert re.search(detail, result.detail), result.detail
 
 
 class TestUsage:
@@ -1488,6 +1657,17 @@ class TestLeanPath:
         (count_code, count_loaded), (listing_code, listing_loaded) = json.loads(out)
         assert (count_code, count_loaded) == (0, [])
         assert listing_code == 0 and {"gzip", "hashlib"} <= set(listing_loaded)
+
+    def test_refused_check_loads_no_numpy(self):
+        # check's size bounds, like rep's and ybe's dense budget, apply
+        # before numpy loads
+        requests = ["check --n 9", "check --n 1", "check --n 1 --quick"]
+        argvs = json.dumps([line.split() for line in requests])
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, argvs],
+            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert json.loads(out) == [[3, False, False, False, []], [2, False, False, False, []], [2, False, False, False, []]]
 
     def test_every_export_resolves(self):
         star: dict = {}

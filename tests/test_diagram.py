@@ -91,6 +91,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Diagram._make((2, 2, ((2, 1, RED), (3, 4, RED))))
 
+    @pytest.mark.parametrize("colour", [2, -1])
+    def test_colour_that_is_neither_red_nor_blue_rejected(self, colour):
+        with pytest.raises(ValueError, match="neither red nor blue"):
+            Diagram(1, 1, ((1, 2, colour),))
+
     def test_odd_boundary_rejected(self):
         with pytest.raises(ValueError):
             Diagram(2, 1, ((1, 2, RED),))

@@ -173,6 +173,20 @@ def test_matmul_identity():
     assert matmul(PolyMatrix.identity(2), m) == m
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DR**-1, ValueError, "non-negative integer"),
+        (lambda: divexact(DR, ZERO), ZeroDivisionError, "zero polynomial"),
+        (lambda: PolyMatrix([[ONE, ZERO], [ONE]]), ValueError, "ragged rows"),
+    ],
+    ids=["negative_power", "division_by_zero", "ragged_rows"],
+)
+def test_invalid_operation_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_det_non_square_rejected():
     with pytest.raises(ValueError):
         poly_det(PolyMatrix([[ONE, ZERO]]))

@@ -132,6 +132,20 @@ class TestAction:
             assert lhs == rhs
 
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: act_diagram(red_cupcap(3), ARC_R), "cannot act on a frame"),
+            (lambda: bra_inner(ARC_R, make_half(3, [(1, 2, RED)], red_cuts=(3,))), "different sizes"),
+            (lambda: localisation_report(1), "at least two strands"),
+        ],
+        ids=["act_diagram", "bra_inner", "localisation"],
+    )
+    def test_invalid_sizes_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestInnerForm:
     def test_frozen_two_point_gram(self):
         assert gram_matrix(2, 0, 0) == PolyMatrix.diagonal([DB, DR])

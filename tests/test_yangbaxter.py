@@ -9,7 +9,7 @@ import pytest
 
 from bubblealg.basis import enumerate_basis
 from bubblealg.diagram import BLUE, RED, make_diagram
-from bubblealg.numeric import transfer_bytes
+from bubblealg.numeric import site_dim, transfer_bytes
 from bubblealg.spinchain import b2_matrix
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
@@ -61,6 +61,8 @@ class TestLambdaValidation:
             validate_lambda(0.5, "brauer")
         with pytest.raises(ValueError):
             rmatrix("brauer", 0.5, 0.1)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            site_dim("xx")
 
     def test_site_dimensions(self):
         # one site of the transfer matrix: two states for tl, four for bubble
