@@ -15,7 +15,7 @@ reference for the text.  Nothing walks B_n only to count it: |B_n| has
 the closed form ``oracles.bubble_basis_count``, which ``rank_identity``
 compares with the sum of squared dimensions and with
 walk_count(2n, 0, 0).  ``_bra_views`` walks the frame of a half diagram
-from its cuts, already open, to its views.
+from its cuts, already open, to its pairs.
 ``basis_encodings``, which ``basis --diagrams`` and the cache use, reads
 a diagram as a north and a south view of one label, joined cut to cut,
 which is why |B_n| = sum dim(n, i, j)^2: each north view becomes a
@@ -34,14 +34,12 @@ so no count here walks a lattice, recurses or keeps a cache, and any n
 the size guard admits costs a few big-integer products.
 
 ``enumerate_basis`` builds valid diagrams and skips the validity rule
-``diagram.check_matching`` (``Diagram._raw``); ``enumerate_bras``,
-``restrict_bra`` and ``stdmod.act_diagram`` do the same for half
-diagrams, each through ``HalfDiagram._from_view``, the one constructor
-from a view.  A checked ``HalfDiagram`` applies
-the rule to its view, n frame points over i + j with red cut k joined to
-point n + k and blue cut k to point n + i + k: a cut inside an arc of its
-colour, same-colour cuts out of order and an unused frame point all fail
-it as an interleave or a count mismatch.
+through ``Diagram._raw``; ``enumerate_bras``, ``restrict_bra`` and
+``stdmod.act_diagram`` do the same for half diagrams, which are diagrams
+too: ``HalfDiagram`` is the diagram from n frame points to i + j cut
+points, red cut k at point n + k and blue cut k at point n + i + k, so a
+checked one meets the diagram rule and one rule of its own, that every
+cut starts on the frame in a slot of its colour.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .diagram import (
     RED,
     Diagram,
     Endpoints,
-    check_matching,
     circular_positions,
     endpoint_arrays,
     north_template,
@@ -74,10 +71,13 @@ class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the configured size guard."""
 
 
-def _guard(points: int, max_n: int) -> None:
-    if points > 2 * max_n:
+def _check_size(n: int, max_n: int) -> None:
+    """Refuse a negative n, and a B_n past the size guard."""
+    if n < 0:
+        raise ValueError(f"negative size n={n}")
+    if n > max_n:
         raise ResourceLimitError(
-            f"{points} boundary points exceed the limit of {2 * max_n}; "
+            f"{2 * n} boundary points exceed the limit of {2 * max_n}; "
             "raise max_n explicitly to proceed"
         )
 
@@ -158,13 +158,6 @@ def _walk_matchings(
                 stacks[c].pop()
 
     rec(0)
-
-
-def _check_size(n: int, max_n: int) -> None:
-    """Refuse a negative n, and a B_n past the size guard."""
-    if n < 0:
-        raise ValueError(f"negative size n={n}")
-    _guard(2 * n, max_n)
 
 
 def enumerate_basis(n: int, max_n: int = DEFAULT_MAX_N) -> list[Diagram]:
@@ -249,86 +242,48 @@ def rank_identity(n: int, max_n: int = DEFAULT_MAX_N) -> RankIdentity:
 # half diagrams
 
 
-class _HalfDiagramFields(NamedTuple):
-    n: int
-    arcs: tuple[tuple[int, int, int], ...]
-    red_cuts: tuple[int, ...]
-    blue_cuts: tuple[int, ...]
+class HalfDiagram(Diagram):
+    """Coloured half diagram: the diagram from its n frame points to its
+    i + j cut points that gluing and validation read it as.
 
-
-class HalfDiagram(_HalfDiagramFields):
-    """Coloured half diagram: arcs above a framed edge plus propagating cuts.
-
-    Points 1..n sit on the frame.  Arcs of the same colour never
-    interleave, and a cut of some colour never sits strictly inside an
-    arc of that colour; cuts of the other colour may.
-
-    It is read, for validation and for gluing, as a diagram from the
-    frame to i + j points: red cut k runs to point k and blue cut k to
-    point i + k, which is canonical as colours may cross and same-colour
-    cuts keep their order.  ``_view(0, n)`` writes that diagram's pairs,
-    and ``_from_view`` reads its canonical pairs back; the walk, the
-    module action and restriction all build through the latter.
-    ``HalfDiagram(...)`` builds the tuple and validates it through
-    ``__post_init__``.  No ``__slots__``: the cached endpoint arrays live
-    in the instance ``__dict__``.
+    Frame points 1..n are north; red cut k is point n + k and blue cut k
+    point n + i + k, which is canonical, as colours may cross and
+    same-colour cuts keep their frame order.  ``n``, ``arcs``,
+    ``red_cuts`` and ``blue_cuts`` read the frame's side of it back.
+    ``HalfDiagram(n, i + j, pairs)`` validates through ``__post_init__``:
+    the diagram rule, then every pair that reaches a cut starts on the
+    frame, red exactly when its slot is among the first i.  A cut inside
+    an arc of its colour or an unused frame point fails the diagram rule.
+    No ``__slots__``: the cached endpoint arrays live in the instance
+    ``__dict__``.
     """
 
-    def __new__(
-        cls,
-        n: int,
-        arcs: tuple[tuple[int, int, int], ...],
-        red_cuts: tuple[int, ...],
-        blue_cuts: tuple[int, ...],
-    ) -> "HalfDiagram":
-        self = tuple.__new__(cls, (n, arcs, red_cuts, blue_cuts))
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> "HalfDiagram":
-        # the named tuple's _make and _replace build through here, checked
-        return cls(*fields)
-
     def __post_init__(self) -> None:
-        prev = 0
-        for p, q, _ in self.arcs:
-            if not prev < p < q <= self.n:
-                raise ValueError(f"arc ({p},{q}) out of range, unordered or not sorted")
-            prev = p
-        check_matching(self.n, sum(self.propagating), self._view(0, self.n))
-
-    @classmethod
-    def _raw(
-        cls,
-        n: int,
-        arcs: tuple[tuple[int, int, int], ...],
-        red_cuts: tuple[int, ...],
-        blue_cuts: tuple[int, ...],
-    ) -> "HalfDiagram":
-        # internal fast path; caller guarantees a valid canonical half diagram
-        return tuple.__new__(cls, (n, arcs, red_cuts, blue_cuts))
-
-    @classmethod
-    def _from_view(cls, n: int, pairs: Sequence[tuple[int, int, int]]) -> "HalfDiagram":
-        """The inverse of ``_view(0, n)``, unchecked like ``_raw``: of the
-        canonical ``pairs``, those with q <= n are the arcs and the frame
-        ends of the others are the cuts of their colour."""
-        arcs = tuple(pair for pair in pairs if pair[1] <= n)
-        red, blue = (tuple(p for p, q, c in pairs if q > n and c == col) for col in (RED, BLUE))
-        return cls._raw(n, arcs, red, blue)
+        Diagram.__post_init__(self)
+        n = self.n_north
+        cuts = [pair for pair in self.pairs if pair[1] > n]
+        i = sum(c == RED for _, _, c in cuts)
+        for p, q, c in cuts:
+            if p > n:
+                raise ValueError(f"pair ({p},{q}) joins two cuts")
+            if (c == RED) != (q - n <= i):
+                raise ValueError(f"cut ({p},{q}) sits in a slot of the other colour")
 
     @property
-    def propagating(self) -> tuple[int, int]:
-        return (len(self.red_cuts), len(self.blue_cuts))
+    def n(self) -> int:
+        return self.n_north
 
-    def _view(self, frame: int, cut: int) -> list[tuple[int, int, int]]:
-        # frame point p becomes endpoint frame + p, cut slot k endpoint cut + k
-        i = len(self.red_cuts)
-        pairs = [(frame + p, frame + q, c) for p, q, c in self.arcs]
-        pairs += [(frame + t, cut + k, RED) for k, t in enumerate(self.red_cuts, 1)]
-        pairs += [(frame + t, cut + i + k, BLUE) for k, t in enumerate(self.blue_cuts, 1)]
-        return pairs
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(pair for pair in self.pairs if pair[1] <= self.n_north)
+
+    @property
+    def red_cuts(self) -> tuple[int, ...]:
+        return tuple(p for p, q, c in self.pairs if q > self.n_north and c == RED)
+
+    @property
+    def blue_cuts(self) -> tuple[int, ...]:
+        return tuple(p for p, q, c in self.pairs if q > self.n_north and c == BLUE)
 
     @cached_property
     def endpoints(self) -> Endpoints:
@@ -336,13 +291,15 @@ class HalfDiagram(_HalfDiagramFields):
 
         Cached and shared by every caller, so they are read, never changed.
         """
-        return endpoint_arrays(self.n + sum(self.propagating), self._view(0, self.n))
+        return endpoint_arrays(self.n_north + self.n_south, self.pairs)
 
     @cached_property
     def flipped_endpoints(self) -> Endpoints:
         """Endpoint arrays mirrored top to bottom: i + j over n points."""
-        cuts = sum(self.propagating)
-        return endpoint_arrays(self.n + cuts, self._view(cuts, 0))
+        n, cuts = self.n_north, self.n_south
+        return endpoint_arrays(
+            n + cuts, ((p + cuts, q + cuts if q <= n else q - n, c) for p, q, c in self.pairs)
+        )
 
     def encode(self) -> str:
         body = ";".join(map(pair_text, self.arcs))
@@ -350,26 +307,39 @@ class HalfDiagram(_HalfDiagramFields):
         blues = ",".join(map(str, self.blue_cuts))
         return f"H[{self.n}]{{{body}}}{{r:{reds}}}{{b:{blues}}}"
 
-    def __str__(self) -> str:
-        return self.encode()
+
+def _slotted(
+    n: int, arcs: Iterable[tuple[int, int, int]], red_cuts: Sequence[int], blue_cuts: Sequence[int]
+) -> tuple[tuple[int, int, int], ...]:
+    """The sorted pairs of the half diagram on n frame points with these
+    arcs and cuts, each colour's cuts listed by frame point: red cut k
+    joins point n + k, blue cut k point n + len(red_cuts) + k."""
+    i = len(red_cuts)
+    pairs = [*arcs]
+    pairs += [(t, n + k, RED) for k, t in enumerate(red_cuts, 1)]
+    pairs += [(t, n + i + k, BLUE) for k, t in enumerate(blue_cuts, 1)]
+    return tuple(sorted(pairs))
 
 
 def make_half(n: int, arcs, red_cuts=(), blue_cuts=()) -> HalfDiagram:
-    norm = tuple(sorted((min(p, q), max(p, q), c) for p, q, c in arcs))
-    return HalfDiagram(n, norm, tuple(sorted(red_cuts)), tuple(sorted(blue_cuts)))
+    """Validating constructor from the frame's side; normalises the ends
+    and order of the arcs and the order of the cuts."""
+    norm = [(min(p, q), max(p, q), c) for p, q, c in arcs]
+    red, blue = sorted(red_cuts), sorted(blue_cuts)
+    return HalfDiagram(n, len(red) + len(blue), _slotted(n, norm, red, blue))
 
 
 def _bra_views(n: int, i: int, j: int) -> list[tuple[tuple[int, int, int], ...]]:
-    """The canonical views of the half diagrams on n points with (i, j)
+    """The canonical pairs of the half diagrams on n points with (i, j)
     propagating cuts, in walk order; the label must carry a module.
 
-    The cuts are open before the walk starts, as the view's strands: red
+    The cuts are open before the walk starts, as strands: red
     n + 1..n + i, then blue n + i + 1..n + i + j, stacked in the circular
-    order of the view's south edge, so n + 1 and n + i + 1 are innermost.
+    order of the south edge, so n + 1 and n + i + 1 are innermost.
     ``_walk_matchings`` then walks the frame points, and each leaf is one
-    view.  A cut strand starts under every frame strand of its colour, so
-    it closes only where no arc of that colour is open: no cut sits inside
-    an arc of its own colour.
+    half diagram.  A cut strand starts under every frame strand of its
+    colour, so it closes only where no arc of that colour is open: no cut
+    sits inside an arc of its own colour.
     """
     stacks = (list(range(n + i, n, -1)), list(range(n + i + j, n + i, -1)))
     views: list[tuple[tuple[int, int, int], ...]] = []
@@ -380,10 +350,10 @@ def _bra_views(n: int, i: int, j: int) -> list[tuple[tuple[int, int, int], ...]]
 def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[HalfDiagram]:
     """All half diagrams on n points with (i, j) propagating cuts, sorted
     by their encoding: ``gram`` prints them in this order."""
-    _guard(2 * n, max_n)
+    _check_size(n, max_n)
     if i < 0 or j < 0 or i + j > n or (n - i - j) % 2:
         return []
-    bras = [HalfDiagram._from_view(n, view) for view in _bra_views(n, i, j)]
+    bras = [HalfDiagram._raw(n, i + j, view) for view in _bra_views(n, i, j)]
     return sorted(bras, key=HalfDiagram.encode)
 
 
@@ -394,20 +364,27 @@ def enumerate_bras(n: int, i: int, j: int, max_n: int = DEFAULT_MAX_N) -> list[H
 def restrict_bra(bra: HalfDiagram) -> tuple[tuple[int, int], HalfDiagram]:
     """Remove the last frame point; returns the neighbour label it lands in.
 
-    Read on one frame point fewer, the view keeps every pair but the cut
-    that starts at point n, which leaves with its point; an arc ending at
-    n keeps its other end, which the smaller frame reads as a cut of the
-    arc's colour.  Both moves are invertible (append a point with a new
-    cut, or bend the last cut of that colour onto a new point), so
-    restriction is a bijection onto the union of the at most four
-    neighbouring half-diagram sets one level down.
+    On one frame point fewer the half diagram keeps every arc and cut but
+    the cut that starts at point n, which leaves with its point; an arc
+    ending at n keeps its other end, which the smaller frame reads as a
+    cut of the arc's colour, and ``_slotted`` numbers the cuts afresh.
+    Both moves are invertible (append a point with a new cut, or bend the
+    last cut of that colour onto a new point), so restriction is a
+    bijection onto the union of the at most four neighbouring
+    half-diagram sets one level down.
     """
-    n = bra.n
+    n = bra.n_north
     if n == 0:
         raise ValueError("empty half diagram has no rightmost point")
-    rest = sorted(pair for pair in bra._view(0, n) if pair[0] != n)
-    smaller = HalfDiagram._from_view(n - 1, rest)
-    return smaller.propagating, smaller
+    arcs: list[tuple[int, int, int]] = []
+    cuts: tuple[list[int], list[int]] = ([], [])
+    for p, q, c in bra.pairs:
+        if q < n:
+            arcs.append((p, q, c))
+        elif p != n:
+            cuts[c].append(p)
+    label = (len(cuts[RED]), len(cuts[BLUE]))
+    return label, HalfDiagram._raw(n - 1, sum(label), _slotted(n - 1, arcs, *cuts))
 
 
 def monochrome_straight_diagrams(n: int) -> list[Diagram]:

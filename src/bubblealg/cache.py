@@ -38,7 +38,7 @@ import os
 from collections.abc import Iterator
 from pathlib import Path
 
-from .basis import DEFAULT_MAX_N, _guard, basis_encodings, walk_count
+from .basis import DEFAULT_MAX_N, _check_size, basis_encodings, walk_count
 
 CACHE_VERSION = 1
 # level 9 spends most of a write in deflate for a file about 12% smaller
@@ -127,7 +127,7 @@ def load_basis(path: str | Path, n: int, max_n: int = DEFAULT_MAX_N) -> list[str
     import hashlib
     import zlib
 
-    _guard(2 * n, max_n)
+    _check_size(n, max_n)
     path = Path(path)
     try:
         with gzip.open(path, "rb") as fh:

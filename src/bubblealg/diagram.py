@@ -37,8 +37,9 @@ signs, leading zeros, ``p > q`` and unsorted pairs are all rejected.
 
 Validity is one rule, ``check_matching``, run where data enters:
 ``Diagram(...)``, hence ``make_diagram`` and ``Diagram.decode``, checks
-its canonical form and then the rule, and ``basis.HalfDiagram`` applies
-it to its diagram view.  A diagram is a named tuple
+its canonical form and then the rule.  ``basis.HalfDiagram`` is a
+diagram from its frame to its cuts, so it passes the same check and adds
+one rule on where its cuts sit.  A diagram is a named tuple
 ``(n_north, n_south, pairs)``, so it compares and hashes as that tuple;
 ``Diagram(...)`` builds the tuple and then validates it through
 ``Diagram.__post_init__``, the one hook every checked construction

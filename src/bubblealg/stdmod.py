@@ -2,11 +2,11 @@
 Gram determinants, restriction, and root location.
 
 The module labelled (i, j) has the half diagrams with that propagating
-count as basis.  A half diagram is read as a diagram from its n frame
-points to i + j cut points (see ``HalfDiagram``), so the action and the
+count as basis.  A half diagram is a diagram from its n frame points
+to i + j cut points (see ``HalfDiagram``), so the action and the
 form are both calls of the gluing kernel ``diagram.glue``.  A diagram
 acts by gluing its southern edge onto the frame, and the glued pairs are
-the image's view, read back by ``HalfDiagram._from_view``; a chain
+the image, a ``HalfDiagram`` as they stand; a chain
 joining two cut points would bend a propagating line back and makes the
 image zero, which realises the quotient by lower layers of the
 filtration.
@@ -93,17 +93,17 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
     chain connects two propagating slots of the frame, which would drop
     the propagating count.
     """
-    if d.n_south != bra.n:
+    if d.n_south != bra.n_north:
         raise SizeMismatchError(
-            f"diagram with {d.n_south} southern points cannot act on a frame of {bra.n}"
+            f"diagram with {d.n_south} southern points cannot act on a frame of {bra.n_north}"
         )
     nn = d.n_north
     top = endpoint_arrays(nn + d.n_south, d.pairs)
-    r = glue(top, bra.endpoints, nn, bra.n, sum(bra.propagating))
+    r = glue(top, bra.endpoints, nn, bra.n_north, bra.n_south)
     # a pair with both ends among the slots is a chain that leaves the layer
     if r is None or any(p > nn for p, _, _ in r[2]):
         return None
-    return r[0], r[1], HalfDiagram._from_view(nn, r[2])
+    return r[0], r[1], HalfDiagram._raw(nn, bra.n_south, tuple(r[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +123,10 @@ def bra_inner(x: HalfDiagram, y: HalfDiagram) -> LaurentPoly:
     unless the colour words agree and every chain joins a propagating
     slot of one half to one of the other.
     """
-    if x.n != y.n:
+    if x.n_north != y.n_north:
         raise SizeMismatchError("frames have different sizes")
-    k = sum(x.propagating)
-    r = glue(x.flipped_endpoints, y.endpoints, k, x.n, sum(y.propagating))
+    k = x.n_south
+    r = glue(x.flipped_endpoints, y.endpoints, k, x.n_north, y.n_south)
     if r is None or any(not p <= k < q for p, q, _ in r[2]):
         return ZERO
     return LaurentPoly.monomial(r[0], r[1])

@@ -514,7 +514,7 @@ def cuts_of(bra: HalfDiagram, c: int) -> tuple[int, ...]:
 
 def join_halves(bra: HalfDiagram, ket: HalfDiagram) -> Diagram:
     """Rebuild the diagram whose northern half is ``bra`` and southern ``ket``."""
-    if bra.propagating != ket.propagating:
+    if propagating_index(bra) != propagating_index(ket):
         raise ValueError("halves have different propagating counts")
     nn = bra.n
     pairs = list(bra.arcs)
@@ -528,7 +528,7 @@ def add_line(bra: HalfDiagram, c: int) -> HalfDiagram:
     """Append a frame point carrying a new cut of colour c."""
     red = bra.red_cuts + ((bra.n + 1,) if c == RED else ())
     blue = bra.blue_cuts + ((bra.n + 1,) if c == BLUE else ())
-    return HalfDiagram(bra.n + 1, bra.arcs, red, blue)
+    return make_half(bra.n + 1, bra.arcs, red, blue)
 
 
 def turn_back(bra: HalfDiagram, c: int) -> HalfDiagram:
@@ -539,8 +539,7 @@ def turn_back(bra: HalfDiagram, c: int) -> HalfDiagram:
     t = cuts[-1]
     red = bra.red_cuts[:-1] if c == RED else bra.red_cuts
     blue = bra.blue_cuts[:-1] if c == BLUE else bra.blue_cuts
-    arcs = tuple(sorted(bra.arcs + ((t, bra.n + 1, c),)))
-    return HalfDiagram(bra.n + 1, arcs, red, blue)
+    return make_half(bra.n + 1, bra.arcs + ((t, bra.n + 1, c),), red, blue)
 
 
 # ---------------------------------------------------------------------------

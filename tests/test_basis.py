@@ -310,20 +310,19 @@ class TestHalfDiagrams:
         with pytest.raises(ResourceLimitError):
             enumerate_bras(DEFAULT_MAX_N + 1, 1, 0)
 
-    def test_view_constructor_inverts_the_view(self):
-        for n in range(0, 7):
-            for i, j in standard_labels(n):
-                for bra in enumerate_bras(n, i, j):
-                    assert HalfDiagram._from_view(n, tuple(sorted(bra._view(0, n)))) == bra
+    def test_bra_guard_refuses_a_negative_size(self):
+        # the B_n guard, so a negative frame is refused, not an empty module
+        with pytest.raises(ValueError, match="negative size n=-1"):
+            enumerate_bras(-1, 0, 0)
 
     def test_trusted_bras_pass_full_validation(self):
         # enumeration, the action and restriction build bras unchecked
-        # through the view constructor; rebuilding through the checking
-        # constructors must reproduce every one
+        # through _raw; rebuilding through the checking constructors must
+        # reproduce every one
         for n in range(0, 7):
             for i, j in standard_labels(n):
                 for b in enumerate_bras(n, i, j):
-                    assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
+                    assert HalfDiagram(b.n_north, b.n_south, b.pairs) == b
                     assert make_half(n, b.arcs, b.red_cuts, b.blue_cuts) == b
         for n in range(0, 6):
             basis = enumerate_basis(n)
@@ -333,7 +332,7 @@ class TestHalfDiagrams:
                     if n:
                         built.append(restrict_bra(bra)[1])
                     for b in built:
-                        assert HalfDiagram(b.n, b.arcs, b.red_cuts, b.blue_cuts) == b
+                        assert HalfDiagram(b.n_north, b.n_south, b.pairs) == b
 
     def test_bras_match_brute_force_through_the_view(self):
         # a bra read as a diagram from its n frame points to its i + j cuts:
@@ -364,13 +363,43 @@ class TestHalfDiagrams:
         make_half(3, [(1, 3, BLUE)], red_cuts=(2,))
 
     @pytest.mark.parametrize(
-        "n, arcs",
-        [(4, ((3, 4, RED), (1, 2, BLUE))), (2, ((1, 3, RED),)), (2, ((2, 1, RED),))],
+        "n, arcs, message",
+        [
+            (4, ((3, 4, RED), (1, 2, BLUE)), "out of range, unordered or not sorted"),
+            (2, ((1, 3, RED),), r"endpoint pair \(1,3\) out of range"),
+            (2, ((2, 1, RED),), "out of range, unordered or not sorted"),
+        ],
         ids=["unsorted", "past_n", "reversed"],
     )
-    def test_validation_rejects_misplaced_arcs(self, n, arcs):
-        with pytest.raises(ValueError, match="out of range, unordered or not sorted"):
-            HalfDiagram(n, arcs, (), ())
+    def test_validation_rejects_misplaced_arcs(self, n, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            HalfDiagram(n, 0, arcs)
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (1, ((1, 2, RED), (3, 4, RED)), r"pair \(3,4\) joins two cuts"),
+            (2, ((1, 3, BLUE), (2, 4, RED)), r"cut \(1,3\) sits in a slot of the other colour"),
+            (2, ((1, 4, RED), (2, 3, BLUE)), r"cut \(1,4\) sits in a slot of the other colour"),
+        ],
+        ids=["cut_to_cut", "blue_in_red_slot", "red_in_blue_slot"],
+    )
+    def test_validation_rejects_misplaced_cuts(self, n, pairs, message):
+        # each is a valid diagram, so only the half diagram's own rule
+        # refuses it
+        Diagram(n, 2 * len(pairs) - n, pairs)
+        with pytest.raises(ValueError, match=message):
+            HalfDiagram(n, 2 * len(pairs) - n, pairs)
+
+    def test_checked_bras_pass_the_diagram_hook(self, monkeypatch):
+        # the tracer wraps Diagram.__post_init__ and Diagram.encode on the
+        # class; a checked bra reaches the former, and writes its own text
+        checked = []
+        hook = Diagram.__post_init__
+        monkeypatch.setattr(Diagram, "__post_init__", lambda d: checked.append(d) or hook(d))
+        bra = make_half(3, [(1, 2, RED)], blue_cuts=(3,))
+        assert checked == [bra]
+        assert "encode" in vars(HalfDiagram) and str(bra) == "H[3]{(1,2,r)}{r:}{b:3}"
 
     def test_validation_rejects_interleaving(self):
         with pytest.raises(ValueError):
@@ -380,17 +409,24 @@ class TestHalfDiagrams:
     def test_tuple_copies_are_checked_too(self):
         # a half diagram is a named tuple; its _make and _replace validate
         h = make_half(3, [(1, 2, RED)], blue_cuts=(3,))
-        assert h._replace(blue_cuts=(), red_cuts=(3,)) == make_half(3, [(1, 2, RED)], (3,))
+        assert h._replace(pairs=((1, 2, RED), (3, 4, RED))) == make_half(3, [(1, 2, RED)], (3,))
         with pytest.raises(ValueError):
-            h._replace(arcs=((1, 3, RED),), red_cuts=(2,), blue_cuts=())
+            # a red cut inside a red arc
+            h._replace(pairs=((1, 3, RED), (2, 4, RED)))
         with pytest.raises(ValueError):
-            HalfDiagram._make((3, ((1, 2, RED),), (), ()))
+            # frame point 3 unused
+            HalfDiagram._make((3, 0, ((1, 2, RED),)))
+        # and under the half diagram's own rule
+        with pytest.raises(ValueError, match="slot of the other colour"):
+            h._replace(n_north=2, n_south=2, pairs=((1, 3, BLUE), (2, 4, RED)))
+        with pytest.raises(ValueError, match="joins two cuts"):
+            HalfDiagram._make((1, 3, ((1, 2, RED), (3, 4, RED))))
 
     def test_cut_join_round_trip(self):
         for n in range(1, 5):
             for d in enumerate_basis(n):
                 bra, ket = cut_diagram(d)
-                assert bra.propagating == ket.propagating == propagating_index(d)
+                assert propagating_index(bra) == propagating_index(ket) == propagating_index(d)
                 assert join_halves(bra, ket) == d
 
     def test_join_is_bijection(self):

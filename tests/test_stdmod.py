@@ -42,6 +42,7 @@ from bubblealg.diagram import (
     compose,
     identity_element,
     make_diagram,
+    propagating_index,
     white_generator,
 )
 from bubblealg.checks import tl_gram_poly
@@ -108,7 +109,7 @@ class TestAction:
             for bra in enumerate_bras(3, i, j):
                 r = act_diagram(red_cupcap(3), bra)
                 if r is not None:
-                    assert r[2].propagating == (i, j)
+                    assert propagating_index(r[2]) == (i, j)
 
     def test_rep_is_multiplicative_n2(self):
         basis = enumerate_basis(2)
