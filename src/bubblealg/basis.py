@@ -11,11 +11,12 @@ from given open strands and hands each way to match them to a leaf
 callback, already in canonical pair order.  The B_n front ends take one
 size n.  ``enumerate_basis`` walks the whole boundary from no open
 strand, builds and sorts the diagrams and is the tests' independent
-reference for the text.  Nothing walks B_n only to count it: |B_n| has
-the closed form ``oracles.bubble_basis_count``, which ``rank_identity``
-compares with the sum of squared dimensions and with
-walk_count(2n, 0, 0).  ``_bra_views`` walks the frame of a half diagram
-from its cuts, already open, to its pairs.
+reference for the text.  |B_n| has the closed form
+``oracles.bubble_basis_count``, which ``rank_identity`` compares with the
+sum of squared dimensions and with walk_count(2n, 0, 0); only
+``check``'s ``basis_counts`` lists B_n to take its length, which it
+compares with the closed form.  ``_bra_views`` walks the frame of a half
+diagram from its cuts, already open, to its pairs.
 ``basis_encodings``, which ``basis --diagrams`` and the cache use, reads
 a diagram as a north and a south view of one label, joined cut to cut,
 which is why |B_n| = sum dim(n, i, j)^2: each north view becomes a
@@ -306,6 +307,11 @@ class HalfDiagram(Diagram):
         reds = ",".join(map(str, self.red_cuts))
         blues = ",".join(map(str, self.blue_cuts))
         return f"H[{self.n}]{{{body}}}{{r:{reds}}}{{b:{blues}}}"
+
+    @classmethod
+    def decode(cls, text: str) -> "HalfDiagram":
+        """Refused: half diagrams are written as ``H[...]`` but never read back."""
+        raise TypeError(f"half diagrams are written as H[...] but never read back: {text!r}")
 
 
 def _slotted(

@@ -8,7 +8,6 @@ output is byte identical between runs.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -83,9 +82,6 @@ ONE_BLAS_THREAD_BELOW = 2 * 2**20
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-# The JSON writer hands stdout text about this many characters at a time
-WRITE_SIZE = 2**20
-
 # strings of an all-string list are escaped and joined this many at a time
 STRING_RUN = 4096
 
@@ -106,28 +102,13 @@ def _plain(text: str) -> bool:
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
-def _escaped(pieces: Iterable[str]) -> Iterator[str]:
-    # escaping is per code point, so a piece that needs it goes out in slices
-    for piece in pieces:
-        if _plain(piece):
-            yield piece
-            continue
-        for start in range(0, len(piece), WRITE_SIZE):
-            yield encode_basestring_ascii(piece[start : start + WRITE_SIZE])[1:-1]
-
-
 def _json_chunks(value, pad: str) -> Iterator[str]:
     """Text of ``json.dumps(value, sort_keys=True, indent=2)`` in pieces;
     ``pad`` is the indentation of the line ``value`` starts on.  Object
     keys must be strings, and a ``StringPieces`` is written as the string
     its pieces join to."""
     if isinstance(value, str):
-        if len(value) <= WRITE_SIZE:
-            yield encode_basestring_ascii(value)
-            return
-        yield '"'
-        yield from _escaped((value,))
-        yield '"'
+        yield encode_basestring_ascii(value)
     elif value is None or isinstance(value, (bool, int, float)):
         yield json.dumps(value)
     elif isinstance(value, dict):
@@ -165,7 +146,8 @@ def _json_chunks(value, pad: str) -> Iterator[str]:
         yield "\n" + pad + "]"
     elif isinstance(value, StringPieces):
         yield '"'
-        yield from _escaped(value.pieces)
+        for piece in value.pieces:
+            yield piece if _plain(piece) else encode_basestring_ascii(piece)[1:-1]
         yield '"'
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -173,28 +155,18 @@ def _json_chunks(value, pad: str) -> Iterator[str]:
 
 def _emit_json(payload: dict) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
-    byte for byte, without ever holding the whole text."""
-    buf: list[str] = []
-    held = 0
-    for chunk in _json_chunks(payload, ""):
-        buf.append(chunk)
-        held += len(chunk)
-        if held >= WRITE_SIZE:
-            sys.stdout.write("".join(buf))
-            buf.clear()
-            held = 0
-    buf.append("\n")
-    sys.stdout.write("".join(buf))
+    byte for byte, a chunk at a time, without ever holding the whole text;
+    stdout's own buffer batches the chunks into writes."""
+    sys.stdout.writelines(_json_chunks(payload, ""))
+    sys.stdout.write("\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def _complex_pair(z: complex) -> list[float]:

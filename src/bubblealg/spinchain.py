@@ -30,9 +30,6 @@ import numpy as np
 from .diagram import Diagram, endpoint_arrays, products
 from .numeric import NumericParams
 
-SITE_STATES = ("r+", "r-", "b+", "b-")
-
-
 def state_index(states: Sequence[int]) -> int:
     idx = 0
     for s in states:

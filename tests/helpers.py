@@ -29,7 +29,7 @@ from bubblealg.diagram import (
     white_generator,
 )
 from bubblealg.exactpoly import ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
-from bubblealg.spinchain import SITE_STATES, NumericParams, diagram_matrix
+from bubblealg.spinchain import NumericParams, diagram_matrix
 from bubblealg.stdmod import act_diagram, psi
 from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices
 
@@ -691,6 +691,10 @@ def element_matrix(x: Element, params: NumericParams) -> np.ndarray:
     for d, coeff in x.items():
         m += evaluate(coeff, params.delta_r, params.delta_b) * diagram_matrix(d, params)
     return m
+
+
+# the labels of a site's four states, in the order spinchain indexes them
+SITE_STATES = ("r+", "r-", "b+", "b-")
 
 
 def site_basis_order(n: int) -> list[tuple[str, ...]]:

@@ -401,6 +401,14 @@ class TestHalfDiagrams:
         assert checked == [bra]
         assert "encode" in vars(HalfDiagram) and str(bra) == "H[3]{(1,2,r)}{r:}{b:3}"
 
+    @pytest.mark.parametrize("text", ["H[3]{(1,2,r)}{r:}{b:3}", "D[3,1]{(1,2,r);(3,4,b)}"])
+    def test_decode_is_refused(self, text):
+        # both texts of make_half(3, [(1, 2, RED)], blue_cuts=(3,)); the
+        # decoder inherited from Diagram raised a misleading ValueError
+        with pytest.raises(TypeError, match="never read back"):
+            HalfDiagram.decode(text)
+        assert Diagram.decode("D[3,1]{(1,2,r);(3,4,b)}").pairs == ((1, 2, RED), (3, 4, BLUE))
+
     def test_validation_rejects_interleaving(self):
         with pytest.raises(ValueError):
             make_half(4, [(1, 3, RED), (2, 4, RED)])

@@ -1836,9 +1836,8 @@ def writer_payload(rng: random.Random, depth: int = 0):
 
 
 class TestJsonWriter:
-    @pytest.mark.parametrize("write_size, string_run", [(cli.WRITE_SIZE, cli.STRING_RUN), (5, 2)])
-    def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, write_size, string_run):
-        monkeypatch.setattr(cli, "WRITE_SIZE", write_size)
+    @pytest.mark.parametrize("string_run", [cli.STRING_RUN, 2])
+    def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, string_run):
         monkeypatch.setattr(cli, "STRING_RUN", string_run)
         rng = random.Random(2718)
         for _ in range(300):
@@ -1846,11 +1845,9 @@ class TestJsonWriter:
             cli._emit_json(payload)
             assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize("write_size", [cli.WRITE_SIZE, 3])
-    def test_pieced_string_is_written_as_json_dumps_would(self, monkeypatch, write_size):
-        monkeypatch.setattr(cli, "WRITE_SIZE", write_size)
+    def test_pieced_string_is_written_as_json_dumps_would(self):
         pieces = ["", "plain", "", 'quote " and \\ back', "\n\t\x00\x1f\x7f", "\u00e9 \u2603 \U0001d11e", ""]
-        pieces.append("x" * (cli.WRITE_SIZE + 3))
+        pieces.append("x" * (2**20 + 3))
         value = {
             "a": cli.StringPieces(iter(pieces)),
             "b": [cli.StringPieces([]), cli.StringPieces([""]), 1],
@@ -1880,24 +1877,55 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             list(cli._json_chunks({1: "x"}, ""))
 
-    def test_output_arrives_in_batched_writes(self, monkeypatch):
+    def test_long_string_is_written_as_json_dumps_would(self, capsys):
+        # one str over 1 MiB, escapes spread through it, goes out in one chunk
+        unit = 'q"b\\c\x00\x1f\n\x7f\u00e9\u2603\U0001d11e.'
+        value = {"long": unit * (2**20 // len(unit) + 1)}
+        assert len(value["long"]) > 2**20
+        cli._emit_json(value)
+        assert capsys.readouterr().out == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # the basis --n 5 --diagrams golden of TestBasisCommand
+            (
+                "basis --n 5 --diagrams",
+                "351766bad8d39f6ace606fe61a41c191a7106109bc1ce60944cafd980d247916",
+            ),
+            # the n6_i1_j1 golden of TestGramCommand
+            (
+                "gram --n 6 --i 1 --j 1 --det --blocks --roots b",
+                "626097c3f6e34dc6abf10387f518805404a9fd21016dc1f7d2ba688938e079a7",
+            ),
+        ],
+        ids=["basis_5_diagrams", "gram_n6_i1_j1"],
+    )
+    def test_output_streams_to_stdout_in_chunks(self, monkeypatch, argv, digest):
+        # the writer holds no batch of its own: each chunk goes to stdout as
+        # it is made, and a string list arrives at most STRING_RUN items at a time
         writes = []
 
         class Sink:
             def write(self, text):
                 writes.append(text)
 
-        monkeypatch.setattr(cli, "WRITE_SIZE", 4096)
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
         monkeypatch.setattr(cli, "STRING_RUN", 64)
         monkeypatch.setattr(sys, "stdout", Sink())
-        assert main(["basis", "--n", "5", "--diagrams"]) == 0
+        assert main(argv.split()) == 0
         out = "".join(writes)
-        # the basis --n 5 --diagrams golden of TestBasisCommand
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-            "351766bad8d39f6ace606fe61a41c191a7106109bc1ce60944cafd980d247916"
-        )
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
         assert len(writes) >= 10
-        assert all(len(w) >= 4096 for w in writes[:-1])
+        assert all(w.count('"D[') + w.count('"H[') <= 64 for w in writes)
+        if "--det" in argv:
+            # the determinant's pieces arrive between its key and its closing quote
+            start = next(k for k, w in enumerate(writes) if w.endswith('"det": ')) + 2
+            end = writes.index('"', start)
+            assert end - start > 1
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -1,12 +1,12 @@
 """The package keeps only what it uses.
 
-Every module-level function and class in ``src/bubblealg`` is either
-exported in ``bubblealg.__all__`` or referenced by name somewhere in the
-package outside its own definition; module dunders, which Python calls
-itself, count as used.  Code that only the tests call lives
-in ``tests/helpers.py``.  This holds for ``oracles.py`` too: an
-independent route stays in the package only while package code, such as
-``rank_identity`` or the ``check`` suite, calls it.
+Every module-level function, class and constant in ``src/bubblealg`` is
+either exported in ``bubblealg.__all__`` or referenced by name somewhere
+in the package outside its own definition; module dunders, which Python
+calls or reads itself, count as used.  Code and constants that only the
+tests read live in ``tests/helpers.py``.  This holds for ``oracles.py``
+too: an independent route stays in the package only while package code,
+such as ``rank_identity`` or the ``check`` suite, calls it.
 
 Every module-level import is read in its own module or exported, so an
 import left behind when its last use goes is caught.
@@ -36,16 +36,26 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 needs_tracer = pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is absent")
 
 
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def unused_definitions(package: Path) -> list[str]:
-    """``module.name`` of each module-level def or class that nothing in
-    the package exports or refers to."""
+    """``module.name`` of each module-level def, class or constant that
+    nothing in the package exports or refers to."""
     trees = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(package.glob("*.py"))}
     exported = set(bubblealg.__all__)
     # every name read in the package, counted per defining node it sits in
     uses: dict[str, list[ast.AST | None]] = {}
     for tree in trees.values():
         for top in tree.body:
-            owner = top if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            owner = top if _bound_names(top) else None
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     uses.setdefault(node.id, []).append(owner)
@@ -54,13 +64,12 @@ def unused_definitions(package: Path) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for top in tree.body:
-            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            # a dunder such as the package's PEP 562 __getattr__ is called by Python
-            if top.name in exported or top.name.startswith("__"):
-                continue
-            if not any(owner is not top for owner in uses.get(top.name, ())):
-                unused.append(f"{module[:-3]}.{top.name}")
+            for name in _bound_names(top):
+                # a dunder such as the package's PEP 562 __getattr__ is called by Python
+                if name in exported or name.startswith("__"):
+                    continue
+                if not any(owner is not top for owner in uses.get(name, ())):
+                    unused.append(f"{module[:-3]}.{name}")
     return unused
 
 
@@ -78,6 +87,14 @@ def test_a_test_only_helper_would_be_flagged(tmp_path):
         + '    return tuple(COLOUR_CHARS.index(ch) for ch in chars)\n'
     )
     assert unused_definitions(tmp_path) == ["diagram.word_from_chars"]
+
+
+def test_a_test_only_constant_would_be_flagged(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    spinchain = tmp_path / "spinchain.py"
+    spinchain.write_text(spinchain.read_text() + '\nSITE_STATES = ("r+", "r-", "b+", "b-")\n')
+    assert unused_definitions(tmp_path) == ["spinchain.SITE_STATES"]
 
 
 def unused_imports(package: Path) -> list[str]:
@@ -115,16 +132,6 @@ def test_a_leftover_import_would_be_flagged(tmp_path):
     cache = tmp_path / "cache.py"
     cache.write_text(cache.read_text() + "\nfrom itertools import pairwise\n")
     assert unused_imports(tmp_path) == ["cache.pairwise"]
-
-
-def _bound_names(stmt: ast.stmt) -> list[str]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [stmt.name]
-    if isinstance(stmt, ast.Assign):
-        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        return [stmt.target.id]
-    return []
 
 
 def shadowed_definitions(paths: list[Path]) -> list[str]:

@@ -20,7 +20,6 @@ from bubblealg.diagram import (
     white_generator,
 )
 from bubblealg.spinchain import (
-    SITE_STATES,
     NumericParams,
     arc_ket,
     b2_matrix,
@@ -29,7 +28,7 @@ from bubblealg.spinchain import (
     homomorphism_report,
     state_index,
 )
-from helpers import element_matrix, site_basis_order
+from helpers import SITE_STATES, element_matrix, site_basis_order
 
 GENERIC = NumericParams(q_r=(1.3 + 0.4j) ** 2, q_b=(0.8 - 0.9j) ** 2)
 
