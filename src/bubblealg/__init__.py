@@ -9,50 +9,39 @@ verification.  The `bubble` console script exposes the same reports.
 
 import importlib
 
-from .basis import (
-    basis_encodings,
-    enumerate_basis,
-    enumerate_bras,
-    rank_identity,
-    standard_labels,
-    walk_count,
-)
-from .diagram import (
-    BLUE,
-    RED,
-    Diagram,
-    Element,
-    SizeMismatchError,
-    compose,
-    identity_element,
-    make_diagram,
-    white_generator,
-)
-from .exactpoly import DB, DR, LaurentPoly, PolyMatrix, poly_det
-
-# the numeric modules load on first use (PEP 562), so importing the
-# package, or a request that computes no float, loads no numpy
-_LAZY = {
-    "NumericParams": "numeric",
-    "diagram_matrix": "spinchain",
-    "homomorphism_report": "spinchain",
-    "gram_blocks": "stdmod",
-    "gram_det_report": "stdmod",
-    "gram_matrix": "stdmod",
-    "localisation_report": "stdmod",
-    "restriction_report": "stdmod",
-    "scan_gram_roots": "stdmod",
-    "rmatrix": "yangbaxter",
-    "transfer_commutator": "yangbaxter",
-    "transfer_matrix": "yangbaxter",
-    "unitarity_residual": "yangbaxter",
-    "ybe_residual": "yangbaxter",
-    "ybe_sweep": "yangbaxter",
+# every export, by the module that defines it; each loads on first use
+# (PEP 562), so importing the package loads no submodule and no numpy
+_EXPORTS = {
+    "basis": ("basis_encodings", "enumerate_basis", "enumerate_bras", "rank_identity", "standard_labels", "walk_count"),
+    "diagram": (
+        "BLUE",
+        "RED",
+        "Diagram",
+        "Element",
+        "SizeMismatchError",
+        "compose",
+        "identity_element",
+        "make_diagram",
+        "white_generator",
+    ),
+    "exactpoly": ("DB", "DR", "LaurentPoly", "PolyMatrix", "poly_det"),
+    "numeric": ("NumericParams",),
+    "spinchain": ("diagram_matrix", "homomorphism_report"),
+    "stdmod": (
+        "gram_blocks",
+        "gram_det_report",
+        "gram_matrix",
+        "localisation_report",
+        "restriction_report",
+        "scan_gram_roots",
+    ),
+    "yangbaxter": ("rmatrix", "transfer_commutator", "transfer_matrix", "unitarity_residual", "ybe_residual", "ybe_sweep"),
 }
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{module}", __name__), name)
@@ -60,40 +49,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLUE",
-    "DB",
-    "DR",
-    "Diagram",
-    "Element",
-    "LaurentPoly",
-    "NumericParams",
-    "PolyMatrix",
-    "RED",
-    "SizeMismatchError",
-    "basis_encodings",
-    "compose",
-    "diagram_matrix",
-    "enumerate_basis",
-    "enumerate_bras",
-    "gram_blocks",
-    "gram_det_report",
-    "gram_matrix",
-    "homomorphism_report",
-    "identity_element",
-    "localisation_report",
-    "make_diagram",
-    "poly_det",
-    "rank_identity",
-    "restriction_report",
-    "rmatrix",
-    "scan_gram_roots",
-    "standard_labels",
-    "transfer_commutator",
-    "transfer_matrix",
-    "unitarity_residual",
-    "walk_count",
-    "white_generator",
-    "ybe_residual",
-    "ybe_sweep",
-]
+__all__ = sorted(_MODULE_OF)

@@ -53,6 +53,13 @@ from .yangbaxter import (
 )
 
 
+class Outcome(NamedTuple):
+    """What one check found; ``run_checks`` names it."""
+
+    passed: bool
+    detail: str
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -63,48 +70,38 @@ def all_passed(results: list[CheckResult]) -> bool:
     return all(r.passed for r in results)
 
 
-def _check_basis_counts(size: int) -> CheckResult:
+def _check_basis_counts(size: int) -> Outcome:
     for n in range(1, size + 1):
         got = len(enumerate_basis(n))
         want = bubble_basis_count(n)
         if got != want:
-            return CheckResult(
-                "basis_counts", False, f"n={n}: enumerated {got}, closed form {want}"
-            )
-    return CheckResult("basis_counts", True, f"counts match the closed form, n<={size}")
+            return Outcome(False, f"n={n}: enumerated {got}, closed form {want}")
+    return Outcome(True, f"counts match the closed form, n<={size}")
 
 
-def _check_rank_identity(size: int) -> CheckResult:
+def _check_rank_identity(size: int) -> Outcome:
     for n in range(1, size + 1):
         rep = rank_identity(n)
         if not rep.holds:
-            return CheckResult(
-                "rank_identity",
-                False,
-                f"n={n}: basis {rep.basis_size} != square sum {rep.dim_square_sum}",
-            )
-    return CheckResult("rank_identity", True, f"basis size equals square sum, n<={size}")
+            return Outcome(False, f"n={n}: basis {rep.basis_size} != square sum {rep.dim_square_sum}")
+    return Outcome(True, f"basis size equals square sum, n<={size}")
 
 
-def _check_gram_identity_top(size: int) -> CheckResult:
+def _check_gram_identity_top(size: int) -> Outcome:
     for n in range(1, size + 1):
         for i in range(n + 1):
             g = gram_matrix(n, i, n - i)
             if g != PolyMatrix.identity(g.rows):
-                return CheckResult(
-                    "gram_identity_top", False, f"G_{n}({i},{n - i}) is not the identity"
-                )
-    return CheckResult("gram_identity_top", True, f"full-cut forms are identities, n<={size}")
+                return Outcome(False, f"G_{n}({i},{n - i}) is not the identity")
+    return Outcome(True, f"full-cut forms are identities, n<={size}")
 
 
-def _check_gram_g2_diagonal() -> CheckResult:
+def _check_gram_g2_diagonal() -> Outcome:
     g = gram_matrix(2, 0, 0)
     want = PolyMatrix.diagonal([DB, DR])
     if g != want:
-        return CheckResult("gram_g2_diagonal", False, "G_2(0,0) mismatch")
-    return CheckResult(
-        "gram_g2_diagonal", True, "G_2(0,0) = diag(db, dr) in canonical bra order"
-    )
+        return Outcome(False, "G_2(0,0) mismatch")
+    return Outcome(True, "G_2(0,0) = diag(db, dr) in canonical bra order")
 
 
 def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
@@ -116,7 +113,7 @@ def tl_gram_poly(n_points: int, defects: int, colour: int) -> PolyMatrix:
     return PolyMatrix([[entry(e) for e in row] for row in expo])
 
 
-def _check_gram_tl_blocks(size: int) -> CheckResult:
+def _check_gram_tl_blocks(size: int) -> Outcome:
     checked = 0
     for n in range(2, size + 1):
         for i in range(n - 1):
@@ -132,64 +129,43 @@ def _check_gram_tl_blocks(size: int) -> CheckResult:
                 red = {a: c for (a, _), c in det_r.terms.items()}
                 blue = {b: c for (_, b), c in det_b.terms.items()}
                 if not is_tensor(blk.det, red, blue):
-                    return CheckResult(
-                        "gram_tl_blocks",
-                        False,
-                        f"block {blk.word} of G_{n}({i},{j}) has wrong determinant",
-                    )
+                    return Outcome(False, f"block {blk.word} of G_{n}({i},{j}) has wrong determinant")
                 checked += 1
-    return CheckResult(
-        "gram_tl_blocks", True, f"{checked} word blocks match the one-colour oracle"
-    )
+    return Outcome(True, f"{checked} word blocks match the one-colour oracle")
 
 
-def _check_gram_det_dual_route(size: int) -> CheckResult:
+def _check_gram_det_dual_route(size: int) -> Outcome:
     labels = [(2, 0, 0), (3, 1, 0), (3, 0, 1)]
     if size >= 4:
         labels += [(4, 2, 0), (4, 1, 1), (4, 0, 0)]
     for n, i, j in labels:
         gram_det_report(n, i, j)
-    return CheckResult(
-        "gram_det_dual_route",
-        True,
-        f"{len(labels)} determinants agree both routes, n<={max(n for n, _, _ in labels)}",
-    )
+    return Outcome(True, f"{len(labels)} determinants agree both routes, n<={max(n for n, _, _ in labels)}")
 
 
-def _check_root_scan(size: int) -> CheckResult:
+def _check_root_scan(size: int) -> Outcome:
     jobs = [(3, 1, 0, RED), (3, 0, 1, BLUE)]
     if size >= 4:
         jobs.append((4, 0, 0, RED))
     for n, i, j, var in jobs:
         scan = scan_gram_roots(gram_det_report(n, i, j), var=var)
         if not scan.all_matched:
-            return CheckResult(
-                "gram_root_scan",
-                False,
-                f"unmatched root in det G_{n}({i},{j}) scanning colour {var}",
-            )
-    return CheckResult(
-        "gram_root_scan",
-        True,
-        f"{len(jobs)} scans hit only 2cos(pi m/k) points, n<={max(n for n, _, _, _ in jobs)}",
-    )
+            return Outcome(False, f"unmatched root in det G_{n}({i},{j}) scanning colour {var}")
+    top = max(n for n, _, _, _ in jobs)
+    return Outcome(True, f"{len(jobs)} scans hit only 2cos(pi m/k) points, n<={top}")
 
 
-def _check_white_idempotent(size: int) -> CheckResult:
+def _check_white_idempotent(size: int) -> Outcome:
     weight = DR + DB
     for n in range(2, size + 1):
         for pos in range(1, n):
             u = white_generator(n, pos)
             if u * u != u.scale(weight):
-                return CheckResult(
-                    "white_idempotent", False, f"U_{pos} at n={n} fails its square rule"
-                )
-    return CheckResult(
-        "white_idempotent", True, f"U_i^2 = (dr+db) U_i for all positions, n<={size}"
-    )
+                return Outcome(False, f"U_{pos} at n={n} fails its square rule")
+    return Outcome(True, f"U_i^2 = (dr+db) U_i for all positions, n<={size}")
 
 
-def _check_identity_decomposition(n: int) -> CheckResult:
+def _check_identity_decomposition(n: int) -> Outcome:
     straights = monochrome_straight_diagrams(n)
     total = Element.zero(n, n)
     for a in straights:
@@ -198,19 +174,13 @@ def _check_identity_decomposition(n: int) -> CheckResult:
             prod = Element.from_diagram(a) * Element.from_diagram(b)
             want = Element.from_diagram(a) if a == b else Element.zero(n, n)
             if prod != want:
-                return CheckResult(
-                    "identity_decomposition", False, f"straights not orthogonal at n={n}"
-                )
+                return Outcome(False, f"straights not orthogonal at n={n}")
     if total != identity_element(n):
-        return CheckResult(
-            "identity_decomposition", False, f"straights do not sum to 1 at n={n}"
-        )
-    return CheckResult(
-        "identity_decomposition", True, f"2^{n} orthogonal idempotents sum to 1"
-    )
+        return Outcome(False, f"straights do not sum to 1 at n={n}")
+    return Outcome(True, f"2^{n} orthogonal idempotents sum to 1")
 
 
-def _check_filtration(size: int) -> CheckResult:
+def _check_filtration(size: int) -> Outcome:
     n = min(size, 4)
     basis = enumerate_basis(n)
     index = {d: propagating_index(d) for d in basis}
@@ -218,18 +188,12 @@ def _check_filtration(size: int) -> CheckResult:
     for a, b, _, _, d in products(basis, basis):
         pa, pb, pc = index[a], index[b], index[d]
         if pc[0] > min(pa[0], pb[0]) or pc[1] > min(pa[1], pb[1]):
-            return CheckResult(
-                "filtration",
-                False,
-                f"{a.encode()} o {b.encode()} raises a propagating count",
-            )
+            return Outcome(False, f"{a.encode()} o {b.encode()} raises a propagating count")
         pairs += 1
-    return CheckResult(
-        "filtration", True, f"propagating counts never grow over {pairs} products (n={n})"
-    )
+    return Outcome(True, f"propagating counts never grow over {pairs} products (n={n})")
 
 
-def _check_homomorphism(seed: int) -> CheckResult:
+def _check_homomorphism(seed: int) -> Outcome:
     rng = random.Random(seed)
     params = NumericParams(
         q_r=complex(rng.uniform(1.5, 3.5), rng.uniform(0.5, 1.5)),
@@ -237,45 +201,27 @@ def _check_homomorphism(seed: int) -> CheckResult:
     )
     rep = homomorphism_report(2, params)
     if not rep.max_residual < 1e-12:
-        return CheckResult(
-            "spin_homomorphism", False, f"residual {rep.max_residual:.3e} at generic point"
-        )
-    return CheckResult(
-        "spin_homomorphism",
-        True,
-        f"{rep.pairs_checked} products match, residual {rep.max_residual:.1e}",
-    )
+        return Outcome(False, f"residual {rep.max_residual:.3e} at generic point")
+    return Outcome(True, f"{rep.pairs_checked} products match, residual {rep.max_residual:.1e}")
 
 
-def _check_ybe(seed: int, count: int) -> CheckResult:
+def _check_ybe(seed: int, count: int) -> Outcome:
     tl = ybe_sweep("tl", count=count, seed=seed)
     bubble = ybe_sweep("bubble", count=count, seed=seed)
     if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
-        return CheckResult(
-            "yang_baxter",
-            False,
-            f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}",
-        )
-    return CheckResult(
-        "yang_baxter",
-        True,
-        f"tl {tl.max_residual:.1e}, bubble {bubble.max_residual:.1e} over {count} points",
-    )
+        return Outcome(False, f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}")
+    return Outcome(True, f"tl {tl.max_residual:.1e}, bubble {bubble.max_residual:.1e} over {count} points")
 
 
-def _check_unitarity(seed: int, count: int) -> CheckResult:
+def _check_unitarity(seed: int, count: int) -> Outcome:
     tl = unitarity_sweep("tl", count=count, seed=seed)
     bubble = unitarity_sweep("bubble", count=count, seed=seed)
     if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
-        return CheckResult(
-            "unitarity",
-            False,
-            f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}",
-        )
-    return CheckResult("unitarity", True, "both families scalar to working precision")
+        return Outcome(False, f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}")
+    return Outcome(True, "both families scalar to working precision")
 
 
-def _check_transfer(size: int, seed: int) -> CheckResult:
+def _check_transfer(size: int, seed: int) -> Outcome:
     # the basis checks refuse sizes past DEFAULT_MAX_N; bubble chains there
     # would need gigabytes of state
     top = min(size, DEFAULT_MAX_N)
@@ -290,57 +236,45 @@ def _check_transfer(size: int, seed: int) -> CheckResult:
     # NaN propagates, and then fails the gate
     worst = float(np.max(residuals))
     if not worst < TRANSFER_TOLERANCE:
-        return CheckResult("transfer_commute", False, f"relative commutator {worst:.3e}, n<={top}")
-    return CheckResult(
-        "transfer_commute", True, f"worst relative commutator {worst:.1e}, n<={top}"
-    )
+        return Outcome(False, f"relative commutator {worst:.3e}, n<={top}")
+    return Outcome(True, f"worst relative commutator {worst:.1e}, n<={top}")
 
 
-def _check_localisation(size: int) -> CheckResult:
+def _check_localisation(size: int) -> Outcome:
     for n in range(2, size + 1):
         rep = localisation_report(n)
         if not rep.holds:
-            return CheckResult(
-                "localisation", False, f"n={n}: rank {rep.rank}, expected {rep.expected}"
-            )
-    return CheckResult("localisation", True, f"sandwich rank equals |B_(n-2)|, n<={size}")
+            return Outcome(False, f"n={n}: rank {rep.rank}, expected {rep.expected}")
+    return Outcome(True, f"sandwich rank equals |B_(n-2)|, n<={size}")
 
 
-def _check_restriction(size: int) -> CheckResult:
+def _check_restriction(size: int) -> Outcome:
     for n in range(2, size + 1):
         for i, j in standard_labels(n):
             rep = restriction_report(n, i, j)
             if not rep.holds:
-                return CheckResult(
-                    "restriction", False, f"n={n}, label ({i},{j}) fails the recursion"
-                )
-    return CheckResult(
-        "restriction", True, f"walk recursion realised for every label, n<={size}"
-    )
+                return Outcome(False, f"n={n}, label ({i},{j}) fails the recursion")
+    return Outcome(True, f"walk recursion realised for every label, n<={size}")
 
 
-def _check_cyclic_span(size: int) -> CheckResult:
+def _check_cyclic_span(size: int) -> Outcome:
     for n in range(1, size + 1):
         basis = enumerate_basis(n)
         for i, j in standard_labels(n):
             rep = cyclic_span_report(n, i, j, basis=basis)
             if not rep.holds:
-                return CheckResult(
-                    "cyclic_span",
-                    False,
-                    f"n={n}, label ({i},{j}): rank {rep.rank} != {rep.expected}",
-                )
-    return CheckResult(
-        "cyclic_span", True, f"orbit rank equals walk dimension for every label, n<={size}"
-    )
+                return Outcome(False, f"n={n}, label ({i},{j}): rank {rep.rank} != {rep.expected}")
+    return Outcome(True, f"orbit rank equals walk dimension for every label, n<={size}")
 
 
 def run_checks(size: int = 4, seed: int = 20260822, quick: bool = False) -> list[CheckResult]:
     """Run the whole suite; `quick` trims sizes and sweep counts.
 
-    ``numeric.check_size`` sizes the suite and refuses a size under 2, or
-    past DEFAULT_MAX_N, before any check runs, as the basis checks would
-    refuse the latter only after the rest ran.
+    Each check's name is given here once; a check that raises fails under
+    that name with the error as its detail.  ``numeric.check_size`` sizes
+    the suite and refuses a size under 2, or past DEFAULT_MAX_N, before
+    any check runs, as the basis checks would refuse the latter only after
+    the rest ran.
     """
     size = check_size(size, quick)
     sweep_count = 3 if quick else 5
@@ -366,7 +300,8 @@ def run_checks(size: int = 4, seed: int = 20260822, quick: bool = False) -> list
     results = []
     for name, job in jobs:
         try:
-            results.append(job())
+            outcome = job()
         except Exception as exc:
-            results.append(CheckResult(name, False, f"error: {exc!r}"))
+            outcome = Outcome(False, f"error: {exc!r}")
+        results.append(CheckResult(name, *outcome))
     return results

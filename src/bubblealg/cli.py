@@ -173,9 +173,9 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _json_float(x: float | None) -> float | None:
+def _json_float(x: float) -> float | None:
     """``x``, or None (JSON null) where it is NaN or infinite, which JSON cannot hold."""
-    return x if x is None or math.isfinite(x) else None
+    return x if math.isfinite(x) else None
 
 
 def _check_dense(need: float, what: str) -> None:
@@ -425,12 +425,10 @@ def cmd_rep(args: argparse.Namespace) -> int:
     return status
 
 
-def _median(values) -> float | None:
+def _median(values) -> float:
     """statistics.median's value, without importing statistics (which
-    loads fractions and decimal)."""
+    loads fractions and decimal); a sweep has at least one point."""
     s = sorted(values)
-    if not s:
-        return None
     k = len(s) // 2
     return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 

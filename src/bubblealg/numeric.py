@@ -2,9 +2,11 @@
 parameters, each family's site dimension, the bytes a transfer check
 holds, and the size the check suite runs at.
 
-The command line sizes every ``rep``, ``ybe`` and ``check`` request from
-here, refuses one over its dense budget or the check suite's size bound
-and picks the BLAS threads for the rest, all before ``spinchain``,
+This module holds only those sizes and records.  The dense budget, the
+refusal of a request over it and the choice of BLAS threads live in
+``cli`` (``DENSE_BUDGET``, ``_check_dense``, ``_largest_state``,
+``ONE_BLAS_THREAD_BELOW``, ``_blas_threads``), which sizes every ``rep``,
+``ybe`` and ``check`` request with the counts here before ``spinchain``,
 ``yangbaxter`` or ``checks`` import numpy; those modules take the same
 names from here.  Nothing in this module needs more than ``cmath``.
 """

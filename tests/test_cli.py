@@ -1595,6 +1595,31 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
+@pytest.mark.parametrize(
+    "request_line",
+    [
+        "basis --n 4 --diagrams",
+        "dims --n 5",
+        "gram --n 6 --i 1 --j 1 --det --blocks --roots b",
+        "rep --n 2 --qr 2+0.5j --qb 1.5-0.25j --matrices --check",
+        "ybe --family bubble --sweep 4 --transfer 3 --seed 7",
+        "check --quick",
+    ],
+)
+def test_stdout_does_not_depend_on_hash_randomisation(request_line):
+    # set and dict orders of str keys vary with PYTHONHASHSEED; the
+    # output of a fixed command line and seed may not
+    first, second = (
+        subprocess.run(
+            [sys.executable, "-m", "bubblealg.cli", *request_line.split()],
+            env={**fresh_env(), "PYTHONHASHSEED": seed}, capture_output=True, timeout=120,
+        )
+        for seed in ("0", "1")
+    )
+    assert first.stdout
+    assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+
 # Runs basis requests in one fresh interpreter and prints, for each, its
 # exit code and which of the cache's codec modules it brought in
 CODEC_PROBE = """

@@ -8,12 +8,18 @@ tests read live in ``tests/helpers.py``.  This holds for ``oracles.py``
 too: an independent route stays in the package only while package code,
 such as ``rank_identity`` or the ``check`` suite, calls it.
 
-Every module-level import is read in its own module or exported, so an
-import left behind when its last use goes is caught.
+Every module-level import is read in its own module, so an import left
+behind when its last use goes is caught.  The package root imports no
+submodule: each export is named once in its table and loads on first
+use, so importing ``bubblealg`` loads no submodule and no numpy, and an
+eager re-export there would be flagged as an unread import.
 
 No module-level or class-level name in the package or the tests is
 defined twice, since the later definition silently shadows the first:
 a pasted-in second copy of a test makes the first one never run.
+
+Every source file under ``src`` and ``tests`` parses as Python 3.10, the
+oldest version ``pyproject.toml`` admits.
 
 Every name the benchmark's tracer (``perfbench/tracer.py``) wraps still
 exists, so a change that renames or removes one is caught here rather
@@ -24,6 +30,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,12 +109,11 @@ def test_a_test_only_constant_would_be_flagged(tmp_path):
 
 def unused_imports(package: Path) -> list[str]:
     """``module.name`` of each name a module-level import binds that its
-    module never reads and does not export."""
+    module never reads."""
     unused = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), path.name)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = set(bubblealg.__all__) if path.name == "__init__.py" else set()
         # module level includes the bodies of top-level "if" and "try"
         imports = [
             node
@@ -117,7 +126,7 @@ def unused_imports(package: Path) -> list[str]:
             for alias in node.names:
                 # "import a.b" binds "a"
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in read and name not in exported:
+                if name not in read:
                     unused.append(f"{path.stem}.{name}")
     return unused
 
@@ -132,6 +141,34 @@ def test_a_leftover_import_would_be_flagged(tmp_path):
     cache = tmp_path / "cache.py"
     cache.write_text(cache.read_text() + "\nfrom itertools import pairwise\n")
     assert unused_imports(tmp_path) == ["cache.pairwise"]
+
+
+def test_an_eager_re_export_would_be_flagged(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    init = tmp_path / "__init__.py"
+    init.write_text(init.read_text() + "\nfrom .diagram import compose\n")
+    assert unused_imports(tmp_path) == ["__init__.compose"]
+
+
+# Prints the modules that importing the package adds, so what the
+# interpreter's site loads does not count
+PACKAGE_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import bubblealg
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = subprocess.run(
+        [sys.executable, "-c", PACKAGE_IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    loaded = json.loads(out)
+    assert "bubblealg" in loaded
+    assert [m for m in loaded if m.startswith("bubblealg.") or m.split(".")[0] == "numpy"] == []
 
 
 def shadowed_definitions(paths: list[Path]) -> list[str]:
@@ -172,6 +209,29 @@ def test_a_shadowed_definition_would_be_flagged(tmp_path):
         "test_pasted.py:test_a",
         "test_pasted.py:LIMIT",
     ]
+
+
+def newer_than_3_10(paths: list[Path]) -> list[str]:
+    """Name of each file whose syntax Python 3.10 would not parse."""
+    failing = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), path.name, feature_version=(3, 10))
+        except SyntaxError:
+            failing.append(path.name)
+    return failing
+
+
+def test_every_source_file_parses_as_python_3_10():
+    paths = sorted(PACKAGE.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+    assert len(paths) > 20
+    assert newer_than_3_10(paths) == []
+
+
+def test_a_python_3_11_construct_would_be_flagged(tmp_path):
+    module = tmp_path / "grouped.py"
+    module.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert newer_than_3_10([module]) == ["grouped.py"]
 
 
 def wrapped_names(tracer: Path) -> list[tuple[str, str | None, str]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from helpers import (
     brute_walk_count,
     expanded_det,
     expanded_root_input,
+    join_halves,
     kron,
     localisation_rank_reference,
     match_special_value,
@@ -557,6 +559,47 @@ class TestSplitByColour:
         r_half, b_half = split_by_colour(bra)
         assert r_half == ((), (1,))
         assert b_half == (((1, 2),), ())
+
+
+class TestCellularity:
+    """B_n is cellular (Graham-Lehrer, Invent. Math. 123, 1996): a pair
+    (x, y) of bras of one label glued frame to frame is a diagram C(x, y),
+    and a diagram a acts on it through x alone, modulo diagrams with fewer
+    through-lines.  So act_diagram is well defined on cells."""
+
+    @staticmethod
+    def _broken_products(n: int, ket=lambda bras, y: y) -> tuple[int, int]:
+        """(products a.C(x, y) checked, products off the prediction), over
+        every a in B_n and every pair of bras of each label.  The
+        prediction keeps ``ket(bras, y)`` as the southern half."""
+        cell = functools.cache(join_halves)
+        basis = enumerate_basis(n)
+        checked = broken = 0
+        for i, j in standard_labels(n):
+            bras = enumerate_bras(n, i, j)
+            for a in basis:
+                for x in bras:
+                    acted = act_diagram(a, x)
+                    for y in bras:
+                        product = compose(a, cell(x, y))
+                        if acted is None:
+                            holds = product is None or sum(propagating_index(product[2])) < i + j
+                        else:
+                            lr, lb, ax = acted
+                            holds = product == (lr, lb, cell(ax, ket(bras, y)))
+                        checked += 1
+                        broken += not holds
+        return checked, broken
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_action_on_cells_is_the_action_on_bras(self, n):
+        # the cells are a basis, so every product of B_n x B_n is checked
+        assert self._broken_products(n) == (len(enumerate_basis(n)) ** 2, 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_wrong_southern_half_would_be_caught(self, n):
+        _, broken = self._broken_products(n, ket=lambda bras, y: bras[0])
+        assert broken > 0
 
 
 class TestContravariance:
