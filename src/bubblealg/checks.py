@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import (
-    DEFAULT_MAX_N,
     enumerate_basis,
     monochrome_straight_diagrams,
     rank_identity,
@@ -222,22 +221,19 @@ def _check_unitarity(seed: int, count: int) -> Outcome:
 
 
 def _check_transfer(size: int, seed: int) -> Outcome:
-    # the basis checks refuse sizes past DEFAULT_MAX_N; bubble chains there
-    # would need gigabytes of state
-    top = min(size, DEFAULT_MAX_N)
     rng = random.Random(seed)
     vectors = np.random.default_rng(seed)
     residuals = []
     for kind in ("tl", "bubble"):
-        for n in range(2, top + 1):
+        for n in range(2, size + 1):
             lam = rng.uniform(0.4, 0.9)
             u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
             residuals.append(transfer_commutator(lam, u, v, n, kind, vectors))
     # NaN propagates, and then fails the gate
     worst = float(np.max(residuals))
     if not worst < TRANSFER_TOLERANCE:
-        return Outcome(False, f"relative commutator {worst:.3e}, n<={top}")
-    return Outcome(True, f"worst relative commutator {worst:.1e}, n<={top}")
+        return Outcome(False, f"relative commutator {worst:.3e}, n<={size}")
+    return Outcome(True, f"worst relative commutator {worst:.1e}, n<={size}")
 
 
 def _check_localisation(size: int) -> Outcome:

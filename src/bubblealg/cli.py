@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -34,14 +33,14 @@ if TYPE_CHECKING:
     from .yangbaxter import SweepReport
 
 # cache, checks, numeric, spinchain, stdmod and yangbaxter, and the
-# stdlib's csv, are imported where they are used, so a
-# request loads only its own modules: numpy comes in only for rep --check
-# or --matrices, ybe and check, the requests that compute with float
-# arrays, and only once numeric has sized them (see _blas_threads); cache
-# only for a basis request that names a cache directory, and gzip and
-# hashlib only once that request reads or writes a file.  The package's
-# records are named tuples and its samples text, so no request loads
-# dataclasses (and with it inspect) or fractions; only numpy brings
+# stdlib's csv, are imported where they are used, so a request loads only
+# its own modules: numpy comes in only for rep --check or --matrices, ybe
+# and check, the requests that compute with float arrays, and only inside
+# numeric.dense_request, once the request has stated its sizes and been
+# admitted; cache only for a basis request that names a cache directory,
+# and gzip and hashlib only once that request reads or writes a file.  The
+# package's records are named tuples and its samples text, so no request
+# loads dataclasses (and with it inspect) or fractions; only numpy brings
 # inspect in
 
 EXIT_OK = 0
@@ -53,34 +52,6 @@ DEFAULT_SEED = 20260822
 
 # names the basis cache directory when --cache-dir is not given
 ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
-
-# Bytes of dense complex arrays, and the text made from them, that one
-# request may hold at once.  It admits rep --n 3 (62 MB with --matrices),
-# ybe --transfer 9 for bubble (155 MB) and 21 for tl (436 MB), and refuses
-# rep --n 4 (617 MB of matrices alone), bubble --transfer 10 (621 MB) and
-# tl --transfer 22 (872 MB).
-DENSE_BUDGET = 512 * 2**20
-
-# rep --matrices writes each entry as "re,im;", two float reprs of at most
-# 24 characters, and holds that text up to four times: the strings, the
-# JSON document, the line and its encoding
-MATRIX_TEXT_BYTES = 4 * 50
-
-
-# OpenBLAS, which numpy loads, starts a pool of one worker thread per core.
-# Products on dense states under this many bytes run about as fast on one
-# thread as on a pool of two, for 35-45% less CPU; from 2.4 MiB (bubble
-# --transfer 6) the pool is as fast or faster, and from 6.6 MiB (tl
-# --transfer 15) faster by 5-15%.
-# Measured on the largest state a request's products work on (see
-# _largest_state): every rep, ybe with no chain or one up to bubble
-# --transfer 5 or tl --transfer 13, and check up to size 5 fall under it.
-# The paired measurements are in CHANGES.md.
-ONE_BLAS_THREAD_BELOW = 2 * 2**20
-
-# a user who sets any of these chooses the BLAS threads
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 # strings of an all-string list are escaped and joined this many at a time
 STRING_RUN = 4096
@@ -176,55 +147,6 @@ def _complex_pair(z: complex) -> list[float]:
 def _json_float(x: float) -> float | None:
     """``x``, or None (JSON null) where it is NaN or infinite, which JSON cannot hold."""
     return x if math.isfinite(x) else None
-
-
-def _check_dense(need: float, what: str) -> None:
-    """Refuse, before anything is built, a request over the dense budget."""
-    if need > DENSE_BUDGET:
-        raise ResourceLimitError(
-            f"{what} would hold {need:.3g} bytes of dense arrays, over the budget of {DENSE_BUDGET}"
-        )
-
-
-def _largest_state(args: argparse.Namespace) -> int:
-    """Bytes of the largest dense state one product of a rep, ybe or check
-    request works on; counted before numpy loads, and a check size the
-    suite would refuse is refused here."""
-    from .numeric import check_size, transfer_bytes
-
-    if args.command == "rep":
-        # one 4^n x 4^n complex matrix
-        return 16 * 16**args.n
-    if args.command == "ybe":
-        # with no chain the largest product is one of three-site matrices
-        return 0 if args.transfer is None else transfer_bytes(args.transfer, args.family)
-    # check runs the transfer chains of both families up to its size;
-    # bubble's is the larger
-    return transfer_bytes(check_size(args.n, args.quick), "bubble")
-
-
-@contextmanager
-def _blas_threads(largest: int) -> Iterator[None]:
-    """Import numpy in this block with one BLAS thread when ``largest``,
-    the request's largest dense state, is under ONE_BLAS_THREAD_BELOW.
-
-    OpenBLAS reads its thread count once, as numpy loads, so the setting
-    lives only for the import and ``os.environ`` is as before afterwards.
-    Nothing is set once numpy is loaded or when the user set any of
-    BLAS_THREAD_VARS.
-    """
-    if (
-        largest >= ONE_BLAS_THREAD_BELOW
-        or "numpy" in sys.modules
-        or any(var in os.environ for var in BLAS_THREAD_VARS)
-    ):
-        yield
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +294,7 @@ def _format_complex_matrix(mat) -> str:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    from .numeric import SITE_DIM, NumericParams
+    from .numeric import SITE_DIM, NumericParams, dense_request, matrix_bytes, rep_bytes
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
@@ -388,11 +310,8 @@ def cmd_rep(args: argparse.Namespace) -> int:
     # their matrices and numpy
     dense = args.check or args.matrices
     if dense:
-        # one 4^n x 4^n complex matrix per basis diagram, and its text
-        entries = walk_count(2 * args.n, 0, 0) * 16**args.n
-        per_entry = 16 + (MATRIX_TEXT_BYTES if args.matrices else 0)
-        _check_dense(entries * per_entry, f"rep --n {args.n}")
-        with _blas_threads(_largest_state(args)):
+        held = rep_bytes(args.n, args.matrices)
+        with dense_request(held, matrix_bytes(args.n), f"rep --n {args.n}"):
             from .spinchain import diagram_matrix, homomorphism_report
     basis = enumerate_basis(args.n, max_n=args.max_n) if dense else None
     payload: dict = {
@@ -452,10 +371,11 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
 def cmd_ybe(args: argparse.Namespace) -> int:
     if args.sweep < 1:
         raise ValueError("--sweep must be a positive count")
-    largest = _largest_state(args)
-    if args.transfer is not None:
-        _check_dense(largest, f"ybe --transfer {args.transfer}")
-    with _blas_threads(largest):
+    from .numeric import dense_request, transfer_bytes
+
+    # with no chain the largest product is one of three-site matrices
+    chain = 0 if args.transfer is None else transfer_bytes(args.transfer, args.family)
+    with dense_request(chain, chain, f"ybe --transfer {args.transfer}"):
         from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, transfer_sweep, ybe_sweep
 
     ybe = ybe_sweep(args.family, count=args.sweep, seed=args.seed, lam=args.lam)
@@ -488,7 +408,12 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    with _blas_threads(_largest_state(args)):
+    from .numeric import check_size, dense_request, transfer_bytes
+
+    # the suite runs the transfer chains of both families up to its size,
+    # and refuses a size out of bounds here; bubble's chain is the larger
+    chain = transfer_bytes(check_size(args.n, args.quick), "bubble")
+    with dense_request(chain, chain, f"check --n {args.n}"):
         from .checks import all_passed, run_checks
 
     results = run_checks(size=args.n, seed=args.seed, quick=args.quick)

@@ -1,22 +1,77 @@
-"""What the numeric commands know before numpy loads: the colour
-parameters, each family's site dimension, the bytes a transfer check
-holds, and the size the check suite runs at.
+"""What the numeric commands know before numpy loads, and the admission
+of a request: the colour parameters, each family's site dimension, the
+bytes ``rep`` and a transfer check hold, the size the check suite runs
+at, the dense budget that refuses a request and the BLAS threads numpy
+loads with.
 
-This module holds only those sizes and records.  The dense budget, the
-refusal of a request over it and the choice of BLAS threads live in
-``cli`` (``DENSE_BUDGET``, ``_check_dense``, ``_largest_state``,
-``ONE_BLAS_THREAD_BELOW``, ``_blas_threads``), which sizes every ``rep``,
-``ybe`` and ``check`` request with the counts here before ``spinchain``,
-``yangbaxter`` or ``checks`` import numpy; those modules take the same
-names from here.  Nothing in this module needs more than ``cmath``.
+``cli`` sizes every ``rep``, ``ybe`` and ``check`` request here and
+imports ``spinchain``, ``yangbaxter`` or ``checks``, and with them
+numpy, inside ``dense_request``; those modules take the same names from
+here.  Nothing in this module imports numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import os
+import sys
+from contextlib import contextmanager
+from typing import Iterator
 
-from .basis import DEFAULT_MAX_N, ResourceLimitError
+from .basis import DEFAULT_MAX_N, ResourceLimitError, walk_count
 from .diagram import RED
+
+# Bytes of dense complex arrays, and the text made from them, that one
+# request may hold at once.  It admits rep --n 3 (62 MB with --matrices),
+# ybe --transfer 9 for bubble (155 MB) and 21 for tl (436 MB), and refuses
+# rep --n 4 (617 MB of matrices alone), bubble --transfer 10 (621 MB) and
+# tl --transfer 22 (872 MB).
+DENSE_BUDGET = 512 * 2**20
+
+# OpenBLAS, which numpy loads, starts a pool of one worker thread per core.
+# Products on dense states under this many bytes run about as fast on one
+# thread as on a pool of two, for 35-45% less CPU; from 2.4 MiB (bubble
+# --transfer 6) the pool is as fast or faster, and from 6.6 MiB (tl
+# --transfer 15) faster by 5-15%.
+# Measured on the largest state a request's products work on (the
+# ``largest`` of dense_request): every rep, ybe with no chain or one up to
+# bubble --transfer 5 or tl --transfer 13, and check up to size 5 fall
+# under it.  The paired measurements are in CHANGES.md.
+ONE_BLAS_THREAD_BELOW = 2 * 2**20
+
+# a user who sets any of these chooses the BLAS threads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def dense_request(held: int, largest: int, what: str) -> Iterator[None]:
+    """Admit a request that holds ``held`` bytes of dense arrays, and whose
+    largest product works on a state of ``largest`` bytes, then import
+    numpy in this block.
+
+    A request over DENSE_BUDGET is refused before anything is built.
+    Under ONE_BLAS_THREAD_BELOW numpy loads with one BLAS thread: OpenBLAS
+    reads its thread count once, as numpy loads, so the setting lives only
+    for the block and ``os.environ`` is as before afterwards.  Nothing is
+    set once numpy is loaded or when the user set any of BLAS_THREAD_VARS.
+    """
+    if held > DENSE_BUDGET:
+        raise ResourceLimitError(
+            f"{what} would hold {held:.3g} bytes of dense arrays, over the budget of {DENSE_BUDGET}"
+        )
+    if (
+        largest >= ONE_BLAS_THREAD_BELOW
+        or "numpy" in sys.modules
+        or any(var in os.environ for var in BLAS_THREAD_VARS)
+    ):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 
 # states per chain site: a spin for tl, a colour and a spin for bubble
 SITE_DIM = {"tl": 2, "bubble": 4}
@@ -26,6 +81,24 @@ def site_dim(kind: str) -> int:
     if kind not in SITE_DIM:
         raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
     return SITE_DIM[kind]
+
+
+# rep --matrices writes each entry as "re,im;", two float reprs of at most
+# 24 characters, and holds that text up to four times: the strings, the
+# JSON document, the line and its encoding
+MATRIX_TEXT_BYTES = 4 * 50
+
+
+def matrix_bytes(n: int) -> int:
+    """Bytes of one 4^n x 4^n complex matrix of the spin chain on n sites."""
+    return 16 * 16**n
+
+
+def rep_bytes(n: int, text: bool) -> int:
+    """Bytes ``rep`` holds on n strands: one matrix per basis diagram, and
+    with ``text`` the ``--matrices`` text made from them."""
+    per_entry = 16 + (MATRIX_TEXT_BYTES if text else 0)
+    return walk_count(2 * n, 0, 0) * 16**n * per_entry
 
 
 # Peak of transfer_commutator as tracemalloc measures it: _apply_transfer

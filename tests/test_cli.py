@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import bubblealg
-from bubblealg import basis, cache, checks, cli, stdmod
+from bubblealg import basis, cache, checks, cli, numeric, stdmod
 from bubblealg.basis import basis_encodings, enumerate_basis, rank_identity
 from bubblealg.cache import (
     COMPRESS_LEVEL,
@@ -1205,6 +1205,14 @@ class TestRequestLimits:
     def test_dense_budget_refuses_before_building(self, capsys, nothing_dense, argv):
         assert run_cli(capsys, *argv.split()) == (3, "")
 
+    def test_dense_request_admits_up_to_the_budget(self):
+        with numeric.dense_request(numeric.DENSE_BUDGET, numeric.ONE_BLAS_THREAD_BELOW, "at the budget"):
+            pass
+        message = f"past it would hold 5.37e\\+08 bytes of dense arrays, over the budget of {numeric.DENSE_BUDGET}"
+        with pytest.raises(basis.ResourceLimitError, match=message):
+            with numeric.dense_request(numeric.DENSE_BUDGET + 1, numeric.ONE_BLAS_THREAD_BELOW, "past it"):
+                pytest.fail("a request over the budget was admitted")
+
     def test_size_guard_runs_before_the_dense_count(self, capsys):
         # the dense budget counts B_n with walk_count, whose factorials
         # grow with n, so an n far past the guard must be refused first
@@ -1229,11 +1237,11 @@ class TestRequestLimits:
             main(argv.split())
 
     def test_rep_matrices_budget_counts_the_text(self, capsys, monkeypatch):
-        from bubblealg import cli
-
         needs = []
-        real = cli._check_dense
-        monkeypatch.setattr(cli, "_check_dense", lambda need, what: needs.append(need) or real(need, what))
+        real = numeric.dense_request
+        monkeypatch.setattr(
+            numeric, "dense_request", lambda held, largest, what: needs.append(held) or real(held, largest, what)
+        )
         tracemalloc.start()
         try:
             code, out = run_cli(capsys, *"rep --n 3 --qr 2+0.5j --qb 1.5-0.25j --matrices".split())
@@ -1244,7 +1252,7 @@ class TestRequestLimits:
         # each of the 70 x 64 x 64 entries is at least "0.0,0.0" and one
         # separator: ";" within a matrix, the closing quote after its last
         assert len(out) > 70 * 64 * 64 * len("0.0,0.0;")
-        assert peak <= needs[0] <= cli.DENSE_BUDGET
+        assert peak <= needs[0] <= numeric.DENSE_BUDGET
 
     def test_rep_matrices_cells_are_floats(self, capsys):
         code, out = run_cli(capsys, *"rep --n 2 --qr 2+0.5j --qb 1.5-0.25j --matrices".split())
@@ -1520,11 +1528,6 @@ class TestCheckCommand:
         monkeypatch.setattr(checks, "transfer_commutator", recording)
         assert checks._check_transfer(4, 1).passed
         assert sizes == [("tl", 2), ("tl", 3), ("tl", 4), ("bubble", 2), ("bubble", 3), ("bubble", 4)]
-        sizes.clear()
-        # a bubble chain past the basis bound would need gigabytes of state
-        result = checks._check_transfer(12, 1)
-        assert result.detail.endswith("n<=8")
-        assert max(n for _, n in sizes) == 8
 
     def test_tiny_size_rejected(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1")
@@ -1590,7 +1593,7 @@ def fresh_env() -> dict[str, str]:
     """The environment of a fresh ``bubble`` process on this checkout,
     with no cache directory and no BLAS thread setting."""
     env = {**os.environ, "PYTHONPATH": str(Path(bubblealg.__file__).resolve().parent.parent)}
-    for var in ("BUBBLE_CACHE_DIR", *cli.BLAS_THREAD_VARS):
+    for var in ("BUBBLE_CACHE_DIR", *numeric.BLAS_THREAD_VARS):
         env.pop(var, None)
     return env
 
@@ -1765,42 +1768,55 @@ THREAD_POOL = [
 
 class TestBlasThreads:
     @pytest.mark.parametrize("line", ONE_THREAD + THREAD_POOL)
-    def test_policy(self, line):
-        args = cli.build_parser().parse_args(line.split())
-        assert (cli._largest_state(args) < cli.ONE_BLAS_THREAD_BELOW) == (line in ONE_THREAD)
+    def test_policy(self, line, monkeypatch):
+        # each request states its largest state as it enters dense_request,
+        # and stops there before anything is built
+        class Admitted(Exception):
+            pass
+
+        seen = []
+
+        def recording(held, largest, what):
+            seen.append(largest)
+            raise Admitted
+
+        monkeypatch.setattr(numeric, "dense_request", recording)
+        with pytest.raises(Admitted):
+            main(line.split())
+        assert (seen[0] < numeric.ONE_BLAS_THREAD_BELOW) == (line in ONE_THREAD)
 
     @pytest.fixture
     def no_numpy_yet(self, monkeypatch):
         # what a fresh process sees: numpy not loaded and no thread setting
         monkeypatch.delitem(sys.modules, "numpy")
-        for var in cli.BLAS_THREAD_VARS:
+        for var in numeric.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
 
     def test_one_thread_for_the_import_only(self, no_numpy_yet):
         before = dict(os.environ)
-        with cli._blas_threads(0):
+        with numeric.dense_request(0, 0, "test"):
             assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert dict(os.environ) == before
 
     def test_nothing_set_at_the_cut_off(self, no_numpy_yet):
         before = dict(os.environ)
-        with cli._blas_threads(cli.ONE_BLAS_THREAD_BELOW):
+        with numeric.dense_request(0, numeric.ONE_BLAS_THREAD_BELOW, "test"):
             assert dict(os.environ) == before
 
-    @pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
+    @pytest.mark.parametrize("var", numeric.BLAS_THREAD_VARS)
     def test_a_user_setting_is_left_alone(self, no_numpy_yet, monkeypatch, var):
         monkeypatch.setenv(var, "2")
         before = dict(os.environ)
-        with cli._blas_threads(0):
+        with numeric.dense_request(0, 0, "test"):
             assert dict(os.environ) == before
 
     def test_nothing_set_once_numpy_is_loaded(self, monkeypatch, capsys):
         import numpy  # noqa: F401
 
-        for var in cli.BLAS_THREAD_VARS:
+        for var in numeric.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         before = dict(os.environ)
-        with cli._blas_threads(0):
+        with numeric.dense_request(0, 0, "test"):
             assert dict(os.environ) == before
         assert main(["ybe", "--family", "tl", "--sweep", "2"]) == 0
         assert dict(os.environ) == before

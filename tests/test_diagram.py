@@ -275,6 +275,26 @@ class TestElement:
         with pytest.raises(SizeMismatchError):
             Element(2, 2, [(straight_diagram([RED]), LaurentPoly.one())])
 
+    def test_sum_and_product_across_shapes_raise(self):
+        one, two = identity_element(1), identity_element(2)
+        with pytest.raises(SizeMismatchError, match="element shapes differ"):
+            one + two
+        with pytest.raises(SizeMismatchError, match="cannot be composed"):
+            one * two
+
+    def test_cancelling_terms_are_dropped(self):
+        u = cupcap(RED, RED)
+        assert Element(2, 2, [(u, DR), (u, -DR)]) == Element.zero(2, 2)
+        # U U = dr U and U 1 = U, so U (U - dr 1) cancels term by term
+        x = Element.from_diagram(u)
+        product = x * (x + Element.from_diagram(straight_diagram([RED, RED])).scale(-DR))
+        assert product.is_zero and len(product) == 0
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_white_generator_position_out_of_range(self, i):
+        with pytest.raises(ValueError, match="generator position"):
+            white_generator(3, i)
+
     def test_white_generator_square(self):
         # the all-colours cup-cap squares to (dr + db) times itself
         for n, i in [(2, 1), (3, 1), (3, 2)]:

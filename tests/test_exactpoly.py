@@ -44,6 +44,14 @@ def test_cancellation_to_zero():
     assert DR - DR == ZERO
 
 
+def test_int_minus_poly():
+    assert 1 - DR == LaurentPoly.const(1) - DR == -(DR - 1)
+
+
+def test_int_matrix_entries_are_constants():
+    assert PolyMatrix([[1, 0], [-2, DR]]) == PolyMatrix([[ONE, ZERO], [LaurentPoly.const(-2), DR]])
+
+
 def test_inverse_pair_product_is_one():
     inv = LaurentPoly.monomial(-1, 0)
     assert DR * inv == ONE
@@ -179,8 +187,9 @@ def test_matmul_identity():
         (lambda: DR**-1, ValueError, "non-negative integer"),
         (lambda: divexact(DR, ZERO), ZeroDivisionError, "zero polynomial"),
         (lambda: PolyMatrix([[ONE, ZERO], [ONE]]), ValueError, "ragged rows"),
+        (lambda: PolyMatrix([[ONE, 0.5]]), TypeError, "cannot use float"),
     ],
-    ids=["negative_power", "division_by_zero", "ragged_rows"],
+    ids=["negative_power", "division_by_zero", "ragged_rows", "float_entry"],
 )
 def test_invalid_operation_rejected(call, error, message):
     with pytest.raises(error, match=message):

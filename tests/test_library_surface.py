@@ -12,7 +12,11 @@ Every module-level import is read in its own module, so an import left
 behind when its last use goes is caught.  The package root imports no
 submodule: each export is named once in its table and loads on first
 use, so importing ``bubblealg`` loads no submodule and no numpy, and an
-eager re-export there would be flagged as an unread import.
+eager re-export there would be flagged as an unread import.  Importing
+``bubblealg.cli``, which every ``bubble`` process does before it reads
+its command line, loads only the package root, ``cli``, ``basis``,
+``diagram`` and ``exactpoly``, and no numpy: ``numeric`` and the modules
+that compute with numpy load only for the requests that use them.
 
 No module-level or class-level name in the package or the tests is
 defined twice, since the later definition silently shadows the first:
@@ -169,6 +173,46 @@ def test_importing_the_package_loads_no_submodule():
     loaded = json.loads(out)
     assert "bubblealg" in loaded
     assert [m for m in loaded if m.startswith("bubblealg.") or m.split(".")[0] == "numpy"] == []
+
+
+# Prints the modules that importing the front end adds
+CLI_IMPORT_PROBE = PACKAGE_IMPORT_PROBE.replace("import bubblealg\n", "import bubblealg.cli\n")
+
+# what every bubble process loads before it reads its command line
+STARTUP_MODULES = ["bubblealg", "bubblealg.basis", "bubblealg.cli", "bubblealg.diagram", "bubblealg.exactpoly"]
+
+
+def startup_modules(root: Path) -> tuple[list[str], bool]:
+    """The package modules a fresh ``import bubblealg.cli`` loads from the
+    package under ``root``, and whether it loads numpy."""
+    out = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    loaded = json.loads(out)
+    return [m for m in loaded if m.split(".")[0] == "bubblealg"], "numpy" in loaded
+
+
+def test_the_front_end_loads_only_its_start_up_modules():
+    assert startup_modules(PACKAGE.parent) == (STARTUP_MODULES, False)
+
+
+@pytest.mark.parametrize(
+    "line, loaded",
+    [
+        ("from .numeric import NumericParams\n", ([*STARTUP_MODULES, "bubblealg.numeric"], False)),
+        ("import numpy\n", (STARTUP_MODULES, True)),
+    ],
+    ids=["numeric", "numpy"],
+)
+def test_an_eager_numeric_import_would_be_flagged(tmp_path, line, loaded):
+    copy = tmp_path / "bubblealg"
+    copy.mkdir()
+    for path in PACKAGE.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    cli = copy / "cli.py"
+    cli.write_text(cli.read_text().replace("from .diagram import BLUE, RED\n", "from .diagram import BLUE, RED\n" + line, 1))
+    assert startup_modules(tmp_path) == loaded
 
 
 def shadowed_definitions(paths: list[Path]) -> list[str]:

@@ -27,6 +27,7 @@ from bubblealg.spinchain import (
     diagram_matrix,
     homomorphism_report,
     state_index,
+    two_site_shape,
 )
 from helpers import SITE_STATES, element_matrix, site_basis_order
 
@@ -113,6 +114,15 @@ class TestTwoSiteMatrices:
             for c2 in (RED, BLUE)
         )
         assert np.array_equal(total, np.eye(16))
+
+    def test_a_diagram_outside_b2_is_refused(self):
+        with pytest.raises(ValueError, match="not a two-strand square"):
+            two_site_shape(straight_diagram([RED, RED, RED]))
+        # pairs (1,2) and (3,4) read as a cup-cap, on three northern points
+        tall = make_diagram(3, 1, [(1, 2, RED), (3, 4, RED)])
+        assert two_site_shape(tall)[0] == "cupcap"
+        with pytest.raises(ValueError, match="needs a two-strand square"):
+            b2_matrix(tall, GENERIC)
 
     def test_identity_element_matrix(self):
         assert np.allclose(element_matrix(identity_element(2), GENERIC), np.eye(16))

@@ -464,6 +464,25 @@ class TestRestrictionAndSpans:
             for i, j in standard_labels(n):
                 assert restriction_report(n, i, j).holds
 
+    def test_a_lost_bra_is_reported(self, monkeypatch):
+        restrict = stdmod.restrict_bra
+        first: dict = {}
+        lost = []
+
+        def losing(bra):
+            # one bra's image is lost: it lands on its label's first image
+            label, smaller = restrict(bra)
+            if label in first and not lost:
+                lost.append(smaller)
+                return label, first[label]
+            first.setdefault(label, smaller)
+            return label, smaller
+
+        monkeypatch.setattr(stdmod, "restrict_bra", losing)
+        report = restriction_report(4, 0, 0)
+        assert lost and report.bijective is False
+        assert sum(report.neighbour_sizes.values()) == walk_count(4, 0, 0) - 1
+
     def test_cyclic_span_full_rank(self):
         for n in range(1, 6):
             for i, j in standard_labels(n):

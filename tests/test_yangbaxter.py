@@ -253,6 +253,13 @@ class TestTransfer:
         assert transfer_matrix(0.7, 0.3, 3, "tl").shape == (8, 8)
         assert transfer_matrix(0.7, 0.3, 2, "bubble").shape == (16, 16)
 
+    def test_sizes_out_of_range_are_refused(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            transfer_commutator(0.7, 0.3, -0.9, 0, "tl", np.random.default_rng(1))
+        # 3n einsum letters, past the 52 of string.ascii_letters
+        with pytest.raises(ValueError, match="too long"):
+            transfer_matrix(0.7, 0.3, 18, "tl")
+
     def test_single_site_commutator_vanishes(self):
         rng = np.random.default_rng(1)
         assert transfer_commutator(0.7, 0.3, -0.9, 1, "tl", rng) < 1e-14
