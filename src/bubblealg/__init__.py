@@ -13,18 +13,8 @@ import importlib
 # (PEP 562), so importing the package loads no submodule and no numpy
 _EXPORTS = {
     "basis": ("basis_encodings", "enumerate_basis", "enumerate_bras", "rank_identity", "standard_labels", "walk_count"),
-    "diagram": (
-        "BLUE",
-        "RED",
-        "Diagram",
-        "Element",
-        "SizeMismatchError",
-        "compose",
-        "identity_element",
-        "make_diagram",
-        "white_generator",
-    ),
-    "exactpoly": ("DB", "DR", "LaurentPoly", "PolyMatrix", "poly_det"),
+    "diagram": ("BLUE", "RED", "Diagram", "SizeMismatchError", "compose", "make_diagram"),
+    "exactpoly": ("DB", "DR", "Element", "LaurentPoly", "PolyMatrix", "identity_element", "poly_det", "white_generator"),
     "numeric": ("NumericParams",),
     "spinchain": ("diagram_matrix", "homomorphism_report"),
     "stdmod": (

@@ -20,16 +20,18 @@ from .basis import (
     rank_identity,
     standard_labels,
 )
-from .diagram import (
-    BLUE,
-    RED,
+from .diagram import BLUE, RED, products, propagating_index
+from .exactpoly import (
+    DB,
+    DR,
+    ZERO,
     Element,
+    LaurentPoly,
+    PolyMatrix,
     identity_element,
-    products,
-    propagating_index,
+    poly_det,
     white_generator,
 )
-from .exactpoly import DB, DR, ZERO, LaurentPoly, PolyMatrix, poly_det
 from .numeric import NumericParams, check_size
 from .oracles import bubble_basis_count, tl_gram_exponents
 from .spinchain import homomorphism_report

@@ -38,8 +38,9 @@ if TYPE_CHECKING:
 # and check, the requests that compute with float arrays, and only inside
 # numeric.dense_request, once the request has stated its sizes and been
 # admitted; cache only for a basis request that names a cache directory,
-# and gzip and hashlib only once that request reads or writes a file.  The
-# package's records are named tuples and its samples text, so no request
+# and gzip and hashlib only once that request reads or writes a file.
+# basis and diagram import nothing from the ring, so exactpoly loads only
+# for gram and check, through stdmod and checks.  The package's records are named tuples and its samples text, so no request
 # loads dataclasses (and with it inspect) or fractions; only numpy brings
 # inspect in
 

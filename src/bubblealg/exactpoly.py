@@ -1,4 +1,4 @@
-"""Exact arithmetic over the two-parameter loop ring.
+"""Exact arithmetic over the two-parameter loop ring, and the algebra's elements.
 
 Scalars of the diagram algebra live in the ring of integer Laurent
 polynomials in the two loop parameters ``dr`` and ``db``, one per line
@@ -19,11 +19,22 @@ each entry is packed into one Python int by Kronecker substitution, so
 the elimination runs on CPython's big-integer arithmetic and only the
 determinant is unpacked.  ``divexact`` divides polynomials exactly; the
 ``psi_k`` factors of the Chebyshev numbers in ``stdmod`` are its caller.
+
+Everything whose coefficients are Laurent polynomials lives here: the
+ring, matrices over it, and the algebra's elements.  :class:`Element` is
+a finite combination of equal-shape diagrams with ring coefficients; its
+product multiplies diagrams through ``diagram.products``, the one place
+diagrams are glued, and weighs each product's loop counts as a monomial.
+``identity_element`` builds the unit and ``white_generator`` the cup-cap
+generators, each summed over every colouring of its lines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Iterable, Iterator, Mapping
+
+from .diagram import BLUE, RED, Diagram, SizeMismatchError, make_diagram, products, straight_diagram
 
 Exponent = tuple[int, int]
 
@@ -386,3 +397,147 @@ def poly_det(m: PolyMatrix) -> LaurentPoly:
     return LaurentPoly._raw(
         {(k % k_db + low_a, k // k_db + low_b): c for k, c in det.items()}
     )
+
+
+class Element:
+    """Finite linear combination of equal-shape diagrams over the loop ring."""
+
+    __slots__ = ("n_north", "n_south", "_terms")
+
+    def __init__(
+        self,
+        n_north: int,
+        n_south: int,
+        terms: Mapping[Diagram, LaurentPoly] | Iterable[tuple[Diagram, LaurentPoly]] | None = None,
+    ) -> None:
+        self.n_north = n_north
+        self.n_south = n_south
+        data: dict[Diagram, LaurentPoly] = {}
+        if terms is not None:
+            items = terms.items() if hasattr(terms, "items") else terms
+            for d, coeff in items:
+                if d.n_north != n_north or d.n_south != n_south:
+                    raise SizeMismatchError("diagram shape differs from element shape")
+                c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
+                if c.is_zero:
+                    continue
+                acc = data.get(d, ZERO) + c
+                if acc.is_zero:
+                    data.pop(d, None)
+                else:
+                    data[d] = acc
+        self._terms = data
+
+    @classmethod
+    def zero(cls, n_north: int, n_south: int) -> "Element":
+        return cls(n_north, n_south)
+
+    @classmethod
+    def from_diagram(cls, d: Diagram, coeff: LaurentPoly | int = 1) -> "Element":
+        return cls(d.n_north, d.n_south, [(d, coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff))])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self) -> Iterator[tuple[Diagram, LaurentPoly]]:
+        return iter(self._terms.items())
+
+    def diagrams(self) -> list[Diagram]:
+        return list(self._terms)
+
+    def coefficient(self, d: Diagram) -> LaurentPoly:
+        return self._terms.get(d, ZERO)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _check_shape(self, other: "Element") -> None:
+        if self.n_north != other.n_north or self.n_south != other.n_south:
+            raise SizeMismatchError("element shapes differ")
+
+    def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
+        self._check_shape(other)
+        data = dict(self._terms)
+        for d, c in other._terms.items():
+            acc = data.get(d, ZERO) + c
+            if acc.is_zero:
+                data.pop(d, None)
+            else:
+                data[d] = acc
+        out = Element(self.n_north, self.n_south)
+        out._terms = data
+        return out
+
+    def scale(self, coeff: LaurentPoly | int) -> "Element":
+        c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
+        out = Element(self.n_north, self.n_south)
+        if not c.is_zero:
+            out._terms = {d: c0 * c for d, c0 in self._terms.items()}
+        return out
+
+    def __mul__(self, other):
+        if isinstance(other, (LaurentPoly, int)):
+            return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        if self.n_south != other.n_north:
+            raise SizeMismatchError("element shapes cannot be composed")
+        data: dict[Diagram, LaurentPoly] = {}
+        for a, b, lr, lb, d in products(self._terms, other._terms):
+            coeff = self._terms[a] * other._terms[b] * LaurentPoly.monomial(lr, lb)
+            acc = data.get(d, ZERO) + coeff
+            if acc.is_zero:
+                data.pop(d, None)
+            else:
+                data[d] = acc
+        out = Element(self.n_north, other.n_south)
+        out._terms = data
+        return out
+
+    def __rmul__(self, other):
+        if isinstance(other, (LaurentPoly, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return (
+            self.n_north == other.n_north
+            and self.n_south == other.n_south
+            and self._terms == other._terms
+        )
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return f"Element[{self.n_north},{self.n_south}](0)"
+        body = " + ".join(
+            f"({c})*{d.encode()}" for d, c in sorted(self._terms.items(), key=lambda t: t[0].encode())
+        )
+        return f"Element[{self.n_north},{self.n_south}]({body})"
+
+
+def identity_element(n: int) -> Element:
+    """Sum of all monochrome-strand straight diagrams; the unit of the algebra."""
+    terms = []
+    for word in product((RED, BLUE), repeat=n):
+        terms.append((straight_diagram(word), LaurentPoly.one()))
+    return Element(n, n, terms)
+
+
+def white_generator(n: int, i: int) -> Element:
+    """Cup-cap at position i with every line summed over all colours."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator position {i} out of range for n={n}")
+    free = [k for k in range(1, n + 1) if k not in (i, i + 1)]
+    terms = []
+    for colours in product((RED, BLUE), repeat=n):
+        cup, cap, rest = colours[0], colours[1], colours[2:]
+        pairs = [(i, i + 1, cup), (n + i, n + i + 1, cap)]
+        pairs.extend((k, n + k, c) for k, c in zip(free, rest))
+        terms.append((make_diagram(n, n, pairs), LaurentPoly.one()))
+    return Element(n, n, terms)
+

@@ -90,6 +90,8 @@ def diagram_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
 def two_site_shape(d: Diagram) -> tuple[str, int, int]:
     """("straight" | "crossing" | "cupcap", c1, c2) of a B_2 diagram; c1 is
     the colour of the pair at point 1."""
+    if (d.n_north, d.n_south) != (2, 2):
+        raise ValueError("not a two-strand square diagram")
     shape = tuple(sorted((p, q) for p, q, _ in d.pairs))
     colour = {(p, q): c for p, q, c in d.pairs}
     if shape == ((1, 3), (2, 4)):
@@ -109,8 +111,6 @@ def b2_matrix(d: Diagram, params: NumericParams) -> np.ndarray:
     from the (cR, cL) block onto the (cL, cR) block; cup over cap:
     outer product of the arc vectors.
     """
-    if (d.n_north, d.n_south) != (2, 2):
-        raise ValueError("b2_matrix needs a two-strand square diagram")
     kind, c1, c2 = two_site_shape(d)
     m = np.zeros((16, 16), dtype=complex)
     if kind == "straight":

@@ -22,13 +22,19 @@ from bubblealg.diagram import (
     COLOUR_CHARS,
     RED,
     Diagram,
-    Element,
     make_diagram,
     propagating_index,
     straight_diagram,
+)
+from bubblealg.exactpoly import (
+    ONE,
+    ZERO,
+    Element,
+    LaurentPoly,
+    PolyMatrix,
+    poly_det,
     white_generator,
 )
-from bubblealg.exactpoly import ONE, ZERO, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.spinchain import NumericParams, diagram_matrix
 from bubblealg.stdmod import act_diagram, psi
 from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices

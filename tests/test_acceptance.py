@@ -13,18 +13,10 @@ import random
 from conftest import record_acceptance
 
 from bubblealg.basis import enumerate_basis, enumerate_bras, rank_identity, standard_labels
-from bubblealg.diagram import (
-    BLUE,
-    RED,
-    Element,
-    compose,
-    identity_element,
-    propagating_index,
-    white_generator,
-)
+from bubblealg.diagram import BLUE, RED, compose, propagating_index
 from bubblealg.basis import monochrome_straight_diagrams
 from bubblealg.checks import tl_gram_poly
-from bubblealg.exactpoly import DB, DR, PolyMatrix
+from bubblealg.exactpoly import DB, DR, Element, PolyMatrix, identity_element, white_generator
 from bubblealg.oracles import bubble_basis_count, tl_bras
 from bubblealg.numeric import NumericParams
 from bubblealg.spinchain import homomorphism_report

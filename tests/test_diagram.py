@@ -12,20 +12,17 @@ from bubblealg.diagram import (
     BLUE,
     RED,
     Diagram,
-    Element,
     SizeMismatchError,
     circular_positions,
     compose,
     endpoint_arrays,
     glue,
-    identity_element,
     make_diagram,
     products,
     propagating_index,
     straight_diagram,
-    white_generator,
 )
-from bubblealg.exactpoly import DB, DR, LaurentPoly
+from bubblealg.exactpoly import DB, DR, Element, LaurentPoly, identity_element, white_generator
 from helpers import (
     enumerate_via_seeds,
     module_generator,

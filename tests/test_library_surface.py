@@ -14,9 +14,11 @@ submodule: each export is named once in its table and loads on first
 use, so importing ``bubblealg`` loads no submodule and no numpy, and an
 eager re-export there would be flagged as an unread import.  Importing
 ``bubblealg.cli``, which every ``bubble`` process does before it reads
-its command line, loads only the package root, ``cli``, ``basis``,
-``diagram`` and ``exactpoly``, and no numpy: ``numeric`` and the modules
-that compute with numpy load only for the requests that use them.
+its command line, loads only the package root, ``cli``, ``basis`` and
+``diagram``, and no numpy: the ring, ``exactpoly``, loads only for the
+requests that weigh loops in it, and ``numeric`` and the modules that
+compute with numpy only for the requests that use them.  ``diagram`` is
+the leaf: importing it loads no other package module.
 
 No module-level or class-level name in the package or the tests is
 defined twice, since the later definition silently shadows the first:
@@ -179,14 +181,15 @@ def test_importing_the_package_loads_no_submodule():
 CLI_IMPORT_PROBE = PACKAGE_IMPORT_PROBE.replace("import bubblealg\n", "import bubblealg.cli\n")
 
 # what every bubble process loads before it reads its command line
-STARTUP_MODULES = ["bubblealg", "bubblealg.basis", "bubblealg.cli", "bubblealg.diagram", "bubblealg.exactpoly"]
+STARTUP_MODULES = ["bubblealg", "bubblealg.basis", "bubblealg.cli", "bubblealg.diagram"]
 
 
-def startup_modules(root: Path) -> tuple[list[str], bool]:
-    """The package modules a fresh ``import bubblealg.cli`` loads from the
-    package under ``root``, and whether it loads numpy."""
+def startup_modules(root: Path, probe: str = CLI_IMPORT_PROBE) -> tuple[list[str], bool]:
+    """The package modules that a fresh interpreter running ``probe``, by
+    default ``import bubblealg.cli``, loads from the package under
+    ``root``, and whether it loads numpy."""
     out = subprocess.run(
-        [sys.executable, "-c", CLI_IMPORT_PROBE],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     loaded = json.loads(out)
@@ -197,21 +200,31 @@ def test_the_front_end_loads_only_its_start_up_modules():
     assert startup_modules(PACKAGE.parent) == (STARTUP_MODULES, False)
 
 
+# Prints the modules that importing the diagram layer adds
+DIAGRAM_IMPORT_PROBE = PACKAGE_IMPORT_PROBE.replace("import bubblealg\n", "import bubblealg.diagram\n")
+
+
+def test_the_diagram_layer_loads_no_other_package_module():
+    assert startup_modules(PACKAGE.parent, DIAGRAM_IMPORT_PROBE) == (["bubblealg", "bubblealg.diagram"], False)
+
+
 @pytest.mark.parametrize(
-    "line, loaded",
+    "module, line, loaded",
     [
-        ("from .numeric import NumericParams\n", ([*STARTUP_MODULES, "bubblealg.numeric"], False)),
-        ("import numpy\n", (STARTUP_MODULES, True)),
+        ("cli.py", "from .numeric import NumericParams\n", ([*STARTUP_MODULES, "bubblealg.numeric"], False)),
+        ("cli.py", "import numpy\n", (STARTUP_MODULES, True)),
+        ("diagram.py", "from .exactpoly import ZERO\n", ([*STARTUP_MODULES, "bubblealg.exactpoly"], False)),
     ],
-    ids=["numeric", "numpy"],
+    ids=["numeric", "numpy", "ring"],
 )
-def test_an_eager_numeric_import_would_be_flagged(tmp_path, line, loaded):
+def test_an_eager_numeric_import_would_be_flagged(tmp_path, module, line, loaded):
     copy = tmp_path / "bubblealg"
     copy.mkdir()
     for path in PACKAGE.glob("*.py"):
         (copy / path.name).write_text(path.read_text())
-    cli = copy / "cli.py"
-    cli.write_text(cli.read_text().replace("from .diagram import BLUE, RED\n", "from .diagram import BLUE, RED\n" + line, 1))
+    # appended, so in diagram.py every name the ring imports back is bound
+    target = copy / module
+    target.write_text(target.read_text() + line)
     assert startup_modules(tmp_path) == loaded
 
 

@@ -10,15 +10,8 @@ import pytest
 
 from bubblealg import spinchain
 from bubblealg.basis import enumerate_basis
-from bubblealg.diagram import (
-    BLUE,
-    RED,
-    Element,
-    identity_element,
-    make_diagram,
-    straight_diagram,
-    white_generator,
-)
+from bubblealg.diagram import BLUE, RED, make_diagram, straight_diagram
+from bubblealg.exactpoly import Element, identity_element, white_generator
 from bubblealg.spinchain import (
     NumericParams,
     arc_ket,
@@ -29,6 +22,7 @@ from bubblealg.spinchain import (
     state_index,
     two_site_shape,
 )
+from bubblealg.yangbaxter import coefficient_group
 from helpers import SITE_STATES, element_matrix, site_basis_order
 
 GENERIC = NumericParams(q_r=(1.3 + 0.4j) ** 2, q_b=(0.8 - 0.9j) ** 2)
@@ -52,6 +46,10 @@ class TestParams:
         p = NumericParams(q_r=4.0, q_b=-9.0)
         assert (p.t_r, p.t_b) == (2.0, 3.0j)
         assert (p.q_r, p.q_b) == (4.0, -9.0)
+
+    def test_repr_shows_the_stored_weights(self):
+        # q is stored as t squared, as a complex number
+        assert repr(NumericParams(q_r=4.0, q_b=-9.0)) == "NumericParams(q_r=(4+0j), q_b=(-9+0j))"
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(TypeError):
@@ -118,11 +116,12 @@ class TestTwoSiteMatrices:
     def test_a_diagram_outside_b2_is_refused(self):
         with pytest.raises(ValueError, match="not a two-strand square"):
             two_site_shape(straight_diagram([RED, RED, RED]))
-        # pairs (1,2) and (3,4) read as a cup-cap, on three northern points
+        # pairs (1,2) and (3,4) would read as a cup-cap, on three northern
+        # points: the shape is checked before the pairs, in one place
         tall = make_diagram(3, 1, [(1, 2, RED), (3, 4, RED)])
-        assert two_site_shape(tall)[0] == "cupcap"
-        with pytest.raises(ValueError, match="needs a two-strand square"):
-            b2_matrix(tall, GENERIC)
+        for refuse in (two_site_shape, coefficient_group, lambda d: b2_matrix(d, GENERIC)):
+            with pytest.raises(ValueError, match="not a two-strand square"):
+                refuse(tall)
 
     def test_identity_element_matrix(self):
         assert np.allclose(element_matrix(identity_element(2), GENERIC), np.eye(16))

@@ -37,18 +37,19 @@ from bubblealg.basis import (
     standard_labels,
     walk_count,
 )
-from bubblealg.diagram import (
-    BLUE,
-    RED,
+from bubblealg.diagram import BLUE, RED, compose, make_diagram, propagating_index
+from bubblealg.checks import tl_gram_poly
+from bubblealg.exactpoly import (
+    DB,
+    DR,
+    ONE,
     Element,
-    compose,
+    LaurentPoly,
+    PolyMatrix,
     identity_element,
-    make_diagram,
-    propagating_index,
+    poly_det,
     white_generator,
 )
-from bubblealg.checks import tl_gram_poly
-from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix, poly_det
 from bubblealg.oracles import tl_bras
 from bubblealg.stdmod import (
     GramDetReport,
