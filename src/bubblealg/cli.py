@@ -40,9 +40,9 @@ if TYPE_CHECKING:
 # admitted; cache only for a basis request that names a cache directory,
 # and gzip and hashlib only once that request reads or writes a file.
 # basis and diagram import nothing from the ring, so exactpoly loads only
-# for gram and check, through stdmod and checks.  The package's records are named tuples and its samples text, so no request
-# loads dataclasses (and with it inspect) or fractions; only numpy brings
-# inspect in
+# for gram and check, through stdmod and checks.  The package's records
+# are named tuples and its samples text, so no request loads dataclasses
+# (and with it inspect) or fractions; only numpy brings inspect in
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1

@@ -1583,7 +1583,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     stdlib = [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules and m not in before]
-    loaded = [m in sys.modules for m in ("numpy", "bubblealg.cache", "bubblealg.oracles")]
+    loaded = [m in sys.modules for m in ("numpy", "bubblealg.cache", "bubblealg.oracles", "bubblealg.exactpoly")]
     seen.append([code, *loaded, stdlib])
 print(json.dumps(seen))
 """
@@ -1638,41 +1638,63 @@ print(json.dumps(seen))
 """
 
 
+def probe_imports(requests: list[str]) -> list:
+    """IMPORT_PROBE's rows for the requests, run one after another in one
+    fresh interpreter: a module a request loads stays for the next."""
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps([line.split() for line in requests])],
+        env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
 class TestLeanPath:
     def test_numpy_loads_only_for_float_work(self):
-        requests = [
-            "basis --n 3",
-            "basis --n 3 --diagrams",
-            "gram --n 4 --i 0 --j 0 --det",
-            "gram --n 4 --i 0 --j 0 --roots r",
-            "rep --n 2 --qr 2 --qb 3",
-            "rep --n 4 --qr 2 --qb 3 --check",
-            "ybe --family bubble --transfer 10",
-            "dims --n 3",
-            "rep --n 2 --qr 2 --qb 3 --check",
-            "ybe --family tl --sweep 2",
-        ]
-        argvs = json.dumps([line.split() for line in requests])
-        out = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, argvs],
-            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
-        ).stdout
-        seen = json.loads(out)
+        seen = probe_imports(
+            [
+                "basis --n 3",
+                "basis --n 3 --diagrams",
+                "gram --n 4 --i 0 --j 0 --det",
+                "gram --n 4 --i 0 --j 0 --roots r",
+                "rep --n 2 --qr 2 --qb 3",
+                "rep --n 4 --qr 2 --qb 3 --check",
+                "ybe --family bubble --transfer 10",
+                "dims --n 3",
+                "rep --n 2 --qr 2 --qb 3 --check",
+                "ybe --family tl --sweep 2",
+            ]
+        )
         # basis, gram and a bare rep never compute a float: gram reads its
         # roots off the psi_k table, and its records are named tuples and
         # its samples text, so none of them loads dataclasses, inspect or
         # fractions.  No request names a cache directory, so none loads the
         # cache module, --diagrams included (one that names a directory is
-        # probed below); basis and gram take no count from the oracle module
-        assert seen[:5] == [[0, False, False, False, []]] * 5
+        # probed below); basis and gram take no count from the oracle
+        # module.  basis loads no ring; gram does, and it stays
+        assert seen[:2] == [[0, False, False, False, False, []]] * 2
+        assert seen[2:5] == [[0, False, False, False, True, []]] * 3
         # a numeric request over its dense budget is refused before numpy loads
-        assert seen[5:7] == [[3, False, False, False, []]] * 2
+        assert seen[5:7] == [[3, False, False, False, True, []]] * 2
         # dims compares with the oracle's closed form.  Once loaded, numpy
         # stays; what it loads is its own, but fractions is not among it,
         # and ybe takes its median without the statistics module
-        assert seen[7] == [0, False, False, True, []]
+        assert seen[7] == [0, False, False, True, True, []]
         assert [row[:4] for row in seen[8:]] == [[0, True, False, True]] * 2
-        assert all("fractions" not in row[4] for row in seen[8:])
+        assert all("fractions" not in row[5] for row in seen[8:])
+
+    def test_basis_dims_rep_and_ybe_load_no_ring(self):
+        # only gram and check need the ring; float work does not
+        seen = probe_imports(
+            [
+                "basis --n 3 --diagrams",
+                "dims --n 3",
+                "rep --n 2 --qr 2 --qb 3 --matrices --check",
+                "ybe --family bubble --sweep 2 --transfer 3",
+                "ybe --family tl --sweep 2",
+            ]
+        )
+        assert [row[0] for row in seen] == [0] * 5
+        assert [row[4] for row in seen] == [False] * 5
 
     def test_count_only_cache_hit_loads_no_codec(self, tmp_path):
         # a count-only hit only looks for the file; a listing hit reads it
@@ -1689,13 +1711,8 @@ class TestLeanPath:
     def test_refused_check_loads_no_numpy(self):
         # check's size bounds, like rep's and ybe's dense budget, apply
         # before numpy loads
-        requests = ["check --n 9", "check --n 1", "check --n 1 --quick"]
-        argvs = json.dumps([line.split() for line in requests])
-        out = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, argvs],
-            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
-        ).stdout
-        assert json.loads(out) == [[3, False, False, False, []], [2, False, False, False, []], [2, False, False, False, []]]
+        seen = probe_imports(["check --n 9", "check --n 1", "check --n 1 --quick"])
+        assert seen == [[3, False, False, False, False, []], [2, False, False, False, False, []], [2, False, False, False, False, []]]
 
     def test_every_export_resolves(self):
         star: dict = {}

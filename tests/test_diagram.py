@@ -279,6 +279,14 @@ class TestElement:
         with pytest.raises(SizeMismatchError, match="cannot be composed"):
             one * two
 
+    def test_repr_lists_terms_by_diagram_encoding(self):
+        assert repr(Element.zero(3, 1)) == "Element[3,1](0)"
+        # built straight first, printed cup-cap first: its encoding sorts first
+        e = Element(2, 2, [(straight_diagram([RED, BLUE]), 2 * DR), (cupcap(BLUE, RED), -1)])
+        assert repr(e) == (
+            "Element[2,2]((-1*dr^0*db^0)*D[2,2]{(1,2,b);(3,4,r)} + (2*dr^1*db^0)*D[2,2]{(1,3,r);(2,4,b)})"
+        )
+
     def test_cancelling_terms_are_dropped(self):
         u = cupcap(RED, RED)
         assert Element(2, 2, [(u, DR), (u, -DR)]) == Element.zero(2, 2)

@@ -4,13 +4,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bubblealg.diagram import BLUE, RED, make_diagram, straight_diagram
 from bubblealg.exactpoly import (
     DB,
     DR,
     ONE,
     ZERO,
-    Element,
     LaurentPoly,
     PolyMatrix,
     _pack,
@@ -100,17 +98,6 @@ def test_reprs_show_the_text_form():
     assert repr(ZERO) == "LaurentPoly(0)"
     m = PolyMatrix([[DR, 0], [1, LaurentPoly.monomial(0, -1)]])
     assert repr(m) == "PolyMatrix[2x2](1*dr^1*db^0, 0; 1*dr^0*db^0, 1*dr^0*db^-1)"
-
-
-def test_element_repr_lists_terms_by_diagram_encoding():
-    assert repr(Element.zero(3, 1)) == "Element[3,1](0)"
-    # built straight first, printed cup-cap first: its encoding sorts first
-    straight = straight_diagram([RED, BLUE])
-    cupcap = make_diagram(2, 2, [(1, 2, BLUE), (3, 4, RED)])
-    e = Element(2, 2, [(straight, 2 * DR), (cupcap, -1)])
-    assert repr(e) == (
-        "Element[2,2]((-1*dr^0*db^0)*D[2,2]{(1,2,b);(3,4,r)} + (2*dr^1*db^0)*D[2,2]{(1,3,r);(2,4,b)})"
-    )
 
 
 def test_canonical_order_is_graded_lex_descending():
