@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "basis": ("basis_encodings", "enumerate_basis", "enumerate_bras", "rank_identity", "standard_labels", "walk_count"),
     "diagram": ("BLUE", "RED", "Diagram", "SizeMismatchError", "compose", "make_diagram"),
-    "exactpoly": ("DB", "DR", "Element", "LaurentPoly", "PolyMatrix", "identity_element", "poly_det", "white_generator"),
+    "exactpoly": ("DB", "DR", "Element", "LaurentPoly", "identity_element", "poly_det", "white_generator"),
     "numeric": ("NumericParams",),
     "spinchain": ("diagram_matrix", "homomorphism_report"),
     "stdmod": (

@@ -13,10 +13,11 @@ size n.  ``enumerate_basis`` walks the whole boundary from no open
 strand, builds and sorts the diagrams and is the tests' independent
 reference for the text.  |B_n| has the closed form
 ``oracles.bubble_basis_count``, which ``rank_identity`` compares with the
-sum of squared dimensions and with walk_count(2n, 0, 0); only
-``check``'s ``basis_counts`` lists B_n to take its length, which it
-compares with the closed form.  ``_bra_views`` walks the frame of a half
-diagram from its cuts, already open, to its pairs.
+sum of squared dimensions and with walk_count(2n, 0, 0);
+``check``'s ``basis_counts`` counts the leaves of the whole boundary's
+walk, builds no diagram, and compares the count with the closed form.
+``_bra_views`` walks the frame of a half diagram from its cuts, already
+open, to its pairs.
 ``basis_encodings``, which ``basis --diagrams`` and the cache use, reads
 a diagram as a north and a south view of one label, joined cut to cut,
 which is why |B_n| = sum dim(n, i, j)^2: each north view becomes a
@@ -164,8 +165,8 @@ def _walk_matchings(
 def enumerate_basis(n: int, max_n: int = DEFAULT_MAX_N) -> list[Diagram]:
     """All diagrams of B_n, one per leaf of the whole boundary's walk,
     sorted by their encoding, which within one shape is the order of
-    ``diagram.pairs_text``.  Its length is the enumerated |B_n| that
-    ``check`` and the tests compare with the closed form."""
+    ``diagram.pairs_text``.  Its length is the enumerated |B_n| that the
+    tests compare with the closed form."""
     _check_size(n, max_n)
     results: list[Diagram] = []
     _walk_matchings(
@@ -255,8 +256,8 @@ class HalfDiagram(Diagram):
     the diagram rule, then every pair that reaches a cut starts on the
     frame, red exactly when its slot is among the first i.  A cut inside
     an arc of its colour or an unused frame point fails the diagram rule.
-    No ``__slots__``: the cached endpoint arrays live in the instance
-    ``__dict__``.
+    No ``__slots__``: the cached endpoint arrays and text live in the
+    instance ``__dict__``.
     """
 
     def __post_init__(self) -> None:
@@ -302,11 +303,17 @@ class HalfDiagram(Diagram):
             n + cuts, ((p + cuts, q + cuts if q <= n else q - n, c) for p, q, c in self.pairs)
         )
 
-    def encode(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         body = ";".join(map(pair_text, self.arcs))
         reds = ",".join(map(str, self.red_cuts))
         blues = ",".join(map(str, self.blue_cuts))
         return f"H[{self.n}]{{{body}}}{{r:{reds}}}{{b:{blues}}}"
+
+    def encode(self) -> str:
+        """The text ``H[n]{arcs}{r:cuts}{b:cuts}``, written once and kept:
+        ``enumerate_bras`` sorts by it and ``gram`` prints it."""
+        return self._text
 
     @classmethod
     def decode(cls, text: str) -> "HalfDiagram":

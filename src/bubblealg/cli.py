@@ -57,6 +57,9 @@ ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
 # strings of an all-string list are escaped and joined this many at a time
 STRING_RUN = 4096
 
+# the bytes JSON writes as they are: printable ASCII but '"' and '\\'
+_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
 
 class StringPieces:
     """One JSON string handed over as an iterable of pieces, so text too
@@ -71,7 +74,7 @@ class StringPieces:
 
 def _plain(text: str) -> bool:
     """True if JSON writes ``text`` as it is, between its quotes."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
 def _json_chunks(value, pad: str) -> Iterator[str]:
@@ -233,7 +236,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     entries = [["0"] * len(bras) for _ in bras]
     for blk in blocks:
         idx = blk.indices
-        for k, (r, row) in enumerate(zip(idx, blk.matrix.entries)):
+        for k, (r, row) in enumerate(zip(idx, blk.matrix)):
             for c, e in zip(idx[k:], row[k:]):
                 entries[r][c] = entries[c][r] = str(e)
     payload: dict = {

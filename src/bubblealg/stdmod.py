@@ -75,7 +75,7 @@ from .exactpoly import (
     DR,
     ZERO,
     LaurentPoly,
-    PolyMatrix,
+    Matrix,
     _pack,
     _unpack,
     divexact,
@@ -132,10 +132,10 @@ def bra_inner(x: HalfDiagram, y: HalfDiagram) -> LaurentPoly:
     return LaurentPoly.monomial(r[0], r[1])
 
 
-def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -> PolyMatrix:
+def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -> Matrix:
     if bras is None:
         bras = enumerate_bras(n, i, j)
-    return PolyMatrix([[bra_inner(x, y) for y in bras] for x in bras])
+    return tuple(tuple([bra_inner(x, y) for y in bras]) for x in bras)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -
 class _GramBlockFields(NamedTuple):
     word: str
     indices: tuple[int, ...]
-    matrix: PolyMatrix
+    matrix: Matrix
 
 
 class GramBlock(_GramBlockFields):
@@ -176,16 +176,16 @@ def gram_blocks(
     blocks = []
     for word in sorted(groups):
         idx = groups[word]
-        rows: list[list[LaurentPoly]] = []
+        rows: list[tuple[LaurentPoly, ...]] = []
         for r, a in enumerate(idx):
             # left of the diagonal, row r is column r of the rows above
-            rows.append([row[r] for row in rows] + [bra_inner(bras[a], bras[b]) for b in idx[r:]])
-        blocks.append(GramBlock(word, tuple(idx), PolyMatrix(rows)))
+            rows.append(tuple([row[r] for row in rows] + [bra_inner(bras[a], bras[b]) for b in idx[r:]]))
+        blocks.append(GramBlock(word, tuple(idx), tuple(rows)))
     return bras, blocks
 
 
 @lru_cache(maxsize=256)
-def block_det(m: PolyMatrix) -> LaurentPoly:
+def block_det(m: Matrix) -> LaurentPoly:
     """``poly_det`` once per distinct block: blocks of one (k_r, k_b) shape
     repeat."""
     return poly_det(m)

@@ -31,7 +31,7 @@ from bubblealg.exactpoly import (
     ZERO,
     Element,
     LaurentPoly,
-    PolyMatrix,
+    Matrix,
     poly_det,
     white_generator,
 )
@@ -40,23 +40,22 @@ from bubblealg.stdmod import act_diagram, psi
 from bubblealg.yangbaxter import group_matrices, rmatrix, ybe_residual_matrices
 
 
-def cofactor_det(m: PolyMatrix) -> LaurentPoly:
-    """Determinant by first-row cofactor expansion (small sizes only)."""
-    if m.rows != m.cols:
+def cofactor_det(m: Matrix) -> LaurentPoly:
+    """Determinant of the rows ``m`` by first-row cofactor expansion
+    (small sizes only)."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("non-square")
-    n = m.rows
     if n == 0:
         return LaurentPoly.one()
     if n == 1:
-        return m[0, 0]
+        return m[0][0]
     acc = LaurentPoly.zero()
     for j in range(n):
-        entry = m[0, j]
+        entry = m[0][j]
         if entry.is_zero:
             continue
-        minor = PolyMatrix(
-            [[m[i, k] for k in range(n) if k != j] for i in range(1, n)]
-        )
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
         term = entry * cofactor_det(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
@@ -572,9 +571,9 @@ def act(x: Element | Diagram, bra: HalfDiagram) -> dict[HalfDiagram, LaurentPoly
 
 def rep_matrix(
     x: Element | Diagram, n: int, i: int, j: int, bras: list[HalfDiagram] | None = None
-) -> PolyMatrix:
-    """Matrix of the action on the (i, j) module; column k is the image
-    of the k-th basis half diagram."""
+) -> Matrix:
+    """Matrix of the action on the (i, j) module, as row tuples; column k
+    is the image of the k-th basis half diagram."""
     if bras is None:
         bras = enumerate_bras(n, i, j)
     index = {b: r for r, b in enumerate(bras)}
@@ -584,7 +583,7 @@ def rep_matrix(
         for half, coeff in act(x, b).items():
             col[index[half]] = coeff
         cols.append(col)
-    return PolyMatrix([list(row) for row in zip(*cols)])
+    return tuple(zip(*cols))
 
 
 def split_by_colour(bra: HalfDiagram) -> tuple[
@@ -612,27 +611,23 @@ def split_by_colour(bra: HalfDiagram) -> tuple[
 # matrices over the loop ring
 
 
-def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product over the loop ring."""
-    if a.cols != b.rows:
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product over the loop ring, of row tuples."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
-    return PolyMatrix(
-        [
-            [sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO) for j in range(b.cols)]
-            for i in range(a.rows)
-        ]
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in cols) for row in a)
 
 
-def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product; the left factor indexes the coarse blocks."""
-    return PolyMatrix(
-        [
-            [a[i, j] * b[r, s] for j in range(a.cols) for s in range(b.cols)]
-            for i in range(a.rows)
-            for r in range(b.rows)
-        ]
-    )
+def identity_rows(k: int) -> Matrix:
+    """The k x k identity over the loop ring, as row tuples."""
+    return tuple(tuple(ONE if r == c else ZERO for c in range(k)) for r in range(k))
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product of row tuples; the left factor indexes the
+    coarse blocks."""
+    return tuple(tuple(x * y for x in row_a for y in row_b) for row_a in a for row_b in b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import pytest
 
 import bubblealg
 from bubblealg import basis, cache, checks, cli, numeric, stdmod
-from bubblealg.basis import basis_encodings, enumerate_basis, rank_identity
+from bubblealg.basis import HalfDiagram, basis_encodings, enumerate_basis, rank_identity, walk_count
 from bubblealg.cache import (
     COMPRESS_LEVEL,
     CacheError,
@@ -35,7 +37,7 @@ from bubblealg.cache import (
 from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import ENV_CACHE_DIR, main
 from bubblealg.diagram import Diagram, propagating_index
-from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, PolyMatrix
+from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, Matrix
 from bubblealg.stdmod import GramBlock, GramRootScan, RestrictionReport, SpanReport
 from bubblealg.yangbaxter import SpectralPoint, SweepReport
 from helpers import enumerate_via_seeds
@@ -665,6 +667,11 @@ class TestNoDiagramsBuilt:
         assert hit == miss
         assert len(json.loads(hit)["diagrams"]) == 588
 
+    def test_basis_counts_check_builds_no_diagram(self, monkeypatch):
+        # the check counts the leaves of the walk that enumerate_basis takes
+        forbid_diagrams(monkeypatch)
+        assert checks._check_basis_counts(5) == (True, "counts match the closed form, n<=5")
+
     def test_count_only_cache_hit_walks_nothing(self, capsys, tmp_path, nothing_walked):
         # a planted file is not opened, let alone compared with a walk of B_8
         path = cache_path(tmp_path, 8)
@@ -768,6 +775,22 @@ class TestGramCommand:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
             "44f3aac34e179ccd02e27f6db18da59de54a872a1b6d514777ea8e7aa92b077d"
         )
+
+    def test_each_bra_text_is_written_once(self, capsys, monkeypatch):
+        # enumerate_bras sorts by the text and gram prints it; a text is
+        # written from the bra's arcs, so each bra's arcs are read once
+        reads = Counter()
+        arcs = HalfDiagram.arcs.fget
+
+        def counted(bra):
+            reads[bra] += 1
+            return arcs(bra)
+
+        monkeypatch.setattr(HalfDiagram, "arcs", property(counted))
+        code, out = run_cli(capsys, "gram", "--n", "6", "--i", "1", "--j", "1", "--det")
+        assert code == 0
+        assert len(json.loads(out)["basis"]) == len(reads) == walk_count(6, 1, 1)
+        assert set(reads.values()) == {1}
 
     def test_det_text_never_expands_the_product(self, capsys, monkeypatch):
         # above the cross-check size nothing multiplies a red factor by a
@@ -1338,10 +1361,8 @@ class TestNanNeverPasses:
         assert payload["check"]["max_residual"] is None
 
 
-def first_entry_plus_one(m: PolyMatrix) -> PolyMatrix:
-    rows = [list(row) for row in m.entries]
-    rows[0][0] = rows[0][0] + ONE
-    return PolyMatrix(rows)
+def first_entry_plus_one(m: Matrix) -> Matrix:
+    return ((m[0][0] + ONE, *m[0][1:]), *m[1:])
 
 
 def with_changed_blocks(real):
@@ -1350,6 +1371,11 @@ def with_changed_blocks(real):
         return bras, [GramBlock(b.word, b.indices, first_entry_plus_one(b.matrix)) for b in blocks]
 
     return gram_blocks
+
+
+def skip_first(leaf):
+    calls = count()
+    return lambda slots: next(calls) and leaf(slots)
 
 
 def raising_product(real):
@@ -1374,8 +1400,8 @@ def raising(real):
 # object giving its replacement, the run, a pattern the detail must match)
 BROKEN_CHECKS = {
     "basis_counts": (
-        "enumerate_basis",
-        lambda real: lambda n: real(n)[1:],
+        "_walk_matchings",
+        lambda real: lambda run, stacks, leaf: real(run, stacks, skip_first(leaf)),
         lambda: checks._check_basis_counts(2),
         r"^n=1: enumerated 1, closed form 2$",
     ),
@@ -1928,6 +1954,16 @@ class TestJsonWriter:
             "empties": ["", "", ""],
         }
         assert "".join(cli._json_chunks(value, "")) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_plain_is_exactly_what_json_writes_as_it_is(self):
+        # one character at a time against the definition, over Latin-1 and
+        # a few wider code points, then strings of them
+        chars = [chr(c) for c in range(0x100)] + ["e\u0301", "\u2028", "\U0001f600"]
+        for ch in chars:
+            assert cli._plain(ch) == (json.dumps(ch) == f'"{ch}"'), repr(ch)
+        plain = "".join(ch for ch in chars if cli._plain(ch))
+        assert len(plain) == 93 and cli._plain(plain) and cli._plain("")
+        assert not any(cli._plain(plain + ch) for ch in chars if not cli._plain(ch))
 
     def test_unserialisable_values_are_refused(self):
         with pytest.raises(TypeError):
