@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import count
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .stdmod import (
 from .yangbaxter import (
     TRANSFER_TOLERANCE,
     YBE_TOLERANCE,
+    SweepReport,
     transfer_commutator,
     unitarity_sweep,
     ybe_sweep,
@@ -213,20 +214,20 @@ def _check_homomorphism(seed: int) -> Outcome:
     return Outcome(True, f"{rep.pairs_checked} products match, residual {rep.max_residual:.1e}")
 
 
+def _check_sweeps(sweep: Callable[..., SweepReport], seed: int, count: int, passed: str) -> Outcome:
+    """Both families' ``sweep`` against the YBE gates; ``passed`` formats a pass's detail."""
+    tl, bubble = (sweep(kind, count=count, seed=seed).max_residual for kind in ("tl", "bubble"))
+    if not (tl < YBE_TOLERANCE["tl"] and bubble < YBE_TOLERANCE["bubble"]):
+        return Outcome(False, f"tl {tl:.3e}, bubble {bubble:.3e}")
+    return Outcome(True, passed.format(tl=tl, bubble=bubble, count=count))
+
+
 def _check_ybe(seed: int, count: int) -> Outcome:
-    tl = ybe_sweep("tl", count=count, seed=seed)
-    bubble = ybe_sweep("bubble", count=count, seed=seed)
-    if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
-        return Outcome(False, f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}")
-    return Outcome(True, f"tl {tl.max_residual:.1e}, bubble {bubble.max_residual:.1e} over {count} points")
+    return _check_sweeps(ybe_sweep, seed, count, "tl {tl:.1e}, bubble {bubble:.1e} over {count} points")
 
 
 def _check_unitarity(seed: int, count: int) -> Outcome:
-    tl = unitarity_sweep("tl", count=count, seed=seed)
-    bubble = unitarity_sweep("bubble", count=count, seed=seed)
-    if not all(r.max_residual < YBE_TOLERANCE[r.kind] for r in (tl, bubble)):
-        return Outcome(False, f"tl {tl.max_residual:.3e}, bubble {bubble.max_residual:.3e}")
-    return Outcome(True, "both families scalar to working precision")
+    return _check_sweeps(unitarity_sweep, seed, count, "both families scalar to working precision")
 
 
 def _check_transfer(size: int, seed: int) -> Outcome:

@@ -231,14 +231,14 @@ def cmd_gram(args: argparse.Namespace) -> int:
         # one report serves --det, --blocks and --roots
         report = gram_det_report(n, i, j, bras=bras)
     blocks = report.blocks if report else gram_blocks(n, i, j, bras=bras)[1]
-    # the form vanishes between different colour words, and each block is
-    # symmetric, so each unordered pair is written once and mirrored
+    # off-block entries vanish; equal blocks share one rows object and its texts
     entries = [["0"] * len(bras) for _ in bras]
+    shared = {id(blk.matrix): blk.matrix for blk in blocks}
+    texts = {key: [list(map(str, row)) for row in rows] for key, rows in shared.items()}
     for blk in blocks:
-        idx = blk.indices
-        for k, (r, row) in enumerate(zip(idx, blk.matrix)):
-            for c, e in zip(idx[k:], row[k:]):
-                entries[r][c] = entries[c][r] = str(e)
+        for r, row in zip(blk.indices, texts[id(blk.matrix)]):
+            for c, text in zip(blk.indices, row):
+                entries[r][c] = text
     payload: dict = {
         "n": n,
         "i": i,

@@ -13,11 +13,11 @@ filtration.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
-to a cut of the other.  It is symmetric, so ``gram_blocks`` glues each
-unordered pair once and mirrors the entry; ``gram_matrix``, the
-unblocked route of the cross-check below, glues every ordered pair and
-so stays independent of that shortcut.  The form is block diagonal over
-the boundary colour word, and each block is a tensor product of two
+to a cut of the other.  ``gram_blocks`` glues one block per set of
+colour words whose blocks are equal by construction; ``gram_matrix``,
+the unblocked route of the cross-check below, glues every ordered pair
+and so stays independent of that sharing.  The form is block diagonal
+over the boundary colour word, and each block is a tensor product of two
 one-colour forms: with k_r red and k_b blue frame points, its
 determinant is
 D_r(k_r, i)^rows_b * D_b(k_b, j)^rows_r, where D_c(k, d) and rows_c are
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -142,20 +142,33 @@ def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -
 # block structure over colour words
 
 
-class _GramBlockFields(NamedTuple):
-    word: str
-    indices: tuple[int, ...]
-    matrix: Matrix
-
-
-class GramBlock(_GramBlockFields):
-    """One colour word's block of the form: the basis indices that carry
-    the word and the form on them."""
+class GramRows(tuple):
+    """A block's rows, shared by equal blocks, keeping their determinant."""
 
     @cached_property
     def det(self) -> LaurentPoly:
-        """The block's determinant, eliminated on first use only."""
-        return block_det(self.matrix)
+        return poly_det(self)
+
+
+class GramBlock(NamedTuple):
+    """One colour word's block of the form: the basis indices that carry
+    the word and the form on them."""
+
+    word: str
+    indices: tuple[int, ...]
+    matrix: GramRows
+
+    @property
+    def det(self) -> LaurentPoly:
+        """The block's determinant, eliminated on first use of its rows."""
+        return self.matrix.det
+
+
+def renumbered_pairs(bra: HalfDiagram) -> tuple[tuple[int, int, int], ...]:
+    """bra's sorted pairs, each frame point numbered within its colour; cuts keep their slots."""
+    n, word = bra.n_north, rb_word(bra)
+    rank = [0] + [word[:p].count(word[p - 1]) for p in range(1, n + 1)]
+    return tuple(sorted((rank[p], rank[q] if q <= n else q, c) for p, q, c in bra.pairs))
 
 
 def gram_blocks(
@@ -164,31 +177,28 @@ def gram_blocks(
     """Split the form by colour word; returns (basis, blocks).
 
     Off-block entries vanish because the form is zero across different
-    colour words, so the blocks carry the whole matrix.  The form is
-    symmetric, so each unordered pair is glued once and mirrored;
-    ``gram_matrix`` glues every ordered pair.
+    colour words, so the blocks carry the whole matrix.  Gluing meets a
+    colour only at that colour's frame points, so words whose bras give
+    equal ``renumbered_pairs`` in index order have equal blocks, and only
+    the first is glued, over every ordered pair.  Equal blocks share one
+    ``GramRows``, so each distinct matrix is eliminated once.
     """
     if bras is None:
         bras = enumerate_bras(n, i, j)
     groups: dict[str, list[int]] = {}
     for k, b in enumerate(bras):
         groups.setdefault(rb_word(b), []).append(k)
+    by_key: dict[tuple, GramRows] = {}
+    by_rows: dict[GramRows, GramRows] = {}
     blocks = []
     for word in sorted(groups):
         idx = groups[word]
-        rows: list[tuple[LaurentPoly, ...]] = []
-        for r, a in enumerate(idx):
-            # left of the diagonal, row r is column r of the rows above
-            rows.append(tuple([row[r] for row in rows] + [bra_inner(bras[a], bras[b]) for b in idx[r:]]))
-        blocks.append(GramBlock(word, tuple(idx), tuple(rows)))
+        key = tuple([renumbered_pairs(bras[k]) for k in idx])
+        if key not in by_key:
+            rows = GramRows(tuple([bra_inner(bras[a], bras[b]) for b in idx]) for a in idx)
+            by_key[key] = by_rows.setdefault(rows, rows)
+        blocks.append(GramBlock(word, tuple(idx), by_key[key]))
     return bras, blocks
-
-
-@lru_cache(maxsize=256)
-def block_det(m: Matrix) -> LaurentPoly:
-    """``poly_det`` once per distinct block: blocks of one (k_r, k_b) shape
-    repeat."""
-    return poly_det(m)
 
 
 @cache
@@ -354,7 +364,8 @@ def gram_det_report(
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
     factors: tuple[Counter, Counter] = (Counter(), Counter())
-    tensor: dict[tuple[int, int], tuple[Coefficients, Coefficients]] = {}
+    # equal rows share the diagonal dr^((k_r-i)/2) db^((k_b-j)/2), so (k_r, k_b)
+    checked: set[int] = set()
     for blk in blocks:
         k_r = blk.word.count("r")
         k_b = len(blk.word) - k_r
@@ -363,12 +374,12 @@ def gram_det_report(
         # the block's two factors, D_r^rows_b and D_b^rows_r, as tables
         table_r = {k: a * rows_b for k, a in table_r.items()}
         table_b = {k: a * rows_r for k, a in table_b.items()}
-        if (k_r, k_b) not in tensor:
-            tensor[k_r, k_b] = psi_coefficients(table_r), psi_coefficients(table_b)
-        if not is_tensor(blk.det, *tensor[k_r, k_b]):
-            raise ArithmeticError(
-                f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
-            )
+        if id(blk.matrix) not in checked:
+            checked.add(id(blk.matrix))
+            if not is_tensor(blk.det, psi_coefficients(table_r), psi_coefficients(table_b)):
+                raise ArithmeticError(
+                    f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
+                )
         factors[RED].update(table_r)
         factors[BLUE].update(table_b)
     size = len(bras)

@@ -15,7 +15,7 @@ vanishes, so lambda values within 1e-6 of those zeros are rejected.
 
 Commutation of transfer matrices is checked without forming them: T(u)
 is applied to a random vector one site at a time.  ``transfer_matrix``
-builds the dense matrix for small chains.
+builds the dense matrix from the same kernel, a column at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import string
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -32,7 +31,7 @@ import numpy as np
 
 from .basis import enumerate_basis
 from .diagram import Diagram
-from .numeric import NumericParams, site_dim
+from .numeric import NumericParams, dense_request, site_dim
 from .spinchain import b2_matrix, two_site_shape
 
 LAMBDA_EXCLUSION = 1e-6
@@ -216,49 +215,37 @@ def unitarity_residual(lam: float, u: float, kind: str = "bubble") -> float:
     return float(np.max(np.abs(r - scale * np.eye(dim, dtype=complex))))
 
 
-def _swap_matrix(m: int) -> np.ndarray:
-    p = np.zeros((m * m, m * m), dtype=complex)
-    for a in range(m):
-        for s in range(m):
-            p[s * m + a, a * m + s] = 1.0
-    return p
-
-
 def transfer_matrix(lam: float, u: float, n: int, kind: str = "bubble") -> np.ndarray:
     """Row-to-row transfer matrix on n sites with periodic boundary.
 
-    The auxiliary space is traced out of the ordered product of
-    P * R(u) factors, one per site.  Contraction is a single einsum over
-    the chain of auxiliary indices, so only the m^n by m^n result is ever
-    materialised.  The commutator check never calls this: it applies T
-    one site at a time instead.
+    Column k is ``_apply_transfer`` of e_k.  A matrix over the dense
+    budget is refused before it is allocated.  No command calls this.
     """
     m = site_dim(kind)
     if n < 1:
         raise ValueError("need at least one site")
-    r4 = (_swap_matrix(m) @ rmatrix(kind, lam, u)).reshape(m, m, m, m)
-    letters = string.ascii_letters
-    if 3 * n > len(letters):
-        raise ValueError("chain too long for the einsum contraction")
-    aux = letters[:n]
-    outs = letters[n : 2 * n]
-    ins = letters[2 * n : 3 * n]
-    terms = [aux[k % n] + outs[k - 1] + aux[k - 1] + ins[k - 1] for k in range(1, n + 1)]
-    subscripts = ",".join(terms) + "->" + outs[::-1] + ins[::-1]
-    t = np.einsum(subscripts, *([r4] * n), optimize=True)
-    return t.reshape(m**n, m**n)
+    dim = m**n
+    with dense_request(16 * dim**2, 16 * dim**2, f"a {kind} transfer matrix on {n} sites"):
+        t = np.empty((dim, dim), dtype=complex)
+    r = rmatrix(kind, lam, u)
+    e = np.zeros(dim, dtype=complex)
+    for k in range(dim):
+        e[k] = 1.0
+        t[:, k] = _apply_transfer(r, e, n)
+        e[k] = 0.0
+    return t
 
 
 def _apply_transfer(r: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """T x for the n-site transfer matrix built from the two-site R-matrix ``r``.
 
-    Equal to ``transfer_matrix(...) @ x`` without forming T: the state
-    carries the open auxiliary pair (a0, a) beside the n site indices, so
-    m^2 * m^n entries, and each site is one (m^2 x m^2) matmul on it.  The
-    trace over a0 = a closes the chain at the end.  Site 0 is the least
-    significant digit of the state index, as in ``transfer_matrix``; each
-    processed site moves to the front, so the last one ends most
-    significant and no reordering is left.
+    T traces the auxiliary space out of the product of P * R factors, one
+    per site, and is never formed: the state carries the open auxiliary
+    pair (a0, a) beside the n site indices, so m^2 * m^n entries, and each
+    site is one (m^2 x m^2) matmul on it.  The trace over a0 = a closes the
+    chain at the end.  Site 0 is the least significant digit of the state
+    index; each processed site moves to the front, so the last one ends
+    most significant and no reordering is left.
     """
     m = math.isqrt(r.shape[0])
     # site[(d, a), (o, b)]: state d and auxiliary a in, state o and auxiliary b out
@@ -273,7 +260,7 @@ def _apply_transfer(r: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
         np.copyto(buffer, moved)
         np.matmul(buffer.reshape(m * k, m * m), site, out=state.reshape(m * k, m * m))
         moved = state.reshape(m, k, m, m).transpose(0, 2, 1, 3)
-    return np.einsum("aoka->ok", moved).reshape(-1)
+    return np.trace(moved, axis1=0, axis2=3).reshape(-1)
 
 
 def _transfer_defect(r_u: np.ndarray, r_v: np.ndarray, n: int, x: np.ndarray) -> float:

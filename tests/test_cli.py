@@ -38,7 +38,7 @@ from bubblealg.checks import all_passed, run_checks
 from bubblealg.cli import ENV_CACHE_DIR, main
 from bubblealg.diagram import Diagram, propagating_index
 from bubblealg.exactpoly import DB, DR, ONE, LaurentPoly, Matrix
-from bubblealg.stdmod import GramBlock, GramRootScan, RestrictionReport, SpanReport
+from bubblealg.stdmod import GramBlock, GramRootScan, GramRows, RestrictionReport, SpanReport
 from bubblealg.yangbaxter import SpectralPoint, SweepReport
 from helpers import enumerate_via_seeds
 
@@ -768,7 +768,6 @@ class TestGramCommand:
         def refuse(m):
             raise AssertionError("a block was eliminated")
 
-        stdmod.block_det.cache_clear()
         monkeypatch.setattr(stdmod, "poly_det", refuse)
         code, out = run_cli(capsys, "gram", "--n", "6", "--i", "1", "--j", "1")
         assert code == 0
@@ -1368,7 +1367,7 @@ def first_entry_plus_one(m: Matrix) -> Matrix:
 def with_changed_blocks(real):
     def gram_blocks(n, i, j):
         bras, blocks = real(n, i, j)
-        return bras, [GramBlock(b.word, b.indices, first_entry_plus_one(b.matrix)) for b in blocks]
+        return bras, [GramBlock(b.word, b.indices, GramRows(first_entry_plus_one(b.matrix))) for b in blocks]
 
     return gram_blocks
 

@@ -182,6 +182,27 @@ class TestInnerForm:
                 assert v.is_zero or len(v.terms) == 1
 
 
+# every label with n <= 6, and the benchmark's labels with their mirrors
+SHARING_LABELS = [(n, i, j) for n in range(1, 7) for i, j in standard_labels(n)] + [
+    (n, i, j)
+    for n, a, b in [(7, 1, 0), (7, 2, 1), (7, 4, 3), (8, 4, 0), (8, 6, 0)]
+    for i, j in [(a, b), (b, a)]
+]
+
+
+def unshared_blocks(labels) -> list[tuple[int, int, int, str]]:
+    """(n, i, j, word) of each block of gram_blocks that differs from its
+    bras glued pair by pair."""
+    wrong = []
+    for n, i, j in labels:
+        bras, blocks = gram_blocks(n, i, j)
+        for blk in blocks:
+            members = [bras[k] for k in blk.indices]
+            if blk.matrix != tuple(tuple(bra_inner(x, y) for y in members) for x in members):
+                wrong.append((n, i, j, blk.word))
+    return wrong
+
+
 class TestBlocksAndDeterminants:
     def test_blocks_cover_basis(self):
         bras, blocks = gram_blocks(4, 0, 0)
@@ -313,16 +334,19 @@ class TestFactoredDeterminant:
         assert psi_coefficients(short) != psi_product_reference(short)
 
     def test_mirrored_blocks_glue_every_pair(self):
-        # gram_blocks glues each unordered pair once; gluing every ordered
-        # pair must give the same blocks
-        for n in range(1, 7):
-            for i, j in standard_labels(n):
-                bras, blocks = gram_blocks(n, i, j)
-                for blk in blocks:
-                    members = [bras[k] for k in blk.indices]
-                    assert blk.matrix == tuple(
-                        tuple(bra_inner(x, y) for y in members) for x in members
-                    ), (n, i, j, blk.word)
+        # gram_blocks glues one block per key and shares it; gluing every
+        # ordered pair of every block must give the same blocks
+        assert unshared_blocks(SHARING_LABELS) == []
+
+    def test_a_colour_blind_key_shares_unequal_blocks(self, monkeypatch):
+        # the control: a key that forgets each pair's colour gives rr the
+        # block of bb, and the comparison above sees it
+        real = stdmod.renumbered_pairs
+        monkeypatch.setattr(
+            stdmod, "renumbered_pairs", lambda bra: tuple((p, q) for p, q, _ in real(bra))
+        )
+        wrong = unshared_blocks(SHARING_LABELS)
+        assert (2, 0, 0, "rr") in wrong
 
     def test_is_tensor(self):
         red, blue = {0: -1, 2: 1}, {1: 3}
@@ -342,7 +366,6 @@ class TestFactoredDeterminant:
             return poly_det(m)
 
         monkeypatch.setattr(stdmod, "poly_det", record)
-        stdmod.block_det.cache_clear()
         report = gram_det_report(*label)
         assert len(seen) == len(set(seen))
         assert len(seen) < len(report.blocks)
@@ -445,7 +468,7 @@ class TestFactoredDeterminant:
     def test_block_check_compares_every_term(self, monkeypatch, change):
         # a block determinant with one coefficient off, or one term missing,
         # is not the tensor product of its one-colour forms
-        real = stdmod.block_det
+        real = stdmod.poly_det
 
         def tampered(m):
             terms = real(m).terms
@@ -455,7 +478,7 @@ class TestFactoredDeterminant:
                 del terms[min(terms)]
             return LaurentPoly(terms)
 
-        monkeypatch.setattr(stdmod, "block_det", tampered)
+        monkeypatch.setattr(stdmod, "poly_det", tampered)
         with pytest.raises(ArithmeticError):
             gram_det_report(7, 2, 1)
 

@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bubblealg.basis import enumerate_basis
+from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.diagram import BLUE, RED, make_diagram
-from bubblealg.numeric import site_dim, transfer_bytes
+from bubblealg.numeric import DENSE_BUDGET, site_dim, transfer_bytes
 from bubblealg.spinchain import b2_matrix
 from bubblealg.yangbaxter import (
     BUBBLE_GROUPS,
@@ -256,9 +256,22 @@ class TestTransfer:
     def test_sizes_out_of_range_are_refused(self):
         with pytest.raises(ValueError, match="at least one site"):
             transfer_commutator(0.7, 0.3, -0.9, 0, "tl", np.random.default_rng(1))
-        # 3n einsum letters, past the 52 of string.ascii_letters
-        with pytest.raises(ValueError, match="too long"):
-            transfer_matrix(0.7, 0.3, 18, "tl")
+        # 2^13 x 2^13 complex entries are 1 GiB, over the dense budget
+        assert 16 * 4**13 > DENSE_BUDGET >= 16 * 4**12
+        with pytest.raises(ResourceLimitError, match="transfer matrix on 13 sites"):
+            transfer_matrix(0.7, 0.3, 13, "tl")
+        with pytest.raises(ResourceLimitError):
+            transfer_matrix(0.7, 0.3, 7, "bubble")
+
+    def test_refusal_comes_before_any_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        for name in ("empty", "zeros", "eye"):
+            monkeypatch.setattr(np, name, refuse)
+        for kind, n in (("tl", 13), ("tl", 17), ("bubble", 7)):
+            with pytest.raises(ResourceLimitError):
+                transfer_matrix(0.7, 0.3, n, kind)
 
     def test_single_site_commutator_vanishes(self):
         rng = np.random.default_rng(1)
@@ -294,10 +307,12 @@ class TestTransfer:
         [("tl", n) for n in range(1, 7)] + [("bubble", n) for n in range(1, 5)],
     )
     def test_matrix_free_product_equals_the_dense_one(self, kind, n):
+        # against the loop oracle: transfer_matrix is built from the kernel
         lam, u = (0.7, 0.3) if kind == "tl" else (0.45, -1.2)
         x = gaussian((2 if kind == "tl" else 4) ** n, n)
-        want = transfer_matrix(lam, u, n, kind) @ x
-        got = _apply_transfer(rmatrix(kind, lam, u), x, n)
+        r = rmatrix(kind, lam, u)
+        want = loop_transfer(r, n) @ x
+        got = _apply_transfer(r, x, n)
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_loop_oracle_agrees_with_transfer_matrix(self):
