@@ -59,21 +59,21 @@ class Layer(NamedTuple):
 # the layers; each set-up imports from the package only once it is called
 
 
-def _ring_pair():
+def _ring_pair(power: int):
     from bubblealg.exactpoly import DB, DR, ONE
 
-    return (DR + DB + ONE) ** 12, (DR - DB + 2 * ONE) ** 12
+    return (DR + DB + ONE) ** power, (DR - DB + 2 * ONE) ** power
 
 
 def _mul():
-    a, b = _ring_pair()
+    a, b = _ring_pair(24)
     return lambda: a * b
 
 
 def _divexact():
     from bubblealg.exactpoly import divexact
 
-    a, b = _ring_pair()
+    a, b = _ring_pair(20)
     ab = a * b
     return lambda: divexact(ab, b)
 
@@ -85,6 +85,27 @@ def _poly_det():
     _, blocks = gram_blocks(8, 2, 0)
     # a plain tuple, so no shared determinant is read instead
     m = tuple(map(tuple, max((blk.matrix for blk in blocks), key=len)))
+    return lambda: poly_det(m)
+
+
+def _poly_det_wide():
+    import random
+
+    from bubblealg.exactpoly import LaurentPoly, poly_det
+
+    # the case the packed elimination is slow on: multi-term entries with
+    # wide coefficients
+    rng = random.Random(45)
+
+    def entry():
+        return LaurentPoly(
+            {
+                (rng.randint(-3, 3), rng.randint(-3, 3)): rng.getrandbits(200) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 3))
+            }
+        )
+
+    m = tuple(tuple(entry() for _ in range(4)) for _ in range(4))
     return lambda: poly_det(m)
 
 
@@ -132,7 +153,7 @@ def _bra_inner():
     from bubblealg.basis import enumerate_bras
     from bubblealg.stdmod import bra_inner
 
-    bras = enumerate_bras(6, 0, 0)
+    bras = enumerate_bras(7, 1, 0)
     return lambda: [bra_inner(x, y) for x in bras for y in bras]
 
 
@@ -153,16 +174,22 @@ def _gram_det_report():
 
 
 def _det_text():
-    from bubblealg.stdmod import gram_det_report
+    from bubblealg.stdmod import gram_det_report, psi, quantum_number
 
     report = gram_det_report(7, 1, 0)
+    # the report filled them; the text expands the parts from a cold start
+    psi.cache_clear()
+    quantum_number.cache_clear()
     return lambda: "".join(report.det_text())
 
 
 def _scan_gram_roots():
-    from bubblealg.stdmod import gram_det_report, scan_gram_roots
+    from bubblealg.stdmod import GramDetReport, scan_gram_roots
 
-    report = gram_det_report(8, 4, 0)
+    # a Gram table has k <= n + 1, too few roots to time; this one lists
+    # the root 0 and the 27 396 primitive cosines with 3 <= k <= 300
+    table = {k: 1 for k in range(2, 301)}
+    report = GramDetReport(150, (0, 0), 1, (table, {}), (), False)
     return lambda: scan_gram_roots(report)
 
 
@@ -177,7 +204,7 @@ def _diagram_matrix():
     from bubblealg.numeric import NumericParams
     from bubblealg.spinchain import diagram_matrix
 
-    basis = enumerate_basis(3)
+    basis = enumerate_basis(4)
     params = NumericParams(2 + 0.5j, 1.5 - 0.25j)
     return lambda: [diagram_matrix(d, params) for d in basis]
 
@@ -207,9 +234,12 @@ def _transfer_commutator():
 
 LAYERS = {
     # ring
-    "mul": Layer("exactpoly:LaurentPoly.__mul__", "two 91-term polynomials", _mul),
-    "divexact": Layer("exactpoly:divexact", "degree 24 by degree 12", _divexact),
+    "mul": Layer("exactpoly:LaurentPoly.__mul__", "two 325-term polynomials", _mul),
+    "divexact": Layer("exactpoly:divexact", "degree 40 by degree 20", _divexact),
     "poly_det": Layer("exactpoly:poly_det", "largest block of G_8(2,0)", _poly_det),
+    "poly_det_wide": Layer(
+        "exactpoly:poly_det", "4 x 4, 1-3 terms, 200-bit coefficients", _poly_det_wide
+    ),
     # diagrams
     "compose": Layer("diagram:compose", "20 000 random pairs of B_5", _compose),
     "products": Layer("diagram:products", "B_4 x B_4", _products),
@@ -217,14 +247,14 @@ LAYERS = {
     "basis_encodings": Layer("basis:basis_encodings", "B_6", _basis_encodings),
     # modules
     "act_diagram": Layer("stdmod:act_diagram", "B_4 on every bra of (4,0,0)", _act_diagram),
-    "bra_inner": Layer("stdmod:bra_inner", "every pair of bras of (6,0,0)", _bra_inner),
+    "bra_inner": Layer("stdmod:bra_inner", "every pair of bras of (7,1,0)", _bra_inner),
     "gram_blocks": Layer("stdmod:gram_blocks", "(8,1,1), fresh bras", _gram_blocks),
     "gram_det_report": Layer("stdmod:gram_det_report", "(8,1,1), fresh bras", _gram_det_report),
     "det_text": Layer("stdmod:GramDetReport.det_text", "(7,1,0)", _det_text),
-    "scan_gram_roots": Layer("stdmod:scan_gram_roots", "(8,4,0), red", _scan_gram_roots),
+    "scan_gram_roots": Layer("stdmod:scan_gram_roots", "psi_2 to psi_300, n=150", _scan_gram_roots),
     "localisation_report": Layer("stdmod:localisation_report", "n=5", _localisation_report),
     # numerics
-    "diagram_matrix": Layer("spinchain:diagram_matrix", "every diagram of B_3", _diagram_matrix),
+    "diagram_matrix": Layer("spinchain:diagram_matrix", "every diagram of B_4", _diagram_matrix),
     "homomorphism_report": Layer("spinchain:homomorphism_report", "n=3", _homomorphism_report),
     "transfer_matrix": Layer("yangbaxter:transfer_matrix", "bubble, 4 sites", _transfer_matrix),
     "transfer_commutator": Layer(

@@ -231,7 +231,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         # one report serves --det, --blocks and --roots
         report = gram_det_report(n, i, j, bras=bras)
     blocks = report.blocks if report else gram_blocks(n, i, j, bras=bras)[1]
-    # off-block entries vanish; equal blocks share one rows object and its texts
+    # off-block entries vanish; the blocks of one red count share one form and its texts
     entries = [["0"] * len(bras) for _ in bras]
     shared = {id(blk.matrix): blk.matrix for blk in blocks}
     texts = {key: [list(map(str, row)) for row in rows] for key, rows in shared.items()}
@@ -253,12 +253,13 @@ def cmd_gram(args: argparse.Namespace) -> int:
         payload["det"] = StringPieces(report.det_text())
         payload["det_cross_checked"] = report.cross_checked
     if args.blocks:
+        dets = {key: str(rows.det) for key, rows in shared.items()}
         payload["blocks"] = [
             {
                 "word": blk.word,
-                "indices": list(blk.indices),
+                "indices": sorted(blk.indices),
                 "size": len(blk.indices),
-                "det": str(blk.det),
+                "det": dets[id(blk.matrix)],
             }
             for blk in blocks
         ]

@@ -52,7 +52,6 @@ by construction and skip it through ``Diagram._raw``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 RED = 0
@@ -64,14 +63,9 @@ class SizeMismatchError(ValueError):
     """Composition of diagrams whose glued edges have different sizes."""
 
 
-@lru_cache(maxsize=64)
-def _circular_order(n_north: int, n_south: int) -> tuple[int, ...]:
-    return (*range(1, n_north + 1), *range(n_north + n_south, n_north, -1))
-
-
 def circular_positions(n_north: int, n_south: int) -> list[int]:
     """Endpoint ids in clockwise boundary order from the top left corner."""
-    return list(_circular_order(n_north, n_south))
+    return [*range(1, n_north + 1), *range(n_north + n_south, n_north, -1)]
 
 
 def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, int]]) -> None:
@@ -93,7 +87,7 @@ def check_matching(n_north: int, n_south: int, pairs: Sequence[tuple[int, int, i
         colour[p] = colour[q] = c
     # an endpoint that cannot close is pushed, so an interleave stays stacked
     stacks: tuple[list[int], list[int]] = ([], [])
-    for pid in _circular_order(n_north, n_south):
+    for pid in circular_positions(n_north, n_south):
         st = stacks[colour[pid]]
         if st and st[-1] == partner[pid]:
             st.pop()

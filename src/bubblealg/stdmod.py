@@ -13,10 +13,11 @@ filtration.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
-to a cut of the other.  ``gram_blocks`` glues one block per set of
-colour words whose blocks are equal by construction; ``gram_matrix``,
-the unblocked route of the cross-check below, glues every ordered pair
-and so stays independent of that sharing.  The form is block diagonal
+to a cut of the other.  ``gram_blocks`` glues one form per number of
+red frame points, which every colour word with that count shares, its
+bras in the form's row order; ``gram_matrix``, the unblocked route of
+the cross-check below, glues every ordered pair and so stays
+independent of that sharing.  The form is block diagonal
 over the boundary colour word, and each block is a tensor product of two
 one-colour forms: with k_r red and k_b blue frame points, its
 determinant is
@@ -143,7 +144,8 @@ def gram_matrix(n: int, i: int, j: int, bras: list[HalfDiagram] | None = None) -
 
 
 class GramRows(tuple):
-    """A block's rows, shared by equal blocks, keeping their determinant."""
+    """The rows of one red count's form, shared by every block with that
+    count, keeping their determinant."""
 
     @cached_property
     def det(self) -> LaurentPoly:
@@ -152,7 +154,7 @@ class GramRows(tuple):
 
 class GramBlock(NamedTuple):
     """One colour word's block of the form: the basis indices that carry
-    the word and the form on them."""
+    the word, in the row order of its form, and the form on them."""
 
     word: str
     indices: tuple[int, ...]
@@ -178,26 +180,27 @@ def gram_blocks(
 
     Off-block entries vanish because the form is zero across different
     colour words, so the blocks carry the whole matrix.  Gluing meets a
-    colour only at that colour's frame points, so words whose bras give
-    equal ``renumbered_pairs`` in index order have equal blocks, and only
-    the first is glued, over every ordered pair.  Equal blocks share one
-    ``GramRows``, so each distinct matrix is eliminated once.
+    colour only at that colour's frame points, so an entry depends only
+    on the two bras' (red half, blue half), which ``renumbered_pairs``
+    names, and every word with k red points carries each such pair
+    exactly once.  So with each word's bras sorted by that name, all
+    words with k red points have one form: it is glued once, over every
+    ordered pair of the first such word, and their blocks share its
+    ``GramRows``, so each red count's form is eliminated once.
     """
     if bras is None:
         bras = enumerate_bras(n, i, j)
     groups: dict[str, list[int]] = {}
     for k, b in enumerate(bras):
         groups.setdefault(rb_word(b), []).append(k)
-    by_key: dict[tuple, GramRows] = {}
-    by_rows: dict[GramRows, GramRows] = {}
+    forms: dict[int, GramRows] = {}
     blocks = []
     for word in sorted(groups):
-        idx = groups[word]
-        key = tuple([renumbered_pairs(bras[k]) for k in idx])
-        if key not in by_key:
-            rows = GramRows(tuple([bra_inner(bras[a], bras[b]) for b in idx]) for a in idx)
-            by_key[key] = by_rows.setdefault(rows, rows)
-        blocks.append(GramBlock(word, tuple(idx), by_key[key]))
+        idx = tuple(sorted(groups[word], key=lambda k: renumbered_pairs(bras[k])))
+        k_r = word.count("r")
+        if k_r not in forms:
+            forms[k_r] = GramRows(tuple([bra_inner(bras[a], bras[b]) for b in idx]) for a in idx)
+        blocks.append(GramBlock(word, idx, forms[k_r]))
     return bras, blocks
 
 
@@ -363,25 +366,23 @@ def gram_det_report(
     product of the report's two parts.
     """
     bras, blocks = gram_blocks(n, i, j, bras=bras)
+    # the words with k_r red points share one form: it is checked once, and
+    # its tables count once per word
+    words = Counter(blk.word.count("r") for blk in blocks)
+    forms = {blk.word.count("r"): blk for blk in blocks}
     factors: tuple[Counter, Counter] = (Counter(), Counter())
-    # equal rows share the diagonal dr^((k_r-i)/2) db^((k_b-j)/2), so (k_r, k_b)
-    checked: set[int] = set()
-    for blk in blocks:
-        k_r = blk.word.count("r")
-        k_b = len(blk.word) - k_r
+    for k_r, blk in forms.items():
         table_r, rows_r = one_colour_det(k_r, i)
-        table_b, rows_b = one_colour_det(k_b, j)
-        # the block's two factors, D_r^rows_b and D_b^rows_r, as tables
+        table_b, rows_b = one_colour_det(n - k_r, j)
+        # the form's two factors, D_r^rows_b and D_b^rows_r, as tables
         table_r = {k: a * rows_b for k, a in table_r.items()}
         table_b = {k: a * rows_r for k, a in table_b.items()}
-        if id(blk.matrix) not in checked:
-            checked.add(id(blk.matrix))
-            if not is_tensor(blk.det, psi_coefficients(table_r), psi_coefficients(table_b)):
-                raise ArithmeticError(
-                    f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
-                )
-        factors[RED].update(table_r)
-        factors[BLUE].update(table_b)
+        if not is_tensor(blk.det, psi_coefficients(table_r), psi_coefficients(table_b)):
+            raise ArithmeticError(
+                f"block {blk.word} of G_{n}({i},{j}) is not the tensor product of one-colour forms"
+            )
+        factors[RED].update({k: a * words[k_r] for k, a in table_r.items()})
+        factors[BLUE].update({k: a * words[k_r] for k, a in table_b.items()})
     size = len(bras)
     report = GramDetReport(n, (i, j), size, factors, tuple(blocks), size <= CROSS_CHECK_MAX_SIZE)
     if report.cross_checked and not is_tensor(poly_det(gram_matrix(n, i, j, bras=bras)), *report.parts):
@@ -448,16 +449,14 @@ class SpanReport(NamedTuple):
         return self.rank == self.expected
 
 
-def cyclic_span_report(n: int, i: int, j: int, basis: list[Diagram] | None = None) -> SpanReport:
-    """Dimension of the orbit of the standard generator under all diagrams.
+def cyclic_span_report(n: int, i: int, j: int, basis: list[Diagram]) -> SpanReport:
+    """Dimension of the orbit of the standard generator under all diagrams
+    of ``basis``, which is B_n.
 
     Each diagram sends the generator to zero or to a monomial times one
     half diagram, and monomials are units of the loop ring, so the orbit
-    spans exactly the half diagrams it reaches.  ``basis`` is B_n when the
-    caller has it already.
+    spans exactly the half diagrams it reaches.
     """
-    if basis is None:
-        basis = enumerate_basis(n)
     gen = cyclic_generator_bra(n, i, j)
     reached = {r[2] for d in basis if (r := act_diagram(d, gen))}
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))

@@ -191,6 +191,7 @@ def test_criterion_10_structure_checks():
         for i, j in standard_labels(n):
             ok = ok and restriction_report(n, i, j).holds
     for n in range(1, 5):
+        basis = enumerate_basis(n)
         for i, j in standard_labels(n):
-            ok = ok and cyclic_span_report(n, i, j).holds
+            ok = ok and cyclic_span_report(n, i, j, basis).holds
     assert report(10, "localisation, restriction, and cyclic-generator dimensions", ok)

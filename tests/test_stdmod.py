@@ -182,12 +182,13 @@ class TestInnerForm:
                 assert v.is_zero or len(v.terms) == 1
 
 
-# every label with n <= 6, and the benchmark's labels with their mirrors
+# every label with n <= 6, the benchmark's labels with their mirrors, and
+# the n = 8 labels whose words with one red count differ most in bra order
 SHARING_LABELS = [(n, i, j) for n in range(1, 7) for i, j in standard_labels(n)] + [
     (n, i, j)
     for n, a, b in [(7, 1, 0), (7, 2, 1), (7, 4, 3), (8, 4, 0), (8, 6, 0)]
     for i, j in [(a, b), (b, a)]
-]
+] + [(8, 0, 0), (8, 1, 1), (8, 2, 0), (8, 2, 2)]
 
 
 def unshared_blocks(labels) -> list[tuple[int, int, int, str]]:
@@ -334,19 +335,33 @@ class TestFactoredDeterminant:
         assert psi_coefficients(short) != psi_product_reference(short)
 
     def test_mirrored_blocks_glue_every_pair(self):
-        # gram_blocks glues one block per key and shares it; gluing every
-        # ordered pair of every block must give the same blocks
+        # gram_blocks glues one form per red count and shares it; gluing
+        # every ordered pair of every block must give the same blocks
         assert unshared_blocks(SHARING_LABELS) == []
 
+    def test_every_red_count_shares_one_form(self):
+        for n, i, j in SHARING_LABELS:
+            _, blocks = gram_blocks(n, i, j)
+            counts = {blk.word.count("r") for blk in blocks}
+            assert len({id(blk.matrix) for blk in blocks}) == len(counts), (n, i, j)
+
     def test_a_colour_blind_key_shares_unequal_blocks(self, monkeypatch):
-        # the control: a key that forgets each pair's colour gives rr the
-        # block of bb, and the comparison above sees it
+        # the control: a key that forgets each pair's colour ties a red arc
+        # with a blue one, so the sort keeps index order there and some
+        # word's bras come out in another order than its form's rows
         real = stdmod.renumbered_pairs
         monkeypatch.setattr(
             stdmod, "renumbered_pairs", lambda bra: tuple((p, q) for p, q, _ in real(bra))
         )
         wrong = unshared_blocks(SHARING_LABELS)
-        assert (2, 0, 0, "rr") in wrong
+        assert wrong and wrong[0] == (8, 0, 0, "rbbbbrrr")
+
+    def test_a_key_that_keeps_frame_numbers_shares_unequal_blocks(self, monkeypatch):
+        # the control: bras sorted by their raw pairs, frame points not
+        # numbered within their colour, do not line up across words
+        monkeypatch.setattr(stdmod, "renumbered_pairs", lambda bra: tuple(sorted(bra.pairs)))
+        wrong = unshared_blocks(SHARING_LABELS)
+        assert len(wrong) == 296 and wrong[0] == (6, 1, 1, "rbbbrr")
 
     def test_is_tensor(self):
         red, blue = {0: -1, 2: 1}, {1: 3}
@@ -356,9 +371,10 @@ class TestFactoredDeterminant:
         assert not is_tensor(DR**2 * 3 * DB, red, blue)
         assert is_tensor(LaurentPoly.zero(), {}, blue)
 
-    @pytest.mark.parametrize("label", [(7, 1, 0), (7, 2, 1), (6, 0, 2)])
+    @pytest.mark.parametrize("label", [(7, 1, 0), (7, 2, 1), (6, 0, 2), (8, 1, 1)])
     def test_each_distinct_matrix_is_eliminated_once(self, monkeypatch, label):
-        # equal blocks share their elimination
+        # the blocks of one red count share their elimination; past the
+        # cross-check's size the unblocked matrix is not eliminated
         seen = []
 
         def record(m):
@@ -367,8 +383,8 @@ class TestFactoredDeterminant:
 
         monkeypatch.setattr(stdmod, "poly_det", record)
         report = gram_det_report(*label)
-        assert len(seen) == len(set(seen))
-        assert len(seen) < len(report.blocks)
+        counts = {blk.word.count("r") for blk in report.blocks}
+        assert len(seen) == len(counts) < len(report.blocks)
 
     def test_block_that_is_not_a_tensor_product_is_rejected(self, monkeypatch):
         monkeypatch.setattr(stdmod, "one_colour_det", lambda points, defects: ({3: 1}, 1))
@@ -510,8 +526,9 @@ class TestRestrictionAndSpans:
 
     def test_cyclic_span_full_rank(self):
         for n in range(1, 6):
+            basis = enumerate_basis(n)
             for i, j in standard_labels(n):
-                rep = cyclic_span_report(n, i, j)
+                rep = cyclic_span_report(n, i, j, basis)
                 assert rep.rank == rep.expected == brute_walk_count(n, i, j)
 
     def test_localisation_small(self):
