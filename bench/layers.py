@@ -109,6 +109,16 @@ def _poly_det_wide():
     return lambda: poly_det(m)
 
 
+def _element_mul():
+    from bubblealg.exactpoly import DB, DR, identity_element, white_generator
+
+    # 1 + sum of (dr^i + db) U_i at n = 6: 384 terms, 1 280 in its square
+    x = identity_element(6)
+    for i in range(1, 6):
+        x = x + white_generator(6, i).scale(DR**i + DB)
+    return lambda: x * x
+
+
 def _compose():
     import random
 
@@ -206,7 +216,14 @@ def _diagram_matrix():
 
     basis = enumerate_basis(4)
     params = NumericParams(2 + 0.5j, 1.5 - 0.25j)
-    return lambda: [diagram_matrix(d, params) for d in basis]
+
+    def call():
+        # each matrix is dropped once built: holding all 588 would peak at
+        # 588 MiB, over the numeric.DENSE_BUDGET a request may use
+        for d in basis:
+            diagram_matrix(d, params)
+
+    return call
 
 
 def _homomorphism_report():
@@ -240,6 +257,9 @@ LAYERS = {
     "poly_det_wide": Layer(
         "exactpoly:poly_det", "4 x 4, 1-3 terms, 200-bit coefficients", _poly_det_wide
     ),
+    "element_mul": Layer(
+        "exactpoly:Element.__mul__", "square of 1 + sum (dr^i + db) U_i, n=6", _element_mul
+    ),
     # diagrams
     "compose": Layer("diagram:compose", "20 000 random pairs of B_5", _compose),
     "products": Layer("diagram:products", "B_4 x B_4", _products),
@@ -254,7 +274,11 @@ LAYERS = {
     "scan_gram_roots": Layer("stdmod:scan_gram_roots", "psi_2 to psi_300, n=150", _scan_gram_roots),
     "localisation_report": Layer("stdmod:localisation_report", "n=5", _localisation_report),
     # numerics
-    "diagram_matrix": Layer("spinchain:diagram_matrix", "every diagram of B_4", _diagram_matrix),
+    "diagram_matrix": Layer(
+        "spinchain:diagram_matrix",
+        "every diagram of B_4, one matrix held at a time",
+        _diagram_matrix,
+    ),
     "homomorphism_report": Layer("spinchain:homomorphism_report", "n=3", _homomorphism_report),
     "transfer_matrix": Layer("yangbaxter:transfer_matrix", "bubble, 4 sites", _transfer_matrix),
     "transfer_commutator": Layer(

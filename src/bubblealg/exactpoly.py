@@ -5,7 +5,9 @@ polynomials in the two loop parameters ``dr`` and ``db``, one per line
 colour.  A polynomial is stored sparsely as a map from exponent pairs
 ``(a, b)``, standing for the monomial ``dr^a * db^b``, to nonzero integer
 coefficients.  Coefficients are Python ints, so nothing overflows and
-equality is exact.
+equality is exact.  ``LaurentPoly(...)`` takes every exponent and
+coefficient through ``operator.index``: a numpy integer enters as its
+int, and a float, ``Fraction`` or string raises TypeError, never truncated.
 
 The canonical term order, used for printing and for the textual form, is
 graded lexicographic on the exponent pair, largest first.  The textual
@@ -24,16 +26,17 @@ determinant is unpacked.  ``divexact`` divides polynomials exactly; the
 Everything whose coefficients are Laurent polynomials lives here: the
 ring, the determinant of a matrix over it, and the algebra's elements.
 :class:`Element` is a finite combination of equal-shape diagrams with
-ring coefficients; its product multiplies diagrams through
-``diagram.products``, the one place diagrams are glued, and weighs each
-product's loop counts as a monomial.
+ring coefficients, summed in one place, ``Element._raw``; its product
+multiplies diagrams through ``diagram.products``, the one place diagrams
+are glued, and weighs each product's loop counts as a monomial.
 ``identity_element`` builds the unit and ``white_generator`` the cup-cap
 generators, each summed over every colouring of its lines.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagram import BLUE, RED, Diagram, SizeMismatchError, make_diagram, products, straight_diagram
@@ -47,16 +50,21 @@ def _grlex_key(exp: Exponent) -> tuple[int, int, int]:
 
 
 class LaurentPoly:
-    """Immutable integer Laurent polynomial in ``dr`` and ``db``."""
+    """Immutable integer Laurent polynomial in ``dr`` and ``db``: data enters
+    checked through ``LaurentPoly(...)``, arithmetic builds through ``_raw``."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None) -> None:
-        self._terms = {exp: c for exp, c in terms.items() if c} if terms else {}
+        self._terms = {}
+        for (a, b), c in terms.items() if terms else ():
+            exp, c = (index(a), index(b)), index(c)
+            if c:
+                self._terms[exp] = c
 
     @classmethod
     def _raw(cls, data: dict[Exponent, int]) -> "LaurentPoly":
-        # internal fast path; caller guarantees no zero coefficients
+        # internal fast path; caller guarantees ints and no zero coefficients
         p = object.__new__(cls)
         p._terms = data
         return p
@@ -71,11 +79,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls._raw({(0, 0): int(c)} if c else {})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> "LaurentPoly":
-        return cls._raw({(int(a), int(b)): int(coeff)} if coeff else {})
+        return cls({(a, b): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -167,6 +175,9 @@ class LaurentPoly:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        # a constant equals the int it holds, so it hashes as that int
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # text form
@@ -370,7 +381,13 @@ def poly_det(m: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 
 
 class Element:
-    """Finite linear combination of equal-shape diagrams over the loop ring."""
+    """Finite linear combination of equal-shape diagrams over the loop ring.
+
+    ``Element(...)`` checks each diagram's shape and is the one place a
+    coefficient is coerced.  ``_raw`` is the one sum: it adds equal diagrams
+    and drops zero terms, and ``Element(...)``, ``+``, ``scale`` and ``*``
+    build through it, so terms an element holds are not checked again.
+    """
 
     __slots__ = ("n_north", "n_south", "_terms")
 
@@ -380,23 +397,30 @@ class Element:
         n_south: int,
         terms: Mapping[Diagram, LaurentPoly] | Iterable[tuple[Diagram, LaurentPoly]] | None = None,
     ) -> None:
+        checked = []
+        for d, c in terms.items() if hasattr(terms, "items") else terms or ():
+            if d.n_north != n_north or d.n_south != n_south:
+                raise SizeMismatchError("diagram shape differs from element shape")
+            checked.append((d, c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)))
         self.n_north = n_north
         self.n_south = n_south
+        self._terms = Element._raw(n_north, n_south, checked)._terms
+
+    @classmethod
+    def _raw(
+        cls, n_north: int, n_south: int, pairs: Iterable[tuple[Diagram, LaurentPoly]]
+    ) -> "Element":
+        # internal fast path; caller guarantees shapes and ring coefficients
         data: dict[Diagram, LaurentPoly] = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for d, coeff in items:
-                if d.n_north != n_north or d.n_south != n_south:
-                    raise SizeMismatchError("diagram shape differs from element shape")
-                c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
-                if c.is_zero:
-                    continue
-                acc = data.get(d, ZERO) + c
-                if acc.is_zero:
-                    data.pop(d, None)
-                else:
-                    data[d] = acc
-        self._terms = data
+        for d, c in pairs:
+            acc = data[d] + c if d in data else c
+            if acc.is_zero:
+                data.pop(d, None)
+            else:
+                data[d] = acc
+        out = object.__new__(cls)
+        out.n_north, out.n_south, out._terms = n_north, n_south, data
+        return out
 
     @classmethod
     def zero(cls, n_north: int, n_south: int) -> "Element":
@@ -404,7 +428,7 @@ class Element:
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff: LaurentPoly | int = 1) -> "Element":
-        return cls(d.n_north, d.n_south, [(d, coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff))])
+        return cls(d.n_north, d.n_south, [(d, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -422,31 +446,18 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _check_shape(self, other: "Element") -> None:
-        if self.n_north != other.n_north or self.n_south != other.n_south:
-            raise SizeMismatchError("element shapes differ")
-
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_shape(other)
-        data = dict(self._terms)
-        for d, c in other._terms.items():
-            acc = data.get(d, ZERO) + c
-            if acc.is_zero:
-                data.pop(d, None)
-            else:
-                data[d] = acc
-        out = Element(self.n_north, self.n_south)
-        out._terms = data
-        return out
+        if self.n_north != other.n_north or self.n_south != other.n_south:
+            raise SizeMismatchError("element shapes differ")
+        both = chain(self._terms.items(), other._terms.items())
+        return Element._raw(self.n_north, self.n_south, both)
 
     def scale(self, coeff: LaurentPoly | int) -> "Element":
-        c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
-        out = Element(self.n_north, self.n_south)
-        if not c.is_zero:
-            out._terms = {d: c0 * c for d, c0 in self._terms.items()}
-        return out
+        # LaurentPoly's product takes an int and refuses anything else
+        scaled = ((d, c * coeff) for d, c in self._terms.items())
+        return Element._raw(self.n_north, self.n_south, scaled)
 
     def __mul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
@@ -455,22 +466,15 @@ class Element:
             return NotImplemented
         if self.n_south != other.n_north:
             raise SizeMismatchError("element shapes cannot be composed")
-        data: dict[Diagram, LaurentPoly] = {}
-        for a, b, lr, lb, d in products(self._terms, other._terms):
-            coeff = self._terms[a] * other._terms[b] * LaurentPoly.monomial(lr, lb)
-            acc = data.get(d, ZERO) + coeff
-            if acc.is_zero:
-                data.pop(d, None)
-            else:
-                data[d] = acc
-        out = Element(self.n_north, other.n_south)
-        out._terms = data
-        return out
+        left, right = self._terms, other._terms
+        weighed = (
+            (d, left[a] * right[b] * LaurentPoly.monomial(lr, lb))
+            for a, b, lr, lb, d in products(left, right)
+        )
+        return Element._raw(self.n_north, other.n_south, weighed)
 
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        return NotImplemented
+    # an Element on the left is handled by __mul__, so only scalars come here
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -482,20 +486,15 @@ class Element:
         )
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return f"Element[{self.n_north},{self.n_south}](0)"
-        body = " + ".join(
-            f"({c})*{d.encode()}" for d, c in sorted(self._terms.items(), key=lambda t: t[0].encode())
-        )
+        terms = sorted(self._terms.items(), key=lambda t: t[0].encode())
+        body = " + ".join(f"({c})*{d.encode()}" for d, c in terms) or "0"
         return f"Element[{self.n_north},{self.n_south}]({body})"
 
 
 def identity_element(n: int) -> Element:
     """Sum of all monochrome-strand straight diagrams; the unit of the algebra."""
-    terms = []
-    for word in product((RED, BLUE), repeat=n):
-        terms.append((straight_diagram(word), LaurentPoly.one()))
-    return Element(n, n, terms)
+    words = product((RED, BLUE), repeat=n)
+    return Element._raw(n, n, ((straight_diagram(word), ONE) for word in words))
 
 
 def white_generator(n: int, i: int) -> Element:
@@ -508,6 +507,6 @@ def white_generator(n: int, i: int) -> Element:
         cup, cap, rest = colours[0], colours[1], colours[2:]
         pairs = [(i, i + 1, cup), (n + i, n + i + 1, cap)]
         pairs.extend((k, n + k, c) for k, c in zip(free, rest))
-        terms.append((make_diagram(n, n, pairs), LaurentPoly.one()))
-    return Element(n, n, terms)
+        terms.append((make_diagram(n, n, pairs), ONE))
+    return Element._raw(n, n, terms)
 

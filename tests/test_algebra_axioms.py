@@ -1,0 +1,121 @@
+"""The algebra's own axioms, on diagrams, through ``diagram.products`` alone.
+
+Everything else rests on B_n being an associative algebra whose loop
+weights multiply, with the sum of the straight diagrams as its unit and
+the top-bottom mirror as an anti-involution (the cellular structure
+needs it).  These tests compare the output of ``products`` with itself
+and never build an ``Element``, so a fault in the gluing kernel cannot
+hide behind the same fault in the element product.  A product is the
+triple (red loops, blue loops, diagram); two products multiply by adding
+their loop counts.
+
+Associativity is checked on every triple of B_n for n <= 3 and on seeded
+samples at n = 5 and 6.  Over all of B_4 (818 496 triples) it takes
+about 7 s, too long for these tests.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+from bubblealg.basis import enumerate_basis
+from bubblealg.diagram import BLUE, RED, endpoint_arrays, products, straight_diagram
+from helpers import mirror
+
+
+def product_table(left, right) -> dict:
+    """{(a, b): (loops_r, loops_b, a·b)} over every nonzero product."""
+    return {(a, b): (lr, lb, d) for a, b, lr, lb, d in products(left, right)}
+
+
+def times(a, b):
+    """(loops_r, loops_b, a·b), or None for a zero product."""
+    for _, _, lr, lb, d in products((a,), (b,)):
+        return lr, lb, d
+    return None
+
+
+def associativity_failures(basis, extra_red_loop: bool = False) -> tuple[int, int]:
+    """(triples, failures) over every triple a, b, c of ``basis`` with
+    a·b and b·c nonzero, comparing (a·b)·c with a·(b·c), loops added.
+
+    With ``extra_red_loop`` the right side gains one red loop whenever
+    b·c closed one: a fault the check must see."""
+    table = product_table(basis, basis)
+    after: dict = {}
+    for (b, c), bc in table.items():
+        after.setdefault(b, []).append((c, bc))
+    triples = failures = 0
+    for (a, b), (lr1, lb1, ab) in table.items():
+        for c, (lr2, lb2, bc) in after.get(b, ()):
+            triples += 1
+            lr3, lb3, left = table[ab, c]
+            lr4, lb4, right = table[a, bc]
+            lr4 += extra_red_loop and lr2 > 0
+            if (lr1 + lr3, lb1 + lb3, left) != (lr2 + lr4, lb2 + lb4, right):
+                failures += 1
+    return triples, failures
+
+
+@pytest.mark.parametrize("n, triples", [(1, 2), (2, 70), (3, 5626)])
+def test_associative_on_every_triple(n, triples):
+    assert associativity_failures(enumerate_basis(n)) == (triples, 0)
+
+
+def test_an_extra_red_loop_breaks_associativity():
+    # the control: the check sees a loop count that is off by one
+    assert associativity_failures(enumerate_basis(3), extra_red_loop=True) == (5626, 1150)
+
+
+def words(d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The colour words of d's northern and southern edges."""
+    colour = endpoint_arrays(d.n_north + d.n_south, d.pairs)[1]
+    return tuple(colour[1 : d.n_north + 1]), tuple(colour[d.n_north + 1 :])
+
+
+@pytest.mark.parametrize("n, seed", [(5, 5), (6, 6)])
+def test_associative_on_sampled_triples(n, seed):
+    # a·b is nonzero exactly when a's southern word is b's northern one,
+    # as ``products`` buckets them, so each draw is a nonzero triple
+    basis = enumerate_basis(n)
+    by_north: dict = {}
+    for d in basis:
+        by_north.setdefault(words(d)[0], []).append(d)
+    rng = random.Random(seed)
+    for _ in range(20_000):
+        a = rng.choice(basis)
+        b = rng.choice(by_north[words(a)[1]])
+        c = rng.choice(by_north[words(b)[1]])
+        lr1, lb1, ab = times(a, b)
+        lr2, lb2, bc = times(b, c)
+        lr3, lb3, left = times(ab, c)
+        lr4, lb4, right = times(a, bc)
+        assert (lr1 + lr3, lb1 + lb3, left) == (lr2 + lr4, lb2 + lb4, right)
+
+
+def test_the_mirror_is_an_anti_involution_on_b4():
+    basis = enumerate_basis(4)
+    image = {d: mirror(d) for d in basis}
+    assert all(image[image[d]] == d for d in basis)
+    table = product_table(basis, basis)
+    mirrored = product_table(image.values(), image.values())
+    assert len(table) == 21_912
+    # (a·b)* = b*·a*, loops kept; as many nonzero pairs on both sides, so
+    # a zero pair maps to a zero pair
+    assert len(mirrored) == len(table)
+    for (a, b), (lr, lb, d) in table.items():
+        assert mirrored[image[b], image[a]] == (lr, lb, image[d])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_straight_diagrams_sum_to_a_two_sided_unit(n):
+    # each diagram meets exactly one straight diagram on either side, with
+    # no loop, and comes back unchanged
+    straights = [straight_diagram(word) for word in product((RED, BLUE), repeat=n)]
+    basis = enumerate_basis(n)
+    for d in basis:
+        assert list(products(straights, (d,))) == [(straight_diagram(words(d)[0]), d, 0, 0, d)]
+        assert list(products((d,), straights)) == [(d, straight_diagram(words(d)[1]), 0, 0, d)]

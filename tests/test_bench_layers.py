@@ -32,7 +32,7 @@ def resolves(target: str) -> bool:
 
 def test_every_bench_layer_resolves():
     layers = bench_layers()
-    ring = {"mul", "divexact", "poly_det", "poly_det_wide"}
+    ring = {"mul", "divexact", "poly_det", "poly_det_wide", "element_mul"}
     diagrams = {"compose", "products", "enumerate_basis", "basis_encodings"}
     changed = {"gram_blocks", "gram_det_report", "det_text", "transfer_matrix", "transfer_commutator"}
     assert ring | diagrams | changed <= set(layers)

@@ -1,19 +1,24 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from bubblealg.basis import enumerate_basis
+from bubblealg.diagram import RED, products, straight_diagram
 from bubblealg.exactpoly import (
     DB,
     DR,
     ONE,
     ZERO,
+    Element,
     LaurentPoly,
     _pack,
     _unpack,
     divexact,
     poly_det,
+    white_generator,
 )
 from helpers import (
     PRIME,
@@ -419,3 +424,141 @@ def test_det_with_huge_coefficients_and_exponents():
     det = poly_det(m)
     assert det == cofactor_det(m)
     assert max(abs(x) for x in det.terms.values()) > 2**1000
+
+
+# ---------------------------------------------------------------------------
+# ring data is checked where it enters: nothing inexact is truncated
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LaurentPoly.const(0.5),
+        lambda: LaurentPoly.monomial(1.7, 0, 2.9),
+        lambda: LaurentPoly({(0, 0): 0.5}),
+        lambda: LaurentPoly({(0.5, 0): 1}),
+        lambda: Element.from_diagram(straight_diagram([RED]), 2.5),
+        lambda: white_generator(2, 1).scale(1.5),
+    ],
+    ids=["const", "monomial", "coefficient", "exponent", "from_diagram", "scale"],
+)
+def test_an_inexact_number_is_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, 2.0, Fraction(4, 2), "3", np.float64(1.0)],
+    ids=["float_zero", "float_two", "fraction", "string", "numpy_float"],
+)
+def test_every_entry_refuses_a_non_integer(value):
+    # an integral float is refused too: the check is on the type, not the value
+    for call in (
+        lambda: LaurentPoly.const(value),
+        lambda: LaurentPoly.monomial(value, 0),
+        lambda: LaurentPoly.monomial(0, 1, value),
+        lambda: LaurentPoly({(0, value): 1}),
+        # a zero coefficient does not let a bad exponent through
+        lambda: LaurentPoly({(value, 0): 0}),
+        lambda: Element(1, 1, [(straight_diagram([RED]), value)]),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_numpy_integers_enter_as_ints():
+    p = LaurentPoly({(np.int64(2), np.int32(-1)): np.int64(3)})
+    assert p == LaurentPoly.monomial(2, -1, 3)
+    assert p == LaurentPoly.monomial(np.int64(2), np.int8(-1), np.uint8(3))
+    assert [type(x) for (a, b), c in p.terms.items() for x in (a, b, c)] == [int, int, int]
+    assert str(p) == "3*dr^2*db^-1"
+    assert LaurentPoly.const(np.int64(0)) == ZERO and LaurentPoly.const(np.int64(0)).is_zero
+    x = Element.from_diagram(straight_diagram([RED]), np.int64(-4))
+    assert x.coefficient(straight_diagram([RED])) == LaurentPoly.const(-4)
+
+
+def test_a_bool_enters_as_its_int():
+    assert str(LaurentPoly.const(True)) == "1*dr^0*db^0"
+    assert LaurentPoly.monomial(True, False, True) == DR
+
+
+@pytest.mark.parametrize("c", [-3, 0, 1, 2**70])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    p = LaurentPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert c in {p} and p in {c}
+
+
+def test_a_set_keeps_one_of_each_equal_constant_and_int():
+    assert len({ONE, LaurentPoly.const(1), 1, ZERO, 0, DR}) == 3
+    # equal polynomials built apart still hash alike
+    assert hash(DR + DB) == hash(LaurentPoly({(0, 1): 1, (1, 0): 1}))
+
+
+def test_a_non_constant_equals_no_int():
+    for p in (DR, DB, DR - 1, LaurentPoly.monomial(-1, 0, 5), LaurentPoly.monomial(0, 0, 2) + DB):
+        assert all(p != c for c in range(-10, 11))
+        assert not {p} & set(range(-10, 11))
+
+
+# ---------------------------------------------------------------------------
+# Element sums its terms in one place: parity with a sum made by hand
+
+
+def _reference(pairs) -> dict:
+    """Plain-dict sum of (diagram, coefficient) pairs, zeros dropped."""
+    out: dict = {}
+    for d, c in pairs:
+        out[d] = out.get(d, ZERO) + c
+    return {d: c for d, c in out.items() if not c.is_zero}
+
+
+def _random_terms(rng: random.Random, basis: list, count: int) -> list:
+    """Terms with int and polynomial coefficients, repeated diagrams and
+    pairs that cancel, so the sum must add and drop."""
+    terms = []
+    for _ in range(count):
+        d = rng.choice(basis)
+        c = rng.randrange(-3, 4) if rng.random() < 0.4 else random_poly(rng, 2, 1)
+        terms.append((d, c))
+        if rng.random() < 0.3:
+            terms.append((d, -c))
+    rng.shuffle(terms)
+    return terms
+
+
+def test_element_arithmetic_matches_a_hand_made_sum():
+    rng = random.Random(46)
+    basis = enumerate_basis(3)
+    cancelled = 0
+    for _ in range(40):
+        tx, ty = (_random_terms(rng, basis, rng.randrange(0, 30)) for _ in range(2))
+        x, y = Element(3, 3, tx), Element(3, 3, ty)
+        rx, ry = _reference(tx), _reference(ty)
+        assert dict(x.items()) == rx and dict(y.items()) == ry
+        sum_ref = _reference([*rx.items(), *ry.items()])
+        assert dict((x + y).items()) == sum_ref
+        cancelled += len(rx) + len(ry) - len(sum_ref)
+        for c in (0, 1, -2, rng.randrange(-3, 4), random_poly(rng, 3, 2), ZERO):
+            scaled = _reference((d, v * c) for d, v in rx.items())
+            assert dict(x.scale(c).items()) == scaled
+            assert dict((c * x).items()) == scaled == dict((x * c).items())
+        # the product, weighed loop by loop without Element or monomial
+        prod_ref = _reference(
+            (d, rx[a] * ry[b] * DR**lr * DB**lb) for a, b, lr, lb, d in products(rx, ry)
+        )
+        assert dict((x * y).items()) == prod_ref
+    # some sums cancelled whole diagrams, so the drop of zero terms was exercised
+    assert cancelled > 0
+
+
+def test_no_zero_term_is_ever_held():
+    rng = random.Random(7)
+    basis = enumerate_basis(2)
+    for _ in range(50):
+        x = Element(2, 2, _random_terms(rng, basis, 12))
+        y = Element(2, 2, _random_terms(rng, basis, 12))
+        for z in (x, x + y, x * y, x.scale(0), x + x.scale(-1), 0 * x):
+            assert all(not c.is_zero for _, c in z.items())
+    assert (x + x.scale(-1)).is_zero and len(0 * x) == 0
