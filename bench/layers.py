@@ -152,10 +152,11 @@ def _basis_encodings():
 
 
 def _act_diagram():
-    from bubblealg.basis import enumerate_basis, enumerate_bras
+    from bubblealg.basis import enumerate_basis, enumerate_bras, standard_labels
     from bubblealg.stdmod import act_diagram
 
-    basis, bras = enumerate_basis(4), enumerate_bras(4, 0, 0)
+    basis = enumerate_basis(4)
+    bras = [b for i, j in standard_labels(4) for b in enumerate_bras(4, i, j)]
     return lambda: [act_diagram(d, b) for d in basis for b in bras]
 
 
@@ -246,7 +247,7 @@ def _transfer_commutator():
     from bubblealg.yangbaxter import transfer_commutator
 
     rng = np.random.default_rng(1)
-    return lambda: transfer_commutator(0.45, -1.2, 0.3, 6, "bubble", rng)
+    return lambda: transfer_commutator(0.45, -1.2, 0.3, 7, "bubble", rng)
 
 
 LAYERS = {
@@ -266,7 +267,7 @@ LAYERS = {
     "enumerate_basis": Layer("basis:enumerate_basis", "B_6", _enumerate_basis),
     "basis_encodings": Layer("basis:basis_encodings", "B_6", _basis_encodings),
     # modules
-    "act_diagram": Layer("stdmod:act_diagram", "B_4 on every bra of (4,0,0)", _act_diagram),
+    "act_diagram": Layer("stdmod:act_diagram", "B_4 on every bra of every label at n=4", _act_diagram),
     "bra_inner": Layer("stdmod:bra_inner", "every pair of bras of (7,1,0)", _bra_inner),
     "gram_blocks": Layer("stdmod:gram_blocks", "(8,1,1), fresh bras", _gram_blocks),
     "gram_det_report": Layer("stdmod:gram_det_report", "(8,1,1), fresh bras", _gram_det_report),
@@ -282,7 +283,7 @@ LAYERS = {
     "homomorphism_report": Layer("spinchain:homomorphism_report", "n=3", _homomorphism_report),
     "transfer_matrix": Layer("yangbaxter:transfer_matrix", "bubble, 4 sites", _transfer_matrix),
     "transfer_commutator": Layer(
-        "yangbaxter:transfer_commutator", "bubble, 6 sites", _transfer_commutator
+        "yangbaxter:transfer_commutator", "bubble, 7 sites", _transfer_commutator
     ),
 }
 

@@ -35,7 +35,7 @@ from .exactpoly import (
     poly_det,
     white_generator,
 )
-from .numeric import NumericParams, check_size
+from .numeric import FAMILIES, NumericParams, check_size
 from .oracles import bubble_basis_count, tl_gram_exponents
 from .spinchain import homomorphism_report
 from .stdmod import (
@@ -50,7 +50,6 @@ from .stdmod import (
 )
 from .yangbaxter import (
     TRANSFER_TOLERANCE,
-    YBE_TOLERANCE,
     SweepReport,
     transfer_commutator,
     unitarity_sweep,
@@ -215,11 +214,11 @@ def _check_homomorphism(seed: int) -> Outcome:
 
 
 def _check_sweeps(sweep: Callable[..., SweepReport], seed: int, count: int, passed: str) -> Outcome:
-    """Both families' ``sweep`` against the YBE gates; ``passed`` formats a pass's detail."""
-    tl, bubble = (sweep(kind, count=count, seed=seed).max_residual for kind in ("tl", "bubble"))
-    if not (tl < YBE_TOLERANCE["tl"] and bubble < YBE_TOLERANCE["bubble"]):
-        return Outcome(False, f"tl {tl:.3e}, bubble {bubble:.3e}")
-    return Outcome(True, passed.format(tl=tl, bubble=bubble, count=count))
+    """Each family's ``sweep`` against its YBE gate; ``passed`` formats a pass's detail."""
+    worst = {kind: sweep(kind, count=count, seed=seed).max_residual for kind in FAMILIES}
+    if not all(worst[kind] < spec.ybe_tolerance for kind, spec in FAMILIES.items()):
+        return Outcome(False, ", ".join(f"{kind} {res:.3e}" for kind, res in worst.items()))
+    return Outcome(True, passed.format(count=count, **worst))
 
 
 def _check_ybe(seed: int, count: int) -> Outcome:
@@ -234,7 +233,7 @@ def _check_transfer(size: int, seed: int) -> Outcome:
     rng = random.Random(seed)
     vectors = np.random.default_rng(seed)
     residuals = []
-    for kind in ("tl", "bubble"):
+    for kind in FAMILIES:
         for n in range(2, size + 1):
             lam = rng.uniform(0.4, 0.9)
             u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
@@ -265,9 +264,8 @@ def _check_restriction(size: int) -> Outcome:
 
 def _check_cyclic_span(size: int) -> Outcome:
     for n in range(1, size + 1):
-        basis = enumerate_basis(n)
         for i, j in standard_labels(n):
-            rep = cyclic_span_report(n, i, j, basis=basis)
+            rep = cyclic_span_report(n, i, j)
             if not rep.holds:
                 return Outcome(False, f"n={n}, label ({i},{j}): rank {rep.rank} != {rep.expected}")
     return Outcome(True, f"orbit rank equals walk dimension for every label, n<={size}")

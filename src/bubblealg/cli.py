@@ -299,7 +299,7 @@ def _format_complex_matrix(mat) -> str:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    from .numeric import SITE_DIM, NumericParams, dense_request, matrix_bytes, rep_bytes
+    from .numeric import NumericParams, dense_request, family, matrix_bytes, rep_bytes
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
@@ -325,7 +325,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         "qb": _complex_pair(q_b),
         "delta_r": _complex_pair(params.delta_r),
         "delta_b": _complex_pair(params.delta_b),
-        "site_dim": SITE_DIM["bubble"],
+        "site_dim": family("bubble").site_dim,
         "matrix_dim": 4**args.n,
         "basis_size": walk_count(2 * args.n, 0, 0),
     }
@@ -376,15 +376,15 @@ def _sweep_payload(report: SweepReport, tolerance: float) -> dict:
 def cmd_ybe(args: argparse.Namespace) -> int:
     if args.sweep < 1:
         raise ValueError("--sweep must be a positive count")
-    from .numeric import dense_request, transfer_bytes
+    from .numeric import dense_request, family, transfer_bytes
 
     # with no chain the largest product is one of three-site matrices
     chain = 0 if args.transfer is None else transfer_bytes(args.transfer, args.family)
     with dense_request(chain, chain, f"ybe --transfer {args.transfer}"):
-        from .yangbaxter import TRANSFER_TOLERANCE, YBE_TOLERANCE, transfer_sweep, ybe_sweep
+        from .yangbaxter import TRANSFER_TOLERANCE, transfer_sweep, ybe_sweep
 
     ybe = ybe_sweep(args.family, count=args.sweep, seed=args.seed, lam=args.lam)
-    sections = {"ybe": _sweep_payload(ybe, YBE_TOLERANCE[args.family])}
+    sections = {"ybe": _sweep_payload(ybe, family(args.family).ybe_tolerance)}
     if args.transfer is not None:
         trans = transfer_sweep(
             args.transfer, args.family, count=args.sweep, seed=args.seed, lam=args.lam
@@ -413,11 +413,12 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .numeric import check_size, dense_request, transfer_bytes
+    from .numeric import FAMILIES, check_size, dense_request, transfer_bytes
 
-    # the suite runs the transfer chains of both families up to its size,
-    # and refuses a size out of bounds here; bubble's chain is the larger
-    chain = transfer_bytes(check_size(args.n, args.quick), "bubble")
+    # the suite runs every family's transfer chain up to its size, and
+    # refuses a size out of bounds here
+    size = check_size(args.n, args.quick)
+    chain = max(transfer_bytes(size, kind) for kind in FAMILIES)
     with dense_request(chain, chain, f"check --n {args.n}"):
         from .checks import all_passed, run_checks
 

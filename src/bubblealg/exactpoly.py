@@ -155,7 +155,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if not isinstance(k, int) or k < 0:
+        # as ring data enters: a numpy integer is taken, a float, Fraction or
+        # string raises TypeError
+        k = index(k)
+        if k < 0:
             raise ValueError("exponent must be a non-negative integer")
         out = LaurentPoly.one()
         base = self
@@ -380,13 +383,20 @@ def poly_det(m: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     )
 
 
+def _ring_element(c: LaurentPoly | int) -> LaurentPoly:
+    """c as a polynomial; an integer enters through ``LaurentPoly.const``,
+    which refuses anything inexact with TypeError."""
+    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+
+
 class Element:
     """Finite linear combination of equal-shape diagrams over the loop ring.
 
-    ``Element(...)`` checks each diagram's shape and is the one place a
-    coefficient is coerced.  ``_raw`` is the one sum: it adds equal diagrams
-    and drops zero terms, and ``Element(...)``, ``+``, ``scale`` and ``*``
-    build through it, so terms an element holds are not checked again.
+    ``Element(...)`` checks each diagram's shape, and it and ``scale`` take
+    a coefficient through ``_ring_element``.  ``_raw`` is the one sum: it
+    adds equal diagrams and drops zero terms, and ``Element(...)``, ``+``,
+    ``scale`` and ``*`` build through it, so terms an element holds are not
+    checked again.
     """
 
     __slots__ = ("n_north", "n_south", "_terms")
@@ -401,7 +411,7 @@ class Element:
         for d, c in terms.items() if hasattr(terms, "items") else terms or ():
             if d.n_north != n_north or d.n_south != n_south:
                 raise SizeMismatchError("diagram shape differs from element shape")
-            checked.append((d, c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)))
+            checked.append((d, _ring_element(c)))
         self.n_north = n_north
         self.n_south = n_south
         self._terms = Element._raw(n_north, n_south, checked)._terms
@@ -455,7 +465,9 @@ class Element:
         return Element._raw(self.n_north, self.n_south, both)
 
     def scale(self, coeff: LaurentPoly | int) -> "Element":
-        # LaurentPoly's product takes an int and refuses anything else
+        # coerced before the terms are read, so the zero element refuses
+        # what any other does
+        coeff = _ring_element(coeff)
         scaled = ((d, c * coeff) for d, c in self._terms.items())
         return Element._raw(self.n_north, self.n_south, scaled)
 

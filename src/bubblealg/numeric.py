@@ -1,8 +1,9 @@
 """What the numeric commands know before numpy loads, and the admission
-of a request: the colour parameters, each family's site dimension, the
-bytes ``rep`` and a transfer check hold, the size the check suite runs
-at, the dense budget that refuses a request and the BLAS threads numpy
-loads with.
+of a request: the colour parameters, each Yang-Baxter family as one
+``Family`` record (``family`` is the one place an unknown name is
+refused), the bytes ``rep`` and a transfer check hold, the size the
+check suite runs at, the dense budget that refuses a request and the
+BLAS threads numpy loads with.
 
 ``cli`` sizes every ``rep``, ``ybe`` and ``check`` request here and
 imports ``spinchain``, ``yangbaxter`` or ``checks``, and with them
@@ -13,10 +14,11 @@ here.  Nothing in this module imports numpy.
 from __future__ import annotations
 
 import cmath
+import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .basis import DEFAULT_MAX_N, ResourceLimitError, walk_count
 from .diagram import RED
@@ -73,14 +75,58 @@ def dense_request(held: int, largest: int, what: str) -> Iterator[None]:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-# states per chain site: a spin for tl, a colour and a spin for bubble
-SITE_DIM = {"tl": 2, "bubble": 4}
+def tl_coefficients(lam: float, u: float) -> dict[str, float]:
+    """Coefficients of I and E in the one-colour R(u)."""
+    s = math.sin(lam)
+    return {
+        "straight": math.sin(lam - u) / s,
+        "cupcap": math.sin(u) / s,
+    }
 
 
-def site_dim(kind: str) -> int:
-    if kind not in SITE_DIM:
-        raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
-    return SITE_DIM[kind]
+def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
+    """Coefficients of the five diagram groups in the two-colour R(u)."""
+    s1 = math.sin(lam)
+    s3 = math.sin(3.0 * lam)
+    return {
+        "straight_same": math.sin(lam - u) * math.sin(3.0 * lam - u) / (s1 * s3),
+        "straight_mixed": math.sin(3.0 * lam - u) / s3,
+        "cupcap_same": -math.sin(u) * math.sin(2.0 * lam - u) / (s1 * s3),
+        "cupcap_mixed": math.sin(u) / s3,
+        "crossing": math.sin(u) * math.sin(3.0 * lam - u) / (s1 * s3),
+    }
+
+
+class Family(NamedTuple):
+    """States per chain site, the spacing in lambda of the coefficients'
+    poles, the groups in the order R(u) sums them, the coefficients at
+    (lambda, u), and the absolute gate on the largest YBE (and unitarity)
+    residual entry."""
+
+    site_dim: int
+    pole_step: float
+    groups: tuple[str, ...]
+    coefficients: Callable[[float, float], dict[str, float]]
+    ybe_tolerance: float
+
+
+# a spin per site for tl, a colour and a spin for bubble; the check suite
+# draws its random points family by family in this order
+FAMILIES = {
+    "tl": Family(2, math.pi, ("straight", "cupcap"), tl_coefficients, 1e-12),
+    "bubble": Family(
+        4, math.pi / 3.0,
+        ("straight_same", "straight_mixed", "cupcap_same", "cupcap_mixed", "crossing"),
+        bubble_coefficients, 1e-10,
+    ),
+}
+
+
+def family(kind: str) -> Family:
+    """The family named ``kind``; an unknown name is a ValueError."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown model kind {kind!r}; expected {' or '.join(map(repr, FAMILIES))}")
+    return FAMILIES[kind]
 
 
 # rep --matrices writes each entry as "re,im;", two float reprs of at most
@@ -112,7 +158,7 @@ TRANSFER_FIXED_BYTES = 64 * 2**10
 
 def transfer_bytes(n: int, kind: str = "bubble") -> int:
     """Peak bytes ``yangbaxter.transfer_commutator`` allocates on n sites."""
-    m = site_dim(kind)
+    m = family(kind).site_dim
     if n < 1:
         raise ValueError("need at least one site")
     states = TRANSFER_STATES_HELD * m * m + TRANSFER_VECTORS_HELD

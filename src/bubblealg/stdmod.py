@@ -9,7 +9,9 @@ acts by gluing its southern edge onto the frame, and the glued pairs are
 the image, a ``HalfDiagram`` as they stand; a chain
 joining two cut points would bend a propagating line back and makes the
 image zero, which realises the quotient by lower layers of the
-filtration.
+filtration.  ``cyclic_span_report`` finds the orbit of the standard
+generator breadth first, acting with one B_2 diagram at an adjacent
+pair per step, so it lists no B_n.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
@@ -449,16 +451,48 @@ class SpanReport(NamedTuple):
         return self.rank == self.expected
 
 
-def cyclic_span_report(n: int, i: int, j: int, basis: list[Diagram]) -> SpanReport:
-    """Dimension of the orbit of the standard generator under all diagrams
-    of ``basis``, which is B_n.
+def cyclic_span_report(n: int, i: int, j: int) -> SpanReport:
+    """Dimension of the orbit of the standard generator under B_n, found
+    by breadth-first search from the generator.
 
-    Each diagram sends the generator to zero or to a monomial times one
+    Each step acts on a reached bra with a B_2 diagram at an adjacent
+    pair (k, k+1), the other strands straight in the bra's colours; the
+    products of such steps are diagrams of B_n, so no claim that they
+    generate B_n is needed: the orbit found lies in B_n·gen, inside the
+    module.  Each diagram sends a bra to zero or to a monomial times one
     half diagram, and monomials are units of the loop ring, so the orbit
     spans exactly the half diagrams it reaches.
     """
+    # each B_2 diagram with the colours of its southern points 3 and 4
+    local = [(d, tuple(endpoint_arrays(4, d.pairs)[1][3:])) for d in enumerate_basis(2)]
+    steps: dict[tuple[tuple[int, ...], int], list[Diagram]] = {}
+
+    def steps_at(word: tuple[int, ...], k: int) -> list[Diagram]:
+        # the B_2 diagrams whose south matches the word at (k, k+1), each
+        # placed there and built once per (word, k)
+        if (word, k) not in steps:
+            place = (0, k, k + 1, n + k, n + k + 1)
+            straight = [(m, n + m, c) for m, c in enumerate(word, 1) if m not in (k, k + 1)]
+            steps[word, k] = [
+                Diagram._raw(n, n, tuple(sorted(straight + [(place[p], place[q], c) for p, q, c in pairs])))
+                for (_, _, pairs), south in local
+                if south == word[k - 1 : k + 1]
+            ]
+        return steps[word, k]
+
     gen = cyclic_generator_bra(n, i, j)
-    reached = {r[2] for d in basis if (r := act_diagram(d, gen))}
+    reached, frontier = {gen}, [gen]
+    while frontier:
+        found = []
+        for bra in frontier:
+            word = tuple(bra.endpoints[1][1 : n + 1])
+            for k in range(1, n):
+                for d in steps_at(word, k):
+                    r = act_diagram(d, bra)
+                    if r and r[2] not in reached:
+                        reached.add(r[2])
+                        found.append(r[2])
+        frontier = found
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
 
 

@@ -1,6 +1,9 @@
 """Baxterised R-matrices, Yang-Baxter checks, and transfer matrices.
 
-Two families are covered:
+Each family is a ``numeric.Family`` record in ``numeric.FAMILIES``, which
+holds its site dimension, pole spacing, coefficient groups, coefficients
+and YBE gate; this module gives the groups their matrices.  Two families
+are covered:
 
 * the one-colour six-vertex solution on spin-1/2 sites, where
   ``R(u) = sin(lam - u)/sin(lam) * I + sin(u)/sin(lam) * E`` with ``E`` the
@@ -31,24 +34,13 @@ import numpy as np
 
 from .basis import enumerate_basis
 from .diagram import Diagram
-from .numeric import NumericParams, dense_request, site_dim
+from .numeric import NumericParams, dense_request, family
 from .spinchain import b2_matrix, two_site_shape
 
 LAMBDA_EXCLUSION = 1e-6
-# absolute gates on the largest residual entry; unitarity shares the YBE gate
-YBE_TOLERANCE = {"tl": 1e-12, "bubble": 1e-10}
 # relative gate: the entries of T grow with n and blow up near the poles,
 # so the commutator is measured against the size of the products
 TRANSFER_TOLERANCE = 1e-9
-
-TL_GROUPS = ("straight", "cupcap")
-BUBBLE_GROUPS = (
-    "straight_same",
-    "straight_mixed",
-    "cupcap_same",
-    "cupcap_mixed",
-    "crossing",
-)
 
 
 def validate_lambda(lam: float, kind: str = "bubble") -> None:
@@ -60,7 +52,7 @@ def validate_lambda(lam: float, kind: str = "bubble") -> None:
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    step = _family(kind).pole_step
+    step = family(kind).pole_step
     nearest = round(lam / step) * step
     if abs(lam - nearest) < LAMBDA_EXCLUSION:
         raise ValueError(
@@ -78,15 +70,6 @@ def tl_e_matrix(lam: float) -> np.ndarray:
     e[2, 1] = 1.0
     e[2, 2] = 1.0 / q
     return e
-
-
-def tl_coefficients(lam: float, u: float) -> dict[str, float]:
-    """Coefficients of I and E in the one-colour R(u)."""
-    s = math.sin(lam)
-    return {
-        "straight": math.sin(lam - u) / s,
-        "cupcap": math.sin(u) / s,
-    }
 
 
 def bubble_params(lam: float) -> NumericParams:
@@ -108,40 +91,6 @@ def bubble_params(lam: float) -> NumericParams:
     return NumericParams(q_r=q, q_b=q)
 
 
-def bubble_coefficients(lam: float, u: float) -> dict[str, float]:
-    """Coefficients of the five diagram groups in the two-colour R(u)."""
-    s1 = math.sin(lam)
-    s3 = math.sin(3.0 * lam)
-    return {
-        "straight_same": math.sin(lam - u) * math.sin(3.0 * lam - u) / (s1 * s3),
-        "straight_mixed": math.sin(3.0 * lam - u) / s3,
-        "cupcap_same": -math.sin(u) * math.sin(2.0 * lam - u) / (s1 * s3),
-        "cupcap_mixed": math.sin(u) / s3,
-        "crossing": math.sin(u) * math.sin(3.0 * lam - u) / (s1 * s3),
-    }
-
-
-class Family(NamedTuple):
-    """Pole spacing, coefficient groups and coefficients; the site
-    dimension is ``numeric.site_dim``."""
-
-    pole_step: float
-    groups: tuple[str, ...]
-    coefficients: Callable[[float, float], dict[str, float]]
-
-
-FAMILIES = {
-    "tl": Family(math.pi, TL_GROUPS, tl_coefficients),
-    "bubble": Family(math.pi / 3.0, BUBBLE_GROUPS, bubble_coefficients),
-}
-
-
-def _family(kind: str) -> Family:
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown model kind {kind!r}; expected 'tl' or 'bubble'")
-    return FAMILIES[kind]
-
-
 def coefficient_group(d: Diagram) -> str:
     """Group of a B_2 diagram in R(u): its shape and whether its colours agree."""
     shape, c1, c2 = two_site_shape(d)
@@ -155,12 +104,12 @@ def group_matrices(kind: str, lam: float) -> Mapping[str, np.ndarray]:
 
     One colour: I and E.  Two colours: the sum of the group's B_2 diagrams.
     """
-    _family(kind)
+    groups = family(kind).groups
     if kind == "tl":
         mats = {"straight": np.eye(4, dtype=complex), "cupcap": tl_e_matrix(lam)}
     else:
         params = bubble_params(lam)
-        mats = {g: np.zeros((16, 16), dtype=complex) for g in BUBBLE_GROUPS}
+        mats = {g: np.zeros((16, 16), dtype=complex) for g in groups}
         for d in enumerate_basis(2):
             mats[coefficient_group(d)] += b2_matrix(d, params)
     for m in mats.values():
@@ -170,11 +119,11 @@ def group_matrices(kind: str, lam: float) -> Mapping[str, np.ndarray]:
 
 def rmatrix(kind: str, lam: float, u: float) -> np.ndarray:
     """R(u) of either family: its coefficients times its group matrices."""
-    family = _family(kind)
+    spec = family(kind)
     # the group matrices reject a lambda at a pole of the coefficients
     mats = group_matrices(kind, lam)
-    coefficients = family.coefficients(lam, u)
-    return sum(coefficients[g] * mats[g] for g in family.groups)
+    coefficients = spec.coefficients(lam, u)
+    return sum(coefficients[g] * mats[g] for g in spec.groups)
 
 
 def ybe_residual_matrices(
@@ -221,7 +170,7 @@ def transfer_matrix(lam: float, u: float, n: int, kind: str = "bubble") -> np.nd
     Column k is ``_apply_transfer`` of e_k.  A matrix over the dense
     budget is refused before it is allocated.  No command calls this.
     """
-    m = site_dim(kind)
+    m = family(kind).site_dim
     if n < 1:
         raise ValueError("need at least one site")
     dim = m**n
@@ -282,7 +231,7 @@ def transfer_commutator(
     The vector is complex Gaussian, drawn from ``rng``; T is applied one
     site at a time and never formed.
     """
-    m = site_dim(kind)
+    m = family(kind).site_dim
     if n < 1:
         raise ValueError("need at least one site")
     dim = m**n
@@ -318,7 +267,7 @@ LAMBDA_MARGIN = 0.1
 
 def sample_lambda(rng: random.Random, kind: str = "bubble") -> float:
     """Draw lambda from (0, pi) at least LAMBDA_MARGIN from every pole."""
-    step = _family(kind).pole_step
+    step = family(kind).pole_step
     while True:
         lam = rng.uniform(LAMBDA_MARGIN, math.pi - LAMBDA_MARGIN)
         if abs(lam - round(lam / step) * step) >= LAMBDA_MARGIN:

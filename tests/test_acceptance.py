@@ -18,7 +18,7 @@ from bubblealg.basis import monochrome_straight_diagrams
 from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import DB, DR, ONE, ZERO, Element, identity_element, white_generator
 from bubblealg.oracles import bubble_basis_count, tl_bras
-from bubblealg.numeric import NumericParams
+from bubblealg.numeric import FAMILIES, NumericParams
 from bubblealg.spinchain import homomorphism_report
 from bubblealg.stdmod import (
     cyclic_span_report,
@@ -29,12 +29,7 @@ from bubblealg.stdmod import (
     restriction_report,
     scan_gram_roots,
 )
-from bubblealg.yangbaxter import (
-    BUBBLE_GROUPS,
-    TL_GROUPS,
-    transfer_sweep,
-    ybe_sweep,
-)
+from bubblealg.yangbaxter import transfer_sweep, ybe_sweep
 from helpers import ROOT_TOLERANCE, kron, match_special_value, perturbed_ybe_residual, split_by_colour
 
 SEED = 20260822
@@ -170,9 +165,9 @@ def test_criterion_08_yang_baxter():
     bubble = ybe_sweep("bubble", count=20, seed=SEED)
     ok = tl.max_residual < 1e-12 and bubble.max_residual < 1e-10
     lam, u, v = 0.73, 0.41, -0.29
-    for group in TL_GROUPS:
+    for group in FAMILIES["tl"].groups:
         ok = ok and perturbed_ybe_residual(lam, u, v, group, kind="tl") > 1e-5
-    for group in BUBBLE_GROUPS:
+    for group in FAMILIES["bubble"].groups:
         ok = ok and perturbed_ybe_residual(lam, u, v, group, kind="bubble") > 1e-5
     assert report(8, "spectral identity holds and the detector sees perturbations", ok)
 
@@ -191,7 +186,6 @@ def test_criterion_10_structure_checks():
         for i, j in standard_labels(n):
             ok = ok and restriction_report(n, i, j).holds
     for n in range(1, 5):
-        basis = enumerate_basis(n)
         for i, j in standard_labels(n):
-            ok = ok and cyclic_span_report(n, i, j, basis).holds
+            ok = ok and cyclic_span_report(n, i, j).holds
     assert report(10, "localisation, restriction, and cyclic-generator dimensions", ok)

@@ -562,3 +562,28 @@ def test_no_zero_term_is_ever_held():
         for z in (x, x + y, x * y, x.scale(0), x + x.scale(-1), 0 * x):
             assert all(not c.is_zero for _, c in z.items())
     assert (x + x.scale(-1)).is_zero and len(0 * x) == 0
+
+
+def test_power_takes_its_exponent_as_an_integer():
+    # a numpy integer is an integer; a negative one is still refused
+    assert DR ** np.int64(2) == DR * DR
+    assert DR ** np.int8(0) == ONE
+    with pytest.raises(ValueError, match="non-negative integer"):
+        DR ** np.int64(-1)
+    for value in (2.0, Fraction(2, 1), "2"):
+        with pytest.raises(TypeError):
+            DR**value
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), "2"], ids=["float", "fraction", "string"])
+@pytest.mark.parametrize("element", [Element.zero(2, 2), white_generator(2, 1)], ids=["zero", "nonzero"])
+def test_scale_refuses_an_inexact_coefficient_on_every_element(element, value):
+    with pytest.raises(TypeError):
+        element.scale(value)
+
+
+@pytest.mark.parametrize("element", [Element.zero(2, 2), white_generator(2, 1)], ids=["zero", "nonzero"])
+def test_scale_takes_an_int_or_a_polynomial(element):
+    assert element.scale(3) == element + element + element
+    assert element.scale(DR) == element * DR
+    assert element.scale(np.int64(2)) == element + element

@@ -526,10 +526,23 @@ class TestRestrictionAndSpans:
 
     def test_cyclic_span_full_rank(self):
         for n in range(1, 6):
-            basis = enumerate_basis(n)
             for i, j in standard_labels(n):
-                rep = cyclic_span_report(n, i, j, basis)
+                rep = cyclic_span_report(n, i, j)
                 assert rep.rank == rep.expected == brute_walk_count(n, i, j)
+
+    def test_cyclic_span_that_skips_the_last_pair_falls_short(self, monkeypatch):
+        # a search that never acts at points n-1 and n cannot reach the
+        # whole module for some label
+        real = stdmod.act_diagram
+
+        def blind(d, bra):
+            n = d.n_north
+            straight = {(n - 1, 2 * n - 1), (n, 2 * n)} <= {(p, q) for p, q, _ in d.pairs}
+            return real(d, bra) if straight else None
+
+        monkeypatch.setattr(stdmod, "act_diagram", blind)
+        reports = [cyclic_span_report(4, i, j) for i, j in standard_labels(4)]
+        assert not all(rep.holds for rep in reports)
 
     def test_localisation_small(self):
         assert localisation_report(2).rank == 1

@@ -9,15 +9,12 @@ import pytest
 
 from bubblealg.basis import ResourceLimitError, enumerate_basis
 from bubblealg.diagram import BLUE, RED, make_diagram
-from bubblealg.numeric import DENSE_BUDGET, site_dim, transfer_bytes
+from bubblealg.numeric import DENSE_BUDGET, FAMILIES, bubble_coefficients, family, transfer_bytes
 from bubblealg.spinchain import b2_matrix
 from bubblealg.yangbaxter import (
-    BUBBLE_GROUPS,
-    TL_GROUPS,
     TRANSFER_TOLERANCE,
     _apply_transfer,
     _transfer_defect,
-    bubble_coefficients,
     bubble_params,
     coefficient_group,
     group_matrices,
@@ -62,7 +59,7 @@ class TestLambdaValidation:
         with pytest.raises(ValueError):
             rmatrix("brauer", 0.5, 0.1)
         with pytest.raises(ValueError, match="unknown model kind"):
-            site_dim("xx")
+            family("xx")
 
     def test_site_dimensions(self):
         # one site of the transfer matrix: two states for tl, four for bubble
@@ -126,7 +123,7 @@ class TestBubbleRmatrix:
 
     def test_b2_falls_two_per_group(self):
         counts = Counter(coefficient_group(d) for d in enumerate_basis(2))
-        assert counts == {group: 2 for group in BUBBLE_GROUPS}
+        assert counts == {group: 2 for group in FAMILIES["bubble"].groups}
 
     def test_group_matrices_sum_the_listed_diagrams(self):
         lam = 0.7
@@ -186,12 +183,12 @@ class TestYangBaxter:
             ybe_residual_matrices(np.eye(4), np.eye(16), np.eye(4))
 
     def test_perturbation_trips_detector_tl(self):
-        for group in TL_GROUPS:
+        for group in FAMILIES["tl"].groups:
             res = perturbed_ybe_residual(0.7, 0.3, -0.5, group, 1e-3, "tl")
             assert res > 1e-5
 
     def test_perturbation_trips_detector_bubble(self):
-        for group in BUBBLE_GROUPS:
+        for group in FAMILIES["bubble"].groups:
             res = perturbed_ybe_residual(0.7, 0.3, -0.5, group, 1e-3, "bubble")
             assert res > 1e-5
 
@@ -331,7 +328,7 @@ class TestTransfer:
                 got = _apply_transfer(r, x, n)
                 assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("group", BUBBLE_GROUPS)
+    @pytest.mark.parametrize("group", FAMILIES["bubble"].groups)
     def test_perturbed_bubble_group_trips_the_detector(self, group):
         lam, u, v = 0.73, 0.41, -0.29
         shift = 1e-6 * group_matrices("bubble", lam)[group]
