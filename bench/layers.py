@@ -11,8 +11,10 @@ more fresh run per layer takes the call's ``tracemalloc`` peak.  The
 package is imported from the ``src`` directory of the tree timed; this
 file and its layer list are the same for every tree.  Children run
 without bytecode files, and with one OpenBLAS thread unless the caller
-set ``OPENBLAS_NUM_THREADS``, as the ``bubble`` requests of these sizes
-do.
+set ``OPENBLAS_NUM_THREADS``.  That is how a ``bubble`` request of these
+sizes runs, except ``transfer_commutator``: its 7-site bubble chain
+(9.8 MB) is over ``numeric.ONE_BLAS_THREAD_BELOW``, so in a request it
+runs on OpenBLAS's pool.
 
 Without ``--against`` the bench times the tree it sits in, ``--runs``
 times per layer, and records each layer's median, quartiles

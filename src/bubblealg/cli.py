@@ -318,7 +318,6 @@ def cmd_rep(args: argparse.Namespace) -> int:
         held = rep_bytes(args.n, args.matrices)
         with dense_request(held, matrix_bytes(args.n), f"rep --n {args.n}"):
             from .spinchain import diagram_matrix, homomorphism_report
-    basis = enumerate_basis(args.n, max_n=args.max_n) if dense else None
     payload: dict = {
         "n": args.n,
         "qr": _complex_pair(q_r),
@@ -331,7 +330,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
     }
     status = EXIT_OK
     if args.check:
-        report = homomorphism_report(args.n, params, basis=basis)
+        report = homomorphism_report(args.n, params)
         passed = report.max_residual < args.tol
         payload["check"] = {
             "pairs_checked": report.pairs_checked,
@@ -343,7 +342,8 @@ def cmd_rep(args: argparse.Namespace) -> int:
             status = EXIT_PROPERTY
     if args.matrices:
         payload["matrices"] = {
-            d.encode(): _format_complex_matrix(diagram_matrix(d, params)) for d in basis
+            d.encode(): _format_complex_matrix(diagram_matrix(d, params))
+            for d in enumerate_basis(args.n, max_n=args.max_n)
         }
     _emit_json(payload)
     return status

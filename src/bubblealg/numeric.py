@@ -32,9 +32,10 @@ DENSE_BUDGET = 512 * 2**20
 
 # OpenBLAS, which numpy loads, starts a pool of one worker thread per core.
 # Products on dense states under this many bytes run about as fast on one
-# thread as on a pool of two, for 35-45% less CPU; from 2.4 MiB (bubble
-# --transfer 6) the pool is as fast or faster, and from 6.6 MiB (tl
-# --transfer 15) faster by 5-15%.
+# thread as on a pool of two, for 35-45% less CPU.  Above it the pool
+# costs 1.6-1.9 times the CPU and is no faster up to 6.6 MiB (tl
+# --transfer 15); it is about 5% faster at 9.3 MiB (bubble --transfer 7)
+# and 13-20% faster from 13 MiB (tl --transfer 16) up.
 # Measured on the largest state a request's products work on (the
 # ``largest`` of dense_request): every rep, ybe with no chain or one up to
 # bubble --transfer 5 or tl --transfer 13, and check up to size 5 fall

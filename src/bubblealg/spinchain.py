@@ -12,6 +12,8 @@ inputs becomes a 4^n_north by 4^n_south matrix:
 
 ``diagram_matrix`` writes each term's states into one list indexed by
 endpoint, north then south, as the diagram numbers its points.
+``homomorphism_report(n, params)`` lists B_n itself and checks every
+ordered pair of its diagrams against the product of their matrices.
 
 Closed loops removed during composition contribute delta_c = q_c + 1/q_c
 with q_c = t_c^2, which is exactly how the matrices turn composition
@@ -27,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .basis import enumerate_basis
 from .diagram import Diagram, endpoint_arrays, products
 from .numeric import NumericParams
 
@@ -137,27 +140,22 @@ class HomomorphismReport(NamedTuple):
     max_residual: float
 
 
-def homomorphism_report(
-    n: int, params: NumericParams, basis: list[Diagram] | None = None
-) -> HomomorphismReport:
+def homomorphism_report(n: int, params: NumericParams) -> HomomorphismReport:
     """Compare the matrix of every composed pair with the matrix product.
 
-    Every ordered pair of basis diagrams is tested; the report carries
-    the worst absolute entry difference, NaN if any difference is NaN.
-    The non-zero ``products`` are compared entry by entry, each weighed
-    by ``delta_r**loops_r * delta_b**loops_b``.  The product
-    of two matrices is exactly zero when the colour words mismatch, once
-    each vanishes outside its (north word x south word) block; so each
-    matrix's largest entry outside its block covers the zero pairs.
-    ``basis`` must be all of B_n, since every product lands in it and
-    takes its matrix from there.  A loop weight so large or small that a
+    Every ordered pair of diagrams of B_n, which it lists itself, is
+    tested; the report carries the worst absolute entry difference, NaN
+    if any difference is NaN.  The non-zero ``products`` are compared
+    entry by entry, each weighed by ``delta_r**loops_r *
+    delta_b**loops_b``; every product lands in B_n and takes its matrix
+    from the table of B_n's.  The product of two matrices is exactly zero
+    when the colour words mismatch, once each vanishes outside its (north
+    word x south word) block; so each matrix's largest entry outside its
+    block covers the zero pairs.  A loop weight so large or small that a
     product overflows float64 raises ValueError, as float64 cannot show
     the homomorphism there.
     """
-    if basis is None:
-        from .basis import enumerate_basis
-
-        basis = enumerate_basis(n)
+    basis = enumerate_basis(n)
     mats = {d: diagram_matrix(d, params) for d in basis}
     residuals = []
     for d, m in mats.items():

@@ -11,7 +11,9 @@ joining two cut points would bend a propagating line back and makes the
 image zero, which realises the quotient by lower layers of the
 filtration.  ``cyclic_span_report`` finds the orbit of the standard
 generator breadth first, acting with one B_2 diagram at an adjacent
-pair per step, so it lists no B_n.
+pair per step, so it lists no B_n.  ``localisation_report`` lists none
+either: it glues the leaves of B_n's walk to the cups in fixed batches
+and keeps only the distinct products.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
@@ -56,7 +58,10 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from .basis import (
+    DEFAULT_MAX_N,
     HalfDiagram,
+    _check_size,
+    _walk_matchings,
     enumerate_basis,
     enumerate_bras,
     make_half,
@@ -69,6 +74,7 @@ from .diagram import (
     RED,
     Diagram,
     SizeMismatchError,
+    circular_positions,
     endpoint_arrays,
     glue,
     make_diagram,
@@ -496,6 +502,10 @@ def cyclic_span_report(n: int, i: int, j: int) -> SpanReport:
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
 
 
+# diagrams of B_n glued to the cups at a time by ``localisation_report``
+LOCALISATION_BATCH = 4096
+
+
 def localisation_report(n: int) -> SpanReport:
     """Rank of the corner algebra cut out by one all-colours cup-cap.
 
@@ -504,17 +514,33 @@ def localisation_report(n: int) -> SpanReport:
     d in B_n, V·d·U is zero or a monomial times one closure x, d with
     points 1, 2 capped north and south, and the U·x·V of distinct x share
     no diagram, so the rank of e·B_n·e is the number of distinct
-    closures.  It should be the size of the basis two sizes down.
+    closures.  It should be the size of the basis two sizes down.  B_n
+    is walked, not listed: its diagrams reach the cups
+    ``LOCALISATION_BATCH`` at a time, and only the distinct d·U are held.
     """
     if n < 2:
         raise ValueError("needs at least two strands")
+    _check_size(n, DEFAULT_MAX_N)
     caps, cups = [], []
     for c, *word in product((RED, BLUE), repeat=n - 1):
         lines = list(enumerate(word, 1))
         caps.append(make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines]))
         cups.append(make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines]))
     # many d share d·U, so each distinct one is capped once
-    cupped = {du for *_, du in products(enumerate_basis(n), cups)}
+    cupped: set[Diagram] = set()
+    batch: list[Diagram] = []
+
+    def glue_batch() -> None:
+        cupped.update(du for *_, du in products(batch, cups))
+        batch.clear()
+
+    def leaf(slots: list) -> None:
+        batch.append(Diagram._raw(n, n, tuple(filter(None, slots))))
+        if len(batch) == LOCALISATION_BATCH:
+            glue_batch()
+
+    _walk_matchings(circular_positions(n, n), ([], []), leaf)
+    glue_batch()
     closures = {x for *_, x in products(caps, cupped)}
     return SpanReport(n, None, len(closures), walk_count(2 * n - 4, 0, 0))
 

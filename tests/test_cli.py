@@ -1354,7 +1354,7 @@ class TestNanNeverPasses:
         from bubblealg import spinchain
         from bubblealg.spinchain import HomomorphismReport
 
-        monkeypatch.setattr(spinchain, "homomorphism_report", lambda n, p, basis: HomomorphismReport(n, 100, float("nan")))
+        monkeypatch.setattr(spinchain, "homomorphism_report", lambda n, p: HomomorphismReport(n, 100, float("nan")))
         code, out = run_cli(capsys, "rep", "--n", "1", "--qr", "2", "--qb", "3", "--check")
         payload = json.loads(out, parse_constant=reject_constant)
         assert code == 1
@@ -1625,6 +1625,13 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
+def probe_env() -> dict[str, str]:
+    """``fresh_env`` with ``tests/``, and so ``blas.py``, on the path."""
+    env = fresh_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    return env
+
+
 @pytest.mark.parametrize(
     "request_line",
     [
@@ -1753,35 +1760,16 @@ class TestLeanPath:
             bubblealg.no_such_name
 
 
-# Prints the thread count of the OpenBLAS that numpy bundles, found as
-# perfbench/probe.py finds it, or null when there is none to ask
-BLAS_THREADS = """
-import ctypes
-from pathlib import Path
-
-def blas_threads():
-    import numpy
-
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter()
-    return None
-"""
-
 # Runs one request in a fresh interpreter and prints its exit code, whether
 # os.environ came back unchanged, and the BLAS threads it ran with
-THREAD_PROBE = BLAS_THREADS + """
+THREAD_PROBE = """
 import contextlib, io, json, os, sys
+from blas import THREADS, first
 from bubblealg.cli import main
 before = dict(os.environ)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, dict(os.environ) == before, blas_threads()]))
+print(json.dumps([code, dict(os.environ) == before, first(THREADS)]))
 """
 
 # the benchmark's spectral requests, and the other sizes on each side of the cut-off
@@ -1869,11 +1857,11 @@ class TestBlasThreads:
         def run(code, *argv):
             out = subprocess.run(
                 [sys.executable, "-c", code, *argv],
-                env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+                env=probe_env(), capture_output=True, text=True, check=True, timeout=120,
             ).stdout
             return json.loads(out)
 
-        pool = run(BLAS_THREADS + "print(blas_threads())")
+        pool = run("import blas; print(blas.first(blas.THREADS))")
         if pool is None:
             pytest.skip("numpy bundles no OpenBLAS to ask")
         small = run(THREAD_PROBE, *"rep --n 2 --qr 2 --qb 3 --check".split())
@@ -1882,28 +1870,6 @@ class TestBlasThreads:
         large = run(THREAD_PROBE, *"ybe --family tl --sweep 1 --transfer 15".split())
         assert large == [0, True, pool]
 
-
-# Prints the name of the kernel that numpy's OpenBLAS picked, looked up as
-# BLAS_THREADS looks up its thread count, or null when there is none to ask
-BLAS_CORE = """
-import ctypes, json
-from pathlib import Path
-
-import numpy
-
-def blas_core():
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                return getter().decode()
-    return None
-
-print(json.dumps(blas_core()))
-"""
 
 # kernels whose sums differ from Prescott's on the commands below; on one
 # x86-64 host Sandybridge's stdout matched Prescott's, so under it the
@@ -1923,7 +1889,7 @@ class TestBlasKernel:
     def test_stdout_does_not_depend_on_the_kernel(self, line):
         if platform.machine().lower() not in ("x86_64", "amd64"):
             pytest.skip("Prescott and the kernels compared are x86-64 OpenBLAS kernels; other machines name theirs differently")
-        env = fresh_env()
+        env = probe_env()
         env.pop("OPENBLAS_CORETYPE", None)
 
         def run(*argv, **extra):
@@ -1932,7 +1898,7 @@ class TestBlasKernel:
                 capture_output=True, text=True, check=True, timeout=120,
             ).stdout
 
-        core = json.loads(run("-c", BLAS_CORE))
+        core = json.loads(run("-c", "import blas, json; print(json.dumps(blas.first(blas.CORE)))"))
         if core not in KERNELS_UNLIKE_PRESCOTT:
             pytest.skip(f"the default kernel {core} is not one of {KERNELS_UNLIKE_PRESCOTT}, whose sums differ from Prescott's")
         command = ["-m", "bubblealg.cli", *line.split()]

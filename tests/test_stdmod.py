@@ -557,6 +557,22 @@ class TestRestrictionAndSpans:
         rep = localisation_report(6)
         assert (rep.rank, rep.expected) == (588, 588)
 
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_localisation_lists_no_basis(self, monkeypatch, batch):
+        # B_5 is walked and glued to the cups a batch at a time, never
+        # listed whole, and where the batches break moves no closure
+        real = stdmod.enumerate_basis
+
+        def refusing(n, *args, **kwargs):
+            if n >= 3:
+                raise AssertionError(f"B_{n} listed")
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(stdmod, "enumerate_basis", refusing)
+        if batch:
+            monkeypatch.setattr(stdmod, "LOCALISATION_BATCH", batch)
+        assert localisation_report(5).holds
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_localisation_rank_matches_the_gf_reference(self, n):
         assert localisation_report(n).rank == localisation_rank_reference(n, seed=20260822)
