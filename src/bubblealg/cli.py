@@ -51,6 +51,16 @@ EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 20260822
 
+
+def seed(text: str) -> int:
+    """The argparse type of every ``--seed``: numpy's generators take only
+    non-negative seeds, so a negative one is refused while parsing."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # names the basis cache directory when --cache-dir is not given
 ENV_CACHE_DIR = "BUBBLE_CACHE_DIR"
 
@@ -506,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed spectral parameter (default: sampled per point)",
     )
     p.add_argument("--sweep", type=int, default=20, help="number of sampled points")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument(
         "--transfer",
         type=int,
@@ -519,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("check", "run the cross-module property suite")
     p.add_argument("--n", type=int, default=4, help="size bound for the suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument("--quick", action="store_true", help="trim sizes and sweep counts")
     p.set_defaults(func=cmd_check)
 

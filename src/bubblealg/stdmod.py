@@ -12,8 +12,10 @@ image zero, which realises the quotient by lower layers of the
 filtration.  ``cyclic_span_report`` finds the orbit of the standard
 generator breadth first, acting with one B_2 diagram at an adjacent
 pair per step, so it lists no B_n.  ``localisation_report`` lists none
-either: it glues the leaves of B_n's walk to the cups in fixed batches
-and keeps only the distinct products.
+either, and builds no diagram of it: it closes each leaf of B_n's walk
+as the walk reaches it, gluing its endpoint arrays to the one cap and
+the one cup that fit its colour words, and keeps only the distinct
+closures.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
@@ -78,7 +80,6 @@ from .diagram import (
     endpoint_arrays,
     glue,
     make_diagram,
-    products,
 )
 from .exactpoly import (
     DR,
@@ -502,10 +503,6 @@ def cyclic_span_report(n: int, i: int, j: int) -> SpanReport:
     return SpanReport(n, (i, j), len(reached), walk_count(n, i, j))
 
 
-# diagrams of B_n glued to the cups at a time by ``localisation_report``
-LOCALISATION_BATCH = 4096
-
-
 def localisation_report(n: int) -> SpanReport:
     """Rank of the corner algebra cut out by one all-colours cup-cap.
 
@@ -515,33 +512,35 @@ def localisation_report(n: int) -> SpanReport:
     points 1, 2 capped north and south, and the U·x·V of distinct x share
     no diagram, so the rank of e·B_n·e is the number of distinct
     closures.  It should be the size of the basis two sizes down.  B_n
-    is walked, not listed: its diagrams reach the cups
-    ``LOCALISATION_BATCH`` at a time, and only the distinct d·U are held.
+    is walked, not listed, and each walked d is closed as the walk
+    reaches it: one cap fits d's northern word and one cup its southern
+    word, or none does and V·d·U is zero.  Only the distinct closures
+    are held, each as its pairs.
     """
     if n < 2:
         raise ValueError("needs at least two strands")
     _check_size(n, DEFAULT_MAX_N)
-    caps, cups = [], []
+    # each cap by its southern word and each cup by its northern word,
+    # both (c, c, *word), as endpoint arrays
+    caps, cups = {}, {}
     for c, *word in product((RED, BLUE), repeat=n - 1):
         lines = list(enumerate(word, 1))
-        caps.append(make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines]))
-        cups.append(make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines]))
-    # many d share d·U, so each distinct one is capped once
-    cupped: set[Diagram] = set()
-    batch: list[Diagram] = []
-
-    def glue_batch() -> None:
-        cupped.update(du for *_, du in products(batch, cups))
-        batch.clear()
+        cap = make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines])
+        cup = make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines])
+        caps[(c, c, *word)] = endpoint_arrays(2 * n - 2, cap.pairs)
+        cups[(c, c, *word)] = endpoint_arrays(2 * n - 2, cup.pairs)
+    closures: set[tuple[tuple[int, int, int], ...]] = set()
 
     def leaf(slots: list) -> None:
-        batch.append(Diagram._raw(n, n, tuple(filter(None, slots))))
-        if len(batch) == LOCALISATION_BATCH:
-            glue_batch()
+        d = endpoint_arrays(2 * n, filter(None, slots))
+        cap = caps.get(tuple(d[1][1 : n + 1]))
+        cup = cups.get(tuple(d[1][n + 1 :]))
+        if cap and cup:
+            # equal words never clash, so neither glue returns None
+            vd = glue(cap, d, n - 2, n, n)[2]
+            closures.add(tuple(glue(endpoint_arrays(2 * n - 2, vd), cup, n - 2, n, n - 2)[2]))
 
     _walk_matchings(circular_positions(n, n), ([], []), leaf)
-    glue_batch()
-    closures = {x for *_, x in products(caps, cupped)}
     return SpanReport(n, None, len(closures), walk_count(2 * n - 4, 0, 0))
 
 

@@ -9,20 +9,24 @@ hide behind the same fault in the element product.  A product is the
 triple (red loops, blue loops, diagram); two products multiply by adding
 their loop counts.
 
-Associativity is checked on every triple of B_n for n <= 3 and on seeded
-samples at n = 5 and 6.  Over all of B_4 (818 496 triples) it takes
-about 7 s, too long for these tests.
+Associativity is checked on every triple of B_n for n <= 3, on seeded
+samples of the listed B_n at n = 5 and 6, and at n = 7 and 8 on triples
+drawn without listing B_n: each factor is a random word in the ten B_2
+diagrams, each placed at an adjacent pair with straight strands
+elsewhere.  Over all of B_4 (818 496 triples) it takes about 7 s, too
+long for these tests.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import product
 
 import pytest
 
 from bubblealg.basis import enumerate_basis
-from bubblealg.diagram import BLUE, RED, endpoint_arrays, products, straight_diagram
+from bubblealg.diagram import BLUE, RED, endpoint_arrays, make_diagram, products, straight_diagram
 from helpers import mirror
 
 
@@ -36,6 +40,17 @@ def times(a, b):
     for _, _, lr, lb, d in products((a,), (b,)):
         return lr, lb, d
     return None
+
+
+def associates(a, b, c, extra_red_loop: bool = False) -> bool:
+    """Whether (a·b)·c is a·(b·c), loops added, for a·b and b·c nonzero;
+    ``extra_red_loop`` as in ``associativity_failures``."""
+    lr1, lb1, ab = times(a, b)
+    lr2, lb2, bc = times(b, c)
+    lr3, lb3, left = times(ab, c)
+    lr4, lb4, right = times(a, bc)
+    lr4 += extra_red_loop and lr2 > 0
+    return (lr1 + lr3, lb1 + lb3, left) == (lr2 + lr4, lb2 + lb4, right)
 
 
 def associativity_failures(basis, extra_red_loop: bool = False) -> tuple[int, int]:
@@ -89,11 +104,57 @@ def test_associative_on_sampled_triples(n, seed):
         a = rng.choice(basis)
         b = rng.choice(by_north[words(a)[1]])
         c = rng.choice(by_north[words(b)[1]])
-        lr1, lb1, ab = times(a, b)
-        lr2, lb2, bc = times(b, c)
-        lr3, lb3, left = times(ab, c)
-        lr4, lb4, right = times(a, bc)
-        assert (lr1 + lr3, lb1 + lb3, left) == (lr2 + lr4, lb2 + lb4, right)
+        assert associates(a, b, c)
+
+
+B2 = enumerate_basis(2)
+
+
+def placed(g, k: int, word: tuple[int, ...]):
+    """The B_2 diagram g at points k, k+1 of n = len(word), every other
+    strand straight in word's colour there."""
+    n = len(word)
+    point = (0, k, k + 1, n + k, n + k + 1)
+    straight = [(m, n + m, c) for m, c in enumerate(word, 1) if m not in (k, k + 1)]
+    return make_diagram(n, n, straight + [(point[p], point[q], c) for p, q, c in g.pairs])
+
+
+def drawn(rng: random.Random, word: tuple[int, ...]):
+    """A diagram with northern word ``word``: a product of 3n B_2
+    diagrams, each drawn with a random adjacent pair among those whose
+    north fits the colours there, the loops dropped."""
+    n = len(word)
+    d = straight_diagram(word)
+    for _ in range(3 * n):
+        k = rng.randrange(1, n)
+        south = words(d)[1]
+        g = rng.choice([g for g in B2 if words(g)[0] == south[k - 1 : k + 1]])
+        d = times(d, placed(g, k, south))[2]
+    return d
+
+
+@functools.cache
+def drawn_triples(n: int, seed: int) -> tuple:
+    """500 seeded triples (a, b, c) of B_n, b drawn from a's southern word
+    and c from b's, so a·b and b·c are nonzero."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(500):
+        a = drawn(rng, tuple(rng.choice((RED, BLUE)) for _ in range(n)))
+        b = drawn(rng, words(a)[1])
+        triples.append((a, b, drawn(rng, words(b)[1])))
+    return tuple(triples)
+
+
+@pytest.mark.parametrize("n, seed", [(7, 7), (8, 8)])
+def test_associative_on_drawn_triples(n, seed):
+    assert all(associates(*triple) for triple in drawn_triples(n, seed))
+
+
+@pytest.mark.parametrize("n, seed", [(7, 7), (8, 8)])
+def test_an_extra_red_loop_breaks_the_drawn_triples(n, seed):
+    # the control, on the same sample
+    assert not all(associates(*triple, extra_red_loop=True) for triple in drawn_triples(n, seed))
 
 
 def test_the_mirror_is_an_anti_involution_on_b4():

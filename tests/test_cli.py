@@ -1192,6 +1192,23 @@ class TestRequestLimits:
         assert (code, captured.out) == (2, "")
         assert f"n={argv.split()[2]}" in captured.err and "Traceback" not in captured.err
 
+    def test_negative_seed_is_usage_error_before_numpy_loads(self):
+        # numpy's generators refuse a negative seed, but only once the
+        # work before the first draw has run, or never when no draw needs one
+        seen = probe_imports(
+            [
+                "check --quick --seed -1",
+                "ybe --family tl --sweep 2 --transfer 3 --seed -1",
+                "ybe --family tl --sweep 2 --seed -1",
+            ]
+        )
+        assert [row[:2] for row in seen] == [[2, False]] * 3
+
+    def test_seed_zero_is_valid(self, capsys):
+        code, out = run_cli(capsys, "ybe", "--family", "tl", "--sweep", "1", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
     @pytest.mark.filterwarnings("error")
     def test_large_finite_loop_weight_is_still_checked(self, capsys):
         code, out = run_cli(capsys, "rep", "--n", "2", "--qr", "1e100", "--qb", "1", "--check")

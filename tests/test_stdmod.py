@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -38,7 +39,7 @@ from bubblealg.basis import (
     standard_labels,
     walk_count,
 )
-from bubblealg.diagram import BLUE, RED, compose, make_diagram, propagating_index
+from bubblealg.diagram import BLUE, RED, Diagram, compose, make_diagram, propagating_index
 from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import (
     DB,
@@ -557,10 +558,8 @@ class TestRestrictionAndSpans:
         rep = localisation_report(6)
         assert (rep.rank, rep.expected) == (588, 588)
 
-    @pytest.mark.parametrize("batch", [None, 7])
-    def test_localisation_lists_no_basis(self, monkeypatch, batch):
-        # B_5 is walked and glued to the cups a batch at a time, never
-        # listed whole, and where the batches break moves no closure
+    def test_localisation_lists_no_basis(self, monkeypatch):
+        # B_5 is walked and each diagram closed as it is reached, never listed
         real = stdmod.enumerate_basis
 
         def refusing(n, *args, **kwargs):
@@ -569,9 +568,21 @@ class TestRestrictionAndSpans:
             return real(n, *args, **kwargs)
 
         monkeypatch.setattr(stdmod, "enumerate_basis", refusing)
-        if batch:
-            monkeypatch.setattr(stdmod, "LOCALISATION_BATCH", batch)
         assert localisation_report(5).holds
+
+    def test_localisation_builds_no_diagram_per_walked_diagram(self, monkeypatch):
+        # the walk's leaves are closed from their endpoint arrays: building
+        # each as a Diagram would take |B_6| = 56 628 calls at n = 6
+        calls = []
+        real = Diagram._raw.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(Diagram, "_raw", classmethod(counting))
+        assert localisation_report(6).holds
+        assert len(calls) < 2**6
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_localisation_rank_matches_the_gf_reference(self, n):
@@ -579,20 +590,113 @@ class TestRestrictionAndSpans:
 
     def test_closures_capped_only_north_miss(self, monkeypatch):
         # caps of one colour alone would still reach every closure, so
-        # the mutation leaves the south edge open instead: each d of B_n
-        # passes the cups unglued and only its north edge is capped
-        glue_all = stdmod.products
+        # the mutation leaves the south edge open instead: the second glue
+        # of each walked d, V·d onto a cup, hands back V·d as it stands,
+        # so only d's north edge is capped
+        real = stdmod.glue
 
-        def north_only(left, right):
-            left = list(left)
-            # B_n, the one square left factor, is the one put on the cups
-            if left[0].n_north == left[0].n_south:
-                return ((d, None, 0, 0, d) for d in left)
-            return glue_all(left, right)
+        def north_only(top, bottom, n_north, n_glued, n_south):
+            if n_north == n_south == n_glued - 2:
+                partner, colour = top
+                return 0, 0, [(p, q, colour[p]) for p, q in enumerate(partner) if p < q]
+            return real(top, bottom, n_north, n_glued, n_south)
 
-        monkeypatch.setattr(stdmod, "products", north_only)
+        monkeypatch.setattr(stdmod, "glue", north_only)
         for n in range(3, 6):
             assert not localisation_report(n).holds
+
+
+def localisation_caps(n: int) -> dict[tuple[int, ...], Diagram]:
+    """The caps V of ``localisation_report``, n - 2 over n on south points
+    1, 2, one per colouring, keyed by the southern word each one fits."""
+    caps = {}
+    for c, *word in itertools.product((RED, BLUE), repeat=n - 1):
+        pairs = [(n - 1, n, c)] + [(k, n + k, w) for k, w in enumerate(word, 1)]
+        caps[(c, c, *word)] = make_diagram(n - 2, n, pairs)
+    return caps
+
+
+def frame_word(bra) -> tuple[int, ...]:
+    return tuple(bra.endpoints[1][1 : bra.n + 1])
+
+
+def then(first, act):
+    """act after first, adding their loops; None where either is zero."""
+    if first is None:
+        return None
+    second = act(first[2])
+    return second and (first[0] + second[0], first[1] + second[1], second[2])
+
+
+def beside_cap(a, word: tuple[int, ...], under_cap: bool):
+    """a in B_{n-2} on n strands, next to two straight ones in the colours
+    of ``word`` there: 1_2 ⊗ a, or a ⊗ 1_2 when ``under_cap``."""
+    n, m = len(word), a.n_north
+    off, straight = (0, (n - 1, n)) if under_cap else (2, (1, 2))
+
+    def moved(p: int) -> int:
+        return p + off if p <= m else p - m + n + off
+
+    pairs = [(moved(p), moved(q), c) for p, q, c in a.pairs]
+    return make_diagram(n, n, pairs + [(s, n + s, word[s - 1]) for s in straight])
+
+
+def module_map_failures(n: int, under_cap: bool) -> tuple[int, int]:
+    """(failed, cases) of V·((1_2 ⊗ a)·x) = a·(V·x), loops included, over
+    every a in B_{n-2} and every bra x of every label; a ⊗ 1_2 in place of
+    1_2 ⊗ a when ``under_cap``."""
+    caps = localisation_caps(n)
+
+    def localise(x):
+        cap = caps.get(frame_word(x))
+        return cap and act_diagram(cap, x)
+
+    small = enumerate_basis(n - 2)
+    failed = cases = 0
+    for i, j in standard_labels(n):
+        for x in enumerate_bras(n, i, j):
+            word, vx = frame_word(x), localise(x)
+            for a in small:
+                lhs = then(act_diagram(beside_cap(a, word, under_cap), x), localise)
+                rhs = then(vx, lambda y: act_diagram(a, y))
+                failed += lhs != rhs
+                cases += 1
+    return failed, cases
+
+
+class TestLocalisationOnModules:
+    """The caps of ``localisation_report`` as a map of cell modules, built
+    here and acting through ``act_diagram``, never through the report."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_caps_send_each_cell_module_two_sizes_down(self, n):
+        caps = localisation_caps(n)
+        assert len(caps) == 2 ** (n - 1)
+        for i, j in standard_labels(n):
+            images = set()
+            for x in enumerate_bras(n, i, j):
+                fitting = caps.get(frame_word(x))
+                # a cap whose south word is not the frame's clashes in
+                # colour; trying every cap shows it up to n = 6, and the
+                # one that fits stands for them all above
+                tried = caps.values() if n <= 6 else [fitting] if fitting else []
+                hits = [r for r in (act_diagram(cap, x) for cap in tried) if r]
+                assert len(hits) <= 1
+                if hits:
+                    assert act_diagram(fitting, x) == hits[0]
+                    images.add(hits[0][2])
+            if i + j == n:
+                assert images == set()
+            else:
+                assert images == set(enumerate_bras(n - 2, i, j))
+
+    @pytest.mark.parametrize("n, cases", [(3, 36), (4, 600), (5, 14000)])
+    def test_caps_are_a_module_map(self, n, cases):
+        assert module_map_failures(n, under_cap=False) == (0, cases)
+
+    @pytest.mark.parametrize("n, failed, cases", [(3, 4, 36), (4, 72, 600), (5, 964, 14000)])
+    def test_a_under_the_cap_breaks_the_module_map(self, n, failed, cases):
+        assert module_map_failures(n, under_cap=True) == (failed, cases)
 
 
 class TestRootScan:
