@@ -12,10 +12,9 @@ image zero, which realises the quotient by lower layers of the
 filtration.  ``cyclic_span_report`` finds the orbit of the standard
 generator breadth first, acting with one B_2 diagram at an adjacent
 pair per step, so it lists no B_n.  ``localisation_report`` lists none
-either, and builds no diagram of it: it closes each leaf of B_n's walk
-as the walk reaches it, gluing its endpoint arrays to the one cap and
-the one cup that fit its colour words, and keeps only the distinct
-closures.
+either: it acts with the one cap that fits each bra of each W(n; i, j),
+and sums the squares of the numbers of distinct images, one term per
+label, since the caps' closures of B_n are the pairs of images.
 
 The bilinear form glues one half diagram, flipped top to bottom, onto
 the other; it is nonzero only when every chain runs from a cut of one
@@ -63,11 +62,11 @@ from .basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
     _check_size,
-    _walk_matchings,
     enumerate_basis,
     enumerate_bras,
     make_half,
     restrict_bra,
+    standard_labels,
     walk_count,
 )
 from .diagram import (
@@ -76,7 +75,6 @@ from .diagram import (
     RED,
     Diagram,
     SizeMismatchError,
-    circular_positions,
     endpoint_arrays,
     glue,
     make_diagram,
@@ -511,37 +509,35 @@ def localisation_report(n: int) -> SpanReport:
     d in B_n, V·d·U is zero or a monomial times one closure x, d with
     points 1, 2 capped north and south, and the U·x·V of distinct x share
     no diagram, so the rank of e·B_n·e is the number of distinct
-    closures.  It should be the size of the basis two sizes down.  B_n
-    is walked, not listed, and each walked d is closed as the walk
-    reaches it: one cap fits d's northern word and one cup its southern
-    word, or none does and V·d·U is zero.  Only the distinct closures
-    are held, each as its pairs.
+    closures, which should be the size of the basis two sizes down.  They are counted on the cell modules, so no diagram
+    of B_n is listed or walked.  Write d = C(x, y), glued from bras x and
+    y of one label.  One cap fits x's frame word, or none does and V·d is
+    zero; by the mirror, the cups act on y as the caps do.  V·C(x, y)·U is
+    a monomial times C(V·x, V·y) when both images are bras, so those
+    closures are the pairs of images, and their number is the sum over
+    labels of the squared count of distinct images.  It reaches
+    |B_{n-2}|, the number of all such pairs two sizes down, exactly when
+    the caps send each W(n; i, j) onto W(n - 2; i, j), and then the
+    closures are all of B_{n-2}.
     """
     if n < 2:
         raise ValueError("needs at least two strands")
     _check_size(n, DEFAULT_MAX_N)
-    # each cap by its southern word and each cup by its northern word,
-    # both (c, c, *word), as endpoint arrays
-    caps, cups = {}, {}
+    # each cap by the southern word it fits, (c, c, *word)
+    caps = {}
     for c, *word in product((RED, BLUE), repeat=n - 1):
-        lines = list(enumerate(word, 1))
-        cap = make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines])
-        cup = make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines])
-        caps[(c, c, *word)] = endpoint_arrays(2 * n - 2, cap.pairs)
-        cups[(c, c, *word)] = endpoint_arrays(2 * n - 2, cup.pairs)
-    closures: set[tuple[tuple[int, int, int], ...]] = set()
-
-    def leaf(slots: list) -> None:
-        d = endpoint_arrays(2 * n, filter(None, slots))
-        cap = caps.get(tuple(d[1][1 : n + 1]))
-        cup = cups.get(tuple(d[1][n + 1 :]))
-        if cap and cup:
-            # equal words never clash, so neither glue returns None
-            vd = glue(cap, d, n - 2, n, n)[2]
-            closures.add(tuple(glue(endpoint_arrays(2 * n - 2, vd), cup, n - 2, n, n - 2)[2]))
-
-    _walk_matchings(circular_positions(n, n), ([], []), leaf)
-    return SpanReport(n, None, len(closures), walk_count(2 * n - 4, 0, 0))
+        pairs = [(n - 1, n, c)] + [(k, n + k, w) for k, w in enumerate(word, 1)]
+        caps[(c, c, *word)] = make_diagram(n - 2, n, pairs)
+    rank = 0
+    for i, j in standard_labels(n):
+        images = set()
+        for bra in enumerate_bras(n, i, j):
+            cap = caps.get(tuple(bra.endpoints[1][1 : n + 1]))
+            r = cap and act_diagram(cap, bra)
+            if r:
+                images.add(r[2])
+        rank += len(images) ** 2
+    return SpanReport(n, None, rank, walk_count(2 * n - 4, 0, 0))
 
 
 # ---------------------------------------------------------------------------

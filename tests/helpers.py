@@ -3,7 +3,8 @@ the tools that only the tests use: the brute-force enumeration of
 coloured diagrams, one-colour diagrams, their ballot count and their
 union-find composition, diagram builders, cutting and joining halves,
 module matrices, matrix products over the loop ring, ranks over
-GF(2^61 - 1), element matrices in the spin chain and the perturbed
+GF(2^61 - 1), the localisation rank by closing every diagram of B_n,
+element matrices in the spin chain and the perturbed
 Yang-Baxter probe."""
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from bubblealg.basis import HalfDiagram, enumerate_basis, enumerate_bras, make_half
+from bubblealg.basis import HalfDiagram, _walk_matchings, enumerate_basis, enumerate_bras, make_half
 from bubblealg.diagram import (
     BLUE,
     COLOUR_CHARS,
     RED,
     Diagram,
+    circular_positions,
+    endpoint_arrays,
+    glue,
     make_diagram,
     propagating_index,
     straight_diagram,
@@ -679,6 +683,36 @@ def localisation_rank_reference(n: int, seed: int) -> int:
     ranks = {rank_mod({k: eval_mod(c, *pt) for k, c in row.items()} for row in rows) for pt in points}
     assert len(ranks) == 1, f"ranks at two random points disagree: {sorted(ranks)}"
     return ranks.pop()
+
+
+def localisation_walk_rank(n: int) -> int:
+    """Number of distinct closures of B_n, d with points 1, 2 capped north
+    and south, found by closing every leaf of B_n's walk as the walk
+    reaches it: one cap fits the leaf's northern word and one cup its
+    southern word, or none does and V·d·U is zero.  No cell module is
+    used."""
+    # each cap by its southern word and each cup by its northern word,
+    # both (c, c, *word), as endpoint arrays
+    caps, cups = {}, {}
+    for c, *word in product((RED, BLUE), repeat=n - 1):
+        lines = list(enumerate(word, 1))
+        cap = make_diagram(n - 2, n, [(n - 1, n, c)] + [(k, n + k, w) for k, w in lines])
+        cup = make_diagram(n, n - 2, [(1, 2, c)] + [(k + 2, n + k, w) for k, w in lines])
+        caps[(c, c, *word)] = endpoint_arrays(2 * n - 2, cap.pairs)
+        cups[(c, c, *word)] = endpoint_arrays(2 * n - 2, cup.pairs)
+    closures: set[tuple[tuple[int, int, int], ...]] = set()
+
+    def leaf(slots: list) -> None:
+        d = endpoint_arrays(2 * n, filter(None, slots))
+        cap = caps.get(tuple(d[1][1 : n + 1]))
+        cup = cups.get(tuple(d[1][n + 1 :]))
+        if cap and cup:
+            # equal words never clash, so neither glue returns None
+            vd = glue(cap, d, n - 2, n, n)[2]
+            closures.add(tuple(glue(endpoint_arrays(2 * n - 2, vd), cup, n - 2, n, n - 2)[2]))
+
+    _walk_matchings(circular_positions(n, n), ([], []), leaf)
+    return len(closures)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from helpers import (
     join_halves,
     kron,
     localisation_rank_reference,
+    localisation_walk_rank,
     match_special_value,
     matmul,
     mirror,
@@ -33,13 +34,23 @@ from helpers import (
 from bubblealg import stdmod
 from bubblealg.basis import (
     DEFAULT_MAX_N,
+    HalfDiagram,
     enumerate_basis,
     enumerate_bras,
     make_half,
     standard_labels,
     walk_count,
 )
-from bubblealg.diagram import BLUE, RED, Diagram, compose, make_diagram, propagating_index
+from bubblealg.diagram import (
+    BLUE,
+    RED,
+    Diagram,
+    compose,
+    endpoint_arrays,
+    glue,
+    make_diagram,
+    propagating_index,
+)
 from bubblealg.checks import tl_gram_poly
 from bubblealg.exactpoly import (
     DB,
@@ -557,9 +568,11 @@ class TestRestrictionAndSpans:
         assert rep.expected == len(enumerate_basis(3))
         rep = localisation_report(6)
         assert (rep.rank, rep.expected) == (588, 588)
+        # every size the package admits
+        assert all(localisation_report(n).holds for n in range(2, DEFAULT_MAX_N + 1))
 
     def test_localisation_lists_no_basis(self, monkeypatch):
-        # B_5 is walked and each diagram closed as it is reached, never listed
+        # the report acts on bras: B_5 is never listed
         real = stdmod.enumerate_basis
 
         def refusing(n, *args, **kwargs):
@@ -570,40 +583,27 @@ class TestRestrictionAndSpans:
         monkeypatch.setattr(stdmod, "enumerate_basis", refusing)
         assert localisation_report(5).holds
 
-    def test_localisation_builds_no_diagram_per_walked_diagram(self, monkeypatch):
-        # the walk's leaves are closed from their endpoint arrays: building
-        # each as a Diagram would take |B_6| = 56 628 calls at n = 6
-        calls = []
-        real = Diagram._raw.__func__
-
-        def counting(cls, *args):
-            calls.append(args)
-            return real(cls, *args)
-
-        monkeypatch.setattr(Diagram, "_raw", classmethod(counting))
-        assert localisation_report(6).holds
-        assert len(calls) < 2**6
-
     @pytest.mark.parametrize("n", range(2, 6))
     def test_localisation_rank_matches_the_gf_reference(self, n):
         assert localisation_report(n).rank == localisation_rank_reference(n, seed=20260822)
 
-    def test_closures_capped_only_north_miss(self, monkeypatch):
-        # caps of one colour alone would still reach every closure, so
-        # the mutation leaves the south edge open instead: the second glue
-        # of each walked d, V·d onto a cup, hands back V·d as it stands,
-        # so only d's north edge is capped
-        real = stdmod.glue
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_localisation_rank_matches_the_walk(self, n):
+        assert localisation_report(n).rank == localisation_walk_rank(n)
 
-        def north_only(top, bottom, n_north, n_glued, n_south):
-            if n_north == n_south == n_glued - 2:
-                partner, colour = top
-                return 0, 0, [(p, q, colour[p]) for p, q in enumerate(partner) if p < q]
-            return real(top, bottom, n_north, n_glued, n_south)
+    def test_kept_lower_images_miss(self, monkeypatch):
+        # act_diagram that keeps an image whose chain joins two cut slots,
+        # a line bent back, counts images that are no bras two sizes down
+        def keeping_lower(d, bra):
+            nn = d.n_north
+            top = endpoint_arrays(nn + d.n_south, d.pairs)
+            r = glue(top, bra.endpoints, nn, bra.n_north, bra.n_south)
+            return r and (r[0], r[1], HalfDiagram._raw(nn, bra.n_south, tuple(r[2])))
 
-        monkeypatch.setattr(stdmod, "glue", north_only)
-        for n in range(3, 6):
-            assert not localisation_report(n).holds
+        monkeypatch.setattr(stdmod, "act_diagram", keeping_lower)
+        reports = [localisation_report(n) for n in range(2, 8)]
+        assert [rep.rank for rep in reports] == [3, 6, 40, 302, 2_850, 28_408]
+        assert not any(rep.holds for rep in reports)
 
 
 def localisation_caps(n: int) -> dict[tuple[int, ...], Diagram]:
