@@ -206,6 +206,14 @@ def _scan_gram_roots():
     return lambda: scan_gram_roots(report)
 
 
+def _cyclic_span_report():
+    from bubblealg.basis import standard_labels
+    from bubblealg.stdmod import cyclic_span_report
+
+    labels = standard_labels(6)
+    return lambda: [cyclic_span_report(6, i, j) for i, j in labels]
+
+
 def _localisation_report():
     from bubblealg.stdmod import localisation_report
 
@@ -275,6 +283,7 @@ LAYERS = {
     "gram_det_report": Layer("stdmod:gram_det_report", "(8,1,1), fresh bras", _gram_det_report),
     "det_text": Layer("stdmod:GramDetReport.det_text", "(7,1,0)", _det_text),
     "scan_gram_roots": Layer("stdmod:scan_gram_roots", "psi_2 to psi_300, n=150", _scan_gram_roots),
+    "cyclic_span_report": Layer("stdmod:cyclic_span_report", "every label at n=6", _cyclic_span_report),
     "localisation_report": Layer("stdmod:localisation_report", "n=5", _localisation_report),
     # numerics
     "diagram_matrix": Layer(

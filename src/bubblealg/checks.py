@@ -175,15 +175,10 @@ def _check_white_idempotent(size: int) -> Outcome:
 
 def _check_identity_decomposition(n: int) -> Outcome:
     straights = monochrome_straight_diagrams(n)
-    total = Element.zero(n, n)
-    for a in straights:
-        total = total + Element.from_diagram(a)
-        for b in straights:
-            prod = Element.from_diagram(a) * Element.from_diagram(b)
-            want = Element.from_diagram(a) if a == b else Element.zero(n, n)
-            if prod != want:
-                return Outcome(False, f"straights not orthogonal at n={n}")
-    if total != identity_element(n):
+    # each squares to itself with no loop, and every other product is zero
+    if list(products(straights, straights)) != [(a, a, 0, 0, a) for a in straights]:
+        return Outcome(False, f"straights not orthogonal at n={n}")
+    if Element(n, n, [(a, ONE) for a in straights]) != identity_element(n):
         return Outcome(False, f"straights do not sum to 1 at n={n}")
     return Outcome(True, f"2^{n} orthogonal idempotents sum to 1")
 

@@ -30,7 +30,10 @@ ring coefficients, summed in one place, ``Element._raw``; its product
 multiplies diagrams through ``diagram.products``, the one place diagrams
 are glued, and weighs each product's loop counts as a monomial.
 ``identity_element`` builds the unit and ``white_generator`` the cup-cap
-generators, each summed over every colouring of its lines.
+generators, each summed over every colouring of its lines; the latter
+sums the cup-caps of ``local_generators``, the one table of B_n's local
+generators: the six B_2 diagrams that are not straight, placed at an
+adjacent pair and built valid through ``Diagram._raw``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import chain, product
 from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .diagram import BLUE, RED, Diagram, SizeMismatchError, make_diagram, products, straight_diagram
+from .diagram import BLUE, RED, Diagram, SizeMismatchError, products, straight_diagram
 
 Exponent = tuple[int, int]
 
@@ -509,16 +512,23 @@ def identity_element(n: int) -> Element:
     return Element._raw(n, n, ((straight_diagram(word), ONE) for word in words))
 
 
-def white_generator(n: int, i: int) -> Element:
-    """Cup-cap at position i with every line summed over all colours."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator position {i} out of range for n={n}")
-    free = [k for k in range(1, n + 1) if k not in (i, i + 1)]
-    terms = []
-    for colours in product((RED, BLUE), repeat=n):
-        cup, cap, rest = colours[0], colours[1], colours[2:]
-        pairs = [(i, i + 1, cup), (n + i, n + i + 1, cap)]
-        pairs.extend((k, n + k, c) for k, c in zip(free, rest))
-        terms.append((make_diagram(n, n, pairs), ONE))
-    return Element._raw(n, n, terms)
+def local_generators(n: int, k: int) -> list[Diagram]:
+    """The two crossings, then the four cup-caps, of B_2 at points k, k+1
+    of n, every other strand straight: each in all 2^(n-2) colourings of
+    those strands in turn, built valid."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"generator position {k} out of range for n={n}")
+    crossings = [((k, n + k + 1, c), (k + 1, n + k, d)) for c, d in ((RED, BLUE), (BLUE, RED))]
+    cupcaps = [((k, k + 1, c), (n + k, n + k + 1, d)) for c in (RED, BLUE) for d in (RED, BLUE)]
+    free = [m for m in range(1, n + 1) if m not in (k, k + 1)]
+    return [
+        Diagram._raw(n, n, tuple(sorted([*local, *((m, n + m, c) for m, c in zip(free, rest))])))
+        for local in crossings + cupcaps
+        for rest in product((RED, BLUE), repeat=n - 2)
+    ]
 
+
+def white_generator(n: int, i: int) -> Element:
+    """Cup-cap at position i with every line summed over all colours: the
+    cup-caps of ``local_generators(n, i)``, after its 2·2^(n-2) crossings."""
+    return Element._raw(n, n, ((d, ONE) for d in local_generators(n, i)[2 ** (n - 1) :]))

@@ -16,11 +16,14 @@ diagrams, each placed at an adjacent pair with straight strands
 elsewhere.  Over all of B_4 (818 496 triples) it takes about 7 s, too
 long for these tests.
 
-The same placed B_2 diagrams generate B_n: a closure under right
-multiplication (Froidure and Pin, "Algorithms for computing finite
-semigroups", 1997) from the six that are not straight, at every adjacent
-pair and in every colouring of the other strands, reaches every diagram
-of B_n but the two one-colour straight ones for n <= 5.
+The same placed B_2 diagrams generate B_n.  The package's table of
+them, ``exactpoly.local_generators``, holds the six that are not
+straight, at every adjacent pair and in every colouring of the other
+strands; it matches a construction from ``helpers.tensor_diagram`` for
+n <= 6.  A closure under right multiplication (Froidure and Pin,
+"Algorithms for computing finite semigroups", 1997) from that table
+reaches every diagram of B_n but the two one-colour straight ones for
+n <= 5.
 """
 
 from __future__ import annotations
@@ -32,8 +35,18 @@ from itertools import product
 import pytest
 
 from bubblealg.basis import enumerate_basis
-from bubblealg.diagram import BLUE, RED, endpoint_arrays, make_diagram, products, straight_diagram
-from helpers import mirror
+from bubblealg.diagram import (
+    BLUE,
+    RED,
+    Diagram,
+    endpoint_arrays,
+    make_diagram,
+    products,
+    propagating_index,
+    straight_diagram,
+)
+from bubblealg.exactpoly import local_generators
+from helpers import mirror, tensor_diagram
 
 
 def product_table(left, right) -> dict:
@@ -188,18 +201,37 @@ def test_the_straight_diagrams_sum_to_a_two_sided_unit(n):
         assert list(products((d,), straights)) == [(d, straight_diagram(words(d)[1]), 0, 0, d)]
 
 
-def local_generators(n: int, crossings: bool = True) -> list:
-    """The B_2 diagrams that are not straight, each placed at every
-    adjacent pair of n points in every colouring of the other strands:
-    6·(n-1)·2^(n-2) of them, or 4·(n-1)·2^(n-2) without the two crossings."""
-    left_out = [{(1, 3), (2, 4)}] + ([] if crossings else [{(1, 4), (2, 3)}])
-    shapes = [g for g in B2 if {(p, q) for p, q, _ in g.pairs} not in left_out]
-    return [
-        placed(g, k, rest[: k - 1] + (RED, RED) + rest[k - 1 :])
-        for k in range(1, n)
-        for rest in product((RED, BLUE), repeat=n - 2)
+def tensored_generators(n: int, k: int) -> set:
+    """The B_2 diagrams that are not straight, each tensored between
+    straight diagrams of k - 1 and n - k - 1 strands in every colouring."""
+    shapes = [g for g in B2 if {(p, q) for p, q, _ in g.pairs} != {(1, 3), (2, 4)}]
+    return {
+        tensor_diagram(tensor_diagram(straight_diagram(left), g), straight_diagram(right))
         for g in shapes
-    ]
+        for left in product((RED, BLUE), repeat=k - 1)
+        for right in product((RED, BLUE), repeat=n - k - 1)
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_table_of_local_generators_is_the_tensored_b2(n):
+    for k in range(1, n):
+        placed_here = local_generators(n, k)
+        assert len(placed_here) == len(set(placed_here)) == 6 * 2 ** (n - 2)
+        assert set(placed_here) == tensored_generators(n, k)
+        # each was built unchecked, and passes the check
+        assert all(Diagram(*d) == d for d in placed_here)
+    for k in (0, n):
+        with pytest.raises(ValueError, match=f"generator position {k} out of range for n={n}"):
+            local_generators(n, k)
+
+
+def package_generators(n: int, crossings: bool = True) -> list:
+    """The package's local generators at every adjacent pair: 6·(n-1)·2^(n-2)
+    of them, or 4·(n-1)·2^(n-2) without the crossings, whose lines all
+    propagate."""
+    every = [d for k in range(1, n) for d in local_generators(n, k)]
+    return [d for d in every if crossings or sum(propagating_index(d)) < n]
 
 
 def right_closure(generators: list) -> set:
@@ -215,7 +247,7 @@ def right_closure(generators: list) -> set:
 
 @pytest.mark.parametrize("n, reached", [(2, 8), (3, 68), (4, 586), (5, 5_542)])
 def test_the_local_generators_generate_b_n(n, reached):
-    generators = local_generators(n)
+    generators = package_generators(n)
     assert len(generators) == len(set(generators)) == 6 * (n - 1) * 2 ** (n - 2)
     closure = right_closure(generators)
     # the one-colour straight diagrams are identities, not products
@@ -227,6 +259,6 @@ def test_the_local_generators_generate_b_n(n, reached):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_without_the_crossings_fewer_diagrams_are_reached(n):
     # the control: no strand can pass one of the other colour
-    generators = local_generators(n, crossings=False)
+    generators = package_generators(n, crossings=False)
     assert len(generators) == 4 * (n - 1) * 2 ** (n - 2)
     assert len(right_closure(generators)) < len(enumerate_basis(n)) - 2

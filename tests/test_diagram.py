@@ -365,6 +365,10 @@ class TestBuilders:
 
     def test_padding_left_shifts_position(self):
         assert pad_with_identity(white_generator(2, 1), 1, 0) == white_generator(3, 2)
+        # the cup-cap at i is the n = 2 one with i - 1 strands on its left
+        for n in range(2, 7):
+            for i in range(1, n):
+                assert pad_with_identity(white_generator(2, 1), i - 1, n - i - 1) == white_generator(n, i)
 
     def test_inclusion_preserves_products(self):
         u = white_generator(2, 1)

@@ -31,7 +31,7 @@ from helpers import (
     tl_halfdiagram_count,
 )
 
-from bubblealg import stdmod
+from bubblealg import basis, stdmod
 from bubblealg.basis import (
     DEFAULT_MAX_N,
     HalfDiagram,
@@ -556,6 +556,20 @@ class TestRestrictionAndSpans:
         reports = [cyclic_span_report(4, i, j) for i, j in standard_labels(4)]
         assert not all(rep.holds for rep in reports)
 
+    def test_cyclic_span_without_the_crossings_falls_short(self, monkeypatch):
+        # the control: no strand can pass one of the other colour, so the
+        # red and the blue line of (1, 1) never swap
+        real = stdmod.local_generators
+
+        def uncrossed(n, k):
+            return [d for d in real(n, k) if sum(propagating_index(d)) < n]
+
+        monkeypatch.setattr(stdmod, "local_generators", uncrossed)
+        rep = cyclic_span_report(2, 1, 1)
+        assert (rep.rank, rep.expected) == (1, 2)
+        short = [sum(not cyclic_span_report(n, i, j).holds for i, j in standard_labels(n)) for n in (3, 4, 5)]
+        assert short == [4, 7, 10]
+
     def test_localisation_small(self):
         assert localisation_report(2).rank == 1
         assert localisation_report(2).holds
@@ -572,15 +586,16 @@ class TestRestrictionAndSpans:
         assert all(localisation_report(n).holds for n in range(2, DEFAULT_MAX_N + 1))
 
     def test_localisation_lists_no_basis(self, monkeypatch):
-        # the report acts on bras: B_5 is never listed
-        real = stdmod.enumerate_basis
+        # the report acts on bras: B_5 is never listed, as stdmod holds no
+        # enumerate_basis and a call through the basis module is refused
+        assert not hasattr(stdmod, "enumerate_basis")
 
         def refusing(n, *args, **kwargs):
             if n >= 3:
                 raise AssertionError(f"B_{n} listed")
-            return real(n, *args, **kwargs)
+            return enumerate_basis(n, *args, **kwargs)
 
-        monkeypatch.setattr(stdmod, "enumerate_basis", refusing)
+        monkeypatch.setattr(basis, "enumerate_basis", refusing)
         assert localisation_report(5).holds
 
     @pytest.mark.parametrize("n", range(2, 6))
