@@ -256,8 +256,6 @@ class HalfDiagram(Diagram):
     the diagram rule, then every pair that reaches a cut starts on the
     frame, red exactly when its slot is among the first i.  A cut inside
     an arc of its colour or an unused frame point fails the diagram rule.
-    No ``__slots__``: the cached endpoint arrays and text live in the
-    instance ``__dict__``.
     """
 
     def __post_init__(self) -> None:
@@ -286,14 +284,6 @@ class HalfDiagram(Diagram):
     @property
     def blue_cuts(self) -> tuple[int, ...]:
         return tuple(p for p, q, c in self.pairs if q > self.n_north and c == BLUE)
-
-    @cached_property
-    def endpoints(self) -> Endpoints:
-        """Endpoint arrays with the frame north: n over i + j points.
-
-        Cached and shared by every caller, so they are read, never changed.
-        """
-        return endpoint_arrays(self.n_north + self.n_south, self.pairs)
 
     @cached_property
     def flipped_endpoints(self) -> Endpoints:

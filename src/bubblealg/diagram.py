@@ -16,8 +16,9 @@ The product is zero unless strand colours agree at every glued point;
 closed loops created by the gluing are removed and counted per colour,
 each contributing one loop-parameter factor at the algebra level.
 ``glue`` is the one routine that follows strands across a glued edge,
-working on endpoint arrays; ``products``, the action on standard modules
-and their bilinear form (see ``stdmod``) are thin adapters over it.
+working on the endpoint arrays each diagram keeps beside its edge colour
+words (``Diagram.endpoints``, ``Diagram.words``); ``products``, the action
+on standard modules and their bilinear form are thin adapters over it.
 This module knows no ring: ``products`` returns plain loop counts, and
 the weighing of loops in the coefficient ring, with the algebra's
 elements, lives in ``exactpoly``.  It imports nothing from the package.
@@ -52,6 +53,7 @@ by construction and skip it through ``Diagram._raw``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 RED = 0
@@ -104,9 +106,8 @@ class _DiagramFields(NamedTuple):
 
 
 class Diagram(_DiagramFields):
-    """Canonical coloured pair matching of a rectangle's boundary."""
-
-    __slots__ = ()
+    """Canonical coloured pair matching of a rectangle's boundary; its
+    ``endpoints`` and ``words``, kept once read, are shared: read only."""
 
     def __new__(
         cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]
@@ -135,6 +136,17 @@ class Diagram(_DiagramFields):
     def _raw(cls, n_north: int, n_south: int, pairs: tuple[tuple[int, int, int], ...]) -> "Diagram":
         # internal fast path; caller guarantees a valid canonical diagram
         return tuple.__new__(cls, (n_north, n_south, pairs))
+
+    @cached_property
+    def endpoints(self) -> Endpoints:
+        """Partner and colour of each endpoint, north then south."""
+        return endpoint_arrays(self.n_north + self.n_south, self.pairs)
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The colour words of the north and the south edge, left to right."""
+        colour = self.endpoints[1]
+        return tuple(colour[1 : self.n_north + 1]), tuple(colour[self.n_north + 1 :])
 
     def encode(self) -> str:
         return encode_pairs(self.n_north, self.n_south, self.pairs)
@@ -304,15 +316,13 @@ def products(
     orthogonal idempotents, one per colour word, so a·b is zero unless a's
     southern word is b's northern one: ``right`` is bucketed by northern
     word, so mismatched pairs are never glued."""
-    buckets: dict[tuple[int, ...], list[tuple[Diagram, Endpoints]]] = {}
+    buckets: dict[tuple[int, ...], list[Diagram]] = {}
     for b in right:
-        bottom = endpoint_arrays(b.n_north + b.n_south, b.pairs)
-        buckets.setdefault(tuple(bottom[1][1 : b.n_north + 1]), []).append((b, bottom))
+        buckets.setdefault(b.words[0], []).append(b)
     for a in left:
-        top = endpoint_arrays(a.n_north + a.n_south, a.pairs)
-        for b, bottom in buckets.get(tuple(top[1][a.n_north + 1 :]), ()):
+        for b in buckets.get(a.words[1], ()):
             # equal words never clash, so glue does not return None
-            lr, lb, pairs = glue(top, bottom, a.n_north, a.n_south, b.n_south)
+            lr, lb, pairs = glue(a.endpoints, b.endpoints, a.n_north, a.n_south, b.n_south)
             yield a, b, lr, lb, Diagram._raw(a.n_north, b.n_south, tuple(pairs))
 
 

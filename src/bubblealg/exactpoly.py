@@ -33,11 +33,12 @@ are glued, and weighs each product's loop counts as a monomial.
 generators, each summed over every colouring of its lines; the latter
 sums the cup-caps of ``local_generators``, the one table of B_n's local
 generators: the six B_2 diagrams that are not straight, placed at an
-adjacent pair and built valid through ``Diagram._raw``.
+adjacent pair and built valid through ``Diagram._raw`` once per (n, k).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product
 from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -512,20 +513,21 @@ def identity_element(n: int) -> Element:
     return Element._raw(n, n, ((straight_diagram(word), ONE) for word in words))
 
 
-def local_generators(n: int, k: int) -> list[Diagram]:
+@cache
+def local_generators(n: int, k: int) -> tuple[Diagram, ...]:
     """The two crossings, then the four cup-caps, of B_2 at points k, k+1
     of n, every other strand straight: each in all 2^(n-2) colourings of
-    those strands in turn, built valid."""
+    those strands in turn, built valid once per (n, k) and shared."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator position {k} out of range for n={n}")
     crossings = [((k, n + k + 1, c), (k + 1, n + k, d)) for c, d in ((RED, BLUE), (BLUE, RED))]
     cupcaps = [((k, k + 1, c), (n + k, n + k + 1, d)) for c in (RED, BLUE) for d in (RED, BLUE)]
     free = [m for m in range(1, n + 1) if m not in (k, k + 1)]
-    return [
+    return tuple(
         Diagram._raw(n, n, tuple(sorted([*local, *((m, n + m, c) for m, c in zip(free, rest))])))
         for local in crossings + cupcaps
         for rest in product((RED, BLUE), repeat=n - 2)
-    ]
+    )
 
 
 def white_generator(n: int, i: int) -> Element:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .basis import enumerate_basis
-from .diagram import Diagram, endpoint_arrays, products
+from .diagram import Diagram, products
 from .numeric import NumericParams
 
 def state_index(states: Sequence[int]) -> int:
@@ -159,9 +159,7 @@ def homomorphism_report(n: int, params: NumericParams) -> HomomorphismReport:
     mats = {d: diagram_matrix(d, params) for d in basis}
     residuals = []
     for d, m in mats.items():
-        colour = endpoint_arrays(d.n_north + d.n_south, d.pairs)[1]
-        rows = colour_block_indices(tuple(colour[1 : d.n_north + 1]))
-        cols = colour_block_indices(tuple(colour[d.n_north + 1 :]))
+        rows, cols = map(colour_block_indices, d.words)
         outside = m.copy()
         outside[np.ix_(rows, cols)] = 0
         residuals.append(np.abs(outside).max())

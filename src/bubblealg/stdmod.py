@@ -11,8 +11,8 @@ joining two cut points would bend a propagating line back and makes the
 image zero, which realises the quotient by lower layers of the
 filtration.  ``cyclic_span_report`` finds the orbit of the standard
 generator breadth first, acting with the table of B_2 diagrams placed
-at an adjacent pair, ``exactpoly.local_generators``, so it lists no
-B_n.  ``localisation_report`` lists none
+at an adjacent pair, ``exactpoly.local_generators``, built once per
+(n, k), so it lists no B_n.  ``localisation_report`` lists none
 either: it acts with the one cap that fits each bra of each W(n; i, j),
 and sums the squares of the numbers of distinct images, one term per
 label, since the caps' closures of B_n are the pairs of images.
@@ -75,7 +75,6 @@ from .diagram import (
     RED,
     Diagram,
     SizeMismatchError,
-    endpoint_arrays,
     glue,
     make_diagram,
 )
@@ -107,8 +106,7 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
             f"diagram with {d.n_south} southern points cannot act on a frame of {bra.n_north}"
         )
     nn = d.n_north
-    top = endpoint_arrays(nn + d.n_south, d.pairs)
-    r = glue(top, bra.endpoints, nn, bra.n_north, bra.n_south)
+    r = glue(d.endpoints, bra.endpoints, nn, bra.n_north, bra.n_south)
     # a pair with both ends among the slots is a chain that leaves the layer
     if r is None or any(p > nn for p, _, _ in r[2]):
         return None
@@ -121,8 +119,7 @@ def act_diagram(d: Diagram, bra: HalfDiagram) -> tuple[int, int, HalfDiagram] | 
 
 def rb_word(bra: HalfDiagram) -> str:
     """Boundary colour word: the colour letter at each frame point."""
-    colour = bra.endpoints[1]
-    return "".join(COLOUR_CHARS[colour[k]] for k in range(1, bra.n + 1))
+    return "".join(COLOUR_CHARS[c] for c in bra.words[0])
 
 
 def bra_inner(x: HalfDiagram, y: HalfDiagram) -> LaurentPoly:
@@ -176,7 +173,7 @@ class GramBlock(NamedTuple):
 
 def renumbered_pairs(bra: HalfDiagram) -> tuple[tuple[int, int, int], ...]:
     """bra's sorted pairs, each frame point numbered within its colour; cuts keep their slots."""
-    n, word = bra.n_north, rb_word(bra)
+    n, word = bra.n_north, bra.words[0]
     rank = [0] + [word[:p].count(word[p - 1]) for p in range(1, n + 1)]
     return tuple(sorted((rank[p], rank[q] if q <= n else q, c) for p, q, c in bra.pairs))
 
@@ -474,13 +471,13 @@ def cyclic_span_report(n: int, i: int, j: int) -> SpanReport:
     steps: dict[tuple[int, ...], list[Diagram]] = {}
     for k in range(1, n):
         for d in local_generators(n, k):
-            steps.setdefault(tuple(endpoint_arrays(2 * n, d.pairs)[1][n + 1 :]), []).append(d)
+            steps.setdefault(d.words[1], []).append(d)
     gen = cyclic_generator_bra(n, i, j)
     reached, frontier = {gen}, [gen]
     while frontier:
         found = []
         for bra in frontier:
-            for d in steps.get(tuple(bra.endpoints[1][1 : n + 1]), ()):
+            for d in steps.get(bra.words[0], ()):
                 r = act_diagram(d, bra)
                 if r and r[2] not in reached:
                     reached.add(r[2])
@@ -511,16 +508,17 @@ def localisation_report(n: int) -> SpanReport:
     if n < 2:
         raise ValueError("needs at least two strands")
     _check_size(n, DEFAULT_MAX_N)
-    # each cap by the southern word it fits, (c, c, *word)
+    # each cap by the southern word it fits
     caps = {}
     for c, *word in product((RED, BLUE), repeat=n - 1):
         pairs = [(n - 1, n, c)] + [(k, n + k, w) for k, w in enumerate(word, 1)]
-        caps[(c, c, *word)] = make_diagram(n - 2, n, pairs)
+        cap = make_diagram(n - 2, n, pairs)
+        caps[cap.words[1]] = cap
     rank = 0
     for i, j in standard_labels(n):
         images = set()
         for bra in enumerate_bras(n, i, j):
-            cap = caps.get(tuple(bra.endpoints[1][1 : n + 1]))
+            cap = caps.get(bra.words[0])
             r = cap and act_diagram(cap, bra)
             if r:
                 images.add(r[2])

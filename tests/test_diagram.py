@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from bubblealg import diagram
-from bubblealg.basis import enumerate_basis
+from bubblealg.basis import enumerate_basis, enumerate_bras, standard_labels
 from bubblealg.diagram import (
     BLUE,
     RED,
@@ -22,7 +22,15 @@ from bubblealg.diagram import (
     propagating_index,
     straight_diagram,
 )
-from bubblealg.exactpoly import DB, DR, Element, LaurentPoly, identity_element, white_generator
+from bubblealg.exactpoly import (
+    DB,
+    DR,
+    Element,
+    LaurentPoly,
+    identity_element,
+    local_generators,
+    white_generator,
+)
 from helpers import (
     enumerate_via_seeds,
     module_generator,
@@ -255,6 +263,51 @@ class TestProducts:
         basis = enumerate_basis(3)
         assert sum(1 for _ in products(basis, basis)) == 626
         assert len(calls) == 626
+
+
+def edge_words(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The colours of the north points, then of the south points, each
+    point's colour looked up pair by pair."""
+    colours = []
+    for point in range(1, d.n_north + d.n_south + 1):
+        colours += [c for p, q, c in d.pairs if point in (p, q)]
+    return tuple(colours[: d.n_north]), tuple(colours[d.n_north :])
+
+
+class TestKeptArrays:
+    """What a diagram keeps once read: its endpoint arrays and edge words."""
+
+    @staticmethod
+    def diagrams_and_bras():
+        for n in range(5):
+            yield from enumerate_basis(n)
+        for n in range(7):
+            for i, j in standard_labels(n):
+                yield from enumerate_bras(n, i, j)
+
+    def test_words_and_arrays_are_read_off_the_pairs(self):
+        for d in self.diagrams_and_bras():
+            assert d.words == edge_words(d)
+            assert d.endpoints == endpoint_arrays(d.n_north + d.n_south, d.pairs)
+
+    def test_a_second_read_returns_the_same_object(self):
+        bra = enumerate_bras(4, 1, 1)[0]
+        product = next(products(enumerate_basis(2), enumerate_basis(2)))[4]
+        for d in (cupcap(RED, BLUE), make_diagram(0, 2, [(1, 2, RED)]), bra, product):
+            assert d.endpoints is d.endpoints
+            assert d.words is d.words
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_local_generators_are_one_table_per_position(self, n):
+        for k in range(1, n):
+            table = local_generators(n, k)
+            assert isinstance(table, tuple)
+            assert local_generators(n, k) is table
+        # a refused position is refused on every call, never cached
+        for k in (0, n):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="out of range"):
+                    local_generators(n, k)
 
 
 class TestElement:

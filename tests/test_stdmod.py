@@ -537,10 +537,13 @@ class TestRestrictionAndSpans:
         assert sum(report.neighbour_sizes.values()) == walk_count(4, 0, 0) - 1
 
     def test_cyclic_span_full_rank(self):
-        for n in range(1, 6):
+        # every size check admits; the brute count walks 4^n step sequences,
+        # so it stands beside the closed form up to n = 5
+        for n in range(1, DEFAULT_MAX_N + 1):
             for i, j in standard_labels(n):
                 rep = cyclic_span_report(n, i, j)
-                assert rep.rank == rep.expected == brute_walk_count(n, i, j)
+                assert rep.holds
+                assert n > 5 or rep.rank == brute_walk_count(n, i, j)
 
     def test_cyclic_span_that_skips_the_last_pair_falls_short(self, monkeypatch):
         # a search that never acts at points n-1 and n cannot reach the
